@@ -3,7 +3,7 @@
 //! the simulated network's query capacity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gdsearch::forwarding::{select_next_hops, ForwardContext};
+use gdsearch::forwarding::{select_next_hops, ForwardContext, Scores};
 use gdsearch::PolicyKind;
 use gdsearch_diffusion::Signal;
 use gdsearch_embed::Embedding;
@@ -51,7 +51,7 @@ fn bench_policies(c: &mut Criterion) {
                         node_embeddings: &embeddings,
                         graph: &graph,
                         fanout: 1,
-                        scores: None,
+                        scores: Scores::Inline,
                     };
                     select_next_hops(policy, &ctx, &mut walk_rng)
                 })

@@ -1,12 +1,21 @@
 //! Deterministic hot-column cache for the serving engine.
 //!
-//! The cache maps a query-class key to the precomputed score column for
-//! that class (`forwarding::score_column`). Because a column is a pure
-//! function of the query embedding and the built network, cache capacity,
-//! eviction order, and lookup interleaving can only change the *counters*
-//! reported by [`CacheStats`] — never the scores a walk observes. That is
-//! the load-bearing determinism argument for the engine: a hit returns
-//! bitwise the same column a miss would recompute.
+//! The cache maps a query-class key to that class's
+//! [`LazyColumn`]: one cell per node, empty when inserted and filled by the
+//! walks that read it, each cell through the scoring kernel the inline
+//! walk uses. A miss therefore costs an allocation, not a scan of all N
+//! embeddings, and a resident column saves exactly the dot products
+//! earlier walks of the class already paid for.
+//!
+//! A cell's value is a pure function of (query, embeddings, node), so
+//! cache capacity, eviction order, lookup interleaving, and *which walk
+//! fills which cell* can only change the counters reported by
+//! [`CacheStats`] — never the scores a walk observes. That is the
+//! load-bearing determinism argument for the engine, and it needs every
+//! reader of a column to carry the same query: an entry keeps the
+//! embedding that created it, and a lookup under the same class key with
+//! a bitwise-different embedding (an FNV-1a collision) is refused as
+//! [`Lookup::Collision`] instead of sharing cells.
 //!
 //! Eviction is least-recently-used by a monotone sequence number, with
 //! ties broken by the smaller class key, so the eviction victim is a
@@ -16,7 +25,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use gdsearch_embed::Embedding;
+
 use super::config::CacheCapacity;
+use crate::forwarding::LazyColumn;
 
 /// Counters describing cache behaviour since construction (or the last
 /// [`ColumnCache::reset_stats`]). Monotone except under explicit reset.
@@ -24,7 +36,8 @@ use super::config::CacheCapacity;
 pub struct CacheStats {
     /// Lookups that returned a resident column.
     pub hits: u64,
-    /// Lookups that found nothing resident.
+    /// Lookups that found nothing resident for the embedding (a class-key
+    /// collision counts here).
     pub misses: u64,
     /// Columns inserted.
     pub inserts: u64,
@@ -34,9 +47,30 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
+/// What [`ColumnCache::get`] found under a class key.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The class's column, created for this very embedding.
+    Hit(Arc<LazyColumn>),
+    /// Nothing resident under the key.
+    Miss,
+    /// The key is held by a bitwise-different embedding; sharing its
+    /// column would mix two queries' scores.
+    Collision,
+}
+
+/// Bitwise equality of two embeddings — the relation `class_of` hashes, so
+/// `-0.0 != 0.0` and a NaN equals itself.
+pub(super) fn same_bits(a: &Embedding, b: &Embedding) -> bool {
+    let (a, b) = (a.as_slice(), b.as_slice());
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[derive(Debug)]
 struct Entry {
-    column: Arc<Vec<f32>>,
+    /// The embedding `column` is filled for.
+    query: Embedding,
+    column: Arc<LazyColumn>,
     last_used: u64,
 }
 
@@ -61,29 +95,31 @@ impl ColumnCache {
         }
     }
 
-    /// Looks up the column for `class`, bumping its recency on a hit.
-    pub fn get(&mut self, class: u64) -> Option<Arc<Vec<f32>>> {
+    /// Looks up the column of `query` under `class`, bumping its recency
+    /// on a hit.
+    pub fn get(&mut self, class: u64, query: &Embedding) -> Lookup {
         if !self.capacity.enabled() {
             self.stats.misses = self.stats.misses.saturating_add(1);
-            return None;
+            return Lookup::Miss;
         }
         self.seq = self.seq.saturating_add(1);
-        match self.entries.get_mut(&class) {
-            Some(entry) => {
+        let missed = match self.entries.get_mut(&class) {
+            Some(entry) if same_bits(&entry.query, query) => {
                 entry.last_used = self.seq;
                 self.stats.hits = self.stats.hits.saturating_add(1);
-                Some(Arc::clone(&entry.column))
+                return Lookup::Hit(Arc::clone(&entry.column));
             }
-            None => {
-                self.stats.misses = self.stats.misses.saturating_add(1);
-                None
-            }
-        }
+            Some(_) => Lookup::Collision,
+            None => Lookup::Miss,
+        };
+        self.stats.misses = self.stats.misses.saturating_add(1);
+        missed
     }
 
-    /// Inserts (or refreshes) the column for `class`, evicting the
-    /// least-recently-used entry first if the capacity bound requires it.
-    pub fn insert(&mut self, class: u64, column: Arc<Vec<f32>>) {
+    /// Inserts (or replaces) the column of `query` under `class`, evicting
+    /// the least-recently-used entry first if the capacity bound requires
+    /// it.
+    pub fn insert(&mut self, class: u64, query: Embedding, column: Arc<LazyColumn>) {
         if !self.capacity.enabled() {
             return;
         }
@@ -110,6 +146,7 @@ impl ColumnCache {
         self.entries.insert(
             class,
             Entry {
+                query,
                 column,
                 last_used: self.seq,
             },
@@ -162,32 +199,87 @@ impl ColumnCache {
 mod tests {
     use super::*;
 
-    fn col(v: f32) -> Arc<Vec<f32>> {
-        Arc::new(vec![v])
+    /// The embedding every test class carries unless it tests collisions.
+    fn query() -> Embedding {
+        Embedding::new(vec![1.0, -2.0])
+    }
+
+    fn col() -> Arc<LazyColumn> {
+        Arc::new(LazyColumn::new(1))
+    }
+
+    fn insert(cache: &mut ColumnCache, class: u64) -> Arc<LazyColumn> {
+        let column = col();
+        cache.insert(class, query(), Arc::clone(&column));
+        column
+    }
+
+    fn resident(cache: &mut ColumnCache, class: u64) -> bool {
+        matches!(cache.get(class, &query()), Lookup::Hit(_))
+    }
+
+    /// Asserts that `class` hits and serves exactly `column`.
+    fn assert_hits(cache: &mut ColumnCache, class: u64, column: &Arc<LazyColumn>) {
+        match cache.get(class, &query()) {
+            Lookup::Hit(got) => assert!(Arc::ptr_eq(&got, column)),
+            other => panic!("expected a hit, got {other:?}"),
+        }
     }
 
     #[test]
     fn hit_returns_the_inserted_column() {
         let mut cache = ColumnCache::new(CacheCapacity::Bounded(2));
-        assert!(cache.get(7).is_none());
-        cache.insert(7, col(1.5));
-        let got = cache.get(7).unwrap();
-        assert_eq!(*got, vec![1.5]);
+        assert!(matches!(cache.get(7, &query()), Lookup::Miss));
+        let inserted = insert(&mut cache, 7);
+        assert_hits(&mut cache, 7, &inserted);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
     }
 
     #[test]
+    fn colliding_embedding_is_refused_and_leaves_the_entry_alone() {
+        let mut cache = ColumnCache::new(CacheCapacity::Bounded(2));
+        let inserted = insert(&mut cache, 7);
+        // Same key, different bits (-0.0 vs 0.0 included): never a hit.
+        for other in [vec![1.0, -2.5], vec![1.0], vec![1.0, -2.0, 0.0]] {
+            assert!(matches!(
+                cache.get(7, &Embedding::new(other)),
+                Lookup::Collision
+            ));
+        }
+        let mut zero = ColumnCache::new(CacheCapacity::Unbounded);
+        zero.insert(1, Embedding::new(vec![0.0]), col());
+        assert!(matches!(
+            zero.get(1, &Embedding::new(vec![-0.0])),
+            Lookup::Collision
+        ));
+        // The owner still hits its own column; collisions counted as misses.
+        assert_hits(&mut cache, 7, &inserted);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 3, 1));
+    }
+
+    #[test]
+    fn nan_embedding_hits_its_own_column() {
+        // Bitwise comparison: a NaN component equals itself, so a NaN
+        // query is not condemned to collide with its own entry forever.
+        let nan = Embedding::new(vec![f32::NAN, 1.0]);
+        let mut cache = ColumnCache::new(CacheCapacity::Unbounded);
+        cache.insert(3, nan.clone(), col());
+        assert!(matches!(cache.get(3, &nan), Lookup::Hit(_)));
+    }
+
+    #[test]
     fn lru_eviction_is_deterministic() {
         let mut cache = ColumnCache::new(CacheCapacity::Bounded(2));
-        cache.insert(1, col(1.0));
-        cache.insert(2, col(2.0));
+        insert(&mut cache, 1);
+        insert(&mut cache, 2);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(1).is_some());
-        cache.insert(3, col(3.0));
-        assert!(cache.get(2).is_none(), "LRU entry should be evicted");
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        assert!(resident(&mut cache, 1));
+        insert(&mut cache, 3);
+        assert!(!resident(&mut cache, 2), "LRU entry should be evicted");
+        assert!(resident(&mut cache, 1));
+        assert!(resident(&mut cache, 3));
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -195,22 +287,22 @@ mod tests {
     #[test]
     fn eviction_tie_breaks_on_smaller_key() {
         let mut cache = ColumnCache::new(CacheCapacity::Bounded(2));
-        cache.insert(5, col(5.0));
-        cache.insert(9, col(9.0));
+        insert(&mut cache, 5);
+        insert(&mut cache, 9);
         // Force identical recency by resetting through invalidate_all and
         // re-inserting is awkward; instead rely on insert order: 5 is
         // older, so it is the victim regardless of key order.
-        cache.insert(1, col(1.0));
-        assert!(cache.get(5).is_none());
-        assert!(cache.get(9).is_some());
+        insert(&mut cache, 1);
+        assert!(!resident(&mut cache, 5));
+        assert!(resident(&mut cache, 9));
     }
 
     #[test]
     fn zero_capacity_and_disabled_never_store() {
         for cap in [CacheCapacity::Disabled, CacheCapacity::Bounded(0)] {
             let mut cache = ColumnCache::new(cap);
-            cache.insert(1, col(1.0));
-            assert!(cache.get(1).is_none());
+            insert(&mut cache, 1);
+            assert!(matches!(cache.get(1, &query()), Lookup::Miss));
             assert!(cache.is_empty());
             assert_eq!(cache.stats().inserts, 0);
         }
@@ -220,7 +312,7 @@ mod tests {
     fn unbounded_never_evicts() {
         let mut cache = ColumnCache::new(CacheCapacity::Unbounded);
         for class in 0..64 {
-            cache.insert(class, col(class as f32));
+            insert(&mut cache, class);
         }
         assert_eq!(cache.len(), 64);
         assert_eq!(cache.stats().evictions, 0);
@@ -229,11 +321,11 @@ mod tests {
     #[test]
     fn invalidate_drops_only_the_named_class() {
         let mut cache = ColumnCache::new(CacheCapacity::Unbounded);
-        cache.insert(1, col(1.0));
-        cache.insert(2, col(2.0));
+        insert(&mut cache, 1);
+        insert(&mut cache, 2);
         cache.invalidate(1);
-        assert!(cache.get(1).is_none());
-        assert!(cache.get(2).is_some());
+        assert!(!resident(&mut cache, 1));
+        assert!(resident(&mut cache, 2));
         assert_eq!(cache.stats().invalidations, 1);
 
         cache.invalidate_all();
@@ -244,11 +336,11 @@ mod tests {
     #[test]
     fn reinserting_a_resident_class_does_not_evict_peers() {
         let mut cache = ColumnCache::new(CacheCapacity::Bounded(2));
-        cache.insert(1, col(1.0));
-        cache.insert(2, col(2.0));
-        cache.insert(1, col(1.5));
+        insert(&mut cache, 1);
+        insert(&mut cache, 2);
+        let replacement = insert(&mut cache, 1);
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(*cache.get(1).unwrap(), vec![1.5]);
-        assert!(cache.get(2).is_some());
+        assert_hits(&mut cache, 1, &replacement);
+        assert!(resident(&mut cache, 2));
     }
 }

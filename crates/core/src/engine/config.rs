@@ -206,7 +206,7 @@ pub enum CacheCapacity {
     /// Hold at most this many columns, evicting the least recently used.
     /// `Bounded(0)` behaves like [`CacheCapacity::Disabled`].
     Bounded(usize),
-    /// Hold every column ever computed.
+    /// Hold every column ever started.
     Unbounded,
 }
 

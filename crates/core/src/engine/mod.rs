@@ -7,19 +7,29 @@
 //! a long-lived [`QueryEngine`] that owns the network, admits requests
 //! through a bounded queue, executes compatible requests as one batch on
 //! a deterministic work pool, and serves repeated *query classes* from a
-//! capacity-bounded cache of precomputed score columns.
+//! capacity-bounded cache of lazily filled score columns.
 //!
 //! # Determinism contract
 //!
-//! Every serving knob is results-neutral. A cached column is
-//! [`forwarding::score_column`], which evaluates the *same* dot-product
-//! kernel [`forwarding::candidate_score`] uses inline, over every node —
-//! so a walk that consults the column observes bitwise the scores it
-//! would have computed itself. Batch composition and thread count only
-//! change *which worker* runs a walk, never its inputs: each request
-//! carries its own seed, and [`workpool`] reassembles outputs in
-//! submission order. Cache capacity and eviction therefore affect only
-//! the hit/miss counters, never a score. `tests/engine_equivalence.rs`
+//! Every serving knob is results-neutral. A cached column is a
+//! [`LazyColumn`]: it starts empty, and
+//! [`crate::forwarding::candidate_score`] fills a cell the first time a walk
+//! scores that node — with the *same* dot-product kernel it evaluates
+//! inline — and reads it back afterwards. A cell's bits are thus a pure
+//! function of (query, embeddings, node): a walk observes bitwise the
+//! scores it would have computed itself, whether it found the cell set or
+//! set it. Walks of one batch share a column across threads without a
+//! lock; two that race on a cell store identical bits, so thread timing
+//! decides who pays for a dot product and nothing else. That argument
+//! needs every reader of a column to carry the same query: the cache
+//! refuses a class-key collision ([`CacheVerdict::Bypass`]) instead of
+//! mixing two queries' scores in one column.
+//!
+//! Batch composition and thread count only change *which worker* runs a
+//! walk, never its inputs: each request carries its own seed, and
+//! [`workpool`] reassembles outputs in submission order. Cache capacity
+//! and eviction therefore affect only the hit/miss counters and how many
+//! cells are already set, never a score. `tests/engine_equivalence.rs`
 //! proptests this across batch sizes, thread counts and cache capacities.
 //!
 //! # Example
@@ -57,7 +67,7 @@
 mod cache;
 mod config;
 
-pub use cache::{CacheStats, ColumnCache};
+pub use cache::{CacheStats, ColumnCache, Lookup};
 pub use config::{validate_scheme, CacheCapacity, ConfigError, EngineConfig, EngineConfigBuilder};
 
 use std::collections::VecDeque;
@@ -73,12 +83,13 @@ use gdsearch_obs::Observer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::forwarding::{LazyColumn, Scores};
 use crate::walk::WalkOutcome;
-use crate::{forwarding, walk, Placement, SearchError, SearchNetwork};
+use crate::{walk, Placement, SearchError, SearchNetwork};
 
 /// Locks a mutex, recovering the data on poison: every critical section
 /// here leaves the cache/queue structurally valid (counters may undercount
-/// after a worker panic, values never change — columns are pure).
+/// after a worker panic, values never change — column cells are pure).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -176,12 +187,18 @@ impl From<EngineError> for SearchError {
 /// How the engine satisfied a request's score lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheVerdict {
-    /// The request's class column was resident before its batch ran.
+    /// The request's class column was resident when its batch was
+    /// admitted; the walk read the cells earlier walks had filled and
+    /// filled the ones it was first to touch.
     Hit,
-    /// The column was computed (and cached) for this batch.
+    /// The class had no resident column when the batch was admitted: an
+    /// empty one was inserted for the batch's walks of that class to fill
+    /// and share. Nothing is computed up front — a miss costs the
+    /// allocation plus the dot products the walk would have done inline.
     Miss,
-    /// The request carried no class, or the cache is disabled; candidate
-    /// scores were computed inline during the walk.
+    /// The request carried no class, the cache is disabled, or the class
+    /// key is held by a different embedding (a hash collision); candidate
+    /// scores were computed inline during the walk and stored nowhere.
     Bypass,
 }
 
@@ -208,15 +225,6 @@ impl QueryRequest {
             seed,
             class: Some(class),
         }
-    }
-
-    /// Overrides the cache class. Callers grouping requests under an
-    /// external key (e.g. a keyword id) must guarantee that one class
-    /// always carries one exact embedding — the engine trusts the key.
-    #[must_use]
-    pub fn with_class(mut self, class: u64) -> Self {
-        self.class = Some(class);
-        self
     }
 
     /// Opts this request out of column caching; its walk scores
@@ -297,9 +305,14 @@ pub struct EngineStats {
     pub cache: CacheStats,
 }
 
-/// One admitted request mid-batch: id, request, resolved score column
-/// (if any), and how the cache answered.
-type ResolvedSlot = (u64, QueryRequest, Option<Arc<Vec<f32>>>, CacheVerdict);
+/// How the cache answered one request: the class's column (if any) and
+/// the verdict reported for it.
+type Resolved = (Option<Arc<LazyColumn>>, CacheVerdict);
+
+/// The score source a resolved request walks with.
+fn scores_of(column: &Option<Arc<LazyColumn>>) -> Scores<'_> {
+    column.as_deref().map_or(Scores::Inline, Scores::Lazy)
+}
 
 /// A long-lived serving engine over one built [`SearchNetwork`].
 ///
@@ -501,7 +514,10 @@ impl<'g> QueryEngine<'g> {
         obs.set_query(id);
         let cache_span = obs.enter("engine.cache");
         obs.trace_begin("engine.cache");
-        let (column, verdict) = self.resolve_column(&request);
+        let (column, verdict) = self
+            .resolve(&[&request])
+            .pop()
+            .unwrap_or((None, CacheVerdict::Bypass));
         obs.trace_end("engine.cache");
         obs.exit(cache_span);
         let sink = obs.sink();
@@ -511,12 +527,11 @@ impl<'g> QueryEngine<'g> {
             CacheVerdict::Bypass => sink.add("engine.cache.bypasses", 1),
         }
         let mut rng = StdRng::seed_from_u64(request.seed);
-        let scores = column.as_ref().map(|c| c.as_slice());
         let outcome = self.network.query_scored_observed(
             &request.query,
             request.start,
             &mut rng,
-            scores,
+            scores_of(&column),
             obs,
         )?;
         self.executed.fetch_add(1, Ordering::Relaxed);
@@ -528,8 +543,8 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Drops the cached column of `class` (e.g. after re-placing the
-    /// documents that back it). The next request of that class recomputes
-    /// it from the current network.
+    /// documents that back it). The next request of that class starts an
+    /// empty column, filled from the current network.
     pub fn invalidate(&self, class: u64) {
         lock(&self.cache).invalidate(class);
     }
@@ -568,106 +583,93 @@ impl<'g> QueryEngine<'g> {
         Ok(())
     }
 
-    /// Resolves the score column for a single request: cache hit, or
-    /// compute-and-insert, or bypass.
-    fn resolve_column(&self, request: &QueryRequest) -> (Option<Arc<Vec<f32>>>, CacheVerdict) {
-        let class = match request
-            .class
-            .filter(|_| self.config.cache_capacity().enabled())
-        {
-            Some(class) => class,
-            None => return (None, CacheVerdict::Bypass),
+    /// Resolves every request of a batch against the cache, in order.
+    /// Nothing is scored here: a class with no resident column gets an
+    /// empty one, shared by the batch's requests of that class (all
+    /// [`CacheVerdict::Miss`]) and published for later batches. The cache
+    /// lock is held for the lookups and for the publish, not for the
+    /// allocations between them.
+    fn resolve(&self, batch: &[&QueryRequest]) -> Vec<Resolved> {
+        let cache_on = self.config.cache_capacity().enabled();
+        let mut resolved: Vec<Resolved> = {
+            let mut cache = lock(&self.cache);
+            batch
+                .iter()
+                .map(|request| match request.class.filter(|_| cache_on) {
+                    Some(class) => match cache.get(class, &request.query) {
+                        Lookup::Hit(column) => (Some(column), CacheVerdict::Hit),
+                        Lookup::Miss => (None, CacheVerdict::Miss),
+                        Lookup::Collision => (None, CacheVerdict::Bypass),
+                    },
+                    None => (None, CacheVerdict::Bypass),
+                })
+                .collect()
         };
-        if let Some(column) = lock(&self.cache).get(class) {
-            return (Some(column), CacheVerdict::Hit);
+
+        // One empty column per distinct missing class; the first request
+        // of a class owns it, and a later one with the same key but other
+        // bits (a collision inside the batch) walks inline.
+        let num_nodes = self.network.graph().num_nodes();
+        let mut fresh: Vec<(u64, &Embedding, Arc<LazyColumn>)> = Vec::new();
+        for (request, slot) in batch.iter().zip(&mut resolved) {
+            let (Some(class), CacheVerdict::Miss) = (request.class, slot.1) else {
+                continue;
+            };
+            match fresh.iter().find(|(c, _, _)| *c == class) {
+                Some((_, owner, column)) if cache::same_bits(owner, &request.query) => {
+                    slot.0 = Some(Arc::clone(column));
+                }
+                Some(_) => slot.1 = CacheVerdict::Bypass,
+                None => {
+                    let column = Arc::new(LazyColumn::new(num_nodes));
+                    slot.0 = Some(Arc::clone(&column));
+                    fresh.push((class, &request.query, column));
+                }
+            }
         }
-        let column = Arc::new(forwarding::score_column(
-            &request.query,
-            self.network.embeddings(),
-        ));
-        lock(&self.cache).insert(class, Arc::clone(&column));
-        (Some(column), CacheVerdict::Miss)
+        if !fresh.is_empty() {
+            let mut cache = lock(&self.cache);
+            for (class, query, column) in fresh {
+                cache.insert(class, query.clone(), column);
+            }
+        }
+        resolved
     }
 
-    /// Executes one batch: resolve resident columns under the cache lock,
-    /// compute the missing classes in parallel *outside* it, then run
-    /// every walk on the work pool with its private seeded RNG.
+    /// Executes one batch: resolve every request's column, then run every
+    /// walk on the work pool with its private seeded RNG. Walks of one
+    /// class fill and read their shared column concurrently.
     fn run_batch(
         &self,
         batch: Vec<(u64, QueryRequest)>,
     ) -> Result<Vec<QueryResponse>, EngineError> {
-        let threads = self.config.threads();
-        let cache_on = self.config.cache_capacity().enabled();
+        let requests: Vec<&QueryRequest> = batch.iter().map(|(_, request)| request).collect();
+        let resolved = self.resolve(&requests);
+        let slots: Vec<(&QueryRequest, &Resolved)> =
+            requests.iter().copied().zip(&resolved).collect();
 
-        // Phase 1: one pass under the lock — classify every request as
-        // hit / miss / bypass, recording the distinct missing classes
-        // (first occurrence's embedding is the class representative).
-        let mut resolved: Vec<ResolvedSlot> = Vec::with_capacity(batch.len());
-        let mut missing: Vec<(u64, Embedding)> = Vec::new();
-        {
-            let mut cache = lock(&self.cache);
-            for (id, request) in batch {
-                match request.class.filter(|_| cache_on) {
-                    Some(class) => match cache.get(class) {
-                        Some(column) => {
-                            resolved.push((id, request, Some(column), CacheVerdict::Hit));
-                        }
-                        None => {
-                            if !missing.iter().any(|(c, _)| *c == class) {
-                                missing.push((class, request.query.clone()));
-                            }
-                            resolved.push((id, request, None, CacheVerdict::Miss));
-                        }
-                    },
-                    None => resolved.push((id, request, None, CacheVerdict::Bypass)),
-                }
-            }
-        }
-
-        // Phase 2: fill the missing columns in parallel (pure work, no
-        // lock), then publish them to the cache in one critical section.
-        if !missing.is_empty() {
-            let embeddings = self.network.embeddings();
-            let computed: Vec<(u64, Arc<Vec<f32>>)> =
-                workpool::map_batched(&missing, threads, |(class, query)| {
-                    (
-                        *class,
-                        Arc::new(forwarding::score_column(query, embeddings)),
-                    )
-                });
-            let mut cache = lock(&self.cache);
-            for (class, column) in &computed {
-                cache.insert(*class, Arc::clone(column));
-            }
-            drop(cache);
-            for slot in &mut resolved {
-                if slot.3 == CacheVerdict::Miss && slot.2.is_none() {
-                    if let Some(class) = slot.1.class {
-                        if let Some((_, column)) = computed.iter().find(|(c, _)| *c == class) {
-                            slot.2 = Some(Arc::clone(column));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 3: the walks. Each request runs on its own seeded RNG, so
-        // worker assignment cannot leak into results; map_batched returns
-        // outputs in submission order.
+        // Each request runs on its own seeded RNG, so worker assignment
+        // cannot leak into results; map_batched returns outputs in
+        // submission order.
         let network = &self.network;
         let outcomes: Vec<Result<WalkOutcome, SearchError>> =
-            workpool::map_batched(&resolved, threads, |(_, request, column, _)| {
+            workpool::map_batched(&slots, self.config.threads(), |(request, (column, _))| {
                 let mut rng = StdRng::seed_from_u64(request.seed);
-                let scores = column.as_ref().map(|c| c.as_slice());
-                walk::run_scored(network, &request.query, request.start, &mut rng, scores)
+                walk::run_with(
+                    network,
+                    &request.query,
+                    request.start,
+                    &mut rng,
+                    scores_of(column),
+                )
             });
 
-        let executed = u64::try_from(resolved.len()).unwrap_or(u64::MAX);
-        let mut responses = Vec::with_capacity(resolved.len());
-        for ((id, _, _, verdict), outcome) in resolved.into_iter().zip(outcomes) {
+        let executed = u64::try_from(batch.len()).unwrap_or(u64::MAX);
+        let mut responses = Vec::with_capacity(batch.len());
+        for (((id, _), (_, verdict)), outcome) in batch.iter().zip(&resolved).zip(outcomes) {
             responses.push(QueryResponse {
-                id,
-                verdict,
+                id: *id,
+                verdict: *verdict,
                 outcome: outcome?,
             });
         }
@@ -874,6 +876,100 @@ mod tests {
         let third = engine.execute(request(&fx, 0, 1, 1)).unwrap();
         assert_eq!(third.verdict, CacheVerdict::Miss);
         assert_eq!(third.outcome.results, first.outcome.results);
+    }
+
+    #[test]
+    fn colliding_class_keys_never_share_a_column() {
+        let fx = fixture();
+        let config = EngineConfig::builder()
+            .batch_size(4)
+            .threads(2)
+            .build()
+            .unwrap();
+        let engine = engine_with(&fx, config);
+        // Word 1's embedding forged under word 0's class key: what an
+        // FNV-1a collision would look like.
+        let key = QueryRequest::class_of(fx.corpus.embedding(WordId::new(0)));
+        let forged = |start, seed| {
+            let mut request = request(&fx, 1, start, seed);
+            request.class = Some(key);
+            request
+        };
+        let batch = [
+            request(&fx, 0, 3, 1),
+            forged(4, 2),
+            request(&fx, 0, 5, 3),
+            forged(6, 4),
+        ];
+        let inline: Vec<WalkOutcome> = batch
+            .iter()
+            .map(|r| {
+                let mut rng = StdRng::seed_from_u64(r.seed);
+                walk::run(engine.network(), &r.query, r.start, &mut rng).unwrap()
+            })
+            .collect();
+        // Inside one batch (the owner is the first request of the key),
+        // then against the resident column.
+        for owner_verdict in [CacheVerdict::Miss, CacheVerdict::Hit] {
+            for r in &batch {
+                engine.submit(r.clone()).unwrap();
+            }
+            let responses = engine.step().unwrap();
+            let verdicts: Vec<CacheVerdict> = responses.iter().map(|r| r.verdict).collect();
+            assert_eq!(
+                verdicts,
+                [
+                    owner_verdict,
+                    CacheVerdict::Bypass,
+                    owner_verdict,
+                    CacheVerdict::Bypass
+                ]
+            );
+            for (response, want) in responses.iter().zip(&inline) {
+                assert_eq!(&response.outcome, want);
+            }
+        }
+        assert_eq!(engine.stats().cache.inserts, 1);
+    }
+
+    #[test]
+    fn non_finite_embedding_rows_walk_as_inline() {
+        let fx = fixture();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut network = SearchNetwork::build(
+            &fx.graph,
+            &fx.corpus,
+            &fx.placement,
+            EngineConfig::default().scheme(),
+            &mut rng,
+        )
+        .unwrap();
+        // Every third row non-finite: plain NaN, a NaN carrying the lazy
+        // column's "unset" bits, and an infinity.
+        let poison = [f32::NAN, f32::from_bits(u32::MAX), f32::INFINITY];
+        for (u, value) in (0..fx.graph.num_nodes())
+            .step_by(3)
+            .zip(poison.iter().cycle())
+        {
+            network.embeddings_mut().row_mut(u).fill(*value);
+        }
+        let engine = QueryEngine::from_network(network, EngineConfig::default());
+        // Two passes: the empty column, then the partly filled one.
+        for _ in 0..2 {
+            for (start, seed) in [(1u32, 1u64), (40, 2), (77, 3), (149, 4)] {
+                let response = engine.execute(request(&fx, 0, start, seed)).unwrap();
+                let mut walk_rng = StdRng::seed_from_u64(seed);
+                let inline = walk::run(
+                    engine.network(),
+                    fx.corpus.embedding(WordId::new(0)),
+                    NodeId::new(start),
+                    &mut walk_rng,
+                )
+                .unwrap();
+                assert_eq!(response.outcome, inline);
+            }
+        }
+        assert!(engine.stats().cache.hits >= 7);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! (flooding, uniform random walks) plus two common heuristics
 //! (degree-biased, ε-greedy hybrid) used in the ablation benches.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use gdsearch_diffusion::Signal;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
@@ -52,37 +54,106 @@ pub struct ForwardContext<'a> {
     pub graph: &'a Graph,
     /// How many next hops to select (ignored by flooding, which takes all).
     pub fanout: usize,
-    /// Precomputed query-vs-embedding scores for *every* node (indexed by
-    /// node id), or `None` to compute dot products inline. When present,
-    /// entries must equal [`score_column`] of the same query and
-    /// embeddings — the serving engine's hot-column cache relies on this
-    /// so cached and uncached walks stay bitwise identical.
-    pub scores: Option<&'a [f32]>,
+    /// Where candidate scores come from (see [`Scores`]).
+    pub scores: Scores<'a>,
+}
+
+/// The source of a walk's query-vs-embedding scores. Every variant yields,
+/// for every node, the bits of the one scoring kernel — so the choice
+/// changes how much work a walk does, never a forwarding decision.
+#[derive(Debug, Clone, Copy)]
+pub enum Scores<'a> {
+    /// Compute each dot product when a candidate is scored.
+    Inline,
+    /// A full column indexed by node id; entries must equal
+    /// [`score_column`] of the same query and embeddings. Nodes past its
+    /// end are scored inline.
+    Column(&'a [f32]),
+    /// A column filled on first touch (the serving engine's hot-column
+    /// cache); must only ever be used with one query and one embedding
+    /// matrix.
+    Lazy(&'a LazyColumn),
+}
+
+/// Bit pattern of a cell no walk has scored yet: a NaN, so no finite score
+/// collides with it. A kernel result with exactly these bits is never
+/// stored and is recomputed on every read — slower, same value.
+const UNSET: u32 = u32::MAX;
+
+/// One query's score column over all nodes, filled cell by cell as walks
+/// touch candidates, so a walk pays for the nodes it visits and not for N.
+///
+/// Cells are shared between concurrent walks without a lock. Racing
+/// writers of one cell store identical bits — a score is a pure function
+/// of (query, embeddings, node) — so a reader sees either "unset" (and
+/// recomputes) or the final value, and `Relaxed` suffices: a cell
+/// publishes nothing but itself.
+#[derive(Debug)]
+pub struct LazyColumn {
+    cells: Vec<AtomicU32>,
+}
+
+impl LazyColumn {
+    /// A column of `num_nodes` unset cells.
+    #[must_use]
+    pub fn new(num_nodes: usize) -> Self {
+        LazyColumn {
+            cells: (0..num_nodes).map(|_| AtomicU32::new(UNSET)).collect(),
+        }
+    }
+
+    /// The stored score of `node`, or `None` while its cell is unset (or
+    /// `node` is past the column's end).
+    #[must_use]
+    pub fn get(&self, node: usize) -> Option<f32> {
+        let bits = self.cells.get(node)?.load(Ordering::Relaxed);
+        (bits != UNSET).then(|| f32::from_bits(bits))
+    }
+
+    /// The score of `node`: its cell if set, else `compute()`, stored for
+    /// the next reader.
+    fn get_or_fill(&self, node: usize, compute: impl FnOnce() -> f32) -> f32 {
+        let Some(cell) = self.cells.get(node) else {
+            return compute();
+        };
+        let bits = cell.load(Ordering::Relaxed);
+        if bits != UNSET {
+            return f32::from_bits(bits);
+        }
+        let score = compute();
+        cell.store(score.to_bits(), Ordering::Relaxed);
+        score
+    }
 }
 
 /// The scheme's scoring kernel: dot product of the query with one diffused
-/// embedding row. Single source of truth for [`candidate_score`] and
-/// [`score_column`], so a cached column reproduces the inline computation
-/// bit for bit.
+/// embedding row. Single source of truth for [`candidate_score`] (inline
+/// and lazy fill) and [`score_column`], so every [`Scores`] variant
+/// reproduces the inline computation bit for bit.
 fn dot_row(query: &Embedding, emb: &[f32]) -> f32 {
     query.as_slice().iter().zip(emb).map(|(q, e)| q * e).sum()
 }
 
 /// Scores a candidate exactly as the paper's nodes do: dot product of the
-/// query with the candidate's diffused embedding. Served from
-/// [`ForwardContext::scores`] when a precomputed column is attached.
+/// query with the candidate's diffused embedding, read from or filled into
+/// [`ForwardContext::scores`] when a column is attached.
 pub fn candidate_score(ctx: &ForwardContext<'_>, candidate: NodeId) -> f32 {
-    match ctx.scores.and_then(|s| s.get(candidate.index())).copied() {
-        Some(score) => score,
-        None => dot_row(ctx.query, ctx.node_embeddings.row(candidate.index())),
+    let u = candidate.index();
+    let inline = || dot_row(ctx.query, ctx.node_embeddings.row(u));
+    match ctx.scores {
+        Scores::Inline => inline(),
+        Scores::Column(column) => column.get(u).copied().unwrap_or_else(inline),
+        Scores::Lazy(column) => column.get_or_fill(u, inline),
     }
 }
 
 /// The full score column of one query against every node's diffused
 /// embedding, computed with the exact per-candidate kernel of
 /// [`candidate_score`]. A walk that reads this column through
-/// [`ForwardContext::scores`] makes bitwise-identical forwarding
-/// decisions to one that computes dot products inline.
+/// [`Scores::Column`] makes bitwise-identical forwarding decisions to one
+/// that computes dot products inline. It costs a pass over all N rows, so
+/// the serving engine fills a [`LazyColumn`] instead; this stays as the
+/// reference the lazy column is tested against.
 #[must_use]
 pub fn score_column(query: &Embedding, node_embeddings: &Signal) -> Vec<f32> {
     (0..node_embeddings.num_nodes())
@@ -199,6 +270,16 @@ mod tests {
         (g, e, query, candidates)
     }
 
+    /// Perturbs the fixture's rows so scores are distinct and
+    /// irrational-ish.
+    fn perturb(e: &mut Signal) {
+        for u in 0..5 {
+            for (i, x) in e.row_mut(u).iter_mut().enumerate() {
+                *x += (u as f32 + 1.0) * 0.137 + i as f32 * 0.011;
+            }
+        }
+    }
+
     #[test]
     fn greedy_picks_best_scoring_candidate() {
         let (g, e, q, cands) = fixture();
@@ -209,7 +290,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: None,
+            scores: Scores::Inline,
         };
         let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3)]);
@@ -227,7 +308,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 2,
-            scores: None,
+            scores: Scores::Inline,
         };
         let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3), NodeId::new(1)]);
@@ -245,7 +326,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 2,
-            scores: None,
+            scores: Scores::Inline,
         };
         let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(1), NodeId::new(2)]);
@@ -261,7 +342,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 2,
-            scores: None,
+            scores: Scores::Inline,
         };
         let mut r = rng(2);
         for _ in 0..20 {
@@ -282,7 +363,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: None,
+            scores: Scores::Inline,
         };
         let mut counts = [0usize; 5];
         let mut r = rng(3);
@@ -312,7 +393,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: None,
+            scores: Scores::Inline,
         };
         let picks = select_next_hops(PolicyKind::DegreeBiased, &ctx, &mut rng(4));
         assert_eq!(picks, vec![NodeId::new(2)]);
@@ -328,7 +409,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1, // ignored
-            scores: None,
+            scores: Scores::Inline,
         };
         let picks = select_next_hops(PolicyKind::Flooding, &ctx, &mut rng(5));
         assert_eq!(picks.len(), 4);
@@ -344,7 +425,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: None,
+            scores: Scores::Inline,
         };
         // epsilon = 0 -> always greedy.
         for seed in 0..10 {
@@ -365,12 +446,7 @@ mod tests {
     #[test]
     fn precomputed_column_matches_inline_scoring_bitwise() {
         let (g, mut e, q, cands) = fixture();
-        // Perturb rows so scores are distinct and irrational-ish.
-        for u in 0..5 {
-            for (i, x) in e.row_mut(u).iter_mut().enumerate() {
-                *x += (u as f32 + 1.0) * 0.137 + i as f32 * 0.011;
-            }
-        }
+        perturb(&mut e);
         let column = score_column(&q, &e);
         let inline_ctx = ForwardContext {
             node: NodeId::new(0),
@@ -379,7 +455,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 2,
-            scores: None,
+            scores: Scores::Inline,
         };
         let cached_ctx = ForwardContext {
             node: NodeId::new(0),
@@ -388,7 +464,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 2,
-            scores: Some(&column),
+            scores: Scores::Column(&column),
         };
         for &c in &cands {
             assert_eq!(
@@ -416,7 +492,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: Some(&short),
+            scores: Scores::Column(&short),
         };
         let inline_ctx = ForwardContext {
             node: NodeId::new(0),
@@ -425,13 +501,117 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 1,
-            scores: None,
+            scores: Scores::Inline,
         };
         // Node 3 (index 3) is past the short column's end.
         assert_eq!(
             candidate_score(&ctx, NodeId::new(3)).to_bits(),
             candidate_score(&inline_ctx, NodeId::new(3)).to_bits(),
         );
+    }
+
+    fn scored_ctx<'a>(
+        graph: &'a Graph,
+        node_embeddings: &'a Signal,
+        query: &'a Embedding,
+        candidates: &'a [NodeId],
+        scores: Scores<'a>,
+    ) -> ForwardContext<'a> {
+        ForwardContext {
+            node: NodeId::new(0),
+            candidates,
+            query,
+            node_embeddings,
+            graph,
+            fanout: 2,
+            scores,
+        }
+    }
+
+    #[test]
+    fn lazy_column_touched_everywhere_equals_score_column_bitwise() {
+        let (g, mut e, q, _) = fixture();
+        perturb(&mut e);
+        let reference = score_column(&q, &e);
+        let lazy = LazyColumn::new(5);
+        let all: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+        let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&lazy));
+        // Nothing is computed until a candidate is scored.
+        assert!(all.iter().all(|c| lazy.get(c.index()).is_none()));
+        // First pass fills, second pass reads: same bits both times.
+        for pass in 0..2 {
+            for (&c, want) in all.iter().zip(&reference) {
+                assert_eq!(
+                    candidate_score(&ctx, c).to_bits(),
+                    want.to_bits(),
+                    "pass {pass}, node {c:?}"
+                );
+            }
+        }
+        let stored: Vec<u32> = (0..5).map(|u| lazy.get(u).unwrap().to_bits()).collect();
+        let want: Vec<u32> = reference.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(stored, want);
+        // A node past the column's end is scored inline, as with a short
+        // full column.
+        let short = LazyColumn::new(2);
+        let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&short));
+        assert_eq!(
+            candidate_score(&ctx, NodeId::new(3)).to_bits(),
+            reference[3].to_bits()
+        );
+    }
+
+    #[test]
+    fn sentinel_valued_score_is_recomputed_never_mistaken_for_a_value() {
+        let column = LazyColumn::new(2);
+        let calls = std::cell::Cell::new(0);
+        let sentinel = || {
+            calls.set(calls.get() + 1);
+            f32::from_bits(UNSET)
+        };
+        // The kernel result whose bits are the sentinel comes back intact
+        // every time; its cell just never looks set.
+        assert_eq!(column.get_or_fill(0, sentinel).to_bits(), UNSET);
+        assert_eq!(column.get_or_fill(0, sentinel).to_bits(), UNSET);
+        assert_eq!(calls.get(), 2);
+        assert!(column.get(0).is_none());
+        // Any other NaN is an ordinary value: stored once, read back.
+        let other_nan = f32::from_bits(0x7fc0_0001);
+        assert_eq!(
+            column.get_or_fill(1, || other_nan).to_bits(),
+            other_nan.to_bits()
+        );
+        assert_eq!(
+            column.get_or_fill(1, || unreachable!()).to_bits(),
+            other_nan.to_bits()
+        );
+    }
+
+    #[test]
+    fn non_finite_rows_decide_the_same_lazily_and_inline() {
+        let (g, mut e, q, cands) = fixture();
+        // NaN, a NaN carrying the sentinel's bits, and an infinity among
+        // the candidates' rows.
+        e.row_mut(1).fill(f32::NAN);
+        e.row_mut(2).fill(f32::from_bits(UNSET));
+        e.row_mut(4)[2] = f32::INFINITY;
+        let lazy = LazyColumn::new(5);
+        let inline_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Inline);
+        let lazy_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Lazy(&lazy));
+        // Empty column, then the column the first pass left behind.
+        for _ in 0..2 {
+            for &c in &cands {
+                assert_eq!(
+                    candidate_score(&lazy_ctx, c).to_bits(),
+                    candidate_score(&inline_ctx, c).to_bits(),
+                    "node {c:?}"
+                );
+            }
+            assert_eq!(
+                select_next_hops(PolicyKind::PprGreedy, &lazy_ctx, &mut rng(7)),
+                select_next_hops(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
+            );
+        }
     }
 
     #[test]
@@ -444,7 +624,7 @@ mod tests {
             node_embeddings: &e,
             graph: &g,
             fanout: 3,
-            scores: None,
+            scores: Scores::Inline,
         };
         assert!(select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(6)).is_empty());
         assert!(select_next_hops(PolicyKind::Flooding, &ctx, &mut rng(6)).is_empty());

@@ -35,7 +35,7 @@ use gdsearch_sim::{
     WireMessage,
 };
 
-use crate::forwarding::{self, ForwardContext};
+use crate::forwarding::{self, ForwardContext, Scores};
 use crate::{DocId, PolicyKind, SearchError, SearchNetwork};
 
 /// A query or response message of the search protocol.
@@ -251,7 +251,7 @@ impl NodeHandler<SearchMessage> for SearchNode {
                             node_embeddings: &self.embeddings,
                             graph: &self.graph,
                             fanout: effective_fanout,
-                            scores: None,
+                            scores: Scores::Inline,
                         };
                         targets = forwarding::select_next_hops(self.policy, &ctx, api.rng());
                     }

@@ -12,6 +12,7 @@ use gdsearch_graph::{Graph, NodeId};
 use gdsearch_obs::Observer;
 use rand::Rng;
 
+use crate::forwarding::Scores;
 use crate::personalization;
 use crate::walk::{self, WalkOutcome};
 use crate::{DiffusionEngine, DocId, Placement, SchemeConfig, SearchError};
@@ -301,23 +302,23 @@ impl<'g> SearchNetwork<'g> {
         rng: &mut R,
         obs: &mut Observer<'_>,
     ) -> Result<WalkOutcome, SearchError> {
-        self.query_scored_observed(query, start, rng, None, obs)
+        self.query_scored_observed(query, start, rng, Scores::Inline, obs)
     }
 
-    /// [`SearchNetwork::query_observed`] with an optional precomputed score
-    /// column (see [`walk::run_scored`]); the engine's cached path lands
-    /// here so the walk instrumentation has exactly one implementation.
+    /// [`SearchNetwork::query_observed`] with a score source (see
+    /// [`walk::run_with`]); the engine's cached path lands here so the walk
+    /// instrumentation has exactly one implementation.
     pub(crate) fn query_scored_observed<R: Rng + ?Sized>(
         &self,
         query: &Embedding,
         start: NodeId,
         rng: &mut R,
-        scores: Option<&[f32]>,
+        scores: Scores<'_>,
         obs: &mut Observer<'_>,
     ) -> Result<WalkOutcome, SearchError> {
         let walk_span = obs.enter("scheme.walk");
         obs.trace_begin("scheme.walk");
-        let out = walk::run_scored(self, query, start, rng, scores);
+        let out = walk::run_with(self, query, start, rng, scores);
         obs.trace_end("scheme.walk");
         obs.exit(walk_span);
         if let Ok(out) = &out {
@@ -328,6 +329,13 @@ impl<'g> SearchNetwork<'g> {
             sink.record("scheme.walk.results", out.results.len() as u64);
         }
         out
+    }
+
+    /// Test hook: overwrite diffused rows (non-finite embeddings cannot be
+    /// produced through `build`, which rejects a diverged diffusion).
+    #[cfg(test)]
+    pub(crate) fn embeddings_mut(&mut self) -> &mut Signal {
+        &mut self.embeddings
     }
 
     /// The overlay graph.

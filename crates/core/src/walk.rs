@@ -16,7 +16,7 @@ use gdsearch_graph::NodeId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::forwarding::{self, ForwardContext};
+use crate::forwarding::{self, ForwardContext, Scores};
 use crate::{DocId, SearchError, SearchNetwork, VisitedMemory};
 
 /// A document a query found, with the hop at which its host was visited.
@@ -93,17 +93,16 @@ pub fn run<R: Rng + ?Sized>(
     start: NodeId,
     rng: &mut R,
 ) -> Result<WalkOutcome, SearchError> {
-    run_scored(network, query, start, rng, None)
+    run_with(network, query, start, rng, Scores::Inline)
 }
 
 /// [`run`] with an optional precomputed score column attached to every
 /// forwarding decision.
 ///
 /// `scores`, when present, must be
-/// [`forwarding::score_column`]`(query, network.embeddings())` — the
-/// serving engine's hot-column cache stores exactly that, so a walk served
-/// from the cache is bitwise identical to [`run`] computing dot products
-/// inline. Passing `None` is [`run`].
+/// [`forwarding::score_column`]`(query, network.embeddings())`, so the
+/// walk is bitwise identical to [`run`] computing dot products inline.
+/// Passing `None` is [`run`].
 ///
 /// # Errors
 ///
@@ -114,6 +113,25 @@ pub fn run_scored<R: Rng + ?Sized>(
     start: NodeId,
     rng: &mut R,
     scores: Option<&[f32]>,
+) -> Result<WalkOutcome, SearchError> {
+    let scores = scores.map_or(Scores::Inline, Scores::Column);
+    run_with(network, query, start, rng, scores)
+}
+
+/// The walk itself: [`run`] reading candidate scores from `scores`. A
+/// [`Scores::Lazy`] column (the serving engine's cache) must belong to
+/// this `query` and this network's embeddings; the outcome is bitwise that
+/// of [`run`] whichever source is attached.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn run_with<R: Rng + ?Sized>(
+    network: &SearchNetwork<'_>,
+    query: &Embedding,
+    start: NodeId,
+    rng: &mut R,
+    scores: Scores<'_>,
 ) -> Result<WalkOutcome, SearchError> {
     network.graph().check_node(start)?;
     if query.dim() != network.dim() {

@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Query from a node a few hops away from the gold host. The
-    //    engine's first execution of this query class computes and caches
-    //    its score column; repeats would be cache hits.
+    //    engine's first execution of this query class starts an empty score
+    //    column that the walk fills as it goes; repeats would be cache hits.
     let rings = bfs::distance_rings(&graph, gold_host, 3);
     let start = rings[3].first().copied().unwrap_or(gold_host);
     let request = QueryRequest::new(corpus.embedding(pair.query).clone(), start, 7);

@@ -4,9 +4,10 @@
 //! window, worker-thread count, and cache capacity.
 //!
 //! The engine earns this by construction — cached score columns are
-//! computed with the same `dot` kernel the inline walk uses, every
-//! request carries its own walk seed, and `workpool` sharding preserves
-//! submission order — so these tests pin the invariant against future
+//! filled, cell by cell as walks touch them, with the same `dot` kernel
+//! the inline walk uses, every request carries its own walk seed, and
+//! `workpool` sharding preserves submission order — so these tests pin
+//! the invariant against future
 //! drift: a "faster" cache that re-derives scores with a fused or
 //! reordered kernel, batch-local RNG reuse, or an order-sensitive
 //! dispatch would all fail here.
@@ -154,6 +155,79 @@ proptest! {
         let again = engine_outcomes(&engine, &reqs);
         prop_assert_eq!(&again, &expected, "warm-cache replay diverged");
     }
+}
+
+/// A full batch of one class on four workers starts from one *empty*
+/// shared column: the walks fill and read its cells concurrently, and must
+/// still equal the sequential inline walks; a second pass over the partly
+/// filled column must equal the first.
+#[test]
+fn same_class_batch_fills_an_empty_column_concurrently() {
+    let fx = fixture();
+    let net = network(&fx);
+    let query = fx.corpus.embedding(fx.queries.pairs()[0].query);
+    let mut r = rng(0x5A5E);
+    let reqs: Vec<QueryRequest> = (0..16)
+        .map(|_| {
+            let start = NodeId::new(r.random_range(0..fx.graph.num_nodes() as u32));
+            QueryRequest::new(query.clone(), start, r.random())
+        })
+        .collect();
+    let expected = sequential_baseline(&net, &reqs);
+    let config = EngineConfig::builder()
+        .scheme(net.config().clone())
+        .batch_size(16)
+        .threads(4)
+        .build()
+        .unwrap();
+    let engine = QueryEngine::from_network(net, config);
+    let first = engine_outcomes(&engine, &reqs);
+    assert_eq!(first, expected, "concurrent fill of an empty column");
+    let second = engine_outcomes(&engine, &reqs);
+    assert_eq!(second, first, "replay over the partly filled column");
+    let stats = engine.stats();
+    assert_eq!((stats.batches, stats.cache.inserts), (2, 1));
+    assert_eq!((stats.cache.misses, stats.cache.hits), (16, 16));
+}
+
+/// Evict → re-miss → refill: a class pushed out of a one-column cache
+/// starts over from an empty column and reproduces its outcome bit for bit.
+#[test]
+fn evicted_class_refills_to_identical_outcomes() {
+    let fx = fixture();
+    let net = network(&fx);
+    let config = EngineConfig::builder()
+        .scheme(net.config().clone())
+        .cache_capacity(CacheCapacity::Bounded(1))
+        .build()
+        .unwrap();
+    let engine = QueryEngine::from_network(net, config);
+    let make = |pair: usize, start: u32, seed: u64| {
+        let word = fx.queries.pairs()[pair].query;
+        QueryRequest::new(fx.corpus.embedding(word).clone(), NodeId::new(start), seed)
+    };
+    let cold = engine.execute(make(0, 3, 41)).unwrap();
+    let warm = engine.execute(make(0, 3, 41)).unwrap();
+    let evictor = engine.execute(make(1, 9, 42)).unwrap();
+    let refilled = engine.execute(make(0, 3, 41)).unwrap();
+    assert_eq!(
+        [
+            cold.verdict,
+            warm.verdict,
+            evictor.verdict,
+            refilled.verdict
+        ],
+        [
+            CacheVerdict::Miss,
+            CacheVerdict::Hit,
+            CacheVerdict::Miss,
+            CacheVerdict::Miss
+        ]
+    );
+    assert_eq!(warm.outcome, cold.outcome);
+    assert_eq!(refilled.outcome, cold.outcome, "refill changed the walk");
+    let stats = engine.stats().cache;
+    assert_eq!((stats.inserts, stats.evictions), (3, 2));
 }
 
 /// Invalidation regression: dropping a cached column forces a
