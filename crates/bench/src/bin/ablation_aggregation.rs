@@ -9,8 +9,7 @@
 //! ```
 
 use gdsearch::{Aggregation, Placement, SchemeConfig};
-use gdsearch_bench::{maybe_write_json, sweep_row, uniform_query_sweep, workbench_from_args, Args};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
+use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,14 +32,6 @@ fn main() {
     println!("# Ablation: personalization aggregation — M = {docs}, alpha = {alpha}, ttl = {ttl}");
     println!("| aggregation | success rate | mean hops to gold |");
     println!("|---|---|---|");
-    let mut report = BenchReport::new("ablation_aggregation");
-    report
-        .meta("seed", seed)
-        .meta("docs", docs)
-        .meta("iterations", iterations)
-        .meta("queries", queries)
-        .meta("ttl", ttl)
-        .meta("alpha", alpha);
 
     for (name, aggregation) in [
         ("sum (paper)", Aggregation::Sum),
@@ -78,10 +69,5 @@ fn main() {
                 .map(|h| format!("{h:.2}"))
                 .unwrap_or_else(|| "–".into()),
         );
-        report.push_row(sweep_row(
-            BenchRow::new().label("aggregation", name),
-            &outcome,
-        ));
     }
-    maybe_write_json(&args, "BENCH_aggregation.json", &report);
 }

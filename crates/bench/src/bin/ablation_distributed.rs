@@ -24,12 +24,11 @@
 
 use std::fmt::Write as _;
 
-use gdsearch_bench::{maybe_write_csv, maybe_write_json, timed, Args};
+use gdsearch_bench::{maybe_write_csv, timed, Args};
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{PprConfig, Signal};
 use gdsearch_dist::{DistConfig, ExchangeStats};
 use gdsearch_graph::{generators, Graph, NodeId, ShardedGraph};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
 use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,14 +96,7 @@ fn run_tier(
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_family(
-    name: &str,
-    key: &str,
-    graph: &Graph,
-    args: &Args,
-    csv: &mut String,
-    report: &mut BenchReport,
-) -> bool {
+fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut String) -> bool {
     let dim: usize = args.get_or("dim", 8);
     let shards: usize = args.get_or("shards", 4);
     let threads: usize = args.get_or(
@@ -258,23 +250,6 @@ fn run_family(
             outcome.push_stats.frame_bytes,
             outcome.recall,
         );
-        report.push_row(
-            BenchRow::new()
-                .label("family", key)
-                .label("tier", &label)
-                .value("bytes_per_tick", bandwidth as f64)
-                .value("loss", tier_loss)
-                .value("power_ms", outcome.power_ms)
-                .value("power_ticks", outcome.power_stats.ticks as f64)
-                .value("power_bytes_per_iter", power_bytes_per_iter as f64)
-                .value("push_ms", outcome.push_ms)
-                .value("push_ticks", outcome.push_stats.ticks as f64)
-                .value("push_bytes", outcome.push_stats.frame_bytes as f64)
-                .value("retransmits", retx as f64)
-                .value("recall_at_10", outcome.recall)
-                .value("bitwise", f64::from(u8::from(bitwise)))
-                .value("bytes_ok", f64::from(u8::from(bytes_ok))),
-        );
     }
     all_ok
 }
@@ -291,34 +266,19 @@ fn main() {
          push_ticks,push_bytes,retransmits,recall_at_10,bitwise,bytes_ok\n",
     );
 
-    let mut report = BenchReport::new("ablation_distributed");
-    report
-        .meta("seed", seed)
-        .meta("nodes", nodes)
-        .meta("family", &family)
-        .meta("shards", args.get_or("shards", 4usize))
-        .meta("tolerance", args.get_or("tolerance", 1e-4f32));
     let mut ok = true;
     if family == "both" || family == "ba" {
         let mut rng = StdRng::seed_from_u64(seed);
         let (gen_ms, graph) =
             timed(|| generators::barabasi_albert(nodes, 5, &mut rng).expect("valid BA parameters"));
         println!("\n(BA generation: {gen_ms:.0} ms)");
-        ok &= run_family(
-            "Barabási–Albert m=5",
-            "ba",
-            &graph,
-            &args,
-            &mut csv,
-            &mut report,
-        );
+        ok &= run_family("Barabási–Albert m=5", "ba", &graph, &args, &mut csv);
     }
     if family == "both" || family == "ring" {
         let graph = generators::ring(nodes).expect("valid ring size");
-        ok &= run_family("ring", "ring", &graph, &args, &mut csv, &mut report);
+        ok &= run_family("ring", "ring", &graph, &args, &mut csv);
     }
     maybe_write_csv(&args, &csv);
-    maybe_write_json(&args, "BENCH_distributed.json", &report);
     if !ok {
         eprintln!("distributed ablation FAILED: bitwise, byte-accounting or recall check violated");
         std::process::exit(1);

@@ -10,8 +10,7 @@
 //! ```
 
 use gdsearch::{Placement, SchemeConfig};
-use gdsearch_bench::{maybe_write_json, sweep_row, uniform_query_sweep, workbench_from_args, Args};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
+use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,15 +37,6 @@ fn main() {
     );
     println!("| placement | success rate | mean hops to gold |");
     println!("|---|---|---|");
-    let mut report = BenchReport::new("ablation_placement");
-    report
-        .meta("seed", seed)
-        .meta("docs", docs)
-        .meta("iterations", iterations)
-        .meta("queries", queries)
-        .meta("ttl", ttl)
-        .meta("alpha", alpha)
-        .meta("radius", radius);
 
     let config = SchemeConfig::builder()
         .alpha(alpha)
@@ -79,12 +69,6 @@ fn main() {
             .map(|h| format!("{h:.2}"))
             .unwrap_or_else(|| "–".into()),
     );
-    report.push_row(sweep_row(
-        BenchRow::new()
-            .label("placement", "uniform")
-            .value("locality", 0.0),
-        &uniform,
-    ));
 
     for locality in localities {
         if locality == 0.0 {
@@ -116,12 +100,5 @@ fn main() {
                 .map(|h| format!("{h:.2}"))
                 .unwrap_or_else(|| "–".into()),
         );
-        report.push_row(sweep_row(
-            BenchRow::new()
-                .label("placement", "correlated")
-                .value("locality", locality),
-            &outcome,
-        ));
     }
-    maybe_write_json(&args, "BENCH_placement.json", &report);
 }

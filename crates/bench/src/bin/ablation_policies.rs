@@ -14,8 +14,7 @@
 //! magnitude on bandwidth — exactly the trade-off the paper motivates.
 
 use gdsearch::{Placement, PolicyKind, SchemeConfig};
-use gdsearch_bench::{maybe_write_json, sweep_row, uniform_query_sweep, workbench_from_args, Args};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
+use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,15 +40,6 @@ fn main() {
     );
     println!("| policy | success rate | mean messages / query | mean hops to gold |");
     println!("|---|---|---|---|");
-    let mut report = BenchReport::new("ablation_policies");
-    report
-        .meta("seed", seed)
-        .meta("docs", docs)
-        .meta("iterations", iterations)
-        .meta("queries", queries)
-        .meta("ttl", ttl)
-        .meta("flood_ttl", flood_ttl)
-        .meta("alpha", alpha);
 
     let policies: Vec<(&str, PolicyKind, u32)> = vec![
         ("ppr-greedy (paper)", PolicyKind::PprGreedy, ttl),
@@ -90,12 +80,5 @@ fn main() {
                 .map(|h| format!("{h:.2}"))
                 .unwrap_or_else(|| "–".into()),
         );
-        report.push_row(sweep_row(
-            BenchRow::new()
-                .label("policy", name)
-                .value("ttl", f64::from(policy_ttl)),
-            &outcome,
-        ));
     }
-    maybe_write_json(&args, "BENCH_policies.json", &report);
 }

@@ -19,11 +19,10 @@
 //! `total_csr_bytes / shards + halo_bytes` or any sharded result drifts
 //! from the unsharded reference — so CI can run it as a smoke test.
 
-use gdsearch_bench::{maybe_write_json, timed, Args};
+use gdsearch_bench::{timed, Args};
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{power, PprConfig, Signal};
 use gdsearch_graph::{generators, Graph, NodeId, ShardedGraph};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,7 +31,7 @@ fn kb(bytes: usize) -> f64 {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_family(name: &str, graph: &Graph, args: &Args, report: &mut BenchReport) -> bool {
+fn run_family(name: &str, graph: &Graph, args: &Args) -> bool {
     let dim: usize = args.get_or("dim", 8);
     let shard_counts: Vec<usize> = args.get_list_or("shards", &[1usize, 2, 4, 8]);
     let threads: usize = args.get_or(
@@ -137,19 +136,6 @@ fn run_family(name: &str, graph: &Graph, args: &Args, report: &mut BenchReport) 
             if mem_ok { "yes" } else { "NO" },
             if bitwise { "yes" } else { "NO" },
         );
-        report.push_row(
-            BenchRow::new()
-                .label("family", name)
-                .value("shards", actual_shards as f64)
-                .value("max_adj_bytes", max_adj as f64)
-                .value("ideal_bytes", ideal as f64)
-                .value("max_halo_bytes", max_halo as f64)
-                .value("cut_entries", cut as f64)
-                .value("power_ms", power_ms)
-                .value("push_ms", push_ms)
-                .value("mem_ok", f64::from(u8::from(mem_ok)))
-                .value("bitwise_identical", f64::from(u8::from(bitwise))),
-        );
     }
     all_ok
 }
@@ -161,11 +147,6 @@ fn main() {
     let family = args.get("family").unwrap_or("both").to_string();
 
     println!("# Ablation: graph sharding — diffusion on partitioned state");
-    let mut report = BenchReport::new("ablation_sharding");
-    report
-        .meta("seed", seed)
-        .meta("nodes", nodes)
-        .meta("family", &family);
 
     let mut ok = true;
     if family == "both" || family == "ba" {
@@ -173,13 +154,12 @@ fn main() {
         let (gen_ms, graph) =
             timed(|| generators::barabasi_albert(nodes, 5, &mut rng).expect("valid BA parameters"));
         println!("\n(BA generation: {gen_ms:.0} ms)");
-        ok &= run_family("Barabási–Albert m=5", &graph, &args, &mut report);
+        ok &= run_family("Barabási–Albert m=5", &graph, &args);
     }
     if family == "both" || family == "ring" {
         let graph = generators::ring(nodes).expect("valid ring size");
-        ok &= run_family("ring", &graph, &args, &mut report);
+        ok &= run_family("ring", &graph, &args);
     }
-    maybe_write_json(&args, "BENCH_sharding.json", &report);
     if !ok {
         eprintln!("sharding ablation FAILED: memory bound or bitwise check violated");
         std::process::exit(1);

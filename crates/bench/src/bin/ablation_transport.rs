@@ -18,9 +18,8 @@
 use gdsearch::experiment::report;
 use gdsearch::protocol::{ProtocolNetwork, SimBackend};
 use gdsearch::{Placement, PolicyKind, SchemeConfig, SearchNetwork};
-use gdsearch_bench::{maybe_write_csv, maybe_write_json, workbench_from_args, Args};
+use gdsearch_bench::{maybe_write_csv, workbench_from_args, Args};
 use gdsearch_graph::NodeId;
-use gdsearch_obs::bench::{BenchReport, BenchRow};
 use gdsearch_sim::{NetStats, TransportConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -209,40 +208,4 @@ fn main() {
     }
 
     maybe_write_csv(&args, &report::transport_csv(&labeled));
-
-    let mut bench = BenchReport::new("ablation_transport");
-    bench
-        .meta("seed", seed)
-        .meta("docs", docs)
-        .meta("queries", queries)
-        .meta("ttl", ttl)
-        .meta("flood_ttl", flood_ttl)
-        .meta("queue", queue)
-        .meta("nodes", workbench.graph.num_nodes());
-    for r in &rows {
-        bench.push_row(
-            BenchRow::new()
-                .label("configuration", &r.label)
-                .value("recall", r.recall)
-                .value("bytes_sent", r.stats.bytes_sent as f64)
-                .value("messages_sent", r.stats.sent as f64)
-                .value("delivered", r.stats.delivered as f64)
-                .value("dropped_backpressure", r.stats.dropped_backpressure as f64)
-                .value("mean_queue_delay_ticks", r.stats.mean_queue_delay_ticks())
-                .value(
-                    "p50_queue_delay_ticks",
-                    r.stats.p50_queue_delay_ticks() as f64,
-                )
-                .value(
-                    "p99_queue_delay_ticks",
-                    r.stats.p99_queue_delay_ticks() as f64,
-                )
-                .value(
-                    "p999_queue_delay_ticks",
-                    r.stats.p999_queue_delay_ticks() as f64,
-                )
-                .value("virtual_secs", r.virtual_secs),
-        );
-    }
-    maybe_write_json(&args, "BENCH_transport.json", &bench);
 }

@@ -9,8 +9,7 @@
 //! ```
 
 use gdsearch::{Placement, SchemeConfig};
-use gdsearch_bench::{maybe_write_json, sweep_row, uniform_query_sweep, workbench_from_args, Args};
-use gdsearch_obs::bench::{BenchReport, BenchRow};
+use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,14 +33,6 @@ fn main() {
     println!("# Ablation: parallel walks — M = {docs}, alpha = {alpha}, ttl = {ttl}");
     println!("| fanout | success rate | mean messages / query | mean hops to gold |");
     println!("|---|---|---|---|");
-    let mut report = BenchReport::new("ablation_walks");
-    report
-        .meta("seed", seed)
-        .meta("docs", docs)
-        .meta("iterations", iterations)
-        .meta("queries", queries)
-        .meta("ttl", ttl)
-        .meta("alpha", alpha);
 
     for fanout in fanouts {
         let config = SchemeConfig::builder()
@@ -75,7 +66,5 @@ fn main() {
                 .map(|h| format!("{h:.2}"))
                 .unwrap_or_else(|| "–".into()),
         );
-        report.push_row(sweep_row(BenchRow::new().label("fanout", fanout), &outcome));
     }
-    maybe_write_json(&args, "BENCH_walks.json", &report);
 }

@@ -138,33 +138,6 @@ pub fn maybe_write_csv(args: &Args, content: &str) {
     }
 }
 
-/// Writes `report` as `gdsearch.bench.v1` JSON to `--json PATH` when the
-/// flag is present (a bare `--json` uses `default_path`). The emitted text
-/// is validated against the schema first, so a bin can never ship a
-/// malformed artifact; reports the destination on stdout.
-pub fn maybe_write_json(
-    args: &Args,
-    default_path: &str,
-    report: &gdsearch_obs::bench::BenchReport,
-) {
-    let Some(value) = args.get("json") else {
-        return;
-    };
-    let path = if value == "true" { default_path } else { value };
-    let text = report.to_json();
-    if let Err(e) = gdsearch_obs::bench::validate(&text) {
-        eprintln!("refusing to write {path}: schema violation: {e}");
-        std::process::exit(2);
-    }
-    match std::fs::write(path, &text) {
-        Ok(()) => println!("\njson written to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,89 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn json_flag_writes_validated_reports() {
-        use gdsearch_obs::bench::{validate, BenchReport, BenchRow};
-        let path = std::env::temp_dir()
-            .join("gdsearch_bench_json_flag_test.json")
-            .to_string_lossy()
-            .to_string();
-        let a = Args::parse_from(["--json".to_string(), path.clone()]);
-        let mut report = BenchReport::new("test");
-        report.push_row(BenchRow::new().label("k", "v").value("x", 1.0));
-        maybe_write_json(&a, "unused.json", &report);
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate(&text).unwrap();
-        std::fs::remove_file(&path).ok();
-        // Absent flag writes nothing.
-        maybe_write_json(&Args::default(), &path, &report);
-        assert!(!std::path::Path::new(&path).exists());
-    }
-
-    #[test]
-    fn zipf_is_skewed_and_uniform_at_zero() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(7);
-        let hot = Zipf::new(100, 1.1);
-        let mut counts = [0usize; 100];
-        for _ in 0..20_000 {
-            counts[hot.sample(&mut rng)] += 1;
-        }
-        assert!(
-            counts[0] > 10 * counts[50].max(1),
-            "rank 0 must dominate rank 50: {} vs {}",
-            counts[0],
-            counts[50]
-        );
-        let flat = Zipf::new(100, 0.0);
-        let mut counts = [0usize; 100];
-        for _ in 0..20_000 {
-            counts[flat.sample(&mut rng)] += 1;
-        }
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(max < &(min * 3), "s=0 must be near-uniform: {min}..{max}");
-    }
-
-    #[test]
     fn ci_sized_workbench_via_args() {
         let a = args("--nodes 120 --vocab 300 --dim 16 --queries-pool 20");
         let wb = workbench_from_args(&a, 100).unwrap();
         assert_eq!(wb.graph.num_nodes(), 120);
         assert_eq!(wb.corpus.len(), 300);
-    }
-}
-
-/// A Zipf-skewed sampler over ranks `0..n`: rank `k` is drawn with
-/// probability proportional to `1 / (k + 1)^s`. Built once as an
-/// inverse-CDF table, sampled by binary search — the serving harness
-/// uses it to model hot/cold query mixes (`s = 0` degenerates to
-/// uniform).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// A sampler over `n` ranks with skew `s` (`n` must be nonzero).
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf over zero ranks");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `0..n`.
-    pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random_range(0.0..1.0);
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
 
@@ -318,23 +213,6 @@ impl SweepOutcome {
     /// Mean hop count of successful walks, if any.
     pub fn mean_success_hops(&self) -> Option<f64> {
         gdsearch::metrics::hop_stats(&self.success_hops).map(|s| s.mean)
-    }
-}
-
-/// Appends a [`SweepOutcome`]'s standard measurements to a report row.
-#[must_use]
-pub fn sweep_row(
-    row: gdsearch_obs::bench::BenchRow,
-    outcome: &SweepOutcome,
-) -> gdsearch_obs::bench::BenchRow {
-    let row = row
-        .value("success_rate", outcome.success_rate())
-        .value("successes", outcome.successes as f64)
-        .value("samples", outcome.samples as f64)
-        .value("mean_messages", outcome.mean_messages());
-    match outcome.mean_success_hops() {
-        Some(h) => row.value("mean_success_hops", h),
-        None => row,
     }
 }
 

@@ -79,7 +79,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use gdsearch_diffusion::workpool;
 use gdsearch_embed::{Corpus, Embedding};
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_obs::Observer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -276,12 +275,10 @@ impl QueryRequest {
 }
 
 /// The engine's answer to one request: the walk outcome plus serving
-/// metadata (the admission id doubles as the trace handle passed to
-/// [`Observer::set_query`] on the observed path).
+/// metadata.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
-    /// Admission id (monotone per engine); trace rows of this query's
-    /// observed execution carry it.
+    /// Admission id (monotone per engine).
     pub id: u64,
     /// How the cache served this request.
     pub verdict: CacheVerdict,
@@ -318,9 +315,8 @@ fn scores_of(column: &Option<Arc<LazyColumn>>) -> Scores<'_> {
 ///
 /// See the [module docs](self) for the serving model and the determinism
 /// contract. Construction mirrors the network's:
-/// [`build`](QueryEngine::build) /
-/// [`build_observed`](QueryEngine::build_observed) run the full setup
-/// phase, [`from_network`](QueryEngine::from_network) wraps an existing
+/// [`build`](QueryEngine::build) runs the full setup phase,
+/// [`from_network`](QueryEngine::from_network) wraps an existing
 /// network.
 #[derive(Debug)]
 pub struct QueryEngine<'g> {
@@ -353,28 +349,9 @@ impl<'g> QueryEngine<'g> {
         Ok(Self::from_network(network, config))
     }
 
-    /// [`QueryEngine::build`] with build-phase observability (see
-    /// [`SearchNetwork::build_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchNetwork::build`].
-    pub fn build_observed<R: Rng + ?Sized>(
-        graph: &'g Graph,
-        corpus: &Corpus,
-        placement: &Placement,
-        config: EngineConfig,
-        rng: &mut R,
-        obs: &mut Observer<'_>,
-    ) -> Result<Self, EngineError> {
-        let network =
-            SearchNetwork::build_observed(graph, corpus, placement, config.scheme(), rng, obs)?;
-        Ok(Self::from_network(network, config))
-    }
-
     /// Wraps an already-built network. The network's own scheme
     /// configuration stays authoritative for walk behaviour;
-    /// `config.scheme()` is only used by the `build*` constructors.
+    /// `config.scheme()` is only used by [`QueryEngine::build`].
     #[must_use]
     pub fn from_network(network: SearchNetwork<'g>, config: EngineConfig) -> Self {
         let cache = ColumnCache::new(config.cache_capacity());
@@ -493,53 +470,6 @@ impl<'g> QueryEngine<'g> {
             self.executed.fetch_add(1, Ordering::Relaxed);
         }
         out
-    }
-
-    /// Executes one request with observability: the column resolution
-    /// runs under an `engine.cache` span (sink counters
-    /// `engine.cache.hits` / `.misses` / `.bypasses`), the walk under the
-    /// scheme's usual `scheme.walk` span, and the trace rows carry the
-    /// response id via [`Observer::set_query`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::execute`].
-    pub fn execute_observed(
-        &self,
-        request: QueryRequest,
-        obs: &mut Observer<'_>,
-    ) -> Result<QueryResponse, EngineError> {
-        self.validate(&request)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        obs.set_query(id);
-        let cache_span = obs.enter("engine.cache");
-        obs.trace_begin("engine.cache");
-        let (column, verdict) = self
-            .resolve(&[&request])
-            .pop()
-            .unwrap_or((None, CacheVerdict::Bypass));
-        obs.trace_end("engine.cache");
-        obs.exit(cache_span);
-        let sink = obs.sink();
-        match verdict {
-            CacheVerdict::Hit => sink.add("engine.cache.hits", 1),
-            CacheVerdict::Miss => sink.add("engine.cache.misses", 1),
-            CacheVerdict::Bypass => sink.add("engine.cache.bypasses", 1),
-        }
-        let mut rng = StdRng::seed_from_u64(request.seed);
-        let outcome = self.network.query_scored_observed(
-            &request.query,
-            request.start,
-            &mut rng,
-            scores_of(&column),
-            obs,
-        )?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        Ok(QueryResponse {
-            id,
-            verdict,
-            outcome,
-        })
     }
 
     /// Drops the cached column of `class` (e.g. after re-placing the

@@ -12,7 +12,6 @@ use gdsearch_graph::{Graph, NodeId};
 use gdsearch_obs::Observer;
 use rand::Rng;
 
-use crate::forwarding::Scores;
 use crate::personalization;
 use crate::walk::{self, WalkOutcome};
 use crate::{DiffusionEngine, DocId, Placement, SchemeConfig, SearchError};
@@ -285,13 +284,6 @@ impl<'g> SearchNetwork<'g> {
     /// `scheme.walk.unique_nodes` / `.results` (histograms, one sample per
     /// query). The outcome is identical to the unobserved query.
     ///
-    /// # Migration
-    ///
-    /// As with [`SearchNetwork::query`], prefer
-    /// [`QueryEngine::execute_observed`](crate::engine::QueryEngine::execute_observed),
-    /// which adds cache spans and per-query trace correlation on top of the
-    /// same walk instrumentation.
-    ///
     /// # Errors
     ///
     /// As [`SearchNetwork::query`].
@@ -302,23 +294,9 @@ impl<'g> SearchNetwork<'g> {
         rng: &mut R,
         obs: &mut Observer<'_>,
     ) -> Result<WalkOutcome, SearchError> {
-        self.query_scored_observed(query, start, rng, Scores::Inline, obs)
-    }
-
-    /// [`SearchNetwork::query_observed`] with a score source (see
-    /// [`walk::run_with`]); the engine's cached path lands here so the walk
-    /// instrumentation has exactly one implementation.
-    pub(crate) fn query_scored_observed<R: Rng + ?Sized>(
-        &self,
-        query: &Embedding,
-        start: NodeId,
-        rng: &mut R,
-        scores: Scores<'_>,
-        obs: &mut Observer<'_>,
-    ) -> Result<WalkOutcome, SearchError> {
         let walk_span = obs.enter("scheme.walk");
         obs.trace_begin("scheme.walk");
-        let out = walk::run_with(self, query, start, rng, scores);
+        let out = walk::run(self, query, start, rng);
         obs.trace_end("scheme.walk");
         obs.exit(walk_span);
         if let Ok(out) = &out {

@@ -19,7 +19,7 @@ use crate::DiffusionError;
 /// accuracy target on the PPR fixed point** `E = a (I − (1−a) A)^{-1} E0`:
 ///
 /// * the sweep engines ([`crate::power`], [`crate::per_source`],
-///   [`crate::threaded`], [`crate::gossip`]) stop when the max-abs residual
+///   [`crate::gossip`]) stop when the max-abs residual
 ///   of one synchronous update falls below it; because the update is a
 ///   `(1−a)`-contraction, the true L∞ distance to the fixed point is then
 ///   at most `tolerance · (1−a)/a`;

@@ -1,7 +1,7 @@
 //! Shared residual/convergence bookkeeping for the iterative engines.
 //!
 //! Every engine in this crate ([`crate::power`], [`crate::per_source`],
-//! [`crate::gossip`], [`crate::threaded`], [`crate::push`]) tracks the same
+//! [`crate::gossip`], [`crate::push`]) tracks the same
 //! three facts about its progress toward the PPR fixed point: how many
 //! residual observations it has made, the most recent residual, and whether
 //! that residual met the configured tolerance. [`Convergence`] centralizes

@@ -21,8 +21,6 @@
 //!   accumulated; asymptotically cheaper when few nodes hold documents;
 //! * [`gossip`] — deterministic simulated *asynchronous* engine, the
 //!   decentralized protocol of the paper;
-//! * [`threaded`] — the same asynchronous protocol on real threads
-//!   (crossbeam), demonstrating convergence under true concurrency;
 //! * [`push`] — forward-push with residual queues (PowerWalk,
 //!   arXiv:1608.06054): work proportional to the pushed mass instead of
 //!   `O(iters · E)`, certified to the same L∞ tolerance, batched across
@@ -43,9 +41,6 @@
 //! additive L∞ accuracy target on the fixed point; the normative statement
 //! lives on [`PprConfig`]. Shared residual bookkeeping lives in
 //! [`Convergence`].
-//!
-//! Heat-kernel and arbitrary polynomial filters ([`filter`]) cover the
-//! "graph filters such as PPR" generality of §II-C.
 //!
 //! # Example
 //!
@@ -75,14 +70,12 @@ mod degrees;
 mod error;
 pub mod exact;
 pub mod exchange;
-pub mod filter;
 pub mod gossip;
 pub mod per_source;
 pub mod power;
 pub mod push;
 pub mod sharded;
 mod signal;
-pub mod threaded;
 pub mod workpool;
 
 pub use config::PprConfig;

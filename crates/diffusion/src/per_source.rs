@@ -182,9 +182,11 @@ pub fn diffuse_sparse_threaded(
 /// * **few vs. many sources** — the flop-count crossover between
 ///   per-source decomposition and dense power iteration sits at
 ///   `|sources| ≈ dim`, but the dense engine's contiguous row operations
-///   are ≈ 4× more efficient per flop than per-source sparse passes; the
-///   `engine_crossover` Criterion bench measures the break-even near
-///   `dim / 4`;
+///   are ≈ 4× more efficient per flop than per-source sparse passes, so
+///   the break-even is taken as `dim / 4`. The repo benchmark has a
+///   workload on each side (`rebuild-sparse`, `rebuild-dense`): its
+///   `per_source.auto_ms` times this function, `push.diffuse_sparse_ms`
+///   and `power.diffuse_ms` time both branches on the same input;
 /// * **sweep vs. push** — within the few-source regime, scalar power
 ///   iteration still pays `O(iters · E)` per source while forward push
 ///   ([`crate::push`]) pays only for the pushed mass. Push's queue

@@ -29,8 +29,8 @@ pub struct DiffusionResult {
 /// Diffuses `e0` over `graph` with the PPR filter, synchronously.
 ///
 /// Returns the result even when the iteration budget is exhausted
-/// (`converged = false`); callers that require convergence can check the
-/// flag or use [`diffuse_converged`].
+/// (`converged = false`); callers that require convergence check the
+/// flag.
 ///
 /// # Errors
 ///
@@ -213,26 +213,6 @@ pub fn diffuse_with_matrix_observed(
     })
 }
 
-/// Strict variant of [`diffuse`]: fails unless convergence was reached.
-///
-/// # Errors
-///
-/// As [`diffuse`], plus [`DiffusionError::NotConverged`].
-pub fn diffuse_converged(
-    graph: &Graph,
-    e0: &Signal,
-    config: &PprConfig,
-) -> Result<Signal, DiffusionError> {
-    let out = diffuse(graph, e0, config)?;
-    if !out.converged {
-        return Err(DiffusionError::NotConverged {
-            iterations: out.iterations,
-            residual: out.residual,
-        });
-    }
-    Ok(out.signal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +304,6 @@ mod tests {
         let out = diffuse(&g, &one_hot_signal(50, 0), &cfg).unwrap();
         assert!(!out.converged);
         assert_eq!(out.iterations, 3);
-        assert!(diffuse_converged(&g, &one_hot_signal(50, 0), &cfg).is_err());
     }
 
     #[test]

@@ -67,8 +67,9 @@ use crate::{workpool, DiffusionError, PprConfig, Signal};
 ///
 /// Below this size a full `O(iters · E)` scalar sweep is already cheap and
 /// the push engine's queue bookkeeping does not pay for itself; above it,
-/// push wins increasingly with `N` (the `engines` Criterion bench and the
-/// `ablation_engines` bin measure the gap).
+/// push wins increasingly with `N`. The threshold itself is unmeasured:
+/// the repo benchmark's `push.diffuse_sparse_ms` times the push side at
+/// N = 10⁵, nothing times the scalar sweep it replaces.
 pub const AUTO_PUSH_MIN_NODES: usize = 4096;
 
 /// Configuration of the forward-push engine: the PPR filter parameters
@@ -164,7 +165,7 @@ impl PushConfig {
 }
 
 /// Outcome of a single-source push with its work counters — what the
-/// benches and the `ablation_engines` bin report.
+/// repo benchmark reports as `push.pushes` and `push.frontier_peak`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushResult {
     /// The PPR column `h_s` to the certified accuracy.

@@ -100,6 +100,8 @@ pub use crate::exchange::Outbox;
 /// array and the per-iteration halo exchange does not pay for itself; above
 /// it, sharding bounds per-shard memory (`ablation_sharding` measures the
 /// split) and is the prerequisite for placing shards on different machines.
+/// The threshold is unmeasured: the repo benchmark's `sharded.sparse_ms`
+/// times the sharded push at N = 10⁵, below it.
 pub const AUTO_SHARD_MIN_NODES: usize = 262_144;
 
 /// Configuration of the sharded engines: the PPR filter parameters plus the

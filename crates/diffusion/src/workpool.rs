@@ -6,7 +6,7 @@
 //! harness and the property tests rely on engine determinism. This module
 //! provides the one primitive that makes that easy: an order-preserving
 //! parallel map. Each item is processed by a pure function on some worker
-//! (round-robin sharding, the [`crate::threaded`] precedent), results are
+//! (round-robin sharding), results are
 //! reassembled by item index on the calling thread, and nothing about the
 //! scheduling can leak into the output.
 //!

@@ -1,7 +1,6 @@
 //! Property-based tests for the diffusion substrate: PPR's mathematical
 //! identities must hold on arbitrary graphs and inputs.
 
-use gdsearch_diffusion::filter::{GraphFilter, PolynomialFilter, PprFilter};
 use gdsearch_diffusion::push::{self, PushConfig};
 use gdsearch_diffusion::{exact, per_source, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
@@ -125,24 +124,6 @@ proptest! {
         for (u, hu) in h.iter().enumerate() {
             prop_assert!((hu - dense.row(u)[0]).abs() < 1e-4);
         }
-    }
-
-    /// The truncated PPR polynomial converges to the filter fixed point as
-    /// the order grows.
-    #[test]
-    fn polynomial_truncation_converges(g in arb_graph(), alpha in 0.3f32..1.0) {
-        let n = g.num_nodes();
-        let e0 = one_hot(n, 0);
-        let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-6).unwrap();
-        let fixed = PprFilter::new(cfg).apply(&g, &e0).unwrap();
-        // Order chosen so (1-alpha)^order < 1e-4.
-        let order = ((1e-4f32.ln()) / (1.0 - alpha + 1e-6).ln()).ceil() as usize + 1;
-        let truncated =
-            PolynomialFilter::ppr_truncation(alpha, order, Normalization::ColumnStochastic)
-                .unwrap()
-                .apply(&g, &e0)
-                .unwrap();
-        prop_assert!(fixed.max_abs_diff(&truncated).unwrap() < 1e-3);
     }
 
     /// Diffusion commutes with linear combination of inputs.

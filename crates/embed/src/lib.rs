@@ -14,9 +14,7 @@
 //!   GloVe-like topic-mixture corpus (the paper uses GloVe 300-d vectors;
 //!   see `DESIGN.md` for the substitution rationale);
 //! * [`querygen`] — the paper's §V-B query/gold-document sampling: random
-//!   query words whose nearest neighbor has cosine ≥ 0.6;
-//! * [`index`] — exact brute-force, HNSW and random-hyperplane LSH indexes
-//!   (the ANN algorithms referenced in §II-B/III-A).
+//!   query words whose nearest neighbor has cosine ≥ 0.6.
 //!
 //! # Example
 //!
@@ -37,7 +35,6 @@
 
 mod corpus;
 mod error;
-pub mod index;
 pub mod querygen;
 pub mod similarity;
 pub mod synthetic;
@@ -46,5 +43,4 @@ mod vector;
 
 pub use corpus::{Corpus, WordId};
 pub use error::EmbedError;
-pub use similarity::Similarity;
 pub use vector::Embedding;

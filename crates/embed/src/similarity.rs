@@ -6,8 +6,6 @@
 //! of the search scheme uses the *dot product* against diffused node
 //! embeddings, preserving Eq. (3)'s linearity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{EmbedError, Embedding};
 
 /// Dot product `a · b`.
@@ -45,46 +43,6 @@ pub fn cosine(a: &Embedding, b: &Embedding) -> Result<f32, EmbedError> {
 /// Returns [`EmbedError::DimensionMismatch`] if dimensions differ.
 pub fn euclidean(a: &Embedding, b: &Embedding) -> Result<f32, EmbedError> {
     Ok(a.squared_distance(b)?.sqrt())
-}
-
-/// Choice of interaction function φ for retrieval scoring.
-///
-/// # Example
-///
-/// ```
-/// use gdsearch_embed::{Embedding, Similarity};
-///
-/// # fn main() -> Result<(), gdsearch_embed::EmbedError> {
-/// let a = Embedding::new(vec![1.0, 0.0]);
-/// let b = Embedding::new(vec![2.0, 0.0]);
-/// assert_eq!(Similarity::Dot.score(&a, &b)?, 2.0);
-/// assert_eq!(Similarity::Cosine.score(&a, &b)?, 1.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Similarity {
-    /// Dot product. Cheapest; scales with vector magnitude, so summing many
-    /// document embeddings raises a node's score (paper §IV-A notes this
-    /// favors document-rich nodes).
-    #[default]
-    Dot,
-    /// Cosine similarity — dot product of the normalized vectors.
-    Cosine,
-}
-
-impl Similarity {
-    /// Scores `query` against `item`; higher is more relevant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::DimensionMismatch`] if dimensions differ.
-    pub fn score(self, query: &Embedding, item: &Embedding) -> Result<f32, EmbedError> {
-        match self {
-            Similarity::Dot => dot(query, item),
-            Similarity::Cosine => cosine(query, item),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,17 +103,6 @@ mod tests {
         assert!(
             (d - c).abs() < 1e-6,
             "footnote 7: dot == cosine when normalized"
-        );
-    }
-
-    #[test]
-    fn enum_scores_match_functions() {
-        let a = e(&[1.0, 2.0]);
-        let b = e(&[2.0, 1.0]);
-        assert_eq!(Similarity::Dot.score(&a, &b).unwrap(), dot(&a, &b).unwrap());
-        assert_eq!(
-            Similarity::Cosine.score(&a, &b).unwrap(),
-            cosine(&a, &b).unwrap()
         );
     }
 }

@@ -1,11 +1,7 @@
 //! Property-based tests for the dense-retrieval substrate.
 
-// Test code: the hit-id set answers membership queries only.
-#![allow(clippy::disallowed_types)]
-
-use gdsearch_embed::index::{BruteForceIndex, VectorIndex};
 use gdsearch_embed::topk::TopK;
-use gdsearch_embed::{similarity, Embedding, Similarity};
+use gdsearch_embed::{similarity, Embedding};
 use proptest::prelude::*;
 
 fn arb_vector(dim: usize) -> impl Strategy<Value = Embedding> {
@@ -77,34 +73,6 @@ proptest! {
         let got_scores: Vec<f32> = got.iter().map(|&i| scores[i]).collect();
         let expected_scores: Vec<f32> = expected.iter().map(|e| e.0).collect();
         prop_assert_eq!(got_scores, expected_scores);
-    }
-
-    #[test]
-    fn brute_force_returns_true_top_k(
-        vectors in proptest::collection::vec(proptest::collection::vec(-5.0f32..5.0, 4), 1..40),
-        query in proptest::collection::vec(-5.0f32..5.0, 4),
-        k in 1usize..8,
-    ) {
-        let items: Vec<Embedding> = vectors.iter().cloned().map(Embedding::new).collect();
-        let q = Embedding::new(query);
-        let index = BruteForceIndex::build(items.clone(), Similarity::Dot).unwrap();
-        let hits = index.search(&q, k).unwrap();
-        // Hits are sorted and no non-hit beats the worst hit.
-        for w in hits.windows(2) {
-            prop_assert!(w[0].score >= w[1].score);
-        }
-        if hits.len() == k.min(items.len()) && !hits.is_empty() {
-            let worst = hits.last().unwrap().score;
-            let hit_ids: std::collections::HashSet<usize> =
-                hits.iter().map(|h| h.id).collect();
-            for (i, item) in items.iter().enumerate() {
-                if !hit_ids.contains(&i) {
-                    let s = similarity::dot(&q, item).unwrap();
-                    prop_assert!(s <= worst + 1e-4,
-                        "missed item {i} with score {s} > worst hit {worst}");
-                }
-            }
-        }
     }
 
     #[test]

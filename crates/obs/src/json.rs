@@ -1,8 +1,8 @@
 //! A minimal JSON document model with a writer and a strict parser.
 //!
-//! The workspace vendors only API stubs of serde, so the bench-report
-//! schema (`BENCH_*.json`) is produced and validated by this hand-rolled
-//! module instead. Objects preserve insertion order (they are a
+//! The workspace vendors only API stubs of serde, so the metric and
+//! trace exporters render through this hand-rolled module instead.
+//! Objects preserve insertion order (they are a
 //! `Vec<(key, value)>`), so rendering is deterministic; the parser is a
 //! recursive-descent reader of the JSON subset the workspace emits
 //! (no `\uXXXX` escapes beyond pass-through, no exponent-less huge
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn round_trips_compact_and_pretty() {
         let v = Value::Object(vec![
-            ("schema".into(), Value::Str("gdsearch.bench.v1".into())),
+            ("schema".into(), Value::Str("example.v1".into())),
             ("count".into(), Value::UInt(18446744073709551615)),
             ("ratio".into(), Value::Num(0.25)),
             ("ok".into(), Value::Bool(true)),

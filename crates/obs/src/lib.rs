@@ -26,23 +26,16 @@
 //!
 //! [`export`] renders any [`MetricsRegistry`] as markdown, CSV, or JSON;
 //! [`trace::chrome_trace_json`] renders a [`TraceLog`] as
-//! `chrome://tracing`-loadable trace-event JSON; [`mod@bench`] defines
-//! the stable `gdsearch.bench.v1` JSON schema the `ablation_*` binaries
-//! emit (`BENCH_*.json`) and the validator CI runs against the
-//! artifacts; [`regress`] diffs two such reports with per-metric
-//! tolerance bands (the `bench_diff` bin's engine, CI's perf-regression
-//! gate).
+//! `chrome://tracing`-loadable trace-event JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod clock;
 pub mod export;
 pub mod instruments;
 pub mod json;
 pub mod registry;
-pub mod regress;
 pub mod trace;
 
 pub use clock::{Profiler, SpanNode, SpanToken, SpanTree, WallStamper};
