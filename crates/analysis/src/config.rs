@@ -137,8 +137,8 @@ const LIBRARY_CRATES: [&str; 6] = [
 ];
 
 /// Crates whose *result paths* must never read instrumentation (ISSUE 7):
-/// they may thread the write-only `Sink`, but the readable observability
-/// types stay in driver code.
+/// they report work in their return values, and the readable
+/// observability types stay in driver code.
 const OBS_BLIND_CRATES: [&str; 3] = [
     "crates/graph/src/",
     "crates/diffusion/src/",

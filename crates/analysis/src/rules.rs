@@ -423,8 +423,7 @@ fn wire_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 
 /// Observability types a result-path crate may never name: each one can
 /// *read* recorded metrics or wall-clock spans, so its mere presence
-/// means instrumentation could feed back into a result. The write-only
-/// `Sink` is deliberately absent from this list.
+/// means instrumentation could feed back into a result.
 const OBS_READ_TYPES: [&str; 6] = [
     "MetricsRegistry",
     "Observer",
@@ -434,13 +433,12 @@ const OBS_READ_TYPES: [&str; 6] = [
     "WallStamper",
 ];
 
-/// Rule 6: observability blindness. The engine crates thread a
-/// write-only `Sink` for work accounting; the readable half of the
-/// observability API (registries, the profiler, span trees, the
-/// flight-recorder trace log, `obs::clock`, `obs::trace`) is reserved
-/// for driver/bench code, so recording can never branch a result. Test
-/// regions are exempt (tests *should* read registries to assert on
-/// them).
+/// Rule 6: observability blindness. The engine crates account for their
+/// work in their return values; the readable observability API
+/// (registries, the profiler, span trees, the flight-recorder trace log,
+/// `obs::clock`, `obs::trace`) is reserved for driver/bench code, so
+/// recording can never branch a result. Test regions are exempt (tests
+/// *should* read registries to assert on them).
 fn obs_blindness(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     for (i, t) in ctx.lexed.tokens.iter().enumerate() {
         if ctx.lexed.in_test_region(t.line) {
@@ -452,8 +450,8 @@ fn obs_blindness(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 "read-type",
                 t.line,
                 format!(
-                    "{lex} in a result-path crate: instrumentation must stay write-only here; \
-                     thread a Sink and keep the readable half in driver code"
+                    "{lex} in a result-path crate: instrumentation is driver-only; \
+                     return the work counts and let the driver record them"
                 ),
             )),
             "gdsearch_obs" | "obs" if seq_at(ctx, i + 1, &[":", ":", "clock"]) => {
@@ -471,7 +469,7 @@ fn obs_blindness(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                         "trace",
                         t.line,
                         "obs::trace in a result-path crate: the flight recorder is readable \
-                     (and driver-threaded); record through the Observer at driver points"
+                     (and driver-threaded); record at driver points"
                             .into(),
                     ),
                 );
@@ -657,7 +655,7 @@ mod tests {
                 .iter()
                 .any(|(_, c)| *c == "trace")
         );
-        // The write-only sink is the sanctioned channel.
+        // A name outside the deny-list does not fire.
         assert!(checks("use gdsearch_obs::Sink;")
             .iter()
             .all(|(r, _)| *r != "obs"));

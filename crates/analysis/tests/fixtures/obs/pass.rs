@@ -1,13 +1,17 @@
-//! Obs fixture (pass): the engine threads the write-only `Sink` and its
-//! tests read a registry to assert on the recorded work — both are the
-//! sanctioned shapes.
+//! Obs fixture (pass): the engine returns its work counts beside the
+//! result and its tests read a registry to assert on what a driver
+//! recorded from them — both are the sanctioned shapes.
 
-use gdsearch_obs::Sink;
+pub struct Swept {
+    pub value: u64,
+    pub sweeps: u64,
+}
 
-pub fn diffuse(n: u64, sink: &mut Sink<'_>) -> u64 {
-    sink.add("engine.sweeps", 1);
-    sink.record("engine.rows", n);
-    n * 2
+pub fn diffuse(n: u64) -> Swept {
+    Swept {
+        value: n * 2,
+        sweeps: 1,
+    }
 }
 
 #[cfg(test)]
@@ -19,7 +23,9 @@ mod tests {
     #[test]
     fn records_one_sweep() {
         let mut reg = MetricsRegistry::new();
-        assert_eq!(diffuse(3, &mut Sink::attached(&mut reg)), 6);
+        let out = diffuse(3);
+        reg.add("engine.sweeps", out.sweeps);
+        assert_eq!(out.value, 6);
         assert!(reg.get("engine.sweeps").is_some());
     }
 

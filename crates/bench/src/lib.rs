@@ -265,20 +265,17 @@ where
                 .copied(),
         );
         let placement = place(workbench, &words, rng)?;
-        let engine_config = gdsearch::EngineConfig::builder()
-            .scheme(config.clone())
-            .build()?;
-        let engine = gdsearch::QueryEngine::build(
+        let network = gdsearch::SearchNetwork::build(
             &workbench.graph,
             &workbench.corpus,
             &placement,
-            engine_config,
+            config,
             rng,
         )?;
         let query = workbench.corpus.embedding(pair.query);
         for _ in 0..queries_per_iteration {
             let start = gdsearch_graph::NodeId::new(rng.random_range(0..n));
-            let walk = engine.execute_with_rng(query, start, rng)?;
+            let walk = gdsearch::walk::run(&network, query, start, rng)?;
             outcome.samples += 1;
             outcome.total_messages += u64::from(walk.hops);
             if let Some(hop) = walk.hop_of(0) {

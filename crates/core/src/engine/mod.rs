@@ -1,8 +1,8 @@
 //! Concurrent query engine: admission batching and hot-column caching
 //! over a built [`SearchNetwork`], behind a typed serving API.
 //!
-//! The scheme's original entry points ([`SearchNetwork::query`] and
-//! friends) execute one walk at a time against a caller-managed network.
+//! [`walk::run`] executes one walk at a time against a caller-managed
+//! network.
 //! This module adds the serving layer the paper's deployment story needs:
 //! a long-lived [`QueryEngine`] that owns the network, admits requests
 //! through a bounded queue, executes compatible requests as one batch on
@@ -283,7 +283,7 @@ pub struct QueryResponse {
     /// How the cache served this request.
     pub verdict: CacheVerdict,
     /// The walk's results, identical to a sequential uncached
-    /// [`SearchNetwork::query`] with the same seed.
+    /// [`walk::run`] with the same seed.
     pub outcome: WalkOutcome,
 }
 
@@ -449,27 +449,6 @@ impl<'g> QueryEngine<'g> {
             .ok_or(EngineError::Search(SearchError::InvalidParameter {
                 reason: "engine produced no response for a singleton batch".into(),
             }))
-    }
-
-    /// Compatibility path for the experiment drivers: executes a query
-    /// with a *caller-supplied* RNG (preserving the caller's RNG stream
-    /// bit-for-bit) and inline scoring. Equivalent to
-    /// [`SearchNetwork::query`] — no queueing, no caching.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchNetwork::query`].
-    pub fn execute_with_rng<R: Rng + ?Sized>(
-        &self,
-        query: &Embedding,
-        start: NodeId,
-        rng: &mut R,
-    ) -> Result<WalkOutcome, SearchError> {
-        let out = self.network.query(query, start, rng);
-        if out.is_ok() {
-            self.executed.fetch_add(1, Ordering::Relaxed);
-        }
-        out
     }
 
     /// Drops the cached column of `class` (e.g. after re-placing the
@@ -667,13 +646,13 @@ mod tests {
         for (word, start, seed) in [(0u32, 5u32, 1u64), (1, 40, 2), (0, 5, 1)] {
             let response = engine.execute(request(&fx, word, start, seed)).unwrap();
             let mut walk_rng = StdRng::seed_from_u64(seed);
-            let baseline = network
-                .query(
-                    fx.corpus.embedding(WordId::new(word)),
-                    NodeId::new(start),
-                    &mut walk_rng,
-                )
-                .unwrap();
+            let baseline = walk::run(
+                &network,
+                fx.corpus.embedding(WordId::new(word)),
+                NodeId::new(start),
+                &mut walk_rng,
+            )
+            .unwrap();
             assert_eq!(response.outcome.results, baseline.results);
             assert_eq!(response.outcome.path, baseline.path);
         }
@@ -913,34 +892,5 @@ mod tests {
         let pos = Embedding::new(vec![0.0]);
         let neg = Embedding::new(vec![-0.0]);
         assert_ne!(QueryRequest::class_of(&pos), QueryRequest::class_of(&neg));
-    }
-
-    #[test]
-    fn execute_with_rng_preserves_caller_stream() {
-        let fx = fixture();
-        let engine = engine_with(&fx, EngineConfig::default());
-        let mut build_rng = StdRng::seed_from_u64(7);
-        let network = SearchNetwork::build(
-            &fx.graph,
-            &fx.corpus,
-            &fx.placement,
-            EngineConfig::default().scheme(),
-            &mut build_rng,
-        )
-        .unwrap();
-        // Thread ONE RNG through two queries on each side; identical
-        // outcomes prove the engine consumed the stream identically.
-        let mut rng_a = StdRng::seed_from_u64(5);
-        let mut rng_b = StdRng::seed_from_u64(5);
-        for word in [WordId::new(0), WordId::new(1)] {
-            let via_engine = engine
-                .execute_with_rng(fx.corpus.embedding(word), NodeId::new(8), &mut rng_a)
-                .unwrap();
-            let direct = network
-                .query(fx.corpus.embedding(word), NodeId::new(8), &mut rng_b)
-                .unwrap();
-            assert_eq!(via_engine.results, direct.results);
-            assert_eq!(via_engine.path, direct.path);
-        }
     }
 }

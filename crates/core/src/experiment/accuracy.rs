@@ -15,9 +15,8 @@ use rand::seq::IndexedRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{EngineConfig, QueryEngine};
 use crate::experiment::Workbench;
-use crate::{Placement, SchemeConfig, SearchError};
+use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Fig. 3 subplot (fixed document count `M`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,17 +133,16 @@ pub fn run<R: Rng + ?Sized>(
 
         for (ai, &alpha) in config.alphas.iter().enumerate() {
             let scheme_config = rebuild_with_alpha(base, alpha)?;
-            let engine_config = EngineConfig::builder().scheme(scheme_config).build()?;
-            let engine = QueryEngine::build(
+            let network = SearchNetwork::build(
                 &workbench.graph,
                 &workbench.corpus,
                 &placement,
-                engine_config,
+                &scheme_config,
                 rng,
             )?;
             for (d, start) in starts.iter().enumerate() {
                 let Some(start) = start else { continue };
-                let outcome = engine.execute_with_rng(query_embedding, *start, rng)?;
+                let outcome = walk::run(&network, query_embedding, *start, rng)?;
                 samples[ai][d] += 1;
                 if outcome.contains(0) {
                     hits[ai][d] += 1;

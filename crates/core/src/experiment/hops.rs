@@ -17,10 +17,9 @@ use rand::seq::IndexedRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{EngineConfig, QueryEngine};
 use crate::experiment::Workbench;
 use crate::metrics::{hop_stats, HopStats};
-use crate::{Placement, SchemeConfig, SearchError};
+use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Table I row (fixed document count `M`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,18 +117,12 @@ pub fn run<R: Rng + ?Sized>(
                 .copied(),
         );
         let placement = Placement::uniform(&workbench.graph, &words, rng)?;
-        let engine_config = EngineConfig::builder().scheme(base.clone()).build()?;
-        let engine = QueryEngine::build(
-            &workbench.graph,
-            &workbench.corpus,
-            &placement,
-            engine_config,
-            rng,
-        )?;
+        let network =
+            SearchNetwork::build(&workbench.graph, &workbench.corpus, &placement, base, rng)?;
         let query_embedding = workbench.corpus.embedding(pair.query);
         for _ in 0..config.queries_per_iteration {
             let start = gdsearch_graph::NodeId::new(rng.random_range(0..n));
-            let outcome = engine.execute_with_rng(query_embedding, start, rng)?;
+            let outcome = walk::run(&network, query_embedding, start, rng)?;
             samples += 1;
             if let Some(hop) = outcome.hop_of(0) {
                 successful_hops.push(hop);

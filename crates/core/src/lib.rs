@@ -31,7 +31,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use gdsearch::{Placement, SchemeConfig, SearchNetwork};
+//! use gdsearch::{walk, Placement, SchemeConfig, SearchNetwork};
 //! use gdsearch_embed::synthetic::SyntheticCorpus;
 //! use gdsearch_embed::querygen::{self, QueryGenConfig};
 //! use gdsearch_graph::generators;
@@ -54,7 +54,7 @@
 //!
 //! // Walk from some node towards the gold document.
 //! let start = gdsearch_graph::NodeId::new(17);
-//! let outcome = network.query(corpus.embedding(pair.query), start, &mut rng)?;
+//! let outcome = walk::run(&network, corpus.embedding(pair.query), start, &mut rng)?;
 //! println!("found {} documents in {} hops", outcome.results.len(), outcome.hops);
 //! # Ok(())
 //! # }

@@ -4,53 +4,15 @@
 //! personalization vectors from placed documents (§IV-A), PPR diffusion of
 //! those vectors (§IV-B) with the configured engine, and the per-node
 //! document indexes that serve local retrieval. The result answers queries
-//! through [`SearchNetwork::query`] (§IV-C).
+//! through [`walk::run`] (§IV-C).
 
 use gdsearch_diffusion::{gossip, per_source, power, push, sharded, Signal};
 use gdsearch_embed::{similarity, Corpus, Embedding};
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_obs::Observer;
 use rand::Rng;
 
 use crate::personalization;
-use crate::walk::{self, WalkOutcome};
 use crate::{DiffusionEngine, DocId, Placement, SchemeConfig, SearchError};
-
-/// Unwraps an iterative diffusion outcome, turning budget exhaustion into
-/// [`SearchError::Diffusion`].
-fn require_converged(out: power::DiffusionResult) -> Result<Signal, SearchError> {
-    if !out.converged {
-        return Err(SearchError::Diffusion(
-            gdsearch_diffusion::DiffusionError::NotConverged {
-                iterations: out.iterations,
-                residual: out.residual,
-            },
-        ));
-    }
-    Ok(out.signal)
-}
-
-/// Copies the distributed exchange's plain-data transport ledger into the
-/// observer's sink (the `dist` crate itself stays free of obs types; its
-/// own [`gdsearch_dist::ExchangeStats`] ledger is authoritative and
-/// cross-checked per epoch inside the exchange).
-fn record_exchange_stats(obs: &mut Observer<'_>, stats: &gdsearch_dist::ExchangeStats) {
-    let sink = obs.sink();
-    sink.add("dist.exchange.epochs", stats.epochs);
-    sink.add("dist.exchange.frames", stats.frames);
-    sink.add("dist.exchange.frame_bytes", stats.frame_bytes);
-    sink.add(
-        "dist.exchange.retransmitted_frames",
-        stats.retransmitted_frames,
-    );
-    sink.add("dist.exchange.retransmit_rounds", stats.retransmit_rounds);
-    sink.add("dist.exchange.ticks", stats.ticks);
-    // Replay the epoch barriers into the flight recorder on the virtual
-    // timebase (no-ops without an attached trace log).
-    for &tick in &stats.epoch_ticks {
-        obs.trace_tick("dist.exchange.epoch", None, tick);
-    }
-}
 
 /// A fully prepared diffusion-search network: graph + placed documents +
 /// diffused node embeddings.
@@ -91,44 +53,8 @@ impl<'g> SearchNetwork<'g> {
         config: &SchemeConfig,
         rng: &mut R,
     ) -> Result<Self, SearchError> {
-        Self::build_observed(
-            graph,
-            corpus,
-            placement,
-            config,
-            rng,
-            &mut Observer::disabled(),
-        )
-    }
-
-    /// [`SearchNetwork::build`] with end-to-end observability: the setup
-    /// phases (personalization → diffusion) open wall-clock spans on the
-    /// observer's profiler (when one is attached), and the deterministic
-    /// engines record work units — sweeps, pushes, halo bytes, residual
-    /// curves — through the observer's write-only sink. Instrumentation
-    /// never perturbs the result: the network is bit-identical to the
-    /// unobserved build.
-    ///
-    /// Metrics (scheme level): `scheme.build.docs` / `.hosting_nodes`
-    /// (counters), plus everything the engines record (`diffusion.*`,
-    /// `graph.sharded.*`) and, for the distributed engine, the transport
-    /// ledger (`dist.exchange.*`).
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchNetwork::build`].
-    pub fn build_observed<R: Rng + ?Sized>(
-        graph: &'g Graph,
-        corpus: &Corpus,
-        placement: &Placement,
-        config: &SchemeConfig,
-        rng: &mut R,
-        obs: &mut Observer<'_>,
-    ) -> Result<Self, SearchError> {
         let dim = corpus.dim();
         let n = graph.num_nodes();
-        let personalization_span = obs.enter("scheme.personalization");
-        obs.trace_begin("scheme.personalization");
         // Index documents per node and collect their embeddings.
         let mut docs_at: Vec<Vec<DocId>> = vec![Vec::new(); n];
         let mut doc_embeddings = Vec::with_capacity(placement.len());
@@ -156,47 +82,32 @@ impl<'g> SearchNetwork<'g> {
             .collect();
         let rows =
             personalization::personalization_rows(graph, dim, &grouped, config.aggregation())?;
-        obs.trace_end("scheme.personalization");
-        obs.exit(personalization_span);
-        obs.sink().add("scheme.build.docs", placement.len() as u64);
-        obs.sink()
-            .add("scheme.build.hosting_nodes", grouped.len() as u64);
-        // Diffuse with the configured engine, routing work-unit recording
-        // into the observer's sink where the engine supports it.
+        // Diffuse with the configured engine.
         let ppr = config.ppr_config()?;
-        let diffusion_span = obs.enter("scheme.diffusion");
-        obs.trace_begin("scheme.diffusion");
         let embeddings = match config.engine() {
             DiffusionEngine::Auto => per_source::auto_diffuse(graph, dim, &rows, &ppr)?,
             DiffusionEngine::PerSource => per_source::diffuse_sparse(graph, dim, &rows, &ppr)?,
             DiffusionEngine::Dense { threads } => {
                 let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                require_converged(power::diffuse_threaded_observed(
-                    graph,
-                    &e0,
-                    &ppr,
-                    threads,
-                    obs.sink(),
-                )?)?
+                power::diffuse_threaded(graph, &e0, &ppr, threads)?.into_converged()?
             }
             DiffusionEngine::Push { rmax, threads } => {
                 let push_cfg = push::PushConfig::new(ppr)
                     .with_rmax(rmax)?
                     .with_threads(threads)?;
-                push::diffuse_sparse_observed(graph, dim, &rows, &push_cfg, obs.sink())?
+                push::diffuse_sparse(graph, dim, &rows, &push_cfg)?
             }
             DiffusionEngine::Sharded { shards, threads } => {
                 let scfg = sharded::ShardedConfig::new(ppr)
                     .with_shards(shards)?
                     .with_threads(threads)?;
-                // Same sparse/dense crossover as Auto: column-wise push for
-                // genuinely sparse personalizations, partitioned power
-                // sweep otherwise.
-                if rows.len() < dim / 4 {
-                    sharded::diffuse_sparse_observed(graph, dim, &rows, &scfg, obs.sink())?
+                // Column-wise push for genuinely sparse personalizations,
+                // partitioned power sweep otherwise.
+                if per_source::is_sparse(rows.len(), dim) {
+                    sharded::diffuse_sparse(graph, dim, &rows, &scfg)?
                 } else {
                     let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                    require_converged(sharded::diffuse_observed(graph, &e0, &scfg, obs.sink())?)?
+                    sharded::diffuse(graph, &e0, &scfg)?.into_converged()?
                 }
             }
             DiffusionEngine::Distributed {
@@ -209,20 +120,15 @@ impl<'g> SearchNetwork<'g> {
                     .with_threads(threads)?;
                 let dcfg = gdsearch_dist::DistConfig::new(scfg)
                     .with_transport(transport.to_transport_config()?);
-                // Same sparse/dense crossover as the sharded engine; halo
-                // columns / residual mass move over simulated links. The
-                // dist crate stays free of obs types (its own plain-data
-                // ledger is authoritative); the driver copies the ledger
-                // into the sink after the fact.
-                let (signal, stats) = if rows.len() < dim / 4 {
-                    gdsearch_dist::diffuse_sparse(graph, dim, &rows, &dcfg)?
+                // As the sharded engine, with halo columns / residual mass
+                // moving over simulated links.
+                if per_source::is_sparse(rows.len(), dim) {
+                    gdsearch_dist::diffuse_sparse(graph, dim, &rows, &dcfg)?.0
                 } else {
                     let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                    let (out, stats) = gdsearch_dist::diffuse(graph, &e0, &dcfg)?;
-                    (require_converged(out)?, stats)
-                };
-                record_exchange_stats(obs, &stats);
-                signal
+                    let (out, _stats) = gdsearch_dist::diffuse(graph, &e0, &dcfg)?;
+                    out.into_converged()?
+                }
             }
             DiffusionEngine::Gossip => {
                 let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
@@ -235,13 +141,9 @@ impl<'g> SearchNetwork<'g> {
                         },
                     ));
                 }
-                obs.sink()
-                    .add("diffusion.gossip.updates", out.updates as u64);
                 out.signal
             }
         };
-        obs.trace_end("scheme.diffusion");
-        obs.exit(diffusion_span);
         Ok(SearchNetwork {
             graph,
             config: config.clone(),
@@ -251,62 +153,6 @@ impl<'g> SearchNetwork<'g> {
             doc_hosts,
             docs_at,
         })
-    }
-
-    /// Executes a query from `start`, following the paper's forwarding
-    /// protocol. See [`walk::run`].
-    ///
-    /// # Migration
-    ///
-    /// This is the low-level single-query entry point, kept as a thin shim
-    /// over [`walk::run`]. New callers should prefer
-    /// [`QueryEngine`](crate::engine::QueryEngine) — submit through
-    /// [`QueryEngine::submit`](crate::engine::QueryEngine::submit) /
-    /// [`QueryEngine::execute`](crate::engine::QueryEngine::execute) to get
-    /// admission control, batched dispatch and hot-column caching with
-    /// bitwise-identical results.
-    ///
-    /// # Errors
-    ///
-    /// As [`walk::run`].
-    pub fn query<R: Rng + ?Sized>(
-        &self,
-        query: &Embedding,
-        start: NodeId,
-        rng: &mut R,
-    ) -> Result<WalkOutcome, SearchError> {
-        walk::run(self, query, start, rng)
-    }
-
-    /// [`SearchNetwork::query`] with observability: the walk runs under a
-    /// wall-clock span (when a profiler is attached) and its cost lands in
-    /// the sink — `scheme.walk.queries` / `.hops` (counters),
-    /// `scheme.walk.unique_nodes` / `.results` (histograms, one sample per
-    /// query). The outcome is identical to the unobserved query.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchNetwork::query`].
-    pub fn query_observed<R: Rng + ?Sized>(
-        &self,
-        query: &Embedding,
-        start: NodeId,
-        rng: &mut R,
-        obs: &mut Observer<'_>,
-    ) -> Result<WalkOutcome, SearchError> {
-        let walk_span = obs.enter("scheme.walk");
-        obs.trace_begin("scheme.walk");
-        let out = walk::run(self, query, start, rng);
-        obs.trace_end("scheme.walk");
-        obs.exit(walk_span);
-        if let Ok(out) = &out {
-            let sink = obs.sink();
-            sink.add("scheme.walk.queries", 1);
-            sink.add("scheme.walk.hops", u64::from(out.hops));
-            sink.record("scheme.walk.unique_nodes", out.unique_nodes as u64);
-            sink.record("scheme.walk.results", out.results.len() as u64);
-        }
-        out
     }
 
     /// Test hook: overwrite diffused rows (non-finite embeddings cannot be
@@ -392,7 +238,7 @@ impl<'g> SearchNetwork<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicyKind;
+    use crate::{walk, PolicyKind};
     use gdsearch_embed::querygen::{self, QueryGenConfig};
     use gdsearch_embed::synthetic::SyntheticCorpus;
     use gdsearch_embed::WordId;
@@ -497,57 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_build_and_query_match_unobserved() {
-        use gdsearch_obs::{MetricValue, MetricsRegistry, Observer, Profiler};
-        let g = generators::grid(5, 5);
-        let c = corpus(21);
-        let words: Vec<WordId> = (0..4).map(WordId::new).collect();
-        let p = Placement::uniform(&g, &words, &mut rng(22)).unwrap();
-        let cfg = SchemeConfig::builder()
-            .engine(DiffusionEngine::sharded(3, 2))
-            .build()
-            .unwrap();
-        let reference = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(23)).unwrap();
-        let mut registry = MetricsRegistry::new();
-        let mut profiler = Profiler::new();
-        let mut obs = Observer::new(Some(&mut registry), Some(&mut profiler));
-        let net = SearchNetwork::build_observed(&g, &c, &p, &cfg, &mut rng(23), &mut obs).unwrap();
-        assert_eq!(
-            net.embeddings(),
-            reference.embeddings(),
-            "instrumentation must not perturb the build"
-        );
-        let q = c.embedding(WordId::new(0));
-        let ref_out = reference.query(q, NodeId::new(3), &mut rng(24)).unwrap();
-        let out = net
-            .query_observed(q, NodeId::new(3), &mut rng(24), &mut obs)
-            .unwrap();
-        assert_eq!(out.path, ref_out.path);
-        assert_eq!(out.hops, ref_out.hops);
-        // Work units landed in the registry...
-        match registry.get("scheme.build.docs") {
-            Some(MetricValue::Counter(docs)) => assert_eq!(*docs, 4),
-            other => panic!("docs: expected counter, got {other:?}"),
-        }
-        assert!(
-            registry.get("diffusion.sharded.sweeps").is_some()
-                || registry.get("diffusion.sharded.pushes").is_some(),
-            "the sharded engine must have recorded work"
-        );
-        match registry.get("scheme.walk.hops") {
-            Some(MetricValue::Counter(h)) => assert_eq!(*h, u64::from(out.hops)),
-            other => panic!("hops: expected counter, got {other:?}"),
-        }
-        // ...and the wall-clock phases landed on the profiler.
-        let tree = profiler.tree();
-        let names: Vec<&str> = tree.roots.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["scheme.personalization", "scheme.diffusion", "scheme.walk"]
-        );
-    }
-
-    #[test]
     fn diffused_signal_peaks_at_host() {
         let g = generators::grid(5, 5);
         let c = corpus(11);
@@ -605,9 +400,13 @@ mod tests {
                     .build()
                     .unwrap();
                 let net = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(30 + i as u64)).unwrap();
-                let out = net
-                    .query(c.embedding(pair.query), start, &mut rng(40 + i as u64))
-                    .unwrap();
+                let out = walk::run(
+                    &net,
+                    c.embedding(pair.query),
+                    start,
+                    &mut rng(40 + i as u64),
+                )
+                .unwrap();
                 if out.contains(0) {
                     *hits += 1;
                 }

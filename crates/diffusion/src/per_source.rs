@@ -175,6 +175,17 @@ pub fn diffuse_sparse_threaded(
     Ok(out)
 }
 
+/// The sparse/dense crossover: whether `num_sources` non-zero
+/// personalization rows of width `dim` are few enough that one scalar PPR
+/// column per source beats sweeping the dense `N × dim` signal (the "few
+/// vs. many sources" axis of [`auto_diffuse`], which documents where the
+/// `dim / 4` comes from). Every engine choice that depends on this
+/// crossover asks here.
+#[must_use]
+pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
+    num_sources < dim / 4
+}
+
 /// Picks the cheapest engine for a sparse personalization.
 ///
 /// The crossover model has two axes:
@@ -223,16 +234,15 @@ pub fn auto_diffuse(
         let scfg = sharded::ShardedConfig::new(*config)
             .with_shards(threads.max(2))?
             .with_threads(threads)?;
-        // Same sparse/dense crossover as below: per-column push only in
-        // the genuinely sparse regime, one partitioned sweep otherwise.
-        if sources.len() < dim / 4 {
+        // Per-column push only in the genuinely sparse regime, one
+        // partitioned sweep otherwise.
+        if is_sparse(sources.len(), dim) {
             return sharded::diffuse_sparse(graph, dim, sources, &scfg);
         }
         let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        let out = sharded::diffuse(graph, &e0, &scfg)?;
-        return out_converged(out);
+        return sharded::diffuse(graph, &e0, &scfg)?.into_converged();
     }
-    if sources.len() < dim / 4 {
+    if is_sparse(sources.len(), dim) {
         if n >= push::AUTO_PUSH_MIN_NODES && sources.len().saturating_mul(16) <= n {
             let threads = threads.min(sources.len().max(1));
             let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
@@ -241,21 +251,8 @@ pub fn auto_diffuse(
         diffuse_sparse(graph, dim, sources, config)
     } else {
         let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        let out = power::diffuse(graph, &e0, config)?;
-        out_converged(out)
+        power::diffuse(graph, &e0, config)?.into_converged()
     }
-}
-
-/// Unwraps a [`power::DiffusionResult`], turning budget exhaustion into
-/// [`DiffusionError::NotConverged`].
-fn out_converged(out: power::DiffusionResult) -> Result<Signal, DiffusionError> {
-    if !out.converged {
-        return Err(DiffusionError::NotConverged {
-            iterations: out.iterations,
-            residual: out.residual,
-        });
-    }
-    Ok(out.signal)
 }
 
 #[cfg(test)]

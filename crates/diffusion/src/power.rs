@@ -6,9 +6,8 @@
 //! The iteration is a contraction with factor `(1−a)` in the appropriate
 //! norm, so it converges geometrically for any `a ∈ (0, 1]`.
 
-use gdsearch_graph::sparse::{transition_matrix, CsrMatrix};
+use gdsearch_graph::sparse::transition_matrix;
 use gdsearch_graph::Graph;
-use gdsearch_obs::Sink;
 
 use crate::convergence::Convergence;
 use crate::{DiffusionError, PprConfig, Signal};
@@ -24,6 +23,24 @@ pub struct DiffusionResult {
     pub residual: f32,
     /// Whether the residual met the tolerance within the iteration budget.
     pub converged: bool,
+}
+
+impl DiffusionResult {
+    /// Unwraps the signal, turning budget exhaustion into
+    /// [`DiffusionError::NotConverged`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DiffusionError::NotConverged`] if `converged` is false.
+    pub fn into_converged(self) -> Result<Signal, DiffusionError> {
+        if !self.converged {
+            return Err(DiffusionError::NotConverged {
+                iterations: self.iterations,
+                residual: self.residual,
+            });
+        }
+        Ok(self.signal)
+    }
 }
 
 /// Diffuses `e0` over `graph` with the PPR filter, synchronously.
@@ -59,22 +76,7 @@ pub fn diffuse(
     e0: &Signal,
     config: &PprConfig,
 ) -> Result<DiffusionResult, DiffusionError> {
-    let a = transition_matrix(graph, config.normalization());
-    diffuse_with_matrix(&a, e0, config)
-}
-
-/// Like [`diffuse`], but reuses a prebuilt transition matrix — the
-/// experiment harness diffuses many placements over one graph.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::ShapeMismatch`] if shapes disagree.
-pub fn diffuse_with_matrix(
-    matrix: &CsrMatrix,
-    e0: &Signal,
-    config: &PprConfig,
-) -> Result<DiffusionResult, DiffusionError> {
-    diffuse_with_matrix_threaded(matrix, e0, config, 1)
+    diffuse_threaded(graph, e0, config, 1)
 }
 
 /// Like [`diffuse`], but shards every row sweep across `threads` scoped
@@ -83,11 +85,11 @@ pub fn diffuse_with_matrix(
 /// Each output row of the sweep `E(t) = (1−a) A E(t−1) + a E0` depends
 /// only on the previous iterate, so disjoint row ranges are computed
 /// concurrently into disjoint chunks of the next iterate
-/// ([`CsrMatrix::mul_dense_rows_into`]); the per-chunk residual maxima are
-/// folded in chunk order, and `f32::max` is associative for the non-NaN
-/// values produced here — the result is therefore bit-for-bit identical
-/// for every thread count, including `threads = 1` (which is exactly
-/// [`diffuse`]).
+/// ([`CsrMatrix::mul_dense_rows_into`](gdsearch_graph::sparse::CsrMatrix::mul_dense_rows_into));
+/// the per-chunk residual maxima are folded in chunk order, and `f32::max`
+/// is associative for the non-NaN values produced here — the result is
+/// therefore bit-for-bit identical for every thread count, including
+/// `threads = 1` (which is exactly [`diffuse`]).
 ///
 /// # Errors
 ///
@@ -98,60 +100,7 @@ pub fn diffuse_threaded(
     config: &PprConfig,
     threads: usize,
 ) -> Result<DiffusionResult, DiffusionError> {
-    let a = transition_matrix(graph, config.normalization());
-    diffuse_with_matrix_threaded(&a, e0, config, threads)
-}
-
-/// [`diffuse_threaded`] with deterministic work instrumentation (see
-/// [`diffuse_with_matrix_observed`]).
-///
-/// # Errors
-///
-/// As [`diffuse`].
-pub fn diffuse_threaded_observed(
-    graph: &Graph,
-    e0: &Signal,
-    config: &PprConfig,
-    threads: usize,
-    sink: &mut Sink<'_>,
-) -> Result<DiffusionResult, DiffusionError> {
-    let a = transition_matrix(graph, config.normalization());
-    diffuse_with_matrix_observed(&a, e0, config, threads, sink)
-}
-
-/// [`diffuse_threaded`] over a prebuilt transition matrix.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::ShapeMismatch`] if shapes disagree.
-pub fn diffuse_with_matrix_threaded(
-    matrix: &CsrMatrix,
-    e0: &Signal,
-    config: &PprConfig,
-    threads: usize,
-) -> Result<DiffusionResult, DiffusionError> {
-    diffuse_with_matrix_observed(matrix, e0, config, threads, &mut Sink::disabled())
-}
-
-/// [`diffuse_with_matrix_threaded`] with deterministic work
-/// instrumentation: per-sweep work counters and the convergence residual
-/// curve are recorded into `sink` at the sequential fold point of every
-/// iteration, so recording never perturbs the result and registries are
-/// bit-identical across thread counts.
-///
-/// Metrics: `diffusion.power.sweeps` / `.rows_swept` (counters),
-/// `diffusion.power.residual` (float series, one sample per sweep).
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::ShapeMismatch`] if shapes disagree.
-pub fn diffuse_with_matrix_observed(
-    matrix: &CsrMatrix,
-    e0: &Signal,
-    config: &PprConfig,
-    threads: usize,
-    sink: &mut Sink<'_>,
-) -> Result<DiffusionResult, DiffusionError> {
+    let matrix = transition_matrix(graph, config.normalization());
     let n = matrix.n_rows();
     if e0.num_nodes() != n {
         return Err(DiffusionError::ShapeMismatch {
@@ -195,12 +144,6 @@ pub fn diffuse_with_matrix_observed(
             deltas.into_iter().fold(0.0f32, f32::max)
         };
         std::mem::swap(&mut current, &mut next);
-        // Recording happens here, after the sequential fold, so the sink
-        // sees one sample per sweep in iteration order regardless of how
-        // many workers computed the chunks.
-        sink.add("diffusion.power.sweeps", 1);
-        sink.add("diffusion.power.rows_swept", n as u64);
-        sink.series_push_f("diffusion.power.residual", f64::from(max_delta));
         if conv.record(max_delta, config.tolerance()) {
             break;
         }

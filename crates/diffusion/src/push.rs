@@ -56,7 +56,6 @@ use std::collections::{BTreeMap, VecDeque};
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::Normalization;
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_obs::Sink;
 
 use crate::convergence::Convergence;
 use crate::degrees::DegreeTables;
@@ -407,28 +406,6 @@ pub fn diffuse_sparse(
     sources: &[(NodeId, Embedding)],
     config: &PushConfig,
 ) -> Result<Signal, DiffusionError> {
-    diffuse_sparse_observed(graph, dim, sources, config, &mut Sink::disabled())
-}
-
-/// [`diffuse_sparse`] with deterministic work instrumentation: per-column
-/// push counts, drains and frontier peaks are recorded into `sink` in the
-/// sequential accumulation loop (ascending source order), so recording
-/// never perturbs the result and registries are bit-identical across
-/// thread counts.
-///
-/// Metrics: `diffusion.push.columns` / `.pushes` / `.drains` (counters),
-/// `diffusion.push.column_pushes` / `.frontier_peak` (histograms).
-///
-/// # Errors
-///
-/// As [`diffuse_sparse`].
-pub fn diffuse_sparse_observed(
-    graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &PushConfig,
-    sink: &mut Sink<'_>,
-) -> Result<Signal, DiffusionError> {
     let n = graph.num_nodes();
     let mut out = Signal::zeros(n, dim);
     // Group repeated source nodes (diffusion is linear, so their
@@ -466,27 +443,20 @@ pub fn diffuse_sparse_observed(
     // support in the worker, so peak memory tracks the diffusion's actual
     // locality rather than |sources| · N.
     let columns = workpool::map_batched(&nodes, config.threads, |&u| {
-        push_column(&ctx, u, config).map(|(estimate, stats)| {
-            let compressed = estimate
+        push_column(&ctx, u, config).map(|(estimate, _)| {
+            estimate
                 .into_iter()
                 .enumerate()
                 .filter(|&(_, w)| w != 0.0)
                 .map(|(ui, w)| (ui as u32, w))
-                .collect::<Vec<(u32, f32)>>();
-            (compressed, stats)
+                .collect::<Vec<(u32, f32)>>()
         })
     });
+    // Sequential, ascending source order: deterministic for every worker
+    // count.
     for (source, column) in nodes.iter().zip(columns) {
-        let (column, stats) = column?;
-        // Sequential, ascending source order: deterministic for every
-        // worker count.
-        sink.add("diffusion.push.columns", 1);
-        sink.add("diffusion.push.pushes", stats.pushes as u64);
-        sink.add("diffusion.push.drains", stats.drains as u64);
-        sink.record("diffusion.push.column_pushes", stats.pushes as u64);
-        sink.record("diffusion.push.frontier_peak", stats.frontier_peak as u64);
         let emb = &grouped[source];
-        for (u, weight) in column {
+        for (u, weight) in column? {
             let row = out.row_mut(u as usize);
             for (r, e) in row.iter_mut().zip(emb) {
                 *r += weight * e;

@@ -82,7 +82,6 @@ use std::collections::BTreeMap;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{CsrMatrix, Normalization};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
-use gdsearch_obs::Sink;
 
 use crate::convergence::Convergence;
 use crate::degrees::DegreeTables;
@@ -286,24 +285,6 @@ pub fn diffuse(
     diffuse_partitioned(&sharded, e0, config)
 }
 
-/// [`diffuse`] with deterministic work instrumentation: the partition is
-/// built with [`ShardedGraph::from_graph_observed`] (halo build cost) and
-/// the sweep records through [`diffuse_with_exchange_observed`].
-///
-/// # Errors
-///
-/// As [`diffuse`].
-pub fn diffuse_observed(
-    graph: &Graph,
-    e0: &Signal,
-    config: &ShardedConfig,
-    sink: &mut Sink<'_>,
-) -> Result<DiffusionResult, DiffusionError> {
-    let sharded = ShardedGraph::from_graph_observed(graph, config.shards, sink)?;
-    let mut exchange = InProcessExchange::new(&sharded, config.threads);
-    diffuse_with_exchange_observed(&sharded, e0, config, &mut exchange, sink)
-}
-
 /// [`diffuse`] over a prebuilt partition.
 ///
 /// # Errors
@@ -333,28 +314,6 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
     e0: &Signal,
     config: &ShardedConfig,
     exchange: &mut E,
-) -> Result<DiffusionResult, DiffusionError> {
-    diffuse_with_exchange_observed(sharded, e0, config, exchange, &mut Sink::disabled())
-}
-
-/// [`diffuse_with_exchange`] with deterministic work instrumentation:
-/// per-sweep counters and the residual curve are recorded into `sink` at
-/// the sequential fold point of every iteration — after the per-shard
-/// maxima are folded, before the swap — so recording never perturbs the
-/// result and registries are bit-identical across `(shards, threads)`.
-///
-/// Metrics: `diffusion.sharded.sweeps` / `.rows_swept` (counters),
-/// `diffusion.sharded.residual` (float series, one sample per sweep).
-///
-/// # Errors
-///
-/// As [`diffuse_with_exchange`].
-pub fn diffuse_with_exchange_observed<E: ShardExchange>(
-    sharded: &ShardedGraph,
-    e0: &Signal,
-    config: &ShardedConfig,
-    exchange: &mut E,
-    sink: &mut Sink<'_>,
 ) -> Result<DiffusionResult, DiffusionError> {
     let n = sharded.num_nodes();
     if e0.num_nodes() != n {
@@ -431,11 +390,6 @@ pub fn diffuse_with_exchange_observed<E: ShardExchange>(
         for (sh, cur) in scratch.iter_mut().zip(currents.iter_mut()) {
             std::mem::swap(&mut sh.next, cur);
         }
-        // Sequential recording after the fold: one sample per sweep in
-        // iteration order, independent of shard and thread counts.
-        sink.add("diffusion.sharded.sweeps", 1);
-        sink.add("diffusion.sharded.rows_swept", n as u64);
-        sink.series_push_f("diffusion.sharded.residual", f64::from(max_delta));
         if conv.record(max_delta, tolerance) {
             break;
         }
@@ -595,7 +549,6 @@ fn push_column_partitioned<E: ShardExchange>(
     estimates: &mut [Vec<f32>],
     outboxes: &mut [Outbox],
     exchange: &mut E,
-    sink: &mut Sink<'_>,
 ) -> Result<(), DiffusionError> {
     let n = sharded.num_nodes();
     let alpha = config.ppr.alpha();
@@ -632,16 +585,11 @@ fn push_column_partitioned<E: ShardExchange>(
             if round == 0 {
                 break;
             }
-            // This loop is the sequential round barrier of the canonical
-            // schedule, so recording here is shard/thread-invariant.
-            sink.add("diffusion.sharded.rounds", 1);
-            sink.add("diffusion.sharded.pushes", round as u64);
             pushes += round;
         }
         // Certify against the remaining residual mass, exactly like the
         // FIFO engine.
         let bound = partitioned_bound(deg, sharded.shards(), residuals);
-        sink.series_push_f("diffusion.sharded.residual_bound", f64::from(bound));
         if conv.record(bound, tolerance) {
             return Ok(());
         }
@@ -720,28 +668,6 @@ pub fn ppr_vector_with_exchange<E: ShardExchange>(
     config: &ShardedConfig,
     exchange: &mut E,
 ) -> Result<Vec<f32>, DiffusionError> {
-    ppr_vector_with_exchange_observed(sharded, source, config, exchange, &mut Sink::disabled())
-}
-
-/// [`ppr_vector_with_exchange`] with deterministic work instrumentation:
-/// per-round push counts and the certified residual-bound curve are
-/// recorded into `sink` at the sequential round barrier of the canonical
-/// schedule, so recording never perturbs the result.
-///
-/// Metrics: `diffusion.sharded.rounds` / `.pushes` (counters),
-/// `diffusion.sharded.residual_bound` (float series, one sample per
-/// certification).
-///
-/// # Errors
-///
-/// As [`ppr_vector_with_exchange`].
-pub fn ppr_vector_with_exchange_observed<E: ShardExchange>(
-    sharded: &ShardedGraph,
-    source: NodeId,
-    config: &ShardedConfig,
-    exchange: &mut E,
-    sink: &mut Sink<'_>,
-) -> Result<Vec<f32>, DiffusionError> {
     let n = sharded.num_nodes();
     if source.index() >= n {
         return Err(DiffusionError::invalid_parameter(format!(
@@ -759,7 +685,6 @@ pub fn ppr_vector_with_exchange_observed<E: ShardExchange>(
         &mut estimates,
         &mut outboxes,
         exchange,
-        sink,
     )?;
     let mut out = Vec::with_capacity(n);
     for block in &estimates {
@@ -805,26 +730,6 @@ pub fn diffuse_sparse(
     diffuse_sparse_partitioned(&sharded, dim, sources, config)
 }
 
-/// [`diffuse_sparse`] with deterministic work instrumentation: the
-/// partition is built with [`ShardedGraph::from_graph_observed`] (halo
-/// build cost) and every column records through
-/// [`diffuse_sparse_with_exchange_observed`].
-///
-/// # Errors
-///
-/// As [`diffuse_sparse`].
-pub fn diffuse_sparse_observed(
-    graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &ShardedConfig,
-    sink: &mut Sink<'_>,
-) -> Result<Signal, DiffusionError> {
-    let sharded = ShardedGraph::from_graph_observed(graph, config.shards, sink)?;
-    let mut exchange = InProcessExchange::new(&sharded, config.threads);
-    diffuse_sparse_with_exchange_observed(&sharded, dim, sources, config, &mut exchange, sink)
-}
-
 /// [`diffuse_sparse`] over a prebuilt partition.
 ///
 /// # Errors
@@ -855,33 +760,6 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
     config: &ShardedConfig,
     exchange: &mut E,
 ) -> Result<Signal, DiffusionError> {
-    diffuse_sparse_with_exchange_observed(
-        sharded,
-        dim,
-        sources,
-        config,
-        exchange,
-        &mut Sink::disabled(),
-    )
-}
-
-/// [`diffuse_sparse_with_exchange`] with deterministic work
-/// instrumentation: every column records its rounds/pushes/residual curve
-/// (see [`ppr_vector_with_exchange_observed`]) plus a
-/// `diffusion.sharded.columns` counter, all from the sequential
-/// column-by-column driver loop.
-///
-/// # Errors
-///
-/// As [`diffuse_sparse_with_exchange`].
-pub fn diffuse_sparse_with_exchange_observed<E: ShardExchange>(
-    sharded: &ShardedGraph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &ShardedConfig,
-    exchange: &mut E,
-    sink: &mut Sink<'_>,
-) -> Result<Signal, DiffusionError> {
     let n = sharded.num_nodes();
     let mut out = Signal::zeros(n, dim);
     // Group repeated source nodes (diffusion is linear); BTreeMap keeps
@@ -909,7 +787,6 @@ pub fn diffuse_sparse_with_exchange_observed<E: ShardExchange>(
     let deg = DegreeTables::from_sharded(sharded, config.ppr.normalization());
     let (mut residuals, mut estimates, mut outboxes) = push_state(sharded);
     for (source, emb) in &grouped {
-        sink.add("diffusion.sharded.columns", 1);
         push_column_partitioned(
             sharded,
             &deg,
@@ -919,7 +796,6 @@ pub fn diffuse_sparse_with_exchange_observed<E: ShardExchange>(
             &mut estimates,
             &mut outboxes,
             exchange,
-            sink,
         )?;
         // Rank-1 accumulation in ascending node order (shards ascending,
         // local rows ascending): deterministic.
@@ -1082,69 +958,6 @@ mod tests {
                     .unwrap();
                 assert_eq!(diffuse_sparse(&g, dim, &sources, &alt).unwrap(), out);
             }
-        }
-    }
-
-    #[test]
-    fn observed_engines_match_unobserved_and_registries_are_thread_invariant() {
-        use gdsearch_obs::{MetricValue, MetricsRegistry, Sink};
-        let g = generators::social_circles_like_scaled(90, &mut seeded(21)).unwrap();
-        let e0 = random_signal(90, 3, 22);
-        let base = cfg(0.4, 1e-6).with_shards(3).unwrap();
-        let reference = diffuse(&g, &e0, &base).unwrap();
-        let sparse_sources = vec![
-            (NodeId::new(4), Embedding::new(vec![1.0, 0.5])),
-            (NodeId::new(61), Embedding::new(vec![0.25, 2.0])),
-        ];
-        let sparse_reference = diffuse_sparse(&g, 2, &sparse_sources, &base).unwrap();
-        let mut registries = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let scfg = base.with_threads(threads).unwrap();
-            let mut reg = MetricsRegistry::new();
-            let out = diffuse_observed(&g, &e0, &scfg, &mut Sink::attached(&mut reg)).unwrap();
-            assert_eq!(
-                out.signal.as_slice(),
-                reference.signal.as_slice(),
-                "instrumentation must not perturb the sweep ({threads} threads)"
-            );
-            let sparse = diffuse_sparse_observed(
-                &g,
-                2,
-                &sparse_sources,
-                &scfg,
-                &mut Sink::attached(&mut reg),
-            )
-            .unwrap();
-            assert_eq!(
-                sparse, sparse_reference,
-                "instrumentation must not perturb the push ({threads} threads)"
-            );
-            registries.push(reg);
-        }
-        // Work-unit registries are bit-identical across thread counts.
-        assert_eq!(registries[0], registries[1]);
-        assert_eq!(registries[0], registries[2]);
-        // And they actually recorded the expected shape of work.
-        match registries[0].get("diffusion.sharded.sweeps") {
-            Some(MetricValue::Counter(sweeps)) => {
-                assert_eq!(*sweeps as usize, reference.iterations);
-            }
-            other => panic!("sweeps: expected counter, got {other:?}"),
-        }
-        match registries[0].get("diffusion.sharded.residual") {
-            Some(MetricValue::FloatSeries(curve)) => {
-                assert_eq!(curve.len(), reference.iterations);
-                assert!(curve.windows(2).all(|w| w[1] <= w[0] * 1.5));
-            }
-            other => panic!("residual: expected float series, got {other:?}"),
-        }
-        match registries[0].get("diffusion.sharded.pushes") {
-            Some(MetricValue::Counter(pushes)) => assert!(*pushes > 0),
-            other => panic!("pushes: expected counter, got {other:?}"),
-        }
-        match registries[0].get("graph.sharded.halo_bytes") {
-            Some(MetricValue::Counter(bytes)) => assert!(*bytes > 0),
-            other => panic!("halo_bytes: expected counter, got {other:?}"),
         }
     }
 

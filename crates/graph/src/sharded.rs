@@ -45,8 +45,6 @@
 
 use std::fmt;
 
-use gdsearch_obs::Sink;
-
 use crate::{Graph, GraphError, NodeId};
 
 /// One contiguous node range of a [`ShardedGraph`], owning its CSR rows and
@@ -330,42 +328,6 @@ impl ShardedGraph {
         Self::from_boundaries(graph, &boundaries)
     }
 
-    /// [`ShardedGraph::from_graph`] with deterministic build-cost
-    /// instrumentation: after the partition is built, per-shard halo sizes,
-    /// cut entries and slot counts are recorded into `sink` in ascending
-    /// shard order. Recording is purely observational — the partition is
-    /// bit-identical to the unobserved build.
-    ///
-    /// Metrics: `graph.sharded.shards` / `.halo_bytes` / `.cut_entries` /
-    /// `.adjacency_bytes` (counters), `graph.sharded.shard_halo_entries` /
-    /// `.shard_slots` (histograms, one sample per shard).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedGraph::from_graph`].
-    pub fn from_graph_observed(
-        graph: &Graph,
-        shards: usize,
-        sink: &mut Sink<'_>,
-    ) -> Result<Self, GraphError> {
-        let sharded = Self::from_graph(graph, shards)?;
-        sink.add("graph.sharded.shards", sharded.num_shards() as u64);
-        for shard in sharded.shards() {
-            sink.add("graph.sharded.halo_bytes", shard.halo_bytes() as u64);
-            sink.add("graph.sharded.cut_entries", shard.cut_entries() as u64);
-            sink.add(
-                "graph.sharded.adjacency_bytes",
-                shard.adjacency_bytes() as u64,
-            );
-            sink.record(
-                "graph.sharded.shard_halo_entries",
-                shard.halo().len() as u64,
-            );
-            sink.record("graph.sharded.shard_slots", shard.slot_count() as u64);
-        }
-        Ok(sharded)
-    }
-
     /// Partitions `graph` along explicit boundaries: shard `s` owns
     /// `boundaries[s]..boundaries[s + 1]`.
     ///
@@ -608,39 +570,6 @@ mod tests {
             assert_eq!(sg.num_shards(), shards);
             assert_partition_valid(&g, &sg);
         }
-    }
-
-    #[test]
-    fn observed_build_is_identical_and_records_costs() {
-        let g = generators::ring(12).unwrap();
-        let reference = ShardedGraph::from_graph(&g, 4).unwrap();
-        let mut registry = gdsearch_obs::MetricsRegistry::new();
-        let sg = ShardedGraph::from_graph_observed(
-            &g,
-            4,
-            &mut gdsearch_obs::Sink::attached(&mut registry),
-        )
-        .unwrap();
-        assert_eq!(sg, reference, "instrumentation must not perturb the build");
-        let counter = |name: &str| match registry.get(name) {
-            Some(gdsearch_obs::MetricValue::Counter(c)) => *c,
-            other => panic!("{name}: expected counter, got {other:?}"),
-        };
-        assert_eq!(counter("graph.sharded.shards"), 4);
-        let expected_halo: usize = sg.shards().iter().map(GraphShard::halo_bytes).sum();
-        assert_eq!(counter("graph.sharded.halo_bytes"), expected_halo as u64);
-        let expected_cut: usize = sg.shards().iter().map(GraphShard::cut_entries).sum();
-        assert_eq!(counter("graph.sharded.cut_entries"), expected_cut as u64);
-        match registry.get("graph.sharded.shard_slots") {
-            Some(gdsearch_obs::MetricValue::Histogram(h)) => {
-                assert_eq!(h.count(), 4, "one slot sample per shard");
-            }
-            other => panic!("shard_slots: expected histogram, got {other:?}"),
-        }
-        // Disabled sinks record nothing and change nothing.
-        let off =
-            ShardedGraph::from_graph_observed(&g, 4, &mut gdsearch_obs::Sink::disabled()).unwrap();
-        assert_eq!(off, reference);
     }
 
     #[test]

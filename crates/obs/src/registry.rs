@@ -1,12 +1,10 @@
-//! The metric registry and the write-only [`Sink`] handed to library
-//! code.
+//! The metric registry.
 //!
 //! A [`MetricsRegistry`] is a `BTreeMap` from metric name to
 //! [`MetricValue`], so iteration (and with it every exporter) is in
-//! deterministic name order. Library code never sees the registry: it
-//! receives a [`Sink`], which exposes only the *write* half of the API —
-//! there is deliberately no way to read a value back through a `Sink`,
-//! so an instrumented result path cannot branch on what it recorded.
+//! deterministic name order. It is a driver-side type: result-path crates
+//! report their work in their return values and never see a registry
+//! (analyzer rule 6).
 
 use std::collections::BTreeMap;
 
@@ -200,105 +198,6 @@ impl MetricsRegistry {
     }
 }
 
-/// The write-only half of a [`MetricsRegistry`], for threading through
-/// library code.
-///
-/// A disabled sink turns every call into a no-op, so instrumented code
-/// paths need no `if`s — and because the type has no read methods at
-/// all, recording can never feed back into a result.
-///
-/// # Example
-///
-/// ```
-/// use gdsearch_obs::{MetricsRegistry, Sink};
-///
-/// fn work(sink: &mut Sink<'_>) {
-///     sink.add("work.units", 3);
-/// }
-///
-/// let mut silent = Sink::disabled();
-/// work(&mut silent); // no-op
-///
-/// let mut reg = MetricsRegistry::new();
-/// work(&mut Sink::attached(&mut reg));
-/// assert!(reg.get("work.units").is_some());
-/// ```
-#[derive(Debug, Default)]
-pub struct Sink<'a> {
-    target: Option<&'a mut MetricsRegistry>,
-}
-
-impl<'a> Sink<'a> {
-    /// A sink that drops every write.
-    #[must_use]
-    pub fn disabled() -> Sink<'static> {
-        Sink { target: None }
-    }
-
-    /// A sink recording into `registry`.
-    pub fn attached(registry: &'a mut MetricsRegistry) -> Sink<'a> {
-        Sink {
-            target: Some(registry),
-        }
-    }
-
-    /// Adds `delta` to the counter `name`.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.add(name, delta);
-        }
-    }
-
-    /// Raises the high-watermark gauge `name` to at least `v`.
-    pub fn gauge_max(&mut self, name: &str, v: u64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.gauge_max(name, v);
-        }
-    }
-
-    /// Records `v` into the histogram `name`.
-    pub fn record(&mut self, name: &str, v: u64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.record(name, v);
-        }
-    }
-
-    /// Records `n` identical observations into the histogram `name`.
-    pub fn record_n(&mut self, name: &str, v: u64, n: u64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.record_n(name, v, n);
-        }
-    }
-
-    /// Merges a standalone [`Histogram`] into the histogram `name`.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        if let Some(reg) = self.target.as_mut() {
-            match reg.metrics.get_mut(name) {
-                None => {
-                    reg.metrics
-                        .insert(name.to_string(), MetricValue::Histogram(Box::new(*h)));
-                }
-                Some(MetricValue::Histogram(mine)) => mine.merge(h),
-                Some(_) => reg.kind_conflicts += 1,
-            }
-        }
-    }
-
-    /// Appends `v` to the `u64` series `name`.
-    pub fn series_push(&mut self, name: &str, v: u64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.series_push(name, v);
-        }
-    }
-
-    /// Appends `v` to the `f64` series `name`.
-    pub fn series_push_f(&mut self, name: &str, v: f64) {
-        if let Some(reg) = self.target.as_mut() {
-            reg.series_push_f(name, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,15 +250,5 @@ mod tests {
             Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 2),
             other => panic!("expected histogram, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn disabled_sink_is_a_no_op() {
-        let mut sink = Sink::disabled();
-        sink.add("x", 1);
-        sink.record("y", 2);
-        sink.gauge_max("z", 3);
-        // Nothing to assert beyond "does not crash": the sink holds no
-        // state at all.
     }
 }

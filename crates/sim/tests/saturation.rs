@@ -135,13 +135,13 @@ fn blind_senders_drop_where_adaptive_senders_wait() {
     #[derive(Debug)]
     enum Either {
         Sender(Adaptive),
-        Sink(Echo),
+        Receiver(Echo),
     }
     impl NodeHandler<Chunk> for Either {
         fn handle(&mut self, from: Option<NodeId>, msg: Chunk, api: &mut NodeApi<'_, Chunk>) {
             match self {
                 Either::Sender(h) => h.handle(from, msg, api),
-                Either::Sink(h) => h.handle(from, msg, api),
+                Either::Receiver(h) => h.handle(from, msg, api),
             }
         }
     }
@@ -149,7 +149,7 @@ fn blind_senders_drop_where_adaptive_senders_wait() {
         g,
         vec![
             Either::Sender(Adaptive { remaining: 20 }),
-            Either::Sink(Echo),
+            Either::Receiver(Echo),
         ],
         cfg,
     )
@@ -159,7 +159,7 @@ fn blind_senders_drop_where_adaptive_senders_wait() {
     assert_eq!(adaptive.stats().dropped_backpressure, 0);
     match adaptive.handler(NodeId::new(0)).unwrap() {
         Either::Sender(h) => assert_eq!(h.remaining, 0, "backlog fully flushed"),
-        Either::Sink(_) => unreachable!("node 0 is the sender"),
+        Either::Receiver(_) => unreachable!("node 0 is the sender"),
     }
 }
 

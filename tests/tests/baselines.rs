@@ -2,7 +2,7 @@
 //! ball, guided walks beat blind walks in aggregate, and the visited-memory
 //! ablation behaves as documented.
 
-use gdsearch::{Placement, PolicyKind, SchemeConfig, SearchNetwork, VisitedMemory};
+use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork, VisitedMemory};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
@@ -44,7 +44,7 @@ fn flooding_finds_gold_iff_within_ttl_ball() {
     let distances = bfs::distances(&graph, gold_host);
     for start_idx in (0..150).step_by(17) {
         let start = NodeId::new(start_idx);
-        let out = net.query(query, start, &mut rng(4)).unwrap();
+        let out = walk::run(&net, query, start, &mut rng(4)).unwrap();
         let within = distances[start.index()].map(|d| d <= ttl).unwrap_or(false);
         assert_eq!(
             out.contains(0),
@@ -69,7 +69,7 @@ fn flooding_message_cost_dwarfs_single_walk() {
             .build()
             .unwrap();
         let net = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(7)).unwrap();
-        net.query(query, start, &mut rng(8)).unwrap().hops
+        walk::run(&net, query, start, &mut rng(8)).unwrap().hops
     };
     let flood_msgs = run_policy(PolicyKind::Flooding, 3);
     let walk_msgs = run_policy(PolicyKind::PprGreedy, 50);
@@ -113,9 +113,7 @@ fn guided_beats_blind_in_aggregate() {
                 SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(40)).unwrap();
             // Three starts per placement for more samples.
             for s in [5u32, 60, 110] {
-                let out = net
-                    .query(query, NodeId::new(s), &mut rng(50 + i as u64))
-                    .unwrap();
+                let out = walk::run(&net, query, NodeId::new(s), &mut rng(50 + i as u64)).unwrap();
                 if out.contains(0) {
                     *counter += 1;
                 }
@@ -145,7 +143,7 @@ fn in_message_memory_is_at_least_as_exploratory() {
             .build()
             .unwrap();
         let net = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(13)).unwrap();
-        net.query(query, NodeId::new(0), &mut rng(14))
+        walk::run(&net, query, NodeId::new(0), &mut rng(14))
             .unwrap()
             .unique_nodes
     };
@@ -169,7 +167,7 @@ fn degree_biased_walk_reaches_hubs_quickly() {
         .unwrap();
     let net = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(17)).unwrap();
     let query = corpus.embedding(gdsearch_embed::WordId::new(4));
-    let out = net.query(query, NodeId::new(100), &mut rng(18)).unwrap();
+    let out = walk::run(&net, query, NodeId::new(100), &mut rng(18)).unwrap();
     // The second visited node must be the start's highest-degree neighbor.
     let start_neighbors = graph.neighbor_slice(NodeId::new(100));
     let best = start_neighbors

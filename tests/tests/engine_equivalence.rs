@@ -1,6 +1,6 @@
 //! ISSUE 10 determinism contract: the serving engine's batched, threaded,
 //! cached execution must be **bitwise identical** to the sequential
-//! uncached [`SearchNetwork::query`] path, for every combination of batch
+//! uncached [`walk::run`] path, for every combination of batch
 //! window, worker-thread count, and cache capacity.
 //!
 //! The engine earns this by construction — cached score columns are
@@ -13,7 +13,7 @@
 //! dispatch would all fail here.
 
 use gdsearch::engine::{CacheCapacity, EngineConfig, QueryEngine, QueryRequest};
-use gdsearch::walk::WalkOutcome;
+use gdsearch::walk::{self, WalkOutcome};
 use gdsearch::{CacheVerdict, Placement, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
@@ -87,13 +87,12 @@ fn requests(fx: &Fixture, count: usize, seed: u64) -> Vec<QueryRequest> {
 }
 
 /// The ground truth: sequential, uncached, one fresh seeded RNG per
-/// request — exactly what `SearchNetwork::query` did before the engine
-/// existed.
+/// request.
 fn sequential_baseline(net: &SearchNetwork<'_>, reqs: &[QueryRequest]) -> Vec<WalkOutcome> {
     reqs.iter()
         .map(|req| {
             let mut walk_rng = StdRng::seed_from_u64(req.seed());
-            net.query(req.query(), req.start(), &mut walk_rng).unwrap()
+            walk::run(net, req.query(), req.start(), &mut walk_rng).unwrap()
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //! personalization → diffusion → guided walk.
 
 use gdsearch::experiment::{accuracy, hops, Workbench, WorkbenchSpec};
-use gdsearch::{DiffusionEngine, Placement, SchemeConfig, SearchNetwork};
+use gdsearch::{walk, DiffusionEngine, Placement, PolicyKind, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_graph::algo::bfs;
@@ -55,9 +55,7 @@ fn quickstart_smoke() {
 
     let rings = bfs::distance_rings(&graph, gold_host, 3);
     let start = rings[3].first().copied().unwrap_or(gold_host);
-    let outcome = network
-        .query(corpus.embedding(pair.query), start, &mut rng)
-        .unwrap();
+    let outcome = walk::run(&network, corpus.embedding(pair.query), start, &mut rng).unwrap();
     assert!(outcome.unique_nodes > 0);
     assert!(
         outcome.hops <= 50,
@@ -158,6 +156,68 @@ fn hop_experiment_matches_walk_semantics() {
 }
 
 #[test]
+fn experiment_drivers_reproduce_golden_rows() {
+    // Rows recorded at commit 611a07c, when both drivers still ran their
+    // walks through `QueryEngine`. Gossip draws from the rng during every
+    // build and the hybrid policy during every walk, so a driver that
+    // reorders, adds or drops a draw moves these numbers.
+    let spec = WorkbenchSpec {
+        nodes: 60,
+        vocab: 300,
+        dim: 16,
+        topics: 12,
+        num_queries: 20,
+        min_cosine: 0.6,
+        anisotropy: 0.0,
+    };
+    let wb = Workbench::generate(&spec, &mut rng(81)).unwrap();
+    let base = SchemeConfig::builder()
+        .engine(DiffusionEngine::Gossip)
+        .policy(PolicyKind::Hybrid { epsilon: 0.5 })
+        .ttl(6)
+        .build()
+        .unwrap();
+
+    let cfg = hops::HopCountConfig {
+        total_docs: 12,
+        iterations: 8,
+        queries_per_iteration: 5,
+    };
+    let row = hops::run(&wb, &cfg, &base, &mut rng(82)).unwrap();
+    assert_eq!(
+        row,
+        hops::HopCountRow {
+            total_docs: 12,
+            successes: 13,
+            samples: 40,
+            median_hops: Some(1.0),
+            mean_hops: Some(2.3076923076923075),
+            std_hops: Some(1.8138194034694763),
+        }
+    );
+
+    let cfg = accuracy::AccuracyConfig {
+        total_docs: 12,
+        alphas: vec![0.1, 0.5, 0.9],
+        max_distance: 4,
+        iterations: 8,
+    };
+    let result = accuracy::run(&wb, &cfg, &base, &mut rng(83)).unwrap();
+    let expected = [
+        (0.1, [1.0, 1.0, 0.25, 0.125, 0.0]),
+        (0.5, [1.0, 1.0, 0.25, 0.0, 0.0]),
+        (0.9, [1.0, 1.0, 0.25, 0.25, 0.0]),
+    ];
+    assert_eq!(result.total_docs, 12);
+    assert_eq!(result.series.len(), expected.len());
+    for (series, (alpha, accuracy)) in result.series.iter().zip(expected) {
+        assert_eq!(series.alpha, alpha);
+        assert_eq!(series.accuracy, accuracy);
+        assert_eq!(series.samples, [8, 8, 8, 8, 0]);
+    }
+}
+
+#[test]
 fn all_engines_yield_equivalent_search_outcomes() {
     // Whole-system equivalence: the same placement diffused by different
     // engines must produce identical greedy walks.
@@ -185,7 +245,7 @@ fn all_engines_yield_equivalent_search_outcomes() {
             .unwrap();
         let net =
             SearchNetwork::build(&wb.graph, &wb.corpus, &placement, &cfg, &mut rng(53)).unwrap();
-        let outcome = net.query(query, start, &mut rng(54)).unwrap();
+        let outcome = walk::run(&net, query, start, &mut rng(54)).unwrap();
         paths.push(outcome.path);
     }
     assert_eq!(paths[0], paths[1], "dense vs per-source walks diverged");
@@ -212,7 +272,7 @@ fn walk_succeeds_exactly_when_it_visits_the_gold_host() {
     let query = wb.corpus.embedding(wb.queries.pairs()[0].query);
     for start_idx in [0u32, 50, 120] {
         let start = gdsearch_graph::NodeId::new(start_idx);
-        let outcome = net.query(query, start, &mut rng(64)).unwrap();
+        let outcome = walk::run(&net, query, start, &mut rng(64)).unwrap();
         let visited_host = outcome.path.contains(&placement.host(0));
         assert_eq!(
             outcome.contains(0),
@@ -243,7 +303,7 @@ fn distance_rings_drive_expected_hop_lower_bound() {
     let rings = bfs::distance_rings(&wb.graph, placement.host(0), 4);
     for (d, ring) in rings.iter().enumerate() {
         if let Some(&start) = ring.first() {
-            let outcome = net.query(query, start, &mut rng(74)).unwrap();
+            let outcome = walk::run(&net, query, start, &mut rng(74)).unwrap();
             if let Some(hop) = outcome.hop_of(0) {
                 assert!(
                     hop as usize >= d,

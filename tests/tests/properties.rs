@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: invariants that must hold for *any*
 //! placement, graph and configuration, not just the curated fixtures.
 
-use gdsearch::{Placement, PolicyKind, SchemeConfig, SearchNetwork};
+use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork};
 use gdsearch_diffusion::{per_source, power, PprConfig, Signal};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::{Corpus, WordId};
@@ -93,9 +93,13 @@ proptest! {
             .build()
             .unwrap();
         let net = SearchNetwork::build(&g, corpus, &placement, &cfg, &mut rng).unwrap();
-        let out = net
-            .query(corpus.embedding(WordId::new(10)), NodeId::new(0), &mut rng)
-            .unwrap();
+        let out = walk::run(
+            &net,
+            corpus.embedding(WordId::new(10)),
+            NodeId::new(0),
+            &mut rng,
+        )
+        .unwrap();
         // Fanout spawns walks at the origin only: at most fanout * ttl
         // forwards in total (flooding is a separate policy).
         let budget = fanout as u64 * u64::from(ttl);
@@ -125,9 +129,7 @@ proptest! {
             .unwrap();
         let net = SearchNetwork::build(&g, corpus, &placement, &cfg, &mut rng).unwrap();
         let start = NodeId::new(0);
-        let out = net
-            .query(corpus.embedding(WordId::new(3)), start, &mut rng)
-            .unwrap();
+        let out = walk::run(&net, corpus.embedding(WordId::new(3)), start, &mut rng).unwrap();
         let ball = gdsearch_graph::algo::bfs::distances(&g, start)
             .iter()
             .filter(|d| d.map(|d| d <= ttl).unwrap_or(false))

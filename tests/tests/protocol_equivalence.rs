@@ -5,7 +5,7 @@
 //! retrieve the same documents at the same hops.
 
 use gdsearch::protocol::{build_protocol_network, issue_query, run_and_collect};
-use gdsearch::{Placement, SchemeConfig, SearchNetwork};
+use gdsearch::{walk, Placement, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
@@ -54,7 +54,7 @@ fn greedy_walk_and_protocol_agree_on_results() {
         let query = corpus.embedding(pair.query);
 
         // Fast path.
-        let walk = scheme.query(query, start, &mut rng(30)).unwrap();
+        let walk = walk::run(&scheme, query, start, &mut rng(30)).unwrap();
 
         // Simulated protocol.
         let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
@@ -101,7 +101,7 @@ fn protocol_message_count_matches_walk_forwards() {
     let start = NodeId::new(0);
     let query = corpus.embedding(gdsearch_embed::WordId::new(9));
 
-    let walk = scheme.query(query, start, &mut rng(6)).unwrap();
+    let walk = walk::run(&scheme, query, start, &mut rng(6)).unwrap();
     let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
     issue_query(&mut net, start, 0, query.clone(), ttl).unwrap();
     run_and_collect(&mut net, start, 1_000_000).unwrap();
