@@ -193,8 +193,11 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 /// * **few vs. many sources** — the flop-count crossover between
 ///   per-source decomposition and dense power iteration sits at
 ///   `|sources| ≈ dim`, but the dense engine's contiguous row operations
-///   are ≈ 4× more efficient per flop than per-source sparse passes, so
-///   the break-even is taken as `dim / 4`. The repo benchmark has a
+///   were measured ≈ 4× more efficient per flop than per-source sparse
+///   passes, so the break-even is taken as `dim / 4`. That ratio predates
+///   the O(E) operator build and the liveness-masked sweep, which made the
+///   dense side ≈ 1.8× cheaper on `rebuild-dense`; a derivation of the
+///   crossover (ROADMAP item A) must re-measure it. The repo benchmark has a
 ///   workload on each side (`rebuild-sparse`, `rebuild-dense`): its
 ///   `per_source.auto_ms` times this function, `push.diffuse_sparse_ms`
 ///   and `power.diffuse_ms` time both branches on the same input;

@@ -91,6 +91,17 @@ pub fn diffuse(
 /// therefore bit-for-bit identical for every thread count, including
 /// `threads = 1` (which is exactly [`diffuse`]).
 ///
+/// The sweep gathers only from rows that can be non-zero. A row is *dead*
+/// while all its bits are `+0.0`; row `u` of `E(t+1)` is dead if row `u` of
+/// `E0` is and every neighbour's row of `E(t)` is (`a` and `1−a` are
+/// non-negative, so the blend of `+0.0`s is `+0.0`). The live set therefore
+/// grows one hop per sweep from the rows of `E0` that hold a set bit, and
+/// while it is not yet all rows the kernel skips the dead ones
+/// ([`CsrMatrix::mul_live_rows_into`](gdsearch_graph::sparse::CsrMatrix::mul_live_rows_into),
+/// which is where the bit-identity of skipping is argued). The mask is
+/// structural — a live row may still hold zeros — and identical for every
+/// thread count.
+///
 /// # Errors
 ///
 /// As [`diffuse`].
@@ -115,21 +126,37 @@ pub fn diffuse_threaded(
     let alpha = config.alpha();
     let mut current = e0.clone();
     let mut next = Signal::zeros(n, dim);
+    // live: rows of `current` that may hold a set bit. reached: the same
+    // for `next` — seeded with E0's rows, which are live in every iterate,
+    // and only ever gaining rows, so the kernel grows it in place.
+    let mut live: Vec<bool> = (0..n)
+        .map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0))
+        .collect();
+    let mut reached = live.clone();
     let mut conv = Convergence::new();
     while conv.iters < config.max_iterations() {
+        let masked = live.contains(&false);
         // next = (1 - a) * A * current + a * e0, sharded by row range.
         let max_delta = {
             let cur = current.as_slice();
             let origin = e0.as_slice();
-            let mut chunks: Vec<(usize, &mut [f32])> = next
+            let live = live.as_slice();
+            let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = next
                 .as_mut_slice()
                 .chunks_mut(chunk_rows * width)
+                .zip(reached.chunks_mut(chunk_rows))
                 .enumerate()
-                .map(|(i, chunk)| (i * chunk_rows, chunk))
+                .map(|(i, (chunk, reached))| (i * chunk_rows, chunk, reached))
                 .collect();
-            let deltas =
-                crate::workpool::map_batched_mut(&mut chunks, threads, |(first_row, chunk)| {
-                    matrix.mul_dense_rows_into(*first_row, cur, width, chunk);
+            let deltas = crate::workpool::map_batched_mut(
+                &mut chunks,
+                threads,
+                |(first_row, chunk, reached)| {
+                    if masked {
+                        matrix.mul_live_rows_into(*first_row, cur, width, live, chunk, reached);
+                    } else {
+                        matrix.mul_dense_rows_into(*first_row, cur, width, chunk);
+                    }
                     let base = *first_row * width;
                     let mut local_max = 0.0f32;
                     for (j, nx) in chunk.iter_mut().enumerate() {
@@ -140,10 +167,14 @@ pub fn diffuse_threaded(
                         }
                     }
                     local_max
-                });
+                },
+            );
             deltas.into_iter().fold(0.0f32, f32::max)
         };
         std::mem::swap(&mut current, &mut next);
+        if masked {
+            live.copy_from_slice(&reached);
+        }
         if conv.record(max_delta, config.tolerance()) {
             break;
         }
@@ -301,9 +332,8 @@ mod tests {
         let g = gdsearch_graph::Graph::from_edges(3, [(0, 1)]).unwrap();
         let e0 = one_hot_signal(3, 2);
         let out = diffuse(&g, &e0, &PprConfig::new(0.5).unwrap()).unwrap();
-        // Node 2 is isolated: its fixed point is a * e0 / (1 - (1-a)*0) = a
-        // only if A row is empty => e = a*e0 => 0.5... wait: e = (1-a)*0 + a*1
-        // = a at every iteration, so exactly alpha.
+        // Node 2 is isolated, so its row of A is empty: e = (1-a)*0 + a*1 = a
+        // at every iteration, exactly alpha.
         assert!((out.signal.row(2)[0] - 0.5).abs() < 1e-6);
         assert_eq!(out.signal.row(0)[0], 0.0);
     }

@@ -31,7 +31,9 @@
 //! remapped by [`GraphShard::slot_of`], which is strictly monotone in the
 //! global node id — so each row's stored entries keep their global order
 //! and [`CsrMatrix::mul_dense_rows_into`] performs the same float
-//! operations in the same order as the monolithic product. The blend
+//! operations in the same order as the monolithic product (which, while
+//! its liveness mask is on, leaves out the `w·(+0.0)` terms of rows that
+//! are still zero — terms that change no bit of a sum). The blend
 //! `E(t+1) = (1−a)·A·E(t) + a·E0` uses the same expression per element,
 //! and the per-shard residual maxima are folded with `f32::max`, which is
 //! associative for the non-NaN values produced here.
@@ -80,7 +82,7 @@
 use std::collections::BTreeMap;
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{CsrMatrix, Normalization};
+use gdsearch_graph::sparse::{edge_weight, CsrMatrix, Normalization};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 
 use crate::convergence::Convergence;
@@ -243,26 +245,29 @@ struct PowerShard {
 /// argument in the module docs).
 fn shard_transition(sharded: &ShardedGraph, s: usize, norm: Normalization) -> CsrMatrix {
     let shard = sharded.shard(s);
-    let mut triplets = Vec::with_capacity(shard.num_adjacency_entries());
+    let mut offsets = Vec::with_capacity(shard.num_local_nodes() + 1);
+    let mut columns = Vec::with_capacity(shard.num_adjacency_entries());
+    let mut values = Vec::with_capacity(shard.num_adjacency_entries());
+    offsets.push(0);
     for local in 0..shard.num_local_nodes() {
         let deg_u = shard.local_degree(local);
         for &v in shard.local_neighbor_slice(local) {
-            // Weight expressions replicate `sparse::transition_matrix`
-            // verbatim — same operations, same rounding, same bits.
-            let deg_v = sharded.degree(v);
-            let value = match norm {
-                Normalization::ColumnStochastic => 1.0 / deg_v as f32,
-                Normalization::RowStochastic => 1.0 / deg_u as f32,
-                Normalization::Symmetric => 1.0 / ((deg_u as f32).sqrt() * (deg_v as f32).sqrt()),
-            };
             let slot = shard
                 .slot_of(v)
                 .expect("every neighbor is local or in the halo");
-            triplets.push((local as u32, slot as u32, value));
+            columns.push(slot as u32);
+            values.push(edge_weight(norm, deg_u, sharded.degree(v)));
         }
+        offsets.push(columns.len());
     }
-    CsrMatrix::from_triplets(shard.num_local_nodes(), shard.slot_count(), &triplets)
-        .expect("shard dimensions fit the u32 index space")
+    CsrMatrix::from_sorted_rows(
+        shard.num_local_nodes(),
+        shard.slot_count(),
+        offsets,
+        columns,
+        values,
+    )
+    .expect("slots of a sorted neighbor list ascend within the shard's u32 slot space")
 }
 
 /// Diffuses `e0` with the PPR filter on partitioned state: the graph is
@@ -840,6 +845,39 @@ mod tests {
             }
         }
         s
+    }
+
+    #[test]
+    fn shard_transition_equals_its_triplet_oracle() {
+        // Global transition rows of the shard's node range, columns
+        // remapped to slots, built the slow way.
+        let g = generators::social_circles_like_scaled(60, &mut seeded(5)).unwrap();
+        for norm in [
+            Normalization::ColumnStochastic,
+            Normalization::RowStochastic,
+            Normalization::Symmetric,
+        ] {
+            let global = gdsearch_graph::sparse::transition_matrix(&g, norm);
+            for shards in [1usize, 2, 3] {
+                let sharded = ShardedGraph::from_graph(&g, shards).unwrap();
+                for (s, shard) in sharded.shards().iter().enumerate() {
+                    let mut triplets = Vec::new();
+                    for local in 0..shard.num_local_nodes() {
+                        for (c, w) in global.row(shard.global_id(local).index()) {
+                            let slot = shard.slot_of(NodeId::new(c)).unwrap();
+                            triplets.push((local as u32, slot as u32, w));
+                        }
+                    }
+                    let oracle = CsrMatrix::from_triplets(
+                        shard.num_local_nodes(),
+                        shard.slot_count(),
+                        &triplets,
+                    )
+                    .unwrap();
+                    assert_eq!(shard_transition(&sharded, s, norm), oracle);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use gdsearch_diffusion::push::{self, PushConfig};
 use gdsearch_diffusion::{exact, per_source, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::Normalization;
+use gdsearch_graph::sparse::{transition_weight, Normalization};
 use gdsearch_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,6 +36,143 @@ fn one_hot(n: usize, u: usize) -> Signal {
     let mut s = Signal::zeros(n, 1);
     s.row_mut(u % n.max(1))[0] = 1.0;
     s
+}
+
+/// The dense sweep spelled out — every neighbour gathered in adjacency
+/// order, nothing skipped — as `(signal, iterations, residual, converged)`.
+fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, usize, f32, bool) {
+    let (dim, a) = (e0.dim(), cfg.alpha());
+    let mut cur = e0.as_slice().to_vec();
+    let (mut iterations, mut residual, mut converged) = (0, f32::INFINITY, false);
+    while iterations < cfg.max_iterations() && !converged {
+        let mut next = vec![0.0f32; cur.len()];
+        residual = 0.0;
+        for u in g.node_ids() {
+            let row = u.index() * dim..(u.index() + 1) * dim;
+            for v in g.neighbors(u) {
+                let w = transition_weight(g, cfg.normalization(), u, v);
+                let src = &cur[v.index() * dim..][..dim];
+                for (o, s) in next[row.clone()].iter_mut().zip(src) {
+                    *o += w * s;
+                }
+            }
+            for j in row {
+                next[j] = (1.0 - a) * next[j] + a * e0.as_slice()[j];
+                let delta = (next[j] - cur[j]).abs();
+                if delta > residual {
+                    residual = delta;
+                }
+            }
+        }
+        cur = next;
+        iterations += 1;
+        converged = residual <= cfg.tolerance();
+    }
+    (cur, iterations, residual, converged)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Asserts that the masked sweep (and the sharded one, which never masks)
+/// equals the reference sweep bit for bit, for every thread count, and
+/// returns the reference.
+fn assert_sweep_is_reference(
+    g: &Graph,
+    e0: &Signal,
+    cfg: &PprConfig,
+) -> (Vec<f32>, usize, f32, bool) {
+    use gdsearch_diffusion::sharded::{self, ShardedConfig};
+
+    let reference = reference_sweep(g, e0, cfg);
+    let sharded = sharded::diffuse(g, e0, &ShardedConfig::new(*cfg).with_shards(2).unwrap());
+    let mut outs = vec![("sharded".to_string(), sharded.unwrap())];
+    for threads in [1usize, 2, 3, 16] {
+        let out = power::diffuse_threaded(g, e0, cfg, threads).unwrap();
+        outs.push((format!("{threads} threads"), out));
+    }
+    for (who, out) in outs {
+        let got = (
+            bits(out.signal.as_slice()),
+            out.iterations,
+            out.residual.to_bits(),
+            out.converged,
+        );
+        let want = (
+            bits(&reference.0),
+            reference.1,
+            reference.2.to_bits(),
+            reference.3,
+        );
+        assert_eq!(got, want, "{who}");
+    }
+    reference
+}
+
+/// Rows the liveness mask must treat as live by bit pattern, an E0 with no
+/// live row at all, and components no live row ever reaches.
+#[test]
+fn masked_sweep_equals_reference_on_hostile_rows() {
+    // Path 0-1-2-3, host-free triangle 4-5-6, isolated node 7.
+    let g = Graph::from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]).unwrap();
+    let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
+    let hostile: [[f32; 2]; 5] = [
+        [-0.0, -0.0],
+        [f32::NAN, 1.0],
+        [f32::INFINITY, 0.5],
+        [f32::NEG_INFINITY, f32::INFINITY],
+        [f32::MIN_POSITIVE / 4.0, 0.0],
+    ];
+    for row in hostile {
+        let mut e0 = Signal::zeros(8, 2);
+        e0.row_mut(1).copy_from_slice(&row);
+        e0.row_mut(3).copy_from_slice(&[0.25, -2.0]);
+        let (signal, ..) = assert_sweep_is_reference(&g, &e0, &cfg);
+        // No sweep ever reaches the triangle or the isolated node: their
+        // rows stay dead, so the mask is on to the last sweep.
+        assert!(bits(&signal[4 * 2..]).iter().all(|&b| b == 0));
+    }
+    let (_, iterations, _, converged) = assert_sweep_is_reference(&g, &Signal::zeros(8, 2), &cfg);
+    assert_eq!((iterations, converged), (1, true));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// With one to three live rows in E0 — the regime the liveness mask is
+    /// for, on graphs that may hold components no row ever reaches — the
+    /// sweep equals the reference sweep bit for bit.
+    #[test]
+    fn masked_sweep_equals_reference_sweep(
+        g in arb_push_graph(),
+        alpha in 0.1f32..1.0,
+        dim in 1usize..4,
+        hosts in 1usize..4,
+        norm in 0usize..3,
+        signal_seed in 0u64..1000,
+    ) {
+        let n = g.num_nodes();
+        let mut rng = StdRng::seed_from_u64(signal_seed);
+        let mut e0 = Signal::zeros(n, dim);
+        for _ in 0..hosts {
+            let u = rng.random_range(0..n);
+            for x in e0.row_mut(u) {
+                *x = rng.random::<f32>() - 0.5;
+            }
+        }
+        let norm = [
+            Normalization::ColumnStochastic,
+            Normalization::RowStochastic,
+            Normalization::Symmetric,
+        ][norm];
+        let cfg = PprConfig::new(alpha)
+            .unwrap()
+            .with_normalization(norm)
+            .with_tolerance(1e-6)
+            .unwrap();
+        assert_sweep_is_reference(&g, &e0, &cfg);
+    }
 }
 
 proptest! {

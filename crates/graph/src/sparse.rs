@@ -49,9 +49,27 @@ pub struct CsrMatrix {
     values: Vec<f32>,
 }
 
+/// The column bound of an `n_rows × n_cols` matrix as the stored index type.
+///
+/// Row and column indices are stored as `u32`; larger matrices must be
+/// sharded — see [`crate::sharded`].
+fn column_bound(n_rows: usize, n_cols: usize) -> Result<u32, GraphError> {
+    match (u32::try_from(n_rows), u32::try_from(n_cols)) {
+        (Ok(_), Ok(bound)) => Ok(bound),
+        _ => Err(GraphError::invalid_parameter(format!(
+            "matrix dimensions {n_rows}x{n_cols} exceed the u32 index space \
+             of the CSR column storage"
+        ))),
+    }
+}
+
 impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, value)` triplets. Triplets may
     /// arrive in any order; duplicates are summed.
+    ///
+    /// Sorts and merges, so it costs `O(E log E)` time and three copies of
+    /// the entries; a caller that already holds sorted, duplicate-free rows
+    /// uses [`CsrMatrix::from_sorted_rows`].
     ///
     /// # Errors
     ///
@@ -64,12 +82,7 @@ impl CsrMatrix {
         n_cols: usize,
         triplets: &[(u32, u32, f32)],
     ) -> Result<Self, GraphError> {
-        if n_rows > u32::MAX as usize || n_cols > u32::MAX as usize {
-            return Err(GraphError::invalid_parameter(format!(
-                "matrix dimensions {n_rows}x{n_cols} exceed the u32 index space \
-                 of the CSR column storage"
-            )));
-        }
+        column_bound(n_rows, n_cols)?;
         for &(r, c, _) in triplets {
             if r as usize >= n_rows || c as usize >= n_cols {
                 return Err(GraphError::invalid_parameter(format!(
@@ -103,6 +116,72 @@ impl CsrMatrix {
             columns,
             values,
         })
+    }
+
+    /// Adopts CSR arrays whose rows are already sorted: row `r` stores
+    /// `columns[offsets[r]..offsets[r + 1]]` with the matching `values`.
+    /// One `O(E)` validation pass, no copy — the matrix equals the one
+    /// [`CsrMatrix::from_triplets`] builds from the same entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidParameter`] if either dimension exceeds
+    /// the `u32` index space, `offsets` is not a non-decreasing sequence of
+    /// `n_rows + 1` positions from 0 to `columns.len() == values.len()`, or
+    /// a row's columns are not strictly ascending and below `n_cols`.
+    pub fn from_sorted_rows(
+        n_rows: usize,
+        n_cols: usize,
+        offsets: Vec<usize>,
+        columns: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Result<Self, GraphError> {
+        let matrix = CsrMatrix {
+            n_rows,
+            n_cols,
+            offsets,
+            columns,
+            values,
+        };
+        matrix.check_sorted_rows()?;
+        Ok(matrix)
+    }
+
+    /// The check behind [`CsrMatrix::from_sorted_rows`].
+    fn check_sorted_rows(&self) -> Result<(), GraphError> {
+        let bound = column_bound(self.n_rows, self.n_cols)?;
+        let framed = self.offsets.len().checked_sub(1) == Some(self.n_rows)
+            && self.offsets.first() == Some(&0)
+            && self.offsets.last() == Some(&self.columns.len())
+            && self.columns.len() == self.values.len();
+        if !framed {
+            return Err(GraphError::invalid_parameter(format!(
+                "{} offsets must run from 0 to {} columns / {} values over {} rows",
+                self.offsets.len(),
+                self.columns.len(),
+                self.values.len(),
+                self.n_rows
+            )));
+        }
+        for (r, (&start, &end)) in self
+            .offsets
+            .iter()
+            .zip(self.offsets.iter().skip(1))
+            .enumerate()
+        {
+            let row = self.columns.get(start..end).ok_or_else(|| {
+                GraphError::invalid_parameter(format!(
+                    "row {r} offsets {start}..{end} are not a range of the stored entries"
+                ))
+            })?;
+            let ascending = row.iter().zip(row.iter().skip(1)).all(|(a, b)| a < b);
+            if !ascending || row.last().is_some_and(|&c| c >= bound) {
+                return Err(GraphError::invalid_parameter(format!(
+                    "row {r} columns must be strictly ascending and below {bound}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Number of rows.
@@ -192,6 +271,54 @@ impl CsrMatrix {
     /// Panics if `x.len() != n_cols * width`, `y.len()` is not a multiple
     /// of `width`, or the row range extends past `n_rows`.
     pub fn mul_dense_rows_into(&self, first_row: usize, x: &[f32], width: usize, y: &mut [f32]) {
+        self.gather_rows(first_row, x, width, y, None);
+    }
+
+    /// [`CsrMatrix::mul_dense_rows_into`] that skips the source rows of `x`
+    /// marked dead in `live`, and sets `reached[i]` for every output row
+    /// `first_row + i` that gathered from at least one live source (entries
+    /// it does not set are left as they were).
+    ///
+    /// The caller promises that a dead row of `x` is all `+0.0` bits. With
+    /// finite stored values the output is then bit-identical to the
+    /// unmasked product: each skipped term is `w · (+0.0) = ±0.0`, every
+    /// accumulator starts at `+0.0` and so is never `−0.0`, and adding
+    /// `±0.0` to anything else changes no bit; the surviving terms keep
+    /// their stored order.
+    ///
+    /// # Panics
+    ///
+    /// As [`CsrMatrix::mul_dense_rows_into`], or if `live.len() != n_cols`
+    /// or `reached` does not hold one flag per output row.
+    pub fn mul_live_rows_into(
+        &self,
+        first_row: usize,
+        x: &[f32],
+        width: usize,
+        live: &[bool],
+        y: &mut [f32],
+        reached: &mut [bool],
+    ) {
+        assert_eq!(live.len(), self.n_cols, "liveness mask dimension mismatch");
+        assert_eq!(
+            reached.len() * width.max(1),
+            y.len(),
+            "one reached flag per output row"
+        );
+        self.gather_rows(first_row, x, width, y, Some((live, reached)));
+    }
+
+    /// The one row kernel behind the dense products: for each output row,
+    /// accumulate `value · x[column]` over the stored entries in order —
+    /// all of them, or with a `(live, reached)` mask only the live ones.
+    fn gather_rows(
+        &self,
+        first_row: usize,
+        x: &[f32],
+        width: usize,
+        y: &mut [f32],
+        mut mask: Option<(&[bool], &mut [bool])>,
+    ) {
         assert_eq!(x.len(), self.n_cols * width, "input dimension mismatch");
         let w = width.max(1);
         assert_eq!(y.len() % w, 0, "output buffer must hold whole rows");
@@ -203,13 +330,25 @@ impl CsrMatrix {
             self.n_rows
         );
         for (chunk_row, out) in y.chunks_mut(w).enumerate() {
-            let r = first_row + chunk_row;
             out.fill(0.0);
-            for i in self.offsets[r]..self.offsets[r + 1] {
-                let weight = self.values[i];
-                let src = &x[self.columns[i] as usize * width..][..width];
+            let mut gather = |column: usize, weight: f32| {
+                let src = &x[column * width..][..width];
                 for (o, s) in out.iter_mut().zip(src) {
                     *o += weight * s;
+                }
+            };
+            let entries = self
+                .row(first_row + chunk_row)
+                .map(|(c, weight)| (c as usize, weight));
+            match mask.as_mut() {
+                None => entries.for_each(|(c, weight)| gather(c, weight)),
+                Some((live, reached)) => {
+                    let mut any = false;
+                    for (c, weight) in entries.filter(|&(c, _)| live[c]) {
+                        any = true;
+                        gather(c, weight);
+                    }
+                    reached[chunk_row] |= any;
                 }
             }
         }
@@ -254,20 +393,43 @@ impl CsrMatrix {
 /// ```
 pub fn transition_matrix(g: &Graph, norm: Normalization) -> CsrMatrix {
     let n = g.num_nodes();
-    let mut triplets = Vec::with_capacity(2 * g.num_edges());
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut columns = Vec::with_capacity(2 * g.num_edges());
+    let mut values = Vec::with_capacity(2 * g.num_edges());
+    offsets.push(0);
+    // A `Graph` row is already a CSR row: sorted, duplicate-free, in range.
     for u in g.node_ids() {
-        for v in g.neighbors(u) {
-            let value = match norm {
-                Normalization::ColumnStochastic => 1.0 / g.degree(v) as f32,
-                Normalization::RowStochastic => 1.0 / g.degree(u) as f32,
-                Normalization::Symmetric => {
-                    1.0 / ((g.degree(u) as f32).sqrt() * (g.degree(v) as f32).sqrt())
-                }
-            };
-            triplets.push((u.as_u32(), v.as_u32(), value));
-        }
+        let row = g.neighbor_slice(u);
+        columns.extend(row.iter().map(|v| v.as_u32()));
+        values.extend(
+            row.iter()
+                .map(|&v| edge_weight(norm, row.len(), g.degree(v))),
+        );
+        offsets.push(columns.len());
     }
-    CsrMatrix::from_triplets(n, n, &triplets).expect("graph indices are in range")
+    let matrix = CsrMatrix {
+        n_rows: n,
+        n_cols: n,
+        offsets,
+        columns,
+        values,
+    };
+    assert!(
+        matrix.check_sorted_rows().is_ok(),
+        "graph adjacency is sorted, duplicate-free and within the u32 node space"
+    );
+    matrix
+}
+
+/// The transition weight `A[u][v]` of an edge `{u, v}` under `norm`, from
+/// the endpoint degrees — the one expression every engine's weights come
+/// from, so they agree to the bit.
+pub fn edge_weight(norm: Normalization, deg_u: usize, deg_v: usize) -> f32 {
+    match norm {
+        Normalization::ColumnStochastic => 1.0 / deg_v as f32,
+        Normalization::RowStochastic => 1.0 / deg_u as f32,
+        Normalization::Symmetric => 1.0 / ((deg_u as f32).sqrt() * (deg_v as f32).sqrt()),
+    }
 }
 
 /// Convenience accessor: the transition weight `A[u][v]` for neighbors
@@ -282,13 +444,7 @@ pub fn transition_weight(g: &Graph, norm: Normalization, u: NodeId, v: NodeId) -
     if !g.has_edge(u, v) {
         return 0.0;
     }
-    match norm {
-        Normalization::ColumnStochastic => 1.0 / g.degree(v) as f32,
-        Normalization::RowStochastic => 1.0 / g.degree(u) as f32,
-        Normalization::Symmetric => {
-            1.0 / ((g.degree(u) as f32).sqrt() * (g.degree(v) as f32).sqrt())
-        }
-    }
+    edge_weight(norm, g.degree(u), g.degree(v))
 }
 
 #[cfg(test)]
@@ -332,6 +488,55 @@ mod tests {
             Err(GraphError::InvalidParameter { .. })
         ));
         assert!(CsrMatrix::from_triplets(2, u32::MAX as usize, &[]).is_ok());
+    }
+
+    #[test]
+    fn from_sorted_rows_equals_from_triplets() {
+        // [[1, 0, 2], [0, 0, 0], [0, 3, 0]]
+        let sorted =
+            CsrMatrix::from_sorted_rows(3, 3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0])
+                .unwrap();
+        let triplets =
+            CsrMatrix::from_triplets(3, 3, &[(2, 1, 3.0), (0, 2, 2.0), (0, 0, 1.0)]).unwrap();
+        assert_eq!(sorted, triplets);
+        let empty = CsrMatrix::from_sorted_rows(0, 0, vec![0], vec![], vec![]).unwrap();
+        assert_eq!(empty, CsrMatrix::from_triplets(0, 0, &[]).unwrap());
+    }
+
+    #[test]
+    fn from_sorted_rows_rejects_malformed_input() {
+        let reject = |n_rows, n_cols, offsets: &[usize], columns: &[u32]| {
+            let values = vec![1.0; columns.len()];
+            let built = CsrMatrix::from_sorted_rows(
+                n_rows,
+                n_cols,
+                offsets.to_vec(),
+                columns.to_vec(),
+                values,
+            );
+            assert!(
+                matches!(built, Err(GraphError::InvalidParameter { .. })),
+                "accepted offsets {offsets:?} columns {columns:?}"
+            );
+        };
+        reject(1, 3, &[0, 2], &[2, 1]); // unsorted row
+        reject(1, 3, &[0, 2], &[1, 1]); // duplicate column
+        reject(1, 3, &[0, 1], &[3]); // column out of range
+        reject(2, 3, &[0, 1, 2], &[2, 3]); // ... in a later row
+        reject(2, 3, &[0, 2], &[0, 1]); // too few offsets
+        reject(1, 3, &[0, 1, 2], &[0, 1]); // too many offsets
+        reject(0, 3, &[], &[]); // no leading offset
+        reject(2, 3, &[1, 1, 2], &[0, 1]); // does not start at 0
+        reject(2, 3, &[0, 1, 1], &[0, 1]); // does not end at nnz
+        reject(3, 3, &[0, 2, 1, 2], &[0, 1]); // decreasing offsets
+        reject(2, 3, &[0, 3, 2], &[0, 1]); // offset past the entries
+        assert!(
+            CsrMatrix::from_sorted_rows(1, 3, vec![0, 1], vec![0], vec![]).is_err(),
+            "values shorter than columns"
+        );
+        let too_big = u32::MAX as usize + 1;
+        assert!(CsrMatrix::from_sorted_rows(0, too_big, vec![0], vec![], vec![]).is_err());
+        assert!(CsrMatrix::from_sorted_rows(too_big, 0, vec![0], vec![], vec![]).is_err());
     }
 
     #[test]
@@ -384,6 +589,26 @@ mod tests {
             row += rows;
         }
         assert_eq!(full, pieced);
+    }
+
+    #[test]
+    fn live_rows_product_skips_dead_sources_bit_for_bit() {
+        // Path 0-1-2-3-4 with only row 1 of x non-zero: rows 0 and 2 gather
+        // from it, the others gather from nothing.
+        let a = transition_matrix(&generators::path(5), Normalization::Symmetric);
+        let width = 2;
+        let mut x = vec![0.0f32; 5 * width];
+        x[2..4].copy_from_slice(&[0.3, -7.5]);
+        let live = [false, true, false, false, false];
+        let mut full = vec![1.0f32; 5 * width];
+        a.mul_dense_into(&x, width, &mut full);
+        let mut masked = vec![1.0f32; 5 * width];
+        let mut reached = [false, false, false, true, false];
+        a.mul_live_rows_into(0, &x, width, &live, &mut masked, &mut reached);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&masked), bits(&full));
+        // Row 3 was set by the caller and is left set.
+        assert_eq!(reached, [true, false, true, true, false]);
     }
 
     #[test]

@@ -150,6 +150,62 @@ proptest! {
     }
 }
 
+/// Strategy for the operator oracle: the empty and the single-node graph in
+/// a third of the cases, else 2..24 nodes; sparse random edges (so isolated
+/// nodes occur); and in a third of the cases node 0 made adjacent to every
+/// other node.
+fn arb_operator_graph() -> impl Strategy<Value = Graph> {
+    (
+        0u32..6,
+        2u32..24,
+        proptest::collection::vec((0u32..24, 0u32..24), 0..60),
+        0u32..3,
+    )
+        .prop_map(|(tiny, n, pairs, hub)| {
+            let n = if tiny < 2 { tiny } else { n };
+            let mut edges: Vec<(u32, u32)> = pairs
+                .into_iter()
+                .filter(|_| n > 0)
+                .map(|(u, v)| (u % n, v % n))
+                .filter(|(u, v)| u != v)
+                .collect();
+            if hub == 0 {
+                edges.extend((1..n).map(|v| (0, v)));
+            }
+            Graph::from_edges(n, edges).expect("filtered edges are valid")
+        })
+}
+
+proptest! {
+    /// The O(E) transition operator equals the matrix the triplet path
+    /// builds from the textbook weights, entry for entry and bit for bit.
+    #[test]
+    fn transition_matrix_equals_its_triplet_oracle(g in arb_operator_graph()) {
+        use gdsearch_graph::sparse::{transition_matrix, CsrMatrix, Normalization};
+        let n = g.num_nodes();
+        for norm in [
+            Normalization::ColumnStochastic,
+            Normalization::RowStochastic,
+            Normalization::Symmetric,
+        ] {
+            let mut triplets = Vec::new();
+            for u in g.node_ids() {
+                for v in g.neighbors(u) {
+                    let (du, dv) = (g.degree(u) as f32, g.degree(v) as f32);
+                    let value = match norm {
+                        Normalization::ColumnStochastic => 1.0 / dv,
+                        Normalization::RowStochastic => 1.0 / du,
+                        Normalization::Symmetric => 1.0 / (du.sqrt() * dv.sqrt()),
+                    };
+                    triplets.push((u.as_u32(), v.as_u32(), value));
+                }
+            }
+            let oracle = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+            prop_assert_eq!(transition_matrix(&g, norm), oracle);
+        }
+    }
+}
+
 proptest! {
     /// Any shard count partitions an arbitrary graph into contiguous
     /// covering ranges whose accessors agree with the monolithic CSR, with
