@@ -23,7 +23,7 @@
 //!   site (`HashMap`, `.unwrap(`, …), not by reachability.
 //!
 //! Unresolved calls make reachability *under*-approximate; the lexical
-//! rules 1–6 remain the per-file backstop. The transitive rules add the
+//! rules remain the per-file backstop. The transitive rules add the
 //! cross-crate dimension on the edges that do resolve.
 
 use std::collections::{BTreeMap, BTreeSet};

@@ -9,16 +9,15 @@ use std::path::Path;
 
 use crate::toml::{self, Document, Table};
 
-/// The eight rule identifiers, in report order. Rules 1–6 are lexical
-/// (per-file token patterns); rules 7–8 are transitive (whole-workspace
+/// The seven rule identifiers, in report order. The first five are lexical
+/// (per-file token patterns); the last two are transitive (whole-workspace
 /// call-graph reachability, see [`crate::reach`]).
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "determinism",
     "panic",
     "casts",
     "unsafe",
     "wire",
-    "obs",
     "transitive-determinism",
     "panic-provenance",
 ];
@@ -104,13 +103,12 @@ pub struct Config {
     pub casts: RuleConfig,
     pub unsafe_: RuleConfig,
     pub wire: RuleConfig,
-    pub obs: RuleConfig,
-    /// Rule 7: for `paths`-scoped entry points (public fns), no call
+    /// `transitive-determinism`: from `paths`-scoped public fns, no call
     /// chain may reach an unaudited nondeterminism source anywhere in
     /// the workspace — even through crates rule 1 does not cover.
     pub transitive: RuleConfig,
-    /// Rule 8: same reachability, seeded at panic sites outside rule 2's
-    /// scope, with full provenance chains.
+    /// `panic-provenance`: same reachability, seeded at panic sites
+    /// outside rule 2's scope, with full provenance chains.
     pub provenance: RuleConfig,
     pub allows: Vec<AllowEntry>,
 }
@@ -136,15 +134,6 @@ const LIBRARY_CRATES: [&str; 6] = [
     "crates/core/src/",
 ];
 
-/// Crates whose *result paths* must never read instrumentation (ISSUE 7):
-/// they report work in their return values, and the readable
-/// observability types stay in driver code.
-const OBS_BLIND_CRATES: [&str; 3] = [
-    "crates/graph/src/",
-    "crates/diffusion/src/",
-    "crates/dist/src/",
-];
-
 impl Default for Config {
     fn default() -> Self {
         let mut casts = RuleConfig::new(&LIBRARY_CRATES, &[]);
@@ -162,7 +151,6 @@ impl Default for Config {
             casts,
             unsafe_: RuleConfig::new(&[], &[]),
             wire: RuleConfig::new(&["crates/"], &[]),
-            obs: RuleConfig::new(&OBS_BLIND_CRATES, &[]),
             transitive: RuleConfig::new(&DETERMINISM_CRATES, &[]),
             provenance: RuleConfig::new(&DETERMINISM_CRATES, &[]),
             allows: Vec::new(),
@@ -238,7 +226,6 @@ impl Config {
             "casts" => Some(&self.casts),
             "unsafe" => Some(&self.unsafe_),
             "wire" => Some(&self.wire),
-            "obs" => Some(&self.obs),
             "transitive-determinism" => Some(&self.transitive),
             "panic-provenance" => Some(&self.provenance),
             _ => None,
@@ -253,7 +240,6 @@ impl Config {
             "casts" => Some(&mut self.casts),
             "unsafe" => Some(&mut self.unsafe_),
             "wire" => Some(&mut self.wire),
-            "obs" => Some(&mut self.obs),
             "transitive-determinism" => Some(&mut self.transitive),
             "panic-provenance" => Some(&mut self.provenance),
             _ => None,

@@ -5,7 +5,7 @@
 //! That claim is *dynamic* (proptests sample the space); this crate makes
 //! its preconditions *static*: a hand-rolled Rust lexer ([`lexer`]) feeds
 //! a rule engine ([`rules`]) that walks every `.rs` file in the workspace
-//! and reports violations of six per-file invariants:
+//! and reports violations of five per-file invariants:
 //!
 //! 1. **determinism** — no hash-map iteration-order dependence, wall
 //!    clocks, OS entropy, or environment reads in the library crates'
@@ -16,17 +16,16 @@
 //! 4. **unsafe** — `unsafe` is denied without a `// SAFETY:` argument
 //!    *and* an allowlist entry;
 //! 5. **wire** — every wire codec module carries a `wire_size`-equality
-//!    test, so declared frame sizes cannot drift from encoded sizes;
-//! 6. **obs** — result paths never *read* instrumentation.
+//!    test, so declared frame sizes cannot drift from encoded sizes.
 //!
 //! On top of the same lexer, an item parser ([`items`]) and a workspace
 //! call-graph builder ([`callgraph`]) feed two *transitive* rules
 //! ([`reach`]) that make the first two invariants global:
 //!
-//! 7. **transitive-determinism** — no public result-path entry point may
+//! 6. **transitive-determinism** — no public result-path entry point may
 //!    reach a nondeterminism source through any call chain, even in
 //!    crates rule 1 does not cover;
-//! 8. **panic-provenance** — the same reachability for panic sites, each
+//! 7. **panic-provenance** — the same reachability for panic sites, each
 //!    finding carrying the full `fn (file:line)` provenance chain.
 //!
 //! Audited exceptions live in `analysis.toml` ([`config`]); each entry

@@ -1,4 +1,4 @@
-//! Taint/reachability over the workspace call graph (rules 7 & 8).
+//! Taint/reachability over the workspace call graph (the transitive rules).
 //!
 //! The lexical rules 1 and 2 check nondeterminism and panic sites *per
 //! file*, inside an audited path scope. A `HashMap` or `.unwrap()`
@@ -9,8 +9,8 @@
 //! - **Entry points** are the public, non-test functions of the files
 //!   the rule's `paths` cover (by default the five deterministic
 //!   crates' result surfaces).
-//! - **Seeds** are nondeterminism sources (rule 7) or panic sites
-//!   (rule 8) found in function bodies of files the corresponding
+//! - **Seeds** are nondeterminism sources (`transitive-determinism`) or
+//!   panic sites (`panic-provenance`) in bodies of files the corresponding
 //!   lexical rule does *not* cover. In-scope sites are already flagged
 //!   (or audited) by rules 1–2; seeding only out-of-scope files means
 //!   no site is ever reported twice and existing audits stay
@@ -164,8 +164,8 @@ mod tests {
         }
     }
 
-    /// Rule 7 scoped to crate `a`, lexical determinism also scoped to
-    /// crate `a` — so crates `b`/`c` are seed territory.
+    /// `transitive-determinism` scoped to crate `a`, lexical determinism
+    /// also scoped to crate `a` — so crates `b`/`c` are seed territory.
     fn cfg() -> Config {
         let mut cfg = Config::default();
         for name in crate::config::RULE_NAMES {
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn in_scope_sites_are_left_to_the_lexical_rule() {
         // The site is inside crate `a`, which the lexical determinism
-        // rule covers — rule 7 must not double-report it.
+        // rule covers — the transitive rule must not double-report it.
         let files = [file(
             "crates/a/src/lib.rs",
             "pub fn entry() { let m = HashMap::new(); drop(m); }\n",

@@ -13,7 +13,6 @@ fn rule_headline(rule: &str) -> &'static str {
         "casts" => "narrowing casts must be audited",
         "unsafe" => "unsafe requires a SAFETY argument and an allowlist entry",
         "wire" => "wire codecs need a wire_size-equality test",
-        "obs" => "result paths must not read instrumentation",
         "transitive-determinism" => {
             "no call chain from a public result path may reach a nondeterminism source"
         }

@@ -92,9 +92,6 @@ pub fn run_rules(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     if cfg.wire.applies_to(ctx.rel_path) && !test_file {
         wire_discipline(ctx, out);
     }
-    if cfg.obs.applies_to(ctx.rel_path) {
-        obs_blindness(ctx, out);
-    }
 }
 
 /// Rust keywords that can legitimately precede `[` without forming an
@@ -122,7 +119,7 @@ fn seq_at(ctx: &FileCtx<'_>, i: usize, pat: &[&str]) -> bool {
 pub(crate) type Site = (&'static str, u32, String);
 
 /// Whether the token at `i` is a nondeterminism source. Shared by the
-/// per-file rule 1 and the transitive rule 7's taint seeding.
+/// per-file rule 1 and `transitive-determinism`'s taint seeding.
 pub(crate) fn determinism_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
     let t = ctx.lexed.tokens.get(i)?;
     match t.lexeme.as_str() {
@@ -258,7 +255,7 @@ fn panic_freedom(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// Whether the token at `i` is a panic site. Shared by the per-file
-/// rule 2 and the transitive rule 8's taint seeding.
+/// rule 2 and `panic-provenance`'s taint seeding.
 pub(crate) fn panic_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
     let t = ctx.lexed.tokens.get(i)?;
     match t.lexeme.as_str() {
@@ -421,64 +418,6 @@ fn wire_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Observability types a result-path crate may never name: each one can
-/// *read* recorded metrics or wall-clock spans, so its mere presence
-/// means instrumentation could feed back into a result.
-const OBS_READ_TYPES: [&str; 6] = [
-    "MetricsRegistry",
-    "Observer",
-    "Profiler",
-    "SpanTree",
-    "TraceLog",
-    "WallStamper",
-];
-
-/// Rule 6: observability blindness. The engine crates account for their
-/// work in their return values; the readable observability API
-/// (registries, the profiler, span trees, the flight-recorder trace log,
-/// `obs::clock`, `obs::trace`) is reserved for driver/bench code, so
-/// recording can never branch a result. Test regions are exempt (tests
-/// *should* read registries to assert on them).
-fn obs_blindness(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.lexed.tokens.iter().enumerate() {
-        if ctx.lexed.in_test_region(t.line) {
-            continue;
-        }
-        match t.lexeme.as_str() {
-            lex if OBS_READ_TYPES.contains(&lex) => out.push(ctx.diag(
-                "obs",
-                "read-type",
-                t.line,
-                format!(
-                    "{lex} in a result-path crate: instrumentation is driver-only; \
-                     return the work counts and let the driver record them"
-                ),
-            )),
-            "gdsearch_obs" | "obs" if seq_at(ctx, i + 1, &[":", ":", "clock"]) => {
-                out.push(ctx.diag(
-                    "obs",
-                    "clock",
-                    t.line,
-                    "obs::clock in a result-path crate: wall-clock profiling is driver-only".into(),
-                ));
-            }
-            "gdsearch_obs" | "obs" if seq_at(ctx, i + 1, &[":", ":", "trace"]) => {
-                out.push(
-                    ctx.diag(
-                        "obs",
-                        "trace",
-                        t.line,
-                        "obs::trace in a result-path crate: the flight recorder is readable \
-                     (and driver-threaded); record at driver points"
-                            .into(),
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,45 +561,5 @@ mod tests {
         // Trait declaration alone does not trigger.
         let decl = "pub trait WireMessage {\n    fn wire_size(&self) -> usize;\n}\n";
         assert!(run_on(decl, "a.rs").iter().all(|d| d.rule != "wire"));
-    }
-
-    #[test]
-    fn obs_rule_flags_readable_types_but_not_the_sink() {
-        assert!(checks("use gdsearch_obs::MetricsRegistry;")
-            .iter()
-            .any(|(_, c)| *c == "read-type"));
-        assert!(checks("fn f(obs: &mut Observer<'_>) {}")
-            .iter()
-            .any(|(_, c)| *c == "read-type"));
-        assert!(checks("let p = Profiler::new();")
-            .iter()
-            .any(|(_, c)| *c == "read-type"));
-        assert!(checks("use gdsearch_obs::clock::Span;")
-            .iter()
-            .any(|(_, c)| *c == "clock"));
-        assert!(checks("let t = obs::clock::now();")
-            .iter()
-            .any(|(_, c)| *c == "clock"));
-        assert!(checks("let mut log = TraceLog::new();")
-            .iter()
-            .any(|(_, c)| *c == "read-type"));
-        assert!(checks("let w = WallStamper::new();")
-            .iter()
-            .any(|(_, c)| *c == "read-type"));
-        assert!(checks("use gdsearch_obs::trace::TraceEvent;")
-            .iter()
-            .any(|(_, c)| *c == "trace"));
-        assert!(
-            checks("let json = obs::trace::chrome_trace_json(&log, None);")
-                .iter()
-                .any(|(_, c)| *c == "trace")
-        );
-        // A name outside the deny-list does not fire.
-        assert!(checks("use gdsearch_obs::Sink;")
-            .iter()
-            .all(|(r, _)| *r != "obs"));
-        // Tests may read registries to assert on them.
-        let in_test = "#[cfg(test)]\nmod t {\n    use gdsearch_obs::MetricsRegistry;\n}\n";
-        assert!(checks(in_test).iter().all(|(r, _)| *r != "obs"));
     }
 }

@@ -79,7 +79,7 @@ fn excluding_fire_yields_a_clean_run() {
 
 #[test]
 fn transitive_fixture_reports_the_full_two_hop_chain() {
-    // The acceptance case for rule 7: a `HashMap` two calls below a
+    // The transitive acceptance case: a `HashMap` two calls below a
     // public entry point is caught, with the provenance chain naming
     // every hop as `fn (file:line)`.
     let dir = fixture_dir("transitive-determinism");
@@ -89,7 +89,7 @@ fn transitive_fixture_reports_the_full_two_hop_chain() {
         .violations
         .iter()
         .find(|d| d.rule == "transitive-determinism")
-        .expect("fire.rs must trip rule 7");
+        .expect("fire.rs must trip transitive-determinism");
     assert_eq!(d.check, "hash-collection");
     assert_eq!(
         d.chain,
@@ -118,7 +118,7 @@ fn panic_provenance_fixture_chain_ends_at_the_unwrap() {
         .violations
         .iter()
         .find(|d| d.rule == "panic-provenance")
-        .expect("fire.rs must trip rule 8");
+        .expect("fire.rs must trip panic-provenance");
     assert_eq!(d.check, "unwrap");
     assert_eq!(d.chain.len(), 3, "{:?}", d.chain);
     assert_eq!(d.chain[0], "fire::entry (fire.rs:5)");

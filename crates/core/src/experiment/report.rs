@@ -243,7 +243,7 @@ mod tests {
     fn sample_stats() -> NetStats {
         // 92 completed transmissions, each waiting 2 ticks: sum 184,
         // mean 2.00, p99 bound 2.
-        let mut queue_delay = gdsearch_obs::Histogram::new();
+        let mut queue_delay = gdsearch_sim::Histogram::new();
         queue_delay.record_n(2, 92);
         NetStats {
             sent: 100,

@@ -507,8 +507,7 @@ impl ProtocolNetwork {
     }
 
     /// The transport-event ring buffer (sends, deliveries, drops) both
-    /// backends record — drivers convert it into flight-recorder tick
-    /// events for Chrome-trace export.
+    /// backends record.
     pub fn trace(&self) -> &Trace {
         match self {
             ProtocolNetwork::Instant(net) => net.trace(),

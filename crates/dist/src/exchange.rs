@@ -59,8 +59,7 @@ pub struct ExchangeStats {
     /// Completed exchange epochs (round barriers).
     pub epochs: u64,
     /// The reactor tick at which each epoch barrier closed, in epoch
-    /// order (`epoch_ticks.len() == epochs`) — the flight recorder's
-    /// virtual timebase for `dist.exchange.epoch` trace events.
+    /// order (`epoch_ticks.len() == epochs`).
     pub epoch_ticks: Vec<u64>,
     /// Epochs that moved halo columns (power iterations).
     pub halo_epochs: u64,

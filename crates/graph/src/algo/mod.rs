@@ -6,9 +6,7 @@
 //! * [`components`] — connected components and largest-component extraction.
 //! * [`clustering`] — local/average/global clustering coefficients, used to
 //!   validate the social-graph generator calibration.
-//! * [`stats`] — degree statistics and graph summaries for reports.
 
 pub mod bfs;
 pub mod clustering;
 pub mod components;
-pub mod stats;

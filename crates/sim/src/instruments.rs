@@ -1,5 +1,4 @@
-//! The deterministic instruments: fixed-bucket log2 histograms (and the
-//! counter/gauge semantics the [`crate::registry`] builds on them).
+//! The deterministic instrument: a fixed-bucket log2 [`Histogram`].
 //!
 //! Everything here is plain `u64` arithmetic over fixed-size state, so
 //! recording is allocation-free, branch-predictable, and — when driven
@@ -8,21 +7,18 @@
 
 /// Number of buckets in a [`Histogram`]: one per possible bit length of
 /// a `u64` observation, plus a dedicated zero bucket.
-pub const NUM_BUCKETS: usize = 64;
+const NUM_BUCKETS: usize = 64;
 
 /// A fixed-bucket log2 histogram of `u64` observations.
 ///
 /// Bucket `0` holds the observation `0`; bucket `i ≥ 1` holds the
 /// observations of bit length `i`, i.e. `2^(i-1) ≤ v < 2^i` — except the
-/// last bucket, which also absorbs everything of bit length 64. The
-/// bucket layout is fixed at compile time, so two histograms always
-/// merge bucket-by-bucket and [`Histogram::merge`] is commutative and
-/// associative (it is elementwise `u64` addition).
+/// last bucket, which also absorbs everything of bit length 64.
 ///
 /// # Example
 ///
 /// ```
-/// use gdsearch_obs::Histogram;
+/// use gdsearch_sim::Histogram;
 ///
 /// let mut h = Histogram::new();
 /// for v in [0, 1, 2, 3, 900] {
@@ -61,8 +57,7 @@ impl Histogram {
 
     /// The bucket index observation `v` falls into: its bit length,
     /// clamped to the last bucket (the zero bucket for `v == 0`).
-    #[must_use]
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         let bits = u64::BITS - v.leading_zeros();
         usize::try_from(bits)
             .unwrap_or(NUM_BUCKETS - 1)
@@ -72,23 +67,12 @@ impl Histogram {
     /// The inclusive upper bound of bucket `i` (saturating to
     /// `u64::MAX` for the last bucket). Out-of-range indices also
     /// report `u64::MAX`.
-    #[must_use]
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    fn bucket_upper_bound(i: usize) -> u64 {
         if i >= NUM_BUCKETS - 1 {
             return u64::MAX;
         }
         let shift = u32::try_from(i).unwrap_or(0);
         (1u64 << shift) - 1
-    }
-
-    /// The inclusive lower bound of bucket `i` (0 for the zero bucket).
-    #[must_use]
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            return 0;
-        }
-        let shift = u32::try_from(i.min(NUM_BUCKETS) - 1).unwrap_or(0);
-        1u64 << shift
     }
 
     /// Records one observation.
@@ -127,12 +111,6 @@ impl Histogram {
         self.max
     }
 
-    /// Whether the histogram has no observations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Mean observation (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -163,29 +141,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges `other` into `self`: elementwise `u64` addition over the
-    /// fixed buckets (plus saturating count/sum addition and a max of
-    /// maxima) — commutative and associative, so per-worker histograms
-    /// can be folded in any deterministic order.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// The non-empty buckets as `(lower, upper, count)` triples, for
-    /// exporters.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (Self::bucket_lower_bound(i), Self::bucket_upper_bound(i), *c))
-    }
 }
 
 #[cfg(test)]
@@ -204,12 +159,9 @@ mod tests {
         assert_eq!(Histogram::bucket_index(u64::MAX), NUM_BUCKETS - 1);
         // Every bucket's bounds bracket exactly its members.
         for i in 1..NUM_BUCKETS - 1 {
-            let lo = Histogram::bucket_lower_bound(i);
             let hi = Histogram::bucket_upper_bound(i);
-            assert_eq!(Histogram::bucket_index(lo), i);
             assert_eq!(Histogram::bucket_index(hi), i);
-            assert!(lo <= hi);
-            assert_eq!(Histogram::bucket_upper_bound(i - 1) + 1, lo);
+            assert_eq!(Histogram::bucket_index(hi + 1), i + 1);
         }
         assert_eq!(Histogram::bucket_upper_bound(0), 0);
         assert_eq!(Histogram::bucket_upper_bound(NUM_BUCKETS - 1), u64::MAX);
@@ -276,24 +228,5 @@ mod tests {
         assert_eq!(a, b);
         b.record_n(9, 0);
         assert_eq!(a, b, "zero-count records are no-ops");
-    }
-
-    #[test]
-    fn merge_is_commutative_and_preserves_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [1u64, 5, 5, 900] {
-            a.record(v);
-        }
-        for v in [0u64, 2, 1 << 40] {
-            b.record(v);
-        }
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.count(), a.count() + b.count());
-        assert_eq!(ab.sum(), a.sum() + b.sum());
     }
 }

@@ -19,6 +19,7 @@
 //!   `gdsearch` core crate implements the paper's query-forwarding
 //!   protocol as a handler;
 //! * [`WireMessage`] — wire-size accounting for bandwidth reports;
+//! * [`Histogram`] — the log2 histogram [`NetStats`] reports delay in;
 //! * [`churn`] — failure-injection schedules (node down/up events);
 //! * [`trace`] — bounded event traces for debugging and assertions.
 //!
@@ -64,6 +65,7 @@
 
 pub mod churn;
 mod error;
+mod instruments;
 mod latency;
 pub mod link;
 mod network;
@@ -76,6 +78,7 @@ mod transport;
 mod wire;
 
 pub use error::SimError;
+pub use instruments::Histogram;
 pub use latency::LatencyModel;
 pub use link::LinkStats;
 pub use network::{Network, NetworkConfig, NodeApi, NodeHandler};

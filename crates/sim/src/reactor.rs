@@ -91,7 +91,6 @@ use std::collections::BTreeSet;
 
 use gdsearch_diffusion::workpool;
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -148,11 +147,6 @@ pub struct Reactor<M, H> {
     loss_probability: f64,
     stats: NetStats,
     trace: Trace,
-    /// Activated nodes per tick (recorded in the sequential tail of every
-    /// `step`).
-    activations_per_tick: Histogram,
-    /// Handler deliveries per tick.
-    deliveries_per_tick: Histogram,
     /// Per-source wire accounting: `(frames, bytes)` handed to the
     /// transport by each node, updated in the sequential transport
     /// phase. The distributed layer cross-checks its own byte
@@ -201,8 +195,6 @@ where
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
             trace: Trace::new(config.trace_capacity),
-            activations_per_tick: Histogram::new(),
-            deliveries_per_tick: Histogram::new(),
             sent_by_node: vec![(0, 0); n],
             graph,
         })
@@ -231,22 +223,6 @@ where
     /// The transport trace (empty unless enabled in the config).
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Distribution of activated nodes per executed tick.
-    pub fn activations_histogram(&self) -> &Histogram {
-        &self.activations_per_tick
-    }
-
-    /// Distribution of handler deliveries per executed tick.
-    pub fn deliveries_histogram(&self) -> &Histogram {
-        &self.deliveries_per_tick
-    }
-
-    /// Distribution of post-enqueue link-queue depths (one sample per
-    /// accepted enqueue).
-    pub fn queue_depth_histogram(&self) -> &Histogram {
-        self.transport.queue_depths_histogram()
     }
 
     /// `(frames, bytes)` node `source` has handed to the transport so
@@ -353,7 +329,6 @@ where
     pub fn step(&mut self) -> SimTime {
         let now = self.now();
         let tick = self.tick;
-        let delivered_before = self.stats.delivered;
         self.apply_churn();
 
         // ---- Handler phase (parallel over activations) ----------------
@@ -398,7 +373,6 @@ where
                 pending,
             });
         }
-        self.activations_per_tick.record(activations.len() as u64);
         let graph = &self.graph;
         let queue_capacity = self.transport.queue_capacity();
         workpool::map_batched_mut(&mut activations, self.threads, |activation| {
@@ -438,8 +412,6 @@ where
             active.insert(to.index());
         });
         self.transport.fold_stats(&mut self.stats);
-        self.deliveries_per_tick
-            .record(self.stats.delivered - delivered_before);
         self.tick += 1;
         now
     }
@@ -766,12 +738,6 @@ mod tests {
         assert_eq!(net.stats().queue_delay.count(), 10);
         assert_eq!(net.stats().queue_delay.max(), 9);
         assert_eq!(net.stats().max_queue_depth, 10);
-        // Queue-depth samples: the k-th of the 10 enqueues saw depth k.
-        assert_eq!(net.queue_depth_histogram().count(), 10);
-        assert_eq!(net.queue_depth_histogram().max(), 10);
-        // Tick-phase histograms cover every executed tick.
-        assert_eq!(net.activations_histogram().count(), net.now_tick());
-        assert_eq!(net.deliveries_histogram().sum(), 11);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-use gdsearch_obs::Histogram;
 use serde::{Deserialize, Serialize};
+
+use crate::Histogram;
 
 /// Aggregate transport statistics of a simulation run.
 ///

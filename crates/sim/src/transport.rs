@@ -18,11 +18,10 @@
 use std::collections::BTreeSet;
 
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_obs::Histogram;
 
 use crate::churn::ChurnSchedule;
 use crate::link::{Completed, Link, LinkStats};
-use crate::{NetStats, SimError};
+use crate::{Histogram, NetStats, SimError};
 
 /// Configuration of a [`Reactor`](crate::Reactor).
 #[derive(Debug, Clone)]
@@ -162,9 +161,8 @@ pub(crate) struct Transport<M> {
     /// behind other traffic before transmission started). Recorded in the
     /// sequential link phase, in deterministic CSR link order.
     queue_delay: Histogram,
-    /// Distribution of post-enqueue queue depths, sampled at every
-    /// accepted enqueue. Recorded in the sequential transport phase.
-    queue_depth: Histogram,
+    /// High-water queue depth over all links, raised in `enqueue_at`.
+    max_depth: u64,
 }
 
 impl<M> Transport<M> {
@@ -188,7 +186,7 @@ impl<M> Transport<M> {
             bytes_per_tick: config.bytes_per_tick,
             queue_capacity: config.queue_capacity,
             queue_delay: Histogram::new(),
-            queue_depth: Histogram::new(),
+            max_depth: 0,
         }
     }
 
@@ -217,9 +215,8 @@ impl<M> Transport<M> {
     pub(crate) fn enqueue_at(&mut self, id: usize, msg: M, bytes: usize, tick: u64) -> bool {
         let link = &mut self.links[id];
         if link.enqueue(msg, bytes, tick) {
-            let depth = link.depth() as u64;
+            self.max_depth = self.max_depth.max(link.depth() as u64);
             self.busy.insert(id);
-            self.queue_depth.record(depth);
             true
         } else {
             false
@@ -262,19 +259,8 @@ impl<M> Transport<M> {
 
     /// Folds queue-related link statistics into aggregate [`NetStats`].
     pub(crate) fn fold_stats(&self, stats: &mut NetStats) {
-        stats.max_queue_depth = self
-            .links
-            .iter()
-            .map(|l| l.stats().max_depth)
-            .max()
-            .unwrap_or(0);
+        stats.max_queue_depth = self.max_depth;
         stats.queue_delay = self.queue_delay;
-    }
-
-    /// The distribution of post-enqueue queue depths (one sample per
-    /// accepted enqueue).
-    pub(crate) fn queue_depths_histogram(&self) -> &Histogram {
-        &self.queue_depth
     }
 }
 

@@ -76,6 +76,15 @@ fn drain_time_scales_inversely_with_bandwidth() {
     // The queue high-water mark is the full burst in every case (all 50
     // messages are enqueued in one activation).
     assert_eq!(slow.max_queue_depth, 50);
+    // At 1 msg/tick message k waits k ticks (0..=49): rank 25 (p50) is in
+    // log2 bucket [16, 31]; rank 50 (p99, p99.9) in [32, 63], cut to max.
+    assert_eq!(slow.queue_delay.count(), 50);
+    assert_eq!(slow.queue_delay.sum(), (0..50).sum::<u64>());
+    assert_eq!(slow.queue_delay.max(), 49);
+    assert_eq!(slow.mean_queue_delay_ticks(), 24.5);
+    assert_eq!(slow.p50_queue_delay_ticks(), 31);
+    assert_eq!(slow.p99_queue_delay_ticks(), 49);
+    assert_eq!(slow.p999_queue_delay_ticks(), 49);
 }
 
 #[test]
