@@ -135,10 +135,10 @@ pub(crate) fn determinism_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
             ),
         )),
         // `SystemTime` has no legitimate deterministic use here; the
-        // bare identifier is safe to flag. `Instant` is also an enum
-        // variant name in core::protocol (`SimBackend::Instant`), so
-        // it is only flagged as `std::time::Instant` / `Instant::now` /
-        // a `std::time::{…, Instant}` brace import.
+        // bare identifier is safe to flag. `Instant` can also be an enum
+        // variant named `Instant`, so it is only flagged as
+        // `std::time::Instant` / `Instant::now` / a
+        // `std::time::{…, Instant}` brace import.
         "SystemTime" => Some((
             "wall-clock",
             t.line,
@@ -461,7 +461,7 @@ mod tests {
 
     #[test]
     fn determinism_distinguishes_instant_variant_from_std_instant() {
-        assert!(checks("let b = SimBackend::Instant;")
+        assert!(checks("let b = Delivery::Instant;")
             .iter()
             .all(|(r, _)| *r != "determinism"));
         assert!(checks("let t0 = Instant::now();")

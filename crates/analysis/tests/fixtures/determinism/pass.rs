@@ -7,10 +7,10 @@ use std::time::Duration;
 pub fn pass(key: u64, seed: u64) -> usize {
     let mut slots: BTreeMap<u64, u64> = BTreeMap::new();
     slots.insert(key, 1);
-    // `Instant` as a plain enum variant (core::protocol's SimBackend)
-    // must not be confused with std::time::Instant.
-    let backend = SimBackend::Instant;
+    // An enum variant named `Instant` must not be confused with
+    // std::time::Instant.
+    let delivery = Delivery::Instant;
     let mut r = StdRng::seed_from_u64(seed);
-    let _ = (backend, r, Duration::from_millis(1));
+    let _ = (delivery, r, Duration::from_millis(1));
     slots.len()
 }

@@ -1,10 +1,10 @@
-//! **Ablation T — transport backends.** The paper's argument against
+//! **Ablation T — link bandwidth.** The paper's argument against
 //! flooding is about *bandwidth*, so this binary runs the full
 //! message-passing protocol (PPR-greedy diffusion search vs. TTL-bounded
-//! flooding) over the bounded-transport reactor with 1–100 KB/s links and
-//! compares bytes moved, recall, queueing delay and backpressure drops —
-//! the regimes the instant event loop cannot show. An instant-backend row
-//! per policy gives the infinite-bandwidth baseline.
+//! flooding) over the reactor with 1–100 KB/s links and compares bytes
+//! moved, recall, queueing delay and backpressure drops. A row per policy
+//! on `TransportConfig::unbounded()` links gives the infinite-bandwidth
+//! baseline.
 //!
 //! ```text
 //! cargo run -p gdsearch-bench --release --bin ablation_transport -- \
@@ -16,7 +16,7 @@
 //! second, so `--bandwidths 1000` models 1 KB/s links.
 
 use gdsearch::experiment::report;
-use gdsearch::protocol::{ProtocolNetwork, SimBackend};
+use gdsearch::protocol;
 use gdsearch::{Placement, PolicyKind, SchemeConfig, SearchNetwork};
 use gdsearch_bench::{maybe_write_csv, workbench_from_args, Args};
 use gdsearch_graph::NodeId;
@@ -30,21 +30,21 @@ struct Row {
     stats: NetStats,
     recall: f64,
     issued: usize,
-    virtual_secs: f64,
+    virtual_ticks: u64,
 }
 
 fn run_policy(
     scheme: &SearchNetwork<'_>,
-    backend: SimBackend,
+    transport: TransportConfig,
     origins: &[NodeId],
     query: &gdsearch_embed::Embedding,
     ttl: u32,
-    tick_budget: usize,
+    tick_budget: u64,
     label: String,
 ) -> Row {
-    let mut net = ProtocolNetwork::build(scheme, backend).expect("protocol network builds");
+    let mut net = protocol::build(scheme, transport).expect("protocol network builds");
     for (i, &origin) in origins.iter().enumerate() {
-        net.issue_query(origin, i as u64, query.clone(), ttl)
+        protocol::issue_query(&mut net, origin, i as u64, query.clone(), ttl)
             .expect("origins are valid nodes");
     }
     if net.run_to_completion(tick_budget).is_err() {
@@ -52,7 +52,7 @@ fn run_policy(
     }
     let mut hits = 0usize;
     for (i, &origin) in origins.iter().enumerate() {
-        let completed = net.completed(origin).expect("origin is valid");
+        let completed = net.handler(origin).expect("origin is valid").completed();
         if completed
             .iter()
             .any(|q| q.query_id == i as u64 && q.results.iter().any(|(doc, _, _)| *doc == 0))
@@ -65,7 +65,7 @@ fn run_policy(
         stats: *net.stats(),
         recall: hits as f64 / origins.len().max(1) as f64,
         issued: origins.len(),
-        virtual_secs: net.now_secs(),
+        virtual_ticks: net.now_tick(),
     }
 }
 
@@ -78,7 +78,7 @@ fn main() {
     let bandwidths: Vec<u64> = args.get_list_or("bandwidths", &[1_000, 10_000, 100_000]);
     let queue: usize = args.get_or("queue", 64);
     let threads: usize = args.get_or("threads", 4);
-    let tick_budget: usize = args.get_or("tick-budget", 50_000_000);
+    let tick_budget: u64 = args.get_or("tick-budget", 50_000_000);
     let seed: u64 = args.get_or("seed", 2022);
 
     let workbench = workbench_from_args(&args, docs + 50).expect("workbench builds");
@@ -150,32 +150,27 @@ fn main() {
             &mut rng,
         )
         .expect("scheme builds");
-        rows.push(run_policy(
-            &scheme,
-            SimBackend::Instant,
-            &origins,
-            query,
-            policy_ttl,
-            tick_budget,
-            format!("{name} @ instant"),
-        ));
-        for &bandwidth in &bandwidths {
+        let unbounded = (TransportConfig::unbounded(), "unbounded".to_string());
+        let finite = bandwidths.iter().map(|&bandwidth| {
             let transport = TransportConfig::default()
                 .with_bandwidth(bandwidth)
                 .expect("positive bandwidth")
                 .with_queue_capacity(queue)
-                .expect("positive capacity")
-                .with_threads(threads)
-                .expect("positive threads")
-                .with_seed(seed);
+                .expect("positive capacity");
+            (transport, format!("{bandwidth} B/s"))
+        });
+        for (transport, links) in std::iter::once(unbounded).chain(finite) {
             rows.push(run_policy(
                 &scheme,
-                SimBackend::Bounded(transport),
+                transport
+                    .with_threads(threads)
+                    .expect("positive threads")
+                    .with_seed(seed),
                 &origins,
                 query,
                 policy_ttl,
                 tick_budget,
-                format!("{name} @ {bandwidth} B/s"),
+                format!("{name} @ {links}"),
             ));
         }
     }
@@ -193,7 +188,7 @@ fn main() {
     println!("|---|---|---|---|---|---|");
     for r in &rows {
         println!(
-            "| {} | {:.2} ({}/{}) | {:.0} | {:.0} | {}/{}/{} | {:.0}s |",
+            "| {} | {:.2} ({}/{}) | {:.0} | {:.0} | {}/{}/{} | {}s |",
             r.label,
             r.recall,
             (r.recall * r.issued as f64).round() as u64,
@@ -203,7 +198,7 @@ fn main() {
             r.stats.p50_queue_delay_ticks(),
             r.stats.p99_queue_delay_ticks(),
             r.stats.p999_queue_delay_ticks(),
-            r.virtual_secs,
+            r.virtual_ticks,
         );
     }
 

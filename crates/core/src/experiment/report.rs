@@ -1,6 +1,6 @@
 //! Rendering of experiment results as markdown tables and CSV, in the
 //! paper's own layout (Fig. 3 series per α; Table I columns), plus
-//! transport-layer bandwidth tables for the bounded-backend experiments.
+//! transport-layer tables for the link-bandwidth experiments.
 
 use std::fmt::Write as _;
 
@@ -106,7 +106,7 @@ pub fn hops_csv(rows: &[HopCountRow]) -> String {
 }
 
 /// Renders labeled transport statistics as a markdown table: message and
-/// byte counts, drop breakdown, and the bounded backend's queue metrics
+/// byte counts, drop breakdown, and the links' queue metrics
 /// (high-water depth, mean and p99 queueing delay). This is the report
 /// format of the `ablation_transport` bandwidth experiments.
 pub fn transport_markdown(rows: &[(&str, &NetStats)]) -> String {

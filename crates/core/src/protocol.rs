@@ -3,12 +3,12 @@
 //!
 //! [`crate::walk`] executes the paper's node operations in-process; this
 //! module runs the *same* protocol as real messages over
-//! [`gdsearch_sim::Network`], including the response backtracking of §IV-C
+//! [`gdsearch_sim::Reactor`], including the response backtracking of §IV-C
 //! ("when their TTL expires, a response message is returned to the querying
 //! nodes via backtracking"). It exists to demonstrate the scheme end to end
-//! under latency, loss and churn, and to pin the fast path's semantics: for
-//! the deterministic greedy policy both implementations visit the same
-//! nodes (see the workspace integration tests).
+//! under finite bandwidth, loss and churn, and to pin the fast path's
+//! semantics: for the deterministic greedy policy both implementations
+//! visit the same nodes (see the workspace integration tests).
 //!
 //! Message bookkeeping: every query hop is a fresh message id; each node
 //! records, per received query message, who sent it and which child
@@ -19,8 +19,9 @@
 //!
 //! Loss and churn caveat: a lost query or response message orphans its
 //! subtree, so the origin never sees a completion for that query (a real
-//! deployment would add timeouts). Under loss, drive the network with
-//! [`gdsearch_sim::Network::run_until`] and read partial state.
+//! deployment would add timeouts). The protocol has no timers, so such a
+//! run still drains: [`Reactor::run_to_completion`] returns and the
+//! surviving handlers hold the partial state.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -29,11 +30,7 @@ use gdsearch_diffusion::Signal;
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
-use gdsearch_sim::trace::Trace;
-use gdsearch_sim::{
-    NetStats, Network, NetworkConfig, NodeApi, NodeHandler, Reactor, SimError, TransportConfig,
-    WireMessage,
-};
+use gdsearch_sim::{NodeApi, NodeHandler, Reactor, TransportConfig, WireMessage};
 
 use crate::forwarding::{self, ForwardContext, Scores};
 use crate::{DocId, PolicyKind, SearchError, SearchNetwork};
@@ -300,14 +297,52 @@ impl NodeHandler<SearchMessage> for SearchNode {
     }
 }
 
-/// Builds the per-node protocol handlers for `network`'s state
-/// (documents, diffused embeddings, policy) — shared by both transport
-/// backends.
-fn make_handlers(network: &SearchNetwork<'_>) -> Vec<SearchNode> {
+/// Builds a [`Reactor`] whose handlers run the search protocol with the
+/// state of `network` (documents, diffused embeddings, policy). Drive it
+/// with [`issue_query`] and the reactor's own `run_to_completion`, then
+/// read `stats()`, `trace()`, `now_tick()` and
+/// `handler(origin)?.completed()`.
+///
+/// # Example
+///
+/// ```
+/// use gdsearch::protocol;
+/// use gdsearch::{Placement, SchemeConfig, SearchNetwork};
+/// use gdsearch_sim::TransportConfig;
+/// # use gdsearch_embed::synthetic::SyntheticCorpus;
+/// # use gdsearch_graph::generators;
+/// # use rand::SeedableRng;
+/// # use rand::rngs::StdRng;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mut rng = StdRng::seed_from_u64(5);
+/// # let graph = generators::social_circles_like_scaled(30, &mut rng)?;
+/// # let corpus = SyntheticCorpus::builder().vocab_size(60).dim(8).generate(&mut rng)?;
+/// # let words = vec![gdsearch_embed::WordId::new(0)];
+/// # let placement = Placement::uniform(&graph, &words, &mut rng)?;
+/// # let cfg = SchemeConfig::builder().ttl(5).build()?;
+/// # let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng)?;
+/// let mut net = protocol::build(&scheme, TransportConfig::default().with_bandwidth(1_000)?)?;
+/// let origin = gdsearch_graph::NodeId::new(3);
+/// let query = corpus.embedding(gdsearch_embed::WordId::new(1)).clone();
+/// protocol::issue_query(&mut net, origin, 1, query, 5)?;
+/// net.run_to_completion(100_000)?;
+/// assert_eq!(net.handler(origin)?.completed().len(), 1);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Propagates simulator construction failures.
+pub fn build(
+    network: &SearchNetwork<'_>,
+    transport: TransportConfig,
+) -> Result<Reactor<SearchMessage, SearchNode>, SearchError> {
     let graph = Arc::new(network.graph().clone());
     let embeddings = Arc::new(network.embeddings().clone());
     let config = network.config();
-    network
+    let handlers = network
         .graph()
         .node_ids()
         .map(|u| SearchNode {
@@ -328,224 +363,8 @@ fn make_handlers(network: &SearchNetwork<'_>) -> Vec<SearchNode> {
             next_msg: 0,
             completed: Vec::new(),
         })
-        .collect()
-}
-
-/// Builds a simulator [`Network`] whose handlers run the search protocol
-/// with the state of `network` (documents, diffused embeddings, policy).
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn build_protocol_network(
-    network: &SearchNetwork<'_>,
-    sim_config: NetworkConfig,
-) -> Result<Network<SearchMessage, SearchNode>, SearchError> {
-    let handlers = make_handlers(network);
-    Ok(Network::new(network.graph().clone(), handlers, sim_config)?)
-}
-
-/// Builds a bandwidth-aware [`Reactor`] whose handlers run the search
-/// protocol; messages serialize over bounded finite-bandwidth links
-/// (queueing delay, saturation, backpressure drops).
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn build_protocol_reactor(
-    network: &SearchNetwork<'_>,
-    transport: TransportConfig,
-) -> Result<Reactor<SearchMessage, SearchNode>, SearchError> {
-    let handlers = make_handlers(network);
+        .collect();
     Ok(Reactor::new(network.graph().clone(), handlers, transport)?)
-}
-
-/// Which transport backend runs the message-passing protocol.
-///
-/// The instant event loop is the default everywhere (all hop-count and
-/// accuracy experiments are bandwidth-agnostic); pick the bounded reactor
-/// to study the regimes the paper's bandwidth argument is about — link
-/// saturation, queueing delay and backpressure.
-#[derive(Debug, Clone, Default)]
-pub enum SimBackend {
-    /// Instant delivery over infinitely wide links
-    /// ([`gdsearch_sim::Network`]), with optional latency/loss/churn.
-    #[default]
-    Instant,
-    /// As [`SimBackend::Instant`] with an explicit simulator
-    /// configuration.
-    InstantWith(NetworkConfig),
-    /// Bounded finite-bandwidth links ([`gdsearch_sim::Reactor`]); the
-    /// [`TransportConfig`] sets bytes/tick, queue bounds and worker
-    /// threads.
-    Bounded(TransportConfig),
-}
-
-/// A protocol network over either transport backend, with a common
-/// driving surface — what the bandwidth experiments iterate over.
-///
-/// # Example
-///
-/// ```
-/// use gdsearch::protocol::{ProtocolNetwork, SimBackend};
-/// use gdsearch::{Placement, SchemeConfig, SearchNetwork};
-/// use gdsearch_sim::TransportConfig;
-/// # use gdsearch_embed::synthetic::SyntheticCorpus;
-/// # use gdsearch_graph::generators;
-/// # use rand::SeedableRng;
-/// # use rand::rngs::StdRng;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # let mut rng = StdRng::seed_from_u64(5);
-/// # let graph = generators::social_circles_like_scaled(30, &mut rng)?;
-/// # let corpus = SyntheticCorpus::builder().vocab_size(60).dim(8).generate(&mut rng)?;
-/// # let words = vec![gdsearch_embed::WordId::new(0)];
-/// # let placement = Placement::uniform(&graph, &words, &mut rng)?;
-/// # let cfg = SchemeConfig::builder().ttl(5).build()?;
-/// # let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng)?;
-/// let backend = SimBackend::Bounded(TransportConfig::default().with_bandwidth(1_000)?);
-/// let mut net = ProtocolNetwork::build(&scheme, backend)?;
-/// let origin = gdsearch_graph::NodeId::new(3);
-/// net.issue_query(origin, 1, corpus.embedding(gdsearch_embed::WordId::new(1)).clone(), 5)?;
-/// net.run_to_completion(100_000)?;
-/// assert_eq!(net.completed(origin)?.len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub enum ProtocolNetwork {
-    /// Instant-delivery event loop.
-    Instant(Box<Network<SearchMessage, SearchNode>>),
-    /// Bandwidth-aware reactor.
-    Bounded(Box<Reactor<SearchMessage, SearchNode>>),
-}
-
-impl ProtocolNetwork {
-    /// Builds the protocol network over the selected backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction failures.
-    pub fn build(network: &SearchNetwork<'_>, backend: SimBackend) -> Result<Self, SearchError> {
-        Ok(match backend {
-            SimBackend::Instant => ProtocolNetwork::Instant(Box::new(build_protocol_network(
-                network,
-                NetworkConfig::default(),
-            )?)),
-            SimBackend::InstantWith(cfg) => {
-                ProtocolNetwork::Instant(Box::new(build_protocol_network(network, cfg)?))
-            }
-            SimBackend::Bounded(cfg) => {
-                ProtocolNetwork::Bounded(Box::new(build_protocol_reactor(network, cfg)?))
-            }
-        })
-    }
-
-    /// Issues a query at `origin` (see [`issue_query`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::Sim`] for unknown origins.
-    pub fn issue_query(
-        &mut self,
-        origin: NodeId,
-        query_id: u64,
-        embedding: Embedding,
-        ttl: u32,
-    ) -> Result<(), SearchError> {
-        let msg_id = self.handler_mut(origin)?.fresh_msg_id();
-        let msg = SearchMessage::Query {
-            query_id,
-            msg_id,
-            embedding,
-            ttl,
-            hop: 0,
-        };
-        match self {
-            ProtocolNetwork::Instant(net) => net.inject(origin, msg)?,
-            ProtocolNetwork::Bounded(net) => net.inject(origin, msg)?,
-        }
-        Ok(())
-    }
-
-    /// Drains the network: `budget` counts events on the instant backend
-    /// and ticks on the bounded one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::Sim`] on budget exhaustion with work
-    /// remaining (e.g. when drops orphaned a walk subtree — inspect
-    /// handlers and [`ProtocolNetwork::stats`] in that case).
-    pub fn run_to_completion(&mut self, budget: usize) -> Result<(), SearchError> {
-        match self {
-            ProtocolNetwork::Instant(net) => {
-                net.run_to_completion(budget)?;
-            }
-            ProtocolNetwork::Bounded(net) => {
-                net.run_to_completion(budget as u64)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The queries completed at `origin` so far.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::Sim`] for unknown origins.
-    pub fn completed(&self, origin: NodeId) -> Result<Vec<CompletedQuery>, SearchError> {
-        Ok(self.handler(origin)?.completed().to_vec())
-    }
-
-    /// Transport statistics so far (the bounded backend additionally
-    /// fills the queue-depth/-delay and backpressure fields).
-    pub fn stats(&self) -> &NetStats {
-        match self {
-            ProtocolNetwork::Instant(net) => net.stats(),
-            ProtocolNetwork::Bounded(net) => net.stats(),
-        }
-    }
-
-    /// The transport-event ring buffer (sends, deliveries, drops) both
-    /// backends record.
-    pub fn trace(&self) -> &Trace {
-        match self {
-            ProtocolNetwork::Instant(net) => net.trace(),
-            ProtocolNetwork::Bounded(net) => net.trace(),
-        }
-    }
-
-    /// Current virtual time, in seconds (= ticks on the bounded backend).
-    pub fn now_secs(&self) -> f64 {
-        match self {
-            ProtocolNetwork::Instant(net) => net.now().as_secs(),
-            ProtocolNetwork::Bounded(net) => net.now().as_secs(),
-        }
-    }
-
-    /// Shared access to a node's protocol handler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::Sim`] for unknown nodes.
-    pub fn handler(&self, node: NodeId) -> Result<&SearchNode, SearchError> {
-        Ok(match self {
-            ProtocolNetwork::Instant(net) => net.handler(node)?,
-            ProtocolNetwork::Bounded(net) => net.handler(node)?,
-        })
-    }
-
-    /// Mutable access to a node's protocol handler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::Sim`] for unknown nodes.
-    pub fn handler_mut(&mut self, node: NodeId) -> Result<&mut SearchNode, SearchError> {
-        Ok(match self {
-            ProtocolNetwork::Instant(net) => net.handler_mut(node)?,
-            ProtocolNetwork::Bounded(net) => net.handler_mut(node)?,
-        })
-    }
 }
 
 /// Issues a query into a protocol network at `origin`.
@@ -554,7 +373,7 @@ impl ProtocolNetwork {
 ///
 /// Returns [`SearchError::Sim`] for unknown origins.
 pub fn issue_query(
-    net: &mut Network<SearchMessage, SearchNode>,
+    net: &mut Reactor<SearchMessage, SearchNode>,
     origin: NodeId,
     query_id: u64,
     embedding: Embedding,
@@ -574,27 +393,6 @@ pub fn issue_query(
     Ok(())
 }
 
-/// Drains the simulator and returns the queries completed at `origin`.
-///
-/// # Errors
-///
-/// Returns [`SearchError::Sim`] on event-budget exhaustion (e.g. when loss
-/// orphaned a walk subtree — use [`gdsearch_sim::Network::run_until`] and
-/// inspect handlers directly in that case) or for unknown origins.
-pub fn run_and_collect(
-    net: &mut Network<SearchMessage, SearchNode>,
-    origin: NodeId,
-    max_events: usize,
-) -> Result<Vec<CompletedQuery>, SearchError> {
-    net.run_to_completion(max_events).map_err(|e| match e {
-        SimError::EventBudgetExhausted { processed } => {
-            SearchError::Sim(SimError::EventBudgetExhausted { processed })
-        }
-        other => SearchError::Sim(other),
-    })?;
-    Ok(net.handler(origin)?.completed().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,7 +401,6 @@ mod tests {
     use gdsearch_embed::synthetic::SyntheticCorpus;
     use gdsearch_embed::Corpus;
     use gdsearch_graph::generators;
-    use gdsearch_sim::LatencyModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -645,9 +442,10 @@ mod tests {
         // Start adjacent to the gold host.
         let host = p.host(0);
         let start = g.neighbor_slice(host)[0];
-        let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
+        let mut net = build(&scheme, TransportConfig::unbounded()).unwrap();
         issue_query(&mut net, start, 7, c.embedding(pair.query).clone(), 20).unwrap();
-        let completed = run_and_collect(&mut net, start, 100_000).unwrap();
+        net.run_to_completion(100_000).unwrap();
+        let completed = net.handler(start).unwrap().completed();
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].query_id, 7);
         assert!(
@@ -666,10 +464,7 @@ mod tests {
         let p = Placement::uniform(&g, &words, &mut r).unwrap();
         let cfg = SchemeConfig::builder().ttl(5).build().unwrap();
         let scheme = SearchNetwork::build(&g, &c, &p, &cfg, &mut r).unwrap();
-        let sim_cfg = NetworkConfig::default()
-            .with_latency(LatencyModel::constant(0.1).unwrap())
-            .with_seed(5);
-        let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+        let mut net = build(&scheme, TransportConfig::unbounded().with_seed(5)).unwrap();
         let origin = NodeId::new(3);
         issue_query(
             &mut net,
@@ -679,15 +474,15 @@ mod tests {
             5,
         )
         .unwrap();
-        let completed = run_and_collect(&mut net, origin, 10_000).unwrap();
+        net.run_to_completion(10_000).unwrap();
         assert_eq!(
-            completed.len(),
+            net.handler(origin).unwrap().completed().len(),
             1,
             "origin must receive the backtracked response"
         );
-        // 5 forwards out + 5 responses back at 0.1s each, plus instant
-        // injection: total virtual time 1.0s.
-        assert!((net.now().as_secs() - 1.0).abs() < 1e-9);
+        // 5 forwards out + 5 responses back at one tick per hop, plus the
+        // injection tick.
+        assert_eq!(net.now_tick(), 11);
         // Forward query messages are larger than responses here; count both.
         assert_eq!(net.stats().sent, 10);
     }
@@ -706,7 +501,7 @@ mod tests {
             .build()
             .unwrap();
         let scheme = SearchNetwork::build(&g, &c, &p, &cfg, &mut r).unwrap();
-        let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
+        let mut net = build(&scheme, TransportConfig::unbounded()).unwrap();
         let origin = NodeId::new(0);
         issue_query(
             &mut net,
@@ -716,7 +511,8 @@ mod tests {
             2,
         )
         .unwrap();
-        let completed = run_and_collect(&mut net, origin, 100_000).unwrap();
+        net.run_to_completion(100_000).unwrap();
+        let completed = net.handler(origin).unwrap().completed();
         assert_eq!(completed.len(), 1);
         assert!(completed[0].results.len() <= 4);
         // Every result's hop is within the TTL.
@@ -734,8 +530,10 @@ mod tests {
         let p = Placement::uniform(&g, &words, &mut r).unwrap();
         let cfg = SchemeConfig::builder().ttl(4).build().unwrap();
         let scheme = SearchNetwork::build(&g, &c, &p, &cfg, &mut r).unwrap();
-        let sim_cfg = NetworkConfig::default().with_loss_probability(1.0).unwrap();
-        let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+        let transport = TransportConfig::unbounded()
+            .with_loss_probability(1.0)
+            .unwrap();
+        let mut net = build(&scheme, transport).unwrap();
         let origin = NodeId::new(0);
         issue_query(
             &mut net,
@@ -745,18 +543,21 @@ mod tests {
             4,
         )
         .unwrap();
-        let completed = run_and_collect(&mut net, origin, 10_000).unwrap();
+        net.run_to_completion(10_000).unwrap();
         // The first forward is lost; with everything dropped the origin
         // never completes (documented protocol limitation without timers).
-        assert!(completed.is_empty());
+        assert!(net.handler(origin).unwrap().completed().is_empty());
         assert_eq!(net.stats().lost, 1);
     }
 
     #[test]
     fn bounded_backend_agrees_with_instant_for_deterministic_policy() {
-        // PprGreedy consumes no randomness and both backends run the same
-        // handlers, so under ample bandwidth the walk tree — and thus the
-        // message count and final results — must coincide exactly.
+        // PprGreedy consumes no randomness, so ample finite links (1 MiB
+        // per tick, 4 threads) must not change the walk: completed
+        // results, message counts and the tick count coincide with the
+        // unbounded preset (1 thread). The independent reference for the
+        // link fabric itself is the per-tick model in
+        // `sim/tests/properties.rs`.
         let mut r = rng(21);
         let g = generators::social_circles_like_scaled(50, &mut r).unwrap();
         let c = corpus(22);
@@ -766,26 +567,26 @@ mod tests {
         let scheme = SearchNetwork::build(&g, &c, &p, &cfg, &mut r).unwrap();
         let origin = NodeId::new(7);
         let query = c.embedding(gdsearch_embed::WordId::new(8)).clone();
-        let run = |backend: SimBackend| {
-            let mut net = ProtocolNetwork::build(&scheme, backend).unwrap();
-            net.issue_query(origin, 4, query.clone(), 12).unwrap();
+        let run = |transport: TransportConfig| {
+            let mut net = build(&scheme, transport).unwrap();
+            issue_query(&mut net, origin, 4, query.clone(), 12).unwrap();
             net.run_to_completion(1_000_000).unwrap();
-            let stats = *net.stats();
-            (net.completed(origin).unwrap(), stats)
+            let done = net.handler(origin).unwrap().completed().to_vec();
+            (done, *net.stats(), net.now_tick())
         };
-        let (instant_done, instant_stats) = run(SimBackend::Instant);
-        let bounded = SimBackend::Bounded(
-            TransportConfig::default()
-                .with_bandwidth(1 << 20)
-                .unwrap()
-                .with_threads(4)
-                .unwrap(),
-        );
-        let (bounded_done, bounded_stats) = run(bounded);
-        assert_eq!(instant_done, bounded_done);
-        assert_eq!(instant_stats.sent, bounded_stats.sent);
-        assert_eq!(instant_stats.delivered, bounded_stats.delivered);
-        assert_eq!(instant_stats.bytes_sent, bounded_stats.bytes_sent);
+        let (unbounded_done, unbounded_stats, unbounded_ticks) = run(TransportConfig::unbounded());
+        let bounded = TransportConfig::default()
+            .with_bandwidth(1 << 20)
+            .unwrap()
+            .with_threads(4)
+            .unwrap();
+        let (bounded_done, bounded_stats, bounded_ticks) = run(bounded);
+        assert_eq!(unbounded_done.len(), 1);
+        assert_eq!(unbounded_done, bounded_done);
+        assert_eq!(unbounded_stats.sent, bounded_stats.sent);
+        assert_eq!(unbounded_stats.delivered, bounded_stats.delivered);
+        assert_eq!(unbounded_stats.bytes_sent, bounded_stats.bytes_sent);
+        assert_eq!(unbounded_ticks, bounded_ticks);
         assert_eq!(bounded_stats.dropped_total(), 0);
     }
 
@@ -809,9 +610,10 @@ mod tests {
             .unwrap()
             .with_queue_capacity(3)
             .unwrap();
-        let mut net = ProtocolNetwork::build(&scheme, SimBackend::Bounded(transport)).unwrap();
+        let mut net = build(&scheme, transport).unwrap();
         let origin = NodeId::new(0);
-        net.issue_query(
+        issue_query(
+            &mut net,
             origin,
             1,
             c.embedding(gdsearch_embed::WordId::new(5)).clone(),

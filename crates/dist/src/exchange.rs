@@ -58,9 +58,6 @@ use crate::DistConfig;
 pub struct ExchangeStats {
     /// Completed exchange epochs (round barriers).
     pub epochs: u64,
-    /// The reactor tick at which each epoch barrier closed, in epoch
-    /// order (`epoch_ticks.len() == epochs`).
-    pub epoch_ticks: Vec<u64>,
     /// Epochs that moved halo columns (power iterations).
     pub halo_epochs: u64,
     /// Epochs that moved residual mass (push round barriers).
@@ -464,7 +461,6 @@ impl TransportExchange {
             }
         }
         self.stats.epochs += 1;
-        self.stats.epoch_ticks.push(self.reactor.now_tick());
         Ok(inbox)
     }
 

@@ -4,33 +4,30 @@
 //! Fig. 2): nodes exchange query/response messages over a social overlay.
 //! This crate is the transport layer of that simulation:
 //!
-//! * [`SimTime`] / [`EventQueue`] — virtual clock and ordered event queue;
-//! * [`LatencyModel`] — per-link delay distributions;
-//! * [`Network`] — the instant-delivery simulator: delivers messages
-//!   between neighboring nodes, applies latency, random loss and node
-//!   churn, and accounts every byte sent ([`NetStats`]);
-//! * [`Reactor`] — the bandwidth-aware backend: the same protocol surface,
-//!   but every overlay edge is a bounded FIFO [`link`] with finite bytes
-//!   per tick ([`TransportConfig`]), so queueing delay, saturation and
-//!   backpressure ([`NodeApi::poll_ready`] / [`NodeApi::try_send`]) are
-//!   modeled; node activations run in parallel on worker threads with
-//!   bit-for-bit deterministic results (see [`reactor`]);
-//! * [`NodeHandler`] — the protocol hook shared by both backends: the
-//!   `gdsearch` core crate implements the paper's query-forwarding
-//!   protocol as a handler;
+//! * [`Reactor`] — the one event loop: virtual time advances in integer
+//!   ticks, every overlay edge is a FIFO [`link`] that moves
+//!   [`TransportConfig`]'s bytes per tick through a bounded queue, and
+//!   messages are subject to random loss and node churn, with every byte
+//!   accounted ([`NetStats`]). Finite links model queueing delay,
+//!   saturation and backpressure ([`NodeApi::poll_ready`] /
+//!   [`NodeApi::try_send`]); [`TransportConfig::unbounded`] makes every
+//!   hop exactly one tick. Node activations run in parallel on worker
+//!   threads with bit-for-bit deterministic results (see [`reactor`]);
+//! * [`NodeHandler`] — the protocol hook: the `gdsearch` core crate
+//!   implements the paper's query-forwarding protocol as a handler;
 //! * [`WireMessage`] — wire-size accounting for bandwidth reports;
 //! * [`Histogram`] — the log2 histogram [`NetStats`] reports delay in;
+//! * [`SimTime`] — the virtual clock churn schedules and traces are
+//!   stamped with (one tick is one abstract second);
 //! * [`churn`] — failure-injection schedules (node down/up events);
 //! * [`trace`] — bounded event traces for debugging and assertions.
-//!
-//! Both backends are deterministic under a seeded RNG.
 //!
 //! # Example
 //!
 //! ```
 //! use gdsearch_graph::generators;
 //! use gdsearch_graph::NodeId;
-//! use gdsearch_sim::{Network, NetworkConfig, NodeApi, NodeHandler, WireMessage};
+//! use gdsearch_sim::{NodeApi, NodeHandler, Reactor, TransportConfig, WireMessage};
 //!
 //! // A ping protocol: every node forwards a counter to a random neighbor
 //! // until it reaches zero.
@@ -52,7 +49,7 @@
 //! # fn main() -> Result<(), gdsearch_sim::SimError> {
 //! let g = generators::ring(8)?;
 //! let handlers = (0..8).map(|_| Relay).collect();
-//! let mut net = Network::new(g, handlers, NetworkConfig::default().with_seed(7))?;
+//! let mut net = Reactor::new(g, handlers, TransportConfig::unbounded().with_seed(7))?;
 //! net.inject(NodeId::new(0), Ping(5))?;
 //! net.run_to_completion(10_000)?;
 //! assert_eq!(net.stats().delivered, 6); // injection + 5 relays
@@ -66,10 +63,8 @@
 pub mod churn;
 mod error;
 mod instruments;
-mod latency;
 pub mod link;
-mod network;
-mod queue;
+mod node;
 pub mod reactor;
 mod stats;
 mod time;
@@ -79,10 +74,8 @@ mod wire;
 
 pub use error::SimError;
 pub use instruments::Histogram;
-pub use latency::LatencyModel;
 pub use link::LinkStats;
-pub use network::{Network, NetworkConfig, NodeApi, NodeHandler};
-pub use queue::EventQueue;
+pub use node::{NodeApi, NodeHandler};
 pub use reactor::Reactor;
 pub use stats::NetStats;
 pub use time::SimTime;

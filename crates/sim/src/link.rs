@@ -1,4 +1,4 @@
-//! Bounded, bandwidth-limited FIFO link queues for the reactor backend.
+//! Bounded, bandwidth-limited FIFO link queues for the reactor.
 //!
 //! Every directed overlay edge `u → v` gets one `Link`: a FIFO of
 //! messages waiting for the wire plus the service state of the message

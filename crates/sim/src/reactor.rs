@@ -1,15 +1,18 @@
-//! Deterministic bandwidth-aware reactor: the bounded-transport backend.
+//! Deterministic bandwidth-aware reactor: the simulator's event loop.
 //!
-//! [`Network`](crate::Network) delivers every message instantly over
-//! infinitely wide links, which is exactly right for hop-count experiments
-//! and exactly wrong for the paper's *bandwidth* argument — flooding and
+//! The paper's case against flooding is a *bandwidth* case — flooding and
 //! diffusion search differ most where links saturate, queues build and
 //! messages are dropped under backpressure. [`Reactor`] models that
 //! regime: per-edge FIFO [`Link`](crate::link) queues with finite bytes
 //! per tick ([`TransportConfig`]), bounded send queues, and backpressure
 //! surfaced to handlers through [`NodeApi::poll_ready`] /
-//! [`NodeApi::try_send`]. No async runtime is involved: the reactor is a
-//! hand-rolled tick loop, so the build stays offline-friendly.
+//! [`NodeApi::try_send`]. Delay is what the links produce: one hop takes
+//! at least one tick, `ceil(bytes / bytes_per_tick)` ticks of wire time
+//! plus whatever it queued behind. Hop-count experiments, where bandwidth
+//! is irrelevant, run the same loop with
+//! [`TransportConfig::unbounded`]. No async runtime is involved: the
+//! reactor is a hand-rolled tick loop, so the build stays
+//! offline-friendly.
 //!
 //! # Execution model
 //!
@@ -96,7 +99,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::churn::{ChurnEvent, ChurnKind};
 use crate::link::LinkStats;
-use crate::network::{LinkCapacityView, NodeApi, NodeHandler};
+use crate::node::{LinkCapacityView, NodeApi, NodeHandler};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::transport::{Transport, TransportConfig};
 use crate::{NetStats, SimError, SimTime, WireMessage};
@@ -120,11 +123,10 @@ struct Activation<M, H> {
 
 /// Bandwidth-aware deterministic network simulator (see the module docs).
 ///
-/// The second backend next to [`Network`](crate::Network): same
-/// [`NodeHandler`] protocol hook, same [`NetStats`]/[`Trace`] accounting,
-/// but messages serialize over bounded finite-bandwidth links and handlers
-/// additionally see backpressure via [`NodeApi::poll_ready`] /
-/// [`NodeApi::try_send`].
+/// Runs one [`NodeHandler`] per node; messages serialize over the
+/// [`TransportConfig`]'s links, every outcome is accounted in
+/// [`NetStats`] / [`Trace`], and handlers see backpressure via
+/// [`NodeApi::poll_ready`] / [`NodeApi::try_send`].
 pub struct Reactor<M, H> {
     graph: Graph,
     handlers: Vec<Option<H>>,
@@ -159,8 +161,7 @@ where
     M: WireMessage + Send,
     H: NodeHandler<M> + Send,
 {
-    /// Creates a bounded-transport network over `graph` with one handler
-    /// per node.
+    /// Creates a network over `graph` with one handler per node.
     ///
     /// # Errors
     ///
@@ -281,9 +282,8 @@ where
     }
 
     /// Injects an external message: it reaches `node`'s handler in the
-    /// next tick's handler phase, bypassing the link fabric (like the
-    /// instant backend, injections model local user actions, not
-    /// traffic).
+    /// next tick's handler phase, bypassing the link fabric (injections
+    /// model local user actions, not traffic).
     ///
     /// # Errors
     ///
@@ -384,11 +384,11 @@ where
                     neighbors,
                     &mut activation.rng,
                     &mut activation.outbox,
-                    Some(LinkCapacityView {
+                    LinkCapacityView {
                         capacity: queue_capacity,
                         depths: &activation.depths,
                         pending: &mut activation.pending,
-                    }),
+                    },
                 );
                 activation.handler.handle(from, msg, &mut api);
             }
@@ -693,6 +693,36 @@ mod tests {
         assert_eq!(net.stats().delivered, 1);
         assert_eq!(net.stats().dropped_down, 1);
         assert_eq!(net.handler(NodeId::new(1)).unwrap().received, 0);
+    }
+
+    #[test]
+    fn node_comes_back_up() {
+        let g = generators::path(2);
+        let churn = ChurnSchedule::from_events(vec![
+            ChurnEvent {
+                time: SimTime::ZERO,
+                node: NodeId::new(1),
+                kind: ChurnKind::Down,
+            },
+            ChurnEvent {
+                time: SimTime::new(2.0).unwrap(),
+                node: NodeId::new(1),
+                kind: ChurnKind::Up,
+            },
+        ]);
+        let cfg = TransportConfig::default()
+            .with_bandwidth(1)
+            .unwrap()
+            .with_churn(churn);
+        let mut net = Reactor::new(g, counters(2), cfg).unwrap();
+        net.inject(NodeId::new(0), Hop(1)).unwrap();
+        net.step();
+        assert!(!net.is_up(NodeId::new(1)).unwrap());
+        net.run_to_completion(100).unwrap();
+        // The 4-byte relay is on the 1 B/tick wire for ticks 0..=3; node 1
+        // recovered at tick 2, so it arrives.
+        assert_eq!(net.handler(NodeId::new(1)).unwrap().received, 1);
+        assert_eq!(net.stats().dropped_down, 0);
     }
 
     #[test]

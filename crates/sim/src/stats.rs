@@ -19,48 +19,25 @@ pub struct NetStats {
     pub dropped_down: u64,
     /// Total bytes handed to the transport.
     pub bytes_sent: u64,
-    /// Messages dropped because a bounded link queue was full (only the
-    /// bandwidth-aware [`Reactor`] backend produces these; the instant
-    /// event loop has infinitely wide links).
-    ///
-    /// [`Reactor`]: crate::Reactor
+    /// Messages dropped because a bounded link queue was full (never
+    /// with [`TransportConfig::unbounded`](crate::TransportConfig::unbounded)
+    /// links).
     pub dropped_backpressure: u64,
     /// Messages dropped because there is no link to the destination (the
-    /// reactor only provisions queues along overlay edges; the instant
-    /// backend routes any pair like an IP underlay).
+    /// reactor only provisions queues along overlay edges).
     pub dropped_no_route: u64,
-    /// High-water queue depth over all links, in messages (0 for the
-    /// instant backend). Per-link values are on
-    /// [`Reactor::link_stats`](crate::Reactor::link_stats).
+    /// High-water queue depth over all links, in messages. Per-link
+    /// values are on [`Reactor::link_stats`](crate::Reactor::link_stats).
     pub max_queue_depth: u64,
     /// Distribution of per-message queueing delay: ticks each delivered
     /// message spent queued behind other traffic before its own
-    /// transmission started (empty for the instant backend). The total is
+    /// transmission started (all zeros on unbounded links). The total is
     /// [`Histogram::sum`], tail latency is
     /// [`Histogram::quantile`]`(0.99)`.
     pub queue_delay: Histogram,
 }
 
 impl NetStats {
-    /// Fraction of sent messages that were delivered; 1.0 when nothing was
-    /// sent.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.sent as f64
-        }
-    }
-
-    /// Mean wire size of sent messages; 0.0 when nothing was sent.
-    pub fn mean_message_bytes(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.bytes_sent as f64 / self.sent as f64
-        }
-    }
-
     /// Mean ticks a transported message waited in its link queue before
     /// transmission started; 0.0 when nothing was transported.
     ///
@@ -118,8 +95,6 @@ mod tests {
             max_queue_depth: 5,
             queue_delay,
         };
-        assert!((s.delivery_ratio() - 0.8).abs() < 1e-12);
-        assert!((s.mean_message_bytes() - 42.0).abs() < 1e-12);
         // 18 ticks over the 6 messages whose transmission completed.
         assert!((s.mean_queue_delay_ticks() - 3.0).abs() < 1e-12);
         // target rank 3 of 6 lands in the [2, 3] bucket.
@@ -132,8 +107,6 @@ mod tests {
     #[test]
     fn ratios_without_traffic() {
         let s = NetStats::default();
-        assert_eq!(s.delivery_ratio(), 1.0);
-        assert_eq!(s.mean_message_bytes(), 0.0);
         assert_eq!(s.mean_queue_delay_ticks(), 0.0);
         assert_eq!(s.dropped_total(), 0);
     }

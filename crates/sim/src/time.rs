@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 
 /// Virtual simulation time, in abstract seconds.
 ///
-/// Totally ordered (NaN is rejected at construction) so it can key the
-/// event queue.
+/// Totally ordered (NaN is rejected at construction) so churn schedules
+/// can be sorted by it.
 ///
 /// # Example
 ///

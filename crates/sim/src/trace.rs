@@ -18,9 +18,9 @@ pub enum TraceKind {
     Lost,
     /// Dropped because an endpoint was down.
     DroppedDown,
-    /// Dropped because the bounded link queue was full (reactor backend).
+    /// Dropped because the bounded link queue was full.
     DroppedFull,
-    /// Dropped because no link exists to the destination (reactor backend).
+    /// Dropped because no link exists to the destination.
     DroppedNoRoute,
 }
 

@@ -1,9 +1,8 @@
 //! Configuration and link fabric of the bandwidth-aware transport.
 //!
-//! [`TransportConfig`] is the bounded-transport sibling of
-//! [`NetworkConfig`]: it describes finite per-link bandwidth (bytes per
-//! tick), bounded send queues, the reactor's worker-thread count, and the
-//! same loss/churn/trace knobs the instant backend has.
+//! [`TransportConfig`] describes per-link bandwidth (bytes per tick),
+//! send-queue bounds, the reactor's worker-thread count, and the
+//! loss/churn/trace/seed settings of a run.
 //! [`Transport`] owns one [`Link`] per directed overlay edge and provides
 //! the two operations the reactor drives each tick: enqueue outgoing
 //! messages (with drop accounting) and service every link's byte budget.
@@ -12,8 +11,6 @@
 //! worker threads — are rejected with [`SimError::InvalidParameter`] at
 //! construction instead of hanging or panicking deep inside the tick
 //! loop.
-//!
-//! [`NetworkConfig`]: crate::NetworkConfig
 
 use std::collections::BTreeSet;
 
@@ -52,6 +49,18 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
+    /// Links that never queue behind the wire and never fill: whatever a
+    /// node sends in one tick reaches its neighbor in the next, at any
+    /// message size ("instant" delivery — one hop is exactly one tick).
+    /// Everything else as in [`Default`].
+    pub fn unbounded() -> Self {
+        TransportConfig {
+            bytes_per_tick: u64::MAX,
+            queue_capacity: usize::MAX,
+            ..Self::default()
+        }
+    }
+
     /// Sets the per-link bandwidth in bytes per tick.
     ///
     /// # Errors

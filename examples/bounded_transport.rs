@@ -1,15 +1,14 @@
-//! Bounded-transport demo: runs the paper's search protocol over both
-//! simulator backends and shows what only the bandwidth-aware reactor can
-//! show — link saturation, queueing delay and backpressure drops — by
-//! comparing PPR-greedy diffusion search against TTL-bounded flooding on
-//! narrow links.
+//! Bounded-transport demo: runs the paper's search protocol over
+//! unbounded and over narrow links and shows what finite bandwidth does —
+//! link saturation, queueing delay and backpressure drops — by comparing
+//! PPR-greedy diffusion search against TTL-bounded flooding.
 //!
 //! ```text
 //! cargo run -p gdsearch-examples --release --bin bounded_transport
 //! ```
 
 use gdsearch::experiment::report;
-use gdsearch::protocol::{ProtocolNetwork, SimBackend};
+use gdsearch::protocol;
 use gdsearch::{EngineConfig, Placement, PolicyKind, QueryEngine, SchemeConfig};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
@@ -50,39 +49,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let engine_cfg = EngineConfig::builder().scheme(cfg).build()?;
         let engine = QueryEngine::build(&graph, &corpus, &placement, engine_cfg, &mut rng)?;
         let scheme = engine.network();
-        for (backend, backend_name) in [
-            (SimBackend::Instant, "instant".to_string()),
+        for (transport, links) in [
+            (TransportConfig::unbounded(), "unbounded"),
             (
                 // 1 KB/s links with short queues: the saturation regime.
-                SimBackend::Bounded(
-                    TransportConfig::default()
-                        .with_bandwidth(1_000)?
-                        .with_queue_capacity(16)?
-                        .with_threads(4)?,
-                ),
-                "1 KB/s".to_string(),
+                TransportConfig::default()
+                    .with_bandwidth(1_000)?
+                    .with_queue_capacity(16)?
+                    .with_threads(4)?,
+                "1 KB/s",
             ),
         ] {
-            let mut net = ProtocolNetwork::build(scheme, backend)?;
+            let mut net = protocol::build(scheme, transport)?;
             for (i, &origin) in origins.iter().enumerate() {
-                net.issue_query(origin, i as u64, corpus.embedding(pair.query).clone(), ttl)?;
+                let query = corpus.embedding(pair.query).clone();
+                protocol::issue_query(&mut net, origin, i as u64, query, ttl)?;
             }
             net.run_to_completion(10_000_000)?;
-            let hits = origins
-                .iter()
-                .enumerate()
-                .filter(|(i, &origin)| {
-                    net.completed(origin)
-                        .map(|c| {
-                            c.iter().any(|q| {
-                                q.query_id == *i as u64
-                                    && q.results.iter().any(|(doc, _, _)| *doc == 0)
-                            })
-                        })
-                        .unwrap_or(false)
-                })
-                .count();
-            rows.push((format!("{name} @ {backend_name}"), *net.stats(), hits));
+            let mut hits = 0;
+            for (i, &origin) in origins.iter().enumerate() {
+                let found = net.handler(origin)?.completed().iter().any(|q| {
+                    q.query_id == i as u64 && q.results.iter().any(|(doc, _, _)| *doc == 0)
+                });
+                hits += usize::from(found);
+            }
+            rows.push((format!("{name} @ {links}"), *net.stats(), hits));
         }
     }
 

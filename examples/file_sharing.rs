@@ -1,5 +1,5 @@
 //! File-sharing under churn: runs the *full message-passing protocol* on
-//! the discrete-event simulator, with link latency, message loss and node
+//! the discrete-event simulator, with finite links, message loss and node
 //! failures — the operating conditions the paper's future work points at.
 //!
 //! Each node "shares files" (documents); a user issues queries while part
@@ -9,14 +9,14 @@
 //! cargo run -p gdsearch-examples --bin file_sharing
 //! ```
 
-use gdsearch::protocol::{build_protocol_network, issue_query};
+use gdsearch::protocol::{self, issue_query};
 use gdsearch::{EngineConfig, Placement, QueryEngine, SchemeConfig};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_graph::generators;
 use gdsearch_graph::NodeId;
 use gdsearch_sim::churn::ChurnSchedule;
-use gdsearch_sim::{LatencyModel, NetworkConfig, SimTime};
+use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,19 +54,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = QueryEngine::build(&graph, &corpus, &placement, engine_config, &mut rng)?;
     let scheme = engine.network();
 
-    // 10% of peers fail during the first 5 virtual seconds and recover
-    // after 2 seconds; links have 10-50 ms latency and 1% loss.
-    let churn = ChurnSchedule::random_failures(150, 0.10, 5.0, 2.0, &mut rng)?;
+    // A TTL-30 walk is 61 ticks out and back. 10% of peers fail during
+    // the first 30 ticks and recover 5 ticks later; links move 1 KB per
+    // tick and lose 1% of messages.
+    let churn = ChurnSchedule::random_failures(150, 0.10, 30.0, 5.0, &mut rng)?;
     println!("churn schedule: {} down/up events", churn.len());
-    let sim_config = NetworkConfig::default()
-        .with_latency(LatencyModel::uniform(0.010, 0.050)?)
+    let transport = TransportConfig::default()
+        .with_bandwidth(1_000)?
         .with_loss_probability(0.01)?
         .with_churn(churn)
         .with_seed(99)
         .with_trace_capacity(4096);
-    let mut net = build_protocol_network(scheme, sim_config)?;
+    let mut net = protocol::build(scheme, transport)?;
 
-    // Issue 20 queries from random peers over the first 2 seconds.
+    // Issue 20 queries from random peers, all at tick 0.
     let origins: Vec<NodeId> = (0..20)
         .map(|_| NodeId::new(rng.random_range(0..150)))
         .collect();
@@ -80,11 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
 
-    // Let the network run for 60 virtual seconds.
-    net.run_until(SimTime::new(60.0).expect("valid time"));
+    // The protocol has no timers: a walk that loses a message just ends,
+    // so the network always drains.
+    let ticks = net.run_to_completion(100_000)?;
     let stats = *net.stats();
     println!(
-        "\ntransport: {} sent / {} delivered / {} lost / {} to-down peers, {:.1} KiB total",
+        "\ntransport: {} sent / {} delivered / {} lost / {} to-down peers, {:.1} KiB total \
+         in {ticks} ticks",
         stats.sent,
         stats.delivered,
         stats.lost,

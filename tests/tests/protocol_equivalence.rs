@@ -4,13 +4,13 @@
 //! greedy policy with a single walk, both must visit the same nodes and
 //! retrieve the same documents at the same hops.
 
-use gdsearch::protocol::{build_protocol_network, issue_query, run_and_collect};
+use gdsearch::protocol::{self, issue_query};
 use gdsearch::{walk, Placement, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
 use gdsearch_graph::{generators, Graph, NodeId};
-use gdsearch_sim::NetworkConfig;
+use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,9 +57,10 @@ fn greedy_walk_and_protocol_agree_on_results() {
         let walk = walk::run(&scheme, query, start, &mut rng(30)).unwrap();
 
         // Simulated protocol.
-        let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
+        let mut net = protocol::build(&scheme, TransportConfig::unbounded()).unwrap();
         issue_query(&mut net, start, i as u64, query.clone(), 15).unwrap();
-        let completed = run_and_collect(&mut net, start, 1_000_000).unwrap();
+        net.run_to_completion(1_000_000).unwrap();
+        let completed = net.handler(start).unwrap().completed();
         assert_eq!(completed.len(), 1, "query {i} did not complete");
 
         // Same success and, on success, the same hop for the gold doc.
@@ -102,9 +103,9 @@ fn protocol_message_count_matches_walk_forwards() {
     let query = corpus.embedding(gdsearch_embed::WordId::new(9));
 
     let walk = walk::run(&scheme, query, start, &mut rng(6)).unwrap();
-    let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
+    let mut net = protocol::build(&scheme, TransportConfig::unbounded()).unwrap();
     issue_query(&mut net, start, 0, query.clone(), ttl).unwrap();
-    run_and_collect(&mut net, start, 1_000_000).unwrap();
+    net.run_to_completion(1_000_000).unwrap();
 
     // Forward messages = walk.hops; responses = walk.hops (chain
     // backtracking), so transport sent = 2 * forwards.
@@ -126,9 +127,10 @@ fn fanout_protocol_still_terminates_and_merges() {
     let start = NodeId::new(60);
     let query = corpus.embedding(gdsearch_embed::WordId::new(20));
 
-    let mut net = build_protocol_network(&scheme, NetworkConfig::default()).unwrap();
+    let mut net = protocol::build(&scheme, TransportConfig::unbounded()).unwrap();
     issue_query(&mut net, start, 42, query.clone(), 4).unwrap();
-    let completed = run_and_collect(&mut net, start, 1_000_000).unwrap();
+    net.run_to_completion(1_000_000).unwrap();
+    let completed = net.handler(start).unwrap().completed();
     assert_eq!(completed.len(), 1);
     assert_eq!(completed[0].query_id, 42);
     assert!(completed[0].results.len() <= 5);

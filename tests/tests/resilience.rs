@@ -1,14 +1,14 @@
 //! Failure-injection integration tests: the full protocol under message
-//! loss, latency jitter and node churn. The scheme must degrade gracefully
+//! loss, narrow links and node churn. The scheme must degrade gracefully
 //! (fewer completions, consistent accounting) and never wedge or panic.
 
-use gdsearch::protocol::{build_protocol_network, issue_query};
+use gdsearch::protocol::{self, issue_query};
 use gdsearch::{Placement, SchemeConfig, SearchNetwork};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::WordId;
 use gdsearch_graph::{generators, NodeId};
 use gdsearch_sim::churn::ChurnSchedule;
-use gdsearch_sim::{LatencyModel, NetworkConfig, SimTime};
+use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,11 +36,11 @@ fn accounting_is_consistent_under_loss() {
     let (graph, corpus, placement) = deployment(1);
     let cfg = SchemeConfig::builder().ttl(10).build().unwrap();
     let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(2)).unwrap();
-    let sim_cfg = NetworkConfig::default()
+    let transport = TransportConfig::unbounded()
         .with_loss_probability(0.3)
         .unwrap()
         .with_seed(3);
-    let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+    let mut net = protocol::build(&scheme, transport).unwrap();
     for q in 0..10u64 {
         let origin = NodeId::new((q * 9 % 100) as u32);
         issue_query(
@@ -52,13 +52,13 @@ fn accounting_is_consistent_under_loss() {
         )
         .unwrap();
     }
-    net.run_until(SimTime::new(1000.0).unwrap());
+    net.run_to_completion(1_000).unwrap();
     let stats = net.stats();
-    // Deliveries include the 10 injections; transported messages either
-    // deliver, get lost, or hit a down node.
+    // Deliveries include the 10 injections; every transported message
+    // either delivers or is dropped.
     assert_eq!(
         stats.sent + 10,
-        stats.delivered + stats.lost + stats.dropped_down,
+        stats.delivered + stats.dropped_total(),
         "transport accounting must balance: {stats:?}"
     );
     assert!(stats.lost > 0, "30% loss must drop something");
@@ -69,12 +69,11 @@ fn queries_complete_despite_partial_churn() {
     let (graph, corpus, placement) = deployment(4);
     let cfg = SchemeConfig::builder().ttl(15).build().unwrap();
     let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(5)).unwrap();
-    let churn = ChurnSchedule::random_failures(100, 0.15, 4.0, 1.0, &mut rng(6)).unwrap();
-    let sim_cfg = NetworkConfig::default()
-        .with_latency(LatencyModel::uniform(0.01, 0.05).unwrap())
-        .with_churn(churn)
-        .with_seed(7);
-    let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+    // A TTL-15 walk is 31 ticks out and back: failures spread over 40
+    // ticks with 10 ticks of downtime meet walks in flight.
+    let churn = ChurnSchedule::random_failures(100, 0.15, 40.0, 10.0, &mut rng(6)).unwrap();
+    let transport = TransportConfig::unbounded().with_churn(churn).with_seed(7);
+    let mut net = protocol::build(&scheme, transport).unwrap();
     let origins: Vec<NodeId> = (0..15).map(|i| NodeId::new(i * 6)).collect();
     for (q, &origin) in origins.iter().enumerate() {
         issue_query(
@@ -86,7 +85,7 @@ fn queries_complete_despite_partial_churn() {
         )
         .unwrap();
     }
-    net.run_until(SimTime::new(300.0).unwrap());
+    net.run_to_completion(300).unwrap();
     let completed: usize = origins
         .iter()
         .map(|&o| net.handler(o).unwrap().completed().len())
@@ -97,6 +96,10 @@ fn queries_complete_despite_partial_churn() {
         "only {completed}/{} queries completed",
         origins.len()
     );
+    assert!(
+        net.stats().dropped_down > 0,
+        "the schedule must meet a walk"
+    );
 }
 
 #[test]
@@ -104,10 +107,7 @@ fn zero_loss_zero_churn_completes_everything() {
     let (graph, corpus, placement) = deployment(8);
     let cfg = SchemeConfig::builder().ttl(12).build().unwrap();
     let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(9)).unwrap();
-    let sim_cfg = NetworkConfig::default()
-        .with_latency(LatencyModel::exponential(0.02).unwrap())
-        .with_seed(10);
-    let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+    let mut net = protocol::build(&scheme, TransportConfig::unbounded().with_seed(10)).unwrap();
     let origins: Vec<NodeId> = (0..12).map(|i| NodeId::new(i * 8)).collect();
     for (q, &origin) in origins.iter().enumerate() {
         issue_query(
@@ -132,17 +132,21 @@ fn zero_loss_zero_churn_completes_everything() {
 
 #[test]
 fn stress_many_concurrent_queries() {
-    // 100 concurrent queries over a lossy, jittery network: no panics, no
-    // budget explosions, accounting stays balanced.
+    // 100 concurrent queries over lossy, narrow links (a query is 92 B, so
+    // deliveries interleave by queueing): no panics, no budget explosions,
+    // accounting stays balanced.
     let (graph, corpus, placement) = deployment(11);
     let cfg = SchemeConfig::builder().ttl(8).fanout(2).build().unwrap();
     let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(12)).unwrap();
-    let sim_cfg = NetworkConfig::default()
-        .with_latency(LatencyModel::exponential(0.05).unwrap())
+    let transport = TransportConfig::default()
+        .with_bandwidth(256)
+        .unwrap()
+        .with_queue_capacity(8)
+        .unwrap()
         .with_loss_probability(0.05)
         .unwrap()
         .with_seed(13);
-    let mut net = build_protocol_network(&scheme, sim_cfg).unwrap();
+    let mut net = protocol::build(&scheme, transport).unwrap();
     for q in 0..100u64 {
         let origin = NodeId::new((q * 7 % 100) as u32);
         issue_query(
@@ -154,10 +158,8 @@ fn stress_many_concurrent_queries() {
         )
         .unwrap();
     }
-    net.run_until(SimTime::new(10_000.0).unwrap());
+    net.run_to_completion(10_000).unwrap();
     let stats = net.stats();
-    assert_eq!(
-        stats.sent + 100,
-        stats.delivered + stats.lost + stats.dropped_down
-    );
+    assert_eq!(stats.sent + 100, stats.delivered + stats.dropped_total());
+    assert!(stats.queue_delay.sum() > 0, "narrow links must queue");
 }
