@@ -9,18 +9,9 @@ use std::path::Path;
 
 use crate::toml::{self, Document, Table};
 
-/// The seven rule identifiers, in report order. The first five are lexical
-/// (per-file token patterns); the last two are transitive (whole-workspace
-/// call-graph reachability, see [`crate::reach`]).
-pub const RULE_NAMES: [&str; 7] = [
-    "determinism",
-    "panic",
-    "casts",
-    "unsafe",
-    "wire",
-    "transitive-determinism",
-    "panic-provenance",
-];
+/// The four rule identifiers, in report order. All are lexical (per-file
+/// token patterns).
+pub const RULE_NAMES: [&str; 4] = ["determinism", "panic", "casts", "wire"];
 
 /// Per-rule configuration.
 #[derive(Debug, Clone)]
@@ -101,30 +92,15 @@ pub struct Config {
     pub determinism: RuleConfig,
     pub panic: RuleConfig,
     pub casts: RuleConfig,
-    pub unsafe_: RuleConfig,
     pub wire: RuleConfig,
-    /// `transitive-determinism`: from `paths`-scoped public fns, no call
-    /// chain may reach an unaudited nondeterminism source anywhere in
-    /// the workspace — even through crates rule 1 does not cover.
-    pub transitive: RuleConfig,
-    /// `panic-provenance`: same reachability, seeded at panic sites
-    /// outside rule 2's scope, with full provenance chains.
-    pub provenance: RuleConfig,
     pub allows: Vec<AllowEntry>,
 }
 
-/// Library crates whose result paths must stay deterministic (ISSUE 6).
-const DETERMINISM_CRATES: [&str; 5] = [
-    "crates/graph/src/",
-    "crates/diffusion/src/",
-    "crates/sim/src/",
-    "crates/dist/src/",
-    "crates/core/src/",
-];
-
-/// Library crates held to panic-freedom and the cast audit (the five
-/// deterministic crates plus `embed`; `bench` is a harness, not a
-/// library).
+/// The library crates: the one scope list of `determinism`, `panic` and
+/// `casts`. Everything a library can call is on it, so no call chain
+/// leaves the lexical rules' sight; `bench` and `analysis` are tools, not
+/// libraries (`tests/fixtures.rs` checks the list against `crates/*/src`
+/// on disk).
 const LIBRARY_CRATES: [&str; 6] = [
     "crates/graph/src/",
     "crates/embed/src/",
@@ -146,13 +122,10 @@ impl Default for Config {
                 // Rule fixtures violate the rules on purpose.
                 "crates/analysis/tests/fixtures/".into(),
             ],
-            determinism: RuleConfig::new(&DETERMINISM_CRATES, &[]),
+            determinism: RuleConfig::new(&LIBRARY_CRATES, &[]),
             panic: RuleConfig::new(&LIBRARY_CRATES, &[]),
             casts,
-            unsafe_: RuleConfig::new(&[], &[]),
             wire: RuleConfig::new(&["crates/"], &[]),
-            transitive: RuleConfig::new(&DETERMINISM_CRATES, &[]),
-            provenance: RuleConfig::new(&DETERMINISM_CRATES, &[]),
             allows: Vec::new(),
         }
     }
@@ -224,10 +197,7 @@ impl Config {
             "determinism" => Some(&self.determinism),
             "panic" => Some(&self.panic),
             "casts" => Some(&self.casts),
-            "unsafe" => Some(&self.unsafe_),
             "wire" => Some(&self.wire),
-            "transitive-determinism" => Some(&self.transitive),
-            "panic-provenance" => Some(&self.provenance),
             _ => None,
         }
     }
@@ -238,10 +208,7 @@ impl Config {
             "determinism" => Some(&mut self.determinism),
             "panic" => Some(&mut self.panic),
             "casts" => Some(&mut self.casts),
-            "unsafe" => Some(&mut self.unsafe_),
             "wire" => Some(&mut self.wire),
-            "transitive-determinism" => Some(&mut self.transitive),
-            "panic-provenance" => Some(&mut self.provenance),
             _ => None,
         }
     }
@@ -354,10 +321,9 @@ mod tests {
     fn defaults_scope_rules_to_library_crates() {
         let cfg = Config::default();
         assert!(cfg.determinism.applies_to("crates/core/src/walk.rs"));
-        assert!(!cfg.determinism.applies_to("crates/embed/src/vector.rs"));
+        assert!(cfg.determinism.applies_to("crates/embed/src/vector.rs"));
         assert!(!cfg.panic.applies_to("crates/bench/src/lib.rs"));
         assert!(cfg.panic.applies_to("crates/embed/src/vector.rs"));
-        assert!(cfg.unsafe_.applies_to("examples/quickstart.rs"));
     }
 
     #[test]

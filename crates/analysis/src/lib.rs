@@ -5,7 +5,7 @@
 //! That claim is *dynamic* (proptests sample the space); this crate makes
 //! its preconditions *static*: a hand-rolled Rust lexer ([`lexer`]) feeds
 //! a rule engine ([`rules`]) that walks every `.rs` file in the workspace
-//! and reports violations of five per-file invariants:
+//! and reports violations of four lexical, per-file invariants:
 //!
 //! 1. **determinism** — no hash-map iteration-order dependence, wall
 //!    clocks, OS entropy, or environment reads in the library crates'
@@ -13,20 +13,13 @@
 //! 2. **panic** — no `unwrap`/`expect`/panic-family macros/unchecked
 //!    indexing in library code (tests and the bench harness are exempt);
 //! 3. **casts** — every `as u32`/`as usize` narrowing cast is audited;
-//! 4. **unsafe** — `unsafe` is denied without a `// SAFETY:` argument
-//!    *and* an allowlist entry;
-//! 5. **wire** — every wire codec module carries a `wire_size`-equality
+//! 4. **wire** — every wire codec module carries a `wire_size`-equality
 //!    test, so declared frame sizes cannot drift from encoded sizes.
 //!
-//! On top of the same lexer, an item parser ([`items`]) and a workspace
-//! call-graph builder ([`callgraph`]) feed two *transitive* rules
-//! ([`reach`]) that make the first two invariants global:
-//!
-//! 6. **transitive-determinism** — no public result-path entry point may
-//!    reach a nondeterminism source through any call chain, even in
-//!    crates rule 1 does not cover;
-//! 7. **panic-provenance** — the same reachability for panic sites, each
-//!    finding carrying the full `fn (file:line)` provenance chain.
+//! Rules 1–3 share one scope list (`config::LIBRARY_CRATES`): every
+//! library crate is scanned by all three, so nothing a library can call
+//! is out of their sight. (`unsafe` is the compiler's job: the workspace
+//! lint table forbids `unsafe_code`.)
 //!
 //! Audited exceptions live in `analysis.toml` ([`config`]); each entry
 //! carries a mandatory one-line justification, may pin a sub-check and a
@@ -37,12 +30,8 @@
 //! Run `cargo run -p gdsearch-analysis` from the workspace root; the
 //! binary exits nonzero on any violation and is a required CI job.
 
-pub mod callgraph;
 pub mod config;
-pub mod items;
-pub mod json;
 pub mod lexer;
-pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod toml;
@@ -50,7 +39,6 @@ pub mod toml;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use callgraph::SourceFile;
 use config::{AllowEntry, Config};
 use rules::{Diagnostic, FileCtx};
 
@@ -93,16 +81,6 @@ impl std::error::Error for AnalysisError {}
 
 /// Runs the analyzer over `root` with `cfg`.
 pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, AnalysisError> {
-    analyze_with_graph(root, cfg, false).map(|(a, _)| a)
-}
-
-/// Runs the analyzer; with `want_dot`, also returns the workspace call
-/// graph rendered as Graphviz DOT (for `--graph-dot`).
-pub fn analyze_with_graph(
-    root: &Path,
-    cfg: &Config,
-    want_dot: bool,
-) -> Result<(Analysis, Option<String>), AnalysisError> {
     let mut paths = Vec::new();
     for dir in &cfg.roots {
         let base = if dir == "." {
@@ -117,9 +95,9 @@ pub fn analyze_with_graph(
 
     let mut cfg = cfg.clone();
     let mut raw: Vec<Diagnostic> = Vec::new();
+    let mut files_scanned = 0usize;
     let mut comment_justified = 0usize;
 
-    let mut sources: Vec<SourceFile> = Vec::new();
     for path in &paths {
         let rel = relative_slash_path(root, path);
         if cfg.exclude.iter().any(|e| {
@@ -131,73 +109,40 @@ pub fn analyze_with_graph(
         let src = std::fs::read_to_string(path)
             .map_err(|e| AnalysisError(format!("{}: {e}", path.display())))?;
         let lexed = lexer::lex(&src);
-        let items = items::parse_items(&lexed);
-        sources.push(SourceFile {
-            rel_path: rel,
-            source: src,
-            lexed,
-            items,
-        });
-    }
-    let files_scanned = sources.len();
-
-    for f in &sources {
-        let lines: Vec<&str> = f.source.lines().collect();
+        let lines: Vec<&str> = src.lines().collect();
         let ctx = FileCtx {
-            rel_path: &f.rel_path,
-            lexed: &f.lexed,
+            rel_path: &rel,
+            lexed: &lexed,
             source_lines: &lines,
         };
-        rules::run_rules(&ctx, &cfg, &mut raw);
-    }
+        files_scanned += 1;
 
-    // The transitive rules (and the DOT export) need the call graph.
-    let mut dot = None;
-    if cfg.transitive.enabled || cfg.provenance.enabled || want_dot {
-        let graph = callgraph::build(&sources);
-        reach::run_reach(&sources, &graph, &cfg, &mut raw);
-        if want_dot {
-            dot = Some(graph.to_dot(&sources));
-        }
-    }
+        let mut file_diags = Vec::new();
+        rules::run_rules(&ctx, &cfg, &mut file_diags);
 
-    // Inline justification: a comment on the flagged line or the line
-    // above containing `analysis:allow(<rule>)`. Not honored for
-    // `unsafe` (which demands the manifest). Applies uniformly to the
-    // lexical and transitive rules — a chain diagnostic is justified at
-    // its seed site.
-    let lexed_by_rel: std::collections::BTreeMap<&str, &lexer::Lexed> = sources
-        .iter()
-        .map(|f| (f.rel_path.as_str(), &f.lexed))
-        .collect();
-    let raw: Vec<Diagnostic> = raw
-        .into_iter()
-        .filter(|d| {
-            let inline_ok = d.rule != "unsafe"
-                && lexed_by_rel.get(d.path.as_str()).is_some_and(|lexed| {
-                    (d.line.saturating_sub(1)..=d.line).any(|l| {
-                        lexed
-                            .comments_on(l)
-                            .any(|c| c.text.contains(&format!("analysis:allow({})", d.rule)))
-                    })
-                });
+        // Inline justification: a comment on the flagged line or the line
+        // above containing `analysis:allow(<rule>)`.
+        for d in file_diags {
+            let marker = format!("analysis:allow({})", d.rule);
+            let inline_ok = (d.line.saturating_sub(1)..=d.line)
+                .any(|l| lexed.comments_on(l).any(|c| c.text.contains(&marker)));
             if inline_ok {
                 comment_justified += 1;
+            } else {
+                raw.push(d);
             }
-            !inline_ok
-        })
-        .collect();
+        }
+    }
 
     // Allowlist pass: the first covering entry absorbs a diagnostic.
     let mut violations = Vec::new();
     let mut allowlisted = 0usize;
     for d in raw {
-        let entry = d.allowlistable.then(|| {
-            cfg.allows
-                .iter_mut()
-                .find(|e| e.covers(d.rule, d.check, &d.path, &d.snippet))
-        });
-        match entry.flatten() {
+        let entry = cfg
+            .allows
+            .iter_mut()
+            .find(|e| e.covers(d.rule, d.check, &d.path, &d.snippet));
+        match entry {
             Some(e) => {
                 e.used += 1;
                 allowlisted += 1;
@@ -237,17 +182,14 @@ pub fn analyze_with_graph(
         }
     }
 
-    Ok((
-        Analysis {
-            violations,
-            allowlist_errors,
-            files_scanned,
-            allowlisted_sites: allowlisted,
-            comment_justified_sites: comment_justified,
-            allows: cfg.allows,
-        },
-        dot,
-    ))
+    Ok(Analysis {
+        violations,
+        allowlist_errors,
+        files_scanned,
+        allowlisted_sites: allowlisted,
+        comment_justified_sites: comment_justified,
+        allows: cfg.allows,
+    })
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

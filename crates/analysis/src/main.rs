@@ -1,8 +1,7 @@
 //! CLI for the workspace determinism & safety analyzer.
 //!
 //! ```text
-//! gdsearch-analysis [--root DIR] [--manifest FILE] [--rule NAME]...
-//!                   [--json FILE] [--graph-dot FILE] [--quiet]
+//! gdsearch-analysis [--root DIR] [--manifest FILE] [--rule NAME]... [--quiet]
 //! ```
 //!
 //! - `--root` defaults to the current directory (CI runs from the
@@ -11,10 +10,6 @@
 //!   absent the built-in configuration runs with an empty allowlist. An
 //!   explicitly passed manifest must exist.
 //! - `--rule` restricts the run to the named rule(s); repeatable.
-//! - `--json` writes machine-readable diagnostics (schema
-//!   `gdsearch.analysis.v1`); CI uploads it as an artifact.
-//! - `--graph-dot` writes the workspace call graph as Graphviz DOT, for
-//!   debugging the transitive rules' resolution.
 //!
 //! Exit codes: `0` clean, `1` violations or allowlist errors, `2` usage,
 //! I/O, or manifest errors.
@@ -23,7 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gdsearch_analysis::config::{Config, RULE_NAMES};
-use gdsearch_analysis::{analyze_with_graph, json, report};
+use gdsearch_analysis::{analyze, report};
 
 fn main() -> ExitCode {
     match run() {
@@ -45,8 +40,6 @@ fn run() -> Result<bool, String> {
     let mut root = PathBuf::from(".");
     let mut manifest: Option<PathBuf> = None;
     let mut only_rules: Vec<String> = Vec::new();
-    let mut json_out: Option<PathBuf> = None;
-    let mut dot_out: Option<PathBuf> = None;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -70,19 +63,11 @@ fn run() -> Result<bool, String> {
                 }
                 only_rules.push(name);
             }
-            "--json" => {
-                json_out = Some(PathBuf::from(args.next().ok_or("--json needs a value")?));
-            }
-            "--graph-dot" => {
-                dot_out = Some(PathBuf::from(
-                    args.next().ok_or("--graph-dot needs a value")?,
-                ));
-            }
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!(
                     "usage: gdsearch-analysis [--root DIR] [--manifest FILE] \
-                     [--rule NAME]... [--json FILE] [--graph-dot FILE] [--quiet]\nrules: {}",
+                     [--rule NAME]... [--quiet]\nrules: {}",
                     RULE_NAMES.join(", ")
                 );
                 return Ok(true);
@@ -110,15 +95,7 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let (analysis, dot) =
-        analyze_with_graph(&root, &cfg, dot_out.is_some()).map_err(|e| e.to_string())?;
-    if let Some(path) = &json_out {
-        std::fs::write(path, json::render(&analysis))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    if let (Some(path), Some(dot)) = (&dot_out, &dot) {
-        std::fs::write(path, dot).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
+    let analysis = analyze(&root, &cfg).map_err(|e| e.to_string())?;
     let rendered = report::render(&analysis);
     if !quiet || !analysis.clean() {
         print!("{rendered}");

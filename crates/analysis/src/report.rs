@@ -11,12 +11,7 @@ fn rule_headline(rule: &str) -> &'static str {
         "determinism" => "result paths must be replayable (no hash order, clocks, entropy, env)",
         "panic" => "library code must return errors, not abort",
         "casts" => "narrowing casts must be audited",
-        "unsafe" => "unsafe requires a SAFETY argument and an allowlist entry",
         "wire" => "wire codecs need a wire_size-equality test",
-        "transitive-determinism" => {
-            "no call chain from a public result path may reach a nondeterminism source"
-        }
-        "panic-provenance" => "no call chain from a public result path may reach a panic site",
         _ => "",
     }
 }
@@ -43,12 +38,6 @@ pub fn render(analysis: &Analysis) -> String {
             let _ = writeln!(out, "  {}:{}  [{}] {}", d.path, d.line, d.check, d.message);
             if !d.snippet.is_empty() {
                 let _ = writeln!(out, "      | {}", d.snippet);
-            }
-            // Provenance chain (transitive rules): entry point first,
-            // seed function last.
-            for (i, hop) in d.chain.iter().enumerate() {
-                let arrow = if i == 0 { "chain:" } else { "     →" };
-                let _ = writeln!(out, "      {arrow} {hop}");
             }
         }
         out.push('\n');
@@ -90,8 +79,6 @@ mod tests {
                 line: 3,
                 message: "m".into(),
                 snippet: "x.unwrap()".into(),
-                allowlistable: true,
-                chain: Vec::new(),
             }],
             allowlist_errors: vec!["stale allowlist entry (panic y.rs)".into()],
             files_scanned: 2,

@@ -2,9 +2,8 @@
 //!
 //! Every rule walks the token stream of one file (comments and string
 //! contents already stripped by the lexer) and emits [`Diagnostic`]s.
-//! Test regions (`#[cfg(test)]` modules, `#[test]` functions) are exempt
-//! from the determinism, panic, and cast rules; the `unsafe` rule applies
-//! everywhere.
+//! Test regions (`#[cfg(test)]` modules, `#[test]` functions) are never
+//! flagged.
 
 use crate::config::Config;
 use crate::lexer::Lexed;
@@ -23,14 +22,6 @@ pub struct Diagnostic {
     pub message: String,
     /// The trimmed source line, for the report and pattern matching.
     pub snippet: String,
-    /// Whether an `analysis.toml` entry may absorb this finding. False
-    /// only for `unsafe` without an adjacent `// SAFETY:` comment — a
-    /// safety argument in the code is a precondition for the allowlist.
-    pub allowlistable: bool,
-    /// For the transitive rules: the provenance chain from a public
-    /// entry point to the flagged site, one `fn (file:line)` per hop.
-    /// Empty for the lexical rules.
-    pub chain: Vec<String>,
 }
 
 /// Everything a rule needs to know about one file.
@@ -41,7 +32,7 @@ pub struct FileCtx<'a> {
 }
 
 impl FileCtx<'_> {
-    pub(crate) fn snippet(&self, line: u32) -> String {
+    fn snippet(&self, line: u32) -> String {
         self.source_lines
             .get(line as usize - 1)
             .map(|s| s.trim().to_string())
@@ -62,8 +53,6 @@ impl FileCtx<'_> {
             line,
             message,
             snippet: self.snippet(line),
-            allowlistable: true,
-            chain: Vec::new(),
         }
     }
 }
@@ -78,9 +67,6 @@ pub fn run_rules(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     }
     if cfg.casts.applies_to(ctx.rel_path) {
         casts(ctx, &cfg.casts.cast_targets, out);
-    }
-    if cfg.unsafe_.applies_to(ctx.rel_path) {
-        unsafe_audit(ctx, out);
     }
     // Whole-file test code (integration tests, benches) is exempt from
     // wire discipline for the same reason `#[cfg(test)]` regions are:
@@ -116,11 +102,10 @@ fn seq_at(ctx: &FileCtx<'_>, i: usize, pat: &[&str]) -> bool {
 }
 
 /// A lexical finding at one token index: `(sub-check, line, message)`.
-pub(crate) type Site = (&'static str, u32, String);
+type Site = (&'static str, u32, String);
 
-/// Whether the token at `i` is a nondeterminism source. Shared by the
-/// per-file rule 1 and `transitive-determinism`'s taint seeding.
-pub(crate) fn determinism_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
+/// Whether the token at `i` is a nondeterminism source.
+fn determinism_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
     let t = ctx.lexed.tokens.get(i)?;
     match t.lexeme.as_str() {
         // Hash collections: iteration order varies per process (seeded
@@ -254,9 +239,8 @@ fn panic_freedom(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Whether the token at `i` is a panic site. Shared by the per-file
-/// rule 2 and `panic-provenance`'s taint seeding.
-pub(crate) fn panic_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
+/// Whether the token at `i` is a panic site.
+fn panic_site_at(ctx: &FileCtx<'_>, i: usize) -> Option<Site> {
     let t = ctx.lexed.tokens.get(i)?;
     match t.lexeme.as_str() {
         "unwrap" | "expect"
@@ -341,33 +325,7 @@ fn casts(ctx: &FileCtx<'_>, targets: &[String], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 4: unsafe audit. `unsafe` is denied everywhere unless the site
-/// carries a `// SAFETY:` argument *and* an allowlist entry. (The
-/// workspace also denies `unsafe_code` via lints; this rule covers any
-/// future crate that opts back in.)
-fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for t in &ctx.lexed.tokens {
-        if t.lexeme != "unsafe" {
-            continue;
-        }
-        let has_safety_comment = (t.line.saturating_sub(3)..=t.line)
-            .any(|l| ctx.lexed.comments_on(l).any(|c| c.text.contains("SAFETY:")));
-        let mut d = ctx.diag(
-            "unsafe",
-            "unsafe",
-            t.line,
-            if has_safety_comment {
-                "unsafe requires an analysis.toml entry naming the audit".into()
-            } else {
-                "unsafe without a `// SAFETY:` comment cannot be allowlisted".into()
-            },
-        );
-        d.allowlistable = has_safety_comment;
-        out.push(d);
-    }
-}
-
-/// Rule 5: wire-size discipline. Any module that implements
+/// Rule 4: wire-size discipline. Any module that implements
 /// `WireMessage` (or an inherent `encode`/`wire_size` frame codec) must
 /// also carry a test referencing `wire_size`, so declared sizes can never
 /// drift from encoded sizes unobserved.
@@ -537,17 +495,6 @@ mod tests {
         assert!(checks("let x = n as f32;")
             .iter()
             .all(|(r, _)| *r != "casts"));
-    }
-
-    #[test]
-    fn unsafe_rule_requires_safety_comment_to_be_allowlistable() {
-        let with = run_on(
-            "// SAFETY: aligned by construction\nunsafe { f() }\n",
-            "a.rs",
-        );
-        assert!(with[0].allowlistable);
-        let without = run_on("unsafe { f() }\n", "a.rs");
-        assert!(!without[0].allowlistable);
     }
 
     #[test]

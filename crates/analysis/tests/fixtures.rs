@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use gdsearch_analysis::analyze;
-use gdsearch_analysis::config::{AllowEntry, Config, RULE_NAMES};
+use gdsearch_analysis::config::{Config, RULE_NAMES};
 
 fn fixture_dir(rule: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -75,118 +75,6 @@ fn excluding_fire_yields_a_clean_run() {
         );
         assert_eq!(a.files_scanned, 2, "{rule}: fire.rs must be excluded");
     }
-}
-
-#[test]
-fn transitive_fixture_reports_the_full_two_hop_chain() {
-    // The transitive acceptance case: a `HashMap` two calls below a
-    // public entry point is caught, with the provenance chain naming
-    // every hop as `fn (file:line)`.
-    let dir = fixture_dir("transitive-determinism");
-    let cfg = Config::load(&dir.join("analysis.toml")).unwrap();
-    let a = analyze(&dir, &cfg).unwrap();
-    let d = a
-        .violations
-        .iter()
-        .find(|d| d.rule == "transitive-determinism")
-        .expect("fire.rs must trip transitive-determinism");
-    assert_eq!(d.check, "hash-collection");
-    assert_eq!(
-        d.chain,
-        vec![
-            "fire::entry (fire.rs:5)".to_string(),
-            "fire::merge_partials (fire.rs:9)".to_string(),
-            "fire::order_rollup (fire.rs:14)".to_string(),
-        ],
-        "{d:?}"
-    );
-    assert!(d.message.contains("fire::entry"), "{}", d.message);
-
-    // The rendered report shows the chain hop by hop.
-    let out = run_bin(&["--root", dir.to_str().unwrap()]);
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("chain: fire::entry"), "{report}");
-    assert!(report.contains("→ fire::order_rollup"), "{report}");
-}
-
-#[test]
-fn panic_provenance_fixture_chain_ends_at_the_unwrap() {
-    let dir = fixture_dir("panic-provenance");
-    let cfg = Config::load(&dir.join("analysis.toml")).unwrap();
-    let a = analyze(&dir, &cfg).unwrap();
-    let d = a
-        .violations
-        .iter()
-        .find(|d| d.rule == "panic-provenance")
-        .expect("fire.rs must trip panic-provenance");
-    assert_eq!(d.check, "unwrap");
-    assert_eq!(d.chain.len(), 3, "{:?}", d.chain);
-    assert_eq!(d.chain[0], "fire::entry (fire.rs:5)");
-    assert!(d.chain[2].starts_with("fire::parse_step"), "{:?}", d.chain);
-}
-
-#[test]
-fn json_export_carries_chains_and_schema() {
-    let dir = fixture_dir("transitive-determinism");
-    let json_path = std::env::temp_dir().join("gdsearch-fixture-diag.json");
-    let out = run_bin(&[
-        "--root",
-        dir.to_str().unwrap(),
-        "--json",
-        json_path.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let j = std::fs::read_to_string(&json_path).unwrap();
-    assert!(j.contains("\"schema\": \"gdsearch.analysis.v1\""), "{j}");
-    assert!(j.contains("\"rule\": \"transitive-determinism\""), "{j}");
-    assert!(j.contains("fire::merge_partials (fire.rs:9)"), "{j}");
-    let _ = std::fs::remove_file(&json_path);
-}
-
-#[test]
-fn graph_dot_export_names_the_fixture_chain() {
-    let dir = fixture_dir("transitive-determinism");
-    let dot_path = std::env::temp_dir().join("gdsearch-fixture-graph.dot");
-    let _ = run_bin(&[
-        "--root",
-        dir.to_str().unwrap(),
-        "--graph-dot",
-        dot_path.to_str().unwrap(),
-    ]);
-    let dot = std::fs::read_to_string(&dot_path).unwrap();
-    assert!(dot.starts_with("digraph callgraph"), "{dot}");
-    assert!(dot.contains("fire::order_rollup"), "{dot}");
-    assert!(dot.contains("->"), "{dot}");
-    let _ = std::fs::remove_file(&dot_path);
-}
-
-#[test]
-fn unsafe_without_safety_comment_defeats_the_allowlist() {
-    // A manifest entry covering fire.rs must NOT absorb an `unsafe`
-    // that lacks a `// SAFETY:` argument: the safety comment is a
-    // precondition for allowlisting. The unused entry is also reported
-    // as stale, so the gate fails twice over.
-    let dir = fixture_dir("unsafe");
-    let mut cfg = Config::load(&dir.join("analysis.toml")).unwrap();
-    cfg.allows.push(AllowEntry {
-        rule: "unsafe".into(),
-        check: None,
-        path: "fire.rs".into(),
-        pattern: None,
-        max: None,
-        reason: "must not work".into(),
-        used: 0,
-    });
-    let a = analyze(&dir, &cfg).unwrap();
-    assert!(
-        a.violations.iter().any(|d| d.path == "fire.rs"),
-        "unallowlistable unsafe must stay a violation"
-    );
-    assert!(
-        a.allowlist_errors.iter().any(|e| e.contains("stale")),
-        "the ineffective entry must be reported stale: {:?}",
-        a.allowlist_errors
-    );
 }
 
 #[test]
@@ -253,4 +141,28 @@ fn the_workspace_tree_is_clean() {
         "workspace must satisfy its own invariants:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn every_library_crate_is_in_scope() {
+    // The lexical rules see a whole call chain only if every crate a
+    // library can call is on their scope list: a new `crates/x/src`
+    // must join `LIBRARY_CRATES` or be named here as a tool.
+    const TOOL_CRATES: [&str; 2] = ["bench", "analysis"];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let cfg = Config::default();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if !entry.path().join("src").is_dir() || TOOL_CRATES.contains(&name.as_str()) {
+            continue;
+        }
+        let file = format!("crates/{name}/src/lib.rs");
+        for rule in [&cfg.determinism, &cfg.panic, &cfg.casts] {
+            assert!(
+                rule.applies_to(&file),
+                "crates/{name}/src is outside a rule's scope: add it to LIBRARY_CRATES"
+            );
+        }
+    }
 }

@@ -30,8 +30,7 @@ use gdsearch_embed::Embedding;
 use super::config::CacheCapacity;
 use crate::forwarding::LazyColumn;
 
-/// Counters describing cache behaviour since construction (or the last
-/// [`ColumnCache::reset_stats`]). Monotone except under explicit reset.
+/// Counters describing cache behaviour since construction. Monotone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a resident column.
@@ -187,11 +186,6 @@ impl ColumnCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Zeroes all counters without touching resident columns.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

@@ -551,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backend_agrees_with_instant_for_deterministic_policy() {
+    fn bounded_links_agree_with_unbounded_for_deterministic_policy() {
         // PprGreedy consumes no randomness, so ample finite links (1 MiB
         // per tick, 4 threads) must not change the walk: completed
         // results, message counts and the tick count coincide with the

@@ -548,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn relay_chain_matches_instant_backend_accounting() {
+    fn relay_chain_matches_unbounded_preset_accounting() {
         let g = generators::ring(5).unwrap();
         let mut net = Reactor::new(g, counters(5), TransportConfig::default()).unwrap();
         net.inject(NodeId::new(0), Hop(7)).unwrap();

@@ -39,17 +39,6 @@ impl SimTime {
     pub fn as_secs(self) -> f64 {
         self.0
     }
-
-    /// This time advanced by `delay` seconds (saturating at the maximum
-    /// finite value; negative or NaN delays are treated as zero).
-    pub fn after(self, delay: f64) -> SimTime {
-        let d = if delay.is_finite() && delay > 0.0 {
-            delay
-        } else {
-            0.0
-        };
-        SimTime((self.0 + d).min(f64::MAX))
-    }
 }
 
 impl Eq for SimTime {}
@@ -94,14 +83,6 @@ mod tests {
         let b = SimTime::new(2.0).unwrap();
         assert!(a < b);
         assert_eq!((a + b).as_secs(), 3.0);
-        assert_eq!(a.after(0.5).as_secs(), 1.5);
-    }
-
-    #[test]
-    fn after_clamps_bad_delays() {
-        let t = SimTime::new(1.0).unwrap();
-        assert_eq!(t.after(-5.0), t);
-        assert_eq!(t.after(f64::NAN), t);
     }
 
     #[test]
