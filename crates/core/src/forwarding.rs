@@ -44,7 +44,7 @@ pub struct ForwardContext<'a> {
     /// The node making the decision.
     pub node: NodeId,
     /// Eligible next hops (unvisited neighbors, or all neighbors as the
-    /// paper's footnote-9 fallback).
+    /// paper's footnote-9 fallback): what [`candidates`] returns.
     pub candidates: &'a [NodeId],
     /// The query embedding.
     pub query: &'a Embedding,
@@ -161,40 +161,86 @@ pub fn score_column(query: &Embedding, node_embeddings: &Signal) -> Vec<f32> {
         .collect()
 }
 
-/// Selects next hops under the given policy. Returns at most
-/// `ctx.fanout` hops (all candidates for flooding); an empty slice of
-/// candidates yields an empty selection.
+/// The buffers forwarding decisions are made in. Whoever runs a walk owns
+/// one and lends it to every [`select_next_hops`] call, so once the buffers
+/// have grown to the largest neighbourhood met, a hop allocates nothing —
+/// and since no two walks share one, nothing here is global or locked.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// `(score, candidate)` pairs the scored policies rank in place.
+    scored: Vec<(f32, NodeId)>,
+    /// The selection of the latest [`select_next_hops`] call.
+    picks: Vec<NodeId>,
+}
+
+/// Candidate next hops of a node (Fig. 1, step 3): its `neighbors` minus the
+/// nodes in `used`, or all of them when none is left (footnote 9: never
+/// waste the forwarding opportunity). Both inputs ascend — adjacency lists
+/// by construction, visited memories because they are kept sorted — so one
+/// merge pass filters them into `fresh`, the caller's buffer.
+pub fn candidates<'a>(
+    neighbors: &'a [NodeId],
+    used: impl IntoIterator<Item = NodeId>,
+    fresh: &'a mut Vec<NodeId>,
+) -> &'a [NodeId] {
+    fresh.clear();
+    let mut used = used.into_iter().peekable();
+    for &v in neighbors {
+        while used.next_if(|&w| w < v).is_some() {}
+        if used.peek() != Some(&v) {
+            fresh.push(v);
+        }
+    }
+    if fresh.is_empty() {
+        neighbors
+    } else {
+        fresh
+    }
+}
+
+/// Selects next hops under the given policy into `scratch` and returns
+/// them: at most `ctx.fanout` hops (all candidates for flooding); an empty
+/// slice of candidates yields an empty selection.
 ///
 /// Deterministic for [`PolicyKind::PprGreedy`] and
 /// [`PolicyKind::DegreeBiased`] (ties broken by ascending node id);
 /// randomized policies consume from `rng`.
-pub fn select_next_hops<R: Rng + ?Sized>(
+pub fn select_next_hops<'s, R: Rng + ?Sized>(
     kind: PolicyKind,
     ctx: &ForwardContext<'_>,
     rng: &mut R,
-) -> Vec<NodeId> {
+    scratch: &'s mut Scratch,
+) -> &'s [NodeId] {
+    scratch.picks.clear();
     if ctx.candidates.is_empty() || ctx.fanout == 0 {
-        return Vec::new();
+        return &scratch.picks;
     }
     match kind {
-        PolicyKind::PprGreedy => top_by_quantized(ctx, |c| candidate_score(ctx, c)),
-        PolicyKind::DegreeBiased => top_by(ctx, |c| ctx.graph.degree(c) as f32),
-        PolicyKind::RandomWalk => {
-            let mut picks: Vec<NodeId> = ctx.candidates.to_vec();
-            picks.shuffle(rng);
-            picks.truncate(ctx.fanout);
-            picks
+        PolicyKind::PprGreedy => {
+            let score = |c| candidate_score(ctx, c);
+            top_by_quantized(ctx.candidates, ctx.fanout, score, scratch);
         }
-        PolicyKind::Flooding => ctx.candidates.to_vec(),
+        PolicyKind::DegreeBiased => {
+            let score = |c| ctx.graph.degree(c) as f32;
+            top_by(ctx.candidates, ctx.fanout, score, scratch);
+        }
+        PolicyKind::RandomWalk => {
+            scratch.picks.extend_from_slice(ctx.candidates);
+            scratch.picks.shuffle(rng);
+            scratch.picks.truncate(ctx.fanout);
+        }
+        PolicyKind::Flooding => scratch.picks.extend_from_slice(ctx.candidates),
         PolicyKind::Hybrid { epsilon } => {
             let explore = epsilon > 0.0 && rng.random_bool(f64::from(epsilon.clamp(0.0, 1.0)));
-            if explore {
-                select_next_hops(PolicyKind::RandomWalk, ctx, rng)
+            let kind = if explore {
+                PolicyKind::RandomWalk
             } else {
-                select_next_hops(PolicyKind::PprGreedy, ctx, rng)
-            }
+                PolicyKind::PprGreedy
+            };
+            select_next_hops(kind, ctx, rng, scratch);
         }
     }
+    &scratch.picks
 }
 
 /// Relative resolution below which two diffused-embedding scores count as
@@ -217,44 +263,75 @@ const SCORE_TIE_RESOLUTION: f32 = 1e-4;
 /// are broken by ascending node id. Used for diffused-embedding scores,
 /// which carry engine-dependent float noise; exact scores (integer
 /// degrees) go through [`top_by`] instead.
-fn top_by_quantized<F: Fn(NodeId) -> f32>(ctx: &ForwardContext<'_>, score: F) -> Vec<NodeId> {
-    let scored: Vec<(f32, NodeId)> = ctx.candidates.iter().map(|&c| (score(c), c)).collect();
+fn top_by_quantized(
+    candidates: &[NodeId],
+    fanout: usize,
+    score: impl Fn(NodeId) -> f32,
+    scratch: &mut Scratch,
+) {
+    let scored = &mut scratch.scored;
+    scored.clear();
+    scored.extend(candidates.iter().map(|&c| (score(c), c)));
     let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
     let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
-    rank_and_take(
-        scored
-            .into_iter()
-            .map(|(s, c)| ((s / quantum).round(), c))
-            .collect(),
-        ctx.fanout,
-    )
+    for (s, _) in scored.iter_mut() {
+        *s = (*s / quantum).round();
+    }
+    take_top(scored, fanout, &mut scratch.picks);
 }
 
 /// Top-`fanout` candidates by exact `score`, ties broken by ascending
 /// node id.
-fn top_by<F: Fn(NodeId) -> f32>(ctx: &ForwardContext<'_>, score: F) -> Vec<NodeId> {
-    rank_and_take(
-        ctx.candidates.iter().map(|&c| (score(c), c)).collect(),
-        ctx.fanout,
-    )
+fn top_by(
+    candidates: &[NodeId],
+    fanout: usize,
+    score: impl Fn(NodeId) -> f32,
+    scratch: &mut Scratch,
+) {
+    let scored = &mut scratch.scored;
+    scored.clear();
+    scored.extend(candidates.iter().map(|&c| (score(c), c)));
+    take_top(scored, fanout, &mut scratch.picks);
 }
 
-/// Sorts `(score, id)` pairs by descending score then ascending id and
-/// returns the first `fanout` ids.
-fn rank_and_take(mut scored: Vec<(f32, NodeId)>, fanout: usize) -> Vec<NodeId> {
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().take(fanout).map(|(_, c)| c).collect()
+/// Appends to `picks` the ids a full sort of `scored` by descending score
+/// (`total_cmp`) then ascending id would list first, `fanout` of them, in
+/// that order. The order is total, so any selection under it agrees with
+/// the sort: one minimum pass for a single pick, a partial selection plus
+/// a sort of just the picked prefix for more.
+fn take_top(scored: &mut [(f32, NodeId)], fanout: usize, picks: &mut Vec<NodeId>) {
+    let rank = |a: &(f32, NodeId), b: &(f32, NodeId)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    match fanout {
+        0 => {}
+        1 => picks.extend(scored.iter().min_by(|a, b| rank(a, b)).map(|&(_, c)| c)),
+        _ if fanout < scored.len() => {
+            let (top, last, _) = scored.select_nth_unstable_by(fanout - 1, rank);
+            top.sort_unstable_by(rank);
+            picks.extend(top.iter().map(|&(_, c)| c));
+            picks.push(last.1);
+        }
+        _ => {
+            scored.sort_unstable_by(rank);
+            picks.extend(scored.iter().map(|&(_, c)| c));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gdsearch_graph::generators;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// [`select_next_hops`] on a scratch of its own.
+    fn select(kind: PolicyKind, ctx: &ForwardContext<'_>, rng: &mut StdRng) -> Vec<NodeId> {
+        select_next_hops(kind, ctx, rng, &mut Scratch::default()).to_vec()
     }
 
     /// A star graph whose leaf embeddings encode their ids, plus a query
@@ -292,7 +369,7 @@ mod tests {
             fanout: 1,
             scores: Scores::Inline,
         };
-        let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
+        let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3)]);
     }
 
@@ -310,7 +387,7 @@ mod tests {
             fanout: 2,
             scores: Scores::Inline,
         };
-        let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
+        let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3), NodeId::new(1)]);
     }
 
@@ -328,7 +405,7 @@ mod tests {
             fanout: 2,
             scores: Scores::Inline,
         };
-        let picks = select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(1));
+        let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(1), NodeId::new(2)]);
     }
 
@@ -346,7 +423,7 @@ mod tests {
         };
         let mut r = rng(2);
         for _ in 0..20 {
-            let picks = select_next_hops(PolicyKind::RandomWalk, &ctx, &mut r);
+            let picks = select(PolicyKind::RandomWalk, &ctx, &mut r);
             assert_eq!(picks.len(), 2);
             assert!(picks.iter().all(|p| cands.contains(p)));
             assert_ne!(picks[0], picks[1], "picks must be distinct");
@@ -368,7 +445,7 @@ mod tests {
         let mut counts = [0usize; 5];
         let mut r = rng(3);
         for _ in 0..4000 {
-            let picks = select_next_hops(PolicyKind::RandomWalk, &ctx, &mut r);
+            let picks = select(PolicyKind::RandomWalk, &ctx, &mut r);
             counts[picks[0].index()] += 1;
         }
         for (leaf, &count) in counts.iter().enumerate().skip(1) {
@@ -395,7 +472,7 @@ mod tests {
             fanout: 1,
             scores: Scores::Inline,
         };
-        let picks = select_next_hops(PolicyKind::DegreeBiased, &ctx, &mut rng(4));
+        let picks = select(PolicyKind::DegreeBiased, &ctx, &mut rng(4));
         assert_eq!(picks, vec![NodeId::new(2)]);
     }
 
@@ -411,7 +488,7 @@ mod tests {
             fanout: 1, // ignored
             scores: Scores::Inline,
         };
-        let picks = select_next_hops(PolicyKind::Flooding, &ctx, &mut rng(5));
+        let picks = select(PolicyKind::Flooding, &ctx, &mut rng(5));
         assert_eq!(picks.len(), 4);
     }
 
@@ -429,13 +506,13 @@ mod tests {
         };
         // epsilon = 0 -> always greedy.
         for seed in 0..10 {
-            let picks = select_next_hops(PolicyKind::Hybrid { epsilon: 0.0 }, &ctx, &mut rng(seed));
+            let picks = select(PolicyKind::Hybrid { epsilon: 0.0 }, &ctx, &mut rng(seed));
             assert_eq!(picks, vec![NodeId::new(3)]);
         }
         // epsilon = 1 -> random: must deviate from greedy at least once.
         let mut deviated = false;
         for seed in 0..20 {
-            let picks = select_next_hops(PolicyKind::Hybrid { epsilon: 1.0 }, &ctx, &mut rng(seed));
+            let picks = select(PolicyKind::Hybrid { epsilon: 1.0 }, &ctx, &mut rng(seed));
             if picks != vec![NodeId::new(3)] {
                 deviated = true;
             }
@@ -474,8 +551,8 @@ mod tests {
             );
         }
         assert_eq!(
-            select_next_hops(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
-            select_next_hops(PolicyKind::PprGreedy, &cached_ctx, &mut rng(7)),
+            select(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
+            select(PolicyKind::PprGreedy, &cached_ctx, &mut rng(7)),
         );
     }
 
@@ -608,8 +685,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                select_next_hops(PolicyKind::PprGreedy, &lazy_ctx, &mut rng(7)),
-                select_next_hops(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
+                select(PolicyKind::PprGreedy, &lazy_ctx, &mut rng(7)),
+                select(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
             );
         }
     }
@@ -626,7 +703,105 @@ mod tests {
             fanout: 3,
             scores: Scores::Inline,
         };
-        assert!(select_next_hops(PolicyKind::PprGreedy, &ctx, &mut rng(6)).is_empty());
-        assert!(select_next_hops(PolicyKind::Flooding, &ctx, &mut rng(6)).is_empty());
+        assert!(select(PolicyKind::PprGreedy, &ctx, &mut rng(6)).is_empty());
+        assert!(select(PolicyKind::Flooding, &ctx, &mut rng(6)).is_empty());
+    }
+
+    /// The ranking this module ran before it selected — collect, sort
+    /// everything, take — kept as the oracle of [`take_top`].
+    fn sort_and_take(mut scored: Vec<(f32, NodeId)>, fanout: usize) -> Vec<NodeId> {
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.into_iter().take(fanout).map(|(_, c)| c).collect()
+    }
+
+    /// [`sort_and_take`] behind the quantization of [`top_by_quantized`].
+    fn quantize_sort_and_take(scored: &[(f32, NodeId)], fanout: usize) -> Vec<NodeId> {
+        let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
+        let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
+        let quantized = scored.iter().map(|&(s, c)| ((s / quantum).round(), c));
+        sort_and_take(quantized.collect(), fanout)
+    }
+
+    /// A score function answering by call order, so candidates that repeat
+    /// an id can still carry different scores.
+    fn by_position(scored: &[(f32, NodeId)]) -> impl Fn(NodeId) -> f32 + '_ {
+        let next = std::cell::Cell::new(0);
+        move |_| {
+            let i = next.replace(next.get() + 1);
+            scored[i].0
+        }
+    }
+
+    /// Scores from a palette heavy in what breaks naive comparisons: both
+    /// NaNs, both infinities, both zeros, exact ties, values a quantum
+    /// apart; ids from a range small enough to repeat. One case in four is
+    /// all-equal.
+    fn hostile_scored() -> impl Strategy<Value = Vec<(f32, NodeId)>> {
+        let palette = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            1.0 + 0.4 * SCORE_TIE_RESOLUTION,
+            -1.0,
+        ];
+        let score =
+            (0usize..14, -2.0f32..2.0).prop_map(move |(i, x)| *palette.get(i).unwrap_or(&x));
+        let pairs = collection::vec((score, (0u32..8).prop_map(NodeId::new)), 0..24);
+        (pairs, 0u32..4).prop_map(|(mut pairs, mode)| {
+            if let (0, Some(&(first, _))) = (mode, pairs.first()) {
+                pairs.iter_mut().for_each(|p| p.0 = first);
+            }
+            pairs
+        })
+    }
+
+    proptest! {
+        /// Selection equals sort-then-take, pick for pick and in order, for
+        /// both rankings, at every fanout boundary — on one reused scratch.
+        #[test]
+        fn selection_matches_full_sort_oracle(scored in hostile_scored()) {
+            let ids: Vec<NodeId> = scored.iter().map(|&(_, c)| c).collect();
+            let len = scored.len();
+            let mut scratch = Scratch::default();
+            for fanout in [0, 1, 2, len.saturating_sub(1), len, len + 3, usize::MAX] {
+                scratch.picks.clear();
+                top_by(&ids, fanout, by_position(&scored), &mut scratch);
+                prop_assert_eq!(
+                    &scratch.picks,
+                    &sort_and_take(scored.clone(), fanout),
+                    "top_by, fanout {} over {:?}", fanout, scored
+                );
+                scratch.picks.clear();
+                top_by_quantized(&ids, fanout, by_position(&scored), &mut scratch);
+                prop_assert_eq!(
+                    &scratch.picks,
+                    &quantize_sort_and_take(&scored, fanout),
+                    "top_by_quantized, fanout {} over {:?}", fanout, scored
+                );
+            }
+        }
+
+        /// The merge filter is the plain set difference, and everyone when
+        /// that is empty (footnote 9) — whatever was left in the buffer.
+        #[test]
+        fn candidates_are_the_unused_neighbors_or_all_of_them(
+            neighbors in collection::vec(0u32..40, 0..20),
+            used in collection::vec(0u32..40, 0..30),
+        ) {
+            let sorted = |ids: Vec<u32>| {
+                let set: std::collections::BTreeSet<u32> = ids.into_iter().collect();
+                set.into_iter().map(NodeId::new).collect::<Vec<_>>()
+            };
+            let (neighbors, used) = (sorted(neighbors), sorted(used));
+            let unused: Vec<NodeId> =
+                neighbors.iter().copied().filter(|v| !used.contains(v)).collect();
+            let want = if unused.is_empty() { &neighbors } else { &unused };
+            let mut fresh = vec![NodeId::new(99)];
+            prop_assert_eq!(candidates(&neighbors, used.iter().copied(), &mut fresh), &want[..]);
+        }
     }
 }

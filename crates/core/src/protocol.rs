@@ -221,37 +221,29 @@ impl NodeHandler<SearchMessage> for SearchNode {
                 }
                 // 1. Local retrieval.
                 let gathered = self.local_results(&embedding, hop);
-                // 2-4. TTL check, candidate filtering, policy decision.
-                let mut targets: Vec<NodeId> = Vec::new();
+                // 2-4. TTL check, candidate filtering, policy decision —
+                // the filter and the selection `walk.rs` runs.
+                let mut fresh = Vec::new();
+                let mut scratch = forwarding::Scratch::default();
+                let mut targets: &[NodeId] = &[];
                 if ttl > 0 {
                     let neighbors = self.graph.neighbor_slice(self.node);
-                    if !neighbors.is_empty() {
-                        let used = self.used.entry(query_id).or_default();
-                        let fresh: Vec<NodeId> = neighbors
-                            .iter()
-                            .copied()
-                            .filter(|v| !used.contains(v))
-                            .collect();
-                        // Footnote 9: never waste the forwarding chance.
-                        let candidates = if fresh.is_empty() {
-                            neighbors.to_vec()
-                        } else {
-                            fresh
-                        };
-                        // Fanout applies at the querying node only (hop 0);
-                        // relays forward a single copy — see walk.rs.
-                        let effective_fanout = if hop == 0 { self.fanout } else { 1 };
-                        let ctx = ForwardContext {
-                            node: self.node,
-                            candidates: &candidates,
-                            query: &embedding,
-                            node_embeddings: &self.embeddings,
-                            graph: &self.graph,
-                            fanout: effective_fanout,
-                            scores: Scores::Inline,
-                        };
-                        targets = forwarding::select_next_hops(self.policy, &ctx, api.rng());
-                    }
+                    let used = self.used.get(&query_id).into_iter().flatten().copied();
+                    let candidates = forwarding::candidates(neighbors, used, &mut fresh);
+                    // Fanout applies at the querying node only (hop 0);
+                    // relays forward a single copy — see walk.rs.
+                    let effective_fanout = if hop == 0 { self.fanout } else { 1 };
+                    let ctx = ForwardContext {
+                        node: self.node,
+                        candidates,
+                        query: &embedding,
+                        node_embeddings: &self.embeddings,
+                        graph: &self.graph,
+                        fanout: effective_fanout,
+                        scores: Scores::Inline,
+                    };
+                    targets =
+                        forwarding::select_next_hops(self.policy, &ctx, api.rng(), &mut scratch);
                 }
                 self.pending.insert(
                     msg_id,
@@ -261,7 +253,7 @@ impl NodeHandler<SearchMessage> for SearchNode {
                         gathered,
                     },
                 );
-                for v in targets {
+                for &v in targets {
                     self.used.entry(query_id).or_default().insert(v);
                     let child_id = self.fresh_msg_id();
                     self.child_to_parent.insert(child_id, msg_id);

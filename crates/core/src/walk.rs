@@ -7,8 +7,17 @@
 //! message-passing machinery. [`crate::protocol`] implements the same
 //! protocol over the discrete-event simulator; an integration test pins
 //! their equivalence for deterministic policies.
+//!
+//! A walk's bookkeeping — nodes seen, pairs exchanged, the visited set a
+//! message carries — lives in ascending `Vec`s searched by bisection. They
+//! are ordered by value, so nothing a walk reads depends on a per-process
+//! hasher seed (the standing hazard `tests/tests/walk_determinism.rs`
+//! pins), and they grow in place, so a hop that forwards one copy
+//! allocates nothing once its buffers fit the neighbourhoods it meets.
+//! `tests/tests/walk_model.rs` holds the map-and-set walk this replaced as
+//! the reference every outcome is compared against.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
@@ -63,11 +72,49 @@ struct Head {
     at: NodeId,
     ttl: u32,
     hop: u32,
-    /// Visited set carried in the message (only for
-    /// [`VisitedMemory::InMessage`]). Ordered set: walk results must be
-    /// bit-identical across processes, and `HashSet`'s per-process hasher
-    /// seed is a standing hazard for that invariant (ISSUE 6).
-    carried: Option<BTreeSet<NodeId>>,
+    /// Nodes this message has passed, ascending: the visited set it carries
+    /// under [`VisitedMemory::InMessage`]. Empty, hence never allocated,
+    /// under node memory.
+    carried: Vec<NodeId>,
+}
+
+/// Per-node visited memory of one query (§IV-C: received-from ∪ sent-to),
+/// as the ascending set of `(node, peer)` pairs that exchanged it — both
+/// orientations of every forward — so the peers of one node are a
+/// contiguous ascending run, ready to merge against its adjacency list.
+/// An insert shifts the tail: nothing for a walk's ≈ 2·TTL pairs, while
+/// flooding pays O(forwards) per forward here.
+#[derive(Default)]
+struct Exchanged(Vec<(NodeId, NodeId)>);
+
+impl Exchanged {
+    /// The nodes `u` has exchanged the query with, ascending.
+    fn peers(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let first = self.0.partition_point(|&(node, _)| node < u);
+        self.0
+            .iter()
+            .skip(first)
+            .take_while(move |&&(node, _)| node == u)
+            .map(|&(_, peer)| peer)
+    }
+
+    /// Records that `u` forwarded the query to `v`.
+    fn record(&mut self, u: NodeId, v: NodeId) {
+        insert_sorted(&mut self.0, (u, v));
+        insert_sorted(&mut self.0, (v, u));
+    }
+}
+
+/// Inserts `item` into the ascending, duplicate-free `set`; `false` if it
+/// was already there.
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, item: T) -> bool {
+    match set.binary_search(&item) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, item);
+            true
+        }
+    }
 }
 
 /// Executes a query from `start` over the prepared network.
@@ -145,35 +192,34 @@ pub fn run_with<R: Rng + ?Sized>(
     let config = network.config();
     let in_message = config.visited_memory() == VisitedMemory::InMessage;
 
-    let mut results: TopK<DocId> = TopK::new(config.top_k());
-    let mut found_at: BTreeMap<DocId, u32> = BTreeMap::new();
+    let mut results: TopK<(DocId, u32)> = TopK::new(config.top_k());
     let mut path: Vec<NodeId> = Vec::new();
-    let mut seen_nodes: BTreeSet<NodeId> = BTreeSet::new();
-    // Per-node "exchanged with" memory (paper: received-from ∪ sent-to).
-    let mut node_memory: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    let mut seen: Vec<NodeId> = Vec::new();
+    let mut exchanged = Exchanged::default();
     let mut forwards = 0u32;
+    // Hop buffers, reused by every forwarding decision of this walk.
+    let mut fresh: Vec<NodeId> = Vec::new();
+    let mut scratch = forwarding::Scratch::default();
 
     let mut frontier: VecDeque<Head> = VecDeque::new();
     frontier.push_back(Head {
         at: start,
         ttl: config.ttl(),
         hop: 0,
-        carried: in_message.then(BTreeSet::new),
+        carried: Vec::new(),
     });
 
     while let Some(mut head) = frontier.pop_front() {
         let u = head.at;
-        let first_visit = seen_nodes.insert(u);
+        let first_visit = insert_sorted(&mut seen, u);
+        // (1) Local retrieval: score every local document, merge into the
+        // query's top-k. A document has one host, so recording on the first
+        // visit records it once, at the first hop that reached it —
+        // revisits contribute nothing new.
         if first_visit {
             path.push(u);
-        }
-        // (1) Local retrieval: score every local document, merge into the
-        // query's top-k. A document is recorded once, at the first hop its
-        // host is visited — revisits contribute nothing new.
-        for &doc in network.docs_at(u) {
-            if let std::collections::btree_map::Entry::Vacant(e) = found_at.entry(doc) {
-                e.insert(head.hop);
-                results.push(network.doc_score(query, doc), doc);
+            for &doc in network.docs_at(u) {
+                results.push(network.doc_score(query, doc), (doc, head.hop));
             }
         }
         // Flooding without duplicate suppression explodes; suppress
@@ -186,24 +232,13 @@ pub fn run_with<R: Rng + ?Sized>(
             continue; // discard; response backtracks (not modeled here)
         }
         head.ttl -= 1;
-        // (3) Candidate selection through visited memory.
+        // (3) Candidate selection through visited memory (none for a node
+        // without neighbors, which then forwards nothing).
         let neighbors = network.graph().neighbor_slice(u);
-        if neighbors.is_empty() {
-            continue;
-        }
-        let used: Box<dyn Fn(NodeId) -> bool> = if in_message {
-            let carried = head.carried.clone().unwrap_or_default();
-            Box::new(move |v: NodeId| carried.contains(&v))
+        let candidates = if in_message {
+            forwarding::candidates(neighbors, head.carried.iter().copied(), &mut fresh)
         } else {
-            let memory = node_memory.get(&u).cloned().unwrap_or_default();
-            Box::new(move |v: NodeId| memory.contains(&v))
-        };
-        let fresh: Vec<NodeId> = neighbors.iter().copied().filter(|v| !used(*v)).collect();
-        // Footnote 9: do not waste the forwarding opportunity.
-        let candidates: Vec<NodeId> = if fresh.is_empty() {
-            neighbors.to_vec()
-        } else {
-            fresh
+            forwarding::candidates(neighbors, exchanged.peers(u), &mut fresh)
         };
         // (4) Policy decision. Fanout > 1 spawns parallel walks *at the
         // querying node* (§IV-C: "multiple walks are executed in
@@ -212,35 +247,35 @@ pub fn run_with<R: Rng + ?Sized>(
         let effective_fanout = if head.hop == 0 { config.fanout() } else { 1 };
         let ctx = ForwardContext {
             node: u,
-            candidates: &candidates,
+            candidates,
             query,
             node_embeddings: network.embeddings(),
             graph: network.graph(),
             fanout: effective_fanout,
             scores,
         };
-        let picks = forwarding::select_next_hops(config.policy(), &ctx, rng);
-        for v in picks {
+        let picks = forwarding::select_next_hops(config.policy(), &ctx, rng, &mut scratch);
+        if in_message {
+            insert_sorted(&mut head.carried, u);
+        }
+        for (i, &v) in picks.iter().enumerate() {
             forwards += 1;
-            if in_message {
-                let mut carried = head.carried.clone().unwrap_or_default();
-                carried.insert(u);
-                frontier.push_back(Head {
-                    at: v,
-                    ttl: head.ttl,
-                    hop: head.hop + 1,
-                    carried: Some(carried),
-                });
-            } else {
-                node_memory.entry(u).or_default().insert(v);
-                node_memory.entry(v).or_default().insert(u);
-                frontier.push_back(Head {
-                    at: v,
-                    ttl: head.ttl,
-                    hop: head.hop + 1,
-                    carried: None,
-                });
+            if !in_message {
+                exchanged.record(u, v);
             }
+            // The last copy takes the message's visited set along; only the
+            // extra copies of a fan-out or a flood clone it.
+            let carried = if i + 1 == picks.len() {
+                std::mem::take(&mut head.carried)
+            } else {
+                head.carried.clone()
+            };
+            frontier.push_back(Head {
+                at: v,
+                ttl: head.ttl,
+                hop: head.hop + 1,
+                carried,
+            });
         }
     }
 
@@ -248,9 +283,9 @@ pub fn run_with<R: Rng + ?Sized>(
         .into_sorted()
         .into_iter()
         .map(|s| FoundDoc {
-            doc: s.item,
+            doc: s.item.0,
             score: s.score,
-            hop: found_at[&s.item],
+            hop: s.item.1,
         })
         .collect();
     Ok(WalkOutcome {

@@ -1,14 +1,19 @@
 //! Regression tests for ISSUE 6's walk determinism hazard.
 //!
-//! `core::walk` used `HashMap`/`HashSet` for `found_at`, `seen_nodes`,
-//! and the per-node visited memory. `std` hash collections draw a fresh
-//! hasher seed per collection instance (and per process), so any latent
-//! iteration-order dependence would make walk output differ between two
-//! otherwise-identical runs. The collections are now `BTreeMap`/
-//! `BTreeSet`; these tests pin the observable invariant — **identical
-//! walk output across independently constructed runs** — so a future
-//! reintroduction of order-sensitive state fails here (and in the
-//! `gdsearch-analysis` determinism rule) rather than in production.
+//! `core::walk` once used `HashMap`/`HashSet` for `found_at`,
+//! `seen_nodes`, and the per-node visited memory. `std` hash collections
+//! draw a fresh hasher seed per collection instance (and per process), so
+//! any latent iteration-order dependence would make walk output differ
+//! between two otherwise-identical runs. The walk's bookkeeping is now a
+//! handful of ascending `Vec`s (nodes seen, `(node, peer)` pairs
+//! exchanged, the visited set a message carries), searched by bisection
+//! and merged against the graph's sorted adjacency lists: every order in
+//! them is an order of node ids, so there is still no seed to differ.
+//! These tests pin the observable invariant — **identical walk output
+//! across independently constructed runs** — so a future reintroduction
+//! of order-sensitive state fails here (and in the `gdsearch-analysis`
+//! determinism rule) rather than in production. What the outcomes *are*
+//! is pinned next door, by `walk_model.rs`.
 //!
 //! Each "run" rebuilds the network and every collection from scratch,
 //! which under `RandomState` means fresh hasher seeds: this in-process

@@ -1,0 +1,313 @@
+//! An executable reference model of `walk::run_with` (ROADMAP item D).
+//!
+//! [`model_walk`] is the walk as it was first written: the paper's node
+//! operations (§IV-C, Fig. 1) over `BTreeMap`/`BTreeSet` bookkeeping, a
+//! fresh `Vec` for every intermediate, and a full sort to pick the best
+//! candidate. It is slow and obviously right, built on public product
+//! accessors only. The product walk filters by merging sorted runs, ranks by
+//! selection and reuses its buffers; the property below holds it to the
+//! model — same results, path and message count, and the caller's RNG left
+//! at the same stream position — across graph shapes, every policy, both
+//! visited memories, fan-outs, TTLs and every `Scores` source.
+//!
+//! (`SchemeConfig` rejects a zero TTL, so the grid's smallest is 1: one
+//! forward, then the discard branch.)
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use gdsearch::forwarding::{self, LazyColumn, Scores};
+use gdsearch::{
+    walk, DocId, FoundDoc, Placement, PolicyKind, SchemeConfig, SearchNetwork, VisitedMemory,
+    WalkOutcome,
+};
+use gdsearch_embed::synthetic::SyntheticCorpus;
+use gdsearch_embed::topk::TopK;
+use gdsearch_embed::{Corpus, Embedding, WordId};
+use gdsearch_graph::{generators, Graph, NodeId};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// `forwarding`'s tie resolution (private there; part of the protocol).
+const SCORE_TIE_RESOLUTION: f32 = 1e-4;
+
+/// Sorts by descending score then ascending id, keeps the first `fanout`.
+fn rank_and_take(mut scored: Vec<(f32, NodeId)>, fanout: usize) -> Vec<NodeId> {
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().take(fanout).map(|(_, c)| c).collect()
+}
+
+/// The model's forwarding decision: every policy, naively.
+fn model_select(
+    policy: PolicyKind,
+    network: &SearchNetwork<'_>,
+    query: &Embedding,
+    candidates: &[NodeId],
+    fanout: usize,
+    rng: &mut StdRng,
+) -> Vec<NodeId> {
+    if candidates.is_empty() || fanout == 0 {
+        return Vec::new();
+    }
+    match policy {
+        PolicyKind::PprGreedy => {
+            let dot = |c: NodeId| -> f32 {
+                let row = network.embeddings().row(c.index());
+                query.as_slice().iter().zip(row).map(|(q, e)| q * e).sum()
+            };
+            let scored: Vec<(f32, NodeId)> = candidates.iter().map(|&c| (dot(c), c)).collect();
+            let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
+            let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
+            let quantized = scored.into_iter().map(|(s, c)| ((s / quantum).round(), c));
+            rank_and_take(quantized.collect(), fanout)
+        }
+        PolicyKind::DegreeBiased => {
+            let degree = |c| network.graph().degree(c) as f32;
+            rank_and_take(candidates.iter().map(|&c| (degree(c), c)).collect(), fanout)
+        }
+        PolicyKind::RandomWalk => {
+            let mut picks = candidates.to_vec();
+            picks.shuffle(rng);
+            picks.truncate(fanout);
+            picks
+        }
+        PolicyKind::Flooding => candidates.to_vec(),
+        PolicyKind::Hybrid { epsilon } => {
+            let explore = epsilon > 0.0 && rng.random_bool(f64::from(epsilon.clamp(0.0, 1.0)));
+            let policy = if explore {
+                PolicyKind::RandomWalk
+            } else {
+                PolicyKind::PprGreedy
+            };
+            model_select(policy, network, query, candidates, fanout, rng)
+        }
+    }
+}
+
+struct Head {
+    at: NodeId,
+    ttl: u32,
+    hop: u32,
+    carried: Option<BTreeSet<NodeId>>,
+}
+
+/// The reference walk. Inputs must be valid (`start` in range, `query` of
+/// the network's dimension).
+fn model_walk(
+    network: &SearchNetwork<'_>,
+    query: &Embedding,
+    start: NodeId,
+    rng: &mut StdRng,
+) -> WalkOutcome {
+    let config = network.config();
+    let in_message = config.visited_memory() == VisitedMemory::InMessage;
+
+    let mut results: TopK<DocId> = TopK::new(config.top_k());
+    let mut found_at: BTreeMap<DocId, u32> = BTreeMap::new();
+    let mut path: Vec<NodeId> = Vec::new();
+    let mut seen_nodes: BTreeSet<NodeId> = BTreeSet::new();
+    // Per-node "exchanged with" memory (paper: received-from ∪ sent-to).
+    let mut node_memory: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    let mut forwards = 0u32;
+
+    let mut frontier: VecDeque<Head> = VecDeque::new();
+    frontier.push_back(Head {
+        at: start,
+        ttl: config.ttl(),
+        hop: 0,
+        carried: in_message.then(BTreeSet::new),
+    });
+
+    while let Some(mut head) = frontier.pop_front() {
+        let u = head.at;
+        let first_visit = seen_nodes.insert(u);
+        if first_visit {
+            path.push(u);
+        }
+        // (1) Local retrieval; a document is recorded once.
+        for &doc in network.docs_at(u) {
+            if let std::collections::btree_map::Entry::Vacant(e) = found_at.entry(doc) {
+                e.insert(head.hop);
+                results.push(network.doc_score(query, doc), doc);
+            }
+        }
+        if config.policy() == PolicyKind::Flooding && !first_visit {
+            continue;
+        }
+        // (2) TTL check.
+        if head.ttl == 0 {
+            continue;
+        }
+        head.ttl -= 1;
+        // (3) Candidate selection through visited memory.
+        let neighbors = network.graph().neighbor_slice(u);
+        if neighbors.is_empty() {
+            continue;
+        }
+        let used: BTreeSet<NodeId> = if in_message {
+            head.carried.clone().unwrap_or_default()
+        } else {
+            node_memory.get(&u).cloned().unwrap_or_default()
+        };
+        let fresh: Vec<NodeId> = neighbors
+            .iter()
+            .copied()
+            .filter(|v| !used.contains(v))
+            .collect();
+        // Footnote 9: do not waste the forwarding opportunity.
+        let candidates = if fresh.is_empty() {
+            neighbors.to_vec()
+        } else {
+            fresh
+        };
+        // (4) Policy decision; fan-out at the querying node only.
+        let fanout = if head.hop == 0 { config.fanout() } else { 1 };
+        for v in model_select(config.policy(), network, query, &candidates, fanout, rng) {
+            forwards += 1;
+            let mut carried = head.carried.clone();
+            if let Some(carried) = carried.as_mut() {
+                carried.insert(u);
+            } else {
+                node_memory.entry(u).or_default().insert(v);
+                node_memory.entry(v).or_default().insert(u);
+            }
+            frontier.push_back(Head {
+                at: v,
+                ttl: head.ttl,
+                hop: head.hop + 1,
+                carried,
+            });
+        }
+    }
+
+    let results = results
+        .into_sorted()
+        .into_iter()
+        .map(|s| FoundDoc {
+            doc: s.item,
+            score: s.score,
+            hop: found_at[&s.item],
+        })
+        .collect();
+    WalkOutcome {
+        results,
+        unique_nodes: path.len(),
+        path,
+        hops: forwards,
+    }
+}
+
+/// Shared corpus for all cases (generation is the expensive part).
+fn corpus() -> &'static Corpus {
+    static CORPUS: std::sync::OnceLock<Corpus> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        SyntheticCorpus::builder()
+            .vocab_size(150)
+            .dim(12)
+            .num_topics(8)
+            .generate(&mut StdRng::seed_from_u64(99))
+            .unwrap()
+    })
+}
+
+/// One of the four graph shapes and a start node on it: an isolated start
+/// beside a path, a path, a star (hub or leaf start), the paper's family.
+fn graph_and_start(shape: usize, n: u32, rng: &mut StdRng) -> (Graph, NodeId) {
+    let anywhere = NodeId::new(rng.random_range(0..n));
+    match shape {
+        0 => {
+            let path = (1..n - 1).map(|u| (u - 1, u));
+            (Graph::from_edges(n, path).unwrap(), NodeId::new(n - 1))
+        }
+        1 => (generators::path(n), anywhere),
+        2 => (generators::star(n), anywhere),
+        _ => (
+            generators::social_circles_like_scaled(n, rng).unwrap(),
+            anywhere,
+        ),
+    }
+}
+
+/// Everything two outcomes must share, score bits included.
+type Observed = (Vec<(DocId, u32, u32)>, Vec<NodeId>, u32, usize, u64);
+
+/// A walk's outcome plus the next draw of the RNG it was handed.
+fn observe(outcome: WalkOutcome, rng: &mut StdRng) -> Observed {
+    let results = outcome.results.iter();
+    (
+        results.map(|f| (f.doc, f.score.to_bits(), f.hop)).collect(),
+        outcome.path,
+        outcome.hops,
+        outcome.unique_nodes,
+        rng.random(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `walk::run_with` ≡ the model over the whole configuration grid, from
+    /// every score source.
+    #[test]
+    fn run_with_matches_the_reference_model(
+        seed in 0u64..1_000_000,
+        shape in 0usize..4,
+        n in 6u32..48,
+        docs in 1u32..10,
+    ) {
+        let corpus = corpus();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, start) = graph_and_start(shape, n, &mut rng);
+        let words: Vec<WordId> = (0..docs).map(WordId::new).collect();
+        let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
+        let query = corpus.embedding(WordId::new(rng.random_range(0..150)));
+        let policies = [
+            PolicyKind::PprGreedy,
+            PolicyKind::RandomWalk,
+            PolicyKind::DegreeBiased,
+            PolicyKind::Flooding,
+            PolicyKind::Hybrid { epsilon: 0.4 },
+        ];
+        for policy in policies {
+            for memory in [VisitedMemory::NodeMemory, VisitedMemory::InMessage] {
+                for fanout in [1, 2, 4] {
+                    for ttl in [1, 2, 8, 50] {
+                        let config = SchemeConfig::builder()
+                            .policy(policy)
+                            .visited_memory(memory)
+                            .fanout(fanout)
+                            .ttl(ttl)
+                            .top_k(3)
+                            .build()
+                            .unwrap();
+                        let network =
+                            SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng)
+                                .unwrap();
+                        let walk_seed = rng.random();
+                        let mut model_rng = StdRng::seed_from_u64(walk_seed);
+                        let want = model_walk(&network, query, start, &mut model_rng);
+                        let want = observe(want, &mut model_rng);
+
+                        let column = forwarding::score_column(query, network.embeddings());
+                        let lazy = LazyColumn::new(graph.num_nodes());
+                        let sources =
+                            [Scores::Inline, Scores::Column(&column), Scores::Lazy(&lazy)];
+                        for scores in sources {
+                            let mut walk_rng = StdRng::seed_from_u64(walk_seed);
+                            let got =
+                                walk::run_with(&network, query, start, &mut walk_rng, scores)
+                                    .unwrap();
+                            prop_assert_eq!(
+                                &observe(got, &mut walk_rng),
+                                &want,
+                                "{:?} {:?} fanout {} ttl {} {:?} shape {} n {} start {:?}",
+                                policy, memory, fanout, ttl, scores, shape, n, start
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
