@@ -16,11 +16,18 @@ use gdsearch_graph::{Graph, ShardedGraph};
 /// A multi-machine deployment would hold only the local + halo entries per
 /// shard; in process these are flat `O(N)` arrays (the sharding work
 /// targets the `O(E)` adjacency and `O(N·dim)` signal state).
+///
+/// The tables are rebuilt on every diffusion call — beside the scratch
+/// allocation, the only `O(N)` work an output-sensitive push still pays —
+/// so only those `norm` reads are filled; the other inverse table stays
+/// empty.
 pub(crate) struct DegreeTables {
     pub norm: Normalization,
-    /// `1/deg(u)` (0 for isolated nodes; only used along edges).
+    /// `1/deg(u)` (0 for isolated nodes; only used along edges). Empty
+    /// under [`Normalization::Symmetric`], which never reads it.
     pub inv_deg: Vec<f32>,
     /// `1/sqrt(deg(u))` (1 for isolated nodes, the safe bound convention).
+    /// Filled under [`Normalization::Symmetric`] only.
     pub inv_sqrt_deg: Vec<f32>,
     /// `max(deg(u), 1)` — the frontier threshold scale.
     pub deg_scale: Vec<f32>,
@@ -32,21 +39,20 @@ impl DegreeTables {
     /// Builds the tables from one degree per node, in node order.
     fn new(norm: Normalization, degrees: impl Iterator<Item = usize>) -> Self {
         let (lo, _) = degrees.size_hint();
-        let mut inv_deg = Vec::with_capacity(lo);
-        let mut inv_sqrt_deg = Vec::with_capacity(lo);
+        let symmetric = norm == Normalization::Symmetric;
+        let mut inv_deg = Vec::with_capacity(if symmetric { 0 } else { lo });
+        let mut inv_sqrt_deg = Vec::with_capacity(if symmetric { lo } else { 0 });
         let mut deg_scale = Vec::with_capacity(lo);
         let mut max_deg = 1usize;
         for deg in degrees {
-            if deg > 0 {
-                inv_deg.push(1.0 / deg as f32);
-                inv_sqrt_deg.push(1.0 / (deg as f32).sqrt());
-                deg_scale.push(deg as f32);
-                max_deg = max_deg.max(deg);
+            let scale = deg.max(1) as f32;
+            deg_scale.push(scale);
+            if symmetric {
+                inv_sqrt_deg.push(1.0 / scale.sqrt());
             } else {
-                inv_deg.push(0.0);
-                inv_sqrt_deg.push(1.0);
-                deg_scale.push(1.0);
+                inv_deg.push(if deg > 0 { 1.0 / scale } else { 0.0 });
             }
+            max_deg = max_deg.max(deg);
         }
         DegreeTables {
             norm,
@@ -124,6 +130,11 @@ mod tests {
             assert_eq!(flat.inv_sqrt_deg, sharded.inv_sqrt_deg);
             assert_eq!(flat.deg_scale, sharded.deg_scale);
             assert_eq!(flat.max_deg, sharded.max_deg);
+            // Exactly the inverse table `norm` reads is filled.
+            let symmetric = norm == Normalization::Symmetric;
+            assert_eq!(flat.inv_sqrt_deg.len(), if symmetric { 60 } else { 0 });
+            assert_eq!(flat.inv_deg.len(), if symmetric { 0 } else { 60 });
+            assert_eq!(flat.deg_scale.len(), 60);
         }
     }
 

@@ -21,6 +21,21 @@
 //! proportional to the *pushed mass* — sublinear in the graph for local
 //! sources — instead of `iters · E`.
 //!
+//! # Cost and scratch discipline
+//!
+//! A column costs `Σ deg(pushed)` for its pushes plus `O(touched)` per
+//! drain, *touched* being every node a residual was ever added to. All
+//! per-node state lives in one scratch per worker, allocated once per
+//! driver call and reused across that worker's sources. A bitset marked at
+//! every `residual[v] +=` is the touched set; the certified bound, the
+//! frontier rebuild after an `rmax` halving, the column compression and the
+//! clear walk it (`N/64` words per pass, ascending node id, no sort)
+//! instead of `0..N`. Every node they skip holds an exact `+0.0` residual
+//! and estimate — a no-op in each sum, max and threshold test — so results
+//! and counters are bit-for-bit what the full scans gave (the test module
+//! keeps those scans as the reference model). The same walk clears the
+//! scratch on the `Ok` and the `Err` path.
+//!
 //! # Accuracy guarantee
 //!
 //! `rmax` is a frontier granularity, not the accuracy contract. After each
@@ -66,9 +81,13 @@ use crate::{workpool, DiffusionError, PprConfig, Signal};
 ///
 /// Below this size a full `O(iters · E)` scalar sweep is already cheap and
 /// the push engine's queue bookkeeping does not pay for itself; above it,
-/// push wins increasingly with `N`. The threshold itself is unmeasured:
-/// the repo benchmark's `push.diffuse_sparse_ms` times the push side at
-/// N = 10⁵, nothing times the scalar sweep it replaces.
+/// push wins increasingly with `N`. The threshold itself is unmeasured —
+/// the repo benchmark's `push.ns_per_push` times the push side at N = 10⁵,
+/// nothing times the scalar sweep it replaces — and stale: it was chosen
+/// when a column scanned all `N` nodes several times over (6.0–6.9 µs per
+/// push in that probe); the touched-set kernel reads 1.2–1.3 µs, so the
+/// crossover has moved by most of an order of magnitude (ROADMAP item A,
+/// "`Auto` crossover from data").
 pub const AUTO_PUSH_MIN_NODES: usize = 4096;
 
 /// Configuration of the forward-push engine: the PPR filter parameters
@@ -181,120 +200,193 @@ pub struct PushResult {
     pub frontier_peak: usize,
 }
 
-/// The graph plus its degree tables — everything a column push reads.
-///
-/// The degree scalars and the certified residual bound live in
-/// [`crate::degrees::DegreeTables`], shared with the sharded push engine
-/// so the bound formulas exist exactly once.
-struct PushContext<'g> {
-    graph: &'g Graph,
-    tables: DegreeTables,
+/// Widens a node id for indexing.
+const fn ix(v: u32) -> usize {
+    v as usize
 }
 
-impl<'g> PushContext<'g> {
-    fn new(graph: &'g Graph, norm: Normalization) -> Self {
-        PushContext {
-            graph,
-            tables: DegreeTables::from_graph(graph, norm),
+/// One worker's push state, all zero / false / empty between columns.
+///
+/// Bit `v` of `touched` is set whenever `residual[v]` is added to;
+/// estimates and queue flags only change where a residual is positive, so
+/// the touched set covers every non-default entry.
+struct PushScratch {
+    estimate: Vec<f32>,
+    residual: Vec<f32>,
+    in_queue: Vec<bool>,
+    queue: VecDeque<u32>,
+    touched: Vec<u64>,
+}
+
+impl PushScratch {
+    fn new(n: usize) -> Self {
+        PushScratch {
+            estimate: vec![0.0; n],
+            residual: vec![0.0; n],
+            in_queue: vec![false; n],
+            queue: VecDeque::new(),
+            touched: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn is_clean(&self) -> bool {
+        self.queue.is_empty()
+            && self.touched.iter().all(|&w| w == 0)
+            && self.in_queue.iter().all(|&q| !q)
+            && (self.estimate.iter().chain(&self.residual)).all(|x| x.to_bits() == 0)
+    }
+
+    /// The node ids set in `touched`, ascending.
+    fn ascending(touched: &[u64]) -> impl Iterator<Item = u32> + '_ {
+        let words = touched.iter().zip((0u32..).step_by(64));
+        words.flat_map(|(&word, base)| {
+            let bits = std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)));
+            bits.take_while(|&w| w != 0)
+                .map(move |w| base + w.trailing_zeros())
+        })
+    }
+
+    /// Adds `amount` to `v`'s residual and queues `v` if that lifts it
+    /// over `threshold`.
+    #[inline]
+    fn deposit(&mut self, v: u32, amount: f32, threshold: f32) {
+        let vi = ix(v);
+        self.residual[vi] += amount;
+        self.touched[vi / 64] |= 1 << (vi % 64);
+        if !self.in_queue[vi] && self.residual[vi] > threshold {
+            self.in_queue[vi] = true;
+            self.queue.push_back(v);
+        }
+    }
+
+    /// Queues every touched node whose residual exceeds `rmax · deg`, in
+    /// the ascending order a `0..N` scan would find them.
+    fn rebuild_frontier(&mut self, rmax: f32, deg_scale: &[f32]) {
+        for v in Self::ascending(&self.touched) {
+            let vi = ix(v);
+            if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale[vi] {
+                self.in_queue[vi] = true;
+                self.queue.push_back(v);
+            }
         }
     }
 
     /// Rigorous bound on `‖M r‖∞`, the L∞ distance between the current
     /// estimate and the fixed point (derivations in the module docs).
-    fn residual_bound(&self, residual: &[f32]) -> f32 {
-        self.tables
-            .residual_bound(residual.iter().copied().enumerate())
+    fn residual_bound(&self, tables: &DegreeTables) -> f32 {
+        let touched = Self::ascending(&self.touched);
+        tables.residual_bound(touched.map(|v| (ix(v), self.residual[ix(v)])))
+    }
+
+    /// Moves the estimate's nonzero support out and leaves the scratch
+    /// clean: one walk of the touched set compresses and clears.
+    fn take_column(&mut self) -> Vec<(u32, f32)> {
+        let mut column = Vec::new();
+        for v in Self::ascending(&self.touched) {
+            let weight = std::mem::take(&mut self.estimate[ix(v)]);
+            if weight != 0.0 {
+                column.push((v, weight));
+            }
+            self.residual[ix(v)] = 0.0;
+            self.in_queue[ix(v)] = false;
+        }
+        self.touched.fill(0);
+        self.queue.clear();
+        column
     }
 }
 
-/// Computes one push column to the certified tolerance. Pure in
-/// `(ctx, source, config)`: the batched driver relies on this for
+/// Computes one push column to the certified tolerance, compressed to its
+/// nonzero support in ascending node order. Pure in `(graph, tables,
+/// source, config)` given a clean scratch, and leaves the scratch clean
+/// whether it succeeds or not: the batched driver relies on both for
 /// thread-count determinism.
 fn push_column(
-    ctx: &PushContext<'_>,
+    graph: &Graph,
+    tables: &DegreeTables,
+    scratch: &mut PushScratch,
     source: u32,
     config: &PushConfig,
-) -> Result<(Vec<f32>, PushResult), DiffusionError> {
-    let n = ctx.graph.num_nodes();
+) -> Result<(Vec<(u32, f32)>, PushResult), DiffusionError> {
+    debug_assert!(scratch.is_clean(), "a previous column leaked state");
+    let stats = drain_to_tolerance(graph, tables, scratch, source, config);
+    let column = scratch.take_column();
+    Ok((column, stats?))
+}
+
+/// The push loop proper: drain, certify, halve `rmax`, repeat. Leaves the
+/// estimate in `s` and returns the work counters (`values` empty).
+fn drain_to_tolerance(
+    graph: &Graph,
+    tables: &DegreeTables,
+    s: &mut PushScratch,
+    source: u32,
+    config: &PushConfig,
+) -> Result<PushResult, DiffusionError> {
     let alpha = config.ppr.alpha();
     let tolerance = config.ppr.tolerance();
-    let budget = config.ppr.max_iterations().saturating_mul(n.max(1));
+    let max_iterations = config.ppr.max_iterations();
+    let budget = max_iterations.saturating_mul(graph.num_nodes().max(1));
 
-    let mut estimate = vec![0.0f32; n];
-    let mut residual = vec![0.0f32; n];
-    residual[source as usize] = 1.0;
-    let mut in_queue = vec![false; n];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    queue.push_back(source);
-    in_queue[source as usize] = true;
+    // r = δ_s, and the source is queued whatever the granularity.
+    s.deposit(source, 1.0, f32::NEG_INFINITY);
 
     let mut rmax = config.rmax;
     let mut pushes = 0usize;
-    let mut frontier_peak = queue.len();
+    let mut frontier_peak = s.queue.len();
     let mut conv = Convergence::new();
     loop {
         // Drain the frontier at the current granularity.
-        while let Some(u) = queue.pop_front() {
+        while let Some(u) = s.queue.pop_front() {
             // The queue only grows between pops, so observing its length
             // at every pop (plus the popped head) captures the high-water
             // mark exactly.
-            frontier_peak = frontier_peak.max(queue.len() + 1);
-            let ui = u as usize;
-            in_queue[ui] = false;
-            let ru = residual[ui];
-            if ru <= rmax * ctx.tables.deg_scale[ui] {
+            frontier_peak = frontier_peak.max(s.queue.len() + 1);
+            let ui = ix(u);
+            s.in_queue[ui] = false;
+            let ru = s.residual[ui];
+            if ru <= rmax * tables.deg_scale[ui] {
                 continue;
             }
             if pushes >= budget {
                 return Err(DiffusionError::NotConverged {
                     iterations: pushes,
-                    residual: ctx.residual_bound(&residual),
+                    residual: s.residual_bound(tables),
                 });
             }
             pushes += 1;
-            residual[ui] = 0.0;
-            estimate[ui] += alpha * ru;
+            s.residual[ui] = 0.0;
+            s.estimate[ui] += alpha * ru;
             let spread = (1.0 - alpha) * ru;
             if spread <= 0.0 {
                 continue;
             }
             // Forward the remaining mass along column u of A. The column's
             // nonzeros are exactly u's neighbors (the graph is undirected).
-            let neighbors = ctx.graph.neighbor_slice(NodeId::new(u));
-            match ctx.tables.norm {
+            let neighbors = graph.neighbor_slice(NodeId::new(u));
+            match tables.norm {
                 Normalization::ColumnStochastic => {
                     // A[v][u] = 1/deg(u), uniform over neighbors.
-                    let w = spread * ctx.tables.inv_deg[ui];
+                    let w = spread * tables.inv_deg[ui];
                     for v in neighbors {
-                        let vi = v.index();
-                        residual[vi] += w;
-                        if !in_queue[vi] && residual[vi] > rmax * ctx.tables.deg_scale[vi] {
-                            in_queue[vi] = true;
-                            queue.push_back(v.as_u32());
-                        }
+                        s.deposit(v.as_u32(), w, rmax * tables.deg_scale[v.index()]);
                     }
                 }
                 Normalization::RowStochastic => {
                     // A[v][u] = 1/deg(v).
                     for v in neighbors {
                         let vi = v.index();
-                        residual[vi] += spread * ctx.tables.inv_deg[vi];
-                        if !in_queue[vi] && residual[vi] > rmax * ctx.tables.deg_scale[vi] {
-                            in_queue[vi] = true;
-                            queue.push_back(v.as_u32());
-                        }
+                        let w = spread * tables.inv_deg[vi];
+                        s.deposit(v.as_u32(), w, rmax * tables.deg_scale[vi]);
                     }
                 }
                 Normalization::Symmetric => {
                     // A[v][u] = 1/(sqrt(deg(u)) sqrt(deg(v))).
-                    let w = spread * ctx.tables.inv_sqrt_deg[ui];
+                    let w = spread * tables.inv_sqrt_deg[ui];
                     for v in neighbors {
                         let vi = v.index();
-                        residual[vi] += w * ctx.tables.inv_sqrt_deg[vi];
-                        if !in_queue[vi] && residual[vi] > rmax * ctx.tables.deg_scale[vi] {
-                            in_queue[vi] = true;
-                            queue.push_back(v.as_u32());
-                        }
+                        let wv = w * tables.inv_sqrt_deg[vi];
+                        s.deposit(v.as_u32(), wv, rmax * tables.deg_scale[vi]);
                     }
                 }
             }
@@ -302,37 +394,31 @@ fn push_column(
         // Certify: does the remaining residual mass already guarantee the
         // tolerance? If so the estimate is interchangeable with the sweep
         // engines' output.
-        let bound = ctx.residual_bound(&residual);
+        let bound = s.residual_bound(tables);
         if conv.record(bound, tolerance) {
             break;
         }
         // Not yet: halve the granularity and rebuild the frontier.
         rmax *= 0.5;
-        for (ui, r) in residual.iter().enumerate() {
-            if !in_queue[ui] && *r > rmax * ctx.tables.deg_scale[ui] {
-                in_queue[ui] = true;
-                queue.push_back(ui as u32);
-            }
-        }
+        s.rebuild_frontier(rmax, &tables.deg_scale);
         // Sub-denormal rmax with an empty frontier means the residuals
         // cannot be refined any further in f32 — report honestly instead
         // of spinning.
-        if queue.is_empty() && rmax < f32::MIN_POSITIVE {
+        if s.queue.is_empty() && rmax < f32::MIN_POSITIVE {
             return Err(DiffusionError::NotConverged {
                 iterations: pushes,
                 residual: bound,
             });
         }
     }
-    let stats = PushResult {
+    Ok(PushResult {
         values: Vec::new(),
         pushes,
         drains: conv.iters,
         residual_bound: conv.residual,
         final_rmax: rmax,
         frontier_peak,
-    };
-    Ok((estimate, stats))
+    })
 }
 
 /// Computes the single-source PPR vector `h_s` by forward push, certified
@@ -382,9 +468,15 @@ pub fn ppr_vector_detailed(
     config: &PushConfig,
 ) -> Result<PushResult, DiffusionError> {
     graph.check_node(source)?;
-    let ctx = PushContext::new(graph, config.ppr.normalization());
-    let (values, mut stats) = push_column(&ctx, source.as_u32(), config)?;
-    stats.values = values;
+    let tables = DegreeTables::from_graph(graph, config.ppr.normalization());
+    let mut scratch = PushScratch::new(graph.num_nodes());
+    let (column, mut stats) = push_column(graph, &tables, &mut scratch, source.as_u32(), config)?;
+    // The scratch is clean again: its estimate is the zero vector to
+    // re-expand the column into.
+    stats.values = scratch.estimate;
+    for (u, weight) in column {
+        stats.values[ix(u)] = weight;
+    }
     Ok(stats)
 }
 
@@ -437,27 +529,29 @@ pub fn diffuse_sparse(
     if grouped.is_empty() || dim == 0 {
         return Ok(out);
     }
-    let ctx = PushContext::new(graph, config.ppr.normalization());
+    let tables = DegreeTables::from_graph(graph, config.ppr.normalization());
     let nodes: Vec<u32> = grouped.keys().copied().collect();
-    // Columns are computed in parallel but compressed to their nonzero
-    // support in the worker, so peak memory tracks the diffusion's actual
+    // One scratch per worker, reused across the sources it handles (worker
+    // w takes sources w, w+T, …). Columns leave the worker compressed to
+    // their nonzero support, so peak memory tracks the diffusion's actual
     // locality rather than |sources| · N.
-    let columns = workpool::map_batched(&nodes, config.threads, |&u| {
-        push_column(&ctx, u, config).map(|(estimate, _)| {
-            estimate
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, w)| w != 0.0)
-                .map(|(ui, w)| (ui as u32, w))
-                .collect::<Vec<(u32, f32)>>()
-        })
+    let threads = config.threads.min(nodes.len());
+    let workers: Vec<usize> = (0..threads).collect();
+    let per_worker = workpool::map_batched(&workers, threads, |&w| {
+        let mut scratch = PushScratch::new(n);
+        let sources = nodes.iter().skip(w).step_by(threads);
+        let column = |&u| push_column(graph, &tables, &mut scratch, u, config).map(|(c, _)| c);
+        sources.map(column).collect::<Vec<_>>()
     });
+    // Source i is the next column of worker i mod T.
+    let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+    let columns = (0..nodes.len()).map_while(|i| per_worker[i % threads].next());
     // Sequential, ascending source order: deterministic for every worker
     // count.
     for (source, column) in nodes.iter().zip(columns) {
         let emb = &grouped[source];
         for (u, weight) in column? {
-            let row = out.row_mut(u as usize);
+            let row = out.row_mut(ix(u));
             for (r, e) in row.iter_mut().zip(emb) {
                 *r += weight * e;
             }
@@ -686,4 +780,284 @@ mod tests {
     }
 
     use gdsearch_graph::Graph;
+    use proptest::prelude::*;
+
+    /// The reference model: the engine as it stood before the touched set
+    /// — three fresh N-vectors per column, `0..N` scans for the bound, the
+    /// frontier rebuild and the compression. Slow and obviously right;
+    /// [`push_column`] must reproduce it bit for bit.
+    fn reference_push_column(
+        graph: &Graph,
+        tables: &DegreeTables,
+        source: u32,
+        config: &PushConfig,
+    ) -> Result<(Vec<(u32, f32)>, PushResult), DiffusionError> {
+        let bound_of =
+            |residual: &[f32]| tables.residual_bound(residual.iter().copied().enumerate());
+        let n = graph.num_nodes();
+        let alpha = config.ppr.alpha();
+        let tolerance = config.ppr.tolerance();
+        let budget = config.ppr.max_iterations().saturating_mul(n.max(1));
+
+        let mut estimate = vec![0.0f32; n];
+        let mut residual = vec![0.0f32; n];
+        residual[source as usize] = 1.0;
+        let mut in_queue = vec![false; n];
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        queue.push_back(source);
+        in_queue[source as usize] = true;
+
+        let mut rmax = config.rmax;
+        let mut pushes = 0usize;
+        let mut frontier_peak = queue.len();
+        let mut conv = Convergence::new();
+        loop {
+            while let Some(u) = queue.pop_front() {
+                frontier_peak = frontier_peak.max(queue.len() + 1);
+                let ui = u as usize;
+                in_queue[ui] = false;
+                let ru = residual[ui];
+                if ru <= rmax * tables.deg_scale[ui] {
+                    continue;
+                }
+                if pushes >= budget {
+                    return Err(DiffusionError::NotConverged {
+                        iterations: pushes,
+                        residual: bound_of(&residual),
+                    });
+                }
+                pushes += 1;
+                residual[ui] = 0.0;
+                estimate[ui] += alpha * ru;
+                let spread = (1.0 - alpha) * ru;
+                if spread <= 0.0 {
+                    continue;
+                }
+                let neighbors = graph.neighbor_slice(NodeId::new(u));
+                match tables.norm {
+                    Normalization::ColumnStochastic => {
+                        let w = spread * tables.inv_deg[ui];
+                        for v in neighbors {
+                            let vi = v.index();
+                            residual[vi] += w;
+                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                                in_queue[vi] = true;
+                                queue.push_back(v.as_u32());
+                            }
+                        }
+                    }
+                    Normalization::RowStochastic => {
+                        for v in neighbors {
+                            let vi = v.index();
+                            residual[vi] += spread * tables.inv_deg[vi];
+                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                                in_queue[vi] = true;
+                                queue.push_back(v.as_u32());
+                            }
+                        }
+                    }
+                    Normalization::Symmetric => {
+                        let w = spread * tables.inv_sqrt_deg[ui];
+                        for v in neighbors {
+                            let vi = v.index();
+                            residual[vi] += w * tables.inv_sqrt_deg[vi];
+                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                                in_queue[vi] = true;
+                                queue.push_back(v.as_u32());
+                            }
+                        }
+                    }
+                }
+            }
+            let bound = bound_of(&residual);
+            if conv.record(bound, tolerance) {
+                break;
+            }
+            rmax *= 0.5;
+            for (ui, r) in residual.iter().enumerate() {
+                if !in_queue[ui] && *r > rmax * tables.deg_scale[ui] {
+                    in_queue[ui] = true;
+                    queue.push_back(ui as u32);
+                }
+            }
+            if queue.is_empty() && rmax < f32::MIN_POSITIVE {
+                return Err(DiffusionError::NotConverged {
+                    iterations: pushes,
+                    residual: bound,
+                });
+            }
+        }
+        let stats = PushResult {
+            values: Vec::new(),
+            pushes,
+            drains: conv.iters,
+            residual_bound: conv.residual,
+            final_rmax: rmax,
+            frontier_peak,
+        };
+        let column = estimate
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, w)| w != 0.0)
+            .map(|(ui, w)| (ui as u32, w))
+            .collect();
+        Ok((column, stats))
+    }
+
+    /// Column weights and the two float counters as bit patterns, so that
+    /// equality means bit equality (and `NotConverged` compares too).
+    type Outcome = Result<(Vec<(u32, u32)>, [usize; 3], [u32; 2]), String>;
+
+    fn bits(run: Result<(Vec<(u32, f32)>, PushResult), DiffusionError>) -> Outcome {
+        match run {
+            Ok((column, stats)) => Ok((
+                column.iter().map(|&(u, w)| (u, w.to_bits())).collect(),
+                [stats.pushes, stats.drains, stats.frontier_peak],
+                [stats.residual_bound.to_bits(), stats.final_rmax.to_bits()],
+            )),
+            Err(DiffusionError::NotConverged {
+                iterations,
+                residual,
+            }) => Err(format!(
+                "{iterations} pushes, bound {:#x}",
+                residual.to_bits()
+            )),
+            Err(other) => Err(other.to_string()),
+        }
+    }
+
+    const NORMS: [Normalization; 3] = [
+        Normalization::ColumnStochastic,
+        Normalization::RowStochastic,
+        Normalization::Symmetric,
+    ];
+
+    #[test]
+    fn one_scratch_reproduces_the_reference_model_bitwise() {
+        // 3,000 social-circle nodes with node 1,500 cut loose, so the
+        // source list below meets an isolated node and a hub.
+        let n = 3000u32;
+        let isolated = NodeId::new(n / 2);
+        let full = generators::social_circles_like_scaled(n, &mut seeded(21)).unwrap();
+        let kept = full
+            .edges()
+            .filter(|&(u, v)| u != isolated && v != isolated);
+        let g = Graph::from_edges(n, kept.map(|(u, v)| (u.as_u32(), v.as_u32()))).unwrap();
+        assert_eq!(g.degree(isolated), 0);
+        let hub = g.node_ids().max_by_key(|&u| g.degree(u)).unwrap();
+        let sources = [0, isolated.as_u32(), hub.as_u32(), n - 1];
+
+        // Every column of every configuration goes through this one
+        // scratch back to back: a missed clear corrupts the next column.
+        let mut scratch = PushScratch::new(g.num_nodes());
+        for norm in NORMS {
+            let tables = DegreeTables::from_graph(&g, norm);
+            for alpha in [0.1f32, 0.5, 0.9] {
+                let cfg = PushConfig::new(PprConfig::new(alpha).unwrap().with_normalization(norm));
+                for source in sources {
+                    let got = bits(push_column(&g, &tables, &mut scratch, source, &cfg));
+                    let want = bits(reference_push_column(&g, &tables, source, &cfg));
+                    assert!(want.is_ok(), "{norm:?} α {alpha} source {source}: {want:?}");
+                    assert_eq!(got, want, "{norm:?} α {alpha} source {source}");
+                }
+            }
+        }
+        assert!(scratch.is_clean());
+    }
+
+    #[test]
+    fn failed_column_leaves_the_scratch_clean() {
+        let g = generators::ring(30).unwrap();
+        let starved = PushConfig::new(
+            PprConfig::new(0.01)
+                .unwrap()
+                .with_tolerance(1e-12)
+                .unwrap()
+                .with_max_iterations(1),
+        );
+        let normal = push_cfg(0.5, 1e-6);
+        let tables = DegreeTables::from_graph(&g, Normalization::ColumnStochastic);
+
+        let mut reused = PushScratch::new(30);
+        let failed = bits(push_column(&g, &tables, &mut reused, 0, &starved));
+        assert_eq!(
+            failed,
+            bits(reference_push_column(&g, &tables, 0, &starved))
+        );
+        assert!(failed.is_err(), "the starved budget must not converge");
+        assert!(reused.is_clean(), "the error path skipped the clear");
+
+        let after_failure = bits(push_column(&g, &tables, &mut reused, 7, &normal));
+        let fresh = bits(push_column(
+            &g,
+            &tables,
+            &mut PushScratch::new(30),
+            7,
+            &normal,
+        ));
+        assert!(fresh.is_ok());
+        assert_eq!(after_failure, fresh);
+    }
+
+    #[test]
+    fn detailed_values_expand_the_compressed_column() {
+        let g = generators::social_circles_like_scaled(200, &mut seeded(8)).unwrap();
+        let cfg = push_cfg(0.3, 1e-6);
+        let tables = DegreeTables::from_graph(&g, Normalization::ColumnStochastic);
+        let (column, stats) = reference_push_column(&g, &tables, 17, &cfg).unwrap();
+        let out = ppr_vector_detailed(&g, NodeId::new(17), &cfg).unwrap();
+        let mut dense = vec![0.0f32; 200];
+        for (u, w) in column {
+            dense[u as usize] = w;
+        }
+        let as_bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(as_bits(&out.values), as_bits(&dense));
+        assert_eq!(out.pushes, stats.pushes);
+        assert_eq!(out.frontier_peak, stats.frontier_peak);
+    }
+
+    /// The graph families of `tests/properties.rs` (ER may be disconnected,
+    /// BA is hub-heavy), small enough for hundreds of cases.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (0usize..3, 4u32..36, 0u64..1000).prop_map(|(family, n, seed)| {
+            let mut rng = seeded(seed);
+            match family {
+                0 => generators::ring(n).unwrap(),
+                1 => generators::erdos_renyi(n, 0.15, &mut rng).unwrap(),
+                _ => generators::barabasi_albert(n, 2, &mut rng).unwrap(),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random graphs, schedules and budgets — tight budgets make some
+        /// columns fail mid-drain — five sources through one scratch.
+        #[test]
+        fn push_column_matches_the_reference_model(
+            g in arb_graph(),
+            norm in 0usize..3,
+            alpha in 0.05f32..1.0,
+            rmax_exp in -6i32..2,
+            max_iterations in 1usize..40,
+            picks in collection::vec(0u32..36, 5),
+        ) {
+            let n = g.num_nodes() as u32;
+            let ppr = PprConfig::new(alpha)
+                .unwrap()
+                .with_tolerance(1e-6)
+                .unwrap()
+                .with_normalization(NORMS[norm])
+                .with_max_iterations(max_iterations);
+            let cfg = PushConfig::new(ppr).with_rmax(10f32.powi(rmax_exp)).unwrap();
+            let tables = DegreeTables::from_graph(&g, NORMS[norm]);
+            let mut scratch = PushScratch::new(g.num_nodes());
+            for pick in picks {
+                let got = bits(push_column(&g, &tables, &mut scratch, pick % n, &cfg));
+                let want = bits(reference_push_column(&g, &tables, pick % n, &cfg));
+                prop_assert_eq!(got, want, "source {}", pick % n);
+            }
+        }
+    }
 }
