@@ -1,178 +1,11 @@
 use gdsearch_graph::sparse::Normalization;
-use serde::{Deserialize, Serialize};
 
 use crate::forwarding::PolicyKind;
 use crate::personalization::Aggregation;
 use crate::SearchError;
 
-/// Which engine evaluates the PPR diffusion when a [`SearchNetwork`] is
-/// built.
-///
-/// All engines compute the same fixed point (verified by the diffusion
-/// crate's tests); they differ in cost and in how faithfully they model the
-/// decentralized protocol.
-///
-/// [`SearchNetwork`]: crate::SearchNetwork
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum DiffusionEngine {
-    /// Choose per placement: forward push when the personalization is very
-    /// sparse and the graph is large, per-source decomposition when few
-    /// nodes hold documents, dense power iteration otherwise. At
-    /// `gdsearch_diffusion::sharded::AUTO_SHARD_MIN_NODES` nodes and above
-    /// the sharded engines take over so diffusion state is partitioned by
-    /// node range instead of monolithic.
-    #[default]
-    Auto,
-    /// Dense synchronous power iteration (paper Eq. 7), its row sweeps
-    /// sharded across `threads` scoped workers. Output is identical for
-    /// every thread count.
-    Dense {
-        /// Worker threads of the parallel row sweep (≥ 1).
-        threads: usize,
-    },
-    /// Per-source PPR decomposition (exploits sparse personalization);
-    /// columns are computed over the diffusion workpool on all available
-    /// cores (identical output for every worker count).
-    PerSource,
-    /// Asynchronous gossip simulation (paper §IV-B's actual protocol) —
-    /// slowest, most faithful.
-    Gossip,
-    /// Forward-push residual engine: work proportional to the pushed mass
-    /// instead of `O(iters · E)`, batched across source nodes on `threads`
-    /// scoped workers. Output is identical for every thread count.
-    Push {
-        /// Initial frontier granularity (`r(u) > rmax · deg(u)` enters the
-        /// push queue). A schedule knob only — results always meet the
-        /// configured diffusion tolerance. Must be positive and finite.
-        rmax: f32,
-        /// Worker threads of the batched multi-source driver (≥ 1).
-        threads: usize,
-    },
-    /// Diffusion on partitioned state: the node set is split into `shards`
-    /// contiguous ranges (per-shard CSR rows + halo index) and the sweep /
-    /// push runs shard-locally, exchanging only boundary data between
-    /// steps. Sparse personalizations use the sharded push, dense ones the
-    /// sharded power sweep. Output is identical for every
-    /// `(shards, threads)` combination.
-    Sharded {
-        /// Number of node-range shards state is partitioned into (≥ 1;
-        /// clamped to the node count).
-        shards: usize,
-        /// Worker threads the shards are scheduled over (≥ 1).
-        threads: usize,
-    },
-    /// The sharded engines with every shard on its own simulated machine:
-    /// halo columns and cross-shard residual mass travel as wire frames
-    /// over bounded, bandwidth-limited reactor links (`gdsearch-dist`),
-    /// with round barriers and retransmission of lost frames. Output is
-    /// bit-for-bit identical to [`DiffusionEngine::Sharded`] for every
-    /// `(shards, threads)` and every `transport` that lets frames
-    /// eventually arrive — the interconnect changes cost, never results.
-    Distributed {
-        /// Number of node-range shards / simulated machines (≥ 1; clamped
-        /// to the node count).
-        shards: usize,
-        /// Worker threads per sweep step (≥ 1).
-        threads: usize,
-        /// The simulated interconnect between shard machines.
-        transport: TransportProfile,
-    },
-}
-
-/// A serializable description of the interconnect between shard machines,
-/// converted to the simulator's
-/// [`TransportConfig`](gdsearch_sim::TransportConfig) when a
-/// [`DiffusionEngine::Distributed`] network is built.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransportProfile {
-    /// Link bandwidth in bytes per simulator tick (must be positive).
-    pub bytes_per_tick: u64,
-    /// Bounded per-link send-queue depth, in messages (must be positive).
-    pub queue_capacity: usize,
-    /// Independent per-frame loss probability in `[0, 1)` (lost frames are
-    /// retransmitted at the next round barrier).
-    pub loss_probability: f64,
-    /// Seed of the transport's loss randomness.
-    pub seed: u64,
-}
-
-impl Default for TransportProfile {
-    /// An ample interconnect: 1 MiB/tick links, deep queues, no loss.
-    fn default() -> Self {
-        TransportProfile {
-            bytes_per_tick: 1024 * 1024,
-            queue_capacity: 4096,
-            loss_probability: 0.0,
-            seed: 0,
-        }
-    }
-}
-
-impl TransportProfile {
-    /// An ample lossless interconnect (the default).
-    #[must_use]
-    pub fn ample() -> Self {
-        TransportProfile::default()
-    }
-
-    /// An ample interconnect with the given bandwidth in bytes per tick.
-    #[must_use]
-    pub fn with_bandwidth(mut self, bytes_per_tick: u64) -> Self {
-        self.bytes_per_tick = bytes_per_tick;
-        self
-    }
-
-    /// The equivalent simulator configuration.
-    pub(crate) fn to_transport_config(self) -> Result<gdsearch_sim::TransportConfig, SearchError> {
-        let invalid = |e: gdsearch_sim::SimError| SearchError::invalid_parameter(e.to_string());
-        Ok(gdsearch_sim::TransportConfig::default()
-            .with_bandwidth(self.bytes_per_tick)
-            .map_err(invalid)?
-            .with_queue_capacity(self.queue_capacity)
-            .map_err(invalid)?
-            .with_loss_probability(self.loss_probability)
-            .map_err(invalid)?
-            .with_seed(self.seed))
-    }
-}
-
-impl DiffusionEngine {
-    /// The push engine with its default granularity (`rmax = 1e-4`) and
-    /// the given worker count.
-    #[must_use]
-    pub fn push(threads: usize) -> Self {
-        DiffusionEngine::Push {
-            rmax: 1e-4,
-            threads,
-        }
-    }
-
-    /// The dense power-iteration engine with the given worker count.
-    #[must_use]
-    pub fn dense(threads: usize) -> Self {
-        DiffusionEngine::Dense { threads }
-    }
-
-    /// The sharded engine with the given partition and worker counts.
-    #[must_use]
-    pub fn sharded(shards: usize, threads: usize) -> Self {
-        DiffusionEngine::Sharded { shards, threads }
-    }
-
-    /// The distributed engine with the given partition and worker counts
-    /// over an ample lossless interconnect.
-    #[must_use]
-    pub fn distributed(shards: usize, threads: usize) -> Self {
-        DiffusionEngine::Distributed {
-            shards,
-            threads,
-            transport: TransportProfile::default(),
-        }
-    }
-}
-
 /// How forwarding avoids revisiting nodes (paper §IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VisitedMemory {
     /// Nodes remember, per query, which neighbors they received from or
     /// sent to — the paper's choice, protecting connection privacy.
@@ -207,7 +40,7 @@ pub enum VisitedMemory {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeConfig {
     alpha: f32,
     ttl: u32,
@@ -215,7 +48,6 @@ pub struct SchemeConfig {
     top_k: usize,
     aggregation: Aggregation,
     policy: PolicyKind,
-    engine: DiffusionEngine,
     visited_memory: VisitedMemory,
     normalization: Normalization,
     tolerance: f32,
@@ -231,7 +63,6 @@ impl Default for SchemeConfig {
             top_k: 1,
             aggregation: Aggregation::Sum,
             policy: PolicyKind::PprGreedy,
-            engine: DiffusionEngine::Auto,
             visited_memory: VisitedMemory::NodeMemory,
             normalization: Normalization::ColumnStochastic,
             tolerance: 1e-5,
@@ -287,12 +118,6 @@ impl SchemeConfigBuilder {
         self
     }
 
-    /// Diffusion engine.
-    pub fn engine(mut self, engine: DiffusionEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
     /// Visited-node bookkeeping mode.
     pub fn visited_memory(mut self, visited_memory: VisitedMemory) -> Self {
         self.config.visited_memory = visited_memory;
@@ -322,13 +147,13 @@ impl SchemeConfigBuilder {
     /// Validation is delegated to the typed
     /// [`engine::validate_scheme`](crate::engine::validate_scheme) pass;
     /// this signature converts its [`ConfigError`](crate::engine::ConfigError)
-    /// into the legacy [`SearchError::InvalidParameter`] shape.
+    /// into [`SearchError::InvalidParameter`].
     ///
     /// # Errors
     ///
     /// Returns [`SearchError::InvalidParameter`] for `alpha` outside
     /// `(0, 1]`, zero `ttl`, zero `fanout`, zero `top_k`, non-positive
-    /// `tolerance`, zero `max_iterations`, or invalid engine knobs.
+    /// `tolerance` or zero `max_iterations`.
     pub fn build(self) -> Result<SchemeConfig, SearchError> {
         crate::engine::validate_scheme(&self.config)?;
         Ok(self.config)
@@ -369,11 +194,6 @@ impl SchemeConfig {
     /// Forwarding policy.
     pub fn policy(&self) -> PolicyKind {
         self.policy
-    }
-
-    /// Diffusion engine.
-    pub fn engine(&self) -> DiffusionEngine {
-        self.engine
     }
 
     /// Visited-node bookkeeping mode.
@@ -431,75 +251,6 @@ mod tests {
         assert!(SchemeConfig::builder().tolerance(0.0).build().is_err());
         assert!(SchemeConfig::builder().max_iterations(0).build().is_err());
         assert!(SchemeConfig::builder().alpha(0.9).ttl(10).build().is_ok());
-    }
-
-    #[test]
-    fn builder_validates_push_engine_knobs() {
-        let with_engine = |engine| SchemeConfig::builder().engine(engine).build();
-        assert!(with_engine(DiffusionEngine::Push {
-            rmax: 0.0,
-            threads: 2
-        })
-        .is_err());
-        assert!(with_engine(DiffusionEngine::Push {
-            rmax: f32::NAN,
-            threads: 2
-        })
-        .is_err());
-        assert!(with_engine(DiffusionEngine::Push {
-            rmax: 1e-4,
-            threads: 0
-        })
-        .is_err());
-        assert!(with_engine(DiffusionEngine::push(4)).is_ok());
-    }
-
-    #[test]
-    fn builder_validates_dense_and_sharded_knobs() {
-        let with_engine = |engine| SchemeConfig::builder().engine(engine).build();
-        assert!(with_engine(DiffusionEngine::dense(0)).is_err());
-        assert!(with_engine(DiffusionEngine::dense(4)).is_ok());
-        assert!(with_engine(DiffusionEngine::sharded(0, 2)).is_err());
-        assert!(with_engine(DiffusionEngine::sharded(2, 0)).is_err());
-        assert!(with_engine(DiffusionEngine::sharded(4, 2)).is_ok());
-    }
-
-    #[test]
-    fn builder_validates_distributed_knobs() {
-        let with_engine = |engine| SchemeConfig::builder().engine(engine).build();
-        assert!(with_engine(DiffusionEngine::distributed(0, 2)).is_err());
-        assert!(with_engine(DiffusionEngine::distributed(2, 0)).is_err());
-        assert!(with_engine(DiffusionEngine::distributed(4, 2)).is_ok());
-        let with_transport = |transport| {
-            with_engine(DiffusionEngine::Distributed {
-                shards: 2,
-                threads: 1,
-                transport,
-            })
-        };
-        assert!(with_transport(TransportProfile::default().with_bandwidth(0)).is_err());
-        assert!(with_transport(TransportProfile {
-            queue_capacity: 0,
-            ..TransportProfile::default()
-        })
-        .is_err());
-        assert!(with_transport(TransportProfile {
-            loss_probability: 1.0,
-            ..TransportProfile::default()
-        })
-        .is_err());
-        assert!(with_transport(TransportProfile {
-            loss_probability: f64::NAN,
-            ..TransportProfile::default()
-        })
-        .is_err());
-        assert!(with_transport(TransportProfile {
-            loss_probability: 0.2,
-            seed: 7,
-            ..TransportProfile::default()
-        })
-        .is_ok());
-        assert!(with_transport(TransportProfile::ample().with_bandwidth(1024)).is_ok());
     }
 
     #[test]

@@ -1,20 +1,15 @@
 //! Typed configuration for the serving engine, plus the consolidated
 //! validation of [`SchemeConfig`] it is built on.
 //!
-//! Before this module, every scheme parameter was checked by an ad-hoc
-//! `if … return Err(invalid_parameter(…))` inside
-//! [`SchemeConfig::builder`](crate::SchemeConfig::builder)'s `build`;
-//! [`validate_scheme`] replaces that scatter with one typed pass whose
-//! [`ConfigError`] variants name the violated constraint, and the legacy
-//! builder now delegates here (converting through
-//! `From<ConfigError> for SearchError` so its signature is unchanged).
+//! [`validate_scheme`] is one typed pass whose [`ConfigError`] variants
+//! name the violated constraint;
+//! [`SchemeConfig::builder`](crate::SchemeConfig::builder)'s `build`
+//! delegates here and converts through `From<ConfigError> for SearchError`.
 
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::{DiffusionEngine, SchemeConfig, SearchError};
+use crate::{SchemeConfig, SearchError};
 
 /// A configuration constraint violation, one variant per rejection path.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,33 +33,8 @@ pub enum ConfigError {
     },
     /// `max_iterations` must be positive.
     ZeroMaxIterations,
-    /// Push `rmax` must be positive and finite.
-    PushRmaxOutOfRange {
-        /// The rejected granularity.
-        rmax: f32,
-    },
-    /// A worker-thread count must be positive.
-    ZeroThreads {
-        /// Which engine's thread knob was zero.
-        engine: &'static str,
-    },
-    /// A shard count must be positive.
-    ZeroShards {
-        /// Which engine's shard knob was zero.
-        engine: &'static str,
-    },
-    /// Distributed frame loss must lie in `[0, 1)` so frames can
-    /// eventually arrive.
-    LossProbabilityOutOfRange {
-        /// The rejected loss probability.
-        loss: f64,
-    },
-    /// The distributed transport profile was rejected by the simulator's
-    /// builders (bandwidth / queue bounds).
-    Transport {
-        /// The simulator's reason.
-        reason: String,
-    },
+    /// The engine's worker-thread count must be positive.
+    ZeroThreads,
     /// The engine's submission queue must admit at least one request.
     ZeroQueueCapacity,
     /// The engine's batch window must admit at least one request.
@@ -84,21 +54,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "tolerance must be positive and finite, got {tolerance}")
             }
             ConfigError::ZeroMaxIterations => write!(f, "max_iterations must be positive"),
-            ConfigError::PushRmaxOutOfRange { rmax } => {
-                write!(f, "push rmax must be positive and finite, got {rmax}")
-            }
-            ConfigError::ZeroThreads { engine } => {
-                write!(f, "{engine} threads must be positive")
-            }
-            ConfigError::ZeroShards { engine } => {
-                write!(f, "{engine} shard count must be positive")
-            }
-            ConfigError::LossProbabilityOutOfRange { loss } => write!(
-                f,
-                "distributed loss probability must lie in [0, 1) so frames can \
-                 eventually arrive, got {loss}"
-            ),
-            ConfigError::Transport { reason } => write!(f, "transport profile: {reason}"),
+            ConfigError::ZeroThreads => write!(f, "serving threads must be positive"),
             ConfigError::ZeroQueueCapacity => {
                 write!(f, "engine queue capacity must be positive")
             }
@@ -142,64 +98,11 @@ pub fn validate_scheme(c: &SchemeConfig) -> Result<(), ConfigError> {
     if c.max_iterations() == 0 {
         return Err(ConfigError::ZeroMaxIterations);
     }
-    match c.engine() {
-        DiffusionEngine::Push { rmax, threads } => {
-            if !rmax.is_finite() || rmax <= 0.0 {
-                return Err(ConfigError::PushRmaxOutOfRange { rmax });
-            }
-            if threads == 0 {
-                return Err(ConfigError::ZeroThreads { engine: "push" });
-            }
-        }
-        DiffusionEngine::Dense { threads } => {
-            if threads == 0 {
-                return Err(ConfigError::ZeroThreads { engine: "dense" });
-            }
-        }
-        DiffusionEngine::Sharded { shards, threads } => {
-            if shards == 0 {
-                return Err(ConfigError::ZeroShards { engine: "sharded" });
-            }
-            if threads == 0 {
-                return Err(ConfigError::ZeroThreads { engine: "sharded" });
-            }
-        }
-        DiffusionEngine::Distributed {
-            shards,
-            threads,
-            transport,
-        } => {
-            if shards == 0 {
-                return Err(ConfigError::ZeroShards {
-                    engine: "distributed",
-                });
-            }
-            if threads == 0 {
-                return Err(ConfigError::ZeroThreads {
-                    engine: "distributed",
-                });
-            }
-            if !(0.0..1.0).contains(&transport.loss_probability) {
-                return Err(ConfigError::LossProbabilityOutOfRange {
-                    loss: transport.loss_probability,
-                });
-            }
-            // Bandwidth/queue bounds are validated by the simulator's
-            // builders; surface violations at build time, not inside the
-            // diffusion run.
-            transport
-                .to_transport_config()
-                .map_err(|e| ConfigError::Transport {
-                    reason: e.to_string(),
-                })?;
-        }
-        DiffusionEngine::Auto | DiffusionEngine::PerSource | DiffusionEngine::Gossip => {}
-    }
     Ok(())
 }
 
 /// Capacity policy of the engine's hot-column cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCapacity {
     /// Never cache; every query scores candidates inline.
     Disabled,
@@ -244,7 +147,7 @@ impl CacheCapacity {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     scheme: SchemeConfig,
     queue_capacity: usize,
@@ -311,7 +214,7 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// The scheme configuration (personalization, diffusion engine, walk
+    /// The scheme configuration (personalization, diffusion tolerance, walk
     /// policy, …) the engine serves.
     #[must_use]
     pub fn scheme(mut self, scheme: SchemeConfig) -> Self {
@@ -363,7 +266,7 @@ impl EngineConfigBuilder {
             return Err(ConfigError::ZeroBatchSize);
         }
         if self.config.threads == 0 {
-            return Err(ConfigError::ZeroThreads { engine: "serving" });
+            return Err(ConfigError::ZeroThreads);
         }
         Ok(self.config)
     }
@@ -373,7 +276,6 @@ impl EngineConfigBuilder {
 mod tests {
     use super::*;
     use crate::config::SchemeConfigBuilder;
-    use crate::TransportProfile;
 
     /// A raw (unvalidated) scheme configuration straight off the builder.
     fn raw(f: impl FnOnce(SchemeConfigBuilder) -> SchemeConfigBuilder) -> SchemeConfig {
@@ -415,60 +317,6 @@ mod tests {
             validate_scheme(&raw(|b| b.max_iterations(0))),
             Err(ConfigError::ZeroMaxIterations)
         );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::Push {
-                rmax: 0.0,
-                threads: 1
-            }))),
-            Err(ConfigError::PushRmaxOutOfRange { rmax: 0.0 })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::push(0)))),
-            Err(ConfigError::ZeroThreads { engine: "push" })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::dense(0)))),
-            Err(ConfigError::ZeroThreads { engine: "dense" })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::sharded(0, 1)))),
-            Err(ConfigError::ZeroShards { engine: "sharded" })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::sharded(1, 0)))),
-            Err(ConfigError::ZeroThreads { engine: "sharded" })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::distributed(0, 1)))),
-            Err(ConfigError::ZeroShards {
-                engine: "distributed"
-            })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::distributed(1, 0)))),
-            Err(ConfigError::ZeroThreads {
-                engine: "distributed"
-            })
-        );
-        assert_eq!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::Distributed {
-                shards: 1,
-                threads: 1,
-                transport: TransportProfile {
-                    loss_probability: 1.0,
-                    ..TransportProfile::default()
-                },
-            }))),
-            Err(ConfigError::LossProbabilityOutOfRange { loss: 1.0 })
-        );
-        assert!(matches!(
-            validate_scheme(&raw(|b| b.engine(DiffusionEngine::Distributed {
-                shards: 1,
-                threads: 1,
-                transport: TransportProfile::default().with_bandwidth(0),
-            }))),
-            Err(ConfigError::Transport { .. })
-        ));
         assert_eq!(validate_scheme(&raw(|b| b)), Ok(()));
     }
 
@@ -493,7 +341,7 @@ mod tests {
         );
         assert_eq!(
             EngineConfig::builder().threads(0).build(),
-            Err(ConfigError::ZeroThreads { engine: "serving" })
+            Err(ConfigError::ZeroThreads)
         );
         // A scheme violation surfaces through the engine builder too.
         assert_eq!(

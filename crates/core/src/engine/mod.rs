@@ -333,7 +333,7 @@ pub struct QueryEngine<'g> {
 
 impl<'g> QueryEngine<'g> {
     /// Builds the search network with `config`'s scheme and wraps it in an
-    /// engine.
+    /// engine. `rng` goes to [`SearchNetwork::build`], which never reads it.
     ///
     /// # Errors
     ///

@@ -13,13 +13,12 @@ use gdsearch_embed::WordId;
 use gdsearch_graph::algo::bfs;
 use rand::seq::IndexedRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::Workbench;
 use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Fig. 3 subplot (fixed document count `M`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyConfig {
     /// Total documents `M` in the network (1 gold + M−1 irrelevant).
     pub total_docs: usize,
@@ -43,7 +42,7 @@ impl Default for AccuracyConfig {
 }
 
 /// One accuracy curve: per-distance hit rates for a fixed `alpha`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracySeries {
     /// Teleport probability of this series.
     pub alpha: f32,
@@ -54,7 +53,7 @@ pub struct AccuracySeries {
 }
 
 /// Full result of one Fig. 3 subplot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyResult {
     /// Document count `M` of the subplot.
     pub total_docs: usize,
@@ -64,7 +63,7 @@ pub struct AccuracyResult {
 
 /// Runs the accuracy experiment on a prepared workbench.
 ///
-/// `base` supplies everything but `alpha` (TTL, policy, engine, …); the
+/// `base` supplies everything but `alpha` (TTL, policy, tolerance, …); the
 /// paper's setting is `SchemeConfig::default()`.
 ///
 /// # Errors
@@ -184,7 +183,6 @@ fn rebuild_with_alpha(base: &SchemeConfig, alpha: f32) -> Result<SchemeConfig, S
         .top_k(base.top_k())
         .aggregation(base.aggregation())
         .policy(base.policy())
-        .engine(base.engine())
         .visited_memory(base.visited_memory())
         .normalization(base.normalization())
         .tolerance(base.tolerance())

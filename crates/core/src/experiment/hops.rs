@@ -15,14 +15,13 @@
 use gdsearch_embed::WordId;
 use rand::seq::IndexedRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::Workbench;
 use crate::metrics::{hop_stats, HopStats};
 use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Table I row (fixed document count `M`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopCountConfig {
     /// Total documents `M` in the network.
     pub total_docs: usize,
@@ -43,7 +42,7 @@ impl Default for HopCountConfig {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopCountRow {
     /// Document count `M`.
     pub total_docs: usize,

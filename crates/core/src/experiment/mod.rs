@@ -21,12 +21,11 @@ use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
 use gdsearch_graph::{generators, Graph};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::SearchError;
 
 /// Parameters of the shared experimental environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkbenchSpec {
     /// Nodes in the social graph.
     pub nodes: u32,

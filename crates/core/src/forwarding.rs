@@ -14,10 +14,9 @@ use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The available forwarding policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PolicyKind {
     /// The paper's policy: forward to the `fanout` candidates whose
     /// diffused embeddings score highest (dot product) against the query.
@@ -246,7 +245,7 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
 /// Relative resolution below which two diffused-embedding scores count as
 /// a tie.
 ///
-/// The diffusion engines (dense, per-source, auto) converge to the same
+/// The diffusion engines (sweep, per-source, push) converge to the same
 /// fixed point along different floating-point paths, so their scores can
 /// disagree by noise up to roughly the configured tolerance. Ranking on
 /// raw floats would let any sub-tolerance gap flip a forwarding decision

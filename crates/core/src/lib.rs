@@ -75,7 +75,7 @@ pub mod protocol;
 mod scheme;
 pub mod walk;
 
-pub use config::{DiffusionEngine, SchemeConfig, TransportProfile, VisitedMemory};
+pub use config::{SchemeConfig, VisitedMemory};
 pub use engine::{
     CacheCapacity, CacheVerdict, ConfigError, EngineConfig, EngineError, QueryEngine, QueryRequest,
     QueryResponse,

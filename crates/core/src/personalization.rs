@@ -10,13 +10,12 @@
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::SearchError;
 
 /// How a node folds its document embeddings into one personalization
 /// vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Aggregation {
     /// Plain sum (the paper's choice; preserves Eq. 3 linearity, favors
     /// document-rich nodes).

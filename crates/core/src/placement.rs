@@ -13,7 +13,6 @@ use gdsearch_embed::{similarity, Corpus, WordId};
 use gdsearch_graph::algo::bfs;
 use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::SearchError;
 
@@ -22,7 +21,7 @@ use crate::SearchError;
 pub type DocId = usize;
 
 /// An assignment of corpus words (documents) to hosting nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     words: Vec<WordId>,
     hosts: Vec<NodeId>,

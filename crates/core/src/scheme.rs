@@ -2,17 +2,17 @@
 //!
 //! [`SearchNetwork::build`] performs the scheme's setup phase end to end:
 //! personalization vectors from placed documents (§IV-A), PPR diffusion of
-//! those vectors (§IV-B) with the configured engine, and the per-node
+//! those vectors (§IV-B) by [`per_source::auto_diffuse`], and the per-node
 //! document indexes that serve local retrieval. The result answers queries
 //! through [`walk::run`] (§IV-C).
 
-use gdsearch_diffusion::{gossip, per_source, power, push, sharded, Signal};
+use gdsearch_diffusion::{per_source, Signal};
 use gdsearch_embed::{similarity, Corpus, Embedding};
 use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::personalization;
-use crate::{DiffusionEngine, DocId, Placement, SchemeConfig, SearchError};
+use crate::{DocId, Placement, SchemeConfig, SearchError};
 
 /// A fully prepared diffusion-search network: graph + placed documents +
 /// diffused node embeddings.
@@ -35,11 +35,11 @@ pub struct SearchNetwork<'g> {
 }
 
 impl<'g> SearchNetwork<'g> {
-    /// Builds the network: computes personalization vectors, runs the
-    /// configured diffusion engine, and indexes documents per node.
+    /// Builds the network: computes personalization vectors, diffuses them
+    /// with [`per_source::auto_diffuse`], and indexes documents per node.
     ///
-    /// `rng` drives the gossip engine's asynchrony; the deterministic
-    /// engines ignore it.
+    /// `_rng` is never read: the build is deterministic. The parameter
+    /// stays because `benchmark/` calls this signature.
     ///
     /// # Errors
     ///
@@ -51,7 +51,7 @@ impl<'g> SearchNetwork<'g> {
         corpus: &Corpus,
         placement: &Placement,
         config: &SchemeConfig,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> Result<Self, SearchError> {
         let dim = corpus.dim();
         let n = graph.num_nodes();
@@ -82,68 +82,8 @@ impl<'g> SearchNetwork<'g> {
             .collect();
         let rows =
             personalization::personalization_rows(graph, dim, &grouped, config.aggregation())?;
-        // Diffuse with the configured engine.
         let ppr = config.ppr_config()?;
-        let embeddings = match config.engine() {
-            DiffusionEngine::Auto => per_source::auto_diffuse(graph, dim, &rows, &ppr)?,
-            DiffusionEngine::PerSource => per_source::diffuse_sparse(graph, dim, &rows, &ppr)?,
-            DiffusionEngine::Dense { threads } => {
-                let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                power::diffuse_threaded(graph, &e0, &ppr, threads)?.into_converged()?
-            }
-            DiffusionEngine::Push { rmax, threads } => {
-                let push_cfg = push::PushConfig::new(ppr)
-                    .with_rmax(rmax)?
-                    .with_threads(threads)?;
-                push::diffuse_sparse(graph, dim, &rows, &push_cfg)?
-            }
-            DiffusionEngine::Sharded { shards, threads } => {
-                let scfg = sharded::ShardedConfig::new(ppr)
-                    .with_shards(shards)?
-                    .with_threads(threads)?;
-                // Column-wise push for genuinely sparse personalizations,
-                // partitioned power sweep otherwise.
-                if per_source::is_sparse(rows.len(), dim) {
-                    sharded::diffuse_sparse(graph, dim, &rows, &scfg)?
-                } else {
-                    let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                    sharded::diffuse(graph, &e0, &scfg)?.into_converged()?
-                }
-            }
-            DiffusionEngine::Distributed {
-                shards,
-                threads,
-                transport,
-            } => {
-                let scfg = sharded::ShardedConfig::new(ppr)
-                    .with_shards(shards)?
-                    .with_threads(threads)?;
-                let dcfg = gdsearch_dist::DistConfig::new(scfg)
-                    .with_transport(transport.to_transport_config()?);
-                // As the sharded engine, with halo columns / residual mass
-                // moving over simulated links.
-                if per_source::is_sparse(rows.len(), dim) {
-                    gdsearch_dist::diffuse_sparse(graph, dim, &rows, &dcfg)?.0
-                } else {
-                    let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                    let (out, _stats) = gdsearch_dist::diffuse(graph, &e0, &dcfg)?;
-                    out.into_converged()?
-                }
-            }
-            DiffusionEngine::Gossip => {
-                let e0 = Signal::from_sparse_rows(n, dim, &rows)?;
-                let out = gossip::diffuse(graph, &e0, &gossip::GossipConfig::new(ppr), rng)?;
-                if !out.converged {
-                    return Err(SearchError::Diffusion(
-                        gdsearch_diffusion::DiffusionError::NotConverged {
-                            iterations: out.updates,
-                            residual: f32::NAN,
-                        },
-                    ));
-                }
-                out.signal
-            }
-        };
+        let embeddings = per_source::auto_diffuse(graph, dim, &rows, &ppr)?;
         Ok(SearchNetwork {
             graph,
             config: config.clone(),
@@ -277,69 +217,32 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_embeddings() {
+    fn build_diffuses_with_auto_and_agrees_with_the_exact_solve() {
         let g = generators::social_circles_like_scaled(60, &mut rng(4)).unwrap();
         let c = corpus(5);
         let words: Vec<WordId> = (0..6).map(WordId::new).collect();
         let p = Placement::uniform(&g, &words, &mut rng(6)).unwrap();
-        let build = |engine: DiffusionEngine, seed: u64| {
-            let cfg = SchemeConfig::builder()
-                .engine(engine)
-                .tolerance(1e-6)
-                .build()
-                .unwrap();
-            SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(seed)).unwrap()
-        };
-        let dense = build(DiffusionEngine::dense(1), 7);
-        let per_source = build(DiffusionEngine::PerSource, 8);
-        let auto = build(DiffusionEngine::Auto, 9);
-        let gossip = build(DiffusionEngine::Gossip, 10);
-        let push = build(DiffusionEngine::push(2), 11);
-        let sharded = build(DiffusionEngine::sharded(3, 2), 12);
-        assert!(
-            dense
-                .embeddings()
-                .max_abs_diff(per_source.embeddings())
-                .unwrap()
-                < 1e-3
-        );
-        assert!(dense.embeddings().max_abs_diff(auto.embeddings()).unwrap() < 1e-3);
-        assert!(
-            dense.embeddings().max_abs_diff(push.embeddings()).unwrap() < 1e-3,
-            "push engine diverged"
-        );
-        assert!(
-            dense
-                .embeddings()
-                .max_abs_diff(sharded.embeddings())
-                .unwrap()
-                < 1e-3,
-            "sharded engine diverged"
-        );
-        // The dense sweep is bitwise thread-count independent end to end.
-        let dense4 = build(DiffusionEngine::dense(4), 13);
-        assert_eq!(dense.embeddings(), dense4.embeddings());
-        // The distributed engine reproduces the in-process sharded result
-        // bit for bit, whatever the interconnect bandwidth.
-        let distributed = build(DiffusionEngine::distributed(3, 2), 14);
-        assert_eq!(sharded.embeddings(), distributed.embeddings());
-        let narrow = build(
-            DiffusionEngine::Distributed {
-                shards: 3,
-                threads: 2,
-                transport: crate::TransportProfile::default().with_bandwidth(2048),
-            },
-            15,
-        );
-        assert_eq!(sharded.embeddings(), narrow.embeddings());
-        assert!(
-            dense
-                .embeddings()
-                .max_abs_diff(gossip.embeddings())
-                .unwrap()
-                < 1e-2,
-            "gossip engine diverged"
-        );
+        let cfg = SchemeConfig::builder().tolerance(1e-6).build().unwrap();
+        let net = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(7)).unwrap();
+
+        let grouped: Vec<(NodeId, Vec<&Embedding>)> = g
+            .node_ids()
+            .filter(|&u| !net.docs_at(u).is_empty())
+            .map(|u| {
+                let docs = net.docs_at(u).iter().map(|&d| net.doc_embedding(d));
+                (u, docs.collect())
+            })
+            .collect();
+        let rows = personalization::personalization_rows(&g, c.dim(), &grouped, cfg.aggregation())
+            .unwrap();
+        let ppr = cfg.ppr_config().unwrap();
+        // `build` is exactly `auto_diffuse` over the personalization rows …
+        let auto = per_source::auto_diffuse(&g, c.dim(), &rows, &ppr).unwrap();
+        assert_eq!(net.embeddings(), &auto);
+        // … and that is the fixed point the direct solve finds.
+        let e0 = Signal::from_sparse_rows(g.num_nodes(), c.dim(), &rows).unwrap();
+        let exact = gdsearch_diffusion::exact::diffuse(&g, &e0, &ppr).unwrap();
+        assert!(net.embeddings().max_abs_diff(&exact).unwrap() < 1e-3);
     }
 
     #[test]

@@ -23,13 +23,12 @@ use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::forwarding::{self, ForwardContext, Scores};
 use crate::{DocId, SearchError, SearchNetwork, VisitedMemory};
 
 /// A document a query found, with the hop at which its host was visited.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FoundDoc {
     /// The placed document.
     pub doc: DocId,
@@ -41,7 +40,7 @@ pub struct FoundDoc {
 }
 
 /// Outcome of one query execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkOutcome {
     /// The top-k most relevant documents encountered, best first.
     pub results: Vec<FoundDoc>,

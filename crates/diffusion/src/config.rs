@@ -1,5 +1,4 @@
 use gdsearch_graph::sparse::Normalization;
-use serde::{Deserialize, Serialize};
 
 use crate::DiffusionError;
 
@@ -18,11 +17,10 @@ use crate::DiffusionError;
 /// every engine's docs refer here. The tolerance is an additive **L∞
 /// accuracy target on the PPR fixed point** `E = a (I − (1−a) A)^{-1} E0`:
 ///
-/// * the sweep engines ([`crate::power`], [`crate::per_source`],
-///   [`crate::gossip`]) stop when the max-abs residual
-///   of one synchronous update falls below it; because the update is a
-///   `(1−a)`-contraction, the true L∞ distance to the fixed point is then
-///   at most `tolerance · (1−a)/a`;
+/// * the sweep engines ([`crate::power`], [`crate::per_source`]) stop when
+///   the max-abs residual of one synchronous update falls below it;
+///   because the update is a `(1−a)`-contraction, the true L∞ distance to
+///   the fixed point is then at most `tolerance · (1−a)/a`;
 /// * the push engine ([`crate::push`]) certifies
 ///   `‖estimate − fixed point‖∞ ≤ tolerance` directly from its residual
 ///   mass.
@@ -45,7 +43,7 @@ use crate::DiffusionError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PprConfig {
     alpha: f32,
     tolerance: f32,

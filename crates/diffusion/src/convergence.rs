@@ -1,21 +1,21 @@
 //! Shared residual/convergence bookkeeping for the iterative engines.
 //!
 //! Every engine in this crate ([`crate::power`], [`crate::per_source`],
-//! [`crate::gossip`], [`crate::push`]) tracks the same
-//! three facts about its progress toward the PPR fixed point: how many
-//! residual observations it has made, the most recent residual, and whether
-//! that residual met the configured tolerance. [`Convergence`] centralizes
-//! that bookkeeping so every engine reports budget exhaustion identically
-//! (see [`PprConfig::tolerance`](crate::PprConfig::tolerance) for what the
+//! [`crate::push`]) tracks the same three facts about its progress toward
+//! the PPR fixed point: how many residual observations it has made, the
+//! most recent residual, and whether that residual met the configured
+//! tolerance. [`Convergence`] centralizes that bookkeeping so every engine
+//! reports budget exhaustion identically (see
+//! [`PprConfig::tolerance`](crate::PprConfig::tolerance) for what the
 //! tolerance means).
 
 use crate::DiffusionError;
 
 /// Progress of an iterative diffusion toward its fixed point.
 ///
-/// `record` each residual observation (a power-iteration sweep, a gossip
-/// certification, a push-phase residual bound); the struct keeps the
-/// iteration count, the last residual, and the converged flag consistent.
+/// `record` each residual observation (a power-iteration sweep, a
+/// push-phase residual bound); the struct keeps the iteration count, the
+/// last residual, and the converged flag consistent.
 ///
 /// # Example
 ///

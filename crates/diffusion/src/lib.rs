@@ -19,8 +19,6 @@
 //! * [`exact`] — dense linear solve (small graphs; the validation oracle);
 //! * [`per_source`] — one scalar PPR vector per *source* node, rank-1
 //!   accumulated; asymptotically cheaper when few nodes hold documents;
-//! * [`gossip`] — deterministic simulated *asynchronous* engine, the
-//!   decentralized protocol of the paper;
 //! * [`push`] — forward-push with residual queues (PowerWalk,
 //!   arXiv:1608.06054): work proportional to the pushed mass instead of
 //!   `O(iters · E)`, certified to the same L∞ tolerance, batched across
@@ -70,7 +68,6 @@ mod degrees;
 mod error;
 pub mod exact;
 pub mod exchange;
-pub mod gossip;
 pub mod per_source;
 pub mod power;
 pub mod push;

@@ -1,6 +1,5 @@
 use gdsearch_embed::Embedding;
 use gdsearch_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::DiffusionError;
 
@@ -25,7 +24,7 @@ use crate::DiffusionError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Signal {
     num_nodes: usize,
     dim: usize,

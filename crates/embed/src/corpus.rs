@@ -1,15 +1,12 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{similarity, EmbedError, Embedding};
 
 /// Identifier of a word (document) in a [`Corpus`]: a dense zero-based index.
 ///
 /// In the paper's evaluation every "document" is a single word vector from
 /// the GloVe vocabulary; we keep that terminology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WordId(u32);
 
 impl WordId {
@@ -74,7 +71,7 @@ impl From<WordId> for u32 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     dim: usize,
     embeddings: Vec<Embedding>,

@@ -12,13 +12,12 @@ use std::collections::BTreeSet;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{similarity, Corpus, EmbedError, WordId};
 
 /// A query word paired with its gold document (its nearest neighbor in the
 /// corpus, cosine ≥ the configured threshold).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryGoldPair {
     /// The query word.
     pub query: WordId,
@@ -29,7 +28,7 @@ pub struct QueryGoldPair {
 }
 
 /// Output of [`generate`]: query/gold pairs plus the irrelevant pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySet {
     pairs: Vec<QueryGoldPair>,
     irrelevant: Vec<WordId>,
@@ -72,7 +71,7 @@ impl QuerySet {
 }
 
 /// Configuration for [`generate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryGenConfig {
     /// Number of query/gold pairs requested (the paper uses 1000).
     pub num_queries: usize,

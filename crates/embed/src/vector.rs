@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::EmbedError;
 
 /// A dense `f32` embedding vector.
@@ -23,8 +21,7 @@ use crate::EmbedError;
 /// assert_eq!(sum.as_slice(), &[1.0, 2.0, 0.0]);
 /// assert!((sum.norm() - 5.0f32.sqrt()).abs() < 1e-6);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Embedding(Vec<f32>);
 
 impl Embedding {

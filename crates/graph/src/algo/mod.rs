@@ -3,10 +3,8 @@
 //! * [`bfs`] — single-source distances, distance rings and shortest paths;
 //!   the paper's accuracy experiment samples one querying node per BFS ring
 //!   around the gold document's host.
-//! * [`components`] — connected components and largest-component extraction.
-//! * [`clustering`] — local/average/global clustering coefficients, used to
-//!   validate the social-graph generator calibration.
 
 pub mod bfs;
-pub mod clustering;
-pub mod components;
+/// Clustering coefficients, read only by the generators' calibration tests.
+#[cfg(test)]
+pub(crate) mod clustering;

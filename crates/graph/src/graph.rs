@@ -1,8 +1,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GraphError, NodeId};
 
 /// An immutable, simple, undirected graph stored in compressed sparse row
@@ -310,33 +308,6 @@ impl GraphBuilder {
             neighbors,
             num_edges: self.edges.len(),
         }
-    }
-}
-
-/// Serialized form of [`Graph`]: node count plus canonical edge list.
-#[derive(Serialize, Deserialize)]
-struct GraphData {
-    num_nodes: u32,
-    edges: Vec<(u32, u32)>,
-}
-
-impl Serialize for Graph {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let data = GraphData {
-            num_nodes: self.num_nodes() as u32,
-            edges: self
-                .edges()
-                .map(|(u, v)| (u.as_u32(), v.as_u32()))
-                .collect(),
-        };
-        data.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for Graph {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let data = GraphData::deserialize(deserializer)?;
-        Graph::from_edges(data.num_nodes, data.edges).map_err(serde::de::Error::custom)
     }
 }
 

@@ -11,8 +11,7 @@
 //!   topologies, including [`generators::social_circles_like`], a calibrated
 //!   stand-in for the SNAP Facebook social-circles graph used in the paper;
 //! * [`algo`] — BFS distances and distance rings (the evaluation samples
-//!   querying nodes per ring), connected components, clustering coefficients
-//!   and degree statistics;
+//!   querying nodes per ring);
 //! * [`sparse`] — a minimal CSR `f32` sparse matrix and the normalized
 //!   transition matrices that drive Personalized PageRank diffusion;
 //! * [`sharded`] — the node-range partitioned view of a graph

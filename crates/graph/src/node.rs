@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node (peer) in a [`Graph`](crate::Graph).
 ///
 /// `NodeId` is a zero-based dense index: a graph with `n` nodes uses ids
@@ -18,8 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(u.to_string(), "n7");
 /// assert!(u < NodeId::new(8));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

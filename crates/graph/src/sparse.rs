@@ -4,13 +4,11 @@
 //! where `A` is a normalized adjacency (transition) matrix. This module
 //! provides the CSR representation and the three standard normalizations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Graph, GraphError, NodeId};
 
 /// How the adjacency matrix of an undirected graph is normalized into a
 /// transition matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Normalization {
     /// `A = W D^{-1}` — column-stochastic. Entry `(u, v)` is `1/deg(v)`:
     /// random-walk mass flows from `v` to a uniformly chosen neighbor. This
@@ -40,7 +38,7 @@ pub enum Normalization {
 /// let y = m.mul_vec(&[3.0, 4.0]);
 /// assert_eq!(y, vec![8.0, 3.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n_rows: usize,
     n_cols: usize,

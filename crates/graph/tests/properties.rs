@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
-use gdsearch_graph::algo::{bfs, components};
-use gdsearch_graph::{generators, io, Graph, NodeId};
+use gdsearch_graph::algo::bfs;
+use gdsearch_graph::{io, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a small simple graph described by node count and an arbitrary
@@ -90,24 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn components_agree_with_bfs(g in arb_graph()) {
-        let comps = components::connected_components(&g);
-        let d = bfs::distances(&g, NodeId::new(0));
-        for u in g.node_ids() {
-            let reachable = d[u.index()].is_some();
-            let same = comps.same_component(NodeId::new(0), u);
-            prop_assert_eq!(reachable, same);
-        }
-    }
-
-    #[test]
-    fn component_sizes_sum_to_node_count(g in arb_graph()) {
-        let comps = components::connected_components(&g);
-        let total: usize = comps.sizes().iter().sum();
-        prop_assert_eq!(total, g.num_nodes());
-    }
-
-    #[test]
     fn edge_list_roundtrip(g in arb_graph()) {
         let mut buf = Vec::new();
         io::write_edge_list(&g, &mut buf).unwrap();
@@ -117,17 +99,6 @@ proptest! {
         let edges_a: Vec<_> = g.edges().collect();
         let edges_b: Vec<_> = back.edges().collect();
         prop_assert_eq!(edges_a, edges_b);
-    }
-
-    #[test]
-    fn largest_component_is_connected(g in arb_graph()) {
-        let (sub, map) = components::largest_component(&g);
-        prop_assert!(generators::is_connected(&sub));
-        prop_assert_eq!(sub.num_nodes(), map.len());
-        // Every extracted edge exists in the original graph.
-        for (u, v) in sub.edges() {
-            prop_assert!(g.has_edge(map[u.index()], map[v.index()]));
-        }
     }
 
     #[test]

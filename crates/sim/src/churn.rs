@@ -7,12 +7,11 @@
 
 use gdsearch_graph::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{SimError, SimTime};
 
 /// Whether a churn event takes a node down or brings it back up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnKind {
     /// Node leaves the network.
     Down,
@@ -21,7 +20,7 @@ pub enum ChurnKind {
 }
 
 /// One scheduled availability change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnEvent {
     /// When the change happens.
     pub time: SimTime,
@@ -32,7 +31,7 @@ pub struct ChurnEvent {
 }
 
 /// A time-sorted list of churn events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnSchedule {
     events: Vec<ChurnEvent>,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::Histogram;
 
 /// Aggregate transport statistics of a simulation run.
@@ -7,7 +5,7 @@ use crate::Histogram;
 /// The paper's comparisons between informed and blind search hinge on
 /// message counts (communication overhead) and bandwidth, so the simulator
 /// accounts both at the transport layer where no protocol can forget to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStats {
     /// Messages handed to the transport (including ones later lost).
     pub sent: u64,

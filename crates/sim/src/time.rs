@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual simulation time, in abstract seconds.
 ///
 /// Totally ordered (NaN is rejected at construction) so churn schedules
@@ -17,8 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs(), 2.0);
 /// assert!(SimTime::ZERO < t);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -3,12 +3,11 @@
 use std::collections::VecDeque;
 
 use gdsearch_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::SimTime;
 
 /// What happened to a message at the transport layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Handed to the transport.
     Sent,
@@ -25,7 +24,7 @@ pub enum TraceKind {
 }
 
 /// One transport-layer trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// When it happened.
     pub time: SimTime,
