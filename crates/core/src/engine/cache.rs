@@ -1,11 +1,21 @@
 //! Deterministic hot-column cache for the serving engine.
 //!
 //! The cache maps a query-class key to that class's
-//! [`LazyColumn`]: one cell per node, empty when inserted and filled by the
-//! walks that read it, each cell through the scoring kernel the inline
-//! walk uses. A miss therefore costs an allocation, not a scan of all N
-//! embeddings, and a resident column saves exactly the dot products
-//! earlier walks of the class already paid for.
+//! [`LazyColumn`]: a directory of 1 KB pages of cells, empty when inserted
+//! and filled by the walks that read it, each cell through the scoring
+//! kernel the inline walk uses. A miss therefore costs the directory
+//! (≈ 6 KB at N = 10⁵) — neither a scan of all N embeddings nor N cells —
+//! and a resident column holds 1 KB per page its walks touched and saves
+//! exactly the dot products earlier walks of the class already paid for.
+//!
+//! Why the cache stays (ROADMAP G's trial, measured at N = 10⁵, dim 64,
+//! traced benchmark runs of PR 25): a 50-hop walk reading filled cells
+//! took 29–34 µs (`walk.scored_us`), the same walk scoring inline
+//! 62–71 µs (`walk.inline_us`): the dot products are half of an inline
+//! walk, which rescores a neighbour at every hop that meets it. With the
+//! miss down to a directory, `serve-cold`'s `engine.execute_us` fell
+//! 67.5 → 47.9 µs (a hot request: ≈ 33 µs), so even a miss now serves
+//! faster than walking inline.
 //!
 //! A cell's value is a pure function of (query, embeddings, node), so
 //! cache capacity, eviction order, lookup interleaving, and *which walk

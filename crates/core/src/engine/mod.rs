@@ -12,18 +12,19 @@
 //! # Determinism contract
 //!
 //! Every serving knob is results-neutral. A cached column is a
-//! [`LazyColumn`]: it starts empty, and
-//! [`crate::forwarding::candidate_score`] fills a cell the first time a walk
-//! scores that node — with the *same* dot-product kernel it evaluates
-//! inline — and reads it back afterwards. A cell's bits are thus a pure
-//! function of (query, embeddings, node): a walk observes bitwise the
-//! scores it would have computed itself, whether it found the cell set or
-//! set it. Walks of one batch share a column across threads without a
-//! lock; two that race on a cell store identical bits, so thread timing
-//! decides who pays for a dot product and nothing else. That argument
-//! needs every reader of a column to carry the same query: the cache
-//! refuses a class-key collision ([`CacheVerdict::Bypass`]) instead of
-//! mixing two queries' scores in one column.
+//! [`LazyColumn`]: it starts as a directory of empty pages, and a walk's
+//! forwarding decision fills a cell (allocating its page on first touch)
+//! the first time it scores that node — with the *same* dot-product kernel
+//! it evaluates inline — and reads it back afterwards. A cell's bits are
+//! thus a pure function of (query, embeddings, node): a walk observes
+//! bitwise the scores it would have computed itself, whether it found the
+//! cell set or set it. Walks of one batch share a column across threads
+//! without a lock on cells; two that race on a cell store identical bits,
+//! and two that race on a page's first fill both see the one page, so
+//! thread timing decides who pays for a dot product and nothing else.
+//! That argument needs every reader of a column to carry the same query:
+//! the cache refuses a class-key collision ([`CacheVerdict::Bypass`])
+//! instead of mixing two queries' scores in one column.
 //!
 //! Batch composition and thread count only change *which worker* runs a
 //! walk, never its inputs: each request carries its own seed, and
@@ -192,8 +193,9 @@ pub enum CacheVerdict {
     Hit,
     /// The class had no resident column when the batch was admitted: an
     /// empty one was inserted for the batch's walks of that class to fill
-    /// and share. Nothing is computed up front — a miss costs the
-    /// allocation plus the dot products the walk would have done inline.
+    /// and share. Nothing is computed up front — a miss costs the column's
+    /// page directory (16 B per 256 nodes), a 1 KB page per 256-node range
+    /// the walk scores in, and the dot products it would have done inline.
     Miss,
     /// The request carried no class, the cache is disabled, or the class
     /// key is held by a different embedding (a hash collision); candidate

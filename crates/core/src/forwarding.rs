@@ -8,6 +8,7 @@
 //! (degree-biased, ε-greedy hybrid) used in the ablation benches.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use gdsearch_diffusion::Signal;
 use gdsearch_embed::Embedding;
@@ -79,76 +80,141 @@ pub enum Scores<'a> {
 /// stored and is recomputed on every read — slower, same value.
 const UNSET: u32 = u32::MAX;
 
+/// Cells per page of a [`LazyColumn`] (1 KB). Ids in a cave of the overlay
+/// are contiguous, so the ≈ 100 cells a cold walk fills fall into a
+/// handful of pages. Picked over 64 by measurement (PR 25, three pairs
+/// each): `serve-cold` 31.4 k vs 29.5 k requests/s, `serve-hot` 33.3 k vs
+/// 32.7 k.
+const PAGE: usize = 256;
+
+/// The cells of [`PAGE`] consecutive nodes.
+type Page = [AtomicU32; PAGE];
+
 /// One query's score column over all nodes, filled cell by cell as walks
 /// touch candidates, so a walk pays for the nodes it visits and not for N.
+///
+/// The cells live in pages of 256 consecutive nodes behind a
+/// directory. A new column is the directory alone (16 B per page, ≈ 6 KB
+/// at N = 10⁵); a page is allocated, every cell unset, the first time a
+/// walk scores one of its nodes, so a column holds 1 KB per page touched.
 ///
 /// Cells are shared between concurrent walks without a lock. Racing
 /// writers of one cell store identical bits — a score is a pure function
 /// of (query, embeddings, node) — so a reader sees either "unset" (and
 /// recomputes) or the final value, and `Relaxed` suffices: a cell
-/// publishes nothing but itself.
+/// publishes nothing but itself. A page is published through
+/// [`OnceLock::get_or_init`], which makes a walk racing the first fill of
+/// the same page wait for it. That wait is harmless: the fill writes 1 KB
+/// of "unset" and runs no dot product, and whichever walk fills the page,
+/// its cells end up holding the same pure values.
 #[derive(Debug)]
 pub struct LazyColumn {
-    cells: Vec<AtomicU32>,
+    /// Page `p` holds the cells of nodes `p · PAGE ..`, once allocated.
+    pages: Box<[OnceLock<Box<Page>>]>,
+    /// Nodes covered; later ones are scored inline and stored nowhere.
+    len: usize,
 }
 
 impl LazyColumn {
-    /// A column of `num_nodes` unset cells.
+    /// A column of `num_nodes` unset cells; no page is allocated yet.
     #[must_use]
     pub fn new(num_nodes: usize) -> Self {
         LazyColumn {
-            cells: (0..num_nodes).map(|_| AtomicU32::new(UNSET)).collect(),
+            pages: (0..num_nodes.div_ceil(PAGE))
+                .map(|_| OnceLock::new())
+                .collect(),
+            len: num_nodes,
         }
     }
 
     /// The stored score of `node`, or `None` while its cell is unset (or
-    /// `node` is past the column's end).
+    /// its page not allocated, or `node` past the column's end — the cells
+    /// a partial last page has beyond it are never filled).
     #[must_use]
     pub fn get(&self, node: usize) -> Option<f32> {
-        let bits = self.cells.get(node)?.load(Ordering::Relaxed);
+        let page = self.pages.get(node / PAGE)?.get()?;
+        let bits = page.get(node % PAGE)?.load(Ordering::Relaxed);
         (bits != UNSET).then(|| f32::from_bits(bits))
     }
 
-    /// The score of `node`: its cell if set, else `compute()`, stored for
-    /// the next reader.
-    fn get_or_fill(&self, node: usize, compute: impl FnOnce() -> f32) -> f32 {
-        let Some(cell) = self.cells.get(node) else {
-            return compute();
-        };
-        let bits = cell.load(Ordering::Relaxed);
-        if bits != UNSET {
-            return f32::from_bits(bits);
+    /// Page `p`, allocated with every cell unset by its first caller.
+    fn page(&self, p: usize) -> Option<&Page> {
+        let slot = self.pages.get(p)?;
+        Some(&**slot.get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU32::new(UNSET)))))
+    }
+
+    /// Appends `(score, candidate)` for every candidate, in order: its cell
+    /// if set, else `kernel(node)`, stored for the next reader. A run of
+    /// candidates in one page looks the page up once, so ascending
+    /// candidates pay one directory read per page they touch.
+    fn score_into(
+        &self,
+        candidates: &[NodeId],
+        mut kernel: impl FnMut(usize) -> f32,
+        scored: &mut Vec<(f32, NodeId)>,
+    ) {
+        let mut open: Option<(usize, &Page)> = None;
+        for &c in candidates {
+            let u = c.index();
+            let p = u / PAGE;
+            let page = match open {
+                _ if u >= self.len => None,
+                Some((q, page)) if q == p => Some(page),
+                _ => self.page(p).inspect(|&page| open = Some((p, page))),
+            };
+            let score = match page.and_then(|page| page.get(u % PAGE)) {
+                Some(cell) => match cell.load(Ordering::Relaxed) {
+                    UNSET => {
+                        let score = kernel(u);
+                        cell.store(score.to_bits(), Ordering::Relaxed);
+                        score
+                    }
+                    bits => f32::from_bits(bits),
+                },
+                None => kernel(u),
+            };
+            scored.push((score, c));
         }
-        let score = compute();
-        cell.store(score.to_bits(), Ordering::Relaxed);
-        score
+    }
+
+    /// Pages allocated so far.
+    #[cfg(test)]
+    fn pages_allocated(&self) -> usize {
+        self.pages
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 }
 
 /// The scheme's scoring kernel: dot product of the query with one diffused
-/// embedding row. Single source of truth for [`candidate_score`] (inline
+/// embedding row. Single source of truth for [`score_candidates`] (inline
 /// and lazy fill) and [`score_column`], so every [`Scores`] variant
 /// reproduces the inline computation bit for bit.
 fn dot_row(query: &Embedding, emb: &[f32]) -> f32 {
     query.as_slice().iter().zip(emb).map(|(q, e)| q * e).sum()
 }
 
-/// Scores a candidate exactly as the paper's nodes do: dot product of the
-/// query with the candidate's diffused embedding, read from or filled into
-/// [`ForwardContext::scores`] when a column is attached.
-pub fn candidate_score(ctx: &ForwardContext<'_>, candidate: NodeId) -> f32 {
-    let u = candidate.index();
-    let inline = || dot_row(ctx.query, ctx.node_embeddings.row(u));
+/// Scores every candidate of a hop exactly as the paper's nodes do — dot
+/// product of the query with the candidate's diffused embedding, read from
+/// or filled into [`ForwardContext::scores`] when a column is attached —
+/// into `scored` as `(score, candidate)`, in candidate order.
+fn score_candidates(ctx: &ForwardContext<'_>, scored: &mut Vec<(f32, NodeId)>) {
+    let kernel = |u| dot_row(ctx.query, ctx.node_embeddings.row(u));
+    scored.clear();
     match ctx.scores {
-        Scores::Inline => inline(),
-        Scores::Column(column) => column.get(u).copied().unwrap_or_else(inline),
-        Scores::Lazy(column) => column.get_or_fill(u, inline),
+        Scores::Inline => scored.extend(ctx.candidates.iter().map(|&c| (kernel(c.index()), c))),
+        Scores::Column(column) => scored.extend(ctx.candidates.iter().map(|&c| {
+            let u = c.index();
+            (column.get(u).copied().unwrap_or_else(|| kernel(u)), c)
+        })),
+        Scores::Lazy(column) => column.score_into(ctx.candidates, kernel, scored),
     }
 }
 
 /// The full score column of one query against every node's diffused
-/// embedding, computed with the exact per-candidate kernel of
-/// [`candidate_score`]. A walk that reads this column through
+/// embedding, computed with the exact kernel a walk scores its candidates
+/// with. A walk that reads this column through
 /// [`Scores::Column`] makes bitwise-identical forwarding decisions to one
 /// that computes dot products inline. It costs a pass over all N rows, so
 /// the serving engine fills a [`LazyColumn`] instead; this stays as the
@@ -216,8 +282,8 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
     }
     match kind {
         PolicyKind::PprGreedy => {
-            let score = |c| candidate_score(ctx, c);
-            top_by_quantized(ctx.candidates, ctx.fanout, score, scratch);
+            score_candidates(ctx, &mut scratch.scored);
+            top_by_quantized(&mut scratch.scored, ctx.fanout, &mut scratch.picks);
         }
         PolicyKind::DegreeBiased => {
             let score = |c| ctx.graph.degree(c) as f32;
@@ -257,26 +323,19 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
 /// independently converging float iterations.
 const SCORE_TIE_RESOLUTION: f32 = 1e-4;
 
-/// Top-`fanout` candidates by quantized score: scores within
-/// [`SCORE_TIE_RESOLUTION`] (relative to the largest magnitude) tie and
-/// are broken by ascending node id. Used for diffused-embedding scores,
-/// which carry engine-dependent float noise; exact scores (integer
-/// degrees) go through [`top_by`] instead.
-fn top_by_quantized(
-    candidates: &[NodeId],
-    fanout: usize,
-    score: impl Fn(NodeId) -> f32,
-    scratch: &mut Scratch,
-) {
-    let scored = &mut scratch.scored;
-    scored.clear();
-    scored.extend(candidates.iter().map(|&c| (score(c), c)));
+/// Appends to `picks` the top-`fanout` of `scored` by quantized score,
+/// quantizing it in place: scores within [`SCORE_TIE_RESOLUTION`]
+/// (relative to the largest magnitude) tie and are broken by ascending
+/// node id. Used for diffused-embedding scores, which carry
+/// engine-dependent float noise; exact scores (integer degrees) go through
+/// [`top_by`] instead.
+fn top_by_quantized(scored: &mut [(f32, NodeId)], fanout: usize, picks: &mut Vec<NodeId>) {
     let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
     let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
     for (s, _) in scored.iter_mut() {
         *s = (*s / quantum).round();
     }
-    take_top(scored, fanout, &mut scratch.picks);
+    take_top(scored, fanout, picks);
 }
 
 /// Top-`fanout` candidates by exact `score`, ties broken by ascending
@@ -542,13 +601,11 @@ mod tests {
             fanout: 2,
             scores: Scores::Column(&column),
         };
-        for &c in &cands {
-            assert_eq!(
-                candidate_score(&inline_ctx, c).to_bits(),
-                candidate_score(&cached_ctx, c).to_bits(),
-                "column entry for {c:?} must reproduce the inline kernel"
-            );
-        }
+        assert_eq!(
+            score_bits(&inline_ctx),
+            score_bits(&cached_ctx),
+            "column entries must reproduce the inline kernel"
+        );
         assert_eq!(
             select(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
             select(PolicyKind::PprGreedy, &cached_ctx, &mut rng(7)),
@@ -579,11 +636,31 @@ mod tests {
             fanout: 1,
             scores: Scores::Inline,
         };
-        // Node 3 (index 3) is past the short column's end.
-        assert_eq!(
-            candidate_score(&ctx, NodeId::new(3)).to_bits(),
-            candidate_score(&inline_ctx, NodeId::new(3)).to_bits(),
-        );
+        // Nodes 3 and 4 are past the short column's end.
+        let (short_bits, inline_bits) = (score_bits(&ctx), score_bits(&inline_ctx));
+        assert_eq!(short_bits.get(2..), inline_bits.get(2..));
+    }
+
+    /// [`score_candidates`] as `(bits, candidate)`.
+    fn score_bits(ctx: &ForwardContext<'_>) -> Vec<(u32, NodeId)> {
+        let mut scored = Vec::new();
+        score_candidates(ctx, &mut scored);
+        scored.into_iter().map(|(s, c)| (s.to_bits(), c)).collect()
+    }
+
+    /// The bits [`score_column`] holds for each of `candidates`.
+    fn reference_bits(reference: &[f32], candidates: &[NodeId]) -> Vec<(u32, NodeId)> {
+        candidates
+            .iter()
+            .map(|&c| (reference[c.index()].to_bits(), c))
+            .collect()
+    }
+
+    /// [`LazyColumn::score_into`] on one node.
+    fn fill(column: &LazyColumn, u: usize, kernel: impl FnMut(usize) -> f32) -> u32 {
+        let mut scored = Vec::new();
+        column.score_into(&[NodeId::new(u as u32)], kernel, &mut scored);
+        scored[0].0.to_bits()
     }
 
     fn scored_ctx<'a>(
@@ -616,13 +693,11 @@ mod tests {
         assert!(all.iter().all(|c| lazy.get(c.index()).is_none()));
         // First pass fills, second pass reads: same bits both times.
         for pass in 0..2 {
-            for (&c, want) in all.iter().zip(&reference) {
-                assert_eq!(
-                    candidate_score(&ctx, c).to_bits(),
-                    want.to_bits(),
-                    "pass {pass}, node {c:?}"
-                );
-            }
+            assert_eq!(
+                score_bits(&ctx),
+                reference_bits(&reference, &all),
+                "pass {pass}"
+            );
         }
         let stored: Vec<u32> = (0..5).map(|u| lazy.get(u).unwrap().to_bits()).collect();
         let want: Vec<u32> = reference.iter().map(|s| s.to_bits()).collect();
@@ -631,36 +706,117 @@ mod tests {
         // full column.
         let short = LazyColumn::new(2);
         let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&short));
-        assert_eq!(
-            candidate_score(&ctx, NodeId::new(3)).to_bits(),
-            reference[3].to_bits()
-        );
+        assert_eq!(score_bits(&ctx), reference_bits(&reference, &all));
+        assert!(short.get(3).is_none());
     }
 
     #[test]
     fn sentinel_valued_score_is_recomputed_never_mistaken_for_a_value() {
         let column = LazyColumn::new(2);
         let calls = std::cell::Cell::new(0);
-        let sentinel = || {
+        let sentinel = |_| {
             calls.set(calls.get() + 1);
             f32::from_bits(UNSET)
         };
         // The kernel result whose bits are the sentinel comes back intact
-        // every time; its cell just never looks set.
-        assert_eq!(column.get_or_fill(0, sentinel).to_bits(), UNSET);
-        assert_eq!(column.get_or_fill(0, sentinel).to_bits(), UNSET);
-        assert_eq!(calls.get(), 2);
+        // every time, within one hop and across hops; its cell just never
+        // looks set.
+        assert_eq!(fill(&column, 0, sentinel), UNSET);
+        assert_eq!(fill(&column, 0, sentinel), UNSET);
+        let mut scored = Vec::new();
+        column.score_into(&[NodeId::new(0), NodeId::new(0)], sentinel, &mut scored);
+        assert!(scored.iter().all(|(s, _)| s.to_bits() == UNSET));
+        assert_eq!(calls.get(), 4);
         assert!(column.get(0).is_none());
         // Any other NaN is an ordinary value: stored once, read back.
         let other_nan = f32::from_bits(0x7fc0_0001);
-        assert_eq!(
-            column.get_or_fill(1, || other_nan).to_bits(),
-            other_nan.to_bits()
-        );
-        assert_eq!(
-            column.get_or_fill(1, || unreachable!()).to_bits(),
-            other_nan.to_bits()
-        );
+        assert_eq!(fill(&column, 1, |_| other_nan), other_nan.to_bits());
+        assert_eq!(fill(&column, 1, |_| unreachable!()), other_nan.to_bits());
+    }
+
+    /// Column lengths around page boundaries: empty, one node, a page
+    /// short by one, exact, one over, and a partial fourth page.
+    const LENGTHS: [usize; 6] = [0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 5];
+
+    #[test]
+    fn a_column_allocates_the_pages_it_fills_and_no_other() {
+        let kernel = |u: usize| u as f32 + 0.5;
+        for len in LENGTHS {
+            let fresh = LazyColumn::new(len);
+            assert_eq!(fresh.pages_allocated(), 0, "len {len}");
+            // Past the end — inside a partial last page or beyond it —
+            // a node is scored inline and allocates nothing.
+            for u in [len, len + 1, len + PAGE] {
+                assert_eq!(fill(&fresh, u, kernel), kernel(u).to_bits());
+                assert!(fresh.get(u).is_none());
+            }
+            assert_eq!(fresh.pages_allocated(), 0, "len {len}");
+            // Filling node u allocates page u / PAGE alone.
+            for u in 0..len {
+                let column = LazyColumn::new(len);
+                assert_eq!(fill(&column, u, kernel), kernel(u).to_bits());
+                assert_eq!(column.pages_allocated(), 1, "len {len}, node {u}");
+                assert!(column.pages[u / PAGE].get().is_some());
+                assert_eq!(column.get(u), Some(kernel(u)));
+            }
+            // The last node, then the first past it in the same hop: the
+            // open page does not let the second one in.
+            if let Some(last) = len.checked_sub(1) {
+                let column = LazyColumn::new(len);
+                let hop = [NodeId::new(last as u32), NodeId::new(len as u32)];
+                column.score_into(&hop, kernel, &mut Vec::new());
+                assert_eq!(column.get(last), Some(kernel(last)));
+                assert!(column.get(len).is_none());
+                assert_eq!(column.pages_allocated(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_fills_of_one_page_agree() {
+        let n = 2 * PAGE;
+        let mut e = Signal::zeros(n, 4);
+        for (i, x) in e.as_mut_slice().iter_mut().enumerate() {
+            *x = (i as f32 * 0.37).sin();
+        }
+        let q = Embedding::new(vec![0.3, -1.1, 0.7, 2.0]);
+        let reference = score_column(&q, &e);
+        let g = generators::star(2);
+        for threads in [2, 4] {
+            let column = LazyColumn::new(n);
+            // Thread t scores 96 ids of page 1 from offset 32·t, so
+            // neighbouring threads share two thirds of their cells.
+            let sets: Vec<Vec<NodeId>> = (0..threads)
+                .map(|t| (PAGE + 32 * t..PAGE + 32 * t + 96).map(|u| NodeId::new(u as u32)))
+                .map(Iterator::collect)
+                .collect();
+            let barrier = std::sync::Barrier::new(threads);
+            let (barrier, column_ref, g, e, q) = (&barrier, &column, &g, &e, &q);
+            let scored: Vec<Vec<(u32, NodeId)>> = std::thread::scope(|s| {
+                let workers: Vec<_> = sets
+                    .iter()
+                    .map(|cands| {
+                        s.spawn(move || {
+                            barrier.wait();
+                            score_bits(&scored_ctx(g, e, q, cands, Scores::Lazy(column_ref)))
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for (cands, got) in sets.iter().zip(&scored) {
+                assert_eq!(got, &reference_bits(&reference, cands), "{threads} threads");
+            }
+            assert_eq!(column.pages_allocated(), 1, "{threads} threads");
+            for (u, score) in reference.iter().enumerate() {
+                let filled = sets.iter().any(|set| set.contains(&NodeId::new(u as u32)));
+                assert_eq!(
+                    column.get(u).map(f32::to_bits),
+                    filled.then(|| score.to_bits()),
+                    "{threads} threads, node {u}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -676,13 +832,7 @@ mod tests {
         let lazy_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Lazy(&lazy));
         // Empty column, then the column the first pass left behind.
         for _ in 0..2 {
-            for &c in &cands {
-                assert_eq!(
-                    candidate_score(&lazy_ctx, c).to_bits(),
-                    candidate_score(&inline_ctx, c).to_bits(),
-                    "node {c:?}"
-                );
-            }
+            assert_eq!(score_bits(&lazy_ctx), score_bits(&inline_ctx));
             assert_eq!(
                 select(PolicyKind::PprGreedy, &lazy_ctx, &mut rng(7)),
                 select(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
@@ -758,7 +908,112 @@ mod tests {
         })
     }
 
+    /// One hop's scoring inputs: embedding rows, a lazy column's length (at
+    /// most the rows'), the nodes filled before the hop, and its candidates.
+    #[derive(Debug)]
+    struct HopCase {
+        rows: Signal,
+        query: Embedding,
+        len: usize,
+        filled: Vec<NodeId>,
+        candidates: Vec<NodeId>,
+    }
+
+    /// Rows of one of [`LENGTHS`] sizes with NaN, the sentinel NaN, both
+    /// infinities and both zeros among ordinary values; a column empty,
+    /// randomly half-filled or full; candidates as drawn (unordered,
+    /// repeating), ascending with repeats, or ascending — half of them
+    /// within two of a page boundary, so runs cross pages.
+    fn hop_case() -> impl Strategy<Value = HopCase> {
+        let palette = [
+            f32::NAN,
+            f32::from_bits(UNSET),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ];
+        let value =
+            (0usize..30, -2.0f32..2.0).prop_map(move |(i, x)| *palette.get(i).unwrap_or(&x));
+        (0..LENGTHS.len(), 1usize..4).prop_flat_map(move |(size, dim)| {
+            let n = LENGTHS[size];
+            let last = n.saturating_sub(1);
+            let id = (0..n.max(1), 0usize..4, 0usize..8).prop_map(move |(u, k, d)| {
+                let u = if d < 4 {
+                    u
+                } else {
+                    (k * PAGE + d).saturating_sub(6).min(last)
+                };
+                NodeId::new(u as u32)
+            });
+            let hop_len = if n == 0 { 0..1 } else { 0..48 };
+            (
+                collection::vec(value.clone(), n * dim),
+                collection::vec(-2.0f32..2.0, dim),
+                0..=n,
+                (0u32..3, collection::vec(0u32..2, n)),
+                (collection::vec(id, hop_len), 0u32..3),
+            )
+                .prop_map(
+                    move |(data, query, len, (fill, mask), (mut candidates, order))| {
+                        let mut rows = Signal::zeros(n, dim);
+                        rows.as_mut_slice().copy_from_slice(&data);
+                        let filled = (0..len)
+                            .filter(|&u| fill == 2 || (fill == 1 && mask[u] == 1))
+                            .map(|u| NodeId::new(u as u32))
+                            .collect();
+                        if order > 0 {
+                            candidates.sort_unstable();
+                        }
+                        if order > 1 {
+                            candidates.dedup();
+                        }
+                        HopCase {
+                            rows,
+                            query: Embedding::new(query),
+                            len,
+                            filled,
+                            candidates,
+                        }
+                    },
+                )
+        })
+    }
+
     proptest! {
+        /// A hop scored through every [`Scores`] variant carries the bits of
+        /// [`score_column`], the lazy column twice (as the hop finds it,
+        /// then as it leaves it). The column then holds exactly those bits
+        /// for the covered nodes that were filled or scored — bar a
+        /// sentinel-valued score, which stays unset — in exactly the pages
+        /// they fall in.
+        #[test]
+        fn hop_scores_match_the_score_column(case in hop_case()) {
+            let HopCase { rows, query, len, filled, candidates } = case;
+            let reference = score_column(&query, &rows);
+            let want = reference_bits(&reference, &candidates);
+            let g = generators::star(2);
+            let lazy = LazyColumn::new(len);
+            score_bits(&scored_ctx(&g, &rows, &query, &filled, Scores::Lazy(&lazy)));
+            let short = &reference[..len];
+            for scores in [Scores::Inline, Scores::Column(short), Scores::Lazy(&lazy), Scores::Lazy(&lazy)] {
+                let ctx = scored_ctx(&g, &rows, &query, &candidates, scores);
+                prop_assert_eq!(score_bits(&ctx), want.clone(), "{:?}", scores);
+            }
+            let mut pages = std::collections::BTreeSet::new();
+            for (u, score) in reference.iter().enumerate() {
+                let node = NodeId::new(u as u32);
+                let scored = u < len && (filled.contains(&node) || candidates.contains(&node));
+                if scored {
+                    pages.insert(u / PAGE);
+                }
+                let bits = Some(score.to_bits()).filter(|&b| scored && b != UNSET);
+                prop_assert_eq!(lazy.get(u).map(f32::to_bits), bits, "node {} of {}", u, len);
+            }
+            prop_assert!(lazy.get(len).is_none());
+            prop_assert_eq!(lazy.pages_allocated(), pages.len());
+        }
+
         /// Selection equals sort-then-take, pick for pick and in order, for
         /// both rankings, at every fanout boundary — on one reused scratch.
         #[test]
@@ -775,7 +1030,8 @@ mod tests {
                     "top_by, fanout {} over {:?}", fanout, scored
                 );
                 scratch.picks.clear();
-                top_by_quantized(&ids, fanout, by_position(&scored), &mut scratch);
+                scratch.scored.clone_from(&scored);
+                top_by_quantized(&mut scratch.scored, fanout, &mut scratch.picks);
                 prop_assert_eq!(
                     &scratch.picks,
                     &quantize_sort_and_take(&scored, fanout),
