@@ -18,10 +18,10 @@
 // Harness code: CLI flag map is membership-only, and wall-clock timing
 // is the measurement itself — neither reaches a reproducible result.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 use gdsearch::experiment::{Workbench, WorkbenchSpec};
 use gdsearch::SearchError;
@@ -62,19 +62,22 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
-    /// Parsed value of `key`, or `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Parsed value of `key`, or `default` when the flag is absent. A
+    /// present but unparseable value exits with status 2.
+    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> T {
+        match self.get(key) {
+            Some(v) => parse_or_exit(key, v),
+            None => default,
+        }
     }
 
-    /// Comma-separated list value of `key`, or `default`.
-    pub fn get_list_or<T: std::str::FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T> {
+    /// Comma-separated list value of `key`, or `default` when the flag is
+    /// absent. An unparseable element exits with status 2.
+    pub fn get_list_or<T: FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T> {
         match self.get(key) {
             Some(v) => v
                 .split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
+                .map(|tok| parse_or_exit(key, tok.trim()))
                 .collect(),
             None => default.to_vec(),
         }
@@ -84,6 +87,20 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
+}
+
+/// Parses `value`, the value of flag `--key`; the error names both.
+fn parse_flag<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{key}: cannot parse {value:?}"))
+}
+
+fn parse_or_exit<T: FromStr>(key: &str, value: &str) -> T {
+    parse_flag(key, value).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 /// Builds the experimental environment from common CLI flags.
@@ -163,9 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn malformed_values_fall_back() {
-        let a = args("--docs banana");
-        assert_eq!(a.get_or("docs", 3usize), 3);
+    fn malformed_values_are_rejected() {
+        assert_eq!(parse_flag::<u32>("nodes", "120"), Ok(120));
+        assert_eq!(
+            parse_flag::<u32>("nodes", "1e5"),
+            Err("--nodes: cannot parse \"1e5\"".to_string())
+        );
+        assert!(parse_flag::<f64>("loss", "").is_err());
+        assert!(parse_flag::<usize>("shards", "true").is_err());
     }
 
     #[test]

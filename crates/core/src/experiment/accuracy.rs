@@ -9,6 +9,11 @@
 //! > the gold document within a TTL of 50 hops. The simulation is repeated
 //! > for three different values of α, 0.1, 0.5, and 0.9."
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_embed::WordId;
 use gdsearch_graph::algo::bfs;
 use rand::seq::IndexedRandom;

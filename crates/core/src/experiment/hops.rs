@@ -12,6 +12,15 @@
 //! TTL; for successful walks the hop at which the gold host was first
 //! visited is recorded.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+)]
+
 use gdsearch_embed::WordId;
 use rand::seq::IndexedRandom;
 use rand::Rng;

@@ -2,6 +2,11 @@
 //! paper's own layout (Fig. 3 series per α; Table I columns), plus
 //! transport-layer tables for the link-bandwidth experiments.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use std::fmt::Write as _;
 
 use gdsearch_sim::NetStats;

@@ -26,7 +26,8 @@
 //! The [`experiment`] module regenerates every figure and table of the
 //! evaluation: [`experiment::accuracy`] for Fig. 3 (hit accuracy vs.
 //! query-to-gold distance) and [`experiment::hops`] for Table I (hop-count
-//! analysis); see `EXPERIMENTS.md` for measured outputs.
+//! analysis). The binaries `crates/bench/src/bin/{fig3,table1}.rs` run
+//! them; README's "Building and testing" section shows how.
 //!
 //! # Quickstart
 //!
@@ -60,7 +61,22 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// The static gate for library code (tests exempt); audited exceptions are
+// per-file `#![expect]`s, see README "Determinism invariants".
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )
+)]
 #![warn(missing_docs)]
 
 mod config;

@@ -1,5 +1,10 @@
 //! Small statistics helpers shared by the experiment harnesses.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 /// Summary statistics of a hop-count sample, as reported in the paper's
 /// Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,6 +7,15 @@
 //! implements such a distribution for the `ablation_placement` experiment:
 //! similar documents are pulled towards graph-nearby hosts.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+)]
+
 use std::collections::BTreeMap;
 
 use gdsearch_embed::{similarity, Corpus, WordId};

@@ -23,6 +23,11 @@
 //! run still drains: [`Reactor::run_to_completion`] returns and the
 //! surviving handlers hold the partial state.
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

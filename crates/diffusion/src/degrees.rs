@@ -8,6 +8,11 @@
 //! interchangeable with the sweep engines at
 //! [`PprConfig::tolerance`](crate::PprConfig::tolerance).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_graph::sparse::Normalization;
 use gdsearch_graph::{Graph, ShardedGraph};
 

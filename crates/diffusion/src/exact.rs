@@ -4,6 +4,19 @@
 //! this is a *validation oracle* for small graphs: every iterative engine
 //! is tested against it.
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "f64 -> f32: the exact solver computes in f64 and returns at the Signal's f32 precision on purpose"
+)]
+
 use gdsearch_graph::sparse::transition_matrix;
 use gdsearch_graph::Graph;
 

@@ -25,6 +25,15 @@
 //! the sharded engines produce bit-for-bit the same output, which is how
 //! the distributed backend inherits the PR 4 guarantee.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+)]
+
 use gdsearch_graph::ShardedGraph;
 
 use crate::{workpool, DiffusionError};

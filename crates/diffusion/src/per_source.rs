@@ -15,6 +15,11 @@
 //! near `dim / 4` (dense rows are more cache-friendly); [`auto_diffuse`]
 //! picks the cheaper engine.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{transition_matrix, CsrMatrix};
 use gdsearch_graph::{Graph, NodeId};

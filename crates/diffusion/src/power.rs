@@ -6,6 +6,11 @@
 //! The iteration is a contraction with factor `(1−a)` in the appropriate
 //! norm, so it converges geometrically for any `a ∈ (0, 1]`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_graph::sparse::transition_matrix;
 use gdsearch_graph::Graph;
 

@@ -66,6 +66,11 @@
 //! calling thread in ascending node order, so the output is **bit-for-bit
 //! identical for every thread count**.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use gdsearch_embed::Embedding;

@@ -1,3 +1,8 @@
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_embed::Embedding;
 use gdsearch_graph::NodeId;
 

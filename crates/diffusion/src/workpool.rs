@@ -13,6 +13,15 @@
 //! Built on `std::thread::scope` — no extra dependencies, workers may
 //! borrow from the caller's stack.
 
+#![expect(
+    clippy::expect_used,
+    reason = "worker thread join: a panicked worker already lost the computation; propagating the panic is the only sound option"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 /// Maps `f` over `items` on up to `threads` scoped worker threads,
 /// returning outputs in item order.
 ///

@@ -37,6 +37,19 @@
 //! many bytes it costs, never *what* the engines compute: the module-level
 //! contract of [`gdsearch_diffusion::exchange`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use gdsearch_diffusion::exchange::{ExchangePlan, Outbox, ShardExchange};

@@ -24,6 +24,19 @@
 //! Residual: 0x02 | epoch u64 | n u32 | n × (u32, f32)     (13 + 8n bytes)
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "try_into on chunks_exact(4)/fixed-range slices: chunk length is statically 4"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "length prefixes in frame encodings: payload entry counts are bounded by shard sizes validated to fit u32"
+)]
+
 use gdsearch_sim::WireMessage;
 
 /// Tag byte + epoch.
@@ -236,5 +249,19 @@ mod tests {
         assert!(ShardFrame::decode(&bad_len).is_none());
         let kick = ShardFrame::Kick { epoch: 3 }.encode();
         assert!(ShardFrame::decode(&kick[..5]).is_none());
+        // Every truncation and every one-byte extension of every sample
+        // reaches the length checks before a "chunk of 4" `expect`.
+        for frame in samples() {
+            let buf = frame.encode();
+            for len in 0..buf.len() {
+                assert!(
+                    ShardFrame::decode(&buf[..len]).is_none(),
+                    "{len}-byte prefix of {frame:?}"
+                );
+            }
+            let mut long = buf;
+            long.push(0);
+            assert!(ShardFrame::decode(&long).is_none(), "{frame:?} + 1 byte");
+        }
     }
 }

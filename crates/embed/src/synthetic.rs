@@ -18,6 +18,19 @@
 //! All embeddings are L2-normalized, so the dot product used at query time
 //! equals cosine similarity (paper footnote 7).
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "f64 -> f32: samples are drawn in f64 and stored at the embeddings' f32 precision on purpose"
+)]
+
 use rand::Rng;
 
 use crate::{Corpus, EmbedError, Embedding};

@@ -1,3 +1,12 @@
+#![expect(
+    clippy::expect_used,
+    reason = "std operator impls (Add/AddAssign) must panic on dimension mismatch; add_in_place is the fallible library path"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign};
 

@@ -29,6 +29,23 @@
 //! # }
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "node ids bounded by the u32 node count; the f64 casts floor a geometric skip and the root of a triangular number, both inside the pair range"
+)]
+#![expect(
+    clippy::cast_sign_loss,
+    reason = "the f64 is the root of a positive value and the i64 skip is checked non-negative before its cast"
+)]
+
 use rand::Rng;
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};

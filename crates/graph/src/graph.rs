@@ -1,3 +1,12 @@
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+)]
+
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -200,6 +200,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a scratch file location; no result depends on it"
+    )]
     fn path_roundtrip_through_tempfile() {
         let dir = std::env::temp_dir().join("gdsearch-io-test");
         std::fs::create_dir_all(&dir).unwrap();

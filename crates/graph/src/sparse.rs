@@ -4,6 +4,11 @@
 //! where `A` is a normalized adjacency (transition) matrix. This module
 //! provides the CSR representation and the three standard normalizations.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use crate::{Graph, GraphError, NodeId};
 
 /// How the adjacency matrix of an undirected graph is normalized into a

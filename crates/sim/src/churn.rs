@@ -5,6 +5,11 @@
 //! search scheme can be stress-tested: messages to a down node are dropped,
 //! and handlers of down nodes do not run.
 
+#![expect(
+    clippy::expect_used,
+    reason = "SimTime::new on values sampled inside the validated finite horizon"
+)]
+
 use gdsearch_graph::NodeId;
 use rand::Rng;
 

@@ -5,6 +5,15 @@
 //! from the deterministic sections of an algorithm — bit-identical
 //! across thread counts, shard counts, and transports.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "nearest-rank quantile: ceil(q * count) with q in [0, 1] is an integer-valued f64 no larger than the sample count"
+)]
+#![expect(
+    clippy::cast_sign_loss,
+    reason = "nearest-rank quantile: ceil(q * count) with q in [0, 1] is non-negative"
+)]
+
 /// Number of buckets in a [`Histogram`]: one per possible bit length of
 /// a `u64` observation, plus a dedicated zero bucket.
 const NUM_BUCKETS: usize = 64;

@@ -11,6 +11,11 @@
 //!
 //! [`NodeApi::try_send`]: crate::NodeApi::try_send
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+
 use std::collections::VecDeque;
 
 /// A message sitting in (or at the head of) a link queue.

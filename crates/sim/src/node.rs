@@ -1,6 +1,11 @@
 //! The protocol hook: what a node's handler is and what it may do during
 //! one activation.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+
 use gdsearch_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -90,6 +90,19 @@
 //! # }
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "node ids are bounded by the graph's u32 node count; the tick count reported in EventBudgetExhausted is diagnostic only"
+)]
+
 use std::collections::BTreeSet;
 
 use gdsearch_diffusion::workpool;

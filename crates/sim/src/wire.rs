@@ -8,6 +8,15 @@
 //!
 //! [`NetStats`]: crate::NetStats
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "length prefix in the f32-slice encoding: payload lengths are bounded by corpus dimensions validated to fit u32"
+)]
+
 use bytes::{BufMut, BytesMut};
 
 /// A message with a well-defined encoded size.

@@ -11,8 +11,8 @@
 //! them is an order of node ids, so there is still no seed to differ.
 //! These tests pin the observable invariant — **identical walk output
 //! across independently constructed runs** — so a future reintroduction
-//! of order-sensitive state fails here (and in the `gdsearch-analysis`
-//! determinism rule) rather than in production. What the outcomes *are*
+//! of order-sensitive state fails here (and in clippy.toml's
+//! `disallowed-types` gate) rather than in production. What the outcomes *are*
 //! is pinned next door, by `walk_model.rs`.
 //!
 //! Each "run" rebuilds the network and every collection from scratch,
