@@ -99,31 +99,11 @@ impl Workbench {
         spec: &WorkbenchSpec,
         rng: &mut R,
     ) -> Result<Self, SearchError> {
-        let graph = generators::social_circles_like_scaled(spec.nodes, rng)?;
-        let corpus = SyntheticCorpus::builder()
-            .vocab_size(spec.vocab)
-            .dim(spec.dim)
-            .num_topics(spec.topics)
-            .anisotropy(spec.anisotropy)
-            .generate(rng)?;
-        let queries = querygen::generate(
-            &corpus,
-            QueryGenConfig {
-                num_queries: spec.num_queries,
-                min_cosine: spec.min_cosine,
-            },
+        Self::with_graph(
+            generators::social_circles_like_scaled(spec.nodes, rng)?,
+            spec,
             rng,
-        )?;
-        if queries.is_empty() {
-            return Err(SearchError::invalid_parameter(
-                "no query pair met the cosine threshold; densify the corpus",
-            ));
-        }
-        Ok(Workbench {
-            graph,
-            corpus,
-            queries,
-        })
+        )
     }
 
     /// Builds the environment on a caller-supplied graph (e.g. the real

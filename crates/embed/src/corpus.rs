@@ -1,8 +1,4 @@
 #![expect(
-    clippy::expect_used,
-    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
-)]
-#![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
@@ -13,7 +9,8 @@
 
 use std::fmt;
 
-use crate::{similarity, EmbedError, Embedding};
+use crate::querygen::CosineScan;
+use crate::{EmbedError, Embedding};
 
 /// Identifier of a word (document) in a [`Corpus`]: a dense zero-based index.
 ///
@@ -168,20 +165,14 @@ impl Corpus {
         if self.len() < 2 {
             return Err(EmbedError::EmptyCorpus);
         }
-        let target = self
-            .get(word)
-            .ok_or_else(|| EmbedError::invalid_parameter(format!("word {word} out of range")))?;
-        let mut best: Option<(WordId, f32)> = None;
-        for (id, e) in self.iter() {
-            if id == word {
-                continue;
-            }
-            let sim = similarity::cosine(target, e)?;
-            if best.map(|(_, s)| sim > s).unwrap_or(true) {
-                best = Some((id, sim));
-            }
+        if self.get(word).is_none() {
+            return Err(EmbedError::invalid_parameter(format!(
+                "word {word} out of range"
+            )));
         }
-        Ok(best.expect("corpus has at least one other word"))
+        CosineScan::new(self)
+            .nearest(word, |id| id == word)
+            .ok_or(EmbedError::EmptyCorpus)
     }
 }
 
@@ -234,6 +225,50 @@ mod tests {
         let (nn, sim) = c.nearest_neighbor(WordId::new(0)).unwrap();
         assert_eq!(nn, WordId::new(1));
         assert!(sim > 0.9 && sim < 1.0);
+    }
+
+    /// `nearest_neighbor` as it stood before the blocked scan: one
+    /// `similarity::cosine` per pair, first maximum wins.
+    fn reference_nearest_neighbor(c: &Corpus, word: WordId) -> (WordId, f32) {
+        let target = c.embedding(word);
+        let mut best: Option<(WordId, f32)> = None;
+        for (id, e) in c.iter() {
+            if id == word {
+                continue;
+            }
+            let sim = crate::similarity::cosine(target, e).unwrap();
+            if best.map(|(_, s)| sim > s).unwrap_or(true) {
+                best = Some((id, sim));
+            }
+        }
+        best.unwrap()
+    }
+
+    #[test]
+    fn nearest_neighbor_matches_the_per_pair_scan_bitwise() {
+        // 70 words of dimension 5 (two full blocks and a padded one):
+        // a deterministic spread with hostile rows and ties mixed in.
+        let mut rows: Vec<Vec<f32>> = (0..70u32)
+            .map(|i| {
+                (0..5u32)
+                    .map(|k| ((i * 7 + k * 13) % 11) as f32 - 5.0 + 0.1 * (i % 3) as f32)
+                    .collect()
+            })
+            .collect();
+        rows[3] = vec![-0.0; 5];
+        rows[9] = vec![0.0; 5];
+        rows[17][2] = f32::NAN;
+        rows[31][0] = f32::INFINITY;
+        rows[32][4] = f32::NEG_INFINITY;
+        rows[40] = vec![1e-40, -3e-41, 0.0, 2e-40, 1e-45];
+        rows[64] = rows[1].clone();
+        rows[69] = rows[1].clone();
+        let c = Corpus::from_embeddings(rows.into_iter().map(Embedding::new).collect()).unwrap();
+        for word in c.word_ids() {
+            let (got, sim) = c.nearest_neighbor(word).unwrap();
+            let (want, want_sim) = reference_nearest_neighbor(&c, word);
+            assert_eq!((got, sim.to_bits()), (want, want_sim.to_bits()), "{word}");
+        }
     }
 
     #[test]
