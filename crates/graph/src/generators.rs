@@ -184,31 +184,29 @@ fn preferential_attachment<R: Rng + ?Sized>(
     // `repeated` holds every edge endpoint once, so uniform sampling from it
     // is degree-proportional sampling.
     let mut repeated: Vec<u32> = Vec::new();
-    let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
     let connect = |builder: &mut GraphBuilder,
                    repeated: &mut Vec<u32>,
-                   adjacency: &mut Vec<Vec<u32>>,
                    u: u32,
                    v: u32|
      -> Result<(), GraphError> {
         builder.add_edge(u, v)?;
         repeated.push(u);
         repeated.push(v);
-        adjacency[u as usize].push(v);
-        adjacency[v as usize].push(u);
         Ok(())
     };
     for u in 0..seed {
         for v in (u + 1)..seed {
-            connect(&mut builder, &mut repeated, &mut adjacency, u, v)?;
+            connect(&mut builder, &mut repeated, u, v)?;
         }
     }
     for u in seed..n {
         let mut chosen: Vec<u32> = Vec::with_capacity(m as usize);
         let mut last_target: Option<u32> = None;
         while chosen.len() < m as usize {
+            // Every edge added here is new, so the builder's list of `t` is
+            // its neighbours in the order they were attached.
             let triad_candidate = last_target.and_then(|t| {
-                let peers = &adjacency[t as usize];
+                let peers = builder.added_neighbors(t);
                 if peers.is_empty() {
                     None
                 } else {
@@ -243,7 +241,7 @@ fn preferential_attachment<R: Rng + ?Sized>(
                     }
                 }
             };
-            connect(&mut builder, &mut repeated, &mut adjacency, u, target)?;
+            connect(&mut builder, &mut repeated, u, target)?;
             chosen.push(target);
             last_target = Some(target);
         }
@@ -406,7 +404,10 @@ pub fn social_circles_like_scaled<R: Rng + ?Sized>(
     n: u32,
     rng: &mut R,
 ) -> Result<Graph, GraphError> {
-    let circle = FACEBOOK_CIRCLE_SIZE.min(n / 3).max(2);
+    if n < 6 {
+        return Err(GraphError::invalid_parameter("n must be at least 6"));
+    }
+    let circle = FACEBOOK_CIRCLE_SIZE.min(n / 3);
     relaxed_caveman(n, circle, 0.95, 4, rng)
 }
 
@@ -736,10 +737,94 @@ mod tests {
 
     #[test]
     fn social_circles_like_scaled_small() {
-        for n in [20u32, 60, 150] {
+        for n in 0u32..6 {
+            assert!(
+                matches!(
+                    social_circles_like_scaled(n, &mut rng(5)),
+                    Err(GraphError::InvalidParameter { .. })
+                ),
+                "n = {n}"
+            );
+        }
+        for n in [6u32, 20, 60, 150] {
             let g = social_circles_like_scaled(n, &mut rng(5)).unwrap();
             assert_eq!(g.num_nodes(), n as usize);
             assert!(is_connected(&g), "n = {n}");
+        }
+    }
+
+    /// FNV-1a over every node's degree followed by its neighbour ids.
+    fn digest(g: &Graph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for u in g.node_ids() {
+            let row = std::iter::once(g.degree(u) as u64)
+                .chain(g.neighbors(u).map(|v| u64::from(v.as_u32())));
+            for x in row {
+                h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Edge counts and digests of each random generator's graph as the
+    /// `BTreeSet` builder produced it (seed 3 unless noted): a builder
+    /// change must not move a bit or an RNG draw.
+    #[test]
+    fn generators_reproduce_the_parent_graphs() {
+        let cases = [
+            (
+                "social_circles_like (seed 2022)",
+                social_circles_like(&mut rng(2022)),
+                84_679,
+                0xb17f_6375_5ae9_836a,
+            ),
+            (
+                "relaxed_caveman",
+                relaxed_caveman(1000, 20, 0.9, 3, &mut rng(3)),
+                8_727,
+                0xdf47_6a2b_a75e_2f91,
+            ),
+            (
+                "erdos_renyi",
+                erdos_renyi(500, 0.1, &mut rng(3)),
+                12_534,
+                0x9d0f_ed11_fa19_3de0,
+            ),
+            (
+                "watts_strogatz",
+                watts_strogatz(2000, 10, 0.2, &mut rng(3)),
+                9_998,
+                0xa7d9_6ac1_0bf5_1a99,
+            ),
+            (
+                "barabasi_albert",
+                barabasi_albert(2000, 3, &mut rng(3)),
+                5_994,
+                0xbfdd_499c_7ada_726c,
+            ),
+            (
+                "holme_kim",
+                holme_kim(2000, 22, 0.5, &mut rng(3)),
+                43_747,
+                0xb710_875a_44ea_d783,
+            ),
+            (
+                "stochastic_block_model",
+                stochastic_block_model(&[100, 200, 300], 0.3, 0.01, &mut rng(3)),
+                22_002,
+                0x3e44_8ebd_7048_3467,
+            ),
+            (
+                "random_connected",
+                random_connected(2000, 2000, &mut rng(3)),
+                3_999,
+                0x6a1c_ff60_9742_fd43,
+            ),
+        ];
+        for (name, graph, edges, want) in cases {
+            let g = graph.unwrap();
+            assert_eq!(g.num_edges(), edges, "{name}");
+            assert_eq!(digest(&g), want, "{name}: {:016x}", digest(&g));
         }
     }
 

@@ -7,7 +7,6 @@
     reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
 )]
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::{GraphError, NodeId};
@@ -208,8 +207,14 @@ impl ExactSizeIterator for Neighbors<'_> {}
 
 /// Incremental builder for [`Graph`].
 ///
-/// Collects edges (deduplicating both orientations), then assembles the CSR
-/// arrays in one pass.
+/// Keeps one list of added neighbours per node and assembles the CSR arrays
+/// in one pass, sorting and deduplicating each row there. The cost model:
+///
+/// - [`add_edge`](Self::add_edge) is O(1) amortised: it pushes each
+///   endpoint onto the other's list, and keeps duplicates until `build`.
+/// - [`has_edge`](Self::has_edge) is O(min degree): it scans the shorter of
+///   the two lists, duplicates included.
+/// - [`build`](Self::build) is O(Σ d log d) over the list lengths d.
 ///
 /// # Example
 ///
@@ -229,7 +234,9 @@ impl ExactSizeIterator for Neighbors<'_> {}
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     num_nodes: u32,
-    edges: BTreeSet<(u32, u32)>,
+    /// `adjacency[u]` lists every neighbour added to `u`, in insertion
+    /// order, duplicates included.
+    adjacency: Vec<Vec<u32>>,
 }
 
 impl GraphBuilder {
@@ -237,7 +244,7 @@ impl GraphBuilder {
     pub fn new(num_nodes: u32) -> Self {
         GraphBuilder {
             num_nodes,
-            edges: BTreeSet::new(),
+            adjacency: vec![Vec::new(); num_nodes as usize],
         }
     }
 
@@ -246,12 +253,18 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of distinct undirected edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
+    /// Neighbours added to `u` so far, in insertion order, duplicates
+    /// included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= num_nodes`.
+    pub(crate) fn added_neighbors(&self, u: u32) -> &[u32] {
+        &self.adjacency[u as usize]
     }
 
-    /// Adds the undirected edge `(u, v)`. Duplicates are ignored.
+    /// Adds the undirected edge `(u, v)`. Duplicates are collapsed by
+    /// [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -269,53 +282,130 @@ impl GraphBuilder {
                 });
             }
         }
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.insert(key);
+        self.adjacency[u as usize].push(v);
+        self.adjacency[v as usize].push(u);
         Ok(self)
     }
 
-    /// Tests whether the undirected edge `(u, v)` was already added.
+    /// Tests whether the undirected edge `(u, v)` was already added;
+    /// `false` if either endpoint is out of range.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.contains(&key)
+        match (
+            self.adjacency.get(u as usize),
+            self.adjacency.get(v as usize),
+        ) {
+            (Some(of_u), Some(of_v)) if of_u.len() <= of_v.len() => of_u.contains(&v),
+            (Some(_), Some(of_v)) => of_v.contains(&u),
+            _ => false,
+        }
     }
 
     /// Assembles the CSR graph.
     pub fn build(&self) -> Graph {
-        let n = self.num_nodes as usize;
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(self.adjacency.len() + 1);
         offsets.push(0usize);
-        let mut running = 0usize;
-        for d in &degrees {
-            running += d;
-            offsets.push(running);
+        let mut neighbors = Vec::with_capacity(self.adjacency.iter().map(Vec::len).sum());
+        let mut row: Vec<u32> = Vec::new();
+        for added in &self.adjacency {
+            row.clone_from(added);
+            row.sort_unstable();
+            row.dedup();
+            neighbors.extend(row.iter().map(|&v| NodeId::new(v)));
+            offsets.push(neighbors.len());
         }
-        let mut neighbors = vec![NodeId::new(0); 2 * self.edges.len()];
-        let mut cursor = offsets.clone();
-        // BTreeSet iterates (u, v) in ascending order with u < v, so each
-        // node's neighbor list is filled in ascending order automatically.
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = NodeId::new(v);
-            cursor[u as usize] += 1;
-        }
-        for &(u, v) in &self.edges {
-            neighbors[cursor[v as usize]] = NodeId::new(u);
-            cursor[v as usize] += 1;
-        }
-        // The second pass appends smaller ids after larger ones for v's list,
-        // so a per-node sort is still required.
-        for u in 0..n {
-            neighbors[offsets[u]..offsets[u + 1]].sort_unstable();
-        }
+        // The reservation counted duplicates; give their room back.
+        neighbors.shrink_to_fit();
         Graph {
             offsets,
+            num_edges: neighbors.len() / 2,
             neighbors,
-            num_edges: self.edges.len(),
+        }
+    }
+}
+
+/// The reference model: [`GraphBuilder`] as it stood before per-node
+/// lists — one `BTreeSet` of normalised edges, walked three times at
+/// `build`. Slow and obviously right; [`GraphBuilder`] must answer every
+/// `add_edge` and `has_edge` as it does and build an equal [`Graph`].
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeSet;
+
+    use super::Graph;
+    use crate::{GraphError, NodeId};
+
+    #[derive(Debug, Clone)]
+    pub struct GraphBuilder {
+        num_nodes: u32,
+        edges: BTreeSet<(u32, u32)>,
+    }
+
+    impl GraphBuilder {
+        pub fn new(num_nodes: u32) -> Self {
+            GraphBuilder {
+                num_nodes,
+                edges: BTreeSet::new(),
+            }
+        }
+
+        pub fn add_edge(&mut self, u: u32, v: u32) -> Result<&mut Self, GraphError> {
+            if u == v {
+                return Err(GraphError::SelfLoop { node: u });
+            }
+            for w in [u, v] {
+                if w >= self.num_nodes {
+                    return Err(GraphError::NodeOutOfRange {
+                        node: w,
+                        num_nodes: self.num_nodes,
+                    });
+                }
+            }
+            let key = if u < v { (u, v) } else { (v, u) };
+            self.edges.insert(key);
+            Ok(self)
+        }
+
+        pub fn has_edge(&self, u: u32, v: u32) -> bool {
+            let key = if u < v { (u, v) } else { (v, u) };
+            self.edges.contains(&key)
+        }
+
+        pub fn build(&self) -> Graph {
+            let n = self.num_nodes as usize;
+            let mut degrees = vec![0usize; n];
+            for &(u, v) in &self.edges {
+                degrees[u as usize] += 1;
+                degrees[v as usize] += 1;
+            }
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(0usize);
+            let mut running = 0usize;
+            for d in &degrees {
+                running += d;
+                offsets.push(running);
+            }
+            let mut neighbors = vec![NodeId::new(0); 2 * self.edges.len()];
+            let mut cursor = offsets.clone();
+            // BTreeSet iterates (u, v) in ascending order with u < v, so each
+            // node's neighbor list is filled in ascending order automatically.
+            for &(u, v) in &self.edges {
+                neighbors[cursor[u as usize]] = NodeId::new(v);
+                cursor[u as usize] += 1;
+            }
+            for &(u, v) in &self.edges {
+                neighbors[cursor[v as usize]] = NodeId::new(u);
+                cursor[v as usize] += 1;
+            }
+            // The second pass appends smaller ids after larger ones for v's list,
+            // so a per-node sort is still required.
+            for u in 0..n {
+                neighbors[offsets[u]..offsets[u + 1]].sort_unstable();
+            }
+            Graph {
+                offsets,
+                neighbors,
+                num_edges: self.edges.len(),
+            }
         }
     }
 }
@@ -323,6 +413,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle_with_tail() -> Graph {
         Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap()
@@ -424,9 +515,78 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         b.add_edge(2, 1).unwrap();
         assert_eq!(b.num_nodes(), 4);
-        assert_eq!(b.num_edges(), 2);
         assert!(b.has_edge(1, 2));
         assert!(!b.has_edge(0, 2));
+    }
+
+    /// One step of a builder session.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Add(u32, u32),
+        Has(u32, u32),
+    }
+
+    /// Turns random draws into a session on `n` nodes. Each draw adds one
+    /// edge — in either orientation, sometimes twice — and then asks about
+    /// another pair. Ids `n` and `n + 1` are out of range and equal ids are
+    /// self-loops. `order` 0 keeps the draws' order; 1 and 2 sort the added
+    /// edges ascending and descending, leaving the queries where they were.
+    fn session(n: u32, draws: &[(u32, u32, u32, u32, u32)], order: u32) -> Vec<Op> {
+        let ids = n + 2;
+        let mut edges: Vec<(u32, u32)> = draws
+            .iter()
+            .map(|&(_, a, b, _, _)| (a % ids, b % ids))
+            .collect();
+        let key = |&(u, v): &(u32, u32)| (u.min(v), u.max(v));
+        match order {
+            0 => {}
+            1 => edges.sort_by_key(key),
+            _ => edges.sort_by_key(|e| std::cmp::Reverse(key(e))),
+        }
+        let mut ops = Vec::new();
+        for (&(kind, _, _, qa, qb), &(u, v)) in draws.iter().zip(&edges) {
+            let (u, v) = if kind & 1 == 0 { (u, v) } else { (v, u) };
+            ops.push(Op::Add(u, v));
+            if kind & 2 != 0 {
+                ops.push(Op::Add(v, u));
+            }
+            ops.push(Op::Has(qa % ids, qb % ids));
+        }
+        ops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every `add_edge` result (error variant and fields included) and
+        /// every `has_edge` answer match the `BTreeSet` builder at each
+        /// step, and the built graphs are equal.
+        #[test]
+        fn builder_matches_the_btree_reference(
+            n in 0u32..64,
+            draws in collection::vec(
+                (0u32..4, 0u32..66, 0u32..66, 0u32..66, 0u32..66),
+                0..400,
+            ),
+            order in 0u32..3,
+        ) {
+            let mut got = GraphBuilder::new(n);
+            let mut want = reference::GraphBuilder::new(n);
+            for op in session(n, &draws, order) {
+                match op {
+                    Op::Add(u, v) => {
+                        let got = got.add_edge(u, v).map(|_| ()).map_err(|e| format!("{e:?}"));
+                        let want = want.add_edge(u, v).map(|_| ()).map_err(|e| format!("{e:?}"));
+                        prop_assert_eq!(got, want, "add_edge({}, {})", u, v);
+                    }
+                    Op::Has(u, v) => {
+                        let (got, want) = (got.has_edge(u, v), want.has_edge(u, v));
+                        prop_assert_eq!(got, want, "has_edge({}, {})", u, v);
+                    }
+                }
+            }
+            prop_assert_eq!(got.build(), want.build());
+        }
     }
 
     #[test]

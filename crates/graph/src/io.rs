@@ -21,7 +21,8 @@ use crate::{Graph, GraphBuilder, GraphError};
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::ParseEdgeList`] on malformed lines,
+/// Returns [`GraphError::ParseEdgeList`] on malformed lines (including a
+/// node id of `u32::MAX`, which no `u32`-sized graph can hold),
 /// [`GraphError::SelfLoop`] on `u u` pairs and [`GraphError::Io`] on I/O
 /// failures.
 ///
@@ -50,8 +51,11 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
             continue;
         }
         let mut it = trimmed.split_whitespace();
+        // `u32::MAX` parses but cannot be a node: the graph would need
+        // `u32::MAX + 1` nodes.
         let parse = |tok: Option<&str>| -> Result<u32, GraphError> {
             tok.and_then(|t| t.parse::<u32>().ok())
+                .filter(|&id| id < u32::MAX)
                 .ok_or(GraphError::ParseEdgeList {
                     line: lineno + 1,
                     content: truncate(trimmed),
@@ -165,6 +169,21 @@ mod tests {
         }
         assert!(read_edge_list("0 1 2\n".as_bytes()).is_err());
         assert!(read_edge_list("0 -1\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn read_rejects_the_largest_u32_id() {
+        // Once `max id + 1` overflowed: a panic in debug builds, a
+        // misleading out-of-range error in release.
+        for text in ["0 4294967295\n", "1 2\n4294967295 0\n"] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::ParseEdgeList { line, content }) => {
+                    assert_eq!(line, text.lines().count(), "{text:?}");
+                    assert!(content.contains("4294967295"), "{content}");
+                }
+                other => panic!("unexpected result {other:?} for {text:?}"),
+            }
+        }
     }
 
     #[test]
