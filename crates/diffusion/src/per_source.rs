@@ -200,12 +200,17 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///   `|sources| ≈ dim`, but the dense engine's contiguous row operations
 ///   were measured ≈ 4× more efficient per flop than per-source sparse
 ///   passes, so the break-even is taken as `dim / 4`. That ratio predates
-///   the O(E) operator build and the liveness-masked sweep, which made the
-///   dense side ≈ 1.8× cheaper on `rebuild-dense`; a derivation of the
-///   crossover (ROADMAP item A) must re-measure it. The repo benchmark has a
+///   two rounds of dense-side work: the O(E) operator build and the
+///   liveness-masked sweep (≈ 1.8× on `rebuild-dense`), then the
+///   matrix-free register-blocked sweep on every core (a further ≈ 2.3×
+///   on two cores); a derivation of the crossover must re-measure it. The
+///   dense branch runs [`power::diffuse_threaded`] on the same
+///   `available_parallelism` workers as push, and its output is
+///   bit-for-bit that of one worker. The repo benchmark has a
 ///   workload on each side (`rebuild-sparse`, `rebuild-dense`): its
 ///   `per_source.auto_ms` times this function, `push.diffuse_sparse_ms`
-///   and `power.diffuse_ms` time both branches on the same input;
+///   and `power.diffuse_ms` (one worker) time both branches on the same
+///   input;
 /// * **sweep vs. push** — within the few-source regime, scalar power
 ///   iteration still pays `O(iters · E)` per source while forward push
 ///   ([`crate::push`]) pays only for the pushed mass. Push's queue
@@ -226,7 +231,7 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 /// # Errors
 ///
 /// As [`diffuse_sparse`] / [`push::diffuse_sparse`] /
-/// [`sharded::diffuse_sparse`] / [`power::diffuse`].
+/// [`sharded::diffuse_sparse`] / [`power::diffuse_threaded`].
 pub fn auto_diffuse(
     graph: &Graph,
     dim: usize,
@@ -259,7 +264,7 @@ pub fn auto_diffuse(
         diffuse_sparse(graph, dim, sources, config)
     } else {
         let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        power::diffuse(graph, &e0, config)?.into_converged()
+        power::diffuse_threaded(graph, &e0, config, threads)?.into_converged()
     }
 }
 
@@ -340,6 +345,35 @@ mod tests {
         let e0 = Signal::from_sparse_rows(36, dim, &many).unwrap();
         let b = power::diffuse(&g, &e0, &cfg).unwrap().signal;
         assert!(a.max_abs_diff(&b).unwrap() < 1e-6);
+    }
+
+    #[test]
+    fn auto_dense_branch_is_the_one_thread_sweep_bit_for_bit() {
+        // At least dim / 4 hosts below AUTO_SHARD_MIN_NODES: Auto sweeps on
+        // every available core, and must still return the bits of the
+        // 1-thread sweep, so the machine's parallelism cannot leak into
+        // `SearchNetwork::build`.
+        let g = generators::social_circles_like_scaled(300, &mut seeded(21)).unwrap();
+        let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
+        let dim = gdsearch_graph::sparse::GATHER_BLOCK + 3;
+        let mut rng = seeded(22);
+        let sources: Vec<(NodeId, Embedding)> = (0..dim / 4)
+            .map(|_| {
+                (
+                    NodeId::new(rng.random_range(0..300)),
+                    Embedding::new((0..dim).map(|_| rng.random::<f32>() - 0.5).collect()),
+                )
+            })
+            .collect();
+        assert!(!is_sparse(sources.len(), dim));
+        let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
+        let e0 = Signal::from_sparse_rows(300, dim, &sources).unwrap();
+        let swept = power::diffuse(&g, &e0, &cfg)
+            .unwrap()
+            .into_converged()
+            .unwrap();
+        let bits = |s: &Signal| s.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&auto), bits(&swept));
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //!
 //! The iteration is a contraction with factor `(1−a)` in the appropriate
 //! norm, so it converges geometrically for any `a ∈ (0, 1]`.
+//!
+//! A sweep reads the graph's adjacency directly — no transition matrix is
+//! built — and computes each row of `E(t)` in one pass: the weighted
+//! gather in the register-blocked kernel shared with the CSR products
+//! ([`gather_row`]), then the blend with `E0` and the residual. Rows are
+//! independent, so [`diffuse_threaded`] splits them across workers with
+//! bit-identical output.
 
 #![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use gdsearch_graph::sparse::transition_matrix;
-use gdsearch_graph::Graph;
+use gdsearch_graph::sparse::{edge_weight, gather_row, Normalization};
+use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
 use crate::{DiffusionError, PprConfig, Signal};
@@ -89,23 +96,29 @@ pub fn diffuse(
 ///
 /// Each output row of the sweep `E(t) = (1−a) A E(t−1) + a E0` depends
 /// only on the previous iterate, so disjoint row ranges are computed
-/// concurrently into disjoint chunks of the next iterate
-/// ([`CsrMatrix::mul_dense_rows_into`](gdsearch_graph::sparse::CsrMatrix::mul_dense_rows_into));
-/// the per-chunk residual maxima are folded in chunk order, and `f32::max`
-/// is associative for the non-NaN values produced here — the result is
+/// concurrently into disjoint chunks of the next iterate; the per-chunk
+/// residual maxima are folded in chunk order, and `f32::max` is
+/// associative for the non-NaN values produced here — the result is
 /// therefore bit-for-bit identical for every thread count, including
 /// `threads = 1` (which is exactly [`diffuse`]).
+///
+/// No transition matrix is built. A row reads its neighbour ids straight
+/// from the graph's adjacency and each entry's weight from per-node tables
+/// made once per call from [`edge_weight`], sums `w · E(t)[v]` in the
+/// shared register-blocked kernel [`gather_row`], and blends each finished
+/// block into `E(t+1)` and the residual in the same pass — the float
+/// operations, in the same order, of `(1−a)·(A · E(t)) + a·E0` with `A`
+/// from [`transition_matrix`](gdsearch_graph::sparse::transition_matrix).
 ///
 /// The sweep gathers only from rows that can be non-zero. A row is *dead*
 /// while all its bits are `+0.0`; row `u` of `E(t+1)` is dead if row `u` of
 /// `E0` is and every neighbour's row of `E(t)` is (`a` and `1−a` are
 /// non-negative, so the blend of `+0.0`s is `+0.0`). The live set therefore
 /// grows one hop per sweep from the rows of `E0` that hold a set bit, and
-/// while it is not yet all rows the kernel skips the dead ones
-/// ([`CsrMatrix::mul_live_rows_into`](gdsearch_graph::sparse::CsrMatrix::mul_live_rows_into),
-/// which is where the bit-identity of skipping is argued). The mask is
-/// structural — a live row may still hold zeros — and identical for every
-/// thread count.
+/// while it is not yet all rows each row skips its dead neighbours, which
+/// changes no bit of a sum (argued at the row kernel). The mask is structural
+/// — a live row may still hold zeros — and identical for every thread
+/// count.
 ///
 /// # Errors
 ///
@@ -116,8 +129,7 @@ pub fn diffuse_threaded(
     config: &PprConfig,
     threads: usize,
 ) -> Result<DiffusionResult, DiffusionError> {
-    let matrix = transition_matrix(graph, config.normalization());
-    let n = matrix.n_rows();
+    let n = graph.num_nodes();
     if e0.num_nodes() != n {
         return Err(DiffusionError::ShapeMismatch {
             expected: (n, e0.dim()),
@@ -128,12 +140,12 @@ pub fn diffuse_threaded(
     let width = dim.max(1);
     let threads = threads.max(1).min(n.max(1));
     let chunk_rows = n.max(1).div_ceil(threads);
-    let alpha = config.alpha();
+    let weights = Weights::new(graph, config.normalization());
     let mut current = e0.clone();
     let mut next = Signal::zeros(n, dim);
     // live: rows of `current` that may hold a set bit. reached: the same
     // for `next` — seeded with E0's rows, which are live in every iterate,
-    // and only ever gaining rows, so the kernel grows it in place.
+    // and only ever gaining rows, so the sweep grows it in place.
     let mut live: Vec<bool> = (0..n)
         .map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0))
         .collect();
@@ -143,9 +155,15 @@ pub fn diffuse_threaded(
         let masked = live.contains(&false);
         // next = (1 - a) * A * current + a * e0, sharded by row range.
         let max_delta = {
-            let cur = current.as_slice();
-            let origin = e0.as_slice();
-            let live = live.as_slice();
+            let sweep = Sweep {
+                graph,
+                weights: &weights,
+                cur: current.as_slice(),
+                origin: e0.as_slice(),
+                dim,
+                alpha: config.alpha(),
+                live: masked.then_some(live.as_slice()),
+            };
             let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = next
                 .as_mut_slice()
                 .chunks_mut(chunk_rows * width)
@@ -156,23 +174,7 @@ pub fn diffuse_threaded(
             let deltas = crate::workpool::map_batched_mut(
                 &mut chunks,
                 threads,
-                |(first_row, chunk, reached)| {
-                    if masked {
-                        matrix.mul_live_rows_into(*first_row, cur, width, live, chunk, reached);
-                    } else {
-                        matrix.mul_dense_rows_into(*first_row, cur, width, chunk);
-                    }
-                    let base = *first_row * width;
-                    let mut local_max = 0.0f32;
-                    for (j, nx) in chunk.iter_mut().enumerate() {
-                        *nx = (1.0 - alpha) * *nx + alpha * origin[base + j];
-                        let delta = (*nx - cur[base + j]).abs();
-                        if delta > local_max {
-                            local_max = delta;
-                        }
-                    }
-                    local_max
-                },
+                |(first_row, chunk, reached)| sweep.rows(*first_row, chunk, reached),
             );
             deltas.into_iter().fold(0.0f32, f32::max)
         };
@@ -192,11 +194,156 @@ pub fn diffuse_threaded(
     })
 }
 
+/// The transition weights of a graph under one normalization, as the sweep
+/// reads them: a per-node table built once per call from [`edge_weight`]
+/// instead of a stored value per entry. Entry `(u, v)` is bit for bit the
+/// value [`transition_matrix`](gdsearch_graph::sparse::transition_matrix)
+/// stores (`sweep_weights_are_the_transition_matrix` checks it).
+enum Weights {
+    /// `ColumnStochastic`: entry `(u, v)` is `table[v] = 1/deg v`.
+    PerColumn(Vec<f32>),
+    /// `RowStochastic`: entry `(u, v)` is `table[u] = 1/deg u`.
+    PerRow(Vec<f32>),
+    /// `Symmetric`: entry `(u, v)` is `1/(table[u]·table[v])` with
+    /// `table[w] = √deg w` — [`edge_weight`]'s expression, term for term.
+    Symmetric(Vec<f32>),
+}
+
+impl Weights {
+    fn new(graph: &Graph, norm: Normalization) -> Self {
+        let degrees = graph.node_ids().map(|u| graph.degree(u));
+        match norm {
+            Normalization::ColumnStochastic => {
+                Weights::PerColumn(degrees.map(|deg| edge_weight(norm, 1, deg)).collect())
+            }
+            Normalization::RowStochastic => {
+                Weights::PerRow(degrees.map(|deg| edge_weight(norm, deg, 1)).collect())
+            }
+            Normalization::Symmetric => {
+                Weights::Symmetric(degrees.map(|deg| (deg as f32).sqrt()).collect())
+            }
+        }
+    }
+}
+
+/// How many running maxima a row pass keeps the residual in.
+const LANES: usize = 8;
+
+/// Folds the cell residuals `|next − cur|` into `lanes`, cell `j` into lane
+/// `j % LANES`. NaN never wins `>`, so the max over the lanes is the max
+/// over the cells for any grouping, and the fixed lanes let the
+/// comparisons vectorize.
+fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
+    let fold = |lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]| {
+        for ((lane, &nx), &cur) in lanes.iter_mut().zip(next).zip(cur) {
+            let delta = (nx - cur).abs();
+            *lane = if delta > *lane { delta } else { *lane };
+        }
+    };
+    let (next, cur) = (next.chunks_exact(LANES), cur.chunks_exact(LANES));
+    let (next_tail, cur_tail) = (next.remainder(), cur.remainder());
+    for (next, cur) in next.zip(cur) {
+        fold(lanes, next, cur);
+    }
+    fold(lanes, next_tail, cur_tail);
+}
+
+/// One sweep `E(t+1) = (1−a)·A·E(t) + a·E0`, read-only and shared by the
+/// workers that write disjoint row ranges of `E(t+1)`.
+struct Sweep<'a> {
+    graph: &'a Graph,
+    weights: &'a Weights,
+    /// `E(t)`, `dim` cells per node.
+    cur: &'a [f32],
+    /// `E0`, likewise.
+    origin: &'a [f32],
+    dim: usize,
+    alpha: f32,
+    /// While some row of `E(t)` is dead: which rows are live.
+    live: Option<&'a [bool]>,
+}
+
+impl Sweep<'_> {
+    /// Sweeps the rows from `first_row` on into `next` (whole rows), ORs
+    /// into `reached[i]` whether row `first_row + i` gathered from a live
+    /// row, and returns the chunk's max residual `|E(t+1) − E(t)|`.
+    fn rows(&self, first_row: usize, next: &mut [f32], reached: &mut [bool]) -> f32 {
+        // One copy of the row loop per normalization: no entry branches on it.
+        match self.weights {
+            Weights::PerColumn(table) => self.rows_with(|_, v| table[v], first_row, next, reached),
+            Weights::PerRow(table) => self.rows_with(|u, _| table[u], first_row, next, reached),
+            Weights::Symmetric(root) => {
+                self.rows_with(|u, v| 1.0 / (root[u] * root[v]), first_row, next, reached)
+            }
+        }
+    }
+
+    /// [`Sweep::rows`] with `weight(u, v)` the weight of entry `(u, v)`.
+    fn rows_with(
+        &self,
+        weight: impl Fn(usize, usize) -> f32 + Copy,
+        first_row: usize,
+        next: &mut [f32],
+        reached: &mut [bool],
+    ) -> f32 {
+        let rows = next.chunks_mut(self.dim.max(1)).zip(reached);
+        let mut lanes = [0.0f32; LANES];
+        for (u, (next, reached)) in self.graph.node_ids().skip(first_row).zip(rows) {
+            *reached |= self.row(weight, u, next, &mut lanes);
+        }
+        lanes.into_iter().fold(0.0f32, f32::max)
+    }
+
+    /// Sweeps row `u` into `next` (its `dim` cells), folds its residuals
+    /// into `lanes`, and returns whether it gathered from a live row
+    /// (always, unmasked).
+    ///
+    /// With a mask the row leaves out its dead neighbours, whose rows of
+    /// `E(t)` are all `+0.0` bits. With finite weights the sums are still
+    /// those of the full row, bit for bit: each left-out term is
+    /// `w · (+0.0) = ±0.0`, every sum starts at `+0.0` and so is never
+    /// `−0.0`, and adding `±0.0` to anything else changes no bit; the other
+    /// terms keep their adjacency order.
+    fn row(
+        &self,
+        weight: impl Fn(usize, usize) -> f32,
+        u: NodeId,
+        next: &mut [f32],
+        lanes: &mut [f32; LANES],
+    ) -> bool {
+        let cells = u.index() * self.dim..(u.index() + 1) * self.dim;
+        let (cur, origin) = (&self.cur[cells.clone()], &self.origin[cells]);
+        let alpha = self.alpha;
+        let mut blend = |start: usize, sums: &[f32]| {
+            let next = &mut next[start..][..sums.len()];
+            for ((nx, &sum), &origin) in next.iter_mut().zip(sums).zip(&origin[start..]) {
+                *nx = (1.0 - alpha) * sum + alpha * origin;
+            }
+            fold_residual(lanes, next, &cur[start..][..next.len()]);
+        };
+        let entries = self.graph.neighbor_slice(u).iter().map(|v| {
+            let v = v.index();
+            (v, weight(u.index(), v))
+        });
+        match self.live {
+            None => {
+                gather_row(entries, self.cur, self.dim, &mut blend);
+                true
+            }
+            Some(live) => {
+                let entries = entries.filter(|&(v, _)| live[v]);
+                let any = entries.clone().next().is_some();
+                gather_row(entries, self.cur, self.dim, &mut blend);
+                any
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gdsearch_graph::generators;
-    use gdsearch_graph::sparse::Normalization;
 
     fn one_hot_signal(n: usize, node: usize) -> Signal {
         let mut s = Signal::zeros(n, 1);
@@ -346,5 +493,97 @@ mod tests {
     fn seeded(seed: u64) -> rand::rngs::StdRng {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn live_rows_product_skips_dead_sources_bit_for_bit() {
+        // Path 0-1-2-3-4 with only row 1 of E(t) non-zero: rows 0 and 2
+        // gather from it, the others gather from nothing.
+        let g = generators::path(5);
+        let weights = Weights::new(&g, Normalization::Symmetric);
+        let dim = 2;
+        let mut cur = vec![0.0f32; 5 * dim];
+        cur[2..4].copy_from_slice(&[0.3, -7.5]);
+        let origin: Vec<f32> = (0..5 * dim).map(|i| i as f32 * 0.25).collect();
+        let sweep = |live| Sweep {
+            graph: &g,
+            weights: &weights,
+            cur: &cur,
+            origin: &origin,
+            dim,
+            alpha: 0.3,
+            live,
+        };
+        let mut full = vec![1.0f32; 5 * dim];
+        let full_delta = sweep(None).rows(0, &mut full, &mut [true; 5]);
+        let live = [false, true, false, false, false];
+        let mut masked = vec![1.0f32; 5 * dim];
+        let mut reached = [false, false, false, true, false];
+        let masked_delta = sweep(Some(&live)).rows(0, &mut masked, &mut reached);
+        assert_eq!(bits(&masked), bits(&full));
+        assert_eq!(masked_delta.to_bits(), full_delta.to_bits());
+        // Row 3 was set by the caller and is left set.
+        assert_eq!(reached, [true, false, true, true, false]);
+    }
+
+    use proptest::prelude::*;
+
+    const NORMS: [Normalization; 3] = [
+        Normalization::ColumnStochastic,
+        Normalization::RowStochastic,
+        Normalization::Symmetric,
+    ];
+
+    /// Ring, Erdős–Rényi (isolated nodes likely at small `n`),
+    /// Barabási–Albert and a degree-`(n−1)` star hub.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (0usize..4, 3u32..36, 0u64..1000).prop_map(|(family, n, seed)| {
+            let mut rng = seeded(seed);
+            match family {
+                0 => generators::ring(n).unwrap(),
+                1 => generators::erdos_renyi(n, 0.1, &mut rng).unwrap(),
+                2 => generators::barabasi_albert(n, 2, &mut rng).unwrap(),
+                _ => generators::star(n),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The weight the sweep gives entry `(u, v)` is the value
+        /// `transition_matrix` stores, bit for bit: one sweep at `a = 0`
+        /// over a one-hot `E(t)` on `v` leaves exactly column `v` of `A` in
+        /// `E(t+1)` (`1·w + 0·0 = w`, and the `w·(+0.0)` terms add nothing).
+        #[test]
+        fn sweep_weights_are_the_transition_matrix(g in arb_graph(), norm in 0usize..3) {
+            let n = g.num_nodes();
+            let a = gdsearch_graph::sparse::transition_matrix(&g, NORMS[norm]);
+            let weights = Weights::new(&g, NORMS[norm]);
+            let origin = vec![0.0f32; n];
+            for v in 0..n {
+                let mut cur = vec![0.0f32; n];
+                cur[v] = 1.0;
+                let sweep = Sweep {
+                    graph: &g,
+                    weights: &weights,
+                    cur: &cur,
+                    origin: &origin,
+                    dim: 1,
+                    alpha: 0.0,
+                    live: None,
+                };
+                let mut column = vec![f32::NAN; n];
+                sweep.rows(0, &mut column, &mut vec![false; n]);
+                let stored = (0..n).map(|u| {
+                    a.row(u).find(|&(c, _)| c as usize == v).map_or(0.0, |(_, w)| w)
+                });
+                prop_assert_eq!(bits(&column), bits(&stored.collect::<Vec<_>>()), "column {}", v);
+            }
+        }
     }
 }

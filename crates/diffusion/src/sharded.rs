@@ -29,13 +29,15 @@
 //! [`crate::power::diffuse`]* for every `(shards, threads)` combination.
 //! Shard-local transition rows are the global transition rows with columns
 //! remapped by [`GraphShard::slot_of`], which is strictly monotone in the
-//! global node id — so each row's stored entries keep their global order
-//! and [`CsrMatrix::mul_dense_rows_into`] performs the same float
-//! operations in the same order as the monolithic product (which, while
-//! its liveness mask is on, leaves out the `w·(+0.0)` terms of rows that
-//! are still zero — terms that change no bit of a sum). The blend
+//! global node id — so each row's stored entries keep their global order,
+//! with the [`edge_weight`] values the monolithic sweep reads from its
+//! per-node tables. [`CsrMatrix::mul_dense_rows_into`] runs both sweeps'
+//! row kernel, [`gdsearch_graph::sparse::gather_row`], and so performs the
+//! same float operations in the same order as the monolithic gather (which,
+//! while its liveness mask is on, leaves out the `w·(+0.0)` terms of rows
+//! that are still zero — terms that change no bit of a sum). The blend
 //! `E(t+1) = (1−a)·A·E(t) + a·E0` uses the same expression per element,
-//! and the per-shard residual maxima are folded with `f32::max`, which is
+//! and the residual maxima are folded with `f32::max`, which is
 //! associative for the non-NaN values produced here.
 //!
 //! **Push.** The sharded push uses a canonical *round* schedule (Jacobi

@@ -4,7 +4,7 @@
 use gdsearch_diffusion::push::{self, PushConfig};
 use gdsearch_diffusion::{exact, per_source, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{transition_weight, Normalization};
+use gdsearch_graph::sparse::{transition_weight, Normalization, GATHER_BLOCK};
 use gdsearch_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,6 +31,23 @@ fn arb_push_graph() -> impl Strategy<Value = Graph> {
         }
     })
 }
+
+const NORMS: [Normalization; 3] = [
+    Normalization::ColumnStochastic,
+    Normalization::RowStochastic,
+    Normalization::Symmetric,
+];
+
+/// Signal widths on both sides of the sweep kernel's block boundaries.
+const DIMS: [usize; 7] = [
+    1,
+    3,
+    GATHER_BLOCK - 1,
+    GATHER_BLOCK,
+    GATHER_BLOCK + 1,
+    2 * GATHER_BLOCK + 3,
+    64,
+];
 
 fn one_hot(n: usize, u: usize) -> Signal {
     let mut s = Signal::zeros(n, 1);
@@ -137,22 +154,62 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
     assert_eq!((iterations, converged), (1, true));
 }
 
+/// Hostile graphs: no nodes, one node, isolated nodes beside a component,
+/// and a degree-(N−1) hub, each at zero width and across the row kernel's
+/// block boundaries, under every normalization and with dense and one-row
+/// E0s.
+#[test]
+fn sweep_equals_reference_on_hostile_graphs() {
+    let graphs = [
+        Graph::empty(0),
+        Graph::empty(1),
+        Graph::from_edges(7, [(1, 2), (2, 3), (1, 3)]).unwrap(),
+        generators::star(9),
+    ];
+    let mut rng = StdRng::seed_from_u64(7);
+    for g in &graphs {
+        let n = g.num_nodes();
+        for dim in [0].into_iter().chain(DIMS) {
+            for norm in NORMS {
+                let cfg = PprConfig::new(0.3)
+                    .unwrap()
+                    .with_normalization(norm)
+                    .with_tolerance(1e-6)
+                    .unwrap();
+                let mut dense = Signal::zeros(n, dim);
+                for x in dense.as_mut_slice() {
+                    *x = rng.random::<f32>() - 0.5;
+                }
+                assert_sweep_is_reference(g, &dense, &cfg);
+                if n > 0 {
+                    // One live row on the last node: isolated, or a leaf
+                    // of the hub.
+                    let mut one = Signal::zeros(n, dim);
+                    one.row_mut(n - 1).copy_from_slice(dense.row(0));
+                    assert_sweep_is_reference(g, &one, &cfg);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// With one to three live rows in E0 — the regime the liveness mask is
     /// for, on graphs that may hold components no row ever reaches — the
-    /// sweep equals the reference sweep bit for bit.
+    /// sweep equals the reference sweep bit for bit, at widths on both
+    /// sides of the row kernel's block boundaries.
     #[test]
     fn masked_sweep_equals_reference_sweep(
         g in arb_push_graph(),
         alpha in 0.1f32..1.0,
-        dim in 1usize..4,
+        dim in 0usize..DIMS.len(),
         hosts in 1usize..4,
         norm in 0usize..3,
         signal_seed in 0u64..1000,
     ) {
-        let n = g.num_nodes();
+        let (n, dim) = (g.num_nodes(), DIMS[dim]);
         let mut rng = StdRng::seed_from_u64(signal_seed);
         let mut e0 = Signal::zeros(n, dim);
         for _ in 0..hosts {
@@ -161,14 +218,9 @@ proptest! {
                 *x = rng.random::<f32>() - 0.5;
             }
         }
-        let norm = [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ][norm];
         let cfg = PprConfig::new(alpha)
             .unwrap()
-            .with_normalization(norm)
+            .with_normalization(NORMS[norm])
             .with_tolerance(1e-6)
             .unwrap();
         assert_sweep_is_reference(&g, &e0, &cfg);
@@ -180,27 +232,31 @@ proptest! {
 
     /// The workpool-sharded dense sweeps are bit-for-bit identical to the
     /// sequential engine for every thread count, on arbitrary graphs and
-    /// dense multi-column signals.
+    /// dense signals at widths on both sides of the row kernel's block
+    /// boundaries, under every normalization.
     #[test]
     fn power_threaded_is_bitwise_deterministic(
         g in arb_graph(),
         alpha in 0.1f32..1.0,
-        dim in 1usize..5,
+        dim in 0usize..DIMS.len(),
+        norm in 0usize..3,
         signal_seed in 0u64..1000,
     ) {
-        let n = g.num_nodes();
+        let (n, dim) = (g.num_nodes(), DIMS[dim]);
         let mut rng = StdRng::seed_from_u64(signal_seed);
         let mut e0 = Signal::zeros(n, dim);
-        for u in 0..n {
-            for d in 0..dim {
-                e0.row_mut(u)[d] = rng.random::<f32>();
-            }
+        for x in e0.as_mut_slice() {
+            *x = rng.random::<f32>();
         }
-        let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-6).unwrap();
+        let cfg = PprConfig::new(alpha)
+            .unwrap()
+            .with_normalization(NORMS[norm])
+            .with_tolerance(1e-6)
+            .unwrap();
         let reference = power::diffuse(&g, &e0, &cfg).unwrap();
         for threads in [2usize, 4, 7] {
             let out = power::diffuse_threaded(&g, &e0, &cfg, threads).unwrap();
-            prop_assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
+            prop_assert_eq!(bits(out.signal.as_slice()), bits(reference.signal.as_slice()));
             prop_assert_eq!(out.iterations, reference.iterations);
             prop_assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
         }

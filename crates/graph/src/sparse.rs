@@ -207,7 +207,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `row >= n_rows`.
-    pub fn row(&self, row: usize) -> impl Iterator<Item = (u32, f32)> + '_ {
+    pub fn row(&self, row: usize) -> impl Iterator<Item = (u32, f32)> + Clone + '_ {
         let range = self.offsets[row]..self.offsets[row + 1];
         self.columns[range.clone()]
             .iter()
@@ -245,10 +245,8 @@ impl CsrMatrix {
     }
 
     /// Product with a row-major dense matrix: `Y = M X`, where `X` has
-    /// `n_cols` rows of width `width` stored contiguously, likewise `Y`.
-    ///
-    /// This is the hot loop of dense diffusion (`X` holds one embedding row
-    /// per node).
+    /// `n_cols` rows of width `width` stored contiguously, likewise `Y`
+    /// (in diffusion, `X` holds one embedding row per node).
     ///
     /// # Panics
     ///
@@ -266,94 +264,30 @@ impl CsrMatrix {
     /// Each output row depends only on `x` and that row's stored entries,
     /// so disjoint row ranges can be computed concurrently into disjoint
     /// buffers and the assembled result is bitwise identical to one
-    /// [`CsrMatrix::mul_dense_into`] call — the primitive behind the
-    /// parallel dense diffusion sweeps.
+    /// [`CsrMatrix::mul_dense_into`] call. Every row goes through
+    /// [`gather_row`], the kernel the dense diffusion sweeps share.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != n_cols * width`, `y.len()` is not a multiple
     /// of `width`, or the row range extends past `n_rows`.
     pub fn mul_dense_rows_into(&self, first_row: usize, x: &[f32], width: usize, y: &mut [f32]) {
-        self.gather_rows(first_row, x, width, y, None);
-    }
-
-    /// [`CsrMatrix::mul_dense_rows_into`] that skips the source rows of `x`
-    /// marked dead in `live`, and sets `reached[i]` for every output row
-    /// `first_row + i` that gathered from at least one live source (entries
-    /// it does not set are left as they were).
-    ///
-    /// The caller promises that a dead row of `x` is all `+0.0` bits. With
-    /// finite stored values the output is then bit-identical to the
-    /// unmasked product: each skipped term is `w · (+0.0) = ±0.0`, every
-    /// accumulator starts at `+0.0` and so is never `−0.0`, and adding
-    /// `±0.0` to anything else changes no bit; the surviving terms keep
-    /// their stored order.
-    ///
-    /// # Panics
-    ///
-    /// As [`CsrMatrix::mul_dense_rows_into`], or if `live.len() != n_cols`
-    /// or `reached` does not hold one flag per output row.
-    pub fn mul_live_rows_into(
-        &self,
-        first_row: usize,
-        x: &[f32],
-        width: usize,
-        live: &[bool],
-        y: &mut [f32],
-        reached: &mut [bool],
-    ) {
-        assert_eq!(live.len(), self.n_cols, "liveness mask dimension mismatch");
-        assert_eq!(
-            reached.len() * width.max(1),
-            y.len(),
-            "one reached flag per output row"
-        );
-        self.gather_rows(first_row, x, width, y, Some((live, reached)));
-    }
-
-    /// The one row kernel behind the dense products: for each output row,
-    /// accumulate `value · x[column]` over the stored entries in order —
-    /// all of them, or with a `(live, reached)` mask only the live ones.
-    fn gather_rows(
-        &self,
-        first_row: usize,
-        x: &[f32],
-        width: usize,
-        y: &mut [f32],
-        mut mask: Option<(&[bool], &mut [bool])>,
-    ) {
         assert_eq!(x.len(), self.n_cols * width, "input dimension mismatch");
-        let w = width.max(1);
-        assert_eq!(y.len() % w, 0, "output buffer must hold whole rows");
-        let rows = y.len() / w;
+        let rows = y.len().checked_div(width).unwrap_or(0);
+        assert_eq!(rows * width, y.len(), "output buffer must hold whole rows");
         assert!(
             first_row + rows <= self.n_rows,
             "row range {first_row}..{} exceeds {} rows",
             first_row + rows,
             self.n_rows
         );
-        for (chunk_row, out) in y.chunks_mut(w).enumerate() {
-            out.fill(0.0);
-            let mut gather = |column: usize, weight: f32| {
-                let src = &x[column * width..][..width];
-                for (o, s) in out.iter_mut().zip(src) {
-                    *o += weight * s;
-                }
-            };
+        for (chunk_row, out) in y.chunks_mut(width.max(1)).enumerate() {
             let entries = self
                 .row(first_row + chunk_row)
                 .map(|(c, weight)| (c as usize, weight));
-            match mask.as_mut() {
-                None => entries.for_each(|(c, weight)| gather(c, weight)),
-                Some((live, reached)) => {
-                    let mut any = false;
-                    for (c, weight) in entries.filter(|&(c, _)| live[c]) {
-                        any = true;
-                        gather(c, weight);
-                    }
-                    reached[chunk_row] |= any;
-                }
-            }
+            gather_row(entries, x, width, |start, sums| {
+                out[start..][..sums.len()].copy_from_slice(sums);
+            });
         }
     }
 
@@ -373,6 +307,68 @@ impl CsrMatrix {
             }
         }
         sums
+    }
+}
+
+/// Width of the register block [`gather_row`] sums an output row in.
+pub const GATHER_BLOCK: usize = 64;
+
+/// The one row kernel of the dense products: one output row of `Y = M X`,
+/// where `X` stores rows of width `width` contiguously and `entries` yields
+/// the row's `(column, weight)` pairs. Each [`GATHER_BLOCK`]-wide block of
+/// the row is summed in a fixed `[f32; GATHER_BLOCK]`, the last
+/// `width % GATHER_BLOCK` columns in a scalar tail, and each finished block
+/// goes to `emit(first column, sums)` — where a caller stores it, or blends
+/// it into the next iterate in the same pass.
+///
+/// Every element's sum starts at `+0.0` and adds `weight · x` over the
+/// entries in the order `entries` yields them. Blocking decides which
+/// elements are summed side by side, never the order of one element's
+/// terms, so the bits are those of the plain per-element loop.
+///
+/// # Panics
+///
+/// Panics if an entry's column row runs past the end of `x`.
+///
+/// # Example
+///
+/// ```
+/// use gdsearch_graph::sparse::gather_row;
+///
+/// // Row [2, 0, 1] times the 3 × 2 matrix [[1, 2], [3, 4], [5, 6]].
+/// let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+/// let mut y = [0.0f32; 2];
+/// gather_row([(0, 2.0), (2, 1.0)].into_iter(), &x, 2, |start, sums| {
+///     y[start..start + sums.len()].copy_from_slice(sums);
+/// });
+/// assert_eq!(y, [7.0, 10.0]);
+/// ```
+pub fn gather_row<I>(entries: I, x: &[f32], width: usize, mut emit: impl FnMut(usize, &[f32]))
+where
+    I: Iterator<Item = (usize, f32)> + Clone,
+{
+    let mut start = 0;
+    while start + GATHER_BLOCK <= width {
+        let mut sums = [0.0f32; GATHER_BLOCK];
+        for (column, weight) in entries.clone() {
+            let src = &x[column * width + start..][..GATHER_BLOCK];
+            for (sum, s) in sums.iter_mut().zip(src) {
+                *sum += weight * s;
+            }
+        }
+        emit(start, &sums);
+        start += GATHER_BLOCK;
+    }
+    if start < width {
+        let mut block = [0.0f32; GATHER_BLOCK];
+        let sums = &mut block[..width - start];
+        for (column, weight) in entries {
+            let src = &x[column * width + start..][..sums.len()];
+            for (sum, s) in sums.iter_mut().zip(src) {
+                *sum += weight * s;
+            }
+        }
+        emit(start, sums);
     }
 }
 
@@ -595,23 +591,31 @@ mod tests {
     }
 
     #[test]
-    fn live_rows_product_skips_dead_sources_bit_for_bit() {
-        // Path 0-1-2-3-4 with only row 1 of x non-zero: rows 0 and 2 gather
-        // from it, the others gather from nothing.
-        let a = transition_matrix(&generators::path(5), Normalization::Symmetric);
-        let width = 2;
-        let mut x = vec![0.0f32; 5 * width];
-        x[2..4].copy_from_slice(&[0.3, -7.5]);
-        let live = [false, true, false, false, false];
-        let mut full = vec![1.0f32; 5 * width];
-        a.mul_dense_into(&x, width, &mut full);
-        let mut masked = vec![1.0f32; 5 * width];
-        let mut reached = [false, false, false, true, false];
-        a.mul_live_rows_into(0, &x, width, &live, &mut masked, &mut reached);
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&masked), bits(&full));
-        // Row 3 was set by the caller and is left set.
-        assert_eq!(reached, [true, false, true, true, false]);
+    fn gather_row_is_the_per_element_loop_at_every_block_boundary() {
+        let b = GATHER_BLOCK;
+        for width in [1, 3, b - 1, b, b + 1, 2 * b + 3] {
+            let x: Vec<f32> = (0..5 * width).map(|i| (i as f32 * 0.37).sin()).collect();
+            let entries = [(3usize, 0.25f32), (0, -1.5), (4, 1.0 / 3.0), (3, 7.0)];
+            let mut want = vec![0.0f32; width];
+            for &(c, weight) in &entries {
+                for (o, s) in want.iter_mut().zip(&x[c * width..][..width]) {
+                    *o += weight * s;
+                }
+            }
+            let mut got = vec![f32::NAN; width];
+            let mut starts = Vec::new();
+            gather_row(entries.into_iter(), &x, width, |start, sums| {
+                starts.push(start);
+                got[start..][..sums.len()].copy_from_slice(sums);
+            });
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "width {width}");
+            assert_eq!(starts, (0..width).step_by(b).collect::<Vec<_>>());
+        }
+        // A zero-width row emits nothing.
+        gather_row([(0usize, 1.0f32)].into_iter(), &[], 0, |_, _| {
+            panic!("emitted")
+        });
     }
 
     #[test]
