@@ -121,6 +121,12 @@ pub enum EngineError {
         /// The request's dimension.
         got: usize,
     },
+    /// A query component is NaN or infinite: its scores would be NaN, so
+    /// it could only walk the full TTL and evict a real cached column.
+    NonFiniteQuery {
+        /// Index of the first non-finite component.
+        index: usize,
+    },
     /// The engine configuration was rejected (see [`ConfigError`]).
     InvalidConfig(ConfigError),
     /// A scheme-level failure (build or walk).
@@ -141,6 +147,9 @@ impl fmt::Display for EngineError {
                 f,
                 "query dimension {got} does not match the served corpus ({expected})"
             ),
+            EngineError::NonFiniteQuery { index } => {
+                write!(f, "query component {index} is not finite")
+            }
             EngineError::InvalidConfig(e) => write!(f, "engine configuration: {e}"),
             EngineError::Search(e) => write!(f, "scheme: {e}"),
         }
@@ -390,8 +399,8 @@ impl<'g> QueryEngine<'g> {
     /// # Errors
     ///
     /// [`EngineError::StartOutOfRange`] / [`EngineError::DimensionMismatch`]
-    /// for malformed requests, [`EngineError::QueueFull`] past the
-    /// configured capacity.
+    /// / [`EngineError::NonFiniteQuery`] for malformed requests,
+    /// [`EngineError::QueueFull`] past the configured capacity.
     pub fn submit(&self, request: QueryRequest) -> Result<u64, EngineError> {
         self.validate(&request)?;
         let mut queue = lock(&self.queue);
@@ -490,6 +499,9 @@ impl<'g> QueryEngine<'g> {
                 expected: self.network.dim(),
                 got: request.query.dim(),
             });
+        }
+        if let Some(index) = request.query.as_slice().iter().position(|x| !x.is_finite()) {
+            return Err(EngineError::NonFiniteQuery { index });
         }
         Ok(())
     }
@@ -684,6 +696,40 @@ mod tests {
             })
         ));
         assert_eq!(engine.pending(), 0);
+    }
+
+    #[test]
+    fn non_finite_queries_are_rejected_at_both_entry_points() {
+        let fx = fixture();
+        let engine = engine_with(&fx, EngineConfig::default());
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut query = fx.corpus.embedding(WordId::new(0)).as_slice().to_vec();
+            query[5] = poison;
+            let bad = QueryRequest::new(Embedding::new(query), NodeId::new(0), 1);
+            assert!(matches!(
+                engine.submit(bad.clone()),
+                Err(EngineError::NonFiniteQuery { index: 5 })
+            ));
+            assert!(matches!(
+                engine.execute(bad),
+                Err(EngineError::NonFiniteQuery { index: 5 })
+            ));
+        }
+        let stats = engine.stats();
+        assert_eq!(engine.pending(), 0);
+        assert_eq!((stats.submitted, stats.executed), (0, 0));
+        assert_eq!(stats.cache.inserts, 0);
+        // Zeros of either sign are finite and still admitted.
+        for zero in [0.0, -0.0] {
+            let query = Embedding::new(vec![zero; 16]);
+            engine
+                .submit(QueryRequest::new(query.clone(), NodeId::new(0), 2))
+                .unwrap();
+            engine
+                .execute(QueryRequest::new(query, NodeId::new(0), 3))
+                .unwrap();
+        }
+        assert_eq!(engine.pending(), 2);
     }
 
     #[test]

@@ -511,4 +511,35 @@ mod tests {
             assert!(w[0].score >= w[1].score);
         }
     }
+
+    #[test]
+    fn unbounded_top_k_returns_every_document_found() {
+        let g = generators::ring(12).unwrap();
+        let c = corpus(38);
+        let words: Vec<WordId> = (0..30).map(WordId::new).collect();
+        let p = Placement::uniform(&g, &words, &mut rng(39)).unwrap();
+        let cfg = SchemeConfig::builder()
+            .top_k(usize::MAX)
+            .ttl(5)
+            .build()
+            .unwrap();
+        let net = network_on(&g, &c, &p, &cfg, 40);
+        let out = run(
+            &net,
+            c.embedding(WordId::new(50)),
+            NodeId::new(0),
+            &mut rng(41),
+        )
+        .unwrap();
+        let mut found: Vec<DocId> = out.results.iter().map(|f| f.doc).collect();
+        found.sort_unstable();
+        let mut hosted: Vec<DocId> = out
+            .path
+            .iter()
+            .flat_map(|&u| net.docs_at(u).iter().copied())
+            .collect();
+        hosted.sort_unstable();
+        assert!(!hosted.is_empty());
+        assert_eq!(found, hosted);
+    }
 }

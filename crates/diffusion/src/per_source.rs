@@ -25,7 +25,7 @@ use gdsearch_graph::sparse::{transition_matrix, CsrMatrix};
 use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
-use crate::{power, push, sharded, workpool, DiffusionError, PprConfig, Signal};
+use crate::{power, push, workpool, DiffusionError, PprConfig, Signal};
 
 /// Computes the single-source PPR vector `h_s`: entry `u` is the weight
 /// with which source `s`'s personalization reaches node `u`.
@@ -218,20 +218,18 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///   is large (`N ≥` [`push::AUTO_PUSH_MIN_NODES`]) *and* the
 ///   personalization is genuinely sparse (`|sources| · 16 ≤ N`); the
 ///   batched driver then uses all available cores (the result is
-///   identical for every thread count);
-/// * **monolithic vs. sharded** — at
-///   [`sharded::AUTO_SHARD_MIN_NODES`] and above, both regimes route
-///   through the [`crate::sharded`] engines instead, so adjacency and
-///   signal state are partitioned by node range rather than held as one
-///   block. The sharded engines are bit-for-bit identical for every
-///   `(shards, threads)` combination (and the sharded sweep is identical
-///   to [`power::diffuse`] itself), so the machine-dependent defaults
-///   cannot leak into the output.
+///   identical for every thread count).
+///
+/// No size routes through the [`crate::sharded`] engines: in one process
+/// they only re-partition memory the process already holds. On two cores
+/// at 2.6×10⁵ and 10⁶ nodes (dim 64, 12 or 1,000 hosts) the monolithic
+/// push was ≈ 75× faster than the sharded push, and the monolithic sweep
+/// ≈ 2.2–2.7× faster than the sharded sweep at ≈ 40 % of its peak memory.
 ///
 /// # Errors
 ///
 /// As [`diffuse_sparse`] / [`push::diffuse_sparse`] /
-/// [`sharded::diffuse_sparse`] / [`power::diffuse_threaded`].
+/// [`power::diffuse_threaded`].
 pub fn auto_diffuse(
     graph: &Graph,
     dim: usize,
@@ -240,21 +238,6 @@ pub fn auto_diffuse(
 ) -> Result<Signal, DiffusionError> {
     let n = graph.num_nodes();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if n >= sharded::AUTO_SHARD_MIN_NODES {
-        // At this scale the monolithic engines' single adjacency array and
-        // dense scratch become the bottleneck: partition the state. At
-        // least two shards so the partition is real even on one core.
-        let scfg = sharded::ShardedConfig::new(*config)
-            .with_shards(threads.max(2))?
-            .with_threads(threads)?;
-        // Per-column push only in the genuinely sparse regime, one
-        // partitioned sweep otherwise.
-        if is_sparse(sources.len(), dim) {
-            return sharded::diffuse_sparse(graph, dim, sources, &scfg);
-        }
-        let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        return sharded::diffuse(graph, &e0, &scfg)?.into_converged();
-    }
     if is_sparse(sources.len(), dim) {
         if n >= push::AUTO_PUSH_MIN_NODES && sources.len().saturating_mul(16) <= n {
             let threads = threads.min(sources.len().max(1));
@@ -349,9 +332,9 @@ mod tests {
 
     #[test]
     fn auto_dense_branch_is_the_one_thread_sweep_bit_for_bit() {
-        // At least dim / 4 hosts below AUTO_SHARD_MIN_NODES: Auto sweeps on
-        // every available core, and must still return the bits of the
-        // 1-thread sweep, so the machine's parallelism cannot leak into
+        // At least dim / 4 hosts: Auto sweeps on every available core, and
+        // must still return the bits of the 1-thread sweep at any graph
+        // size, so the machine's parallelism cannot leak into
         // `SearchNetwork::build`.
         let g = generators::social_circles_like_scaled(300, &mut seeded(21)).unwrap();
         let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
@@ -380,7 +363,8 @@ mod tests {
     fn auto_picks_push_on_large_sparse_graphs() {
         // 70×70 grid: 4,900 nodes ≥ AUTO_PUSH_MIN_NODES, one source with
         // dim 8 → |sources| < dim/4 and |sources|·16 ≤ N, so Auto routes
-        // through the push engine; the result must match the sweep engine.
+        // through the push engine on every available core, and must return
+        // the bits of the 1-thread push at any graph size.
         let g = generators::grid(70, 70);
         let cfg = PprConfig::new(0.5).unwrap().with_tolerance(1e-6).unwrap();
         let dim = 8;
@@ -389,8 +373,9 @@ mod tests {
             Embedding::new((0..dim).map(|k| 1.0 + k as f32).collect()),
         )];
         let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
-        let sweep = diffuse_sparse(&g, dim, &sources, &cfg).unwrap();
-        assert!(auto.max_abs_diff(&sweep).unwrap() < 1e-4);
+        let pushed = push::diffuse_sparse(&g, dim, &sources, &push::PushConfig::new(cfg)).unwrap();
+        let bits = |s: &Signal| s.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&auto), bits(&pushed));
     }
 
     #[test]
@@ -414,34 +399,6 @@ mod tests {
         }
         // The parallel default is the same function.
         assert_eq!(diffuse_sparse(&g, dim, &sources, &cfg).unwrap(), reference);
-    }
-
-    #[test]
-    fn auto_routes_through_sharded_engines_at_scale() {
-        // At AUTO_SHARD_MIN_NODES the Auto policy must hand sparse
-        // personalizations to the sharded push — whose output is bitwise
-        // independent of the (machine-dependent) shard/thread defaults, so
-        // it must equal an explicitly configured sharded run.
-        let n = sharded::AUTO_SHARD_MIN_NODES as u32;
-        let g = generators::ring(n).unwrap();
-        let cfg = PprConfig::new(0.5).unwrap().with_tolerance(1e-5).unwrap();
-        // Sparse regime (1 source < dim/4): the sharded push path.
-        let dim = 8;
-        let sources = vec![(
-            NodeId::new(7),
-            Embedding::new((0..dim).map(|k| 1.0 + k as f32).collect()),
-        )];
-        let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
-        let scfg = sharded::ShardedConfig::new(cfg).with_shards(3).unwrap();
-        let explicit = sharded::diffuse_sparse(&g, dim, &sources, &scfg).unwrap();
-        assert_eq!(auto, explicit);
-        // Dense regime (1 source >= dim/4 for dim 2): the partitioned
-        // sweep, which is bitwise identical to the monolithic one.
-        let sources = vec![(NodeId::new(7), Embedding::new(vec![1.0, 2.0]))];
-        let auto = auto_diffuse(&g, 2, &sources, &cfg).unwrap();
-        let e0 = Signal::from_sparse_rows(n as usize, 2, &sources).unwrap();
-        let dense = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-        assert_eq!(auto, dense);
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! links). The canonical schedule below is interconnect-independent, so
 //! every conforming exchange yields bit-for-bit identical results.
 //!
+//! Nothing in the product reaches these engines:
+//! [`crate::per_source::auto_diffuse`] runs the monolithic push and sweep
+//! at every size, which in one process are faster and smaller than the
+//! sharded ones (its docs give the measurement). They serve
+//! `gdsearch-dist` and the sharding and distributed ablations.
+//!
 //! # Determinism
 //!
 //! **Power.** The sharded sweep is *bit-for-bit identical to
@@ -107,18 +113,6 @@ use crate::power::DiffusionResult;
 use crate::{workpool, DiffusionError, PprConfig, Signal};
 
 pub use crate::exchange::Outbox;
-
-/// Node count at or above which [`crate::per_source::auto_diffuse`] routes
-/// through the sharded engines, so diffusion state is partitioned instead
-/// of monolithic.
-///
-/// Below this size the unsharded engines fit comfortably in one adjacency
-/// array and the per-iteration halo exchange does not pay for itself; above
-/// it, sharding bounds per-shard memory (`ablation_sharding` measures the
-/// split) and is the prerequisite for placing shards on different machines.
-/// The threshold is unmeasured: the repo benchmark's `sharded.sparse_ms`
-/// times the sharded push at N = 10⁵, below it.
-pub const AUTO_SHARD_MIN_NODES: usize = 262_144;
 
 /// Configuration of the sharded engines: the PPR filter parameters plus the
 /// partitioning and scheduling knobs.

@@ -17,6 +17,11 @@ pub struct Scored<T> {
     pub item: T,
 }
 
+/// Most slots [`TopK::new`] reserves: the paper's `k` fits, and a `k` meant
+/// as "keep everything" grows the heap on push instead of overflowing the
+/// allocation.
+const RESERVED: usize = 64;
+
 /// Internal wrapper giving `Scored` a *min*-heap ordering on score so the
 /// heap root is the weakest retained item.
 #[derive(Debug, Clone)]
@@ -68,11 +73,13 @@ pub struct TopK<T> {
 
 impl<T> TopK<T> {
     /// Creates a collector that retains the `k` best items. `k = 0` retains
-    /// nothing.
+    /// nothing; `k = usize::MAX` retains everything. Only a small bounded
+    /// capacity is reserved up front, so a huge `k` costs only what is
+    /// pushed.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(RESERVED)),
         }
     }
 
@@ -170,6 +177,17 @@ mod tests {
         let mut top = TopK::new(0);
         assert!(!top.push(1.0, "x"));
         assert!(top.is_empty());
+    }
+
+    #[test]
+    fn unbounded_capacity_keeps_everything_sorted() {
+        let mut top = TopK::new(usize::MAX);
+        for i in 0..200 {
+            assert!(top.push(((i * 37) % 200) as f32, i));
+        }
+        let scores: Vec<f32> = top.into_sorted().iter().map(|s| s.score).collect();
+        let expected: Vec<f32> = (0..200).rev().map(|s| s as f32).collect();
+        assert_eq!(scores, expected);
     }
 
     #[test]
