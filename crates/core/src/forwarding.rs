@@ -311,7 +311,7 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
 /// Relative resolution below which two diffused-embedding scores count as
 /// a tie.
 ///
-/// The diffusion engines (sweep, per-source, push) converge to the same
+/// The diffusion engines (sweep, push) converge to the same
 /// fixed point along different floating-point paths, so their scores can
 /// disagree by noise up to roughly the configured tolerance. Ranking on
 /// raw floats would let any sub-tolerance gap flip a forwarding decision

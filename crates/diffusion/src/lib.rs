@@ -17,8 +17,6 @@
 //!
 //! * [`power`] — synchronous power iteration over the dense N×d signal;
 //! * [`exact`] — dense linear solve (small graphs; the validation oracle);
-//! * [`per_source`] — one scalar PPR vector per *source* node, rank-1
-//!   accumulated; asymptotically cheaper when few nodes hold documents;
 //! * [`push`] — forward-push with residual queues (PowerWalk,
 //!   arXiv:1608.06054): work proportional to the pushed mass instead of
 //!   `O(iters · E)`, certified to the same L∞ tolerance, batched across
@@ -34,6 +32,9 @@
 //!   so the same canonical schedule runs over shared memory
 //!   ([`exchange::InProcessExchange`]) or over simulated transport links
 //!   (the `gdsearch-dist` crate) with identical results.
+//!
+//! [`per_source::auto_diffuse`] picks push or the power sweep from the
+//! input's shape; it is the entry point the search scheme builds with.
 //!
 //! All engines interpret [`PprConfig::tolerance`] the same way — an
 //! additive L∞ accuracy target on the fixed point; the normative statement

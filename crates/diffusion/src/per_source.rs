@@ -1,187 +1,19 @@
-//! Per-source decomposition of PPR diffusion.
+//! Engine selection for a sparse personalization.
 //!
-//! Diffusion is linear (Eq. 4: `E = H E0`), so when only a few nodes carry
-//! non-zero personalization — the common case in the paper's experiments,
-//! where `M` documents land on at most `M` hosts out of 4,039 nodes — it is
-//! cheaper to compute one *scalar* PPR column per source,
-//!
-//! ```text
-//! h_s = a (I − (1−a) A)^{-1} δ_s            (one vector per source s)
-//! E   = Σ_s h_s ⊗ e0_s                      (rank-1 accumulation)
-//! ```
-//!
-//! than to power-iterate the dense `N × dim` signal. The flop-count
-//! crossover is at `|sources| ≈ dim`, the measured wall-clock crossover
-//! near `dim / 4` (dense rows are more cache-friendly); [`auto_diffuse`]
-//! picks the cheaper engine.
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
-)]
+//! Diffusion is linear (Eq. 4: `E = H E0`), and in the paper's experiments
+//! only the nodes hosting documents — at most `M` of 4,039 — carry non-zero
+//! rows of `E0`. [`auto_diffuse`] takes those rows as `(source, embedding)`
+//! pairs and evaluates `H E0` with forward push ([`crate::push`]) when few
+//! sources sit on a large graph, and with the dense power sweep
+//! ([`crate::power`]) everywhere else.
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{transition_matrix, CsrMatrix};
 use gdsearch_graph::{Graph, NodeId};
 
-use crate::convergence::Convergence;
-use crate::{power, push, workpool, DiffusionError, PprConfig, Signal};
-
-/// Computes the single-source PPR vector `h_s`: entry `u` is the weight
-/// with which source `s`'s personalization reaches node `u`.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::Graph`] if `source` is out of range and
-/// [`DiffusionError::NotConverged`] if the iteration budget is exhausted.
-///
-/// # Example
-///
-/// ```
-/// use gdsearch_diffusion::{per_source, PprConfig};
-/// use gdsearch_graph::{generators, NodeId};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = generators::path(5);
-/// let h = per_source::ppr_vector(&g, NodeId::new(0), &PprConfig::new(0.5)?)?;
-/// // Weight decays with distance from the source.
-/// assert!(h[0] > h[1] && h[1] > h[2]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn ppr_vector(
-    graph: &Graph,
-    source: NodeId,
-    config: &PprConfig,
-) -> Result<Vec<f32>, DiffusionError> {
-    graph.check_node(source)?;
-    let matrix = transition_matrix(graph, config.normalization());
-    ppr_vector_with_matrix(&matrix, source, config)
-}
-
-/// [`ppr_vector`] with a prebuilt transition matrix.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `source` is out of range
-/// and [`DiffusionError::NotConverged`] on budget exhaustion.
-pub fn ppr_vector_with_matrix(
-    matrix: &CsrMatrix,
-    source: NodeId,
-    config: &PprConfig,
-) -> Result<Vec<f32>, DiffusionError> {
-    let n = matrix.n_rows();
-    if source.index() >= n {
-        return Err(DiffusionError::invalid_parameter(format!(
-            "source {source} out of range for {n} nodes"
-        )));
-    }
-    let alpha = config.alpha();
-    let mut current = vec![0.0f32; n];
-    current[source.index()] = 1.0;
-    let mut next = vec![0.0f32; n];
-    let mut conv = Convergence::new();
-    while conv.iters < config.max_iterations() {
-        matrix.mul_vec_into(&current, &mut next);
-        let mut max_delta = 0.0f32;
-        for (i, nx) in next.iter_mut().enumerate() {
-            *nx *= 1.0 - alpha;
-            if i == source.index() {
-                *nx += alpha;
-            }
-            let delta = (*nx - current[i]).abs();
-            if delta > max_delta {
-                max_delta = delta;
-            }
-        }
-        std::mem::swap(&mut current, &mut next);
-        if conv.record(max_delta, config.tolerance()) {
-            return Ok(current);
-        }
-    }
-    Err(conv.error())
-}
-
-/// Diffuses a sparse personalization — `(source node, embedding)` pairs —
-/// by per-source decomposition, with the per-source columns computed over
-/// [`crate::workpool`] on all available cores.
-///
-/// Equivalent (to tolerance) to dense power iteration on the corresponding
-/// sparse [`Signal`], but costs `O(|sources| · iters · E)` scalar work
-/// instead of `O(iters · E · dim)`. The output is identical for every
-/// worker count (see [`diffuse_sparse_threaded`]), so defaulting to the
-/// machine's parallelism is safe.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::ShapeMismatch`] for ragged embeddings or
-/// out-of-range sources, [`DiffusionError::NotConverged`] on budget
-/// exhaustion.
-pub fn diffuse_sparse(
-    graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &PprConfig,
-) -> Result<Signal, DiffusionError> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(sources.len().max(1));
-    diffuse_sparse_threaded(graph, dim, sources, config, threads)
-}
-
-/// [`diffuse_sparse`] with an explicit worker count.
-///
-/// Each column `h_s` is a pure function of `(matrix, s, config)`, columns
-/// are computed in waves of `threads` over the order-preserving
-/// [`crate::workpool::map_batched`], and the rank-1 accumulation happens on
-/// the calling thread in source order — so the output is **bit-for-bit
-/// identical for every thread count** (and identical to the historical
-/// sequential loop). Waves bound peak memory at `threads` dense columns.
-///
-/// # Errors
-///
-/// As [`diffuse_sparse`].
-pub fn diffuse_sparse_threaded(
-    graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &PprConfig,
-    threads: usize,
-) -> Result<Signal, DiffusionError> {
-    let n = graph.num_nodes();
-    for (node, emb) in sources {
-        if emb.dim() != dim || node.index() >= n {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (n, dim),
-                got: (node.index(), emb.dim()),
-            });
-        }
-    }
-    let threads = threads.max(1);
-    let matrix = transition_matrix(graph, config.normalization());
-    let mut out = Signal::zeros(n, dim);
-    for wave in sources.chunks(threads) {
-        let columns = workpool::map_batched(wave, threads, |(node, _)| {
-            ppr_vector_with_matrix(&matrix, *node, config)
-        });
-        for ((_, emb), h) in wave.iter().zip(columns) {
-            let h = h?;
-            for (u, weight) in h.iter().enumerate() {
-                if *weight == 0.0 {
-                    continue;
-                }
-                let row = out.row_mut(u);
-                for (r, e) in row.iter_mut().zip(emb.as_slice()) {
-                    *r += weight * e;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
+use crate::{power, push, DiffusionError, PprConfig, Signal};
 
 /// The sparse/dense crossover: whether `num_sources` non-zero
-/// personalization rows of width `dim` are few enough that one scalar PPR
+/// personalization rows of width `dim` are few enough that one scalar push
 /// column per source beats sweeping the dense `N × dim` signal (the "few
 /// vs. many sources" axis of [`auto_diffuse`], which documents where the
 /// `dim / 4` comes from). Every engine choice that depends on this
@@ -191,34 +23,29 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
     num_sources < dim / 4
 }
 
-/// Picks the cheapest engine for a sparse personalization.
+/// Picks the cheapest engine for a sparse personalization: forward push
+/// ([`push::diffuse_sparse`]) when the sources are few ([`is_sparse`]) and
+/// the graph is large (`N ≥` [`push::AUTO_PUSH_MIN_NODES`]), the dense
+/// sweep ([`power::diffuse_threaded`]) otherwise. Both run on the
+/// `available_parallelism` workers, and both return the bits of their
+/// one-worker run.
 ///
-/// The crossover model has two axes:
-///
-/// * **few vs. many sources** — the flop-count crossover between
-///   per-source decomposition and dense power iteration sits at
-///   `|sources| ≈ dim`, but the dense engine's contiguous row operations
-///   were measured ≈ 4× more efficient per flop than per-source sparse
-///   passes, so the break-even is taken as `dim / 4`. That ratio predates
-///   two rounds of dense-side work: the O(E) operator build and the
-///   liveness-masked sweep (≈ 1.8× on `rebuild-dense`), then the
-///   matrix-free register-blocked sweep on every core (a further ≈ 2.3×
-///   on two cores); a derivation of the crossover must re-measure it. The
-///   dense branch runs [`power::diffuse_threaded`] on the same
-///   `available_parallelism` workers as push, and its output is
-///   bit-for-bit that of one worker. The repo benchmark has a
-///   workload on each side (`rebuild-sparse`, `rebuild-dense`): its
-///   `per_source.auto_ms` times this function, `push.diffuse_sparse_ms`
-///   and `power.diffuse_ms` (one worker) time both branches on the same
-///   input;
-/// * **sweep vs. push** — within the few-source regime, scalar power
-///   iteration still pays `O(iters · E)` per source while forward push
-///   ([`crate::push`]) pays only for the pushed mass. Push's queue
-///   bookkeeping has a constant overhead, so it is selected when the graph
-///   is large (`N ≥` [`push::AUTO_PUSH_MIN_NODES`]) *and* the
-///   personalization is genuinely sparse (`|sources| · 16 ≤ N`); the
-///   batched driver then uses all available cores (the result is
-///   identical for every thread count).
+/// * **few vs. many sources** — a push column per source against one
+///   sweep of all `dim` columns. The flop-count crossover sits at
+///   `|sources| ≈ dim`, but the sweep's contiguous row operations were
+///   measured ≈ 4× more efficient per flop, so the break-even is taken as
+///   `dim / 4`. That ratio predates the matrix-free register-blocked
+///   sweep on every core; a derivation of the crossover must re-measure
+///   it. The repo benchmark has a workload on each side
+///   (`rebuild-sparse`, `rebuild-dense`): its `per_source.auto_ms` times
+///   this function, `push.diffuse_sparse_ms` and `power.diffuse_ms` (one
+///   worker) time both branches on the same input;
+/// * **small graphs** — below [`push::AUTO_PUSH_MIN_NODES`] the sweep
+///   takes few sources too. On a 4,039-node graph (dim 64, 10 hosts,
+///   tolerance 1e-5, two Xeon cores, best of 5) it beat the scalar
+///   per-source power iteration it replaced at every α (23.8 / 5.1 /
+///   3.4 ms against 35.2 / 8.8 / 6.9 ms at α 0.1 / 0.5 / 0.9), and push
+///   there costs accuracy (see the constant's docs).
 ///
 /// No size routes through the [`crate::sharded`] engines: in one process
 /// they only re-partition memory the process already holds. On two cores
@@ -228,8 +55,9 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///
 /// # Errors
 ///
-/// As [`diffuse_sparse`] / [`push::diffuse_sparse`] /
-/// [`power::diffuse_threaded`].
+/// As [`push::diffuse_sparse`] / [`power::diffuse_threaded`]: a
+/// [`DiffusionError::ShapeMismatch`] for ragged embeddings or out-of-range
+/// sources, [`DiffusionError::NotConverged`] on budget exhaustion.
 pub fn auto_diffuse(
     graph: &Graph,
     dim: usize,
@@ -238,13 +66,10 @@ pub fn auto_diffuse(
 ) -> Result<Signal, DiffusionError> {
     let n = graph.num_nodes();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if is_sparse(sources.len(), dim) {
-        if n >= push::AUTO_PUSH_MIN_NODES && sources.len().saturating_mul(16) <= n {
-            let threads = threads.min(sources.len().max(1));
-            let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
-            return push::diffuse_sparse(graph, dim, sources, &push_cfg);
-        }
-        diffuse_sparse(graph, dim, sources, config)
+    if is_sparse(sources.len(), dim) && n >= push::AUTO_PUSH_MIN_NODES {
+        let threads = threads.min(sources.len().max(1));
+        let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
+        push::diffuse_sparse(graph, dim, sources, &push_cfg)
     } else {
         let e0 = Signal::from_sparse_rows(n, dim, sources)?;
         power::diffuse_threaded(graph, &e0, config, threads)?.into_converged()
@@ -262,22 +87,168 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
 
+    fn bits(s: &Signal) -> Vec<u32> {
+        s.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The sparse rows of one unit source: its output is the PPR vector.
+    fn unit_source(node: u32) -> Vec<(NodeId, Embedding)> {
+        vec![(NodeId::new(node), Embedding::new(vec![1.0]))]
+    }
+
+    #[derive(Debug)]
+    enum Engine {
+        Sweep,
+        Push,
+    }
+
+    /// A routing case: a name, the graph, `dim`, the hosts, α and the
+    /// engine `auto_diffuse` must match.
+    type Case = (&'static str, Graph, usize, Vec<u32>, f32, Engine);
+
+    /// Gives every host a random row of width `dim` and asserts that
+    /// `auto_diffuse` — on every available core — returns the bits of the
+    /// case's engine run on one worker, so the machine's parallelism
+    /// cannot leak into `SearchNetwork::build`.
+    fn assert_routes(cases: Vec<Case>) {
+        use Engine::{Push, Sweep};
+
+        let mut rng = seeded(22);
+        for (name, g, dim, hosts, alpha, engine) in cases {
+            let sources: Vec<(NodeId, Embedding)> = hosts
+                .into_iter()
+                .map(|u| {
+                    let emb = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+                    (NodeId::new(u), Embedding::new(emb))
+                })
+                .collect();
+            let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-5).unwrap();
+            let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
+            let want = match engine {
+                Sweep => {
+                    let e0 = Signal::from_sparse_rows(g.num_nodes(), dim, &sources).unwrap();
+                    power::diffuse(&g, &e0, &cfg).unwrap().into_converged()
+                }
+                Push => push::diffuse_sparse(&g, dim, &sources, &push::PushConfig::new(cfg)),
+            };
+            assert_eq!(
+                bits(&auto),
+                bits(&want.unwrap()),
+                "{name}: not the {engine:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_diffuse_is_push_or_the_sweep_bit_for_bit() {
+        // Few sources below AUTO_PUSH_MIN_NODES: the sweep.
+        // A triangle on 1, 2, 3 beside isolated nodes 0, 4, 5 and 6.
+        let islands = Graph::from_edges(7, [(1, 2), (2, 3), (1, 3)]).unwrap();
+        assert_routes(vec![
+            ("one node", Graph::empty(1), 8, vec![0], 0.5, Engine::Sweep),
+            (
+                "two nodes",
+                generators::path(2),
+                8,
+                vec![1],
+                0.1,
+                Engine::Sweep,
+            ),
+            (
+                "host on an isolated node",
+                islands,
+                16,
+                vec![0, 2],
+                0.3,
+                Engine::Sweep,
+            ),
+            (
+                "a 4,039-node graph",
+                generators::social_circles_like_scaled(4039, &mut seeded(2022)).unwrap(),
+                64,
+                (0..10).map(|i| i * 401).collect(),
+                0.9,
+                Engine::Sweep,
+            ),
+        ]);
+    }
+
+    #[test]
+    fn auto_picks_both_paths_consistently() {
+        // One graph at AUTO_PUSH_MIN_NODES, hosts on either side of
+        // `is_sparse`: dim / 4 − 1 hosts push, dim / 4 hosts sweep.
+        let g = generators::social_circles_like_scaled(4096, &mut seeded(5)).unwrap();
+        let hosts = |count: u32| (0..count).map(|i| i * 251).collect::<Vec<_>>();
+        assert_eq!(g.num_nodes(), push::AUTO_PUSH_MIN_NODES);
+        assert!(is_sparse(15, 64) && !is_sparse(16, 64));
+        assert_routes(vec![
+            (
+                "15 hosts, dim 64",
+                g.clone(),
+                64,
+                hosts(15),
+                0.5,
+                Engine::Push,
+            ),
+            ("16 hosts, dim 64", g, 64, hosts(16), 0.5, Engine::Sweep),
+        ]);
+    }
+
+    #[test]
+    fn auto_dense_branch_is_the_one_thread_sweep_bit_for_bit() {
+        // Many sources at any size: the sweep on every core.
+        let block = gdsearch_graph::sparse::GATHER_BLOCK;
+        assert_routes(vec![
+            (
+                "300 nodes, dim / 4 hosts",
+                generators::social_circles_like_scaled(300, &mut seeded(21)).unwrap(),
+                block + 3,
+                (0..(block + 3) as u32 / 4).map(|i| i * 7).collect(),
+                0.3,
+                Engine::Sweep,
+            ),
+            (
+                "70×70 grid, dim / 4 hosts",
+                generators::grid(70, 70),
+                4,
+                vec![17],
+                0.5,
+                Engine::Sweep,
+            ),
+        ]);
+    }
+
+    #[test]
+    fn auto_picks_push_on_large_sparse_graphs() {
+        // 70×70 grid: 4,900 nodes ≥ AUTO_PUSH_MIN_NODES, and one host is
+        // fewer than dim / 4 = 2: push on every core.
+        assert_routes(vec![(
+            "70×70 grid",
+            generators::grid(70, 70),
+            8,
+            vec![17],
+            0.5,
+            Engine::Push,
+        )]);
+    }
+
     #[test]
     fn ppr_vector_sums_to_one() {
         let g = generators::social_circles_like_scaled(60, &mut seeded(1)).unwrap();
         let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-8).unwrap();
-        let h = ppr_vector(&g, NodeId::new(4), &cfg).unwrap();
-        let total: f32 = h.iter().sum();
+        let h = auto_diffuse(&g, 1, &unit_source(4), &cfg).unwrap();
+        let total: f32 = h.as_slice().iter().sum();
         assert!((total - 1.0).abs() < 1e-3, "column mass {total}");
-        assert!(h.iter().all(|&x| x >= 0.0));
+        assert!(h.as_slice().iter().all(|&x| x >= 0.0));
     }
 
     #[test]
     fn ppr_vector_peaks_at_source() {
         let g = generators::grid(5, 5);
         let cfg = PprConfig::new(0.5).unwrap();
-        let h = ppr_vector(&g, NodeId::new(12), &cfg).unwrap();
+        let h = auto_diffuse(&g, 1, &unit_source(12), &cfg).unwrap();
         let max_idx = h
+            .as_slice()
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
@@ -286,159 +257,53 @@ mod tests {
         assert_eq!(max_idx, 12);
     }
 
-    #[test]
-    fn sparse_matches_dense_power() {
-        let g = generators::social_circles_like_scaled(70, &mut seeded(2)).unwrap();
-        let cfg = PprConfig::new(0.4).unwrap().with_tolerance(1e-8).unwrap();
-        let dim = 5;
-        let mut rng = seeded(3);
-        let sources: Vec<(NodeId, Embedding)> = (0..4)
-            .map(|i| {
-                (
-                    NodeId::new(i * 13),
-                    Embedding::new((0..dim).map(|_| rng.random::<f32>()).collect()),
-                )
-            })
-            .collect();
-        let sparse = diffuse_sparse(&g, dim, &sources, &cfg).unwrap();
-        let e0 = Signal::from_sparse_rows(70, dim, &sources).unwrap();
-        let dense = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-        assert!(
-            sparse.max_abs_diff(&dense).unwrap() < 1e-4,
-            "engines disagree"
-        );
-    }
-
-    #[test]
-    fn auto_picks_both_paths_consistently() {
-        let g = generators::grid(6, 6);
-        let cfg = PprConfig::new(0.5).unwrap().with_tolerance(1e-8).unwrap();
-        let dim = 3;
-        let few: Vec<(NodeId, Embedding)> =
-            vec![(NodeId::new(0), Embedding::new(vec![1.0, 0.0, 0.0]))];
-        let many: Vec<(NodeId, Embedding)> = (0..10)
-            .map(|i| (NodeId::new(i), Embedding::new(vec![0.1, 0.2, 0.3])))
-            .collect();
-        // few < dim -> per-source; many >= dim -> dense. Both must agree
-        // with explicit engines.
-        let a = auto_diffuse(&g, dim, &few, &cfg).unwrap();
-        let b = diffuse_sparse(&g, dim, &few, &cfg).unwrap();
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-6);
-        let a = auto_diffuse(&g, dim, &many, &cfg).unwrap();
-        let e0 = Signal::from_sparse_rows(36, dim, &many).unwrap();
-        let b = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn auto_dense_branch_is_the_one_thread_sweep_bit_for_bit() {
-        // At least dim / 4 hosts: Auto sweeps on every available core, and
-        // must still return the bits of the 1-thread sweep at any graph
-        // size, so the machine's parallelism cannot leak into
-        // `SearchNetwork::build`.
-        let g = generators::social_circles_like_scaled(300, &mut seeded(21)).unwrap();
-        let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
-        let dim = gdsearch_graph::sparse::GATHER_BLOCK + 3;
-        let mut rng = seeded(22);
-        let sources: Vec<(NodeId, Embedding)> = (0..dim / 4)
-            .map(|_| {
-                (
-                    NodeId::new(rng.random_range(0..300)),
-                    Embedding::new((0..dim).map(|_| rng.random::<f32>() - 0.5).collect()),
-                )
-            })
-            .collect();
-        assert!(!is_sparse(sources.len(), dim));
-        let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
-        let e0 = Signal::from_sparse_rows(300, dim, &sources).unwrap();
-        let swept = power::diffuse(&g, &e0, &cfg)
-            .unwrap()
-            .into_converged()
-            .unwrap();
-        let bits = |s: &Signal| s.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&auto), bits(&swept));
-    }
-
-    #[test]
-    fn auto_picks_push_on_large_sparse_graphs() {
-        // 70×70 grid: 4,900 nodes ≥ AUTO_PUSH_MIN_NODES, one source with
-        // dim 8 → |sources| < dim/4 and |sources|·16 ≤ N, so Auto routes
-        // through the push engine on every available core, and must return
-        // the bits of the 1-thread push at any graph size.
-        let g = generators::grid(70, 70);
-        let cfg = PprConfig::new(0.5).unwrap().with_tolerance(1e-6).unwrap();
-        let dim = 8;
-        let sources = vec![(
-            NodeId::new(17),
-            Embedding::new((0..dim).map(|k| 1.0 + k as f32).collect()),
-        )];
-        let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
-        let pushed = push::diffuse_sparse(&g, dim, &sources, &push::PushConfig::new(cfg)).unwrap();
-        let bits = |s: &Signal| s.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&auto), bits(&pushed));
-    }
-
-    #[test]
-    fn threaded_columns_are_bitwise_identical() {
-        let g = generators::social_circles_like_scaled(80, &mut seeded(11)).unwrap();
-        let cfg = PprConfig::new(0.4).unwrap().with_tolerance(1e-7).unwrap();
-        let dim = 3;
-        let mut rng = seeded(12);
-        let sources: Vec<(NodeId, Embedding)> = (0..6)
-            .map(|_| {
-                (
-                    NodeId::new(rng.random_range(0..80)),
-                    Embedding::new((0..dim).map(|_| rng.random::<f32>()).collect()),
-                )
-            })
-            .collect();
-        let reference = diffuse_sparse_threaded(&g, dim, &sources, &cfg, 1).unwrap();
-        for threads in [2usize, 3, 8] {
-            let out = diffuse_sparse_threaded(&g, dim, &sources, &cfg, threads).unwrap();
-            assert_eq!(out, reference, "{threads} workers drifted bitwise");
-        }
-        // The parallel default is the same function.
-        assert_eq!(diffuse_sparse(&g, dim, &sources, &cfg).unwrap(), reference);
-    }
+    // The error and degenerate cases below run once per branch: a 5-node
+    // ring takes the sweep, the 70×70 grid with dim ≥ 8 takes push.
 
     #[test]
     fn rejects_out_of_range_source() {
-        let g = generators::ring(5).unwrap();
         let cfg = PprConfig::default();
-        assert!(ppr_vector(&g, NodeId::new(9), &cfg).is_err());
-        assert!(diffuse_sparse(&g, 2, &[(NodeId::new(9), Embedding::zeros(2))], &cfg).is_err());
+        let ring = generators::ring(5).unwrap();
+        let far = [(NodeId::new(9), Embedding::zeros(2))];
+        assert!(auto_diffuse(&ring, 2, &far, &cfg).is_err());
+        let grid = generators::grid(70, 70);
+        let far = [(NodeId::new(4900), Embedding::zeros(8))];
+        assert!(auto_diffuse(&grid, 8, &far, &cfg).is_err());
     }
 
     #[test]
     fn rejects_ragged_embedding() {
-        let g = generators::ring(5).unwrap();
-        assert!(diffuse_sparse(
-            &g,
-            2,
-            &[(NodeId::new(0), Embedding::zeros(3))],
-            &PprConfig::default()
-        )
-        .is_err());
+        let cfg = PprConfig::default();
+        let ring = generators::ring(5).unwrap();
+        let ragged = [(NodeId::new(0), Embedding::zeros(3))];
+        assert!(auto_diffuse(&ring, 2, &ragged, &cfg).is_err());
+        let grid = generators::grid(70, 70);
+        assert!(auto_diffuse(&grid, 8, &ragged, &cfg).is_err());
     }
 
     #[test]
     fn empty_sources_give_zero_signal() {
-        let g = generators::ring(5).unwrap();
-        let out = diffuse_sparse(&g, 4, &[], &PprConfig::default()).unwrap();
-        assert!(out.as_slice().iter().all(|&x| x == 0.0));
+        let cfg = PprConfig::default();
+        for g in [generators::ring(5).unwrap(), generators::grid(70, 70)] {
+            let out = auto_diffuse(&g, 8, &[], &cfg).unwrap();
+            assert_eq!(out.num_nodes(), g.num_nodes());
+            assert!(out.as_slice().iter().all(|&x| x == 0.0));
+        }
     }
 
     #[test]
     fn budget_exhaustion_errors() {
-        let g = generators::ring(30).unwrap();
         let cfg = PprConfig::new(0.01)
             .unwrap()
             .with_tolerance(1e-12)
             .unwrap()
             .with_max_iterations(2);
-        assert!(matches!(
-            ppr_vector(&g, NodeId::new(0), &cfg),
-            Err(DiffusionError::NotConverged { .. })
-        ));
+        let one = [(NodeId::new(0), Embedding::new(vec![1.0; 8]))];
+        for g in [generators::ring(30).unwrap(), generators::grid(70, 70)] {
+            assert!(matches!(
+                auto_diffuse(&g, 8, &one, &cfg),
+                Err(DiffusionError::NotConverged { .. })
+            ));
+        }
     }
 }

@@ -42,8 +42,8 @@
 //! drain the engine evaluates a rigorous bound on `‖M r‖∞ = ‖h_s − p‖∞`
 //! (see [`PprConfig::tolerance`](crate::PprConfig::tolerance) for the
 //! tolerance semantics) and keeps halving `rmax` until the bound meets the
-//! tolerance, so results are interchangeable with
-//! [`crate::per_source::ppr_vector`]. For the undirected graphs of this
+//! tolerance, so results are interchangeable with the power sweep's
+//! ([`crate::power`]) to that tolerance. For the undirected graphs of this
 //! workspace the bounds are, with `θ = max_u r(u)/deg(u)` and `d_max` the
 //! maximum degree (reversibility of the simple random walk gives
 //! `h_u(v) = (deg(v)/deg(u)) · h_v(u)` in the column-stochastic case):
@@ -60,8 +60,7 @@
 //!
 //! [`diffuse_sparse`] computes one push column per *distinct* source node
 //! on a [`crate::workpool`] of scoped threads and rank-1-accumulates the
-//! columns into the dense [`Signal`] exactly like
-//! [`crate::per_source::diffuse_sparse`]. Column computation is a pure
+//! columns into the dense [`Signal`]. Column computation is a pure
 //! function of `(graph, source, config)` and accumulation happens on the
 //! calling thread in ascending node order, so the output is **bit-for-bit
 //! identical for every thread count**.
@@ -81,18 +80,22 @@ use crate::convergence::Convergence;
 use crate::degrees::DegreeTables;
 use crate::{workpool, DiffusionError, PprConfig, Signal};
 
-/// Node count above which [`crate::per_source::auto_diffuse`] prefers the
-/// push engine over scalar power iteration for sparse personalizations.
+/// Node count from which [`crate::per_source::auto_diffuse`] prefers the
+/// push engine over the dense sweep for sparse personalizations.
 ///
-/// Below this size a full `O(iters · E)` scalar sweep is already cheap and
-/// the push engine's queue bookkeeping does not pay for itself; above it,
-/// push wins increasingly with `N`. The threshold itself is unmeasured —
-/// the repo benchmark's `push.ns_per_push` times the push side at N = 10⁵,
-/// nothing times the scalar sweep it replaces — and stale: it was chosen
-/// when a column scanned all `N` nodes several times over (6.0–6.9 µs per
-/// push in that probe); the touched-set kernel reads 1.2–1.3 µs, so the
-/// crossover has moved by most of an order of magnitude (ROADMAP item A,
-/// "`Auto` crossover from data").
+/// Below this size the sweep is already cheap and the push engine's queue
+/// bookkeeping does not pay for itself; above it, push wins increasingly
+/// with `N`. The cost side of the threshold is unmeasured — the repo
+/// benchmark's `push.ns_per_push` times push at N = 10⁵ — and stale: it was
+/// chosen when a column scanned all `N` nodes several times over (6.0–6.9 µs
+/// per push in that probe); the touched-set kernel reads 1.2–1.3 µs
+/// (ROADMAP item F, "Crossover from data").
+///
+/// It also guards accuracy. The tolerance is an absolute L∞ bound, and
+/// push leaves every residual below it unpushed, while the search walk
+/// reads the *relative order* of small scores far from the hosts. Routed
+/// through push at tolerance 1e-5, the paper's 4,039-node graph dropped
+/// Fig. 3's M = 10, α = 0.9 ring-3 accuracy from 0.96 to 0.40.
 pub const AUTO_PUSH_MIN_NODES: usize = 4096;
 
 /// Configuration of the forward-push engine: the PPR filter parameters
@@ -429,8 +432,8 @@ fn drain_to_tolerance(
 /// Computes the single-source PPR vector `h_s` by forward push, certified
 /// to `config.ppr().tolerance()` in L∞.
 ///
-/// Interchangeable with [`crate::per_source::ppr_vector`]; sublinear in the
-/// graph when the diffusion is local.
+/// Interchangeable with the one-hot power sweep ([`crate::power::diffuse`])
+/// to tolerance; sublinear in the graph when the diffusion is local.
 ///
 /// # Errors
 ///
@@ -489,8 +492,8 @@ pub fn ppr_vector_detailed(
 /// with one push column per distinct source node, sharded across
 /// `config.threads()` scoped workers.
 ///
-/// Equivalent (to tolerance) to [`crate::per_source::diffuse_sparse`] and
-/// the dense engines; bit-for-bit identical output for every thread count.
+/// Equivalent (to tolerance) to the dense engines; bit-for-bit identical
+/// output for every thread count.
 ///
 /// # Errors
 ///
@@ -568,7 +571,7 @@ pub fn diffuse_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exact, per_source, power};
+    use crate::{exact, power};
     use gdsearch_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -661,10 +664,12 @@ mod tests {
             .collect();
         let ppr = PprConfig::new(0.4).unwrap().with_tolerance(1e-7).unwrap();
         let pushed = diffuse_sparse(&g, dim, &sources, &PushConfig::new(ppr)).unwrap();
-        let swept = per_source::diffuse_sparse(&g, dim, &sources, &ppr).unwrap();
+        // Every source's column, summed: the exact solve of the summed rows.
+        let e0 = Signal::from_sparse_rows(70, dim, &sources).unwrap();
+        let truth = exact::diffuse(&g, &e0, &ppr).unwrap();
         assert!(
-            pushed.max_abs_diff(&swept).unwrap() < 1e-4,
-            "push vs per-source disagree"
+            pushed.max_abs_diff(&truth).unwrap() < 1e-4,
+            "push vs the exact solve disagree"
         );
     }
 

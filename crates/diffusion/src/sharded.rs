@@ -832,7 +832,7 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{per_source, power, push};
+    use crate::{power, push};
     use gdsearch_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -966,12 +966,14 @@ mod tests {
         let h = ppr_vector(&g, NodeId::new(7), &scfg).unwrap();
         let fifo =
             push::ppr_vector(&g, NodeId::new(7), &push::PushConfig::new(*scfg.ppr())).unwrap();
-        let sweep = per_source::ppr_vector(&g, NodeId::new(7), scfg.ppr()).unwrap();
+        let mut e0 = Signal::zeros(80, 1);
+        e0.row_mut(7)[0] = 1.0;
+        let sweep = power::diffuse(&g, &e0, scfg.ppr()).unwrap().signal;
         // Engine pairs agree to the shared accuracy contract (the same
         // slack the push-vs-sweep tests in `crate::push` use).
         for u in 0..80 {
             assert!((h[u] - fifo[u]).abs() < 1e-4, "node {u} vs fifo");
-            assert!((h[u] - sweep[u]).abs() < 1e-4, "node {u} vs sweep");
+            assert!((h[u] - sweep.row(u)[0]).abs() < 1e-4, "node {u} vs sweep");
         }
         let mass: f32 = h.iter().sum();
         assert!((mass - 1.0).abs() < 1e-3, "column mass {mass}");

@@ -2,7 +2,7 @@
 //! identities must hold on arbitrary graphs and inputs.
 
 use gdsearch_diffusion::push::{self, PushConfig};
-use gdsearch_diffusion::{exact, per_source, power, PprConfig, Signal};
+use gdsearch_diffusion::{exact, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{transition_weight, Normalization, GATHER_BLOCK};
 use gdsearch_graph::{generators, Graph, NodeId};
@@ -304,21 +304,6 @@ proptest! {
         prop_assert!((mass - 1.0).abs() < 1e-3, "mass {mass}");
     }
 
-    /// Per-source decomposition equals dense diffusion for any source.
-    #[test]
-    fn per_source_equals_dense(g in arb_graph(), alpha in 0.1f32..1.0, src in 0usize..30) {
-        let n = g.num_nodes();
-        let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-6).unwrap();
-        let src = NodeId::new((src % n) as u32);
-        let h = per_source::ppr_vector(&g, src, &cfg).unwrap();
-        let dense = power::diffuse(&g, &one_hot(n, src.index()), &cfg)
-            .unwrap()
-            .signal;
-        for (u, hu) in h.iter().enumerate() {
-            prop_assert!((hu - dense.row(u)[0]).abs() < 1e-4);
-        }
-    }
-
     /// Diffusion commutes with linear combination of inputs.
     #[test]
     fn linearity(g in arb_graph(), alpha in 0.1f32..1.0, s in -3.0f32..3.0) {
@@ -476,7 +461,7 @@ proptest! {
     /// The sharded push column is bit-for-bit identical to its unsharded
     /// counterpart (the single-shard, single-thread instance) on ring/ER/BA
     /// graphs for every `(shards, threads)` combination, and agrees with
-    /// the scalar sweep engine to the shared accuracy contract.
+    /// the exact dense solve to the shared accuracy contract.
     #[test]
     fn sharded_push_is_bitwise_shard_invariant(
         g in arb_push_graph(),
@@ -507,11 +492,11 @@ proptest! {
                 );
             }
         }
-        let sweep = per_source::ppr_vector(&g, source, &cfg).unwrap();
-        for u in 0..n {
+        let truth = exact::diffuse(&g, &one_hot(n, source.index()), &cfg).unwrap();
+        for (u, r) in reference.iter().enumerate() {
             prop_assert!(
-                (reference[u] - sweep[u]).abs() < 1e-4,
-                "node {} disagrees with the sweep engine",
+                (r - truth.row(u)[0]).abs() < 1e-4,
+                "node {} disagrees with the exact solve",
                 u
             );
         }

@@ -2,7 +2,7 @@
 //! placement, graph and configuration, not just the curated fixtures.
 
 use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork};
-use gdsearch_diffusion::{per_source, power, PprConfig, Signal};
+use gdsearch_diffusion::{exact, power, PprConfig, Signal};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::{Corpus, WordId};
 use gdsearch_graph::{generators, Graph, NodeId};
@@ -37,13 +37,15 @@ proptest! {
     fn ppr_conserves_mass(seed in 0u64..500, n in 5u32..60, alpha in 0.05f32..1.0) {
         let g = graph_from_seed(seed, n);
         let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-7).unwrap();
-        let h = per_source::ppr_vector(&g, NodeId::new(0), &cfg).unwrap();
-        let total: f32 = h.iter().sum();
+        let mut e0 = Signal::zeros(n as usize, 1);
+        e0.row_mut(0)[0] = 1.0;
+        let h = power::diffuse(&g, &e0, &cfg).unwrap().signal;
+        let total: f32 = h.as_slice().iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-3, "mass {total}");
-        prop_assert!(h.iter().all(|&x| x >= -1e-6), "negative probability");
+        prop_assert!(h.as_slice().iter().all(|&x| x >= -1e-6), "negative probability");
     }
 
-    /// Dense and per-source diffusion agree on arbitrary inputs.
+    /// The power sweep and the exact dense solve agree on arbitrary inputs.
     #[test]
     fn engines_agree(seed in 0u64..500, n in 5u32..40, k in 1usize..6) {
         let g = graph_from_seed(seed, n);
@@ -59,10 +61,10 @@ proptest! {
                 )
             })
             .collect();
-        let sparse = per_source::diffuse_sparse(&g, corpus.dim(), &sources, &cfg).unwrap();
         let e0 = Signal::from_sparse_rows(n as usize, corpus.dim(), &sources).unwrap();
-        let dense = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-        prop_assert!(sparse.max_abs_diff(&dense).unwrap() < 1e-3);
+        let exact = exact::diffuse(&g, &e0, &cfg).unwrap();
+        let swept = power::diffuse(&g, &e0, &cfg).unwrap().signal;
+        prop_assert!(exact.max_abs_diff(&swept).unwrap() < 1e-3);
     }
 
     /// Walks never exceed their message budget and report consistent
