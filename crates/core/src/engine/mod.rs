@@ -604,6 +604,7 @@ impl<'g> QueryEngine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyKind, SchemeConfig};
     use gdsearch_embed::synthetic::SyntheticCorpus;
     use gdsearch_embed::WordId;
     use gdsearch_graph::generators;
@@ -672,6 +673,48 @@ mod tests {
         }
         // The repeated (0, 5, 1) request must have been a cache hit.
         assert!(engine.stats().cache.hits >= 1);
+    }
+
+    #[test]
+    fn hostile_forwarding_configs_serve_without_overflow() {
+        // Unbounded knobs: hop 0 fans out to every neighbour, the top-k
+        // keeps every document met, a queue never fills and one step
+        // drains it. Nothing may reserve capacity by them.
+        let fx = fixture();
+        let policies = [
+            PolicyKind::PprGreedy,
+            PolicyKind::RandomWalk,
+            PolicyKind::DegreeBiased,
+            PolicyKind::Flooding,
+        ];
+        for policy in policies {
+            let scheme = SchemeConfig::builder()
+                .fanout(usize::MAX)
+                .top_k(usize::MAX)
+                .ttl(8)
+                .policy(policy)
+                .build()
+                .unwrap();
+            let config = EngineConfig::builder()
+                .scheme(scheme)
+                .queue_capacity(usize::MAX)
+                .batch_size(usize::MAX)
+                .build()
+                .unwrap();
+            let engine = engine_with(&fx, config);
+            let query = fx.corpus.embedding(WordId::new(0));
+            let mut rng = StdRng::seed_from_u64(3);
+            let walked = walk::run(engine.network(), query, NodeId::new(5), &mut rng).unwrap();
+            let executed = engine.execute(request(&fx, 0, 5, 3)).unwrap().outcome;
+            assert_eq!(executed, walked, "{policy:?}");
+            for seed in 0..40u32 {
+                engine
+                    .submit(request(&fx, seed % 10, seed * 3, u64::from(seed)))
+                    .unwrap();
+            }
+            let stepped = engine.step().unwrap();
+            assert_eq!((stepped.len(), engine.pending()), (40, 0), "{policy:?}");
+        }
     }
 
     #[test]

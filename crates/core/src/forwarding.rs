@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-use gdsearch_diffusion::Signal;
+use gdsearch_diffusion::{Diffused, Signal};
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -48,8 +48,9 @@ pub struct ForwardContext<'a> {
     pub candidates: &'a [NodeId],
     /// The query embedding.
     pub query: &'a Embedding,
-    /// Diffused node embeddings (`E` of Eq. 6), indexed by node.
-    pub node_embeddings: &'a Signal,
+    /// Diffused node embeddings (`E` of Eq. 6), read by node through
+    /// [`Diffused::row`].
+    pub node_embeddings: &'a Diffused,
     /// The overlay graph (for degree lookups).
     pub graph: &'a Graph,
     /// How many next hops to select (ignored by flooding, which takes all).
@@ -418,6 +419,7 @@ mod tests {
     #[test]
     fn greedy_picks_best_scoring_candidate() {
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -436,6 +438,7 @@ mod tests {
         let (g, mut e, q, cands) = fixture();
         // Give node 1 a partial match so ranking is 3 > 1 > others.
         e.row_mut(1)[2] = 0.5;
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -452,7 +455,7 @@ mod tests {
     #[test]
     fn greedy_tie_breaks_by_id() {
         let (g, _, _, cands) = fixture();
-        let e = Signal::zeros(5, 4); // all scores equal (zero)
+        let e = Diffused::Dense(Signal::zeros(5, 4)); // all scores equal (zero)
         let q = Embedding::new(vec![1.0, 1.0, 1.0, 1.0]);
         let ctx = ForwardContext {
             node: NodeId::new(0),
@@ -470,6 +473,7 @@ mod tests {
     #[test]
     fn random_walk_stays_within_candidates_and_fanout() {
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -491,6 +495,7 @@ mod tests {
     #[test]
     fn random_walk_is_uniform_ish() {
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -518,7 +523,7 @@ mod tests {
     fn degree_biased_prefers_hubs() {
         // Path 0-1-2 plus extra edges on node 2 making it the hub.
         let g = gdsearch_graph::Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)]).unwrap();
-        let e = Signal::zeros(5, 2);
+        let e = Diffused::Dense(Signal::zeros(5, 2));
         let q = Embedding::zeros(2);
         let cands = vec![NodeId::new(0), NodeId::new(2)];
         let ctx = ForwardContext {
@@ -537,6 +542,7 @@ mod tests {
     #[test]
     fn flooding_takes_everyone() {
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -553,6 +559,7 @@ mod tests {
     #[test]
     fn hybrid_extremes_match_components() {
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -583,6 +590,7 @@ mod tests {
         let (g, mut e, q, cands) = fixture();
         perturb(&mut e);
         let column = score_column(&q, &e);
+        let e = Diffused::Dense(e);
         let inline_ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &cands,
@@ -617,6 +625,7 @@ mod tests {
         // A column that does not cover a candidate's index must not panic:
         // scoring falls back to the inline dot product.
         let (g, e, q, cands) = fixture();
+        let e = Diffused::Dense(e);
         let short = vec![0.0f32; 2]; // covers nodes 0..2 only
         let ctx = ForwardContext {
             node: NodeId::new(0),
@@ -665,7 +674,7 @@ mod tests {
 
     fn scored_ctx<'a>(
         graph: &'a Graph,
-        node_embeddings: &'a Signal,
+        node_embeddings: &'a Diffused,
         query: &'a Embedding,
         candidates: &'a [NodeId],
         scores: Scores<'a>,
@@ -686,6 +695,7 @@ mod tests {
         let (g, mut e, q, _) = fixture();
         perturb(&mut e);
         let reference = score_column(&q, &e);
+        let e = Diffused::Dense(e);
         let lazy = LazyColumn::new(5);
         let all: Vec<NodeId> = (0..5).map(NodeId::new).collect();
         let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&lazy));
@@ -781,6 +791,7 @@ mod tests {
         }
         let q = Embedding::new(vec![0.3, -1.1, 0.7, 2.0]);
         let reference = score_column(&q, &e);
+        let e = Diffused::Dense(e);
         let g = generators::star(2);
         for threads in [2, 4] {
             let column = LazyColumn::new(n);
@@ -827,6 +838,7 @@ mod tests {
         e.row_mut(1).fill(f32::NAN);
         e.row_mut(2).fill(f32::from_bits(UNSET));
         e.row_mut(4)[2] = f32::INFINITY;
+        let e = Diffused::Dense(e);
         let lazy = LazyColumn::new(5);
         let inline_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Inline);
         let lazy_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Lazy(&lazy));
@@ -843,6 +855,7 @@ mod tests {
     #[test]
     fn empty_candidates_select_nothing() {
         let (g, e, q, _) = fixture();
+        let e = Diffused::Dense(e);
         let ctx = ForwardContext {
             node: NodeId::new(0),
             candidates: &[],
@@ -991,6 +1004,7 @@ mod tests {
         fn hop_scores_match_the_score_column(case in hop_case()) {
             let HopCase { rows, query, len, filled, candidates } = case;
             let reference = score_column(&query, &rows);
+            let rows = Diffused::Dense(rows);
             let want = reference_bits(&reference, &candidates);
             let g = generators::star(2);
             let lazy = LazyColumn::new(len);

@@ -132,6 +132,14 @@ impl Placement {
         })
     }
 
+    /// Documents on chosen hosts, for tests that need one on a
+    /// particular node.
+    #[cfg(test)]
+    pub(crate) fn at(words: Vec<WordId>, hosts: Vec<NodeId>) -> Self {
+        assert_eq!(words.len(), hosts.len(), "one host per document");
+        Placement { words, hosts }
+    }
+
     /// Number of placed documents.
     pub fn len(&self) -> usize {
         self.words.len()

@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use gdsearch_diffusion::Signal;
+use gdsearch_diffusion::Diffused;
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
@@ -112,7 +112,7 @@ pub struct SearchNode {
     /// node stores after diffusion (§IV-B: nodes keep "track of the
     /// embeddings of the one-hop neighbors"). A node only ever reads its
     /// neighbors' rows.
-    embeddings: Arc<Signal>,
+    embeddings: Arc<Diffused>,
     graph: Arc<Graph>,
     policy: PolicyKind,
     fanout: usize,
@@ -337,7 +337,7 @@ pub fn build(
     transport: TransportConfig,
 ) -> Result<Reactor<SearchMessage, SearchNode>, SearchError> {
     let graph = Arc::new(network.graph().clone());
-    let embeddings = Arc::new(network.embeddings().clone());
+    let embeddings = Arc::new(network.diffused().clone());
     let config = network.config();
     let handlers = network
         .graph()

@@ -2,9 +2,13 @@
 //!
 //! [`SearchNetwork::build`] performs the scheme's setup phase end to end:
 //! personalization vectors from placed documents (§IV-A), PPR diffusion of
-//! those vectors (§IV-B) by [`per_source::auto_diffuse`], and the per-node
-//! document indexes that serve local retrieval. The result answers queries
-//! through [`walk::run`] (§IV-C).
+//! those vectors (§IV-B) by [`per_source::auto_diffuse_rows`], and the
+//! per-node document index that serves local retrieval. The result answers
+//! queries through [`walk::run`] (§IV-C).
+//!
+//! A build costs what its engine computed: a push-built network keeps
+//! push's rows over their support and never holds an `N × dim` signal
+//! unless [`SearchNetwork::embeddings`] asks for one.
 
 #![expect(
     clippy::expect_used,
@@ -19,7 +23,9 @@
     reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
 )]
 
-use gdsearch_diffusion::{per_source, Signal};
+use std::sync::OnceLock;
+
+use gdsearch_diffusion::{per_source, Diffused, Signal};
 use gdsearch_embed::{similarity, Corpus, Embedding};
 use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
@@ -37,14 +43,25 @@ pub struct SearchNetwork<'g> {
     graph: &'g Graph,
     config: SchemeConfig,
     dim: usize,
-    /// Diffused node embeddings `E` (Eq. 6), one row per node.
-    embeddings: Signal,
+    /// Diffused node embeddings `E` (Eq. 6) as the engine
+    /// [`per_source::auto_diffuse_rows`] picked left them: the sweep's dense
+    /// signal, or push's rows over their support (`O(support · dim)`
+    /// floats). Walks, column fills and [`Self::node_embedding`] read rows
+    /// through [`Diffused::row`].
+    embeddings: Diffused,
+    /// `embeddings` as one dense `N × dim` signal, materialized by the
+    /// first [`Self::embeddings`] call on a push-built network. Serving
+    /// never fills it, and a sweep-built network lends its own signal.
+    dense: OnceLock<Signal>,
     /// Embedding of each placed document (by `DocId`).
     doc_embeddings: Vec<Embedding>,
     /// Host of each placed document.
     doc_hosts: Vec<NodeId>,
-    /// Documents hosted at each node.
-    docs_at: Vec<Vec<DocId>>,
+    /// The document index in CSR form: node `u` hosts
+    /// `hosted[doc_offsets[u]..doc_offsets[u + 1]]` (N + 1 offsets).
+    doc_offsets: Vec<u32>,
+    /// Every placed document, sorted by host, each host's in `DocId` order.
+    hosted: Vec<DocId>,
 }
 
 impl<'g> SearchNetwork<'g> {
@@ -68,51 +85,80 @@ impl<'g> SearchNetwork<'g> {
     ) -> Result<Self, SearchError> {
         let dim = corpus.dim();
         let n = graph.num_nodes();
-        // Index documents per node and collect their embeddings.
-        let mut docs_at: Vec<Vec<DocId>> = vec![Vec::new(); n];
+        if u32::try_from(placement.len()).is_err() {
+            return Err(SearchError::invalid_parameter(format!(
+                "{} placed documents exceed the u32 document index",
+                placement.len()
+            )));
+        }
+        // Collect the documents' embeddings and hosts.
         let mut doc_embeddings = Vec::with_capacity(placement.len());
         let mut doc_hosts = Vec::with_capacity(placement.len());
-        for (doc, word, host) in placement.iter() {
+        for (_, word, host) in placement.iter() {
             let emb = corpus.get(word).ok_or_else(|| {
                 SearchError::invalid_parameter(format!("placed word {word} not in corpus"))
             })?;
             graph.check_node(host)?;
-            docs_at[host.index()].push(doc);
             doc_embeddings.push(emb.clone());
             doc_hosts.push(host);
         }
+        // Index them by host: sort (host, doc) pairs; node u's run starts
+        // after the documents of every host below u. Counts are at most
+        // placement.len() ≤ u32::MAX, checked above.
+        let mut by_host: Vec<(NodeId, DocId)> = doc_hosts.iter().copied().zip(0..).collect();
+        by_host.sort_unstable();
+        let mut doc_offsets = Vec::with_capacity(n + 1);
+        for (before, (host, _)) in by_host.iter().enumerate() {
+            doc_offsets.resize(host.index() + 1, before as u32);
+        }
+        doc_offsets.resize(n + 1, by_host.len() as u32);
         // Personalization rows for hosting nodes only (sparse E0).
-        let grouped: Vec<(NodeId, Vec<&Embedding>)> = docs_at
-            .iter()
-            .enumerate()
-            .filter(|(_, docs)| !docs.is_empty())
-            .map(|(u, docs)| {
+        let grouped: Vec<(NodeId, Vec<&Embedding>)> = by_host
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
                 (
-                    NodeId::new(u as u32),
-                    docs.iter().map(|&d| &doc_embeddings[d]).collect(),
+                    run[0].0,
+                    run.iter().map(|&(_, d)| &doc_embeddings[d]).collect(),
                 )
             })
             .collect();
         let rows =
             personalization::personalization_rows(graph, dim, &grouped, config.aggregation())?;
         let ppr = config.ppr_config()?;
-        let embeddings = per_source::auto_diffuse(graph, dim, &rows, &ppr)?;
+        let embeddings = per_source::auto_diffuse_rows(graph, dim, &rows, &ppr)?;
         Ok(SearchNetwork {
             graph,
             config: config.clone(),
             dim,
             embeddings,
+            dense: OnceLock::new(),
             doc_embeddings,
             doc_hosts,
-            docs_at,
+            doc_offsets,
+            hosted: by_host.into_iter().map(|(_, doc)| doc).collect(),
         })
     }
 
     /// Test hook: overwrite diffused rows (non-finite embeddings cannot be
-    /// produced through `build`, which rejects a diverged diffusion).
+    /// produced through `build`, which rejects a diverged diffusion). Makes
+    /// the network dense first.
     #[cfg(test)]
     pub(crate) fn embeddings_mut(&mut self) -> &mut Signal {
-        &mut self.embeddings
+        if let Diffused::Sparse(rows) = &self.embeddings {
+            self.embeddings = Diffused::Dense(rows.to_signal());
+        }
+        self.dense = OnceLock::new();
+        match &mut self.embeddings {
+            Diffused::Dense(signal) => signal,
+            Diffused::Sparse(_) => unreachable!("made dense above"),
+        }
+    }
+
+    /// Test probe: whether [`Self::embeddings`] has materialized a dense
+    /// copy of push's rows.
+    #[cfg(test)]
+    pub(crate) fn dense_view_materialized(&self) -> bool {
+        self.dense.get().is_some()
     }
 
     /// The overlay graph.
@@ -130,9 +176,20 @@ impl<'g> SearchNetwork<'g> {
         self.dim
     }
 
-    /// The diffused node embeddings `E`.
-    pub fn embeddings(&self) -> &Signal {
+    /// The diffused node embeddings `E` as the diffusion engine left them:
+    /// what walks and score columns read, row by row.
+    pub fn diffused(&self) -> &Diffused {
         &self.embeddings
+    }
+
+    /// The diffused node embeddings `E` as one dense `N × dim` signal. A
+    /// sweep-built network lends its own; a push-built one scatters its
+    /// rows into `N · dim` floats on the first call and keeps them.
+    pub fn embeddings(&self) -> &Signal {
+        match &self.embeddings {
+            Diffused::Dense(signal) => signal,
+            Diffused::Sparse(rows) => self.dense.get_or_init(|| rows.to_signal()),
+        }
     }
 
     /// The diffused embedding of one node, as an owned vector.
@@ -141,7 +198,7 @@ impl<'g> SearchNetwork<'g> {
     ///
     /// Panics if `node` is out of range.
     pub fn node_embedding(&self, node: NodeId) -> Embedding {
-        self.embeddings.row_embedding(node.index())
+        Embedding::new(self.embeddings.row(node.index()).to_vec())
     }
 
     /// Number of placed documents.
@@ -155,7 +212,8 @@ impl<'g> SearchNetwork<'g> {
     ///
     /// Panics if `node` is out of range.
     pub fn docs_at(&self, node: NodeId) -> &[DocId] {
-        &self.docs_at[node.index()]
+        let u = node.index();
+        &self.hosted[self.doc_offsets[u] as usize..self.doc_offsets[u + 1] as usize]
     }
 
     /// The hosting node of a document.
@@ -347,5 +405,184 @@ mod tests {
         assert!(
             SearchNetwork::build(&g, &small, &p, &SchemeConfig::default(), &mut rng(19)).is_err()
         );
+    }
+
+    /// Floats as bit patterns.
+    fn row_bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A 70×70 grid (4,900 nodes ≥ `AUTO_PUSH_MIN_NODES`), with node 0's
+    /// edges removed when `isolate_0`.
+    fn grid_graph(isolate_0: bool) -> Graph {
+        let grid = generators::grid(70, 70);
+        let kept = grid
+            .edges()
+            .filter(|&(u, v)| !isolate_0 || (u.index() != 0 && v.index() != 0));
+        Graph::from_edges(4900, kept.map(|(u, v)| (u.as_u32(), v.as_u32()))).unwrap()
+    }
+
+    #[test]
+    fn forwarding_over_push_rows_matches_the_dense_view_and_never_densifies() {
+        use crate::engine::{EngineConfig, QueryEngine, QueryRequest};
+
+        let g = grid_graph(false);
+        let c = corpus(31);
+        let words = vec![WordId::new(3)];
+        let p = Placement::at(words, vec![NodeId::new(2450)]);
+        let cfg = SchemeConfig::builder().fanout(2).build().unwrap();
+        let net = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(0)).unwrap();
+        assert!(
+            matches!(net.diffused(), Diffused::Sparse(_)),
+            "one host on 4,900 nodes pushes"
+        );
+        // The same rows, dense: what every read of the parent returned.
+        let mut dense = net.clone();
+        dense.embeddings_mut();
+        assert!(matches!(dense.diffused(), Diffused::Dense(_)));
+
+        let query = c.embedding(WordId::new(3));
+        let starts = [2450u32, 2452, 2310, 2591, 0, 4899];
+        for (i, &start) in starts.iter().enumerate() {
+            let walk = |network: &SearchNetwork<'_>| {
+                walk::run(network, query, NodeId::new(start), &mut rng(50 + i as u64)).unwrap()
+            };
+            assert_eq!(walk(&net), walk(&dense), "walk from {start}");
+        }
+        let engine_config = EngineConfig::builder().batch_size(4).build().unwrap();
+        let engines = [net.clone(), dense]
+            .map(|network| QueryEngine::from_network(network, engine_config.clone()));
+        let requests: Vec<QueryRequest> = starts
+            .iter()
+            .zip(0u64..)
+            .map(|(&start, seed)| QueryRequest::new(query.clone(), NodeId::new(start), seed))
+            .collect();
+        let served = engines.each_ref().map(|engine| {
+            let executed: Vec<_> = requests
+                .iter()
+                .map(|r| engine.execute(r.clone()).unwrap().outcome)
+                .collect();
+            for r in &requests {
+                engine.submit(r.clone()).unwrap();
+            }
+            let mut stepped = Vec::new();
+            while engine.pending() > 0 {
+                stepped.extend(engine.step().unwrap().into_iter().map(|r| r.outcome));
+            }
+            (executed, stepped)
+        });
+        assert_eq!(served[0], served[1]);
+        assert!(served[0].0.iter().any(|outcome| outcome.contains(0)));
+        // Walking, executing and stepping read rows; none asked for N × dim.
+        assert!(!net.dense_view_materialized());
+        assert!(!engines[0].network().dense_view_materialized());
+        // The dense view, once asked for, is those rows.
+        assert_eq!(net.embeddings(), engines[1].network().embeddings());
+        assert!(net.dense_view_materialized());
+        for u in g.node_ids() {
+            assert_eq!(
+                net.node_embedding(u),
+                engines[1].network().node_embedding(u)
+            );
+        }
+    }
+
+    /// The parent's dense accumulation, as a reference model: one
+    /// single-source push column per host (ascending), rank-1-added into an
+    /// `N × dim` zero signal, ascending node within a column.
+    fn dense_push_accumulation(
+        g: &Graph,
+        dim: usize,
+        rows: &[(NodeId, Embedding)],
+        cfg: &SchemeConfig,
+    ) -> Signal {
+        use gdsearch_diffusion::push::{self, PushConfig};
+
+        let mut out = Signal::zeros(g.num_nodes(), dim);
+        if dim == 0 {
+            return out;
+        }
+        let push_cfg = PushConfig::new(cfg.ppr_config().unwrap());
+        for (host, emb) in rows {
+            let column = push::ppr_vector(g, *host, &push_cfg).unwrap();
+            for (u, &weight) in column.iter().enumerate().filter(|(_, &w)| w != 0.0) {
+                for (r, e) in out.row_mut(u).iter_mut().zip(emb.as_slice()) {
+                    *r += weight * e;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forwarding_rows_on_hostile_push_inputs_are_the_dense_accumulation() {
+        let c = corpus(32);
+        let mut with_zero = c.embeddings().to_vec();
+        with_zero[0] = Embedding::zeros(c.dim());
+        let with_zero = Corpus::from_embeddings(with_zero).unwrap();
+        let flat = Corpus::from_embeddings(vec![Embedding::new(Vec::new()); 4]).unwrap();
+        let words = |ids: &[u32]| ids.iter().map(|&w| WordId::new(w)).collect::<Vec<_>>();
+        let hosts = |ids: &[u32]| ids.iter().map(|&u| NodeId::new(u)).collect::<Vec<_>>();
+        let cases = [
+            (
+                "host on an isolated node",
+                &c,
+                words(&[1, 2]),
+                hosts(&[0, 2000]),
+                true,
+            ),
+            (
+                "two documents on one host",
+                &c,
+                words(&[1, 2, 3]),
+                hosts(&[1234, 1234, 3000]),
+                false,
+            ),
+            (
+                "an all-zero document",
+                &with_zero,
+                words(&[0, 4]),
+                hosts(&[17, 4000]),
+                false,
+            ),
+            (
+                "an all-zero document alone",
+                &with_zero,
+                words(&[0]),
+                hosts(&[17]),
+                false,
+            ),
+            ("dim 0", &flat, words(&[0, 1]), hosts(&[5, 6]), false),
+        ];
+        let cfg = SchemeConfig::default();
+        for (name, corpus, words, hosts, isolate_0) in cases {
+            let g = grid_graph(isolate_0);
+            let p = Placement::at(words, hosts);
+            let net = SearchNetwork::build(&g, corpus, &p, &cfg, &mut rng(0)).unwrap();
+            let dim = corpus.dim();
+            assert_eq!(
+                matches!(net.diffused(), Diffused::Sparse(_)),
+                dim > 0,
+                "{name}: push iff the width allows it"
+            );
+            let grouped: Vec<(NodeId, Vec<&Embedding>)> = p
+                .docs_by_host()
+                .into_iter()
+                .map(|(host, docs)| (host, docs.iter().map(|&d| net.doc_embedding(d)).collect()))
+                .collect();
+            let rows = personalization::personalization_rows(&g, dim, &grouped, cfg.aggregation())
+                .unwrap();
+            let want = dense_push_accumulation(&g, dim, &rows, &cfg);
+            let by_host = p.docs_by_host();
+            for u in g.node_ids() {
+                let (got, want) = (net.diffused().row(u.index()), want.row(u.index()));
+                assert_eq!(row_bits(got), row_bits(want), "{name}: row {u}");
+                let hosted = by_host.get(&u).map_or(&[][..], Vec::as_slice);
+                assert_eq!(net.docs_at(u), hosted, "{name}: documents at {u}");
+            }
+            assert!(!net.dense_view_materialized());
+            let dense = row_bits(net.embeddings().as_slice());
+            assert_eq!(dense, row_bits(want.as_slice()), "{name}");
+        }
     }
 }

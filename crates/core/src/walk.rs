@@ -248,7 +248,7 @@ pub fn run_with<R: Rng + ?Sized>(
             node: u,
             candidates,
             query,
-            node_embeddings: network.embeddings(),
+            node_embeddings: network.diffused(),
             graph: network.graph(),
             fanout: effective_fanout,
             scores,

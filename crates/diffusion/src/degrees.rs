@@ -3,113 +3,123 @@
 //! push ([`crate::sharded`]).
 //!
 //! The L∞ bound derivations live in the [`crate::push`] module docs; this
-//! module keeps the *formulas* in exactly one place so the two engines
-//! cannot drift apart — the bound is what certifies that push results are
-//! interchangeable with the sweep engines at
-//! [`PprConfig::tolerance`](crate::PprConfig::tolerance).
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
-)]
+//! module keeps the *formulas* in exactly one place, as functions of a
+//! degree, so the two engines cannot drift apart — the bound is what
+//! certifies that push results are interchangeable with the sweep engines
+//! at [`PprConfig::tolerance`](crate::PprConfig::tolerance).
+//!
+//! The FIFO push builds no table: it reads each degree off the graph's CSR
+//! offsets ([`Graph::degree`](gdsearch_graph::Graph::degree),
+//! [`Graph::max_degree`](gdsearch_graph::Graph::max_degree)) and applies
+//! these functions where it needs a scalar, so a call costs nothing in `N`.
+//! The sharded push fills [`DegreeTables`] through the same functions.
 
 use gdsearch_graph::sparse::Normalization;
-use gdsearch_graph::{Graph, ShardedGraph};
+use gdsearch_graph::ShardedGraph;
 
-/// Per-node degree scalars plus the normalization they are read under.
+/// `max(deg, 1)` — the frontier threshold scale.
+#[inline]
+pub(crate) fn deg_scale(deg: usize) -> f32 {
+    deg.max(1) as f32
+}
+
+/// `1/deg` (0 for an isolated node; only read along edges).
+#[inline]
+pub(crate) fn inv_deg(deg: usize) -> f32 {
+    if deg > 0 {
+        1.0 / deg_scale(deg)
+    } else {
+        0.0
+    }
+}
+
+/// `1/sqrt(max(deg, 1))` (1 for an isolated node, the safe bound
+/// convention).
+#[inline]
+pub(crate) fn inv_sqrt_deg(deg: usize) -> f32 {
+    1.0 / deg_scale(deg).sqrt()
+}
+
+/// Rigorous bound on `‖M r‖∞`, the L∞ distance between a push estimate and
+/// the PPR fixed point, over residuals given as `(degree of the node,
+/// value)` in ascending node order, on a graph whose largest degree is
+/// `max_degree` (derivations in the [`crate::push`] module docs).
+///
+/// Taking an iterator lets the flat engine pass its touched set and the
+/// sharded engine its concatenated per-shard blocks — same accumulation
+/// order, same float operations, one formula.
+pub(crate) fn residual_bound(
+    norm: Normalization,
+    max_degree: usize,
+    residuals: impl Iterator<Item = (usize, f32)>,
+) -> f32 {
+    let max_deg = deg_scale(max_degree);
+    match norm {
+        Normalization::ColumnStochastic => {
+            let mut sum = 0.0f32;
+            let mut theta = 0.0f32;
+            for (deg, r) in residuals {
+                sum += r;
+                theta = theta.max(r / deg_scale(deg));
+            }
+            sum.min(max_deg * theta)
+        }
+        Normalization::RowStochastic => residuals.fold(0.0f32, |m, (_, r)| m.max(r)),
+        Normalization::Symmetric => {
+            let scaled_max = residuals.fold(0.0f32, |m, (deg, r)| m.max(r * inv_sqrt_deg(deg)));
+            max_deg.sqrt() * scaled_max
+        }
+    }
+}
+
+/// Per-node degree scalars of a partitioned graph, plus the normalization
+/// they are read under: the sharded push's tables, filled once per call
+/// through the functions above.
 ///
 /// A multi-machine deployment would hold only the local + halo entries per
 /// shard; in process these are flat `O(N)` arrays (the sharding work
-/// targets the `O(E)` adjacency and `O(N·dim)` signal state).
-///
-/// The tables are rebuilt on every diffusion call — beside the scratch
-/// allocation, the only `O(N)` work an output-sensitive push still pays —
-/// so only those `norm` reads are filled; the other inverse table stays
-/// empty.
+/// targets the `O(E)` adjacency and `O(N·dim)` signal state). Only the
+/// inverse table `norm` reads is filled; the other stays empty.
 pub(crate) struct DegreeTables {
     pub norm: Normalization,
-    /// `1/deg(u)` (0 for isolated nodes; only used along edges). Empty
-    /// under [`Normalization::Symmetric`], which never reads it.
+    /// [`inv_deg`] per node. Empty under [`Normalization::Symmetric`],
+    /// which never reads it.
     pub inv_deg: Vec<f32>,
-    /// `1/sqrt(deg(u))` (1 for isolated nodes, the safe bound convention).
-    /// Filled under [`Normalization::Symmetric`] only.
+    /// [`inv_sqrt_deg`] per node. Filled under
+    /// [`Normalization::Symmetric`] only.
     pub inv_sqrt_deg: Vec<f32>,
-    /// `max(deg(u), 1)` — the frontier threshold scale.
+    /// [`deg_scale`] per node.
     pub deg_scale: Vec<f32>,
-    /// `max(max_u deg(u), 1)`.
-    pub max_deg: f32,
+    /// The largest degree, as [`residual_bound`] takes it.
+    pub max_degree: usize,
 }
 
 impl DegreeTables {
-    /// Builds the tables from one degree per node, in node order.
-    fn new(norm: Normalization, degrees: impl Iterator<Item = usize>) -> Self {
-        let (lo, _) = degrees.size_hint();
-        let symmetric = norm == Normalization::Symmetric;
-        let mut inv_deg = Vec::with_capacity(if symmetric { 0 } else { lo });
-        let mut inv_sqrt_deg = Vec::with_capacity(if symmetric { lo } else { 0 });
-        let mut deg_scale = Vec::with_capacity(lo);
-        let mut max_deg = 1usize;
-        for deg in degrees {
-            let scale = deg.max(1) as f32;
-            deg_scale.push(scale);
-            if symmetric {
-                inv_sqrt_deg.push(1.0 / scale.sqrt());
-            } else {
-                inv_deg.push(if deg > 0 { 1.0 / scale } else { 0.0 });
-            }
-            max_deg = max_deg.max(deg);
-        }
-        DegreeTables {
-            norm,
-            inv_deg,
-            inv_sqrt_deg,
-            deg_scale,
-            max_deg: max_deg as f32,
-        }
-    }
-
-    /// Tables of a monolithic graph.
-    pub fn from_graph(graph: &Graph, norm: Normalization) -> Self {
-        Self::new(norm, graph.node_ids().map(|u| graph.degree(u)))
-    }
-
     /// Tables of a partitioned graph (shards ascending = node order).
     pub fn from_sharded(sharded: &ShardedGraph, norm: Normalization) -> Self {
-        Self::new(
+        let degrees = sharded
+            .shards()
+            .iter()
+            .flat_map(|s| (0..s.num_local_nodes()).map(move |l| s.local_degree(l)));
+        let symmetric = norm == Normalization::Symmetric;
+        let n = sharded.num_nodes();
+        let mut tables = DegreeTables {
             norm,
-            sharded
-                .shards()
-                .iter()
-                .flat_map(|s| (0..s.num_local_nodes()).map(move |l| s.local_degree(l))),
-        )
-    }
-
-    /// Rigorous bound on `‖M r‖∞`, the L∞ distance between a push
-    /// estimate and the PPR fixed point, over residuals given as
-    /// `(global node index, value)` in ascending node order (derivations
-    /// in the [`crate::push`] module docs).
-    ///
-    /// Taking an iterator lets the flat engine pass its one residual array
-    /// and the sharded engine its concatenated per-shard blocks — same
-    /// accumulation order, same float operations, one formula.
-    pub fn residual_bound(&self, residuals: impl Iterator<Item = (usize, f32)>) -> f32 {
-        match self.norm {
-            Normalization::ColumnStochastic => {
-                let mut sum = 0.0f32;
-                let mut theta = 0.0f32;
-                for (u, r) in residuals {
-                    sum += r;
-                    theta = theta.max(r / self.deg_scale[u]);
-                }
-                sum.min(self.max_deg * theta)
+            inv_deg: Vec::with_capacity(if symmetric { 0 } else { n }),
+            inv_sqrt_deg: Vec::with_capacity(if symmetric { n } else { 0 }),
+            deg_scale: Vec::with_capacity(n),
+            max_degree: 0,
+        };
+        for deg in degrees {
+            tables.deg_scale.push(deg_scale(deg));
+            if symmetric {
+                tables.inv_sqrt_deg.push(inv_sqrt_deg(deg));
+            } else {
+                tables.inv_deg.push(inv_deg(deg));
             }
-            Normalization::RowStochastic => residuals.fold(0.0f32, |m, (_, r)| m.max(r)),
-            Normalization::Symmetric => {
-                let scaled_max =
-                    residuals.fold(0.0f32, |m, (u, r)| m.max(r * self.inv_sqrt_deg[u]));
-                self.max_deg.sqrt() * scaled_max
-            }
+            tables.max_degree = tables.max_degree.max(deg);
         }
+        tables
     }
 }
 
@@ -119,44 +129,52 @@ mod tests {
     use gdsearch_graph::generators;
     use rand::SeedableRng;
 
+    const NORMS: [Normalization; 3] = [
+        Normalization::ColumnStochastic,
+        Normalization::RowStochastic,
+        Normalization::Symmetric,
+    ];
+
     #[test]
     fn flat_and_sharded_constructions_agree() {
+        // The sharded tables hold, node by node, the functions the flat
+        // push applies to `Graph::degree`.
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let g = generators::social_circles_like_scaled(60, &mut rng).unwrap();
         let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let flat = DegreeTables::from_graph(&g, norm);
+        let degrees: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
+        let table = |f: fn(usize) -> f32| degrees.iter().map(|&d| f(d)).collect::<Vec<_>>();
+        for norm in NORMS {
             let sharded = DegreeTables::from_sharded(&sg, norm);
-            assert_eq!(flat.inv_deg, sharded.inv_deg);
-            assert_eq!(flat.inv_sqrt_deg, sharded.inv_sqrt_deg);
-            assert_eq!(flat.deg_scale, sharded.deg_scale);
-            assert_eq!(flat.max_deg, sharded.max_deg);
+            assert_eq!(sharded.deg_scale, table(deg_scale));
+            assert_eq!(sharded.max_degree, g.max_degree());
             // Exactly the inverse table `norm` reads is filled.
-            let symmetric = norm == Normalization::Symmetric;
-            assert_eq!(flat.inv_sqrt_deg.len(), if symmetric { 60 } else { 0 });
-            assert_eq!(flat.inv_deg.len(), if symmetric { 0 } else { 60 });
-            assert_eq!(flat.deg_scale.len(), 60);
+            if norm == Normalization::Symmetric {
+                assert_eq!(sharded.inv_sqrt_deg, table(inv_sqrt_deg));
+                assert!(sharded.inv_deg.is_empty());
+            } else {
+                assert_eq!(sharded.inv_deg, table(inv_deg));
+                assert!(sharded.inv_sqrt_deg.is_empty());
+            }
         }
+        // Isolated nodes: no inverse degree, a unit scale.
+        assert_eq!((inv_deg(0), inv_sqrt_deg(0), deg_scale(0)), (0.0, 1.0, 1.0));
     }
 
     #[test]
     fn bound_is_zero_for_zero_residuals_and_positive_otherwise() {
         let g = generators::grid(3, 3);
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let t = DegreeTables::from_graph(&g, norm);
+        let degrees: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
+        for norm in NORMS {
+            let bound = |residual: &[f32]| {
+                let pairs = degrees.iter().copied().zip(residual.iter().copied());
+                residual_bound(norm, g.max_degree(), pairs)
+            };
             let zero = vec![0.0f32; 9];
-            assert_eq!(t.residual_bound(zero.iter().copied().enumerate()), 0.0);
+            assert_eq!(bound(&zero), 0.0);
             let mut one = zero.clone();
             one[4] = 0.25;
-            assert!(t.residual_bound(one.iter().copied().enumerate()) > 0.0);
+            assert!(bound(&one) > 0.0);
         }
     }
 }

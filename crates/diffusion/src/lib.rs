@@ -33,8 +33,10 @@
 //!   ([`exchange::InProcessExchange`]) or over simulated transport links
 //!   (the `gdsearch-dist` crate) with identical results.
 //!
-//! [`per_source::auto_diffuse`] picks push or the power sweep from the
-//! input's shape; it is the entry point the search scheme builds with.
+//! [`per_source::auto_diffuse_rows`] picks push or the power sweep from the
+//! input's shape and returns what that engine computed, a [`Diffused`]:
+//! push's row-sparse [`SparseRows`] or the sweep's dense [`Signal`]. It is
+//! the entry point the search scheme builds with.
 //!
 //! All engines interpret [`PprConfig::tolerance`] the same way — an
 //! additive L∞ accuracy target on the fixed point; the normative statement
@@ -94,4 +96,4 @@ pub mod workpool;
 pub use config::PprConfig;
 pub use convergence::Convergence;
 pub use error::DiffusionError;
-pub use signal::Signal;
+pub use signal::{Diffused, Signal, SparseRows};

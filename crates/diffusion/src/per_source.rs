@@ -2,15 +2,17 @@
 //!
 //! Diffusion is linear (Eq. 4: `E = H E0`), and in the paper's experiments
 //! only the nodes hosting documents — at most `M` of 4,039 — carry non-zero
-//! rows of `E0`. [`auto_diffuse`] takes those rows as `(source, embedding)`
-//! pairs and evaluates `H E0` with forward push ([`crate::push`]) when few
-//! sources sit on a large graph, and with the dense power sweep
-//! ([`crate::power`]) everywhere else.
+//! rows of `E0`. [`auto_diffuse_rows`] takes those rows as `(source,
+//! embedding)` pairs and evaluates `H E0` with forward push
+//! ([`crate::push`]) when few sources sit on a large graph, and with the
+//! dense power sweep ([`crate::power`]) everywhere else, returning what the
+//! engine computed: push's rows over their support or the sweep's dense
+//! signal. [`auto_diffuse`] is the same value as a dense [`Signal`].
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 
-use crate::{power, push, DiffusionError, PprConfig, Signal};
+use crate::{power, push, Diffused, DiffusionError, PprConfig, Signal};
 
 /// The sparse/dense crossover: whether `num_sources` non-zero
 /// personalization rows of width `dim` are few enough that one scalar push
@@ -24,11 +26,12 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 }
 
 /// Picks the cheapest engine for a sparse personalization: forward push
-/// ([`push::diffuse_sparse`]) when the sources are few ([`is_sparse`]) and
-/// the graph is large (`N ≥` [`push::AUTO_PUSH_MIN_NODES`]), the dense
-/// sweep ([`power::diffuse_threaded`]) otherwise. Both run on the
-/// `available_parallelism` workers, and both return the bits of their
-/// one-worker run.
+/// ([`push::diffuse_rows`], a [`Diffused::Sparse`]) when the sources are few
+/// ([`is_sparse`]) and the graph is large (`N ≥`
+/// [`push::AUTO_PUSH_MIN_NODES`]), the dense sweep
+/// ([`power::diffuse_threaded`], a [`Diffused::Dense`]) otherwise. Both run
+/// on the `available_parallelism` workers, and both return the bits of
+/// their one-worker run.
 ///
 /// * **few vs. many sources** — a push column per source against one
 ///   sweep of all `dim` columns. The flop-count crossover sits at
@@ -55,25 +58,43 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///
 /// # Errors
 ///
-/// As [`push::diffuse_sparse`] / [`power::diffuse_threaded`]: a
+/// As [`push::diffuse_rows`] / [`power::diffuse_threaded`]: a
 /// [`DiffusionError::ShapeMismatch`] for ragged embeddings or out-of-range
 /// sources, [`DiffusionError::NotConverged`] on budget exhaustion.
+pub fn auto_diffuse_rows(
+    graph: &Graph,
+    dim: usize,
+    sources: &[(NodeId, Embedding)],
+    config: &PprConfig,
+) -> Result<Diffused, DiffusionError> {
+    let n = graph.num_nodes();
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if is_sparse(sources.len(), dim) && n >= push::AUTO_PUSH_MIN_NODES {
+        let threads = threads.min(sources.len().max(1));
+        let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
+        Ok(Diffused::Sparse(push::diffuse_rows(
+            graph, dim, sources, &push_cfg,
+        )?))
+    } else {
+        let e0 = Signal::from_sparse_rows(n, dim, sources)?;
+        let swept = power::diffuse_threaded(graph, &e0, config, threads)?;
+        Ok(Diffused::Dense(swept.into_converged()?))
+    }
+}
+
+/// [`auto_diffuse_rows`] as a dense `N × dim` signal (push's rows scattered
+/// into zeros).
+///
+/// # Errors
+///
+/// As [`auto_diffuse_rows`].
 pub fn auto_diffuse(
     graph: &Graph,
     dim: usize,
     sources: &[(NodeId, Embedding)],
     config: &PprConfig,
 ) -> Result<Signal, DiffusionError> {
-    let n = graph.num_nodes();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if is_sparse(sources.len(), dim) && n >= push::AUTO_PUSH_MIN_NODES {
-        let threads = threads.min(sources.len().max(1));
-        let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
-        push::diffuse_sparse(graph, dim, sources, &push_cfg)
-    } else {
-        let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        power::diffuse_threaded(graph, &e0, config, threads)?.into_converged()
-    }
+    Ok(auto_diffuse_rows(graph, dim, sources, config)?.into_signal())
 }
 
 #[cfg(test)]
@@ -109,7 +130,9 @@ mod tests {
     /// Gives every host a random row of width `dim` and asserts that
     /// `auto_diffuse` — on every available core — returns the bits of the
     /// case's engine run on one worker, so the machine's parallelism
-    /// cannot leak into `SearchNetwork::build`.
+    /// cannot leak into `SearchNetwork::build`; and that every row of
+    /// `auto_diffuse_rows` — push's sparse rows or the sweep's dense
+    /// signal, as the engine says — carries the same bits.
     fn assert_routes(cases: Vec<Case>) {
         use Engine::{Push, Sweep};
 
@@ -123,7 +146,7 @@ mod tests {
                 })
                 .collect();
             let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-5).unwrap();
-            let auto = auto_diffuse(&g, dim, &sources, &cfg).unwrap();
+            let auto = bits(&auto_diffuse(&g, dim, &sources, &cfg).unwrap());
             let want = match engine {
                 Sweep => {
                     let e0 = Signal::from_sparse_rows(g.num_nodes(), dim, &sources).unwrap();
@@ -131,11 +154,19 @@ mod tests {
                 }
                 Push => push::diffuse_sparse(&g, dim, &sources, &push::PushConfig::new(cfg)),
             };
-            assert_eq!(
-                bits(&auto),
-                bits(&want.unwrap()),
-                "{name}: not the {engine:?}"
+            assert_eq!(auto, bits(&want.unwrap()), "{name}: not the {engine:?}");
+            let rows = auto_diffuse_rows(&g, dim, &sources, &cfg).unwrap();
+            assert!(
+                matches!(
+                    (&rows, &engine),
+                    (Diffused::Sparse(_), Push) | (Diffused::Dense(_), Sweep)
+                ),
+                "{name}: the rows are not the {engine:?}'s"
             );
+            for u in 0..g.num_nodes() {
+                let row_bits: Vec<u32> = rows.row(u).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(row_bits, auto[u * dim..][..dim], "{name}: row {u}");
+            }
         }
     }
 
@@ -215,21 +246,35 @@ mod tests {
                 0.5,
                 Engine::Sweep,
             ),
+            (
+                "no sources on a ring",
+                generators::ring(5).unwrap(),
+                8,
+                vec![],
+                0.5,
+                Engine::Sweep,
+            ),
+            // `is_sparse` never holds at width 0.
+            (
+                "dim 0 on the 70×70 grid",
+                generators::grid(70, 70),
+                0,
+                vec![17],
+                0.5,
+                Engine::Sweep,
+            ),
         ]);
     }
 
     #[test]
     fn auto_picks_push_on_large_sparse_graphs() {
         // 70×70 grid: 4,900 nodes ≥ AUTO_PUSH_MIN_NODES, and one host is
-        // fewer than dim / 4 = 2: push on every core.
-        assert_routes(vec![(
-            "70×70 grid",
-            generators::grid(70, 70),
-            8,
-            vec![17],
-            0.5,
-            Engine::Push,
-        )]);
+        // fewer than dim / 4 = 2: push on every core — and so are none.
+        let grid = generators::grid(70, 70);
+        assert_routes(vec![
+            ("70×70 grid", grid.clone(), 8, vec![17], 0.5, Engine::Push),
+            ("no sources on the grid", grid, 8, vec![], 0.5, Engine::Push),
+        ]);
     }
 
     #[test]

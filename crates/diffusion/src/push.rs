@@ -58,12 +58,20 @@
 //!
 //! # Batched multi-source driver
 //!
-//! [`diffuse_sparse`] computes one push column per *distinct* source node
+//! [`diffuse_rows`] computes one push column per *distinct* source node
 //! on a [`crate::workpool`] of scoped threads and rank-1-accumulates the
-//! columns into the dense [`Signal`]. Column computation is a pure
-//! function of `(graph, source, config)` and accumulation happens on the
-//! calling thread in ascending node order, so the output is **bit-for-bit
-//! identical for every thread count**.
+//! columns into [`SparseRows`]: one row per node of the columns' joint
+//! support, so the output costs `O(support · dim)` floats, not `N · dim`.
+//! Column computation is a pure function of `(graph, source, config)` and
+//! accumulation happens on the calling thread, ascending source, then
+//! ascending node, so the output is **bit-for-bit identical for every
+//! thread count**. Every cell starts at `+0.0` and receives the same float
+//! operations in the same order as in a dense `N × dim` accumulator;
+//! [`diffuse_sparse`] is that dense signal, the rows scattered into zeros.
+//!
+//! No call builds a per-node table: degrees come off the graph's CSR
+//! offsets through the formulas of `degrees.rs`, so a column costs its
+//! pushes and drains plus the scratch, and nothing else in `N`.
 
 #![expect(
     clippy::indexing_slicing,
@@ -77,8 +85,9 @@ use gdsearch_graph::sparse::Normalization;
 use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
-use crate::degrees::DegreeTables;
-use crate::{workpool, DiffusionError, PprConfig, Signal};
+use crate::degrees;
+use crate::signal::set_bits;
+use crate::{workpool, DiffusionError, PprConfig, Signal, SparseRows};
 
 /// Node count from which [`crate::per_source::auto_diffuse`] prefers the
 /// push engine over the dense sweep for sparse personalizations.
@@ -213,6 +222,12 @@ const fn ix(v: u32) -> usize {
     v as usize
 }
 
+/// The frontier threshold scale of `v`, read off the graph's offsets.
+#[inline]
+fn deg_scale(graph: &Graph, v: u32) -> f32 {
+    degrees::deg_scale(graph.degree(NodeId::new(v)))
+}
+
 /// One worker's push state, all zero / false / empty between columns.
 ///
 /// Bit `v` of `touched` is set whenever `residual[v]` is added to;
@@ -244,16 +259,6 @@ impl PushScratch {
             && (self.estimate.iter().chain(&self.residual)).all(|x| x.to_bits() == 0)
     }
 
-    /// The node ids set in `touched`, ascending.
-    fn ascending(touched: &[u64]) -> impl Iterator<Item = u32> + '_ {
-        let words = touched.iter().zip((0u32..).step_by(64));
-        words.flat_map(|(&word, base)| {
-            let bits = std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)));
-            bits.take_while(|&w| w != 0)
-                .map(move |w| base + w.trailing_zeros())
-        })
-    }
-
     /// Adds `amount` to `v`'s residual and queues `v` if that lifts it
     /// over `threshold`.
     #[inline]
@@ -269,10 +274,10 @@ impl PushScratch {
 
     /// Queues every touched node whose residual exceeds `rmax · deg`, in
     /// the ascending order a `0..N` scan would find them.
-    fn rebuild_frontier(&mut self, rmax: f32, deg_scale: &[f32]) {
-        for v in Self::ascending(&self.touched) {
+    fn rebuild_frontier(&mut self, rmax: f32, graph: &Graph) {
+        for v in set_bits(&self.touched) {
             let vi = ix(v);
-            if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale[vi] {
+            if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale(graph, v) {
                 self.in_queue[vi] = true;
                 self.queue.push_back(v);
             }
@@ -281,16 +286,17 @@ impl PushScratch {
 
     /// Rigorous bound on `‖M r‖∞`, the L∞ distance between the current
     /// estimate and the fixed point (derivations in the module docs).
-    fn residual_bound(&self, tables: &DegreeTables) -> f32 {
-        let touched = Self::ascending(&self.touched);
-        tables.residual_bound(touched.map(|v| (ix(v), self.residual[ix(v)])))
+    fn residual_bound(&self, graph: &Graph, norm: Normalization) -> f32 {
+        let touched = set_bits(&self.touched);
+        let pairs = touched.map(|v| (graph.degree(NodeId::new(v)), self.residual[ix(v)]));
+        degrees::residual_bound(norm, graph.max_degree(), pairs)
     }
 
     /// Moves the estimate's nonzero support out and leaves the scratch
     /// clean: one walk of the touched set compresses and clears.
     fn take_column(&mut self) -> Vec<(u32, f32)> {
         let mut column = Vec::new();
-        for v in Self::ascending(&self.touched) {
+        for v in set_bits(&self.touched) {
             let weight = std::mem::take(&mut self.estimate[ix(v)]);
             if weight != 0.0 {
                 column.push((v, weight));
@@ -305,19 +311,18 @@ impl PushScratch {
 }
 
 /// Computes one push column to the certified tolerance, compressed to its
-/// nonzero support in ascending node order. Pure in `(graph, tables,
-/// source, config)` given a clean scratch, and leaves the scratch clean
-/// whether it succeeds or not: the batched driver relies on both for
-/// thread-count determinism.
+/// nonzero support in ascending node order. Pure in `(graph, source,
+/// config)` given a clean scratch, and leaves the scratch clean whether it
+/// succeeds or not: the batched driver relies on both for thread-count
+/// determinism.
 fn push_column(
     graph: &Graph,
-    tables: &DegreeTables,
     scratch: &mut PushScratch,
     source: u32,
     config: &PushConfig,
 ) -> Result<(Vec<(u32, f32)>, PushResult), DiffusionError> {
     debug_assert!(scratch.is_clean(), "a previous column leaked state");
-    let stats = drain_to_tolerance(graph, tables, scratch, source, config);
+    let stats = drain_to_tolerance(graph, scratch, source, config);
     let column = scratch.take_column();
     Ok((column, stats?))
 }
@@ -326,11 +331,11 @@ fn push_column(
 /// estimate in `s` and returns the work counters (`values` empty).
 fn drain_to_tolerance(
     graph: &Graph,
-    tables: &DegreeTables,
     s: &mut PushScratch,
     source: u32,
     config: &PushConfig,
 ) -> Result<PushResult, DiffusionError> {
+    let norm = config.ppr.normalization();
     let alpha = config.ppr.alpha();
     let tolerance = config.ppr.tolerance();
     let max_iterations = config.ppr.max_iterations();
@@ -353,13 +358,13 @@ fn drain_to_tolerance(
             let ui = ix(u);
             s.in_queue[ui] = false;
             let ru = s.residual[ui];
-            if ru <= rmax * tables.deg_scale[ui] {
+            if ru <= rmax * deg_scale(graph, u) {
                 continue;
             }
             if pushes >= budget {
                 return Err(DiffusionError::NotConverged {
                     iterations: pushes,
-                    residual: s.residual_bound(tables),
+                    residual: s.residual_bound(graph, norm),
                 });
             }
             pushes += 1;
@@ -372,29 +377,29 @@ fn drain_to_tolerance(
             // Forward the remaining mass along column u of A. The column's
             // nonzeros are exactly u's neighbors (the graph is undirected).
             let neighbors = graph.neighbor_slice(NodeId::new(u));
-            match tables.norm {
+            match norm {
                 Normalization::ColumnStochastic => {
                     // A[v][u] = 1/deg(u), uniform over neighbors.
-                    let w = spread * tables.inv_deg[ui];
+                    let w = spread * degrees::inv_deg(neighbors.len());
                     for v in neighbors {
-                        s.deposit(v.as_u32(), w, rmax * tables.deg_scale[v.index()]);
+                        s.deposit(v.as_u32(), w, rmax * deg_scale(graph, v.as_u32()));
                     }
                 }
                 Normalization::RowStochastic => {
                     // A[v][u] = 1/deg(v).
                     for v in neighbors {
-                        let vi = v.index();
-                        let w = spread * tables.inv_deg[vi];
-                        s.deposit(v.as_u32(), w, rmax * tables.deg_scale[vi]);
+                        let deg_v = graph.degree(*v);
+                        let w = spread * degrees::inv_deg(deg_v);
+                        s.deposit(v.as_u32(), w, rmax * degrees::deg_scale(deg_v));
                     }
                 }
                 Normalization::Symmetric => {
                     // A[v][u] = 1/(sqrt(deg(u)) sqrt(deg(v))).
-                    let w = spread * tables.inv_sqrt_deg[ui];
+                    let w = spread * degrees::inv_sqrt_deg(neighbors.len());
                     for v in neighbors {
-                        let vi = v.index();
-                        let wv = w * tables.inv_sqrt_deg[vi];
-                        s.deposit(v.as_u32(), wv, rmax * tables.deg_scale[vi]);
+                        let deg_v = graph.degree(*v);
+                        let wv = w * degrees::inv_sqrt_deg(deg_v);
+                        s.deposit(v.as_u32(), wv, rmax * degrees::deg_scale(deg_v));
                     }
                 }
             }
@@ -402,13 +407,13 @@ fn drain_to_tolerance(
         // Certify: does the remaining residual mass already guarantee the
         // tolerance? If so the estimate is interchangeable with the sweep
         // engines' output.
-        let bound = s.residual_bound(tables);
+        let bound = s.residual_bound(graph, norm);
         if conv.record(bound, tolerance) {
             break;
         }
         // Not yet: halve the granularity and rebuild the frontier.
         rmax *= 0.5;
-        s.rebuild_frontier(rmax, &tables.deg_scale);
+        s.rebuild_frontier(rmax, graph);
         // Sub-denormal rmax with an empty frontier means the residuals
         // cannot be refined any further in f32 — report honestly instead
         // of spinning.
@@ -476,9 +481,8 @@ pub fn ppr_vector_detailed(
     config: &PushConfig,
 ) -> Result<PushResult, DiffusionError> {
     graph.check_node(source)?;
-    let tables = DegreeTables::from_graph(graph, config.ppr.normalization());
     let mut scratch = PushScratch::new(graph.num_nodes());
-    let (column, mut stats) = push_column(graph, &tables, &mut scratch, source.as_u32(), config)?;
+    let (column, mut stats) = push_column(graph, &mut scratch, source.as_u32(), config)?;
     // The scratch is clean again: its estimate is the zero vector to
     // re-expand the column into.
     stats.values = scratch.estimate;
@@ -490,24 +494,25 @@ pub fn ppr_vector_detailed(
 
 /// Diffuses a sparse personalization — `(source node, embedding)` pairs —
 /// with one push column per distinct source node, sharded across
-/// `config.threads()` scoped workers.
+/// `config.threads()` scoped workers, into rows over the columns' joint
+/// support (see the module docs).
 ///
 /// Equivalent (to tolerance) to the dense engines; bit-for-bit identical
-/// output for every thread count.
+/// output for every thread count, and row for row the bits of
+/// [`diffuse_sparse`].
 ///
 /// # Errors
 ///
 /// Returns [`DiffusionError::ShapeMismatch`] for ragged embeddings or
 /// out-of-range sources, [`DiffusionError::NotConverged`] on push-budget
 /// exhaustion.
-pub fn diffuse_sparse(
+pub fn diffuse_rows(
     graph: &Graph,
     dim: usize,
     sources: &[(NodeId, Embedding)],
     config: &PushConfig,
-) -> Result<Signal, DiffusionError> {
+) -> Result<SparseRows, DiffusionError> {
     let n = graph.num_nodes();
-    let mut out = Signal::zeros(n, dim);
     // Group repeated source nodes (diffusion is linear, so their
     // personalizations sum) — one column per distinct node. BTreeMap keeps
     // accumulation in ascending node order: deterministic.
@@ -535,9 +540,8 @@ pub fn diffuse_sparse(
             .or_insert_with(|| emb.as_slice().to_vec());
     }
     if grouped.is_empty() || dim == 0 {
-        return Ok(out);
+        return Ok(SparseRows::zeros(n, dim));
     }
-    let tables = DegreeTables::from_graph(graph, config.ppr.normalization());
     let nodes: Vec<u32> = grouped.keys().copied().collect();
     // One scratch per worker, reused across the sources it handles (worker
     // w takes sources w, w+T, …). Columns leave the worker compressed to
@@ -548,24 +552,43 @@ pub fn diffuse_sparse(
     let per_worker = workpool::map_batched(&workers, threads, |&w| {
         let mut scratch = PushScratch::new(n);
         let sources = nodes.iter().skip(w).step_by(threads);
-        let column = |&u| push_column(graph, &tables, &mut scratch, u, config).map(|(c, _)| c);
+        let column = |&u| push_column(graph, &mut scratch, u, config).map(|(c, _)| c);
         sources.map(column).collect::<Vec<_>>()
     });
-    // Source i is the next column of worker i mod T.
+    // Source i is the next column of worker i mod T; the first failure in
+    // source order is the error.
     let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
     let columns = (0..nodes.len()).map_while(|i| per_worker[i % threads].next());
+    let columns: Vec<Vec<(u32, f32)>> = columns.collect::<Result<_, _>>()?;
+    let support = columns.iter().flatten().map(|&(u, _)| u);
+    let mut out = SparseRows::with_support(n, dim, support);
     // Sequential, ascending source order: deterministic for every worker
-    // count.
-    for (source, column) in nodes.iter().zip(columns) {
+    // count. Every node of a column has a stored row.
+    for (source, column) in nodes.iter().zip(&columns) {
         let emb = &grouped[source];
-        for (u, weight) in column? {
-            let row = out.row_mut(ix(u));
-            for (r, e) in row.iter_mut().zip(emb) {
+        for &(u, weight) in column {
+            let row = out.stored_row_mut(ix(u)).into_iter().flatten();
+            for (r, e) in row.zip(emb) {
                 *r += weight * e;
             }
         }
     }
     Ok(out)
+}
+
+/// [`diffuse_rows`] as a dense `N × dim` signal: its rows scattered into
+/// zeros.
+///
+/// # Errors
+///
+/// As [`diffuse_rows`].
+pub fn diffuse_sparse(
+    graph: &Graph,
+    dim: usize,
+    sources: &[(NodeId, Embedding)],
+    config: &PushConfig,
+) -> Result<Signal, DiffusionError> {
+    Ok(diffuse_rows(graph, dim, sources, config)?.to_signal())
 }
 
 #[cfg(test)]
@@ -798,12 +821,23 @@ mod tests {
     /// [`push_column`] must reproduce it bit for bit.
     fn reference_push_column(
         graph: &Graph,
-        tables: &DegreeTables,
         source: u32,
         config: &PushConfig,
     ) -> Result<(Vec<(u32, f32)>, PushResult), DiffusionError> {
-        let bound_of =
-            |residual: &[f32]| tables.residual_bound(residual.iter().copied().enumerate());
+        // Per-node tables of the degree formulas, indexed by node.
+        let table = |f: fn(usize) -> f32| -> Vec<f32> {
+            graph.node_ids().map(|u| f(graph.degree(u))).collect()
+        };
+        let (inv_deg, inv_sqrt_deg) = (table(degrees::inv_deg), table(degrees::inv_sqrt_deg));
+        let deg_scale = table(degrees::deg_scale);
+        let norm = config.ppr.normalization();
+        let bound_of = |residual: &[f32]| {
+            let pairs = graph
+                .node_ids()
+                .map(|u| graph.degree(u))
+                .zip(residual.iter().copied());
+            degrees::residual_bound(norm, graph.max_degree(), pairs)
+        };
         let n = graph.num_nodes();
         let alpha = config.ppr.alpha();
         let tolerance = config.ppr.tolerance();
@@ -827,7 +861,7 @@ mod tests {
                 let ui = u as usize;
                 in_queue[ui] = false;
                 let ru = residual[ui];
-                if ru <= rmax * tables.deg_scale[ui] {
+                if ru <= rmax * deg_scale[ui] {
                     continue;
                 }
                 if pushes >= budget {
@@ -844,13 +878,13 @@ mod tests {
                     continue;
                 }
                 let neighbors = graph.neighbor_slice(NodeId::new(u));
-                match tables.norm {
+                match norm {
                     Normalization::ColumnStochastic => {
-                        let w = spread * tables.inv_deg[ui];
+                        let w = spread * inv_deg[ui];
                         for v in neighbors {
                             let vi = v.index();
                             residual[vi] += w;
-                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
                                 in_queue[vi] = true;
                                 queue.push_back(v.as_u32());
                             }
@@ -859,19 +893,19 @@ mod tests {
                     Normalization::RowStochastic => {
                         for v in neighbors {
                             let vi = v.index();
-                            residual[vi] += spread * tables.inv_deg[vi];
-                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                            residual[vi] += spread * inv_deg[vi];
+                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
                                 in_queue[vi] = true;
                                 queue.push_back(v.as_u32());
                             }
                         }
                     }
                     Normalization::Symmetric => {
-                        let w = spread * tables.inv_sqrt_deg[ui];
+                        let w = spread * inv_sqrt_deg[ui];
                         for v in neighbors {
                             let vi = v.index();
-                            residual[vi] += w * tables.inv_sqrt_deg[vi];
-                            if !in_queue[vi] && residual[vi] > rmax * tables.deg_scale[vi] {
+                            residual[vi] += w * inv_sqrt_deg[vi];
+                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
                                 in_queue[vi] = true;
                                 queue.push_back(v.as_u32());
                             }
@@ -885,7 +919,7 @@ mod tests {
             }
             rmax *= 0.5;
             for (ui, r) in residual.iter().enumerate() {
-                if !in_queue[ui] && *r > rmax * tables.deg_scale[ui] {
+                if !in_queue[ui] && *r > rmax * deg_scale[ui] {
                     in_queue[ui] = true;
                     queue.push_back(ui as u32);
                 }
@@ -961,12 +995,11 @@ mod tests {
         // scratch back to back: a missed clear corrupts the next column.
         let mut scratch = PushScratch::new(g.num_nodes());
         for norm in NORMS {
-            let tables = DegreeTables::from_graph(&g, norm);
             for alpha in [0.1f32, 0.5, 0.9] {
                 let cfg = PushConfig::new(PprConfig::new(alpha).unwrap().with_normalization(norm));
                 for source in sources {
-                    let got = bits(push_column(&g, &tables, &mut scratch, source, &cfg));
-                    let want = bits(reference_push_column(&g, &tables, source, &cfg));
+                    let got = bits(push_column(&g, &mut scratch, source, &cfg));
+                    let want = bits(reference_push_column(&g, source, &cfg));
                     assert!(want.is_ok(), "{norm:?} α {alpha} source {source}: {want:?}");
                     assert_eq!(got, want, "{norm:?} α {alpha} source {source}");
                 }
@@ -986,25 +1019,15 @@ mod tests {
                 .with_max_iterations(1),
         );
         let normal = push_cfg(0.5, 1e-6);
-        let tables = DegreeTables::from_graph(&g, Normalization::ColumnStochastic);
 
         let mut reused = PushScratch::new(30);
-        let failed = bits(push_column(&g, &tables, &mut reused, 0, &starved));
-        assert_eq!(
-            failed,
-            bits(reference_push_column(&g, &tables, 0, &starved))
-        );
+        let failed = bits(push_column(&g, &mut reused, 0, &starved));
+        assert_eq!(failed, bits(reference_push_column(&g, 0, &starved)));
         assert!(failed.is_err(), "the starved budget must not converge");
         assert!(reused.is_clean(), "the error path skipped the clear");
 
-        let after_failure = bits(push_column(&g, &tables, &mut reused, 7, &normal));
-        let fresh = bits(push_column(
-            &g,
-            &tables,
-            &mut PushScratch::new(30),
-            7,
-            &normal,
-        ));
+        let after_failure = bits(push_column(&g, &mut reused, 7, &normal));
+        let fresh = bits(push_column(&g, &mut PushScratch::new(30), 7, &normal));
         assert!(fresh.is_ok());
         assert_eq!(after_failure, fresh);
     }
@@ -1013,8 +1036,7 @@ mod tests {
     fn detailed_values_expand_the_compressed_column() {
         let g = generators::social_circles_like_scaled(200, &mut seeded(8)).unwrap();
         let cfg = push_cfg(0.3, 1e-6);
-        let tables = DegreeTables::from_graph(&g, Normalization::ColumnStochastic);
-        let (column, stats) = reference_push_column(&g, &tables, 17, &cfg).unwrap();
+        let (column, stats) = reference_push_column(&g, 17, &cfg).unwrap();
         let out = ppr_vector_detailed(&g, NodeId::new(17), &cfg).unwrap();
         let mut dense = vec![0.0f32; 200];
         for (u, w) in column {
@@ -1061,13 +1083,86 @@ mod tests {
                 .with_normalization(NORMS[norm])
                 .with_max_iterations(max_iterations);
             let cfg = PushConfig::new(ppr).with_rmax(10f32.powi(rmax_exp)).unwrap();
-            let tables = DegreeTables::from_graph(&g, NORMS[norm]);
             let mut scratch = PushScratch::new(g.num_nodes());
             for pick in picks {
-                let got = bits(push_column(&g, &tables, &mut scratch, pick % n, &cfg));
-                let want = bits(reference_push_column(&g, &tables, pick % n, &cfg));
+                let got = bits(push_column(&g, &mut scratch, pick % n, &cfg));
+                let want = bits(reference_push_column(&g, pick % n, &cfg));
                 prop_assert_eq!(got, want, "source {}", pick % n);
             }
         }
+
+        /// The batched driver's rows against the dense driver it replaced:
+        /// reference columns rank-1-added into an `N × dim` zero signal,
+        /// ascending source, then ascending node. Widths from 0, repeated
+        /// sources, an all-zero row, several worker counts; every row read
+        /// through the accessor and the scattered signal carry its bits.
+        #[test]
+        fn push_rows_match_the_dense_accumulation(
+            g in arb_graph(),
+            norm in 0usize..3,
+            alpha in 0.05f32..1.0,
+            dim in 0usize..5,
+            picks in collection::vec((0u32..36, 0u32..4), 0..6),
+            threads in 1usize..4,
+        ) {
+            let n = g.num_nodes();
+            let ppr = PprConfig::new(alpha)
+                .unwrap()
+                .with_tolerance(1e-6)
+                .unwrap()
+                .with_normalization(NORMS[norm]);
+            let cfg = PushConfig::new(ppr).with_threads(threads).unwrap();
+            // Kind 0 is the all-zero row.
+            let sources: Vec<(NodeId, Embedding)> = picks
+                .iter()
+                .map(|&(u, kind)| {
+                    let row = (0..dim).map(|i| (kind as f32) * 0.25 - (i as f32) * 0.125);
+                    let row = row.map(|x| if kind == 0 { 0.0 } else { x });
+                    (NodeId::new(u % n as u32), Embedding::new(row.collect()))
+                })
+                .collect();
+            let want = reference_dense_accumulation(&g, dim, &sources, &cfg);
+            let rows = diffuse_rows(&g, dim, &sources, &cfg).unwrap();
+            prop_assert_eq!((rows.num_nodes(), rows.dim()), (n, dim));
+            for u in 0..n {
+                prop_assert_eq!(float_bits(rows.row(u)), float_bits(want.row(u)), "row {}", u);
+            }
+            let dense = diffuse_sparse(&g, dim, &sources, &cfg).unwrap();
+            prop_assert_eq!(float_bits(dense.as_slice()), float_bits(want.as_slice()));
+        }
+    }
+
+    fn float_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The dense driver as it stood before row-sparse output: the distinct
+    /// sources' personalizations summed, then one reference column per
+    /// source, ascending, rank-1-added into a zero `N × dim` signal.
+    fn reference_dense_accumulation(
+        graph: &Graph,
+        dim: usize,
+        sources: &[(NodeId, Embedding)],
+        config: &PushConfig,
+    ) -> Signal {
+        let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+        for (node, emb) in sources {
+            let acc = grouped
+                .entry(node.as_u32())
+                .or_insert_with(|| vec![0.0; dim]);
+            for (a, e) in acc.iter_mut().zip(emb.as_slice()) {
+                *a += e;
+            }
+        }
+        let mut out = Signal::zeros(graph.num_nodes(), dim);
+        for (&source, emb) in &grouped {
+            let (column, _) = reference_push_column(graph, source, config).unwrap();
+            for (u, weight) in column {
+                for (r, e) in out.row_mut(u as usize).iter_mut().zip(emb) {
+                    *r += weight * e;
+                }
+            }
+        }
+        out
     }
 }

@@ -107,7 +107,7 @@ use gdsearch_graph::sparse::{edge_weight, CsrMatrix, Normalization};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 
 use crate::convergence::Convergence;
-use crate::degrees::DegreeTables;
+use crate::degrees::{self, DegreeTables};
 use crate::exchange::{InProcessExchange, ShardExchange};
 use crate::power::DiffusionResult;
 use crate::{workpool, DiffusionError, PprConfig, Signal};
@@ -427,16 +427,16 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
 // Sharded forward push
 // ---------------------------------------------------------------------------
 
-/// The certified L∞ bound of [`crate::degrees::DegreeTables`], fed the
+/// The certified L∞ bound of [`crate::degrees::residual_bound`], fed the
 /// partitioned residuals in global node order (shards ascending, local
 /// rows ascending) so the result is independent of the shard count.
 fn partitioned_bound(deg: &DegreeTables, shards: &[GraphShard], residuals: &[Vec<f32>]) -> f32 {
-    deg.residual_bound(shards.iter().zip(residuals).flat_map(|(shard, res)| {
-        let base = shard.start() as usize;
+    let pairs = shards.iter().zip(residuals).flat_map(|(shard, res)| {
         res.iter()
             .enumerate()
-            .map(move |(local, &r)| (base + local, r))
-    }))
+            .map(move |(local, &r)| (shard.local_degree(local), r))
+    });
+    degrees::residual_bound(deg.norm, deg.max_degree, pairs)
 }
 
 /// Runs one push round over the partitioned residuals at granularity

@@ -230,6 +230,192 @@ impl Signal {
     }
 }
 
+/// The positions of the set bits of `words`, ascending (bit `b` of word
+/// `w` is `64 · w + b`).
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    let words = words.iter().zip((0u32..).step_by(64));
+    words.flat_map(|(&word, base)| {
+        let bits = std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)));
+        bits.take_while(|&w| w != 0)
+            .map(move |w| base + w.trailing_zeros())
+    })
+}
+
+/// A graph signal stored by its support: the rows of the nodes a local
+/// diffusion reached, ascending by node id, each `dim` wide. Every other
+/// node's row reads as zeros.
+///
+/// Forward push ([`crate::push::diffuse_rows`]) returns this, so its output
+/// costs `O(support · dim)` floats instead of `N · dim`, plus a bitmap of
+/// the support with a rank per 64 nodes (`N / 64` words each), which finds
+/// a row in constant time: a walk reads a row per candidate it scores.
+///
+/// # Example
+///
+/// ```
+/// use gdsearch_diffusion::SparseRows;
+///
+/// let rows = SparseRows::zeros(4, 2);
+/// assert_eq!(rows.support().count(), 0);
+/// assert_eq!(rows.row(3), &[0.0, 0.0]);
+/// assert_eq!(rows.to_signal().as_slice(), &[0.0; 8]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseRows {
+    num_nodes: usize,
+    dim: usize,
+    /// Bit `u` is set when node `u` has a stored row.
+    stored: Vec<u64>,
+    /// Stored rows before word `w` of `stored`: with the set bits below
+    /// `u` in its word, the index of `u`'s row.
+    rank: Vec<u32>,
+    /// One `dim`-wide row per stored node, row-major, ascending node.
+    data: Vec<f32>,
+    /// The row every node outside the support reads.
+    zeros: Vec<f32>,
+}
+
+impl SparseRows {
+    /// The all-zero signal of shape `num_nodes × dim`: no stored row.
+    #[must_use]
+    pub fn zeros(num_nodes: usize, dim: usize) -> Self {
+        Self::with_support(num_nodes, dim, std::iter::empty())
+    }
+
+    /// Zeroed stored rows for the nodes of `support` (any order, repeats
+    /// allowed), which must lie below `num_nodes`.
+    pub(crate) fn with_support(
+        num_nodes: usize,
+        dim: usize,
+        support: impl IntoIterator<Item = u32>,
+    ) -> Self {
+        let mut stored = vec![0u64; num_nodes.div_ceil(64)];
+        for u in support {
+            debug_assert!((u as usize) < num_nodes, "node {u} out of range");
+            stored[u as usize / 64] |= 1 << (u % 64);
+        }
+        let mut rows = 0u32;
+        let rank = stored
+            .iter()
+            .map(|word| {
+                let before = rows;
+                rows += word.count_ones();
+                before
+            })
+            .collect();
+        SparseRows {
+            num_nodes,
+            dim,
+            stored,
+            rank,
+            data: vec![0.0; rows as usize * dim],
+            zeros: vec![0.0; dim],
+        }
+    }
+
+    /// Number of nodes (rows, stored or not).
+    #[must_use]
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Dimensionality of each row.
+    #[must_use]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The nodes with a stored row, ascending.
+    pub fn support(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.stored)
+    }
+
+    /// Where `u`'s stored row starts in `data`, if it has one.
+    #[inline]
+    fn offset(&self, u: usize) -> Option<usize> {
+        let (word, bit) = (self.stored[u / 64], 1u64 << (u % 64));
+        if word & bit == 0 {
+            return None;
+        }
+        let before = self.rank[u / 64] as usize + (word & (bit - 1)).count_ones() as usize;
+        Some(before * self.dim)
+    }
+
+    /// The row of node `u`: its stored row, or zeros when it has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= num_nodes`.
+    #[inline]
+    #[must_use]
+    pub fn row(&self, u: usize) -> &[f32] {
+        assert!(
+            u < self.num_nodes,
+            "node {u} out of range for {} nodes",
+            self.num_nodes
+        );
+        match self.offset(u) {
+            Some(at) => &self.data[at..at + self.dim],
+            None => &self.zeros,
+        }
+    }
+
+    /// Mutable stored row of node `u`, or `None` when `u` has none.
+    pub(crate) fn stored_row_mut(&mut self, u: usize) -> Option<&mut [f32]> {
+        let at = self.offset(u)?;
+        Some(&mut self.data[at..at + self.dim])
+    }
+
+    /// The dense signal: the stored rows scattered into zeros.
+    #[must_use]
+    pub fn to_signal(&self) -> Signal {
+        let mut signal = Signal::zeros(self.num_nodes, self.dim);
+        let rows = self.support().zip((0..).map(|k: usize| k * self.dim));
+        for (u, at) in rows {
+            signal
+                .row_mut(u as usize)
+                .copy_from_slice(&self.data[at..at + self.dim]);
+        }
+        signal
+    }
+}
+
+/// Diffused node embeddings as the engine that computed them left them:
+/// the dense power sweep's [`Signal`] or forward push's [`SparseRows`].
+/// [`Diffused::row`] reads either, with the same bits.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diffused {
+    /// One row per node (the power sweep).
+    Dense(Signal),
+    /// Rows over their support, zeros elsewhere (forward push).
+    Sparse(SparseRows),
+}
+
+impl Diffused {
+    /// The row of node `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= num_nodes`.
+    #[inline]
+    #[must_use]
+    pub fn row(&self, u: usize) -> &[f32] {
+        match self {
+            Diffused::Dense(signal) => signal.row(u),
+            Diffused::Sparse(rows) => rows.row(u),
+        }
+    }
+
+    /// The dense signal; a row-sparse value is scattered into zeros.
+    #[must_use]
+    pub fn into_signal(self) -> Signal {
+        match self {
+            Diffused::Dense(signal) => signal,
+            Diffused::Sparse(rows) => rows.to_signal(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,5 +505,38 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(s.column_mass(), vec![4.0, 1.0]);
+    }
+
+    #[test]
+    fn sparse_rows_read_zeros_off_their_support() {
+        // Nodes on both sides of a 64-node word boundary, given out of
+        // order and repeated.
+        let mut rows = SparseRows::with_support(130, 2, [64, 1, 129, 63, 1]);
+        assert_eq!(rows.support().collect::<Vec<_>>(), vec![1, 63, 64, 129]);
+        for (u, value) in [(1, 1.0), (63, -2.0), (64, 0.5), (129, 3.0)] {
+            rows.stored_row_mut(u)
+                .unwrap()
+                .copy_from_slice(&[value, -value]);
+        }
+        assert!(rows.stored_row_mut(2).is_none());
+        let dense = rows.to_signal();
+        for u in 0..130 {
+            assert_eq!(rows.row(u), dense.row(u), "node {u}");
+        }
+        assert_eq!(dense.row(64), &[0.5, -0.5]);
+        assert_eq!(dense.row(65), &[0.0, 0.0]);
+        let diffused = Diffused::Sparse(rows);
+        assert_eq!(diffused.row(129), &[3.0, -3.0]);
+        assert_eq!(diffused.into_signal(), dense);
+        // Width 0: every row is empty, stored or not.
+        let empty = SparseRows::with_support(3, 0, [0, 2]);
+        assert!((0..3).all(|u| empty.row(u).is_empty()));
+        assert_eq!(empty.to_signal(), Signal::zeros(3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sparse_row_past_the_end_panics() {
+        let _ = SparseRows::zeros(2, 1).row(2);
     }
 }

@@ -47,6 +47,8 @@ pub struct Graph {
     neighbors: Vec<NodeId>,
     /// Number of undirected edges.
     num_edges: usize,
+    /// Largest degree of any node (0 without edges), counted once at build.
+    max_degree: usize,
 }
 
 impl Graph {
@@ -95,6 +97,12 @@ impl Graph {
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         self.offsets[u.index() + 1] - self.offsets[u.index()]
+    }
+
+    /// Largest degree of any node (0 for a graph without edges).
+    #[inline]
+    pub fn max_degree(&self) -> usize {
+        self.max_degree
     }
 
     /// Iterates over the sorted neighbors of `u`.
@@ -306,10 +314,12 @@ impl GraphBuilder {
         offsets.push(0usize);
         let mut neighbors = Vec::with_capacity(self.adjacency.iter().map(Vec::len).sum());
         let mut row: Vec<u32> = Vec::new();
+        let mut max_degree = 0;
         for added in &self.adjacency {
             row.clone_from(added);
             row.sort_unstable();
             row.dedup();
+            max_degree = max_degree.max(row.len());
             neighbors.extend(row.iter().map(|&v| NodeId::new(v)));
             offsets.push(neighbors.len());
         }
@@ -319,6 +329,7 @@ impl GraphBuilder {
             offsets,
             num_edges: neighbors.len() / 2,
             neighbors,
+            max_degree,
         }
     }
 }
@@ -405,6 +416,7 @@ mod reference {
                 offsets,
                 neighbors,
                 num_edges: self.edges.len(),
+                max_degree: degrees.into_iter().max().unwrap_or(0),
             }
         }
     }
@@ -438,6 +450,18 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1), (1, 0), (0, 1)]).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(NodeId::new(0)), 1);
+        // Duplicates count once toward the maximum degree too.
+        assert_eq!(g.max_degree(), 1);
+    }
+
+    #[test]
+    fn max_degree_is_the_largest_degree() {
+        assert_eq!(Graph::empty(0).max_degree(), 0);
+        assert_eq!(Graph::empty(3).max_degree(), 0);
+        let g = triangle_with_tail();
+        let largest = g.node_ids().map(|u| g.degree(u)).max();
+        assert_eq!(Some(g.max_degree()), largest);
+        assert_eq!(g.max_degree(), 3);
     }
 
     #[test]

@@ -30,18 +30,19 @@ pub enum Normalization {
 
 /// Compressed sparse row matrix with `f32` values.
 ///
-/// Supports the two products the diffusion engines need: matrix × vector and
-/// matrix × row-major dense matrix.
+/// Supports the product the diffusion checks need: matrix × row-major
+/// dense matrix.
 ///
 /// # Example
 ///
 /// ```
 /// use gdsearch_graph::sparse::CsrMatrix;
 ///
-/// // [[0, 2], [1, 0]]
+/// // [[0, 2], [1, 0]] times the 2 × 2 rows [[3, 30], [4, 40]].
 /// let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]).unwrap();
-/// let y = m.mul_vec(&[3.0, 4.0]);
-/// assert_eq!(y, vec![8.0, 3.0]);
+/// let mut y = vec![0.0; 4];
+/// m.mul_dense_into(&[3.0, 30.0, 4.0, 40.0], 2, &mut y);
+/// assert_eq!(y, vec![8.0, 80.0, 3.0, 30.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -215,11 +216,13 @@ impl CsrMatrix {
             .zip(self.values[range].iter().copied())
     }
 
-    /// Dense matrix-vector product `y = M x`.
+    /// Dense matrix-vector product `y = M x`: the oracle the dense product
+    /// is tested against.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != n_cols`.
+    #[cfg(test)]
     pub fn mul_vec(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.n_cols, "dimension mismatch");
         let mut y = vec![0.0f32; self.n_rows];
@@ -232,6 +235,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
+    #[cfg(test)]
     pub fn mul_vec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.n_cols, "input dimension mismatch");
         assert_eq!(y.len(), self.n_rows, "output dimension mismatch");
