@@ -313,18 +313,6 @@ impl SparseRows {
         }
     }
 
-    /// Number of nodes (rows, stored or not).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Dimensionality of each row.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The nodes with a stored row, ascending.
     pub fn support(&self) -> impl Iterator<Item = u32> + '_ {
         set_bits(&self.stored)
