@@ -8,6 +8,10 @@
 //! dense power sweep ([`crate::power`]) everywhere else, returning what the
 //! engine computed: push's rows over their support or the sweep's dense
 //! signal. [`auto_diffuse`] is the same value as a dense [`Signal`].
+//!
+//! Neither branch materializes `E0`. Push reads the rows as given; the
+//! sweep keeps them row-sparse beside its two `N × dim` iterates, and a row
+//! no live row has reached yet is neither read nor written.
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
@@ -58,7 +62,7 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///
 /// # Errors
 ///
-/// As [`push::diffuse_rows`] / [`power::diffuse_threaded`]: a
+/// As [`push::diffuse_rows`] / [`power::diffuse_rows`]: a
 /// [`DiffusionError::ShapeMismatch`] for ragged embeddings or out-of-range
 /// sources, [`DiffusionError::NotConverged`] on budget exhaustion.
 pub fn auto_diffuse_rows(
@@ -76,8 +80,7 @@ pub fn auto_diffuse_rows(
             graph, dim, sources, &push_cfg,
         )?))
     } else {
-        let e0 = Signal::from_sparse_rows(n, dim, sources)?;
-        let swept = power::diffuse_threaded(graph, &e0, config, threads)?;
+        let swept = power::diffuse_rows(graph, dim, sources, config, threads)?;
         Ok(Diffused::Dense(swept.into_converged()?))
     }
 }

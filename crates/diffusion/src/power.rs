@@ -11,18 +11,25 @@
 //! gather in the register-blocked kernel shared with the CSR products
 //! ([`gather_row`]), then the blend with `E0` and the residual. Rows are
 //! independent, so [`diffuse_threaded`] splits them across workers with
-//! bit-identical output.
+//! bit-identical output. While some rows are still dead (all `+0.0`, and
+//! gathering from no live row) the sweep neither reads nor writes them.
+//!
+//! One sweep loop serves two entries: [`diffuse_threaded`] reads a dense
+//! `E0` and sweeps from a copy of it; [`diffuse_rows`] takes `E0` as its
+//! non-zero rows, keeps it row-sparse and sweeps from its dense copy, so it
+//! holds two `N × dim` buffers where the dense entry holds three.
 
 #![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
+use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{edge_weight, gather_row, Normalization};
 use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
-use crate::{DiffusionError, PprConfig, Signal};
+use crate::{DiffusionError, PprConfig, Signal, SparseRows};
 
 /// Outcome of an iterative diffusion.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,9 +123,14 @@ pub fn diffuse(
 /// non-negative, so the blend of `+0.0`s is `+0.0`). The live set therefore
 /// grows one hop per sweep from the rows of `E0` that hold a set bit, and
 /// while it is not yet all rows each row skips its dead neighbours, which
-/// changes no bit of a sum (argued at the row kernel). The mask is structural
-/// — a live row may still hold zeros — and identical for every thread
-/// count.
+/// changes no bit of a sum (argued at the row kernel). A row that stays
+/// dead is neither read nor written: both iterates already hold its
+/// `+0.0` bits. The mask is structural — a live row may still hold zeros —
+/// and identical for every thread count.
+///
+/// The sweep holds `e0`, one copy of it as the first iterate and the next
+/// iterate: three `N × dim` buffers, one of them the caller's.
+/// [`diffuse_rows`] takes `E0` row-sparse and holds two.
 ///
 /// # Errors
 ///
@@ -136,18 +148,91 @@ pub fn diffuse_threaded(
             got: (e0.num_nodes(), e0.dim()),
         });
     }
-    let dim = e0.dim();
+    Ok(sweep_to_fixed_point(
+        graph,
+        e0.clone(),
+        |u| e0.row(u),
+        config,
+        threads,
+    ))
+}
+
+/// [`diffuse_threaded`] with `E0` given by its non-zero rows: `(source,
+/// embedding)` pairs, as [`per_source::auto_diffuse_rows`] takes them.
+///
+/// The sources are folded into a [`SparseRows`] the way
+/// [`Signal::from_sparse_rows`] folds them — each row summed with `+=` from
+/// `+0.0` in source order, so repeated sources accumulate and a `−0.0`
+/// entry reads `+0.0` — and the first iterate is its dense copy. `E0` is
+/// never materialized or cloned: the sweep holds two `N × dim` buffers, and
+/// the bits are those of [`diffuse_threaded`] on
+/// `Signal::from_sparse_rows(N, dim, sources)`.
+///
+/// [`per_source::auto_diffuse_rows`]: crate::per_source::auto_diffuse_rows
+///
+/// # Errors
+///
+/// Returns [`DiffusionError::ShapeMismatch`] for an embedding of the wrong
+/// width or a source outside the graph — the error
+/// [`Signal::from_sparse_rows`] returns for the first such source.
+pub fn diffuse_rows(
+    graph: &Graph,
+    dim: usize,
+    sources: &[(NodeId, Embedding)],
+    config: &PprConfig,
+    threads: usize,
+) -> Result<DiffusionResult, DiffusionError> {
+    let n = graph.num_nodes();
+    if let Some((node, emb)) = sources
+        .iter()
+        .find(|(node, emb)| node.index() >= n || emb.dim() != dim)
+    {
+        return Err(DiffusionError::ShapeMismatch {
+            expected: (n, dim),
+            got: (node.index(), emb.dim()),
+        });
+    }
+    let mut e0 = SparseRows::with_support(n, dim, sources.iter().map(|(node, _)| node.as_u32()));
+    for (node, emb) in sources {
+        let row = e0.stored_row_mut(node.index()).into_iter().flatten();
+        for (r, e) in row.zip(emb.as_slice()) {
+            *r += e;
+        }
+    }
+    Ok(sweep_to_fixed_point(
+        graph,
+        e0.to_signal(),
+        |u| e0.row(u),
+        config,
+        threads,
+    ))
+}
+
+/// The one sweep loop: iterates from `current`, which holds `E0`'s bits,
+/// reading row `u` of `E0` as `origin(u)`, until the residual meets the
+/// tolerance or the budget runs out. It allocates one `N × dim` buffer of
+/// its own, the next iterate, and finds the live rows of `E0` through
+/// `origin`, so it touches no page of either iterate before a sweep
+/// writes it.
+fn sweep_to_fixed_point<'o>(
+    graph: &Graph,
+    mut current: Signal,
+    origin: impl Fn(usize) -> &'o [f32] + Sync,
+    config: &PprConfig,
+    threads: usize,
+) -> DiffusionResult {
+    let (n, dim) = (current.num_nodes(), current.dim());
     let width = dim.max(1);
     let threads = threads.max(1).min(n.max(1));
     let chunk_rows = n.max(1).div_ceil(threads);
     let weights = Weights::new(graph, config.normalization());
-    let mut current = e0.clone();
+    let zeros = vec![0.0f32; dim];
     let mut next = Signal::zeros(n, dim);
     // live: rows of `current` that may hold a set bit. reached: the same
     // for `next` — seeded with E0's rows, which are live in every iterate,
     // and only ever gaining rows, so the sweep grows it in place.
     let mut live: Vec<bool> = (0..n)
-        .map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0))
+        .map(|u| origin(u).iter().any(|x| x.to_bits() != 0))
         .collect();
     let mut reached = live.clone();
     let mut conv = Convergence::new();
@@ -159,7 +244,8 @@ pub fn diffuse_threaded(
                 graph,
                 weights: &weights,
                 cur: current.as_slice(),
-                origin: e0.as_slice(),
+                origin: &origin,
+                zeros: &zeros,
                 dim,
                 alpha: config.alpha(),
                 live: masked.then_some(live.as_slice()),
@@ -186,12 +272,12 @@ pub fn diffuse_threaded(
             break;
         }
     }
-    Ok(DiffusionResult {
+    DiffusionResult {
         signal: current,
         iterations: conv.iters,
         residual: conv.residual,
         converged: conv.converged,
-    })
+    }
 }
 
 /// The transition weights of a graph under one normalization, as the sweep
@@ -250,20 +336,22 @@ fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
 
 /// One sweep `E(t+1) = (1−a)·A·E(t) + a·E0`, read-only and shared by the
 /// workers that write disjoint row ranges of `E(t+1)`.
-struct Sweep<'a> {
+struct Sweep<'a, O> {
     graph: &'a Graph,
     weights: &'a Weights,
     /// `E(t)`, `dim` cells per node.
     cur: &'a [f32],
-    /// `E0`, likewise.
-    origin: &'a [f32],
+    /// Row `u` of `E0`.
+    origin: O,
+    /// A row of `dim` zeros: `E(t)`'s row of a dead node.
+    zeros: &'a [f32],
     dim: usize,
     alpha: f32,
     /// While some row of `E(t)` is dead: which rows are live.
     live: Option<&'a [bool]>,
 }
 
-impl Sweep<'_> {
+impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
     /// Sweeps the rows from `first_row` on into `next` (whole rows), ORs
     /// into `reached[i]` whether row `first_row + i` gathered from a live
     /// row, and returns the chunk's max residual `|E(t+1) − E(t)|`.
@@ -304,6 +392,14 @@ impl Sweep<'_> {
     /// `w · (+0.0) = ±0.0`, every sum starts at `+0.0` and so is never
     /// `−0.0`, and adding `±0.0` to anything else changes no bit; the other
     /// terms keep their adjacency order.
+    ///
+    /// A row dead in `E(t)` has a dead row of `E0` too (`E0`'s live rows are
+    /// live in every iterate). If it gathers from no live row it stays dead
+    /// and is skipped: `next` already holds its `+0.0` bits, since dead
+    /// rows start as zeros and the live set only grows, and its residual
+    /// `|(+0.0) − (+0.0)|` would lose to every lane. If it does gather, its
+    /// residual is folded against a zero row, not `cur`'s `+0.0` bits. Either
+    /// way `cur` and `origin` are not read on a dead row.
     fn row(
         &self,
         weight: impl Fn(usize, usize) -> f32,
@@ -312,31 +408,50 @@ impl Sweep<'_> {
         lanes: &mut [f32; LANES],
     ) -> bool {
         let cells = u.index() * self.dim..(u.index() + 1) * self.dim;
-        let (cur, origin) = (&self.cur[cells.clone()], &self.origin[cells]);
-        let alpha = self.alpha;
-        let mut blend = |start: usize, sums: &[f32]| {
-            let next = &mut next[start..][..sums.len()];
-            for ((nx, &sum), &origin) in next.iter_mut().zip(sums).zip(&origin[start..]) {
-                *nx = (1.0 - alpha) * sum + alpha * origin;
-            }
-            fold_residual(lanes, next, &cur[start..][..next.len()]);
-        };
-        let entries = self.graph.neighbor_slice(u).iter().map(|v| {
+        let neighbors = self.graph.neighbor_slice(u);
+        let entries = neighbors.iter().map(|v| {
             let v = v.index();
             (v, weight(u.index(), v))
         });
         match self.live {
             None => {
-                gather_row(entries, self.cur, self.dim, &mut blend);
+                self.blend(entries, u, &self.cur[cells], next, lanes);
                 true
             }
             Some(live) => {
-                let entries = entries.filter(|&(v, _)| live[v]);
-                let any = entries.clone().next().is_some();
-                gather_row(entries, self.cur, self.dim, &mut blend);
-                any
+                let gathers = neighbors.iter().any(|v| live[v.index()]);
+                let cur = if live[u.index()] {
+                    &self.cur[cells]
+                } else if gathers {
+                    self.zeros
+                } else {
+                    return false;
+                };
+                self.blend(entries.filter(|&(v, _)| live[v]), u, cur, next, lanes);
+                gathers
             }
         }
+    }
+
+    /// Writes `(1−a)·Σ w·E(t)[v] + a·E0[u]` over `entries` into `next` and
+    /// folds `|next − cur|` into `lanes`, block by block.
+    fn blend(
+        &self,
+        entries: impl Iterator<Item = (usize, f32)> + Clone,
+        u: NodeId,
+        cur: &[f32],
+        next: &mut [f32],
+        lanes: &mut [f32; LANES],
+    ) {
+        let origin = (self.origin)(u.index());
+        let alpha = self.alpha;
+        gather_row(entries, self.cur, self.dim, |start, sums| {
+            let next = &mut next[start..][..sums.len()];
+            for ((nx, &sum), &origin) in next.iter_mut().zip(sums).zip(&origin[start..]) {
+                *nx = (1.0 - alpha) * sum + alpha * origin;
+            }
+            fold_residual(lanes, next, &cur[start..][..next.len()]);
+        });
     }
 }
 
@@ -501,30 +616,43 @@ mod tests {
 
     #[test]
     fn live_rows_product_skips_dead_sources_bit_for_bit() {
-        // Path 0-1-2-3-4 with only row 1 of E(t) non-zero: rows 0 and 2
-        // gather from it, the others gather from nothing.
+        // Path 0-1-2-3-4 with only row 1 of E(t) and E0 non-zero: rows 0
+        // and 2 gather from it, rows 3 and 4 gather from nothing.
         let g = generators::path(5);
         let weights = Weights::new(&g, Normalization::Symmetric);
         let dim = 2;
         let mut cur = vec![0.0f32; 5 * dim];
         cur[2..4].copy_from_slice(&[0.3, -7.5]);
-        let origin: Vec<f32> = (0..5 * dim).map(|i| i as f32 * 0.25).collect();
-        let sweep = |live| Sweep {
+        let zeros = [0.0f32; 2];
+        let source = [1.25f32, -0.5];
+        let origin = |u: usize| if u == 1 { &source[..] } else { &zeros[..] };
+        let sweep = |cur, live| Sweep {
             graph: &g,
             weights: &weights,
-            cur: &cur,
-            origin: &origin,
+            cur,
+            origin,
+            zeros: &zeros,
             dim,
             alpha: 0.3,
             live,
         };
         let mut full = vec![1.0f32; 5 * dim];
-        let full_delta = sweep(None).rows(0, &mut full, &mut [true; 5]);
+        let full_delta = sweep(&cur, None).rows(0, &mut full, &mut [true; 5]);
+        // Rows 0 and 2 are dead in E(t) but reached: poisoned in `cur`,
+        // which a residual that read them would return. Rows 3 and 4 stay
+        // dead: a NaN sentinel in `next` that a write would overwrite.
+        let mut poisoned = cur.clone();
+        for u in [0, 2] {
+            poisoned[u * dim..][..dim].fill(f32::MAX);
+        }
         let live = [false, true, false, false, false];
         let mut masked = vec![1.0f32; 5 * dim];
+        masked[3 * dim..].fill(f32::NAN);
         let mut reached = [false, false, false, true, false];
-        let masked_delta = sweep(Some(&live)).rows(0, &mut masked, &mut reached);
-        assert_eq!(bits(&masked), bits(&full));
+        let masked_delta = sweep(&poisoned, Some(&live)).rows(0, &mut masked, &mut reached);
+        assert_eq!(bits(&masked[..3 * dim]), bits(&full[..3 * dim]));
+        assert!(masked[3 * dim..].iter().all(|x| x.is_nan()));
+        assert_eq!(bits(&full[3 * dim..]), [0; 4]);
         assert_eq!(masked_delta.to_bits(), full_delta.to_bits());
         // Row 3 was set by the caller and is left set.
         assert_eq!(reached, [true, false, true, true, false]);
@@ -564,7 +692,7 @@ mod tests {
             let n = g.num_nodes();
             let a = gdsearch_graph::sparse::transition_matrix(&g, NORMS[norm]);
             let weights = Weights::new(&g, NORMS[norm]);
-            let origin = vec![0.0f32; n];
+            let zeros = [0.0f32];
             for v in 0..n {
                 let mut cur = vec![0.0f32; n];
                 cur[v] = 1.0;
@@ -572,7 +700,8 @@ mod tests {
                     graph: &g,
                     weights: &weights,
                     cur: &cur,
-                    origin: &origin,
+                    origin: |_| &zeros[..],
+                    zeros: &zeros,
                     dim: 1,
                     alpha: 0.0,
                     live: None,

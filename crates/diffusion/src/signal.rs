@@ -283,7 +283,13 @@ impl SparseRows {
     }
 
     /// Zeroed stored rows for the nodes of `support` (any order, repeats
-    /// allowed), which must lie below `num_nodes`.
+    /// allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node of `support` is not below `num_nodes`: its bit
+    /// would land in the bitmap's last word past `num_nodes`, shifting the
+    /// ranks and lengthening the rows.
     pub(crate) fn with_support(
         num_nodes: usize,
         dim: usize,
@@ -291,7 +297,7 @@ impl SparseRows {
     ) -> Self {
         let mut stored = vec![0u64; num_nodes.div_ceil(64)];
         for u in support {
-            debug_assert!((u as usize) < num_nodes, "node {u} out of range");
+            assert!((u as usize) < num_nodes, "node {u} out of range");
             stored[u as usize / 64] |= 1 << (u % 64);
         }
         let mut rows = 0u32;
@@ -520,6 +526,13 @@ mod tests {
         let empty = SparseRows::with_support(3, 0, [0, 2]);
         assert!((0..3).all(|u| empty.row(u).is_empty()));
         assert_eq!(empty.to_signal(), Signal::zeros(3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 out of range")]
+    fn support_past_the_end_panics() {
+        // Node 3 is inside the bitmap's one word but not the graph.
+        let _ = SparseRows::with_support(3, 1, [0, 3]);
     }
 
     #[test]

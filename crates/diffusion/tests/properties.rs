@@ -92,12 +92,23 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Asserts that the masked sweep (and the sharded one, which never masks)
-/// equals the reference sweep bit for bit, for every thread count, and
-/// returns the reference.
-fn assert_sweep_is_reference(
+/// E0's non-zero rows as `(source, embedding)` pairs, ascending: the rows
+/// that `Signal::from_sparse_rows` turns back into `e0`, bit for bit, when
+/// no row holds a `−0.0`.
+fn source_rows(e0: &Signal) -> Vec<(NodeId, Embedding)> {
+    (0..e0.num_nodes())
+        .filter(|&u| e0.row(u).iter().any(|x| x.to_bits() != 0))
+        .map(|u| (NodeId::new(u as u32), e0.row_embedding(u)))
+        .collect()
+}
+
+/// Asserts that the masked sweep — from a dense E0 and from `sources`, its
+/// rows — and the sharded one, which never masks, equal the reference sweep
+/// bit for bit, for every thread count, and returns the reference.
+fn assert_sweep_is_reference_on_rows(
     g: &Graph,
     e0: &Signal,
+    sources: &[(NodeId, Embedding)],
     cfg: &PprConfig,
 ) -> (Vec<f32>, usize, f32, bool) {
     use gdsearch_diffusion::sharded::{self, ShardedConfig};
@@ -108,6 +119,8 @@ fn assert_sweep_is_reference(
     for threads in [1usize, 2, 3, 16] {
         let out = power::diffuse_threaded(g, e0, cfg, threads).unwrap();
         outs.push((format!("{threads} threads"), out));
+        let rows = power::diffuse_rows(g, e0.dim(), sources, cfg, threads).unwrap();
+        outs.push((format!("rows, {threads} threads"), rows));
     }
     for (who, out) in outs {
         let got = (
@@ -127,8 +140,20 @@ fn assert_sweep_is_reference(
     reference
 }
 
+/// [`assert_sweep_is_reference_on_rows`] with E0's non-zero rows as the
+/// sources.
+fn assert_sweep_is_reference(
+    g: &Graph,
+    e0: &Signal,
+    cfg: &PprConfig,
+) -> (Vec<f32>, usize, f32, bool) {
+    assert_sweep_is_reference_on_rows(g, e0, &source_rows(e0), cfg)
+}
+
 /// Rows the liveness mask must treat as live by bit pattern, an E0 with no
-/// live row at all, and components no live row ever reaches.
+/// live row at all, and components no live row ever reaches; and, for the
+/// rows entry, sources that repeat a node, hold only `−0.0` or only `+0.0`,
+/// sit on an isolated node, or fall outside the graph or its width.
 #[test]
 fn masked_sweep_equals_reference_on_hostile_rows() {
     // Path 0-1-2-3, host-free triangle 4-5-6, isolated node 7.
@@ -145,6 +170,8 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
         let mut e0 = Signal::zeros(8, 2);
         e0.row_mut(1).copy_from_slice(&row);
         e0.row_mut(3).copy_from_slice(&[0.25, -2.0]);
+        // The rows entry folds the −0.0 row into +0.0, which blends to the
+        // same bits: `a · (−0.0)` is added to a sum that is never −0.0.
         let (signal, ..) = assert_sweep_is_reference(&g, &e0, &cfg);
         // No sweep ever reaches the triangle or the isolated node: their
         // rows stay dead, so the mask is on to the last sweep.
@@ -152,6 +179,52 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
     }
     let (_, iterations, _, converged) = assert_sweep_is_reference(&g, &Signal::zeros(8, 2), &cfg);
     assert_eq!((iterations, converged), (1, true));
+
+    let row = |u: u32, x: [f32; 2]| (NodeId::new(u), Embedding::new(x.to_vec()));
+    // A repeated source accumulates, in source order.
+    let repeated = [row(1, [0.5, -1.0]), row(3, [2.0, 0.0]), row(1, [0.25, 3.0])];
+    let mut e0 = Signal::zeros(8, 2);
+    e0.row_mut(1).copy_from_slice(&[0.5 + 0.25, -1.0 + 3.0]);
+    e0.row_mut(3).copy_from_slice(&[2.0, 0.0]);
+    assert_sweep_is_reference_on_rows(&g, &e0, &repeated, &cfg);
+    // −0.0-only and all-zero sources stay dead: the sweep stops at once.
+    for dead in [[-0.0, -0.0], [0.0, 0.0]] {
+        let sources = [row(2, dead), row(5, dead)];
+        let zeros = Signal::zeros(8, 2);
+        let (signal, iterations, ..) =
+            assert_sweep_is_reference_on_rows(&g, &zeros, &sources, &cfg);
+        assert!(bits(&signal).iter().all(|&b| b == 0));
+        assert_eq!(iterations, 1);
+    }
+    // A host on the isolated node, beside one on the path.
+    let mut e0 = Signal::zeros(8, 2);
+    e0.row_mut(7).copy_from_slice(&[1.0, -4.0]);
+    e0.row_mut(0).copy_from_slice(&[0.5, 0.5]);
+    assert_sweep_is_reference(&g, &e0, &cfg);
+    // No nodes, one node, and width 0.
+    for (g, dim) in [
+        (Graph::empty(0), 2),
+        (Graph::empty(1), 2),
+        (Graph::empty(1), 0),
+        (g.clone(), 0),
+    ] {
+        let n = g.num_nodes();
+        let mut e0 = Signal::zeros(n, dim);
+        if n > 0 {
+            e0.row_mut(n - 1).fill(1.5);
+        }
+        let sources: Vec<_> = (0..n)
+            .map(|u| (NodeId::new(u as u32), e0.row_embedding(u)))
+            .collect();
+        assert_sweep_is_reference_on_rows(&g, &e0, &sources, &cfg);
+    }
+    // Out-of-range and ragged sources: the error of `from_sparse_rows`.
+    for bad in [row(8, [1.0, 1.0]), (NodeId::new(0), Embedding::zeros(3))] {
+        let bad = [row(1, [1.0, 1.0]), bad];
+        let got = power::diffuse_rows(&g, 2, &bad, &cfg, 2).unwrap_err();
+        let want = Signal::from_sparse_rows(8, 2, &bad).unwrap_err();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
 }
 
 /// Hostile graphs: no nodes, one node, isolated nodes beside a component,
