@@ -324,17 +324,63 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
 /// independently converging float iterations.
 const SCORE_TIE_RESOLUTION: f32 = 1e-4;
 
-/// Appends to `picks` the top-`fanout` of `scored` by quantized score,
-/// quantizing it in place: scores within [`SCORE_TIE_RESOLUTION`]
-/// (relative to the largest magnitude) tie and are broken by ascending
-/// node id. Used for diffused-embedding scores, which carry
-/// engine-dependent float noise; exact scores (integer degrees) go through
-/// [`top_by`] instead.
-fn top_by_quantized(scored: &mut [(f32, NodeId)], fanout: usize, picks: &mut Vec<NodeId>) {
-    let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
+/// Where a NaN score quantizes to: a negative NaN, which `total_cmp` ranks
+/// below every number, whatever the sign bit the NaN had.
+const NAN_LAST: f32 = -f32::NAN;
+
+/// `score` on the grid of `quantum`: `round(score / quantum)`, so ±∞ stays
+/// itself, and any NaN becomes [`NAN_LAST`].
+fn quantize(score: f32, quantum: f32) -> f32 {
+    if score.is_nan() {
+        NAN_LAST
+    } else {
+        (score / quantum).round()
+    }
+}
+
+/// Appends to `picks` the top-`fanout` of `scored` by quantized score:
+/// scores within [`SCORE_TIE_RESOLUTION`] of the largest finite magnitude
+/// tie and are broken by ascending node id. Used for diffused-embedding
+/// scores, which carry engine-dependent float noise; exact scores (integer
+/// degrees) go through [`top_by`] instead.
+///
+/// Only the scores that can reach the top are quantized. With `t` the
+/// `fanout`-th best raw score and `q` the quantum, a candidate below
+/// `t − 2q` cannot: `round(fl(s / q))` is monotone in `s`, and every
+/// finite `|s / q|` is at most ≈ 10⁴, where the division's rounding error
+/// is far below one quantum, so a gap of more than two quanta stays more
+/// than one grid step and quantizes strictly below `t`. Such candidates are
+/// dropped from `scored` first; the rest are quantized in place and ranked.
+/// At fanout 1, `t` is the maximum, found in the pass that finds the scale;
+/// a larger fanout selects it.
+///
+/// Non-finite scores rank the same on every FPU: the scale is taken over
+/// finite scores only, ±∞ ranks as itself (above or below every finite
+/// score), and NaN ranks last, whatever its sign bit. When any score is
+/// non-finite every candidate is kept.
+fn top_by_quantized(scored: &mut Vec<(f32, NodeId)>, fanout: usize, picks: &mut Vec<NodeId>) {
+    let (mut scale, mut top, mut finite) = (0.0f32, f32::NEG_INFINITY, true);
+    for &(s, _) in scored.iter() {
+        if s.is_finite() {
+            scale = scale.max(s.abs());
+            top = top.max(s);
+        } else {
+            finite = false;
+        }
+    }
     let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
+    if finite && (1..scored.len()).contains(&fanout) {
+        let kth = if fanout == 1 {
+            top
+        } else {
+            let by_score = |a: &(f32, NodeId), b: &(f32, NodeId)| b.0.total_cmp(&a.0);
+            scored.select_nth_unstable_by(fanout - 1, by_score).1 .0
+        };
+        let cutoff = kth - 2.0 * quantum;
+        scored.retain(|&(s, _)| s >= cutoff);
+    }
     for (s, _) in scored.iter_mut() {
-        *s = (*s / quantum).round();
+        *s = quantize(*s, quantum);
     }
     take_top(scored, fanout, picks);
 }
@@ -869,6 +915,24 @@ mod tests {
         assert!(select(PolicyKind::Flooding, &ctx, &mut rng(6)).is_empty());
     }
 
+    #[test]
+    fn infinities_rank_as_themselves_and_nan_last() {
+        let rank = |scores: &[f32]| {
+            let ids = (0u32..).map(NodeId::new);
+            let mut scored: Vec<(f32, NodeId)> = scores.iter().copied().zip(ids).collect();
+            let mut picks = Vec::new();
+            top_by_quantized(&mut scored, scores.len(), &mut picks);
+            picks.into_iter().map(NodeId::as_u32).collect::<Vec<_>>()
+        };
+        // +∞ above every number, which keeps its place on the grid of the
+        // finite scale.
+        assert_eq!(rank(&[1.0, f32::INFINITY, 3.0, 2.0]), [1, 2, 3, 0]);
+        assert_eq!(rank(&[f32::INFINITY, 1.0]), [0, 1]);
+        // −∞ below every number, and both NaNs below −∞, tied by id.
+        let scores = [f32::NAN, f32::NEG_INFINITY, -f32::NAN, -5.0, 0.5];
+        assert_eq!(rank(&scores), [4, 3, 1, 0, 2]);
+    }
+
     /// The ranking this module ran before it selected — collect, sort
     /// everything, take — kept as the oracle of [`take_top`].
     fn sort_and_take(mut scored: Vec<(f32, NodeId)>, fanout: usize) -> Vec<NodeId> {
@@ -878,9 +942,17 @@ mod tests {
 
     /// [`sort_and_take`] behind the quantization of [`top_by_quantized`].
     fn quantize_sort_and_take(scored: &[(f32, NodeId)], fanout: usize) -> Vec<NodeId> {
-        let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
+        let finite = scored.iter().filter(|(s, _)| s.is_finite());
+        let scale = finite.map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
         let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
-        let quantized = scored.iter().map(|&(s, c)| ((s / quantum).round(), c));
+        let nan_last = |s: f32| {
+            if s.is_nan() {
+                -f32::NAN
+            } else {
+                (s / quantum).round()
+            }
+        };
+        let quantized = scored.iter().map(|&(s, c)| (nan_last(s), c));
         sort_and_take(quantized.collect(), fanout)
     }
 
@@ -894,10 +966,30 @@ mod tests {
         }
     }
 
+    /// Scores on the edges of [`top_by_quantized`]'s cutoff for a largest
+    /// score `top` of quantum `q`: `top`, the cutoff `top − 2q` and the
+    /// floats either side of it, and the rounding boundaries (m ± ½)·q of
+    /// the four grid points m at and below `top`, each ± 1 ulp.
+    fn cutoff_edges(top: f32) -> Vec<f32> {
+        let q = (top * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
+        let cut = top - 2.0 * q;
+        let mut edges = vec![top, cut, cut.next_up(), cut.next_down()];
+        let m = (top / q).round();
+        for step in [0.0, 1.0, 2.0, 3.0] {
+            for half in [-0.5, 0.5] {
+                let boundary = (m - step + half) * q;
+                edges.extend([boundary, boundary.next_up(), boundary.next_down()]);
+            }
+        }
+        edges
+    }
+
     /// Scores from a palette heavy in what breaks naive comparisons: both
     /// NaNs, both infinities, both zeros, exact ties, values a quantum
-    /// apart; ids from a range small enough to repeat. One case in four is
-    /// all-equal.
+    /// apart; ids from a range small enough to repeat. Of every eight
+    /// cases, two are all-equal, two sit on the cutoff's edges
+    /// ([`cutoff_edges`] of a largest score from unit to near-`f32::MAX`
+    /// and down to the smallest normal quantum) and one is all subnormal.
     fn hostile_scored() -> impl Strategy<Value = Vec<(f32, NodeId)>> {
         let palette = [
             f32::NAN,
@@ -910,12 +1002,24 @@ mod tests {
             1.0 + 0.4 * SCORE_TIE_RESOLUTION,
             -1.0,
         ];
+        let tops = [1.0, 0.37, 2.5e3, 3.0e38, 1.5e-34, 1.0e-36];
         let score =
             (0usize..14, -2.0f32..2.0).prop_map(move |(i, x)| *palette.get(i).unwrap_or(&x));
         let pairs = collection::vec((score, (0u32..8).prop_map(NodeId::new)), 0..24);
-        (pairs, 0u32..4).prop_map(|(mut pairs, mode)| {
-            if let (0, Some(&(first, _))) = (mode, pairs.first()) {
-                pairs.iter_mut().for_each(|p| p.0 = first);
+        (pairs, 0u32..8, 0..tops.len()).prop_map(move |(mut pairs, mode, top)| {
+            match (mode, pairs.first()) {
+                (0 | 1, Some(&(first, _))) => pairs.iter_mut().for_each(|p| p.0 = first),
+                (2 | 3, _) => {
+                    let edges = cutoff_edges(tops[top]);
+                    for (i, p) in pairs.iter_mut().enumerate() {
+                        let pick = if i == 0 { 0 } else { p.0.to_bits() as usize };
+                        p.0 = edges[pick % edges.len()];
+                    }
+                }
+                (4, _) => pairs
+                    .iter_mut()
+                    .for_each(|p| p.0 = f32::from_bits(p.0.to_bits() & 0x807f_ffff)),
+                _ => {}
             }
             pairs
         })

@@ -8,20 +8,26 @@
 //! protocol over the discrete-event simulator; an integration test pins
 //! their equivalence for deterministic policies.
 //!
-//! A walk's bookkeeping — nodes seen, pairs exchanged, the visited set a
-//! message carries — lives in ascending `Vec`s searched by bisection. They
-//! are ordered by value, so nothing a walk reads depends on a per-process
-//! hasher seed (the standing hazard `tests/tests/walk_determinism.rs`
-//! pins), and they grow in place, so a hop that forwards one copy
-//! allocates nothing once its buffers fit the neighbourhoods it meets.
-//! `tests/tests/walk_model.rs` holds the map-and-set walk this replaced as
-//! the reference every outcome is compared against.
+//! A walk's bookkeeping is one node table and, under in-message memory,
+//! the visited set a message carries. The table lists every node the query
+//! has visited or been exchanged with, ascending by node and searched by
+//! bisection, with a visited flag and a bitmask over the node's adjacency
+//! positions (⌈deg/64⌉ words in one arena): a first visit is a flag flip,
+//! node-memory candidates are the neighbours whose bit is clear, and a
+//! forward sets one bit on each side. The carried set is an ascending
+//! `Vec`. Everything is ordered by value, so nothing a walk reads depends
+//! on a per-process hasher seed (the standing hazard
+//! `tests/tests/walk_determinism.rs` pins), and everything grows in place,
+//! so a hop that forwards one copy allocates nothing once its buffers fit
+//! the neighbourhoods it meets. `tests/tests/walk_model.rs` holds the
+//! map-and-set walk this replaced as the reference every outcome is
+//! compared against.
 
 use std::collections::VecDeque;
 
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
-use gdsearch_graph::NodeId;
+use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::forwarding::{self, ForwardContext, Scores};
@@ -77,42 +83,120 @@ struct Head {
     carried: Vec<NodeId>,
 }
 
-/// Per-node visited memory of one query (§IV-C: received-from ∪ sent-to),
-/// as the ascending set of `(node, peer)` pairs that exchanged it — both
-/// orientations of every forward — so the peers of one node are a
-/// contiguous ascending run, ready to merge against its adjacency list.
-/// An insert shifts the tail: nothing for a walk's ≈ 2·TTL pairs, while
-/// flooding pays O(forwards) per forward here.
-#[derive(Default)]
-struct Exchanged(Vec<(NodeId, NodeId)>);
-
-impl Exchanged {
-    /// The nodes `u` has exchanged the query with, ascending.
-    fn peers(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let first = self.0.partition_point(|&(node, _)| node < u);
-        self.0
-            .iter()
-            .skip(first)
-            .take_while(move |&&(node, _)| node == u)
-            .map(|&(_, peer)| peer)
-    }
-
-    /// Records that `u` forwarded the query to `v`.
-    fn record(&mut self, u: NodeId, v: NodeId) {
-        insert_sorted(&mut self.0, (u, v));
-        insert_sorted(&mut self.0, (v, u));
+/// Inserts `item` into the ascending, duplicate-free `set` unless it is
+/// already there.
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, item: T) {
+    if let Err(at) = set.binary_search(&item) {
+        set.insert(at, item);
     }
 }
 
-/// Inserts `item` into the ascending, duplicate-free `set`; `false` if it
-/// was already there.
-fn insert_sorted<T: Ord>(set: &mut Vec<T>, item: T) -> bool {
-    match set.binary_search(&item) {
-        Ok(_) => false,
-        Err(at) => {
-            set.insert(at, item);
-            true
+/// One node a query has touched, in a [`NodeTable`].
+struct Row {
+    node: NodeId,
+    visited: bool,
+    /// Where the node's mask starts in [`NodeTable::masks`].
+    mask: usize,
+}
+
+/// Per-node memory of one query (§IV-C: received-from ∪ sent-to), for
+/// every node it has visited or been exchanged with, ascending by node:
+/// whether the node was visited, and a bitmask over its adjacency
+/// positions — bit i set once it exchanged the query with its i-th
+/// neighbour — of ⌈deg/64⌉ words in one arena. A node only ever exchanges
+/// the query with its neighbours, and the graph is simple (no self-loops,
+/// no duplicate edges), so a clear bit is exactly a neighbour not yet
+/// exchanged with.
+#[derive(Default)]
+struct NodeTable {
+    rows: Vec<Row>,
+    masks: Vec<u64>,
+}
+
+impl NodeTable {
+    /// The row of `u`, added unvisited with a clear mask when the query
+    /// first meets `u`.
+    fn row(&mut self, graph: &Graph, u: NodeId) -> Option<&mut Row> {
+        let at = self
+            .rows
+            .binary_search_by_key(&u, |row| row.node)
+            .unwrap_or_else(|at| {
+                let mask = self.masks.len();
+                self.masks.resize(mask + graph.degree(u).div_ceil(64), 0);
+                let row = Row {
+                    node: u,
+                    visited: false,
+                    mask,
+                };
+                self.rows.insert(at, row);
+                at
+            });
+        self.rows.get_mut(at)
+    }
+
+    /// Marks `u` visited; `true` the first time.
+    fn visit(&mut self, graph: &Graph, u: NodeId) -> bool {
+        self.row(graph, u)
+            .is_some_and(|row| !std::mem::replace(&mut row.visited, true))
+    }
+
+    /// The mask of `u`; empty (no neighbour exchanged with) if the query has
+    /// not met `u`.
+    fn mask(&self, graph: &Graph, u: NodeId) -> &[u64] {
+        let words = graph.degree(u).div_ceil(64);
+        let at = self.rows.binary_search_by_key(&u, |row| row.node).ok();
+        let row = at.and_then(|at| self.rows.get(at));
+        row.and_then(|row| self.masks.get(row.mask..row.mask + words))
+            .unwrap_or(&[])
+    }
+
+    /// Records that `u` forwarded the query to its neighbour `v`.
+    fn record(&mut self, graph: &Graph, u: NodeId, v: NodeId) {
+        self.mark(graph, u, v);
+        self.mark(graph, v, u);
+    }
+
+    /// Sets the bit of `peer`, found by bisecting the adjacency of `node`,
+    /// in the mask of `node`.
+    fn mark(&mut self, graph: &Graph, node: NodeId, peer: NodeId) {
+        let Ok(pos) = graph.neighbor_slice(node).binary_search(&peer) else {
+            return;
+        };
+        let Some(at) = self.row(graph, node).map(|row| row.mask) else {
+            return;
+        };
+        if let Some(word) = self.masks.get_mut(at + pos / 64) {
+            *word |= 1 << (pos % 64);
         }
+    }
+}
+
+/// Candidate next hops under node memory (Fig. 1, step 3): the `neighbors`
+/// whose bit in `mask` is clear, filtered into `fresh`, the caller's
+/// buffer, or all of them when none is (footnote 9) — as for the empty
+/// mask of a node the query has not met. A word without set bits copies
+/// its 64 neighbours whole.
+fn unexchanged<'a>(
+    neighbors: &'a [NodeId],
+    mask: &[u64],
+    fresh: &'a mut Vec<NodeId>,
+) -> &'a [NodeId] {
+    fresh.clear();
+    for (chunk, &word) in neighbors.chunks(64).zip(mask) {
+        if word == 0 {
+            fresh.extend_from_slice(chunk);
+        } else {
+            let clear = chunk
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| word >> i & 1 == 0);
+            fresh.extend(clear.map(|(_, &v)| v));
+        }
+    }
+    if fresh.is_empty() {
+        neighbors
+    } else {
+        fresh
     }
 }
 
@@ -189,12 +273,12 @@ pub fn run_with<R: Rng + ?Sized>(
         ));
     }
     let config = network.config();
+    let graph = network.graph();
     let in_message = config.visited_memory() == VisitedMemory::InMessage;
 
     let mut results: TopK<(DocId, u32)> = TopK::new(config.top_k());
     let mut path: Vec<NodeId> = Vec::new();
-    let mut seen: Vec<NodeId> = Vec::new();
-    let mut exchanged = Exchanged::default();
+    let mut table = NodeTable::default();
     let mut forwards = 0u32;
     // Hop buffers, reused by every forwarding decision of this walk.
     let mut fresh: Vec<NodeId> = Vec::new();
@@ -210,7 +294,7 @@ pub fn run_with<R: Rng + ?Sized>(
 
     while let Some(mut head) = frontier.pop_front() {
         let u = head.at;
-        let first_visit = insert_sorted(&mut seen, u);
+        let first_visit = table.visit(graph, u);
         // (1) Local retrieval: score every local document, merge into the
         // query's top-k. A document has one host, so recording on the first
         // visit records it once, at the first hop that reached it —
@@ -233,11 +317,11 @@ pub fn run_with<R: Rng + ?Sized>(
         head.ttl -= 1;
         // (3) Candidate selection through visited memory (none for a node
         // without neighbors, which then forwards nothing).
-        let neighbors = network.graph().neighbor_slice(u);
+        let neighbors = graph.neighbor_slice(u);
         let candidates = if in_message {
             forwarding::candidates(neighbors, head.carried.iter().copied(), &mut fresh)
         } else {
-            forwarding::candidates(neighbors, exchanged.peers(u), &mut fresh)
+            unexchanged(neighbors, table.mask(graph, u), &mut fresh)
         };
         // (4) Policy decision. Fanout > 1 spawns parallel walks *at the
         // querying node* (§IV-C: "multiple walks are executed in
@@ -249,7 +333,7 @@ pub fn run_with<R: Rng + ?Sized>(
             candidates,
             query,
             node_embeddings: network.diffused(),
-            graph: network.graph(),
+            graph,
             fanout: effective_fanout,
             scores,
         };
@@ -260,7 +344,7 @@ pub fn run_with<R: Rng + ?Sized>(
         for (i, &v) in picks.iter().enumerate() {
             forwards += 1;
             if !in_message {
-                exchanged.record(u, v);
+                table.record(graph, u, v);
             }
             // The last copy takes the message's visited set along; only the
             // extra copies of a fan-out or a flood clone it.

@@ -5,10 +5,11 @@
 //! draw a fresh hasher seed per collection instance (and per process), so
 //! any latent iteration-order dependence would make walk output differ
 //! between two otherwise-identical runs. The walk's bookkeeping is now a
-//! handful of ascending `Vec`s (nodes seen, `(node, peer)` pairs
-//! exchanged, the visited set a message carries), searched by bisection
-//! and merged against the graph's sorted adjacency lists: every order in
-//! them is an order of node ids, so there is still no seed to differ.
+//! node table ascending by node (a visited flag and a bitmask over the
+//! node's adjacency positions) and the ascending visited set a message
+//! carries, searched by bisection and read against the graph's sorted
+//! adjacency lists: every order in them is an order of node ids, so there
+//! is still no seed to differ.
 //! These tests pin the observable invariant — **identical walk output
 //! across independently constructed runs** — so a future reintroduction
 //! of order-sensitive state fails here (and in clippy.toml's

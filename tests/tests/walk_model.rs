@@ -4,11 +4,15 @@
 //! operations (§IV-C, Fig. 1) over `BTreeMap`/`BTreeSet` bookkeeping, a
 //! fresh `Vec` for every intermediate, and a full sort to pick the best
 //! candidate. It is slow and obviously right, built on public product
-//! accessors only. The product walk filters by merging sorted runs, ranks by
-//! selection and reuses its buffers; the property below holds it to the
-//! model — same results, path and message count, and the caller's RNG left
-//! at the same stream position — across graph shapes, every policy, both
-//! visited memories, fan-outs, TTLs and every `Scores` source.
+//! accessors only. The product walk filters through per-node adjacency
+//! bitmasks (or by merging sorted runs, under in-message memory), quantizes
+//! only the scores near the top, ranks by selection and reuses its buffers;
+//! the property below holds it to the model — same results, path and
+//! message count, and the caller's RNG left at the same stream position —
+//! across graph shapes (one with hubs wider than two mask words), every
+//! policy, both visited memories, fan-outs, TTLs and every `Scores` source.
+//! Two more tests hold it to the model on an overflowing query and on
+//! flooding at paper scale.
 //!
 //! (`SchemeConfig` rejects a zero TTL, so the grid's smallest is 1: one
 //! forward, then the discard branch.)
@@ -23,6 +27,7 @@ use gdsearch::{
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::{Corpus, Embedding, WordId};
+use gdsearch_graph::algo::bfs;
 use gdsearch_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -57,9 +62,18 @@ fn model_select(
                 query.as_slice().iter().zip(row).map(|(q, e)| q * e).sum()
             };
             let scored: Vec<(f32, NodeId)> = candidates.iter().map(|&c| (dot(c), c)).collect();
-            let scale = scored.iter().map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
+            // The scale of the finite scores; ±∞ ranks as itself, NaN last.
+            let finite = scored.iter().filter(|(s, _)| s.is_finite());
+            let scale = finite.map(|(s, _)| s.abs()).fold(0.0f32, f32::max);
             let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
-            let quantized = scored.into_iter().map(|(s, c)| ((s / quantum).round(), c));
+            let quantize = |s: f32| {
+                if s.is_nan() {
+                    -f32::NAN
+                } else {
+                    (s / quantum).round()
+                }
+            };
+            let quantized = scored.into_iter().map(|(s, c)| (quantize(s), c));
             rank_and_take(quantized.collect(), fanout)
         }
         PolicyKind::DegreeBiased => {
@@ -211,11 +225,25 @@ fn corpus() -> &'static Corpus {
     })
 }
 
-/// One of the four graph shapes and a start node on it: an isolated start
-/// beside a path, a path, a star (hub or leaf start), the paper's family.
+/// Graph shapes [`graph_and_start`] draws from.
+const SHAPES: usize = 5;
+
+/// One of the graph shapes and a start node on it: an isolated start
+/// beside a path, a path, a star (hub or leaf start), the paper's family,
+/// and a double wheel of 4n + 130 nodes — two adjacent hubs joined to
+/// every node of a path — whose hubs' adjacency spans three to five
+/// 64-bit words.
 fn graph_and_start(shape: usize, n: u32, rng: &mut StdRng) -> (Graph, NodeId) {
     let anywhere = NodeId::new(rng.random_range(0..n));
     match shape {
+        4 => {
+            let n = 4 * n + 130;
+            let spokes = (2..n).flat_map(|leaf| [(0, leaf), (1, leaf)]);
+            let rim = (3..n).map(|leaf| (leaf - 1, leaf));
+            let edges = std::iter::once((0, 1)).chain(spokes).chain(rim);
+            let start = NodeId::new(rng.random_range(0..n));
+            (Graph::from_edges(n, edges).unwrap(), start)
+        }
         0 => {
             let path = (1..n - 1).map(|u| (u - 1, u));
             (Graph::from_edges(n, path).unwrap(), NodeId::new(n - 1))
@@ -252,7 +280,7 @@ proptest! {
     #[test]
     fn run_with_matches_the_reference_model(
         seed in 0u64..1_000_000,
-        shape in 0usize..4,
+        shape in 0usize..SHAPES,
         n in 6u32..48,
         docs in 1u32..10,
     ) {
@@ -309,5 +337,89 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A finite query scaled until its dot products overflow: ±∞ scores (and the
+/// NaN of ∞ − ∞) rank by the model's rule, under both memories.
+#[test]
+fn an_overflowing_query_matches_the_reference_model() {
+    let corpus = corpus();
+    let mut overflowed = 0;
+    for seed in 0..24 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, start) = graph_and_start(seed as usize % SHAPES, 40, &mut rng);
+        // Every word placed, so rows near crowded hosts outgrow the query's
+        // peak component and their scores overflow.
+        let words: Vec<WordId> = (0..150).map(WordId::new).collect();
+        let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
+        let word = corpus.embedding(WordId::new(rng.random_range(0..150)));
+        let peak = word.as_slice().iter().fold(0.0f32, |m, x| m.max(x.abs()));
+        let scaled = word.as_slice().iter().map(|x| x / peak * f32::MAX);
+        let query = Embedding::new(scaled.collect());
+        for memory in [VisitedMemory::NodeMemory, VisitedMemory::InMessage] {
+            for policy in [PolicyKind::PprGreedy, PolicyKind::Hybrid { epsilon: 0.4 }] {
+                let config = SchemeConfig::builder()
+                    .policy(policy)
+                    .visited_memory(memory)
+                    .fanout(2)
+                    .build()
+                    .unwrap();
+                let network =
+                    SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng).unwrap();
+                let column = forwarding::score_column(&query, network.embeddings());
+                overflowed += column.iter().filter(|s| !s.is_finite()).count();
+                let mut model_rng = StdRng::seed_from_u64(seed);
+                let want = model_walk(&network, &query, start, &mut model_rng);
+                let mut walk_rng = StdRng::seed_from_u64(seed);
+                let got = walk::run(&network, &query, start, &mut walk_rng).unwrap();
+                assert_eq!(
+                    observe(got, &mut walk_rng),
+                    observe(want, &mut model_rng),
+                    "seed {seed} {memory:?} {policy:?}"
+                );
+            }
+        }
+    }
+    assert!(overflowed > 0, "no score overflowed");
+}
+
+/// Flooding the paper's 4,039-node graph (seed 2022) from node 0 reaches
+/// exactly the BFS ball of radius TTL, with the model's outcome, at TTL 6
+/// and 8 (≈ 65k and 88k forwards). Paper scale takes seconds in a release
+/// build and far longer in a debug one, so a debug `cargo test` skips it;
+/// CI runs it with `--release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper scale; CI runs it with --release")]
+fn flooding_at_paper_scale_covers_the_bfs_ball() {
+    let corpus = corpus();
+    let mut rng = StdRng::seed_from_u64(2022);
+    let graph = generators::social_circles_like(&mut rng).unwrap();
+    let words: Vec<WordId> = (0..10).map(WordId::new).collect();
+    let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
+    let query = corpus.embedding(WordId::new(3));
+    let start = NodeId::new(0);
+    let distances = bfs::distances(&graph, start);
+    for ttl in [6, 8] {
+        let config = SchemeConfig::builder()
+            .policy(PolicyKind::Flooding)
+            .ttl(ttl)
+            .build()
+            .unwrap();
+        let network = SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng).unwrap();
+        let ball = distances
+            .iter()
+            .filter(|d| d.is_some_and(|d| d <= ttl))
+            .count();
+        let mut walk_rng = StdRng::seed_from_u64(u64::from(ttl));
+        let got = walk::run(&network, query, start, &mut walk_rng).unwrap();
+        assert_eq!(got.unique_nodes, ball, "ttl {ttl}");
+        let mut model_rng = StdRng::seed_from_u64(u64::from(ttl));
+        let want = model_walk(&network, query, start, &mut model_rng);
+        assert_eq!(
+            observe(got, &mut walk_rng),
+            observe(want, &mut model_rng),
+            "ttl {ttl}"
+        );
     }
 }
