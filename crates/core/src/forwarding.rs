@@ -145,15 +145,17 @@ impl LazyColumn {
     }
 
     /// Appends `(score, candidate)` for every candidate, in order: its cell
-    /// if set, else `kernel(node)`, stored for the next reader. A run of
-    /// candidates in one page looks the page up once, so ascending
-    /// candidates pay one directory read per page they touch.
+    /// if set, else `kernel(node)`, stored for the next reader; returns the
+    /// [`Spread`] of the appended scores. A run of candidates in one page
+    /// looks the page up once, so ascending candidates pay one directory
+    /// read per page they touch.
     fn score_into(
         &self,
         candidates: &[NodeId],
         mut kernel: impl FnMut(usize) -> f32,
         scored: &mut Vec<(f32, NodeId)>,
-    ) {
+    ) -> Spread {
+        let mut spread = Spread::default();
         let mut open: Option<(usize, &Page)> = None;
         for &c in candidates {
             let u = c.index();
@@ -174,8 +176,10 @@ impl LazyColumn {
                 },
                 None => kernel(u),
             };
+            spread.add(score);
             scored.push((score, c));
         }
+        spread
     }
 
     /// Pages allocated so far.
@@ -196,21 +200,75 @@ fn dot_row(query: &Embedding, emb: &[f32]) -> f32 {
     query.as_slice().iter().zip(emb).map(|(q, e)| q * e).sum()
 }
 
+/// What ranking needs to know of a hop's scores, gathered while they are
+/// scored so that ranking does not scan them again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    /// The largest finite |s| (0 when there is none): the scale of the
+    /// tie-resolution quantum.
+    scale: f32,
+    /// The largest finite s (−∞ when there is none).
+    top: f32,
+    /// Whether every score is finite.
+    finite: bool,
+}
+
+impl Default for Spread {
+    fn default() -> Self {
+        Spread {
+            scale: 0.0,
+            top: f32::NEG_INFINITY,
+            finite: true,
+        }
+    }
+}
+
+impl Spread {
+    /// Takes `score` into account. A max over non-NaN values does not
+    /// depend on their order, except for the sign of a zero `top`, and
+    /// `±0 − 2q` is the same cutoff either way. The maxima are plain
+    /// comparisons, which agree with `f32::max` on finite values but leave
+    /// its NaN handling out of the loop's dependency chain (measured: the
+    /// `f32::max` form costs the walk several percent).
+    fn add(&mut self, score: f32) {
+        if score.is_finite() {
+            let size = score.abs();
+            self.scale = if size > self.scale { size } else { self.scale };
+            self.top = if score > self.top { score } else { self.top };
+        } else {
+            self.finite = false;
+        }
+    }
+}
+
 /// Scores every candidate of a hop exactly as the paper's nodes do — dot
 /// product of the query with the candidate's diffused embedding, read from
 /// or filled into [`ForwardContext::scores`] when a column is attached —
-/// into `scored` as `(score, candidate)`, in candidate order.
-fn score_candidates(ctx: &ForwardContext<'_>, scored: &mut Vec<(f32, NodeId)>) {
+/// into `scored` as `(score, candidate)`, in candidate order, and returns
+/// their [`Spread`].
+fn score_candidates(ctx: &ForwardContext<'_>, scored: &mut Vec<(f32, NodeId)>) -> Spread {
     let kernel = |u| dot_row(ctx.query, ctx.node_embeddings.row(u));
     scored.clear();
+    let mut spread = Spread::default();
+    let mut push = |score: f32, c| {
+        spread.add(score);
+        scored.push((score, c));
+    };
     match ctx.scores {
-        Scores::Inline => scored.extend(ctx.candidates.iter().map(|&c| (kernel(c.index()), c))),
-        Scores::Column(column) => scored.extend(ctx.candidates.iter().map(|&c| {
-            let u = c.index();
-            (column.get(u).copied().unwrap_or_else(|| kernel(u)), c)
-        })),
-        Scores::Lazy(column) => column.score_into(ctx.candidates, kernel, scored),
+        Scores::Inline => {
+            for &c in ctx.candidates {
+                push(kernel(c.index()), c);
+            }
+        }
+        Scores::Column(column) => {
+            for &c in ctx.candidates {
+                let u = c.index();
+                push(column.get(u).copied().unwrap_or_else(|| kernel(u)), c);
+            }
+        }
+        Scores::Lazy(column) => return column.score_into(ctx.candidates, kernel, scored),
     }
+    spread
 }
 
 /// The full score column of one query against every node's diffused
@@ -283,8 +341,8 @@ pub fn select_next_hops<'s, R: Rng + ?Sized>(
     }
     match kind {
         PolicyKind::PprGreedy => {
-            score_candidates(ctx, &mut scratch.scored);
-            top_by_quantized(&mut scratch.scored, ctx.fanout, &mut scratch.picks);
+            let spread = score_candidates(ctx, &mut scratch.scored);
+            top_by_quantized(&mut scratch.scored, spread, ctx.fanout, &mut scratch.picks);
         }
         PolicyKind::DegreeBiased => {
             let score = |c| ctx.graph.degree(c) as f32;
@@ -342,40 +400,49 @@ fn quantize(score: f32, quantum: f32) -> f32 {
 /// scores within [`SCORE_TIE_RESOLUTION`] of the largest finite magnitude
 /// tie and are broken by ascending node id. Used for diffused-embedding
 /// scores, which carry engine-dependent float noise; exact scores (integer
-/// degrees) go through [`top_by`] instead.
+/// degrees) go through [`top_by`] instead. `spread` must be the [`Spread`]
+/// of `scored`, as scoring returns it.
 ///
 /// Only the scores that can reach the top are quantized. With `t` the
 /// `fanout`-th best raw score and `q` the quantum, a candidate below
 /// `t − 2q` cannot: `round(fl(s / q))` is monotone in `s`, and every
 /// finite `|s / q|` is at most ≈ 10⁴, where the division's rounding error
 /// is far below one quantum, so a gap of more than two quanta stays more
-/// than one grid step and quantizes strictly below `t`. Such candidates are
-/// dropped from `scored` first; the rest are quantized in place and ranked.
-/// At fanout 1, `t` is the maximum, found in the pass that finds the scale;
-/// a larger fanout selects it.
+/// than one grid step and quantizes strictly below `t`. At fanout 1, `t`
+/// is `spread.top`, and one pass keeps the best candidate at or above the
+/// cutoff; a larger fanout selects `t`, drops the candidates below the
+/// cutoff from `scored`, quantizes the rest in place and ranks them.
 ///
 /// Non-finite scores rank the same on every FPU: the scale is taken over
 /// finite scores only, ±∞ ranks as itself (above or below every finite
 /// score), and NaN ranks last, whatever its sign bit. When any score is
 /// non-finite every candidate is kept.
-fn top_by_quantized(scored: &mut Vec<(f32, NodeId)>, fanout: usize, picks: &mut Vec<NodeId>) {
-    let (mut scale, mut top, mut finite) = (0.0f32, f32::NEG_INFINITY, true);
-    for &(s, _) in scored.iter() {
-        if s.is_finite() {
-            scale = scale.max(s.abs());
-            top = top.max(s);
-        } else {
-            finite = false;
+fn top_by_quantized(
+    scored: &mut Vec<(f32, NodeId)>,
+    spread: Spread,
+    fanout: usize,
+    picks: &mut Vec<NodeId>,
+) {
+    let quantum = (spread.scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
+    if spread.finite && fanout == 1 {
+        let cutoff = spread.top - 2.0 * quantum;
+        let mut best: Option<(f32, NodeId)> = None;
+        for &(s, c) in scored.iter() {
+            if s >= cutoff {
+                // `take_top`'s order: descending by `total_cmp`, so −0.0
+                // ranks below +0.0, then ascending id.
+                let q = quantize(s, quantum);
+                if best.is_none_or(|(bq, bc)| q.total_cmp(&bq).then(bc.cmp(&c)).is_gt()) {
+                    best = Some((q, c));
+                }
+            }
         }
+        picks.extend(best.map(|(_, c)| c));
+        return;
     }
-    let quantum = (scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
-    if finite && (1..scored.len()).contains(&fanout) {
-        let kth = if fanout == 1 {
-            top
-        } else {
-            let by_score = |a: &(f32, NodeId), b: &(f32, NodeId)| b.0.total_cmp(&a.0);
-            scored.select_nth_unstable_by(fanout - 1, by_score).1 .0
-        };
+    if spread.finite && (1..scored.len()).contains(&fanout) {
+        let by_score = |a: &(f32, NodeId), b: &(f32, NodeId)| b.0.total_cmp(&a.0);
+        let kth = scored.select_nth_unstable_by(fanout - 1, by_score).1 .0;
         let cutoff = kth - 2.0 * quantum;
         scored.retain(|&(s, _)| s >= cutoff);
     }
@@ -696,11 +763,36 @@ mod tests {
         assert_eq!(short_bits.get(2..), inline_bits.get(2..));
     }
 
-    /// [`score_candidates`] as `(bits, candidate)`.
+    /// [`score_candidates`] as `(bits, candidate)`, having checked the
+    /// [`Spread`] it returned against [`spread_of`] its scores.
     fn score_bits(ctx: &ForwardContext<'_>) -> Vec<(u32, NodeId)> {
         let mut scored = Vec::new();
-        score_candidates(ctx, &mut scored);
+        let spread = score_candidates(ctx, &mut scored);
+        assert_eq!(spread, spread_of(&scored), "{:?}", ctx.scores);
         scored.into_iter().map(|(s, c)| (s.to_bits(), c)).collect()
+    }
+
+    /// The [`Spread`] of `scored`, by the separate scan ranking made before
+    /// scoring gathered it.
+    fn spread_of(scored: &[(f32, NodeId)]) -> Spread {
+        let finite = || scored.iter().map(|&(s, _)| s).filter(|s| s.is_finite());
+        Spread {
+            scale: finite().map(f32::abs).fold(0.0, f32::max),
+            top: finite().fold(f32::NEG_INFINITY, f32::max),
+            finite: scored.iter().all(|(s, _)| s.is_finite()),
+        }
+    }
+
+    /// Scores `scored` into `into` the way a hop does — through
+    /// [`LazyColumn::score_into`] on a column too short to store anything,
+    /// with a kernel answering by position — and returns their [`Spread`].
+    fn score_as_a_hop(scored: &[(f32, NodeId)], into: &mut Vec<(f32, NodeId)>) -> Spread {
+        let ids: Vec<NodeId> = scored.iter().map(|&(_, c)| c).collect();
+        into.clear();
+        let kernel = by_position(scored);
+        let spread = LazyColumn::new(0).score_into(&ids, |u| kernel(NodeId::new(u as u32)), into);
+        assert_eq!(spread, spread_of(scored));
+        spread
     }
 
     /// The bits [`score_column`] holds for each of `candidates`.
@@ -919,9 +1011,10 @@ mod tests {
     fn infinities_rank_as_themselves_and_nan_last() {
         let rank = |scores: &[f32]| {
             let ids = (0u32..).map(NodeId::new);
-            let mut scored: Vec<(f32, NodeId)> = scores.iter().copied().zip(ids).collect();
-            let mut picks = Vec::new();
-            top_by_quantized(&mut scored, scores.len(), &mut picks);
+            let scored: Vec<(f32, NodeId)> = scores.iter().copied().zip(ids).collect();
+            let (mut hop, mut picks) = (Vec::new(), Vec::new());
+            let spread = score_as_a_hop(&scored, &mut hop);
+            top_by_quantized(&mut hop, spread, scores.len(), &mut picks);
             picks.into_iter().map(NodeId::as_u32).collect::<Vec<_>>()
         };
         // +∞ above every number, which keeps its place on the grid of the
@@ -986,10 +1079,14 @@ mod tests {
 
     /// Scores from a palette heavy in what breaks naive comparisons: both
     /// NaNs, both infinities, both zeros, exact ties, values a quantum
-    /// apart; ids from a range small enough to repeat. Of every eight
+    /// apart; ids from a range small enough to repeat. Of every twelve
     /// cases, two are all-equal, two sit on the cutoff's edges
     /// ([`cutoff_edges`] of a largest score from unit to near-`f32::MAX`
-    /// and down to the smallest normal quantum) and one is all subnormal.
+    /// and down to the smallest normal quantum), one is all subnormal, one
+    /// has scores quantizing to −0.0 and +0.0 under a scale of 1 (ranked
+    /// apart by `total_cmp`, tied by `==`), one is a single candidate and
+    /// one holds a non-finite score, so its fanout-1 pick falls back to the
+    /// full ranking.
     fn hostile_scored() -> impl Strategy<Value = Vec<(f32, NodeId)>> {
         let palette = [
             f32::NAN,
@@ -1006,7 +1103,9 @@ mod tests {
         let score =
             (0usize..14, -2.0f32..2.0).prop_map(move |(i, x)| *palette.get(i).unwrap_or(&x));
         let pairs = collection::vec((score, (0u32..8).prop_map(NodeId::new)), 0..24);
-        (pairs, 0u32..8, 0..tops.len()).prop_map(move |(mut pairs, mode, top)| {
+        let non_finite = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let zeros = [-1.0, -1.0e-5, 1.0e-5, -0.0, 0.0];
+        (pairs, 0u32..12, 0..tops.len()).prop_map(move |(mut pairs, mode, top)| {
             match (mode, pairs.first()) {
                 (0 | 1, Some(&(first, _))) => pairs.iter_mut().for_each(|p| p.0 = first),
                 (2 | 3, _) => {
@@ -1019,6 +1118,17 @@ mod tests {
                 (4, _) => pairs
                     .iter_mut()
                     .for_each(|p| p.0 = f32::from_bits(p.0.to_bits() & 0x807f_ffff)),
+                (5, _) => {
+                    for (i, p) in pairs.iter_mut().enumerate() {
+                        let pick = if i == 0 { 0 } else { p.0.to_bits() as usize };
+                        p.0 = zeros[pick % zeros.len()];
+                    }
+                }
+                (6, _) => pairs.truncate(1),
+                (7, Some(&(first, _))) => {
+                    let at = first.to_bits() as usize % pairs.len();
+                    pairs[at].0 = non_finite[top % non_finite.len()];
+                }
                 _ => {}
             }
             pairs
@@ -1133,7 +1243,9 @@ mod tests {
         }
 
         /// Selection equals sort-then-take, pick for pick and in order, for
-        /// both rankings, at every fanout boundary — on one reused scratch.
+        /// both rankings, at every fanout boundary — on one reused scratch,
+        /// the quantized ranking from the [`Spread`] scoring returns, so
+        /// every all-finite fanout-1 case takes the one-pass pick.
         #[test]
         fn selection_matches_full_sort_oracle(scored in hostile_scored()) {
             let ids: Vec<NodeId> = scored.iter().map(|&(_, c)| c).collect();
@@ -1148,8 +1260,8 @@ mod tests {
                     "top_by, fanout {} over {:?}", fanout, scored
                 );
                 scratch.picks.clear();
-                scratch.scored.clone_from(&scored);
-                top_by_quantized(&mut scratch.scored, fanout, &mut scratch.picks);
+                let spread = score_as_a_hop(&scored, &mut scratch.scored);
+                top_by_quantized(&mut scratch.scored, spread, fanout, &mut scratch.picks);
                 prop_assert_eq!(
                     &scratch.picks,
                     &quantize_sort_and_take(&scored, fanout),

@@ -9,14 +9,20 @@
 //! their equivalence for deterministic policies.
 //!
 //! A walk's bookkeeping is one node table and, under in-message memory,
-//! the visited set a message carries. The table lists every node the query
-//! has visited or been exchanged with, ascending by node and searched by
-//! bisection, with a visited flag and a bitmask over the node's adjacency
-//! positions (⌈deg/64⌉ words in one arena): a first visit is a flag flip,
-//! node-memory candidates are the neighbours whose bit is clear, and a
-//! forward sets one bit on each side. The carried set is an ascending
-//! `Vec`. Everything is ordered by value, so nothing a walk reads depends
-//! on a per-process hasher seed (the standing hazard
+//! the visited set a message carries. The table holds a row for every node
+//! the query has visited or been exchanged with — a visited flag and a
+//! bitmask over the node's adjacency positions (⌈deg/64⌉ words in one
+//! arena) — appended when the query first meets the node and never moved.
+//! Each head carries the row of the node it is at, so a visit is a flag
+//! flip and the node's mask is at hand; only the peer a forward reaches is
+//! looked up, by bisecting a `(node, row)` index. A hop has one candidate
+//! rule per memory: node-memory candidates are the neighbours whose bit is
+//! clear (each 64-neighbour chunk copied whole, then its few set positions
+//! removed), in-message candidates the neighbours the carried set, an
+//! ascending `Vec`, does not hold; either falls back to every neighbour
+//! when none is left (footnote 9), whatever the policy. A forward sets one
+//! bit on each side. Everything is ordered by value, so nothing a walk
+//! reads depends on a per-process hasher seed (the standing hazard
 //! `tests/tests/walk_determinism.rs` pins), and everything grows in place,
 //! so a hop that forwards one copy allocates nothing once its buffers fit
 //! the neighbourhoods it meets. `tests/tests/walk_model.rs` holds the
@@ -75,6 +81,8 @@ impl WalkOutcome {
 /// One active walk head: a query message traversing the overlay.
 struct Head {
     at: NodeId,
+    /// The row of `at` in the walk's [`NodeTable`].
+    row: usize,
     ttl: u32,
     hop: u32,
     /// Nodes this message has passed, ascending: the visited set it carries
@@ -93,76 +101,83 @@ fn insert_sorted<T: Ord>(set: &mut Vec<T>, item: T) {
 
 /// One node a query has touched, in a [`NodeTable`].
 struct Row {
-    node: NodeId,
     visited: bool,
     /// Where the node's mask starts in [`NodeTable::masks`].
     mask: usize,
 }
 
 /// Per-node memory of one query (§IV-C: received-from ∪ sent-to), for
-/// every node it has visited or been exchanged with, ascending by node:
-/// whether the node was visited, and a bitmask over its adjacency
-/// positions — bit i set once it exchanged the query with its i-th
-/// neighbour — of ⌈deg/64⌉ words in one arena. A node only ever exchanges
-/// the query with its neighbours, and the graph is simple (no self-loops,
-/// no duplicate edges), so a clear bit is exactly a neighbour not yet
-/// exchanged with.
+/// every node it has visited or been exchanged with: whether the node was
+/// visited, and a bitmask over its adjacency positions — bit i set once it
+/// exchanged the query with its i-th neighbour — of ⌈deg/64⌉ words in one
+/// arena. A node only ever exchanges the query with its neighbours, and the
+/// graph is simple (no self-loops, no duplicate edges), so a clear bit is
+/// exactly a neighbour not yet exchanged with.
+///
+/// Rows are appended in the order the query meets their nodes and never
+/// move, so a row number stays valid for the whole walk: a [`Head`] carries
+/// the row of the node it is at, and only a node met for the first time is
+/// searched for, by bisecting `index`, which lists `(node, row)` ascending
+/// by node.
 #[derive(Default)]
 struct NodeTable {
     rows: Vec<Row>,
+    index: Vec<(NodeId, usize)>,
     masks: Vec<u64>,
 }
 
 impl NodeTable {
     /// The row of `u`, added unvisited with a clear mask when the query
     /// first meets `u`.
-    fn row(&mut self, graph: &Graph, u: NodeId) -> Option<&mut Row> {
-        let at = self
-            .rows
-            .binary_search_by_key(&u, |row| row.node)
-            .unwrap_or_else(|at| {
+    fn row(&mut self, graph: &Graph, u: NodeId) -> usize {
+        let at = self.index.partition_point(|&(node, _)| node < u);
+        match self.index.get(at) {
+            Some(&(node, row)) if node == u => row,
+            _ => {
+                let row = self.rows.len();
                 let mask = self.masks.len();
                 self.masks.resize(mask + graph.degree(u).div_ceil(64), 0);
-                let row = Row {
-                    node: u,
+                self.rows.push(Row {
                     visited: false,
                     mask,
-                };
-                self.rows.insert(at, row);
-                at
-            });
-        self.rows.get_mut(at)
+                });
+                self.index.insert(at, (u, row));
+                row
+            }
+        }
     }
 
-    /// Marks `u` visited; `true` the first time.
-    fn visit(&mut self, graph: &Graph, u: NodeId) -> bool {
-        self.row(graph, u)
+    /// Marks the node of `row` visited; `true` the first time.
+    fn visit(&mut self, row: usize) -> bool {
+        self.rows
+            .get_mut(row)
             .is_some_and(|row| !std::mem::replace(&mut row.visited, true))
     }
 
-    /// The mask of `u`; empty (no neighbour exchanged with) if the query has
-    /// not met `u`.
-    fn mask(&self, graph: &Graph, u: NodeId) -> &[u64] {
+    /// The mask of `u`, whose row is `row`.
+    fn mask(&self, graph: &Graph, u: NodeId, row: usize) -> &[u64] {
         let words = graph.degree(u).div_ceil(64);
-        let at = self.rows.binary_search_by_key(&u, |row| row.node).ok();
-        let row = at.and_then(|at| self.rows.get(at));
+        let row = self.rows.get(row);
         row.and_then(|row| self.masks.get(row.mask..row.mask + words))
             .unwrap_or(&[])
     }
 
-    /// Records that `u` forwarded the query to its neighbour `v`.
-    fn record(&mut self, graph: &Graph, u: NodeId, v: NodeId) {
-        self.mark(graph, u, v);
-        self.mark(graph, v, u);
+    /// Records that `u`, whose row is `row`, forwarded the query to its
+    /// neighbour `v`; returns the row of `v`.
+    fn record(&mut self, graph: &Graph, u: NodeId, row: usize, v: NodeId) -> usize {
+        self.mark(graph, u, row, v);
+        let peer = self.row(graph, v);
+        self.mark(graph, v, peer, u);
+        peer
     }
 
     /// Sets the bit of `peer`, found by bisecting the adjacency of `node`,
-    /// in the mask of `node`.
-    fn mark(&mut self, graph: &Graph, node: NodeId, peer: NodeId) {
+    /// in the mask of `node`, whose row is `row`.
+    fn mark(&mut self, graph: &Graph, node: NodeId, row: usize, peer: NodeId) {
         let Ok(pos) = graph.neighbor_slice(node).binary_search(&peer) else {
             return;
         };
-        let Some(at) = self.row(graph, node).map(|row| row.mask) else {
+        let Some(at) = self.rows.get(row).map(|row| row.mask) else {
             return;
         };
         if let Some(word) = self.masks.get_mut(at + pos / 64) {
@@ -173,9 +188,11 @@ impl NodeTable {
 
 /// Candidate next hops under node memory (Fig. 1, step 3): the `neighbors`
 /// whose bit in `mask` is clear, filtered into `fresh`, the caller's
-/// buffer, or all of them when none is (footnote 9) — as for the empty
-/// mask of a node the query has not met. A word without set bits copies
-/// its 64 neighbours whole.
+/// buffer, or all of them when none is (footnote 9). Each chunk of 64
+/// neighbours is copied whole, then the few positions its mask word sets
+/// are removed, highest first, so the positions still to remove stay put;
+/// a set bit is an adjacency position ([`NodeTable::mark`]), so it lies
+/// inside its chunk.
 fn unexchanged<'a>(
     neighbors: &'a [NodeId],
     mask: &[u64],
@@ -183,14 +200,13 @@ fn unexchanged<'a>(
 ) -> &'a [NodeId] {
     fresh.clear();
     for (chunk, &word) in neighbors.chunks(64).zip(mask) {
-        if word == 0 {
-            fresh.extend_from_slice(chunk);
-        } else {
-            let clear = chunk
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| word >> i & 1 == 0);
-            fresh.extend(clear.map(|(_, &v)| v));
+        let base = fresh.len();
+        fresh.extend_from_slice(chunk);
+        let mut set = word;
+        while set != 0 {
+            let i = 63 - set.leading_zeros() as usize;
+            fresh.remove(base + i);
+            set ^= 1 << i;
         }
     }
     if fresh.is_empty() {
@@ -287,6 +303,7 @@ pub fn run_with<R: Rng + ?Sized>(
     let mut frontier: VecDeque<Head> = VecDeque::new();
     frontier.push_back(Head {
         at: start,
+        row: table.row(graph, start),
         ttl: config.ttl(),
         hop: 0,
         carried: Vec::new(),
@@ -294,7 +311,7 @@ pub fn run_with<R: Rng + ?Sized>(
 
     while let Some(mut head) = frontier.pop_front() {
         let u = head.at;
-        let first_visit = table.visit(graph, u);
+        let first_visit = table.visit(head.row);
         // (1) Local retrieval: score every local document, merge into the
         // query's top-k. A document has one host, so recording on the first
         // visit records it once, at the first hop that reached it —
@@ -321,7 +338,7 @@ pub fn run_with<R: Rng + ?Sized>(
         let candidates = if in_message {
             forwarding::candidates(neighbors, head.carried.iter().copied(), &mut fresh)
         } else {
-            unexchanged(neighbors, table.mask(graph, u), &mut fresh)
+            unexchanged(neighbors, table.mask(graph, u, head.row), &mut fresh)
         };
         // (4) Policy decision. Fanout > 1 spawns parallel walks *at the
         // querying node* (§IV-C: "multiple walks are executed in
@@ -343,9 +360,11 @@ pub fn run_with<R: Rng + ?Sized>(
         }
         for (i, &v) in picks.iter().enumerate() {
             forwards += 1;
-            if !in_message {
-                table.record(graph, u, v);
-            }
+            let row = if in_message {
+                table.row(graph, v)
+            } else {
+                table.record(graph, u, head.row, v)
+            };
             // The last copy takes the message's visited set along; only the
             // extra copies of a fan-out or a flood clone it.
             let carried = if i + 1 == picks.len() {
@@ -355,6 +374,7 @@ pub fn run_with<R: Rng + ?Sized>(
             };
             frontier.push_back(Head {
                 at: v,
+                row,
                 ttl: head.ttl,
                 hop: head.hop + 1,
                 carried,

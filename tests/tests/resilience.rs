@@ -3,12 +3,15 @@
 //! (fewer completions, consistent accounting) and never wedge or panic.
 
 use gdsearch::protocol::{self, issue_query};
-use gdsearch::{Placement, SchemeConfig, SearchNetwork};
+use gdsearch::{
+    walk, EngineConfig, EngineError, Placement, QueryEngine, QueryRequest, SchemeConfig,
+    SearchError, SearchNetwork,
+};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::WordId;
-use gdsearch_graph::{generators, NodeId};
+use gdsearch_graph::{generators, Graph, GraphError, NodeId};
 use gdsearch_sim::churn::ChurnSchedule;
-use gdsearch_sim::TransportConfig;
+use gdsearch_sim::{SimError, TransportConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -162,4 +165,74 @@ fn stress_many_concurrent_queries() {
     let stats = net.stats();
     assert_eq!(stats.sent + 100, stats.delivered + stats.dropped_total());
     assert!(stats.queue_delay.sum() > 0, "narrow links must queue");
+}
+
+/// Hostile sizes (ROADMAP item D): on edgeless graphs of one and two nodes,
+/// the walk, the engine and the protocol answer from node 0 alone — path
+/// `[0]`, no forward, its own documents at hop 0 — and reject a start past
+/// the graph with a typed error; placing documents on no graph at all is
+/// the typed empty-graph error.
+#[test]
+fn edgeless_graphs_answer_from_the_start_or_reject_it_typed() {
+    let corpus = SyntheticCorpus::builder()
+        .vocab_size(50)
+        .dim(8)
+        .num_topics(4)
+        .generate(&mut rng(11))
+        .unwrap();
+    let words: Vec<WordId> = (0..6).map(WordId::new).collect();
+    let query = corpus.embedding(WordId::new(0)).clone();
+    let start = NodeId::new(0);
+    for n in [1u32, 2] {
+        let graph = Graph::empty(n);
+        let placement = Placement::uniform(&graph, &words, &mut rng(12)).unwrap();
+        let local = (0..words.len())
+            .filter(|&d| placement.host(d) == start)
+            .count();
+        let outside = NodeId::new(n);
+
+        let cfg = SchemeConfig::builder().top_k(words.len()).build().unwrap();
+        let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(13)).unwrap();
+        let out = walk::run(&scheme, &query, start, &mut rng(14)).unwrap();
+        assert_eq!(out.path, [start], "n {n}");
+        assert_eq!((out.hops, out.unique_nodes), (0, 1), "n {n}");
+        assert_eq!(out.results.len(), local, "n {n}");
+        assert!(out.results.iter().all(|f| f.hop == 0));
+        assert!(matches!(
+            walk::run(&scheme, &query, outside, &mut rng(14)),
+            Err(SearchError::Graph(GraphError::NodeOutOfRange { node, num_nodes }))
+                if node == n && num_nodes == n
+        ));
+
+        let config = EngineConfig::builder().scheme(cfg).build().unwrap();
+        let engine = QueryEngine::build(&graph, &corpus, &placement, config, &mut rng(13)).unwrap();
+        let response = engine
+            .execute(QueryRequest::new(query.clone(), start, 14))
+            .unwrap();
+        assert_eq!(response.outcome, out, "n {n}");
+        assert!(matches!(
+            engine.execute(QueryRequest::new(query.clone(), outside, 14)),
+            Err(EngineError::StartOutOfRange { start, num_nodes })
+                if start == outside && num_nodes == n as usize
+        ));
+
+        let mut net = protocol::build(&scheme, TransportConfig::unbounded().with_seed(15)).unwrap();
+        issue_query(&mut net, start, 0, query.clone(), 5).unwrap();
+        net.run_to_completion(100).unwrap();
+        let completed = net.handler(start).unwrap().completed();
+        assert_eq!(completed.len(), 1, "n {n}");
+        let found: Vec<_> = completed[0].results.iter().map(|r| (r.0, r.2)).collect();
+        let walked: Vec<_> = out.results.iter().map(|f| (f.doc, f.hop)).collect();
+        assert_eq!(found, walked, "n {n}");
+        assert_eq!(net.stats().sent, 0, "n {n}");
+        assert!(matches!(
+            issue_query(&mut net, outside, 1, query.clone(), 5),
+            Err(SearchError::Sim(SimError::NodeOutOfRange { node, num_nodes }))
+                if node == n && num_nodes == n
+        ));
+    }
+    assert!(matches!(
+        Placement::uniform(&Graph::empty(0), &words, &mut rng(16)),
+        Err(SearchError::InvalidParameter { reason }) if reason.contains("empty graph")
+    ));
 }

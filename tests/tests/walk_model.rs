@@ -11,8 +11,9 @@
 //! message count, and the caller's RNG left at the same stream position —
 //! across graph shapes (one with hubs wider than two mask words), every
 //! policy, both visited memories, fan-outs, TTLs and every `Scores` source.
-//! Two more tests hold it to the model on an overflowing query and on
-//! flooding at paper scale.
+//! Three more tests hold it to the model on an overflowing query, on a star
+//! whose hub runs out of fresh leaves (the footnote-9 fallback on a
+//! two-word mask) and on flooding at paper scale.
 //!
 //! (`SchemeConfig` rejects a zero TTL, so the grid's smallest is 1: one
 //! forward, then the discard branch.)
@@ -382,6 +383,54 @@ fn an_overflowing_query_matches_the_reference_model() {
         }
     }
     assert!(overflowed > 0, "no score overflowed");
+}
+
+/// A hub that has exchanged the query with every one of its leaves falls
+/// back to all of them (footnote 9) and revisits one, with the model's
+/// outcome. From the hub every leaf sends the query straight back, so a
+/// walk of TTL 2·L + 2 on a star of L leaves sends L + 1 copies out of the
+/// hub: one more than it has leaves. L runs from 65, the first star whose
+/// hub mask takes two words, to 128, the last.
+#[test]
+fn a_hub_out_of_fresh_leaves_falls_back_to_every_leaf() {
+    let corpus = corpus();
+    for leaves in [65u32, 100, 128] {
+        let graph = generators::star(leaves + 1);
+        let ttl = 2 * leaves + 2;
+        let mut rng = StdRng::seed_from_u64(u64::from(leaves));
+        let words: Vec<WordId> = (0..10).map(WordId::new).collect();
+        let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
+        let query = corpus.embedding(WordId::new(rng.random_range(0..150)));
+        for policy in [
+            PolicyKind::PprGreedy,
+            PolicyKind::RandomWalk,
+            PolicyKind::DegreeBiased,
+        ] {
+            let config = SchemeConfig::builder()
+                .policy(policy)
+                .visited_memory(VisitedMemory::NodeMemory)
+                .fanout(1)
+                .ttl(ttl)
+                .build()
+                .unwrap();
+            let network =
+                SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng).unwrap();
+            let hub = NodeId::new(0);
+            let mut walk_rng = StdRng::seed_from_u64(u64::from(ttl));
+            let got = walk::run(&network, query, hub, &mut walk_rng).unwrap();
+            assert_eq!(got.hops, ttl, "{policy:?}, {leaves} leaves");
+            assert_eq!(got.unique_nodes, graph.num_nodes(), "{policy:?}");
+            let out_of_hub = got.hops.div_ceil(2);
+            assert!(out_of_hub > leaves, "{policy:?}: no leaf revisited");
+            let mut model_rng = StdRng::seed_from_u64(u64::from(ttl));
+            let want = model_walk(&network, query, hub, &mut model_rng);
+            assert_eq!(
+                observe(got, &mut walk_rng),
+                observe(want, &mut model_rng),
+                "{policy:?}, {leaves} leaves"
+            );
+        }
+    }
 }
 
 /// Flooding the paper's 4,039-node graph (seed 2022) from node 0 reaches
