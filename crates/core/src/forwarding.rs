@@ -144,18 +144,16 @@ impl LazyColumn {
         Some(&**slot.get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU32::new(UNSET)))))
     }
 
-    /// Appends `(score, candidate)` for every candidate, in order: its cell
-    /// if set, else `kernel(node)`, stored for the next reader; returns the
-    /// [`Spread`] of the appended scores. A run of candidates in one page
-    /// looks the page up once, so ascending candidates pay one directory
-    /// read per page they touch.
+    /// Hands `push` the `(score, candidate)` of every candidate, in order:
+    /// its cell if set, else `kernel(node)`, stored for the next reader. A
+    /// run of candidates in one page looks the page up once, so ascending
+    /// candidates pay one directory read per page they touch.
     fn score_into(
         &self,
         candidates: &[NodeId],
         mut kernel: impl FnMut(usize) -> f32,
-        scored: &mut Vec<(f32, NodeId)>,
-    ) -> Spread {
-        let mut spread = Spread::default();
+        mut push: impl FnMut(f32, NodeId),
+    ) {
         let mut open: Option<(usize, &Page)> = None;
         for &c in candidates {
             let u = c.index();
@@ -176,10 +174,8 @@ impl LazyColumn {
                 },
                 None => kernel(u),
             };
-            spread.add(score);
-            scored.push((score, c));
+            push(score, c);
         }
-        spread
     }
 
     /// Pages allocated so far.
@@ -239,6 +235,18 @@ impl Spread {
             self.finite = false;
         }
     }
+
+    /// The one place a hop's scores are appended: a sink that pushes
+    /// `(score, candidate)` onto `scored` and takes the score into `self`.
+    fn collect<'a>(
+        &'a mut self,
+        scored: &'a mut Vec<(f32, NodeId)>,
+    ) -> impl FnMut(f32, NodeId) + 'a {
+        move |score, c| {
+            self.add(score);
+            scored.push((score, c));
+        }
+    }
 }
 
 /// Scores every candidate of a hop exactly as the paper's nodes do — dot
@@ -250,23 +258,22 @@ fn score_candidates(ctx: &ForwardContext<'_>, scored: &mut Vec<(f32, NodeId)>) -
     let kernel = |u| dot_row(ctx.query, ctx.node_embeddings.row(u));
     scored.clear();
     let mut spread = Spread::default();
-    let mut push = |score: f32, c| {
-        spread.add(score);
-        scored.push((score, c));
-    };
-    match ctx.scores {
-        Scores::Inline => {
-            for &c in ctx.candidates {
-                push(kernel(c.index()), c);
+    {
+        let mut push = spread.collect(scored);
+        match ctx.scores {
+            Scores::Inline => {
+                for &c in ctx.candidates {
+                    push(kernel(c.index()), c);
+                }
             }
-        }
-        Scores::Column(column) => {
-            for &c in ctx.candidates {
-                let u = c.index();
-                push(column.get(u).copied().unwrap_or_else(|| kernel(u)), c);
+            Scores::Column(column) => {
+                for &c in ctx.candidates {
+                    let u = c.index();
+                    push(column.get(u).copied().unwrap_or_else(|| kernel(u)), c);
+                }
             }
+            Scores::Lazy(column) => column.score_into(ctx.candidates, kernel, push),
         }
-        Scores::Lazy(column) => return column.score_into(ctx.candidates, kernel, scored),
     }
     spread
 }
@@ -410,8 +417,9 @@ fn quantize(score: f32, quantum: f32) -> f32 {
 /// is far below one quantum, so a gap of more than two quanta stays more
 /// than one grid step and quantizes strictly below `t`. At fanout 1, `t`
 /// is `spread.top`, and one pass keeps the best candidate at or above the
-/// cutoff; a larger fanout selects `t`, drops the candidates below the
-/// cutoff from `scored`, quantizes the rest in place and ranks them.
+/// cutoff in [`take_top`]'s order; a larger fanout selects `t`, drops the
+/// candidates below the cutoff from `scored`, quantizes the rest in place
+/// and ranks them.
 ///
 /// Non-finite scores rank the same on every FPU: the scale is taken over
 /// finite scores only, ±∞ ranks as itself (above or below every finite
@@ -424,11 +432,11 @@ fn top_by_quantized(
     picks: &mut Vec<NodeId>,
 ) {
     let quantum = (spread.scale * SCORE_TIE_RESOLUTION).max(f32::MIN_POSITIVE);
-    if spread.finite && fanout == 1 {
+    if fanout == 1 {
         let cutoff = spread.top - 2.0 * quantum;
         let mut best: Option<(f32, NodeId)> = None;
         for &(s, c) in scored.iter() {
-            if s >= cutoff {
+            if !spread.finite || s >= cutoff {
                 // `take_top`'s order: descending by `total_cmp`, so −0.0
                 // ranks below +0.0, then ascending id.
                 let q = quantize(s, quantum);
@@ -790,7 +798,9 @@ mod tests {
         let ids: Vec<NodeId> = scored.iter().map(|&(_, c)| c).collect();
         into.clear();
         let kernel = by_position(scored);
-        let spread = LazyColumn::new(0).score_into(&ids, |u| kernel(NodeId::new(u as u32)), into);
+        let mut spread = Spread::default();
+        let push = spread.collect(into);
+        LazyColumn::new(0).score_into(&ids, |u| kernel(NodeId::new(u as u32)), push);
         assert_eq!(spread, spread_of(scored));
         spread
     }
@@ -805,9 +815,11 @@ mod tests {
 
     /// [`LazyColumn::score_into`] on one node.
     fn fill(column: &LazyColumn, u: usize, kernel: impl FnMut(usize) -> f32) -> u32 {
-        let mut scored = Vec::new();
-        column.score_into(&[NodeId::new(u as u32)], kernel, &mut scored);
-        scored[0].0.to_bits()
+        let mut bits = None;
+        column.score_into(&[NodeId::new(u as u32)], kernel, |s, _| {
+            bits = Some(s.to_bits())
+        });
+        bits.unwrap()
     }
 
     fn scored_ctx<'a>(
@@ -872,8 +884,10 @@ mod tests {
         assert_eq!(fill(&column, 0, sentinel), UNSET);
         assert_eq!(fill(&column, 0, sentinel), UNSET);
         let mut scored = Vec::new();
-        column.score_into(&[NodeId::new(0), NodeId::new(0)], sentinel, &mut scored);
-        assert!(scored.iter().all(|(s, _)| s.to_bits() == UNSET));
+        column.score_into(&[NodeId::new(0), NodeId::new(0)], sentinel, |s, _| {
+            scored.push(s)
+        });
+        assert!(scored.iter().all(|s| s.to_bits() == UNSET));
         assert_eq!(calls.get(), 4);
         assert!(column.get(0).is_none());
         // Any other NaN is an ordinary value: stored once, read back.
@@ -912,7 +926,7 @@ mod tests {
             if let Some(last) = len.checked_sub(1) {
                 let column = LazyColumn::new(len);
                 let hop = [NodeId::new(last as u32), NodeId::new(len as u32)];
-                column.score_into(&hop, kernel, &mut Vec::new());
+                column.score_into(&hop, kernel, |_, _| {});
                 assert_eq!(column.get(last), Some(kernel(last)));
                 assert!(column.get(len).is_none());
                 assert_eq!(column.pages_allocated(), 1);
@@ -1085,8 +1099,8 @@ mod tests {
     /// and down to the smallest normal quantum), one is all subnormal, one
     /// has scores quantizing to −0.0 and +0.0 under a scale of 1 (ranked
     /// apart by `total_cmp`, tied by `==`), one is a single candidate and
-    /// one holds a non-finite score, so its fanout-1 pick falls back to the
-    /// full ranking.
+    /// one holds a non-finite score, so its fanout-1 pick keeps every
+    /// candidate.
     fn hostile_scored() -> impl Strategy<Value = Vec<(f32, NodeId)>> {
         let palette = [
             f32::NAN,
@@ -1245,7 +1259,7 @@ mod tests {
         /// Selection equals sort-then-take, pick for pick and in order, for
         /// both rankings, at every fanout boundary — on one reused scratch,
         /// the quantized ranking from the [`Spread`] scoring returns, so
-        /// every all-finite fanout-1 case takes the one-pass pick.
+        /// every fanout-1 case takes the one-pass pick.
         #[test]
         fn selection_matches_full_sort_oracle(scored in hostile_scored()) {
             let ids: Vec<NodeId> = scored.iter().map(|&(_, c)| c).collect();
