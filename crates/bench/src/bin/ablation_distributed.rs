@@ -1,11 +1,11 @@
-//! **Ablation D — distributed sharded diffusion.** Runs the sharded
-//! engines with every shard on its own simulated machine
-//! ([`gdsearch_dist`]): halo columns and cross-shard residual mass travel
-//! as wire frames over bounded links, and this bin measures what the
-//! interconnect costs — convergence time (reactor ticks and wall clock),
-//! bytes on the wire per iteration, and retrieval recall — across
-//! bandwidth tiers from 1 KB/tick to 1 MB/tick, plus a lossy tier showing
-//! per-round retransmission recovering the exact fixed point.
+//! **Ablation D — distributed sharded diffusion.** Runs the sharded power
+//! sweep with every shard on its own simulated machine
+//! ([`gdsearch_dist`]): halo columns travel as wire frames over bounded
+//! links, and this bin measures what the interconnect costs — convergence
+//! time (reactor ticks and wall clock), bytes on the wire per iteration,
+//! and retrieval recall — across bandwidth tiers from 1 KB/tick to
+//! 1 MB/tick, plus a lossy tier showing per-round retransmission
+//! recovering the exact fixed point.
 //!
 //! The default workload is 10⁵ nodes on both a Barabási–Albert graph
 //! (hub-heavy, fat halos) and a ring (two cut edges per shard):
@@ -17,17 +17,17 @@
 //! ```
 //!
 //! The process exits nonzero if any distributed result drifts bitwise
-//! from the in-process sharded engines, if the transport's byte
-//! accounting disagrees with the driver's frame ledger, or if recall
-//! against the in-process reference drops below 1 — so CI runs it as the
-//! distributed smoke test.
+//! from the in-process sharded sweep, if the transport's byte accounting
+//! disagrees with the driver's frame ledger, or if recall@10 of the first
+//! column against the in-process reference drops below 1 — so CI runs it
+//! as the distributed smoke test.
 
 use std::fmt::Write as _;
 
 use gdsearch_bench::{maybe_write_csv, timed, Args};
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{PprConfig, Signal};
-use gdsearch_dist::{DistConfig, ExchangeStats};
+use gdsearch_dist::DistConfig;
 use gdsearch_graph::{generators, Graph, NodeId, ShardedGraph};
 use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
@@ -46,56 +46,22 @@ fn top_k(scores: &[f32], k: usize) -> Vec<u32> {
     ids
 }
 
+/// The first column of a signal (empty for a zero-width one).
+fn first_column(signal: &Signal) -> Vec<f32> {
+    signal
+        .as_slice()
+        .iter()
+        .step_by(signal.dim().max(1))
+        .copied()
+        .collect()
+}
+
 fn recall(reference: &[u32], got: &[f32]) -> f64 {
     let got = top_k(got, reference.len());
     let hits = reference.iter().filter(|id| got.contains(id)).count();
     hits as f64 / reference.len().max(1) as f64
 }
 
-struct TierOutcome {
-    power_ok: bool,
-    push_ok: bool,
-    recall: f64,
-    power_stats: ExchangeStats,
-    push_stats: ExchangeStats,
-    power_ms: f64,
-    push_ms: f64,
-    power_iterations: usize,
-}
-
-/// One bandwidth tier: distributed power + push against the in-process
-/// references; `None` when the transport layer itself errors.
-#[allow(clippy::too_many_arguments)]
-fn run_tier(
-    sharded_graph: &ShardedGraph,
-    e0: &Signal,
-    source: NodeId,
-    scfg: &ShardedConfig,
-    transport: TransportConfig,
-    power_ref: &Signal,
-    push_ref: &[f32],
-    gold: &[u32],
-) -> Result<TierOutcome, String> {
-    let dcfg = DistConfig::new(*scfg).with_transport(transport);
-    let (power_ms, power_out) =
-        timed(|| gdsearch_dist::diffuse_partitioned(sharded_graph, e0, &dcfg));
-    let (power_out, power_stats) = power_out.map_err(|e| format!("power: {e}"))?;
-    let (push_ms, push_out) =
-        timed(|| gdsearch_dist::ppr_vector_partitioned(sharded_graph, source, &dcfg));
-    let (push_out, push_stats) = push_out.map_err(|e| format!("push: {e}"))?;
-    Ok(TierOutcome {
-        power_ok: power_out.signal.as_slice() == power_ref.as_slice(),
-        push_ok: push_out == push_ref,
-        recall: recall(gold, &push_out),
-        power_stats,
-        push_stats,
-        power_ms,
-        push_ms,
-        power_iterations: power_out.iterations,
-    })
-}
-
-#[allow(clippy::too_many_lines)]
 fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut String) -> bool {
     let dim: usize = args.get_or("dim", 8);
     let shards: usize = args.get_or("shards", 4);
@@ -148,26 +114,22 @@ fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut Strin
         e0.row_mut(source.index())[d] = 1.0 + d as f32 * 0.25;
     }
 
-    // In-process sharded references (the distributed runs must reproduce
-    // them bit for bit).
-    let (ref_power_ms, power_ref) = timed(|| {
+    // The in-process sharded reference (the distributed runs must
+    // reproduce it bit for bit).
+    let (ref_ms, reference) = timed(|| {
         sharded::diffuse_partitioned(&sharded_graph, &e0, &scfg).expect("in-process power")
     });
-    let (ref_push_ms, push_ref) = timed(|| {
-        sharded::ppr_vector_partitioned(&sharded_graph, source, &scfg).expect("in-process push")
-    });
-    let gold = top_k(&push_ref, 10);
+    let gold = top_k(&first_column(&reference.signal), 10);
     println!(
-        "in-process reference: power {ref_power_ms:.0} ms ({} iterations), \
-         push {ref_push_ms:.0} ms",
-        power_ref.iterations,
+        "in-process reference: power {ref_ms:.0} ms ({} iterations)",
+        reference.iterations,
     );
     println!();
     println!(
-        "| tier | B/tick | loss | power ms | power ticks | power B/iter | push ms | \
-         push ticks | push B | retx | recall@10 | bitwise | bytes ok |"
+        "| tier | B/tick | loss | power ms | power ticks | power B/iter | retx | recall@10 | \
+         bitwise | bytes ok |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
 
     let mut all_ok = true;
     let mut tiers: Vec<(String, u64, f64)> = bandwidths
@@ -192,63 +154,37 @@ fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut Strin
             .with_loss_probability(tier_loss)
             .expect("valid loss")
             .with_seed(args.get_or("seed", 2022));
-        let outcome = match run_tier(
-            &sharded_graph,
-            &e0,
-            source,
-            &scfg,
-            transport,
-            &power_ref.signal,
-            &push_ref,
-            &gold,
-        ) {
-            Ok(outcome) => outcome,
+        let dcfg = DistConfig::new(scfg).with_transport(transport);
+        let (ms, out) = timed(|| gdsearch_dist::diffuse_partitioned(&sharded_graph, &e0, &dcfg));
+        let (out, stats) = match out {
+            Ok(out) => out,
             Err(e) => {
                 // Pad the row to the full column count so the uploaded
                 // markdown report stays a valid table on failure.
-                println!(
-                    "| {label} | {bandwidth} | {tier_loss} | – | – | – | – | – | – | – | – | \
-                     NO | NO |"
-                );
-                eprintln!("tier '{label}' FAILED: {e}");
+                println!("| {label} | {bandwidth} | {tier_loss} | – | – | – | – | – | NO | NO |");
+                eprintln!("tier '{label}' FAILED: power: {e}");
                 all_ok = false;
                 continue;
             }
         };
+        let bitwise = out.signal.as_slice() == reference.signal.as_slice();
+        let recall = recall(&gold, &first_column(&out.signal));
         // Byte accounting is verified inside finish(); re-assert here so
         // the table column is an explicit check, not an assumption.
-        let bytes_ok = outcome.power_stats.verify_byte_accounting().is_ok()
-            && outcome.push_stats.verify_byte_accounting().is_ok();
-        let bitwise = outcome.power_ok && outcome.push_ok;
-        let tier_ok = bitwise && bytes_ok && outcome.recall >= 1.0;
-        all_ok &= tier_ok;
-        let power_bytes_per_iter =
-            outcome.power_stats.frame_bytes / (outcome.power_iterations.max(1) as u64);
-        let retx =
-            outcome.power_stats.retransmitted_frames + outcome.push_stats.retransmitted_frames;
+        let bytes_ok = stats.verify_byte_accounting().is_ok();
+        all_ok &= bitwise && bytes_ok && recall >= 1.0;
+        let bytes_per_iter = stats.frame_bytes / (out.iterations.max(1) as u64);
+        let (ticks, retx) = (stats.ticks, stats.retransmitted_frames);
         println!(
-            "| {label} | {bandwidth} | {tier_loss} | {:.0} | {} | {} | {:.0} | {} | {} | \
-             {retx} | {:.2} | {} | {} |",
-            outcome.power_ms,
-            outcome.power_stats.ticks,
-            power_bytes_per_iter,
-            outcome.push_ms,
-            outcome.push_stats.ticks,
-            outcome.push_stats.frame_bytes,
-            outcome.recall,
+            "| {label} | {bandwidth} | {tier_loss} | {ms:.0} | {ticks} | {bytes_per_iter} | {retx} | \
+             {recall:.2} | {} | {} |",
             if bitwise { "yes" } else { "NO" },
             if bytes_ok { "yes" } else { "NO" },
         );
         let _ = writeln!(
             csv,
-            "{key},{bandwidth},{tier_loss},{},{},{power_bytes_per_iter},{},{},{},{retx},{:.3},\
+            "{key},{bandwidth},{tier_loss},{ms},{ticks},{bytes_per_iter},{retx},{recall:.3},\
              {bitwise},{bytes_ok}",
-            outcome.power_ms,
-            outcome.power_stats.ticks,
-            outcome.push_ms,
-            outcome.push_stats.ticks,
-            outcome.push_stats.frame_bytes,
-            outcome.recall,
         );
     }
     all_ok
@@ -262,8 +198,8 @@ fn main() {
 
     println!("# Ablation: distributed sharded diffusion over simulated links");
     let mut csv = String::from(
-        "family,bytes_per_tick,loss,power_ms,power_ticks,power_bytes_per_iter,push_ms,\
-         push_ticks,push_bytes,retransmits,recall_at_10,bitwise,bytes_ok\n",
+        "family,bytes_per_tick,loss,power_ms,power_ticks,power_bytes_per_iter,retransmits,\
+         recall_at_10,bitwise,bytes_ok\n",
     );
 
     let mut ok = true;
@@ -283,5 +219,5 @@ fn main() {
         eprintln!("distributed ablation FAILED: bitwise, byte-accounting or recall check violated");
         std::process::exit(1);
     }
-    println!("\nEvery tier reproduced the in-process sharded results bit for bit with exact byte accounting.");
+    println!("\nEvery tier reproduced the in-process sharded sweep bit for bit with exact byte accounting.");
 }

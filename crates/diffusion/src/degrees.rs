@@ -8,14 +8,13 @@
 //! certifies that push results are interchangeable with the sweep engines
 //! at [`PprConfig::tolerance`](crate::PprConfig::tolerance).
 //!
-//! The FIFO push builds no table: it reads each degree off the graph's CSR
-//! offsets ([`Graph::degree`](gdsearch_graph::Graph::degree),
-//! [`Graph::max_degree`](gdsearch_graph::Graph::max_degree)) and applies
-//! these functions where it needs a scalar, so a call costs nothing in `N`.
-//! The sharded push fills [`DegreeTables`] through the same functions.
+//! Neither engine builds a table: each reads a degree off the CSR offsets
+//! it already holds ([`Graph::degree`](gdsearch_graph::Graph::degree) for
+//! the FIFO push, [`GraphShard::local_degree`](gdsearch_graph::GraphShard::local_degree)
+//! for the sharded one) and applies these functions where it needs a
+//! scalar, so a call costs nothing in `N`.
 
 use gdsearch_graph::sparse::Normalization;
-use gdsearch_graph::ShardedGraph;
 
 /// `max(deg, 1)` — the frontier threshold scale.
 #[inline]
@@ -72,62 +71,10 @@ pub(crate) fn residual_bound(
     }
 }
 
-/// Per-node degree scalars of a partitioned graph, plus the normalization
-/// they are read under: the sharded push's tables, filled once per call
-/// through the functions above.
-///
-/// A multi-machine deployment would hold only the local + halo entries per
-/// shard; in process these are flat `O(N)` arrays (the sharding work
-/// targets the `O(E)` adjacency and `O(N·dim)` signal state). Only the
-/// inverse table `norm` reads is filled; the other stays empty.
-pub(crate) struct DegreeTables {
-    pub norm: Normalization,
-    /// [`inv_deg`] per node. Empty under [`Normalization::Symmetric`],
-    /// which never reads it.
-    pub inv_deg: Vec<f32>,
-    /// [`inv_sqrt_deg`] per node. Filled under
-    /// [`Normalization::Symmetric`] only.
-    pub inv_sqrt_deg: Vec<f32>,
-    /// [`deg_scale`] per node.
-    pub deg_scale: Vec<f32>,
-    /// The largest degree, as [`residual_bound`] takes it.
-    pub max_degree: usize,
-}
-
-impl DegreeTables {
-    /// Tables of a partitioned graph (shards ascending = node order).
-    pub fn from_sharded(sharded: &ShardedGraph, norm: Normalization) -> Self {
-        let degrees = sharded
-            .shards()
-            .iter()
-            .flat_map(|s| (0..s.num_local_nodes()).map(move |l| s.local_degree(l)));
-        let symmetric = norm == Normalization::Symmetric;
-        let n = sharded.num_nodes();
-        let mut tables = DegreeTables {
-            norm,
-            inv_deg: Vec::with_capacity(if symmetric { 0 } else { n }),
-            inv_sqrt_deg: Vec::with_capacity(if symmetric { n } else { 0 }),
-            deg_scale: Vec::with_capacity(n),
-            max_degree: 0,
-        };
-        for deg in degrees {
-            tables.deg_scale.push(deg_scale(deg));
-            if symmetric {
-                tables.inv_sqrt_deg.push(inv_sqrt_deg(deg));
-            } else {
-                tables.inv_deg.push(inv_deg(deg));
-            }
-            tables.max_degree = tables.max_degree.max(deg);
-        }
-        tables
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gdsearch_graph::generators;
-    use rand::SeedableRng;
 
     const NORMS: [Normalization; 3] = [
         Normalization::ColumnStochastic,
@@ -136,28 +83,7 @@ mod tests {
     ];
 
     #[test]
-    fn flat_and_sharded_constructions_agree() {
-        // The sharded tables hold, node by node, the functions the flat
-        // push applies to `Graph::degree`.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let g = generators::social_circles_like_scaled(60, &mut rng).unwrap();
-        let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        let degrees: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
-        let table = |f: fn(usize) -> f32| degrees.iter().map(|&d| f(d)).collect::<Vec<_>>();
-        for norm in NORMS {
-            let sharded = DegreeTables::from_sharded(&sg, norm);
-            assert_eq!(sharded.deg_scale, table(deg_scale));
-            assert_eq!(sharded.max_degree, g.max_degree());
-            // Exactly the inverse table `norm` reads is filled.
-            if norm == Normalization::Symmetric {
-                assert_eq!(sharded.inv_sqrt_deg, table(inv_sqrt_deg));
-                assert!(sharded.inv_deg.is_empty());
-            } else {
-                assert_eq!(sharded.inv_deg, table(inv_deg));
-                assert!(sharded.inv_sqrt_deg.is_empty());
-            }
-        }
-        // Isolated nodes: no inverse degree, a unit scale.
+    fn isolated_nodes_have_no_inverse_degree_and_a_unit_scale() {
         assert_eq!((inv_deg(0), inv_sqrt_deg(0), deg_scale(0)), (0.0, 1.0, 1.0));
     }
 

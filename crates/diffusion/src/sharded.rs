@@ -26,8 +26,10 @@
 //! Nothing in the product reaches these engines:
 //! [`crate::per_source::auto_diffuse`] runs the monolithic push and sweep
 //! at every size, which in one process are faster and smaller than the
-//! sharded ones (its docs give the measurement). They serve
-//! `gdsearch-dist` and the sharding and distributed ablations.
+//! sharded ones (its docs give the measurement). The sweep serves
+//! `gdsearch-dist` and the distributed ablation; the push, [`diffuse_sparse`],
+//! is reached only through `gdsearch_dist::diffuse_sparse` and the
+//! repository benchmark's probes.
 //!
 //! # Determinism
 //!
@@ -48,13 +50,14 @@
 //!
 //! **Push.** The sharded push uses a canonical *round* schedule (Jacobi
 //! within a round): each round pushes every node whose round-start residual
-//! exceeds `rmax · deg(u)`, in ascending node id; new residual mass is
-//! buffered and merged afterwards, applied one contribution at a time in
-//! ascending *source* id. Because shard ranges are contiguous and each
-//! shard scans its frontier in ascending local order, the merge order —
-//! shard 0's contributions, then shard 1's, … — is exactly ascending
-//! source order no matter how the node set is sharded, and each shard's
-//! outbox is replayed entry by entry. The schedule therefore performs
+//! exceeds `rmax · deg(u)`, in ascending node id (the granularity `rmax`
+//! starts at the tolerance and halves until the certified bound meets it);
+//! new residual mass is buffered and merged afterwards, applied one
+//! contribution at a time in ascending *source* id. Because shard ranges
+//! are contiguous and each shard scans its frontier in ascending local
+//! order, the merge order — shard 0's contributions, then shard 1's, … —
+//! is exactly ascending source order no matter how the node set is
+//! sharded, and each shard's outbox is replayed entry by entry. The schedule therefore performs
 //! identical float operations for every `(shards, threads)` combination;
 //! the single-shard instance *is* the unsharded counterpart. Accuracy uses
 //! the same certified L∞ bounds as [`crate::push`] (evaluated in global
@@ -107,7 +110,7 @@ use gdsearch_graph::sparse::{edge_weight, CsrMatrix, Normalization};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 
 use crate::convergence::Convergence;
-use crate::degrees::{self, DegreeTables};
+use crate::degrees;
 use crate::exchange::{InProcessExchange, ShardExchange};
 use crate::power::DiffusionResult;
 use crate::{workpool, DiffusionError, PprConfig, Signal};
@@ -140,20 +143,17 @@ pub struct ShardedConfig {
     ppr: PprConfig,
     shards: usize,
     threads: usize,
-    rmax: f32,
 }
 
 impl ShardedConfig {
-    /// Creates a sharded configuration with defaults: a single shard, a
-    /// single worker, and the push engine's initial frontier granularity
-    /// equal to the PPR tolerance.
+    /// Creates a sharded configuration with defaults: a single shard and a
+    /// single worker.
     #[must_use]
     pub fn new(ppr: PprConfig) -> Self {
         ShardedConfig {
             ppr,
             shards: 1,
             threads: 1,
-            rmax: ppr.tolerance().max(f32::MIN_POSITIVE),
         }
     }
 
@@ -185,23 +185,6 @@ impl ShardedConfig {
         Ok(self)
     }
 
-    /// Sets the push engine's initial frontier granularity (a schedule
-    /// knob, not an accuracy knob — see [`crate::push::PushConfig::with_rmax`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::InvalidParameter`] unless `rmax` is
-    /// positive and finite.
-    pub fn with_rmax(mut self, rmax: f32) -> Result<Self, DiffusionError> {
-        if !rmax.is_finite() || rmax <= 0.0 {
-            return Err(DiffusionError::invalid_parameter(format!(
-                "rmax must be positive and finite, got {rmax}"
-            )));
-        }
-        self.rmax = rmax;
-        Ok(self)
-    }
-
     /// The PPR filter parameters.
     #[must_use]
     pub fn ppr(&self) -> &PprConfig {
@@ -218,12 +201,6 @@ impl ShardedConfig {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Initial push frontier granularity.
-    #[must_use]
-    pub fn rmax(&self) -> f32 {
-        self.rmax
     }
 }
 
@@ -430,13 +407,18 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
 /// The certified L∞ bound of [`crate::degrees::residual_bound`], fed the
 /// partitioned residuals in global node order (shards ascending, local
 /// rows ascending) so the result is independent of the shard count.
-fn partitioned_bound(deg: &DegreeTables, shards: &[GraphShard], residuals: &[Vec<f32>]) -> f32 {
+fn partitioned_bound(
+    norm: Normalization,
+    max_degree: usize,
+    shards: &[GraphShard],
+    residuals: &[Vec<f32>],
+) -> f32 {
     let pairs = shards.iter().zip(residuals).flat_map(|(shard, res)| {
         res.iter()
             .enumerate()
             .map(move |(local, &r)| (shard.local_degree(local), r))
     });
-    degrees::residual_bound(deg.norm, deg.max_degree, pairs)
+    degrees::residual_bound(norm, max_degree, pairs)
 }
 
 /// Runs one push round over the partitioned residuals at granularity
@@ -450,10 +432,14 @@ fn partitioned_bound(deg: &DegreeTables, shards: &[GraphShard], residuals: &[Vec
 /// applied to each destination, source shard by source shard, one
 /// contribution at a time — ascending source order globally (the module
 /// docs' determinism argument).
+///
+/// Degree scalars come from [`crate::degrees`] applied to the degrees the
+/// shards hold: a node's own row length, and a neighbour's row length in
+/// the shard that owns it.
 #[allow(clippy::too_many_arguments)]
 fn push_round<E: ShardExchange>(
     sharded: &ShardedGraph,
-    deg: &DegreeTables,
+    norm: Normalization,
     alpha: f32,
     rmax: f32,
     threads: usize,
@@ -475,12 +461,11 @@ fn push_round<E: ShardExchange>(
                 dest.clear();
             }
             let shard = sharded.shard(*s);
-            let base = shard.start() as usize;
             let mut pushed = 0usize;
             for local in 0..residual.len() {
-                let u = base + local;
+                let neighbors = shard.local_neighbor_slice(local);
                 let ru = residual[local];
-                if ru <= rmax * deg.deg_scale[u] {
+                if ru <= rmax * degrees::deg_scale(neighbors.len()) {
                     continue;
                 }
                 pushed += 1;
@@ -492,10 +477,9 @@ fn push_round<E: ShardExchange>(
                 }
                 // Forward the remaining mass along column u of A; the
                 // column's nonzeros are exactly u's neighbors.
-                let neighbors = shard.local_neighbor_slice(local);
-                match deg.norm {
+                match norm {
                     Normalization::ColumnStochastic => {
-                        let w = spread * deg.inv_deg[u];
+                        let w = spread * degrees::inv_deg(neighbors.len());
                         for v in neighbors {
                             let owner = sharded.owner_of(*v);
                             let vl = v.as_u32() - sharded.shard(owner).start();
@@ -505,16 +489,20 @@ fn push_round<E: ShardExchange>(
                     Normalization::RowStochastic => {
                         for v in neighbors {
                             let owner = sharded.owner_of(*v);
-                            let vl = v.as_u32() - sharded.shard(owner).start();
-                            outbox[owner].push((vl, spread * deg.inv_deg[v.index()]));
+                            let dest = sharded.shard(owner);
+                            let vl = v.as_u32() - dest.start();
+                            let deg_v = dest.local_degree(vl as usize);
+                            outbox[owner].push((vl, spread * degrees::inv_deg(deg_v)));
                         }
                     }
                     Normalization::Symmetric => {
-                        let w = spread * deg.inv_sqrt_deg[u];
+                        let w = spread * degrees::inv_sqrt_deg(neighbors.len());
                         for v in neighbors {
                             let owner = sharded.owner_of(*v);
-                            let vl = v.as_u32() - sharded.shard(owner).start();
-                            outbox[owner].push((vl, w * deg.inv_sqrt_deg[v.index()]));
+                            let dest = sharded.shard(owner);
+                            let vl = v.as_u32() - dest.start();
+                            let deg_v = dest.local_degree(vl as usize);
+                            outbox[owner].push((vl, w * degrees::inv_sqrt_deg(deg_v)));
                         }
                     }
                 }
@@ -531,32 +519,27 @@ fn push_round<E: ShardExchange>(
 }
 
 /// Whether any node is above the frontier threshold at granularity `rmax`.
-fn frontier_nonempty(
-    sharded: &ShardedGraph,
-    deg: &DegreeTables,
-    rmax: f32,
-    residuals: &[Vec<f32>],
-) -> bool {
+fn frontier_nonempty(sharded: &ShardedGraph, rmax: f32, residuals: &[Vec<f32>]) -> bool {
     sharded
         .shards()
         .iter()
         .zip(residuals)
         .any(|(shard, residual)| {
-            let base = shard.start() as usize;
             residual
                 .iter()
                 .enumerate()
-                .any(|(local, &r)| r > rmax * deg.deg_scale[base + local])
+                .any(|(local, &r)| r > rmax * degrees::deg_scale(shard.local_degree(local)))
         })
 }
 
 /// Computes one push column on partitioned state, leaving the estimates in
 /// `estimates` (per-shard blocks). Pure in its inputs — the determinism
-/// contract of the module docs.
+/// contract of the module docs. The initial frontier granularity is the
+/// PPR tolerance, halved until the certified bound meets it.
 #[allow(clippy::too_many_arguments)]
 fn push_column_partitioned<E: ShardExchange>(
     sharded: &ShardedGraph,
-    deg: &DegreeTables,
+    max_degree: usize,
     source: u32,
     config: &ShardedConfig,
     residuals: &mut [Vec<f32>],
@@ -565,6 +548,7 @@ fn push_column_partitioned<E: ShardExchange>(
     exchange: &mut E,
 ) -> Result<(), DiffusionError> {
     let n = sharded.num_nodes();
+    let norm = config.ppr.normalization();
     let alpha = config.ppr.alpha();
     let tolerance = config.ppr.tolerance();
     let threads = config.threads.max(1);
@@ -578,23 +562,23 @@ fn push_column_partitioned<E: ShardExchange>(
     let owner = sharded.owner_of(NodeId::new(source));
     residuals[owner][(source - sharded.shard(owner).start()) as usize] = 1.0;
 
-    let mut rmax = config.rmax;
+    let mut rmax = tolerance.max(f32::MIN_POSITIVE);
     let mut pushes = 0usize;
     let mut conv = Convergence::new();
     loop {
         // Drain at the current granularity: rounds until no frontier.
         loop {
             if pushes >= budget {
-                if frontier_nonempty(sharded, deg, rmax, residuals) {
+                if frontier_nonempty(sharded, rmax, residuals) {
                     return Err(DiffusionError::NotConverged {
                         iterations: pushes,
-                        residual: partitioned_bound(deg, sharded.shards(), residuals),
+                        residual: partitioned_bound(norm, max_degree, sharded.shards(), residuals),
                     });
                 }
                 break;
             }
             let round = push_round(
-                sharded, deg, alpha, rmax, threads, residuals, estimates, outboxes, exchange,
+                sharded, norm, alpha, rmax, threads, residuals, estimates, outboxes, exchange,
             )?;
             if round == 0 {
                 break;
@@ -603,108 +587,18 @@ fn push_column_partitioned<E: ShardExchange>(
         }
         // Certify against the remaining residual mass, exactly like the
         // FIFO engine.
-        let bound = partitioned_bound(deg, sharded.shards(), residuals);
+        let bound = partitioned_bound(norm, max_degree, sharded.shards(), residuals);
         if conv.record(bound, tolerance) {
             return Ok(());
         }
         rmax *= 0.5;
-        if rmax < f32::MIN_POSITIVE && !frontier_nonempty(sharded, deg, rmax, residuals) {
+        if rmax < f32::MIN_POSITIVE && !frontier_nonempty(sharded, rmax, residuals) {
             return Err(DiffusionError::NotConverged {
                 iterations: pushes,
                 residual: bound,
             });
         }
     }
-}
-
-/// Computes the single-source PPR vector `h_s` by sharded forward push,
-/// certified to `config.ppr().tolerance()` in L∞.
-///
-/// Residual and estimate state is partitioned by shard throughout; only
-/// cross-shard residual mass moves between rounds. Output is bit-for-bit
-/// identical for every `(shards, threads)` combination.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `source` is out of range
-/// and [`DiffusionError::NotConverged`] if the push budget
-/// (`max_iterations · N` pushes) is exhausted.
-///
-/// # Example
-///
-/// ```
-/// use gdsearch_diffusion::{sharded, PprConfig};
-/// use gdsearch_graph::{generators, NodeId};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = generators::path(5);
-/// let cfg = sharded::ShardedConfig::new(PprConfig::new(0.5)?).with_shards(2)?;
-/// let h = sharded::ppr_vector(&g, NodeId::new(0), &cfg)?;
-/// assert!(h[0] > h[1] && h[1] > h[2]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn ppr_vector(
-    graph: &Graph,
-    source: NodeId,
-    config: &ShardedConfig,
-) -> Result<Vec<f32>, DiffusionError> {
-    let sharded = ShardedGraph::from_graph(graph, config.shards)?;
-    ppr_vector_partitioned(&sharded, source, config)
-}
-
-/// [`ppr_vector`] over a prebuilt partition.
-///
-/// # Errors
-///
-/// As [`ppr_vector`].
-pub fn ppr_vector_partitioned(
-    sharded: &ShardedGraph,
-    source: NodeId,
-    config: &ShardedConfig,
-) -> Result<Vec<f32>, DiffusionError> {
-    let mut exchange = InProcessExchange::new(sharded, config.threads);
-    ppr_vector_with_exchange(sharded, source, config, &mut exchange)
-}
-
-/// [`ppr_vector_partitioned`] with an explicit boundary interconnect:
-/// cross-shard residual mass moves through `exchange` at every round
-/// barrier. Bit-for-bit identical to the in-process result for any
-/// implementation honouring the [`crate::exchange`] contract.
-///
-/// # Errors
-///
-/// As [`ppr_vector`], plus any [`DiffusionError::Exchange`] the
-/// interconnect reports.
-pub fn ppr_vector_with_exchange<E: ShardExchange>(
-    sharded: &ShardedGraph,
-    source: NodeId,
-    config: &ShardedConfig,
-    exchange: &mut E,
-) -> Result<Vec<f32>, DiffusionError> {
-    let n = sharded.num_nodes();
-    if source.index() >= n {
-        return Err(DiffusionError::invalid_parameter(format!(
-            "source {source} out of range for {n} nodes"
-        )));
-    }
-    let deg = DegreeTables::from_sharded(sharded, config.ppr.normalization());
-    let (mut residuals, mut estimates, mut outboxes) = push_state(sharded);
-    push_column_partitioned(
-        sharded,
-        &deg,
-        source.as_u32(),
-        config,
-        &mut residuals,
-        &mut estimates,
-        &mut outboxes,
-        exchange,
-    )?;
-    let mut out = Vec::with_capacity(n);
-    for block in &estimates {
-        out.extend_from_slice(block);
-    }
-    Ok(out)
 }
 
 /// Allocates the per-shard push state (residual blocks, estimate blocks,
@@ -722,18 +616,20 @@ fn push_state(sharded: &ShardedGraph) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<Outb
 }
 
 /// Diffuses a sparse personalization — `(source node, embedding)` pairs —
-/// with one sharded push column per distinct source node.
+/// with one sharded push column per distinct source node, certified to
+/// `config.ppr().tolerance()` in L∞.
 ///
 /// The sharded sibling of [`crate::push::diffuse_sparse`]: equivalent to
 /// the sweep engines at tolerance, bit-for-bit identical for every
 /// `(shards, threads)` combination, with residual/estimate state
-/// partitioned by shard while each column runs.
+/// partitioned by shard while each column runs and only cross-shard
+/// residual mass moving between rounds.
 ///
 /// # Errors
 ///
 /// Returns [`DiffusionError::ShapeMismatch`] for ragged embeddings or
-/// out-of-range sources, [`DiffusionError::NotConverged`] on push-budget
-/// exhaustion.
+/// out-of-range sources, [`DiffusionError::NotConverged`] if a column
+/// exhausts its push budget (`max_iterations · N` pushes).
 pub fn diffuse_sparse(
     graph: &Graph,
     dim: usize,
@@ -741,27 +637,16 @@ pub fn diffuse_sparse(
     config: &ShardedConfig,
 ) -> Result<Signal, DiffusionError> {
     let sharded = ShardedGraph::from_graph(graph, config.shards)?;
-    diffuse_sparse_partitioned(&sharded, dim, sources, config)
+    let mut exchange = InProcessExchange::new(&sharded, config.threads);
+    diffuse_sparse_with_exchange(&sharded, dim, sources, config, &mut exchange)
 }
 
-/// [`diffuse_sparse`] over a prebuilt partition.
-///
-/// # Errors
-///
-/// As [`diffuse_sparse`].
-pub fn diffuse_sparse_partitioned(
-    sharded: &ShardedGraph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &ShardedConfig,
-) -> Result<Signal, DiffusionError> {
-    let mut exchange = InProcessExchange::new(sharded, config.threads);
-    diffuse_sparse_with_exchange(sharded, dim, sources, config, &mut exchange)
-}
-
-/// [`diffuse_sparse_partitioned`] with an explicit boundary interconnect
-/// (see [`ppr_vector_with_exchange`]); all columns reuse the same
-/// exchange, so transport statistics accumulate across the batch.
+/// [`diffuse_sparse`] over a prebuilt partition with an explicit boundary
+/// interconnect: cross-shard residual mass moves through `exchange` at
+/// every round barrier, and all columns reuse it, so transport statistics
+/// accumulate across the batch. Bit-for-bit identical to the in-process
+/// result for any implementation honouring the [`crate::exchange`]
+/// contract.
 ///
 /// # Errors
 ///
@@ -798,12 +683,17 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
     if grouped.is_empty() || dim == 0 {
         return Ok(out);
     }
-    let deg = DegreeTables::from_sharded(sharded, config.ppr.normalization());
+    let max_degree = sharded
+        .shards()
+        .iter()
+        .flat_map(|s| (0..s.num_local_nodes()).map(|l| s.local_degree(l)))
+        .max()
+        .unwrap_or(0);
     let (mut residuals, mut estimates, mut outboxes) = push_state(sharded);
     for (source, emb) in &grouped {
         push_column_partitioned(
             sharded,
-            &deg,
+            max_degree,
             *source,
             config,
             &mut residuals,
@@ -843,6 +733,13 @@ mod tests {
 
     fn cfg(alpha: f32, tol: f32) -> ShardedConfig {
         ShardedConfig::new(PprConfig::new(alpha).unwrap().with_tolerance(tol).unwrap())
+    }
+
+    /// The single-source PPR column `h_s`: [`diffuse_sparse`] of one unit
+    /// row at dim 1, which is the column bit for bit (`0.0 + h·1.0 = h`).
+    fn column(g: &Graph, source: u32, cfg: &ShardedConfig) -> Result<Vec<f32>, DiffusionError> {
+        let unit = [(NodeId::new(source), Embedding::new(vec![1.0]))];
+        Ok(diffuse_sparse(g, 1, &unit, cfg)?.as_slice().to_vec())
     }
 
     fn random_signal(n: usize, dim: usize, seed: u64) -> Signal {
@@ -944,7 +841,7 @@ mod tests {
     fn sharded_push_is_shard_and_thread_invariant() {
         let g = generators::social_circles_like_scaled(90, &mut seeded(3)).unwrap();
         let base = cfg(0.5, 1e-6);
-        let reference = ppr_vector(&g, NodeId::new(11), &base).unwrap();
+        let reference = column(&g, 11, &base).unwrap();
         for shards in [2usize, 7, 90] {
             for threads in [1usize, 4] {
                 let scfg = base
@@ -952,7 +849,7 @@ mod tests {
                     .unwrap()
                     .with_threads(threads)
                     .unwrap();
-                let out = ppr_vector(&g, NodeId::new(11), &scfg).unwrap();
+                let out = column(&g, 11, &scfg).unwrap();
                 assert_eq!(out, reference, "{shards}×{threads} drifted bitwise");
             }
         }
@@ -963,7 +860,7 @@ mod tests {
         let g = generators::social_circles_like_scaled(80, &mut seeded(4)).unwrap();
         let tol = 1e-6f32;
         let scfg = cfg(0.3, tol).with_shards(4).unwrap();
-        let h = ppr_vector(&g, NodeId::new(7), &scfg).unwrap();
+        let h = column(&g, 7, &scfg).unwrap();
         let fifo =
             push::ppr_vector(&g, NodeId::new(7), &push::PushConfig::new(*scfg.ppr())).unwrap();
         let mut e0 = Signal::zeros(80, 1);
@@ -1014,7 +911,7 @@ mod tests {
     fn alpha_one_is_pure_teleport() {
         let g = generators::ring(6).unwrap();
         let scfg = cfg(1.0, 1e-6).with_shards(3).unwrap();
-        let h = ppr_vector(&g, NodeId::new(2), &scfg).unwrap();
+        let h = column(&g, 2, &scfg).unwrap();
         assert!((h[2] - 1.0).abs() < 1e-6);
         assert!(h.iter().enumerate().all(|(u, &v)| u == 2 || v == 0.0));
     }
@@ -1023,7 +920,7 @@ mod tests {
     fn isolated_node_keeps_teleport_share_only() {
         let g = Graph::from_edges(3, [(0, 1)]).unwrap();
         let scfg = cfg(0.5, 1e-7).with_shards(2).unwrap();
-        let h = ppr_vector(&g, NodeId::new(2), &scfg).unwrap();
+        let h = column(&g, 2, &scfg).unwrap();
         assert!((h[2] - 0.5).abs() < 1e-6);
         assert_eq!(h[0], 0.0);
     }
@@ -1033,11 +930,8 @@ mod tests {
         let ppr = PprConfig::default();
         assert!(ShardedConfig::new(ppr).with_shards(0).is_err());
         assert!(ShardedConfig::new(ppr).with_threads(0).is_err());
-        assert!(ShardedConfig::new(ppr).with_rmax(0.0).is_err());
-        assert!(ShardedConfig::new(ppr).with_rmax(f32::NAN).is_err());
         let g = generators::ring(5).unwrap();
         let scfg = ShardedConfig::new(ppr);
-        assert!(ppr_vector(&g, NodeId::new(9), &scfg).is_err());
         assert!(diffuse(&g, &Signal::zeros(6, 1), &scfg).is_err());
         assert!(diffuse_sparse(&g, 2, &[(NodeId::new(9), Embedding::zeros(2))], &scfg).is_err());
         assert!(diffuse_sparse(&g, 2, &[(NodeId::new(0), Embedding::zeros(3))], &scfg).is_err());
@@ -1053,7 +947,7 @@ mod tests {
             .with_max_iterations(1);
         let scfg = ShardedConfig::new(ppr).with_shards(3).unwrap();
         assert!(matches!(
-            ppr_vector(&g, NodeId::new(0), &scfg),
+            column(&g, 0, &scfg),
             Err(DiffusionError::NotConverged { .. })
         ));
     }

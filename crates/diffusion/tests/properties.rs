@@ -55,6 +55,18 @@ fn one_hot(n: usize, u: usize) -> Signal {
     s
 }
 
+/// The sharded push's single-source column: `sharded::diffuse_sparse` of
+/// one unit row at dim 1, which is the column bit for bit (`0.0 + h·1.0 = h`).
+fn sharded_column(
+    g: &Graph,
+    source: NodeId,
+    cfg: &gdsearch_diffusion::sharded::ShardedConfig,
+) -> Vec<f32> {
+    let unit = [(source, Embedding::new(vec![1.0]))];
+    let column = gdsearch_diffusion::sharded::diffuse_sparse(g, 1, &unit, cfg).unwrap();
+    column.as_slice().to_vec()
+}
+
 /// The dense sweep spelled out — every neighbour gathered in adjacency
 /// order, nothing skipped — as `(signal, iterations, residual, converged)`.
 fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, usize, f32, bool) {
@@ -541,13 +553,13 @@ proptest! {
         alpha in 0.1f32..1.0,
         src in 0usize..36,
     ) {
-        use gdsearch_diffusion::sharded::{self, ShardedConfig};
+        use gdsearch_diffusion::sharded::ShardedConfig;
 
         let n = g.num_nodes();
         let source = NodeId::new((src % n) as u32);
         let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-6).unwrap();
         let unsharded = ShardedConfig::new(cfg);
-        let reference = sharded::ppr_vector(&g, source, &unsharded).unwrap();
+        let reference = sharded_column(&g, source, &unsharded);
         for shards in [2usize, 7] {
             for threads in [1usize, 4] {
                 let scfg = ShardedConfig::new(cfg)
@@ -555,7 +567,7 @@ proptest! {
                     .unwrap()
                     .with_threads(threads)
                     .unwrap();
-                let out = sharded::ppr_vector(&g, source, &scfg).unwrap();
+                let out = sharded_column(&g, source, &scfg);
                 prop_assert_eq!(
                     &out,
                     &reference,
@@ -592,14 +604,14 @@ proptest! {
         let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-6).unwrap();
         let e0 = one_hot(n, 1);
         let dense = power::diffuse(&g, &e0, &cfg).unwrap();
-        let push_ref = sharded::ppr_vector(&g, NodeId::new(1), &ShardedConfig::new(cfg)).unwrap();
+        let push_ref = sharded_column(&g, NodeId::new(1), &ShardedConfig::new(cfg));
         // n - 1 shards never divides n evenly for n >= 3; n shards makes
         // every shard a single node.
         for shards in [n - 1, n] {
             let scfg = ShardedConfig::new(cfg).with_shards(shards).unwrap();
             let out = sharded::diffuse(&g, &e0, &scfg).unwrap();
             prop_assert_eq!(out.signal.as_slice(), dense.signal.as_slice());
-            let h = sharded::ppr_vector(&g, NodeId::new(1), &scfg).unwrap();
+            let h = sharded_column(&g, NodeId::new(1), &scfg);
             prop_assert_eq!(&h, &push_ref, "{} shards drifted", shards);
         }
     }

@@ -191,40 +191,6 @@ pub fn diffuse_partitioned(
     Ok((result, exchange.finish()?))
 }
 
-/// Computes a single-source PPR column with the sharded forward push,
-/// cross-shard residual mass exchanged over simulated transport links.
-/// Bit-for-bit identical to [`sharded::ppr_vector`] whenever every frame
-/// eventually arrives.
-///
-/// # Errors
-///
-/// As [`sharded::ppr_vector`], plus [`DiffusionError::Exchange`] for
-/// transport failures.
-pub fn ppr_vector(
-    graph: &Graph,
-    source: NodeId,
-    config: &DistConfig,
-) -> Result<(Vec<f32>, ExchangeStats), DiffusionError> {
-    let sharded_graph = ShardedGraph::from_graph(graph, config.sharded.shards())?;
-    ppr_vector_partitioned(&sharded_graph, source, config)
-}
-
-/// [`ppr_vector`] over a prebuilt partition.
-///
-/// # Errors
-///
-/// As [`ppr_vector`].
-pub fn ppr_vector_partitioned(
-    sharded_graph: &ShardedGraph,
-    source: NodeId,
-    config: &DistConfig,
-) -> Result<(Vec<f32>, ExchangeStats), DiffusionError> {
-    let mut exchange = TransportExchange::new(sharded_graph, config)?;
-    let scores =
-        sharded::ppr_vector_with_exchange(sharded_graph, source, &config.sharded, &mut exchange)?;
-    Ok((scores, exchange.finish()?))
-}
-
 /// Diffuses a sparse personalization with one distributed push column per
 /// distinct source node. Bit-for-bit identical to
 /// [`sharded::diffuse_sparse`] whenever every frame eventually arrives;
@@ -241,23 +207,9 @@ pub fn diffuse_sparse(
     config: &DistConfig,
 ) -> Result<(Signal, ExchangeStats), DiffusionError> {
     let sharded_graph = ShardedGraph::from_graph(graph, config.sharded.shards())?;
-    diffuse_sparse_partitioned(&sharded_graph, dim, sources, config)
-}
-
-/// [`diffuse_sparse`] over a prebuilt partition.
-///
-/// # Errors
-///
-/// As [`diffuse_sparse`].
-pub fn diffuse_sparse_partitioned(
-    sharded_graph: &ShardedGraph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &DistConfig,
-) -> Result<(Signal, ExchangeStats), DiffusionError> {
-    let mut exchange = TransportExchange::new(sharded_graph, config)?;
+    let mut exchange = TransportExchange::new(&sharded_graph, config)?;
     let signal = sharded::diffuse_sparse_with_exchange(
-        sharded_graph,
+        &sharded_graph,
         dim,
         sources,
         &config.sharded,
@@ -294,15 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_push_matches_in_process_bitwise() {
-        let g = generators::ring(20).unwrap();
-        let reference = sharded::ppr_vector(&g, NodeId::new(4), cfg(4).sharded()).unwrap();
-        let (scores, stats) = ppr_vector(&g, NodeId::new(4), &cfg(4)).unwrap();
-        assert_eq!(scores, reference);
-        assert!(stats.residual_epochs > 0);
-    }
-
-    #[test]
     fn distributed_sparse_batch_matches_in_process_bitwise() {
         let g = generators::grid(4, 4);
         let sources = vec![
@@ -313,6 +256,10 @@ mod tests {
         let (out, stats) = diffuse_sparse(&g, 2, &sources, &cfg(3)).unwrap();
         assert_eq!(out, reference);
         assert!(stats.epochs >= 2, "two columns need at least two barriers");
+        assert_eq!(
+            stats.residual_epochs, stats.epochs,
+            "every barrier moved residuals"
+        );
     }
 
     #[test]

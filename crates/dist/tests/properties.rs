@@ -7,6 +7,7 @@
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{power, PprConfig, Signal};
 use gdsearch_dist::DistConfig;
+use gdsearch_embed::Embedding;
 use gdsearch_graph::{generators, Graph, NodeId};
 use gdsearch_sim::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 use gdsearch_sim::{SimTime, TransportConfig};
@@ -37,6 +38,12 @@ fn random_signal(n: usize, dim: usize, seed: u64) -> Signal {
         }
     }
     e0
+}
+
+/// A single-source push column as the sparse entries compute it: one unit
+/// row at dim 1, which is the column bit for bit (`0.0 + h·1.0 = h`).
+fn unit_row(source: NodeId) -> [(NodeId, Embedding); 1] {
+    [(source, Embedding::new(vec![1.0]))]
 }
 
 fn sharded_cfg(alpha: f32, shards: usize, threads: usize) -> ShardedConfig {
@@ -103,13 +110,14 @@ proptest! {
         let n = g.num_nodes();
         let source = NodeId::new((src % n) as u32);
         let reference =
-            sharded::ppr_vector(&g, source, &sharded_cfg(alpha, 1, 1)).unwrap();
+            sharded::diffuse_sparse(&g, 1, &unit_row(source), &sharded_cfg(alpha, 1, 1)).unwrap();
         for shards in [1usize, 2, 7] {
             for threads in [1usize, 4] {
                 let scfg = sharded_cfg(alpha, shards, threads);
-                let (scores, stats) = gdsearch_dist::ppr_vector(
+                let (scores, stats) = gdsearch_dist::diffuse_sparse(
                     &g,
-                    source,
+                    1,
+                    &unit_row(source),
                     &DistConfig::new(scfg),
                 ).unwrap();
                 prop_assert_eq!(
@@ -185,4 +193,66 @@ proptest! {
             );
         }
     }
+}
+
+/// FNV-1a-64 step over one 64-bit word.
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The sharded push's output bits and wire cost, pinned across commits:
+/// FNV-1a over every output `to_bits()` of the in-process and the
+/// distributed sparse diffusion, then the exchange's `frames` and
+/// `frame_bytes`, on a hub-heavy and a clustered graph, every
+/// normalization, three teleport probabilities and three shard counts.
+/// A refactor of the push must not move a bit or a frame.
+#[test]
+fn sharded_push_reproduces_its_pinned_bits() {
+    use gdsearch_graph::sparse::Normalization;
+
+    let graphs = [
+        generators::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(1)).unwrap(),
+        generators::social_circles_like_scaled(2_000, &mut StdRng::seed_from_u64(2)).unwrap(),
+    ];
+    let dim = 8;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for g in &graphs {
+        let mut rng = StdRng::seed_from_u64(3);
+        let sources: Vec<(NodeId, Embedding)> = (0..12)
+            .map(|_| {
+                let node = NodeId::new(rng.random_range(0..g.num_nodes() as u32));
+                let emb = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+                (node, Embedding::new(emb))
+            })
+            .collect();
+        for norm in [
+            Normalization::ColumnStochastic,
+            Normalization::RowStochastic,
+            Normalization::Symmetric,
+        ] {
+            for alpha in [0.1f32, 0.5, 0.9] {
+                let ppr = PprConfig::new(alpha)
+                    .unwrap()
+                    .with_tolerance(1e-4)
+                    .unwrap()
+                    .with_normalization(norm);
+                for shards in [1usize, 3, 8] {
+                    let scfg = ShardedConfig::new(ppr)
+                        .with_shards(shards)
+                        .unwrap()
+                        .with_threads(2)
+                        .unwrap();
+                    let local = sharded::diffuse_sparse(g, dim, &sources, &scfg).unwrap();
+                    let (wire, stats) =
+                        gdsearch_dist::diffuse_sparse(g, dim, &sources, &DistConfig::new(scfg))
+                            .unwrap();
+                    for x in local.as_slice().iter().chain(wire.as_slice()) {
+                        h = fnv(h, u64::from(x.to_bits()));
+                    }
+                    h = fnv(fnv(h, stats.frames), stats.frame_bytes);
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0xc0b4_50ee_bdb7_5bb9, "digest {h:016x}");
 }

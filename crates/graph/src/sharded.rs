@@ -80,8 +80,6 @@ pub struct GraphShard {
     halo: Vec<NodeId>,
     /// Number of leading halo entries below the local range.
     halo_split: usize,
-    /// Directed adjacency entries `(u, v)` with local `u` and non-local `v`.
-    cut_entries: usize,
 }
 
 impl GraphShard {
@@ -189,14 +187,6 @@ impl GraphShard {
     #[must_use]
     pub fn halo_split(&self) -> usize {
         self.halo_split
-    }
-
-    /// Directed cross-shard adjacency entries in this shard's rows (each
-    /// cut undirected edge contributes one entry per incident shard).
-    #[inline]
-    #[must_use]
-    pub fn cut_entries(&self) -> usize {
-        self.cut_entries
     }
 
     /// Stored adjacency entries (sum of local degrees).
@@ -379,14 +369,12 @@ impl ShardedGraph {
         offsets.push(0usize);
         let mut neighbors = Vec::new();
         let mut halo: Vec<NodeId> = Vec::new();
-        let mut cut_entries = 0usize;
         for u in start..end {
             let row = graph.neighbor_slice(NodeId::new(u));
             neighbors.extend_from_slice(row);
             offsets.push(neighbors.len());
             for &v in row {
                 if !(start..end).contains(&v.as_u32()) {
-                    cut_entries += 1;
                     halo.push(v);
                 }
             }
@@ -401,7 +389,6 @@ impl ShardedGraph {
             neighbors,
             halo,
             halo_split,
-            cut_entries,
         }
     }
 
@@ -488,12 +475,6 @@ impl ShardedGraph {
     pub fn neighbor_slice(&self, u: NodeId) -> &[NodeId] {
         let shard = &self.shards[self.owner_of(u)];
         shard.local_neighbor_slice((u.as_u32() - shard.start) as usize)
-    }
-
-    /// Total adjacency bytes across all shards.
-    #[must_use]
-    pub fn total_adjacency_bytes(&self) -> usize {
-        self.shards.iter().map(GraphShard::adjacency_bytes).sum()
     }
 
     /// The shards that own shard `s`'s halo nodes, ascending and
@@ -666,12 +647,11 @@ mod tests {
     }
 
     #[test]
-    fn cut_entries_count_cross_shard_adjacency() {
+    fn ring_halo_splits_at_the_local_range() {
         let g = generators::ring(8).unwrap();
         let sg = ShardedGraph::from_boundaries(&g, &[0, 4, 8]).unwrap();
-        // Ring cut at two places: each shard sees 2 cross edges.
-        assert_eq!(sg.shard(0).cut_entries(), 2);
-        assert_eq!(sg.shard(1).cut_entries(), 2);
+        // Ring cut at two places: both of shard 0's halo nodes lie above its
+        // range, both of shard 1's below.
         assert_eq!(sg.shard(0).halo(), &[NodeId::new(4), NodeId::new(7)]);
         assert_eq!(sg.shard(0).halo_split(), 0);
         assert_eq!(sg.shard(1).halo_split(), 2);
@@ -736,12 +716,5 @@ mod tests {
             );
             assert_eq!(shard.halo_bytes(), shard.halo().len() * 4);
         }
-        assert_eq!(
-            sg.total_adjacency_bytes(),
-            sg.shards()
-                .iter()
-                .map(|s| s.adjacency_bytes())
-                .sum::<usize>()
-        );
     }
 }
