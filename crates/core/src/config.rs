@@ -4,19 +4,6 @@ use crate::forwarding::PolicyKind;
 use crate::personalization::Aggregation;
 use crate::SearchError;
 
-/// How forwarding avoids revisiting nodes (paper §IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VisitedMemory {
-    /// Nodes remember, per query, which neighbors they received from or
-    /// sent to — the paper's choice, protecting connection privacy.
-    #[default]
-    NodeMemory,
-    /// The query message carries the visited-node set — slightly more
-    /// efficient, rejected by the paper on privacy grounds; kept as an
-    /// ablation.
-    InMessage,
-}
-
 /// Full configuration of the diffusion-search scheme.
 ///
 /// Defaults mirror the paper's evaluation: `alpha = 0.5`, TTL 50, single
@@ -48,7 +35,6 @@ pub struct SchemeConfig {
     top_k: usize,
     aggregation: Aggregation,
     policy: PolicyKind,
-    visited_memory: VisitedMemory,
     normalization: Normalization,
     tolerance: f32,
     max_iterations: usize,
@@ -63,7 +49,6 @@ impl Default for SchemeConfig {
             top_k: 1,
             aggregation: Aggregation::Sum,
             policy: PolicyKind::PprGreedy,
-            visited_memory: VisitedMemory::NodeMemory,
             normalization: Normalization::ColumnStochastic,
             tolerance: 1e-5,
             max_iterations: 1000,
@@ -115,12 +100,6 @@ impl SchemeConfigBuilder {
     /// Forwarding policy (paper: PPR-greedy; others are baselines).
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Visited-node bookkeeping mode.
-    pub fn visited_memory(mut self, visited_memory: VisitedMemory) -> Self {
-        self.config.visited_memory = visited_memory;
         self
     }
 
@@ -196,11 +175,6 @@ impl SchemeConfig {
         self.policy
     }
 
-    /// Visited-node bookkeeping mode.
-    pub fn visited_memory(&self) -> VisitedMemory {
-        self.visited_memory
-    }
-
     /// Transition normalization.
     pub fn normalization(&self) -> Normalization {
         self.normalization
@@ -238,7 +212,6 @@ mod tests {
         assert_eq!(c.top_k(), 1);
         assert_eq!(c.aggregation(), Aggregation::Sum);
         assert_eq!(c.policy(), PolicyKind::PprGreedy);
-        assert_eq!(c.visited_memory(), VisitedMemory::NodeMemory);
     }
 
     #[test]

@@ -104,10 +104,8 @@ pub fn validate_scheme(c: &SchemeConfig) -> Result<(), ConfigError> {
 /// Capacity policy of the engine's hot-column cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCapacity {
-    /// Never cache; every query scores candidates inline.
-    Disabled,
     /// Hold at most this many columns, evicting the least recently used.
-    /// `Bounded(0)` behaves like [`CacheCapacity::Disabled`].
+    /// `Bounded(0)` never caches: every query scores candidates inline.
     Bounded(usize),
     /// Hold every column ever started.
     Unbounded,
@@ -117,7 +115,7 @@ impl CacheCapacity {
     /// Whether a cache under this policy can ever store a column.
     #[must_use]
     pub fn enabled(self) -> bool {
-        !matches!(self, CacheCapacity::Disabled | CacheCapacity::Bounded(0))
+        self != CacheCapacity::Bounded(0)
     }
 }
 
@@ -363,7 +361,6 @@ mod tests {
 
     #[test]
     fn cache_capacity_enablement() {
-        assert!(!CacheCapacity::Disabled.enabled());
         assert!(!CacheCapacity::Bounded(0).enabled());
         assert!(CacheCapacity::Bounded(1).enabled());
         assert!(CacheCapacity::Unbounded.enabled());

@@ -851,7 +851,7 @@ mod tests {
         assert_eq!(response.verdict, CacheVerdict::Bypass);
 
         let disabled = EngineConfig::builder()
-            .cache_capacity(CacheCapacity::Disabled)
+            .cache_capacity(CacheCapacity::Bounded(0))
             .build()
             .unwrap();
         let engine = engine_with(&fx, disabled);

@@ -47,20 +47,6 @@ pub struct WorkbenchSpec {
 }
 
 impl WorkbenchSpec {
-    /// The paper's full-scale setting: a 4,039-node social graph, 20k-word
-    /// corpus, 1000 query pairs.
-    pub fn paper_scale() -> Self {
-        WorkbenchSpec {
-            nodes: generators::FACEBOOK_NODES,
-            vocab: 20_000,
-            dim: 64,
-            topics: 400,
-            num_queries: 1000,
-            min_cosine: 0.6,
-            anisotropy: 0.3,
-        }
-    }
-
     /// A CI-sized setting that preserves the qualitative shape (hundreds
     /// of nodes, hundreds of words).
     pub fn ci_scale() -> Self {

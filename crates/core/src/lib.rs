@@ -91,7 +91,7 @@ pub mod protocol;
 mod scheme;
 pub mod walk;
 
-pub use config::{SchemeConfig, VisitedMemory};
+pub use config::SchemeConfig;
 pub use engine::{
     CacheCapacity, CacheVerdict, ConfigError, EngineConfig, EngineError, QueryEngine, QueryRequest,
     QueryResponse,

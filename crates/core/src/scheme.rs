@@ -46,8 +46,7 @@ pub struct SearchNetwork<'g> {
     /// Diffused node embeddings `E` (Eq. 6) as the engine
     /// [`per_source::auto_diffuse_rows`] picked left them: the sweep's dense
     /// signal, or push's rows over their support (`O(support · dim)`
-    /// floats). Walks, column fills and [`Self::node_embedding`] read rows
-    /// through [`Diffused::row`].
+    /// floats). Walks and column fills read rows through [`Diffused::row`].
     embeddings: Diffused,
     /// `embeddings` as one dense `N × dim` signal, materialized by the
     /// first [`Self::embeddings`] call on a push-built network. Serving
@@ -55,8 +54,6 @@ pub struct SearchNetwork<'g> {
     dense: OnceLock<Signal>,
     /// Embedding of each placed document (by `DocId`).
     doc_embeddings: Vec<Embedding>,
-    /// Host of each placed document.
-    doc_hosts: Vec<NodeId>,
     /// The document index in CSR form: node `u` hosts
     /// `hosted[doc_offsets[u]..doc_offsets[u + 1]]` (N + 1 offsets).
     doc_offsets: Vec<u32>,
@@ -91,21 +88,20 @@ impl<'g> SearchNetwork<'g> {
                 placement.len()
             )));
         }
-        // Collect the documents' embeddings and hosts.
+        // Collect the documents' embeddings and (host, doc) pairs.
         let mut doc_embeddings = Vec::with_capacity(placement.len());
-        let mut doc_hosts = Vec::with_capacity(placement.len());
+        let mut by_host: Vec<(NodeId, DocId)> = Vec::with_capacity(placement.len());
         for (_, word, host) in placement.iter() {
             let emb = corpus.get(word).ok_or_else(|| {
                 SearchError::invalid_parameter(format!("placed word {word} not in corpus"))
             })?;
             graph.check_node(host)?;
+            by_host.push((host, doc_embeddings.len()));
             doc_embeddings.push(emb.clone());
-            doc_hosts.push(host);
         }
-        // Index them by host: sort (host, doc) pairs; node u's run starts
-        // after the documents of every host below u. Counts are at most
+        // Index them by host: sort the pairs; node u's run starts after the
+        // documents of every host below u. Counts are at most
         // placement.len() ≤ u32::MAX, checked above.
-        let mut by_host: Vec<(NodeId, DocId)> = doc_hosts.iter().copied().zip(0..).collect();
         by_host.sort_unstable();
         let mut doc_offsets = Vec::with_capacity(n + 1);
         for (before, (host, _)) in by_host.iter().enumerate() {
@@ -133,7 +129,6 @@ impl<'g> SearchNetwork<'g> {
             embeddings,
             dense: OnceLock::new(),
             doc_embeddings,
-            doc_hosts,
             doc_offsets,
             hosted: by_host.into_iter().map(|(_, doc)| doc).collect(),
         })
@@ -192,20 +187,6 @@ impl<'g> SearchNetwork<'g> {
         }
     }
 
-    /// The diffused embedding of one node, as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_embedding(&self, node: NodeId) -> Embedding {
-        Embedding::new(self.embeddings.row(node.index()).to_vec())
-    }
-
-    /// Number of placed documents.
-    pub fn num_docs(&self) -> usize {
-        self.doc_embeddings.len()
-    }
-
     /// The documents hosted at `node`.
     ///
     /// # Panics
@@ -214,15 +195,6 @@ impl<'g> SearchNetwork<'g> {
     pub fn docs_at(&self, node: NodeId) -> &[DocId] {
         let u = node.index();
         &self.hosted[self.doc_offsets[u] as usize..self.doc_offsets[u + 1] as usize]
-    }
-
-    /// The hosting node of a document.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` is out of range.
-    pub fn doc_host(&self, doc: DocId) -> NodeId {
-        self.doc_hosts[doc]
     }
 
     /// The embedding of a placed document.
@@ -279,11 +251,10 @@ mod tests {
         let words: Vec<WordId> = (0..10).map(WordId::new).collect();
         let p = Placement::uniform(&g, &words, &mut rng(2)).unwrap();
         let net = SearchNetwork::build(&g, &c, &p, &SchemeConfig::default(), &mut rng(3)).unwrap();
-        assert_eq!(net.num_docs(), 10);
         let total: usize = g.node_ids().map(|u| net.docs_at(u).len()).sum();
         assert_eq!(total, 10);
         for doc in 0..10 {
-            assert!(net.docs_at(net.doc_host(doc)).contains(&doc));
+            assert!(net.docs_at(p.host(doc)).contains(&doc));
         }
     }
 
@@ -328,7 +299,7 @@ mod tests {
         let q = c.embedding(WordId::new(0));
         let scores: Vec<f32> = g
             .node_ids()
-            .map(|u| similarity::dot(q, &net.node_embedding(u)).unwrap())
+            .map(|u| similarity::dot(q, &net.embeddings().row_embedding(u.index())).unwrap())
             .collect();
         let best = scores
             .iter()
@@ -481,8 +452,8 @@ mod tests {
         assert!(net.dense_view_materialized());
         for u in g.node_ids() {
             assert_eq!(
-                net.node_embedding(u),
-                engines[1].network().node_embedding(u)
+                net.diffused().row(u.index()),
+                engines[1].network().diffused().row(u.index())
             );
         }
     }

@@ -8,24 +8,22 @@
 //! protocol over the discrete-event simulator; an integration test pins
 //! their equivalence for deterministic policies.
 //!
-//! A walk's bookkeeping is one node table and, under in-message memory,
-//! the visited set a message carries. The table holds a row for every node
-//! the query has visited or been exchanged with — a visited flag and a
-//! bitmask over the node's adjacency positions (⌈deg/64⌉ words in one
-//! arena) — appended when the query first meets the node and never moved.
-//! Each head carries the row of the node it is at, so a visit is a flag
-//! flip and the node's mask is at hand; only the peer a forward reaches is
-//! looked up, by bisecting a `(node, row)` index. A hop has one candidate
-//! rule per memory: node-memory candidates are the neighbours whose bit is
+//! A walk's bookkeeping is one node table, the per-node memory of §IV-C
+//! (the paper rejects a visited set carried in the message on privacy
+//! grounds). The table holds a row for every node the query has visited or
+//! been exchanged with — a visited flag and a bitmask over the node's
+//! adjacency positions (⌈deg/64⌉ words in one arena) — appended when the
+//! query first meets the node and never moved. Each head carries the row of
+//! the node it is at, so a visit is a flag flip and the node's mask is at
+//! hand; only the peer a forward reaches is looked up, by bisecting a
+//! `(node, row)` index. A hop's candidates are the neighbours whose bit is
 //! clear (each 64-neighbour chunk copied whole, then its few set positions
-//! removed), in-message candidates the neighbours the carried set, an
-//! ascending `Vec`, does not hold; either falls back to every neighbour
-//! when none is left (footnote 9), whatever the policy. A forward sets one
-//! bit on each side. Everything is ordered by value, so nothing a walk
-//! reads depends on a per-process hasher seed (the standing hazard
-//! `tests/tests/walk_determinism.rs` pins), and everything grows in place,
-//! so a hop that forwards one copy allocates nothing once its buffers fit
-//! the neighbourhoods it meets. `tests/tests/walk_model.rs` holds the
+//! removed), or every neighbour when none is left (footnote 9), whatever
+//! the policy. A forward sets one bit on each side. Everything is ordered
+//! by value, so nothing a walk reads depends on a per-process hasher seed
+//! (the standing hazard `tests/tests/walk_determinism.rs` pins), and
+//! everything grows in place, so a hop that forwards one copy allocates
+//! nothing once its buffers fit the neighbourhoods it meets. `tests/tests/walk_model.rs` holds the
 //! map-and-set walk this replaced as the reference every outcome is
 //! compared against.
 
@@ -37,7 +35,7 @@ use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::forwarding::{self, ForwardContext, Scores};
-use crate::{DocId, SearchError, SearchNetwork, VisitedMemory};
+use crate::{DocId, SearchError, SearchNetwork};
 
 /// A document a query found, with the hop at which its host was visited.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,18 +83,6 @@ struct Head {
     row: usize,
     ttl: u32,
     hop: u32,
-    /// Nodes this message has passed, ascending: the visited set it carries
-    /// under [`VisitedMemory::InMessage`]. Empty, hence never allocated,
-    /// under node memory.
-    carried: Vec<NodeId>,
-}
-
-/// Inserts `item` into the ascending, duplicate-free `set` unless it is
-/// already there.
-fn insert_sorted<T: Ord>(set: &mut Vec<T>, item: T) {
-    if let Err(at) = set.binary_search(&item) {
-        set.insert(at, item);
-    }
 }
 
 /// One node a query has touched, in a [`NodeTable`].
@@ -290,7 +276,6 @@ pub fn run_with<R: Rng + ?Sized>(
     }
     let config = network.config();
     let graph = network.graph();
-    let in_message = config.visited_memory() == VisitedMemory::InMessage;
 
     let mut results: TopK<(DocId, u32)> = TopK::new(config.top_k());
     let mut path: Vec<NodeId> = Vec::new();
@@ -306,7 +291,6 @@ pub fn run_with<R: Rng + ?Sized>(
         row: table.row(graph, start),
         ttl: config.ttl(),
         hop: 0,
-        carried: Vec::new(),
     });
 
     while let Some(mut head) = frontier.pop_front() {
@@ -335,11 +319,7 @@ pub fn run_with<R: Rng + ?Sized>(
         // (3) Candidate selection through visited memory (none for a node
         // without neighbors, which then forwards nothing).
         let neighbors = graph.neighbor_slice(u);
-        let candidates = if in_message {
-            forwarding::candidates(neighbors, head.carried.iter().copied(), &mut fresh)
-        } else {
-            unexchanged(neighbors, table.mask(graph, u, head.row), &mut fresh)
-        };
+        let candidates = unexchanged(neighbors, table.mask(graph, u, head.row), &mut fresh);
         // (4) Policy decision. Fanout > 1 spawns parallel walks *at the
         // querying node* (§IV-C: "multiple walks are executed in
         // parallel"); every relay hop forwards a single copy — branching at
@@ -355,29 +335,13 @@ pub fn run_with<R: Rng + ?Sized>(
             scores,
         };
         let picks = forwarding::select_next_hops(config.policy(), &ctx, rng, &mut scratch);
-        if in_message {
-            insert_sorted(&mut head.carried, u);
-        }
-        for (i, &v) in picks.iter().enumerate() {
+        for &v in picks {
             forwards += 1;
-            let row = if in_message {
-                table.row(graph, v)
-            } else {
-                table.record(graph, u, head.row, v)
-            };
-            // The last copy takes the message's visited set along; only the
-            // extra copies of a fan-out or a flood clone it.
-            let carried = if i + 1 == picks.len() {
-                std::mem::take(&mut head.carried)
-            } else {
-                head.carried.clone()
-            };
             frontier.push_back(Head {
                 at: v,
-                row,
+                row: table.record(graph, u, head.row, v),
                 ttl: head.ttl,
                 hop: head.hop + 1,
-                carried,
             });
         }
     }
@@ -527,31 +491,6 @@ mod tests {
         // The origin spawns 2 walks; each walk spends at most TTL forwards.
         assert!(out.hops > 2, "fanout 2 must spend more than a single walk");
         assert!(out.hops <= 2 * 2);
-    }
-
-    #[test]
-    fn in_message_memory_never_revisits_until_forced() {
-        let g = generators::ring(10).unwrap();
-        let c = corpus(21);
-        let words = vec![WordId::new(0)];
-        let p = Placement::uniform(&g, &words, &mut rng(22)).unwrap();
-        let cfg = SchemeConfig::builder()
-            .visited_memory(crate::VisitedMemory::InMessage)
-            .policy(PolicyKind::RandomWalk)
-            .ttl(9)
-            .build()
-            .unwrap();
-        let net = network_on(&g, &c, &p, &cfg, 23);
-        let out = run(
-            &net,
-            c.embedding(WordId::new(1)),
-            NodeId::new(0),
-            &mut rng(24),
-        )
-        .unwrap();
-        // On a ring with full TTL and in-message memory, the walk cannot
-        // revisit: it sweeps 10 distinct nodes.
-        assert_eq!(out.unique_nodes, 10);
     }
 
     #[test]

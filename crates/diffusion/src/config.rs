@@ -130,13 +130,6 @@ impl PprConfig {
     pub fn normalization(&self) -> Normalization {
         self.normalization
     }
-
-    /// Average random-walk length `1/a` — the paper's "effective diffusion
-    /// radius".
-    #[must_use]
-    pub fn mean_walk_length(&self) -> f32 {
-        1.0 / self.alpha
-    }
 }
 
 impl Default for PprConfig {
@@ -189,7 +182,6 @@ mod tests {
         assert_eq!(cfg.tolerance(), 1e-4);
         assert_eq!(cfg.max_iterations(), 50);
         assert_eq!(cfg.normalization(), Normalization::Symmetric);
-        assert!((cfg.mean_walk_length() - 10.0).abs() < 1e-5);
     }
 
     #[test]

@@ -22,10 +22,6 @@ use gdsearch_graph::Graph;
 
 use crate::{DiffusionError, PprConfig, Signal};
 
-/// Practical node-count ceiling: beyond this the `O(n³)` solve is slower
-/// than any iterative engine by orders of magnitude.
-pub const RECOMMENDED_MAX_NODES: usize = 512;
-
 /// Computes the exact PPR diffusion `E = a (I − (1−a) A)^{-1} E0`.
 ///
 /// # Errors

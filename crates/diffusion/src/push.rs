@@ -116,9 +116,7 @@ pub const AUTO_PUSH_MIN_NODES: usize = 4096;
 /// use gdsearch_diffusion::{push::PushConfig, PprConfig};
 ///
 /// # fn main() -> Result<(), gdsearch_diffusion::DiffusionError> {
-/// let cfg = PushConfig::new(PprConfig::new(0.5)?)
-///     .with_rmax(1e-4)?
-///     .with_threads(4)?;
+/// let cfg = PushConfig::new(PprConfig::new(0.5)?).with_threads(4)?;
 /// assert_eq!(cfg.threads(), 4);
 /// # Ok(())
 /// # }
@@ -126,42 +124,14 @@ pub const AUTO_PUSH_MIN_NODES: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushConfig {
     ppr: PprConfig,
-    rmax: f32,
     threads: usize,
 }
 
 impl PushConfig {
-    /// Creates a push configuration with defaults: initial `rmax` equal to
-    /// the PPR tolerance and a single worker thread.
-    ///
-    /// `rmax` only controls where the frontier refinement *starts* — the
-    /// result always meets `ppr.tolerance()` (see the module docs), so the
-    /// default is a reasonable schedule for any graph.
+    /// Creates a push configuration with a single worker thread.
     #[must_use]
     pub fn new(ppr: PprConfig) -> Self {
-        PushConfig {
-            ppr,
-            rmax: ppr.tolerance().max(f32::MIN_POSITIVE),
-            threads: 1,
-        }
-    }
-
-    /// Sets the initial frontier granularity: nodes enter the push queue
-    /// while `r(u) > rmax · deg(u)`. Larger values start coarser and rely
-    /// on more halving rounds; the final accuracy is unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::InvalidParameter`] unless `rmax` is
-    /// positive and finite.
-    pub fn with_rmax(mut self, rmax: f32) -> Result<Self, DiffusionError> {
-        if !rmax.is_finite() || rmax <= 0.0 {
-            return Err(DiffusionError::invalid_parameter(format!(
-                "rmax must be positive and finite, got {rmax}"
-            )));
-        }
-        self.rmax = rmax;
-        Ok(self)
+        PushConfig { ppr, threads: 1 }
     }
 
     /// Sets the worker-thread count of the batched multi-source driver.
@@ -186,10 +156,12 @@ impl PushConfig {
         &self.ppr
     }
 
-    /// Initial frontier granularity.
-    #[must_use]
-    pub fn rmax(&self) -> f32 {
-        self.rmax
+    /// The initial frontier granularity: nodes enter the push queue while
+    /// `r(u) > rmax · deg(u)`, starting at the PPR tolerance. It only sets
+    /// where the refinement *starts*; the result always meets
+    /// `ppr.tolerance()` (see the module docs).
+    fn initial_rmax(&self) -> f32 {
+        self.ppr.tolerance().max(f32::MIN_POSITIVE)
     }
 
     /// Worker threads of the batched driver.
@@ -344,7 +316,7 @@ fn drain_to_tolerance(
     // r = δ_s, and the source is queued whatever the granularity.
     s.deposit(source, 1.0, f32::NEG_INFINITY);
 
-    let mut rmax = config.rmax;
+    let mut rmax = config.initial_rmax();
     let mut pushes = 0usize;
     let mut frontier_peak = s.queue.len();
     let mut conv = Convergence::new();
@@ -791,25 +763,8 @@ mod tests {
     #[test]
     fn invalid_knobs_rejected() {
         let cfg = PushConfig::new(PprConfig::default());
-        assert!(cfg.with_rmax(0.0).is_err());
-        assert!(cfg.with_rmax(-1.0).is_err());
-        assert!(cfg.with_rmax(f32::NAN).is_err());
         assert!(cfg.with_threads(0).is_err());
-        assert!(cfg.with_rmax(1e-3).unwrap().with_threads(8).is_ok());
-    }
-
-    #[test]
-    fn coarse_initial_rmax_still_meets_tolerance() {
-        // rmax is a schedule knob, not an accuracy knob: starting absurdly
-        // coarse must still land within tolerance of the oracle.
-        let g = generators::grid(6, 6);
-        let ppr = PprConfig::new(0.5).unwrap().with_tolerance(1e-6).unwrap();
-        let cfg = PushConfig::new(ppr).with_rmax(10.0).unwrap();
-        let truth = exact::diffuse(&g, &one_hot(36, 5), &ppr).unwrap();
-        let h = ppr_vector(&g, NodeId::new(5), &cfg).unwrap();
-        for (u, hu) in h.iter().enumerate() {
-            assert!((hu - truth.row(u)[0]).abs() < 1e-4, "node {u}");
-        }
+        assert!(cfg.with_threads(8).is_ok());
     }
 
     use gdsearch_graph::Graph;
@@ -851,7 +806,7 @@ mod tests {
         queue.push_back(source);
         in_queue[source as usize] = true;
 
-        let mut rmax = config.rmax;
+        let mut rmax = config.initial_rmax();
         let mut pushes = 0usize;
         let mut frontier_peak = queue.len();
         let mut conv = Convergence::new();
@@ -1064,25 +1019,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random graphs, schedules and budgets — tight budgets make some
-        /// columns fail mid-drain — five sources through one scratch.
+        /// Random graphs, tolerances (so initial granularities) from 10⁻⁶ to
+        /// 10 and budgets — tight budgets make some columns fail mid-drain —
+        /// five sources through one scratch.
         #[test]
         fn push_column_matches_the_reference_model(
             g in arb_graph(),
             norm in 0usize..3,
             alpha in 0.05f32..1.0,
-            rmax_exp in -6i32..2,
+            tolerance_exp in -6i32..2,
             max_iterations in 1usize..40,
             picks in collection::vec(0u32..36, 5),
         ) {
             let n = g.num_nodes() as u32;
             let ppr = PprConfig::new(alpha)
                 .unwrap()
-                .with_tolerance(1e-6)
+                .with_tolerance(10f32.powi(tolerance_exp))
                 .unwrap()
                 .with_normalization(NORMS[norm])
                 .with_max_iterations(max_iterations);
-            let cfg = PushConfig::new(ppr).with_rmax(10f32.powi(rmax_exp)).unwrap();
+            let cfg = PushConfig::new(ppr);
             let mut scratch = PushScratch::new(g.num_nodes());
             for pick in picks {
                 let got = bits(push_column(&g, &mut scratch, pick % n, &cfg));

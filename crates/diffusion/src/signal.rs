@@ -20,10 +20,11 @@ use crate::DiffusionError;
 /// ```
 /// use gdsearch_diffusion::Signal;
 /// use gdsearch_embed::Embedding;
+/// use gdsearch_graph::NodeId;
 ///
 /// # fn main() -> Result<(), gdsearch_diffusion::DiffusionError> {
-/// let mut s = Signal::zeros(3, 2);
-/// s.set_row(1, &Embedding::new(vec![1.0, 2.0]))?;
+/// let host = (NodeId::new(1), Embedding::new(vec![1.0, 2.0]));
+/// let s = Signal::from_sparse_rows(3, 2, &[host])?;
 /// assert_eq!(s.row(1), &[1.0, 2.0]);
 /// assert_eq!(s.row(0), &[0.0, 0.0]);
 /// # Ok(())
@@ -45,31 +46,6 @@ impl Signal {
             dim,
             data: vec![0.0; num_nodes * dim],
         }
-    }
-
-    /// Builds a signal from one embedding per node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::ShapeMismatch`] if rows disagree on
-    /// dimensionality.
-    pub fn from_rows(rows: &[Embedding]) -> Result<Self, DiffusionError> {
-        let dim = rows.first().map(Embedding::dim).unwrap_or(0);
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        for (i, r) in rows.iter().enumerate() {
-            if r.dim() != dim {
-                return Err(DiffusionError::ShapeMismatch {
-                    expected: (rows.len(), dim),
-                    got: (i, r.dim()),
-                });
-            }
-            data.extend_from_slice(r.as_slice());
-        }
-        Ok(Signal {
-            num_nodes: rows.len(),
-            dim,
-            data,
-        })
     }
 
     /// Builds a mostly-zero signal of shape `num_nodes × dim` with the given
@@ -137,23 +113,6 @@ impl Signal {
         &mut self.data[u * self.dim..(u + 1) * self.dim]
     }
 
-    /// Copies `value` into node `u`'s row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::ShapeMismatch`] if `u` is out of range or
-    /// the value has the wrong dimension.
-    pub fn set_row(&mut self, u: usize, value: &Embedding) -> Result<(), DiffusionError> {
-        if u >= self.num_nodes || value.dim() != self.dim {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (self.num_nodes, self.dim),
-                got: (u, value.dim()),
-            });
-        }
-        self.row_mut(u).copy_from_slice(value.as_slice());
-        Ok(())
-    }
-
     /// Node `u`'s row as an owned [`Embedding`].
     ///
     /// # Panics
@@ -188,22 +147,6 @@ impl Signal {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max))
-    }
-
-    /// Frobenius (entrywise L2) distance to `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::ShapeMismatch`] if shapes differ.
-    pub fn l2_diff(&self, other: &Signal) -> Result<f32, DiffusionError> {
-        self.check_same_shape(other)?;
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt())
     }
 
     /// Sum over nodes of each dimension: the total "mass" per column.
@@ -423,26 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_and_access() {
-        let s = Signal::from_rows(&[
-            Embedding::new(vec![1.0, 2.0]),
-            Embedding::new(vec![3.0, 4.0]),
-        ])
-        .unwrap();
-        assert_eq!(s.row(0), &[1.0, 2.0]);
-        assert_eq!(s.row(1), &[3.0, 4.0]);
-        assert_eq!(s.row_embedding(1).as_slice(), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        assert!(
-            Signal::from_rows(&[Embedding::new(vec![1.0]), Embedding::new(vec![1.0, 2.0]),])
-                .is_err()
-        );
-    }
-
-    #[test]
     fn sparse_rows() {
         let s = Signal::from_sparse_rows(
             5,
@@ -456,7 +379,9 @@ mod tests {
         assert_eq!(s.row(0), &[0.0, 0.0]);
         assert_eq!(s.row(1), &[1.0, 1.0]);
         assert_eq!(s.row(4), &[2.0, 0.0]);
+        assert_eq!(s.row_embedding(4).as_slice(), &[2.0, 0.0]);
         assert!(Signal::from_sparse_rows(2, 2, &[(NodeId::new(5), Embedding::zeros(2))]).is_err());
+        assert!(Signal::from_sparse_rows(5, 2, &[(NodeId::new(1), Embedding::zeros(3))]).is_err());
     }
 
     #[test]
@@ -474,30 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn set_row_validates() {
-        let mut s = Signal::zeros(2, 2);
-        assert!(s.set_row(0, &Embedding::new(vec![1.0, 2.0])).is_ok());
-        assert!(s.set_row(2, &Embedding::zeros(2)).is_err());
-        assert!(s.set_row(0, &Embedding::zeros(3)).is_err());
-    }
-
-    #[test]
     fn diffs() {
-        let a = Signal::from_rows(&[Embedding::new(vec![1.0, 0.0])]).unwrap();
-        let b = Signal::from_rows(&[Embedding::new(vec![0.0, 2.0])]).unwrap();
+        let mut a = Signal::zeros(1, 2);
+        a.as_mut_slice().copy_from_slice(&[1.0, 0.0]);
+        let mut b = Signal::zeros(1, 2);
+        b.as_mut_slice().copy_from_slice(&[0.0, 2.0]);
         assert!((a.max_abs_diff(&b).unwrap() - 2.0).abs() < 1e-6);
-        assert!((a.l2_diff(&b).unwrap() - 5.0f32.sqrt()).abs() < 1e-6);
         let c = Signal::zeros(2, 2);
         assert!(a.max_abs_diff(&c).is_err());
     }
 
     #[test]
     fn column_mass_sums_rows() {
-        let s = Signal::from_rows(&[
-            Embedding::new(vec![1.0, 2.0]),
-            Embedding::new(vec![3.0, -1.0]),
-        ])
-        .unwrap();
+        let mut s = Signal::zeros(2, 2);
+        s.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0, -1.0]);
         assert_eq!(s.column_mass(), vec![4.0, 1.0]);
     }
 

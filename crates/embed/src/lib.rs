@@ -8,7 +8,7 @@
 //!
 //! * [`Embedding`] — a dimension-checked `f32` vector with the linear
 //!   operations node personalization needs (sum, scale, normalize);
-//! * [`similarity`] — dot product, cosine and Euclidean metrics;
+//! * [`similarity`] — dot product and cosine metrics;
 //! * [`topk`] — bounded top-k selection by score;
 //! * [`Corpus`] / [`synthetic`] — word corpora, including a synthetic
 //!   GloVe-like topic-mixture corpus (the paper uses GloVe 300-d vectors;

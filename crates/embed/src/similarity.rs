@@ -36,15 +36,6 @@ pub fn cosine(a: &Embedding, b: &Embedding) -> Result<f32, EmbedError> {
     }
 }
 
-/// Euclidean distance `‖a − b‖`.
-///
-/// # Errors
-///
-/// Returns [`EmbedError::DimensionMismatch`] if dimensions differ.
-pub fn euclidean(a: &Embedding, b: &Embedding) -> Result<f32, EmbedError> {
-    Ok(a.squared_distance(b)?.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,15 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn euclidean_distance() {
-        assert!((euclidean(&e(&[0.0, 0.0]), &e(&[3.0, 4.0])).unwrap() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn mismatched_dims_error() {
         assert!(dot(&e(&[1.0]), &e(&[1.0, 2.0])).is_err());
         assert!(cosine(&e(&[1.0]), &e(&[1.0, 2.0])).is_err());
-        assert!(euclidean(&e(&[1.0]), &e(&[1.0, 2.0])).is_err());
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl<T> TopK<T> {
         self.heap.peek().map(|w| w.0.score)
     }
 
-    /// The highest retained score, or `None` if empty.
-    pub fn best_score(&self) -> Option<f32> {
-        self.heap.iter().map(|w| w.0.score).max_by(f32::total_cmp)
-    }
-
     /// Consumes the collector, returning items sorted by descending score.
     pub fn into_sorted(self) -> Vec<Scored<T>> {
         let mut items: Vec<Scored<T>> = self.heap.into_iter().map(|w| w.0).collect();
@@ -208,7 +203,6 @@ mod tests {
         assert_eq!(top.threshold(), Some(0.5));
         top.push(0.9, 3); // evicts 0.5
         assert_eq!(top.threshold(), Some(0.8));
-        assert_eq!(top.best_score(), Some(0.9));
     }
 
     #[test]

@@ -102,19 +102,6 @@ impl Embedding {
         Ok(())
     }
 
-    /// Adds `scale * other` into `self` componentwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::DimensionMismatch`] if dimensions differ.
-    pub fn add_scaled_in_place(&mut self, other: &Embedding, scale: f32) -> Result<(), EmbedError> {
-        EmbedError::check_dims(self.dim(), other.dim())?;
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a += scale * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every component by `factor`.
     pub fn scale_in_place(&mut self, factor: f32) {
         for a in &mut self.0 {
@@ -142,21 +129,6 @@ impl Embedding {
         let mut out = self.clone();
         out.normalize_in_place();
         out
-    }
-
-    /// Squared Euclidean distance to `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbedError::DimensionMismatch`] if dimensions differ.
-    pub fn squared_distance(&self, other: &Embedding) -> Result<f32, EmbedError> {
-        EmbedError::check_dims(self.dim(), other.dim())?;
-        Ok(self
-            .0
-            .iter()
-            .zip(&other.0)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum())
     }
 
     /// Iterates over components.
@@ -264,26 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled() {
-        let mut v = Embedding::new(vec![1.0, 1.0]);
-        v.add_scaled_in_place(&Embedding::new(vec![2.0, -1.0]), 0.5)
-            .unwrap();
-        assert_eq!(v.as_slice(), &[2.0, 0.5]);
-    }
-
-    #[test]
     fn dimension_mismatch_is_error() {
         let mut a = Embedding::zeros(2);
         let b = Embedding::zeros(3);
         assert!(a.add_in_place(&b).is_err());
-        assert!(a.squared_distance(&b).is_err());
-    }
-
-    #[test]
-    fn squared_distance() {
-        let a = Embedding::new(vec![0.0, 0.0]);
-        let b = Embedding::new(vec![3.0, 4.0]);
-        assert!((a.squared_distance(&b).unwrap() - 25.0).abs() < 1e-6);
     }
 
     #[test]

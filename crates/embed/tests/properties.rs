@@ -13,7 +13,7 @@ proptest! {
     fn dot_is_bilinear(a in arb_vector(8), b in arb_vector(8), c in arb_vector(8), s in -5.0f32..5.0) {
         // <a + s·b, c> == <a, c> + s·<b, c>
         let mut left_vec = a.clone();
-        left_vec.add_scaled_in_place(&b, s).unwrap();
+        left_vec.add_in_place(&b.scaled(s)).unwrap();
         let left = similarity::dot(&left_vec, &c).unwrap();
         let right = similarity::dot(&a, &c).unwrap() + s * similarity::dot(&b, &c).unwrap();
         prop_assert!((left - right).abs() < 1e-2 * (1.0 + right.abs()),
@@ -48,14 +48,6 @@ proptest! {
         prop_assert!((n.norm() - 1.0).abs() < 1e-4);
         let c = similarity::cosine(&a, &n).unwrap();
         prop_assert!((c - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn euclidean_triangle_inequality(a in arb_vector(5), b in arb_vector(5), c in arb_vector(5)) {
-        let ab = similarity::euclidean(&a, &b).unwrap();
-        let bc = similarity::euclidean(&b, &c).unwrap();
-        let ac = similarity::euclidean(&a, &c).unwrap();
-        prop_assert!(ac <= ab + bc + 1e-3);
     }
 
     #[test]

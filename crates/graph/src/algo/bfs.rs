@@ -1,4 +1,4 @@
-//! Breadth-first search: distances, rings, paths and eccentricities.
+//! Breadth-first search: distances, rings and eccentricities.
 
 #![expect(
     clippy::indexing_slicing,
@@ -72,46 +72,6 @@ pub fn distance_rings(g: &Graph, source: NodeId, max_distance: u32) -> Vec<Vec<N
     rings
 }
 
-/// Returns one shortest path from `source` to `target` (inclusive of both),
-/// or `None` if `target` is unreachable.
-///
-/// # Panics
-///
-/// Panics if either endpoint is out of range.
-pub fn shortest_path(g: &Graph, source: NodeId, target: NodeId) -> Option<Vec<NodeId>> {
-    if source == target {
-        return Some(vec![source]);
-    }
-    let mut parent: Vec<Option<NodeId>> = vec![None; g.num_nodes()];
-    let mut seen = vec![false; g.num_nodes()];
-    let mut queue = VecDeque::new();
-    seen[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for v in g.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                parent[v.index()] = Some(u);
-                if v == target {
-                    let mut rev = vec![v];
-                    let mut cur = u;
-                    loop {
-                        rev.push(cur);
-                        match parent[cur.index()] {
-                            Some(p) => cur = p,
-                            None => break,
-                        }
-                    }
-                    rev.reverse();
-                    return Some(rev);
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    None
-}
-
 /// Eccentricity of `u`: the maximum finite BFS distance to any reachable
 /// node. Returns 0 for an isolated node.
 ///
@@ -183,33 +143,6 @@ mod tests {
         let rings = distance_rings(&g, NodeId::new(0), 3);
         assert_eq!(rings.len(), 4);
         assert_eq!(rings[3], vec![NodeId::new(3)]);
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = generators::grid(3, 3);
-        let p = shortest_path(&g, NodeId::new(0), NodeId::new(8)).unwrap();
-        assert_eq!(p.first(), Some(&NodeId::new(0)));
-        assert_eq!(p.last(), Some(&NodeId::new(8)));
-        assert_eq!(p.len(), 5); // 4 hops on the grid
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn shortest_path_same_node() {
-        let g = generators::path(3);
-        assert_eq!(
-            shortest_path(&g, NodeId::new(1), NodeId::new(1)),
-            Some(vec![NodeId::new(1)])
-        );
-    }
-
-    #[test]
-    fn shortest_path_unreachable() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert_eq!(shortest_path(&g, NodeId::new(0), NodeId::new(3)), None);
     }
 
     #[test]

@@ -52,11 +52,6 @@ use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Number of nodes of the SNAP Facebook social-circles graph.
 pub const FACEBOOK_NODES: u32 = 4_039;
-/// Number of edges of the SNAP Facebook social-circles graph.
-pub const FACEBOOK_EDGES: usize = 88_234;
-/// Attachment parameter for Holme–Kim stand-ins so that the mean degree
-/// (`2m`) matches the Facebook graph's mean degree of ≈ 43.7.
-pub const FACEBOOK_ATTACHMENT: u32 = 22;
 /// Circle (community) size used by [`social_circles_like`]: a 45-node
 /// near-clique has internal degree ≈ 42, matching the dataset's mean
 /// degree of 43.7.
@@ -84,55 +79,6 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: u32, p: f64, rng: &mut R) -> Result<Graph
     Ok(builder.build())
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice where every node connects
-/// to its `k/2` nearest neighbors on each side, with each edge rewired to a
-/// uniformly random endpoint with probability `beta`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `k` is odd, `k >= n`, or
-/// `beta` is outside `[0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: u32,
-    k: u32,
-    beta: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    check_probability(beta, "beta")?;
-    if !k.is_multiple_of(2) {
-        return Err(GraphError::invalid_parameter("k must be even"));
-    }
-    if k >= n {
-        return Err(GraphError::invalid_parameter("k must be smaller than n"));
-    }
-    let mut builder = GraphBuilder::new(n);
-    for u in 0..n {
-        for offset in 1..=(k / 2) {
-            let v = (u + offset) % n;
-            if rng.random_bool(beta) {
-                // Rewire the far endpoint to a uniform target that is neither
-                // `u` nor already adjacent; give up after a bounded number of
-                // attempts (dense corners) and keep the lattice edge instead.
-                let mut rewired = false;
-                for _ in 0..32 {
-                    let w = rng.random_range(0..n);
-                    if w != u && !builder.has_edge(u, w) {
-                        builder.add_edge(u, w)?;
-                        rewired = true;
-                        break;
-                    }
-                }
-                if !rewired && !builder.has_edge(u, v) && u != v {
-                    builder.add_edge(u, v)?;
-                }
-            } else {
-                builder.add_edge(u, v)?;
-            }
-        }
-    }
-    Ok(builder.build())
-}
-
 /// Barabási–Albert preferential-attachment graph.
 ///
 /// Starts from a complete graph on `m + 1` seed nodes; each subsequent node
@@ -143,43 +89,13 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 ///
 /// Returns [`GraphError::InvalidParameter`] if `m == 0` or `n <= m`.
 pub fn barabasi_albert<R: Rng + ?Sized>(n: u32, m: u32, rng: &mut R) -> Result<Graph, GraphError> {
-    preferential_attachment(n, m, 0.0, rng)
-}
-
-/// Holme–Kim powerlaw-cluster graph: Barabási–Albert growth where, after each
-/// preferential-attachment step, a *triad-formation* step follows with
-/// probability `p_triad`, linking the new node to a random neighbor of the
-/// node it just attached to. This preserves the heavy-tailed degree
-/// distribution of BA while adding the high clustering characteristic of
-/// social graphs.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `m == 0`, `n <= m` or
-/// `p_triad` is outside `[0, 1]`.
-pub fn holme_kim<R: Rng + ?Sized>(
-    n: u32,
-    m: u32,
-    p_triad: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    check_probability(p_triad, "p_triad")?;
-    preferential_attachment(n, m, p_triad, rng)
-}
-
-fn preferential_attachment<R: Rng + ?Sized>(
-    n: u32,
-    m: u32,
-    p_triad: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
     if m == 0 {
         return Err(GraphError::invalid_parameter("m must be positive"));
     }
     if n <= m {
         return Err(GraphError::invalid_parameter("n must exceed m"));
     }
-    let seed = (m + 1).min(n);
+    let seed = m + 1;
     let mut builder = GraphBuilder::new(n);
     // `repeated` holds every edge endpoint once, so uniform sampling from it
     // is degree-proportional sampling.
@@ -200,103 +116,31 @@ fn preferential_attachment<R: Rng + ?Sized>(
         }
     }
     for u in seed..n {
-        let mut chosen: Vec<u32> = Vec::with_capacity(m as usize);
         let mut last_target: Option<u32> = None;
-        while chosen.len() < m as usize {
-            // Every edge added here is new, so the builder's list of `t` is
-            // its neighbours in the order they were attached.
-            let triad_candidate = last_target.and_then(|t| {
-                let peers = builder.added_neighbors(t);
-                if peers.is_empty() {
-                    None
-                } else {
-                    Some(peers[rng.random_range(0..peers.len())])
+        for _ in 0..m {
+            if let Some(t) = last_target {
+                // The two draws of a Holme–Kim triad step that is never
+                // taken (a neighbour of `t`, then a coin against 0), kept so
+                // every graph and the caller's next draw stay as pinned.
+                rng.random_range(0..builder.added_neighbors(t).len());
+                rng.random::<f64>();
+            }
+            // Preferential attachment with rejection of duplicates.
+            let mut target = repeated[rng.random_range(0..repeated.len())];
+            let mut attempts = 0;
+            while (target == u || builder.has_edge(u, target)) && attempts < 64 {
+                target = repeated[rng.random_range(0..repeated.len())];
+                attempts += 1;
+            }
+            if target == u || builder.has_edge(u, target) {
+                // Dense fallback: pick the smallest non-adjacent node.
+                match (0..u).find(|&w| !builder.has_edge(u, w)) {
+                    Some(w) => target = w,
+                    None => break, // u is adjacent to all predecessors
                 }
-            });
-            let target = match triad_candidate {
-                Some(w)
-                    if !chosen.is_empty()
-                        && rng.random_bool(p_triad)
-                        && w != u
-                        && !builder.has_edge(u, w) =>
-                {
-                    w
-                }
-                _ => {
-                    // Preferential attachment with rejection of duplicates.
-                    let mut t = repeated[rng.random_range(0..repeated.len())];
-                    let mut attempts = 0;
-                    while (t == u || builder.has_edge(u, t)) && attempts < 64 {
-                        t = repeated[rng.random_range(0..repeated.len())];
-                        attempts += 1;
-                    }
-                    if t == u || builder.has_edge(u, t) {
-                        // Dense fallback: pick the smallest non-adjacent node.
-                        match (0..u).find(|&w| !builder.has_edge(u, w)) {
-                            Some(w) => w,
-                            None => break, // u is adjacent to all predecessors
-                        }
-                    } else {
-                        t
-                    }
-                }
-            };
+            }
             connect(&mut builder, &mut repeated, u, target)?;
-            chosen.push(target);
             last_target = Some(target);
-        }
-    }
-    Ok(builder.build())
-}
-
-/// Stochastic block model: nodes are partitioned into blocks of the given
-/// sizes; an edge appears with probability `p_in` inside a block and `p_out`
-/// across blocks.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if any probability is outside
-/// `[0, 1]` or `block_sizes` is empty.
-pub fn stochastic_block_model<R: Rng + ?Sized>(
-    block_sizes: &[u32],
-    p_in: f64,
-    p_out: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    check_probability(p_in, "p_in")?;
-    check_probability(p_out, "p_out")?;
-    if block_sizes.is_empty() {
-        return Err(GraphError::invalid_parameter(
-            "block_sizes must not be empty",
-        ));
-    }
-    let n: u32 = block_sizes.iter().sum();
-    let mut starts = Vec::with_capacity(block_sizes.len());
-    let mut acc = 0u32;
-    for &s in block_sizes {
-        starts.push(acc);
-        acc += s;
-    }
-    let mut builder = GraphBuilder::new(n);
-    for (bi, &si) in block_sizes.iter().enumerate() {
-        // Within-block pairs.
-        if si >= 2 && p_in > 0.0 {
-            let pairs = si as u64 * (si as u64 - 1) / 2;
-            for pair in sample_bernoulli_indexes(pairs, p_in, rng) {
-                let (u, v) = pair_from_index(pair);
-                builder.add_edge(starts[bi] + u, starts[bi] + v)?;
-            }
-        }
-        // Cross-block rectangles (only towards later blocks).
-        for (bj, &sj) in block_sizes.iter().enumerate().skip(bi + 1) {
-            if p_out > 0.0 && si > 0 && sj > 0 {
-                let cells = si as u64 * sj as u64;
-                for cell in sample_bernoulli_indexes(cells, p_out, rng) {
-                    let u = (cell / sj as u64) as u32;
-                    let v = (cell % sj as u64) as u32;
-                    builder.add_edge(starts[bi] + u, starts[bj] + v)?;
-                }
-            }
         }
     }
     Ok(builder.build())
@@ -475,32 +319,6 @@ pub fn grid(rows: u32, cols: u32) -> Graph {
     b.build()
 }
 
-/// Complete `arity`-ary tree of the given `depth` (depth 0 = single root).
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `arity == 0`.
-pub fn balanced_tree(arity: u32, depth: u32) -> Result<Graph, GraphError> {
-    if arity == 0 {
-        return Err(GraphError::invalid_parameter("arity must be positive"));
-    }
-    // Node count: 1 + a + a^2 + … + a^depth.
-    let mut count: u64 = 0;
-    let mut level: u64 = 1;
-    for _ in 0..=depth {
-        count += level;
-        level *= arity as u64;
-    }
-    let n = u32::try_from(count)
-        .map_err(|_| GraphError::invalid_parameter("tree too large for u32 node ids"))?;
-    let mut b = GraphBuilder::new(n);
-    for u in 1..n {
-        let parent = (u - 1) / arity;
-        b.add_edge(parent, u)?;
-    }
-    Ok(b.build())
-}
-
 /// Uniformly random spanning-tree-plus-extra-edges connected graph: builds a
 /// random recursive tree on `n` nodes then adds `extra` uniform random edges.
 ///
@@ -649,30 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn watts_strogatz_beta_zero_is_lattice() {
-        let g = watts_strogatz(20, 4, 0.0, &mut rng(3)).unwrap();
-        assert_eq!(g.num_edges(), 20 * 2);
-        for u in g.node_ids() {
-            assert_eq!(g.degree(u), 4);
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_preserves_edge_budget_approximately() {
-        let g = watts_strogatz(100, 6, 0.3, &mut rng(3)).unwrap();
-        // Rewiring can only lose edges to duplicate-collisions, never gain.
-        assert!(g.num_edges() <= 300);
-        assert!(g.num_edges() > 280);
-    }
-
-    #[test]
-    fn watts_strogatz_rejects_bad_params() {
-        assert!(watts_strogatz(10, 3, 0.1, &mut rng(1)).is_err()); // odd k
-        assert!(watts_strogatz(10, 10, 0.1, &mut rng(1)).is_err()); // k >= n
-        assert!(watts_strogatz(10, 4, 1.4, &mut rng(1)).is_err()); // bad beta
-    }
-
-    #[test]
     fn barabasi_albert_counts_and_connectivity() {
         let g = barabasi_albert(200, 3, &mut rng(9)).unwrap();
         assert_eq!(g.num_nodes(), 200);
@@ -688,19 +482,6 @@ mod tests {
     fn barabasi_albert_rejects_bad_params() {
         assert!(barabasi_albert(5, 0, &mut rng(1)).is_err());
         assert!(barabasi_albert(3, 3, &mut rng(1)).is_err());
-    }
-
-    #[test]
-    fn holme_kim_is_connected_and_clustered() {
-        let g = holme_kim(500, 4, 0.9, &mut rng(11)).unwrap();
-        assert!(is_connected(&g));
-        let cc = crate::algo::clustering::average_clustering(&g);
-        let g_ba = barabasi_albert(500, 4, &mut rng(11)).unwrap();
-        let cc_ba = crate::algo::clustering::average_clustering(&g_ba);
-        assert!(
-            cc > cc_ba,
-            "triad formation should raise clustering: HK {cc} vs BA {cc_ba}"
-        );
     }
 
     #[test]
@@ -791,28 +572,10 @@ mod tests {
                 0x9d0f_ed11_fa19_3de0,
             ),
             (
-                "watts_strogatz",
-                watts_strogatz(2000, 10, 0.2, &mut rng(3)),
-                9_998,
-                0xa7d9_6ac1_0bf5_1a99,
-            ),
-            (
                 "barabasi_albert",
                 barabasi_albert(2000, 3, &mut rng(3)),
                 5_994,
                 0xbfdd_499c_7ada_726c,
-            ),
-            (
-                "holme_kim",
-                holme_kim(2000, 22, 0.5, &mut rng(3)),
-                43_747,
-                0xb710_875a_44ea_d783,
-            ),
-            (
-                "stochastic_block_model",
-                stochastic_block_model(&[100, 200, 300], 0.3, 0.01, &mut rng(3)),
-                22_002,
-                0x3e44_8ebd_7048_3467,
             ),
             (
                 "random_connected",
@@ -826,30 +589,11 @@ mod tests {
             assert_eq!(g.num_edges(), edges, "{name}");
             assert_eq!(digest(&g), want, "{name}: {:016x}", digest(&g));
         }
-    }
-
-    #[test]
-    fn sbm_respects_block_structure() {
-        let g = stochastic_block_model(&[50, 50], 0.5, 0.01, &mut rng(4)).unwrap();
-        assert_eq!(g.num_nodes(), 100);
-        let mut within = 0usize;
-        let mut across = 0usize;
-        for (u, v) in g.edges() {
-            if (u.index() < 50) == (v.index() < 50) {
-                within += 1;
-            } else {
-                across += 1;
-            }
-        }
-        assert!(
-            within > 8 * across,
-            "within {within} should dominate across {across}"
-        );
-    }
-
-    #[test]
-    fn sbm_rejects_empty_blocks() {
-        assert!(stochastic_block_model(&[], 0.5, 0.1, &mut rng(1)).is_err());
+        // Preferential attachment still draws for the triad step it never
+        // takes, so the caller's next draw is pinned too.
+        let mut r = rng(3);
+        barabasi_albert(2000, 3, &mut r).unwrap();
+        assert_eq!(r.random::<u64>(), 0x1957_6db6_b708_91be);
     }
 
     #[test]
@@ -876,11 +620,6 @@ mod tests {
         let g = grid(3, 4);
         assert_eq!(g.num_nodes(), 12);
         assert_eq!(g.num_edges(), 3 * 3 + 2 * 4);
-
-        let t = balanced_tree(2, 3).unwrap();
-        assert_eq!(t.num_nodes(), 15);
-        assert_eq!(t.num_edges(), 14);
-        assert!(balanced_tree(0, 2).is_err());
     }
 
     #[test]

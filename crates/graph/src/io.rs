@@ -116,17 +116,6 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     Ok(())
 }
 
-/// Writes a graph to a file path. See [`write_edge_list`].
-///
-/// # Errors
-///
-/// As [`write_edge_list`], plus [`GraphError::Io`] if the file cannot be
-/// created.
-pub fn write_edge_list_path<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(graph, file)
-}
-
 fn truncate(s: &str) -> String {
     const MAX: usize = 60;
     if s.len() <= MAX {
@@ -228,7 +217,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ring.edges");
         let g = generators::ring(12).unwrap();
-        write_edge_list_path(&g, &path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let back = read_edge_list_path(&path).unwrap();
         assert_eq!(g, back);
         std::fs::remove_file(&path).ok();

@@ -6,9 +6,9 @@
 //!
 //! * [`Graph`] — a compact, immutable, undirected graph in CSR form, built
 //!   through [`GraphBuilder`];
-//! * [`generators`] — random-graph families (Erdős–Rényi, Watts–Strogatz,
-//!   Barabási–Albert, Holme–Kim, stochastic block model) and deterministic
-//!   topologies, including [`generators::social_circles_like`], a calibrated
+//! * [`generators`] — random-graph families (Erdős–Rényi, Barabási–Albert,
+//!   relaxed caveman) and deterministic topologies, including
+//!   [`generators::social_circles_like`], a calibrated
 //!   stand-in for the SNAP Facebook social-circles graph used in the paper;
 //! * [`algo`] — BFS distances and distance rings (the evaluation samples
 //!   querying nodes per ring);

@@ -72,24 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn shortest_path_length_equals_bfs_distance(g in arb_graph()) {
-        let src = NodeId::new(0);
-        let d = bfs::distances(&g, src);
-        for t in g.node_ids() {
-            match (bfs::shortest_path(&g, src, t), d[t.index()]) {
-                (Some(path), Some(dist)) => {
-                    prop_assert_eq!(path.len() as u32, dist + 1);
-                    for w in path.windows(2) {
-                        prop_assert!(g.has_edge(w[0], w[1]));
-                    }
-                }
-                (None, None) => {}
-                (p, dd) => prop_assert!(false, "path {:?} vs distance {:?}", p, dd),
-            }
-        }
-    }
-
-    #[test]
     fn edge_list_roundtrip(g in arb_graph()) {
         let mut buf = Vec::new();
         io::write_edge_list(&g, &mut buf).unwrap();

@@ -16,8 +16,8 @@ use rand::SeedableRng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(42);
 
-    // 1. A small social P2P overlay (Holme–Kim powerlaw-cluster graph,
-    //    the calibrated stand-in for the paper's Facebook graph).
+    // 1. A small social P2P overlay (relaxed-caveman social circles, the
+    //    calibrated stand-in for the paper's Facebook graph).
     let graph = generators::social_circles_like_scaled(200, &mut rng)?;
     println!(
         "overlay: {} nodes, {} edges, mean degree {:.1}",

@@ -1,11 +1,11 @@
 //! Equivalence of the two protocol implementations: the in-process fast
 //! path (`gdsearch::walk`) and the message-passing version on the
 //! discrete-event simulator (`gdsearch::protocol`). For the deterministic
-//! greedy policy with a single walk, both must visit the same nodes and
-//! retrieve the same documents at the same hops.
+//! policies (PPR-greedy and degree-biased) with a single walk, both must
+//! visit the same nodes and retrieve the same documents at the same hops.
 
 use gdsearch::protocol::{self, issue_query};
-use gdsearch::{walk, Placement, SchemeConfig, SearchNetwork};
+use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
@@ -30,8 +30,16 @@ fn environment(seed: u64) -> (Graph, Corpus) {
     (graph, corpus)
 }
 
+/// Both deterministic policies: the PPR-greedy walk and the degree-biased
+/// one.
 #[test]
 fn greedy_walk_and_protocol_agree_on_results() {
+    for policy in [PolicyKind::PprGreedy, PolicyKind::DegreeBiased] {
+        assert_walk_and_protocol_agree(policy);
+    }
+}
+
+fn assert_walk_and_protocol_agree(policy: PolicyKind) {
     let (graph, corpus) = environment(1);
     let queries = querygen::generate(
         &corpus,
@@ -48,7 +56,12 @@ fn greedy_walk_and_protocol_agree_on_results() {
         let mut words = vec![pair.gold];
         words.extend(queries.irrelevant().iter().copied().take(7));
         let placement = Placement::uniform(&graph, &words, &mut rng(10 + i as u64)).unwrap();
-        let cfg = SchemeConfig::builder().ttl(15).top_k(2).build().unwrap();
+        let cfg = SchemeConfig::builder()
+            .policy(policy)
+            .ttl(15)
+            .top_k(2)
+            .build()
+            .unwrap();
         let scheme = SearchNetwork::build(&graph, &corpus, &placement, &cfg, &mut rng(20)).unwrap();
         let start = NodeId::new((i as u32 * 31) % 120);
         let query = corpus.embedding(pair.query);
@@ -61,7 +74,7 @@ fn greedy_walk_and_protocol_agree_on_results() {
         issue_query(&mut net, start, i as u64, query.clone(), 15).unwrap();
         net.run_to_completion(1_000_000).unwrap();
         let completed = net.handler(start).unwrap().completed();
-        assert_eq!(completed.len(), 1, "query {i} did not complete");
+        assert_eq!(completed.len(), 1, "{policy:?} query {i} did not complete");
 
         // Same success and, on success, the same hop for the gold doc.
         let walk_gold = walk.hop_of(0);
@@ -72,7 +85,7 @@ fn greedy_walk_and_protocol_agree_on_results() {
             .map(|(_, _, h)| *h);
         assert_eq!(
             walk_gold, proto_gold,
-            "query {i}: walk and protocol disagree on the gold outcome"
+            "{policy:?} query {i}: walk and protocol disagree on the gold outcome"
         );
 
         // Same result sets (doc ids and hops; scores are identical floats).
@@ -85,7 +98,10 @@ fn greedy_walk_and_protocol_agree_on_results() {
             .collect();
         walk_docs.sort_unstable();
         proto_docs.sort_unstable();
-        assert_eq!(walk_docs, proto_docs, "query {i}: result sets differ");
+        assert_eq!(
+            walk_docs, proto_docs,
+            "{policy:?} query {i}: result sets differ"
+        );
     }
 }
 

@@ -6,10 +6,9 @@
 //! any latent iteration-order dependence would make walk output differ
 //! between two otherwise-identical runs. The walk's bookkeeping is now a
 //! node table ascending by node (a visited flag and a bitmask over the
-//! node's adjacency positions) and the ascending visited set a message
-//! carries, searched by bisection and read against the graph's sorted
-//! adjacency lists: every order in them is an order of node ids, so there
-//! is still no seed to differ.
+//! node's adjacency positions), searched by bisection and read against the
+//! graph's sorted adjacency lists: every order in it is an order of node
+//! ids, so there is still no seed to differ.
 //! These tests pin the observable invariant — **identical walk output
 //! across independently constructed runs** — so a future reintroduction
 //! of order-sensitive state fails here (and in clippy.toml's
@@ -21,7 +20,7 @@
 //! repetition is exactly what distinguished two OS processes before the
 //! fix.
 
-use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork, VisitedMemory};
+use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::Corpus;
@@ -79,12 +78,11 @@ fn run_once(
         .collect()
 }
 
-fn assert_replays_identically(policy: PolicyKind, memory: VisitedMemory) {
+fn assert_replays_identically(policy: PolicyKind) {
     let graph = generators::social_circles_like_scaled(150, &mut rng(3)).unwrap();
     let corpus = corpus(4);
     let config = SchemeConfig::builder()
         .policy(policy)
-        .visited_memory(memory)
         .ttl(8)
         .fanout(2)
         .top_k(5)
@@ -95,7 +93,7 @@ fn assert_replays_identically(policy: PolicyKind, memory: VisitedMemory) {
         let again = run_once(&graph, &corpus, &config, 99);
         assert_eq!(
             first, again,
-            "{policy:?}/{memory:?} walk output changed between identical runs \
+            "{policy:?} walk output changed between identical runs \
              (repeat {repeat}): results, paths, and hop counts must be bit-stable"
         );
     }
@@ -103,12 +101,7 @@ fn assert_replays_identically(policy: PolicyKind, memory: VisitedMemory) {
 
 #[test]
 fn greedy_walks_replay_identically_with_node_memory() {
-    assert_replays_identically(PolicyKind::PprGreedy, VisitedMemory::NodeMemory);
-}
-
-#[test]
-fn greedy_walks_replay_identically_with_in_message_memory() {
-    assert_replays_identically(PolicyKind::PprGreedy, VisitedMemory::InMessage);
+    assert_replays_identically(PolicyKind::PprGreedy);
 }
 
 #[test]
@@ -116,10 +109,10 @@ fn random_walks_replay_identically() {
     // RandomWalk consumes the seeded RNG at every hop: any hidden
     // iteration-order dependence would desynchronize the RNG stream and
     // diverge the whole trajectory, making this the most sensitive probe.
-    assert_replays_identically(PolicyKind::RandomWalk, VisitedMemory::NodeMemory);
+    assert_replays_identically(PolicyKind::RandomWalk);
 }
 
 #[test]
 fn flooding_replays_identically() {
-    assert_replays_identically(PolicyKind::Flooding, VisitedMemory::NodeMemory);
+    assert_replays_identically(PolicyKind::Flooding);
 }

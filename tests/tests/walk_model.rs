@@ -5,12 +5,12 @@
 //! fresh `Vec` for every intermediate, and a full sort to pick the best
 //! candidate. It is slow and obviously right, built on public product
 //! accessors only. The product walk filters through per-node adjacency
-//! bitmasks (or by merging sorted runs, under in-message memory), quantizes
-//! only the scores near the top, ranks by selection and reuses its buffers;
+//! bitmasks, quantizes only the scores near the top, ranks by selection and
+//! reuses its buffers;
 //! the property below holds it to the model — same results, path and
 //! message count, and the caller's RNG left at the same stream position —
 //! across graph shapes (one with hubs wider than two mask words), every
-//! policy, both visited memories, fan-outs, TTLs and every `Scores` source.
+//! policy, fan-outs, TTLs and every `Scores` source.
 //! Three more tests hold it to the model on an overflowing query, on a star
 //! whose hub runs out of fresh leaves (the footnote-9 fallback on a
 //! two-word mask) and on flooding at paper scale.
@@ -22,8 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use gdsearch::forwarding::{self, LazyColumn, Scores};
 use gdsearch::{
-    walk, DocId, FoundDoc, Placement, PolicyKind, SchemeConfig, SearchNetwork, VisitedMemory,
-    WalkOutcome,
+    walk, DocId, FoundDoc, Placement, PolicyKind, SchemeConfig, SearchNetwork, WalkOutcome,
 };
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_embed::topk::TopK;
@@ -104,7 +103,6 @@ struct Head {
     at: NodeId,
     ttl: u32,
     hop: u32,
-    carried: Option<BTreeSet<NodeId>>,
 }
 
 /// The reference walk. Inputs must be valid (`start` in range, `query` of
@@ -116,7 +114,6 @@ fn model_walk(
     rng: &mut StdRng,
 ) -> WalkOutcome {
     let config = network.config();
-    let in_message = config.visited_memory() == VisitedMemory::InMessage;
 
     let mut results: TopK<DocId> = TopK::new(config.top_k());
     let mut found_at: BTreeMap<DocId, u32> = BTreeMap::new();
@@ -131,7 +128,6 @@ fn model_walk(
         at: start,
         ttl: config.ttl(),
         hop: 0,
-        carried: in_message.then(BTreeSet::new),
     });
 
     while let Some(mut head) = frontier.pop_front() {
@@ -160,11 +156,7 @@ fn model_walk(
         if neighbors.is_empty() {
             continue;
         }
-        let used: BTreeSet<NodeId> = if in_message {
-            head.carried.clone().unwrap_or_default()
-        } else {
-            node_memory.get(&u).cloned().unwrap_or_default()
-        };
+        let used = node_memory.get(&u).cloned().unwrap_or_default();
         let fresh: Vec<NodeId> = neighbors
             .iter()
             .copied()
@@ -180,18 +172,12 @@ fn model_walk(
         let fanout = if head.hop == 0 { config.fanout() } else { 1 };
         for v in model_select(config.policy(), network, query, &candidates, fanout, rng) {
             forwards += 1;
-            let mut carried = head.carried.clone();
-            if let Some(carried) = carried.as_mut() {
-                carried.insert(u);
-            } else {
-                node_memory.entry(u).or_default().insert(v);
-                node_memory.entry(v).or_default().insert(u);
-            }
+            node_memory.entry(u).or_default().insert(v);
+            node_memory.entry(v).or_default().insert(u);
             frontier.push_back(Head {
                 at: v,
                 ttl: head.ttl,
                 hop: head.hop + 1,
-                carried,
             });
         }
     }
@@ -299,41 +285,36 @@ proptest! {
             PolicyKind::Hybrid { epsilon: 0.4 },
         ];
         for policy in policies {
-            for memory in [VisitedMemory::NodeMemory, VisitedMemory::InMessage] {
-                for fanout in [1, 2, 4] {
-                    for ttl in [1, 2, 8, 50] {
-                        let config = SchemeConfig::builder()
-                            .policy(policy)
-                            .visited_memory(memory)
-                            .fanout(fanout)
-                            .ttl(ttl)
-                            .top_k(3)
-                            .build()
+            for fanout in [1, 2, 4] {
+                for ttl in [1, 2, 8, 50] {
+                    let config = SchemeConfig::builder()
+                        .policy(policy)
+                        .fanout(fanout)
+                        .ttl(ttl)
+                        .top_k(3)
+                        .build()
+                        .unwrap();
+                    let network =
+                        SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng)
                             .unwrap();
-                        let network =
-                            SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng)
-                                .unwrap();
-                        let walk_seed = rng.random();
-                        let mut model_rng = StdRng::seed_from_u64(walk_seed);
-                        let want = model_walk(&network, query, start, &mut model_rng);
-                        let want = observe(want, &mut model_rng);
+                    let walk_seed = rng.random();
+                    let mut model_rng = StdRng::seed_from_u64(walk_seed);
+                    let want = model_walk(&network, query, start, &mut model_rng);
+                    let want = observe(want, &mut model_rng);
 
-                        let column = forwarding::score_column(query, network.embeddings());
-                        let lazy = LazyColumn::new(graph.num_nodes());
-                        let sources =
-                            [Scores::Inline, Scores::Column(&column), Scores::Lazy(&lazy)];
-                        for scores in sources {
-                            let mut walk_rng = StdRng::seed_from_u64(walk_seed);
-                            let got =
-                                walk::run_with(&network, query, start, &mut walk_rng, scores)
-                                    .unwrap();
-                            prop_assert_eq!(
-                                &observe(got, &mut walk_rng),
-                                &want,
-                                "{:?} {:?} fanout {} ttl {} {:?} shape {} n {} start {:?}",
-                                policy, memory, fanout, ttl, scores, shape, n, start
-                            );
-                        }
+                    let column = forwarding::score_column(query, network.embeddings());
+                    let lazy = LazyColumn::new(graph.num_nodes());
+                    let sources = [Scores::Inline, Scores::Column(&column), Scores::Lazy(&lazy)];
+                    for scores in sources {
+                        let mut walk_rng = StdRng::seed_from_u64(walk_seed);
+                        let got = walk::run_with(&network, query, start, &mut walk_rng, scores)
+                            .unwrap();
+                        prop_assert_eq!(
+                            &observe(got, &mut walk_rng),
+                            &want,
+                            "{:?} fanout {} ttl {} {:?} shape {} n {} start {:?}",
+                            policy, fanout, ttl, scores, shape, n, start
+                        );
                     }
                 }
             }
@@ -342,7 +323,7 @@ proptest! {
 }
 
 /// A finite query scaled until its dot products overflow: ±∞ scores (and the
-/// NaN of ∞ − ∞) rank by the model's rule, under both memories.
+/// NaN of ∞ − ∞) rank by the model's rule.
 #[test]
 fn an_overflowing_query_matches_the_reference_model() {
     let corpus = corpus();
@@ -358,28 +339,25 @@ fn an_overflowing_query_matches_the_reference_model() {
         let peak = word.as_slice().iter().fold(0.0f32, |m, x| m.max(x.abs()));
         let scaled = word.as_slice().iter().map(|x| x / peak * f32::MAX);
         let query = Embedding::new(scaled.collect());
-        for memory in [VisitedMemory::NodeMemory, VisitedMemory::InMessage] {
-            for policy in [PolicyKind::PprGreedy, PolicyKind::Hybrid { epsilon: 0.4 }] {
-                let config = SchemeConfig::builder()
-                    .policy(policy)
-                    .visited_memory(memory)
-                    .fanout(2)
-                    .build()
-                    .unwrap();
-                let network =
-                    SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng).unwrap();
-                let column = forwarding::score_column(&query, network.embeddings());
-                overflowed += column.iter().filter(|s| !s.is_finite()).count();
-                let mut model_rng = StdRng::seed_from_u64(seed);
-                let want = model_walk(&network, &query, start, &mut model_rng);
-                let mut walk_rng = StdRng::seed_from_u64(seed);
-                let got = walk::run(&network, &query, start, &mut walk_rng).unwrap();
-                assert_eq!(
-                    observe(got, &mut walk_rng),
-                    observe(want, &mut model_rng),
-                    "seed {seed} {memory:?} {policy:?}"
-                );
-            }
+        for policy in [PolicyKind::PprGreedy, PolicyKind::Hybrid { epsilon: 0.4 }] {
+            let config = SchemeConfig::builder()
+                .policy(policy)
+                .fanout(2)
+                .build()
+                .unwrap();
+            let network =
+                SearchNetwork::build(&graph, corpus, &placement, &config, &mut rng).unwrap();
+            let column = forwarding::score_column(&query, network.embeddings());
+            overflowed += column.iter().filter(|s| !s.is_finite()).count();
+            let mut model_rng = StdRng::seed_from_u64(seed);
+            let want = model_walk(&network, &query, start, &mut model_rng);
+            let mut walk_rng = StdRng::seed_from_u64(seed);
+            let got = walk::run(&network, &query, start, &mut walk_rng).unwrap();
+            assert_eq!(
+                observe(got, &mut walk_rng),
+                observe(want, &mut model_rng),
+                "seed {seed} {policy:?}"
+            );
         }
     }
     assert!(overflowed > 0, "no score overflowed");
@@ -411,7 +389,6 @@ fn a_hub_out_of_fresh_leaves_falls_back_to_every_leaf() {
         ] {
             let config = SchemeConfig::builder()
                 .policy(policy)
-                .visited_memory(VisitedMemory::NodeMemory)
                 .fanout(1)
                 .ttl(ttl)
                 .build()
