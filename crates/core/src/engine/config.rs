@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{SchemeConfig, SearchError};
+use crate::{PolicyKind, SchemeConfig, SearchError};
 
 /// A configuration constraint violation, one variant per rejection path.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +33,12 @@ pub enum ConfigError {
     },
     /// `max_iterations` must be positive.
     ZeroMaxIterations,
+    /// A [`PolicyKind::Hybrid`] exploration probability must lie in
+    /// `[0, 1]` and be finite.
+    EpsilonOutOfRange {
+        /// The rejected exploration probability.
+        epsilon: f32,
+    },
     /// The engine's worker-thread count must be positive.
     ZeroThreads,
     /// The engine's submission queue must admit at least one request.
@@ -54,6 +60,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "tolerance must be positive and finite, got {tolerance}")
             }
             ConfigError::ZeroMaxIterations => write!(f, "max_iterations must be positive"),
+            ConfigError::EpsilonOutOfRange { epsilon } => {
+                write!(f, "hybrid epsilon must lie in [0, 1], got {epsilon}")
+            }
             ConfigError::ZeroThreads => write!(f, "serving threads must be positive"),
             ConfigError::ZeroQueueCapacity => {
                 write!(f, "engine queue capacity must be positive")
@@ -97,6 +106,11 @@ pub fn validate_scheme(c: &SchemeConfig) -> Result<(), ConfigError> {
     }
     if c.max_iterations() == 0 {
         return Err(ConfigError::ZeroMaxIterations);
+    }
+    if let PolicyKind::Hybrid { epsilon } = c.policy() {
+        if !(0.0..=1.0).contains(&epsilon) {
+            return Err(ConfigError::EpsilonOutOfRange { epsilon });
+        }
     }
     Ok(())
 }
@@ -316,6 +330,27 @@ mod tests {
             Err(ConfigError::ZeroMaxIterations)
         );
         assert_eq!(validate_scheme(&raw(|b| b)), Ok(()));
+    }
+
+    #[test]
+    fn hybrid_epsilon_outside_the_unit_interval_is_rejected() {
+        let hybrid = |epsilon| raw(|b| b.policy(PolicyKind::Hybrid { epsilon }));
+        for epsilon in [-0.1, 1.5, f32::INFINITY] {
+            assert_eq!(
+                validate_scheme(&hybrid(epsilon)),
+                Err(ConfigError::EpsilonOutOfRange { epsilon })
+            );
+        }
+        assert!(matches!(
+            validate_scheme(&hybrid(f32::NAN)),
+            Err(ConfigError::EpsilonOutOfRange { epsilon }) if epsilon.is_nan()
+        ));
+        for epsilon in [0.0, 1.0] {
+            assert_eq!(validate_scheme(&hybrid(epsilon)), Ok(()));
+        }
+        // The scheme builder runs the same check.
+        let nan = PolicyKind::Hybrid { epsilon: f32::NAN };
+        assert!(SchemeConfig::builder().policy(nan).build().is_err());
     }
 
     #[test]

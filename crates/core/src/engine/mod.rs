@@ -83,7 +83,7 @@ use gdsearch_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::forwarding::{LazyColumn, Scores};
+use crate::forwarding::LazyColumn;
 use crate::walk::WalkOutcome;
 use crate::{walk, Placement, SearchError, SearchNetwork};
 
@@ -316,11 +316,6 @@ pub struct EngineStats {
 /// How the cache answered one request: the class's column (if any) and
 /// the verdict reported for it.
 type Resolved = (Option<Arc<LazyColumn>>, CacheVerdict);
-
-/// The score source a resolved request walks with.
-fn scores_of(column: &Option<Arc<LazyColumn>>) -> Scores<'_> {
-    column.as_deref().map_or(Scores::Inline, Scores::Lazy)
-}
 
 /// A long-lived serving engine over one built [`SearchNetwork`].
 ///
@@ -575,6 +570,7 @@ impl<'g> QueryEngine<'g> {
         // cannot leak into results; map_batched returns outputs in
         // submission order.
         let network = &self.network;
+        let uncached = LazyColumn::new(0);
         let outcomes: Vec<Result<WalkOutcome, SearchError>> =
             workpool::map_batched(&slots, self.config.threads(), |(request, (column, _))| {
                 let mut rng = StdRng::seed_from_u64(request.seed);
@@ -583,7 +579,7 @@ impl<'g> QueryEngine<'g> {
                     &request.query,
                     request.start,
                     &mut rng,
-                    scores_of(column),
+                    column.as_deref().unwrap_or(&uncached),
                 )
             });
 

@@ -41,10 +41,8 @@ pub enum PolicyKind {
 /// Everything a policy may consult when choosing next hops.
 #[derive(Debug)]
 pub struct ForwardContext<'a> {
-    /// The node making the decision.
-    pub node: NodeId,
-    /// Eligible next hops (unvisited neighbors, or all neighbors as the
-    /// paper's footnote-9 fallback): what [`candidates`] returns.
+    /// Eligible next hops: the neighbours not yet exchanged with, or all of
+    /// them as the paper's footnote-9 fallback.
     pub candidates: &'a [NodeId],
     /// The query embedding.
     pub query: &'a Embedding,
@@ -55,25 +53,13 @@ pub struct ForwardContext<'a> {
     pub graph: &'a Graph,
     /// How many next hops to select (ignored by flooding, which takes all).
     pub fanout: usize,
-    /// Where candidate scores come from (see [`Scores`]).
-    pub scores: Scores<'a>,
-}
-
-/// The source of a walk's query-vs-embedding scores. Every variant yields,
-/// for every node, the bits of the one scoring kernel — so the choice
-/// changes how much work a walk does, never a forwarding decision.
-#[derive(Debug, Clone, Copy)]
-pub enum Scores<'a> {
-    /// Compute each dot product when a candidate is scored.
-    Inline,
-    /// A full column indexed by node id; entries must equal
-    /// [`score_column`] of the same query and embeddings. Nodes past its
-    /// end are scored inline.
-    Column(&'a [f32]),
-    /// A column filled on first touch (the serving engine's hot-column
-    /// cache); must only ever be used with one query and one embedding
-    /// matrix.
-    Lazy(&'a LazyColumn),
+    /// The query's score column, read and filled as candidates are scored.
+    /// It must only ever be used with one query and one embedding matrix.
+    /// A zero-length column (`LazyColumn::new(0)`, which allocates nothing)
+    /// scores every candidate with the kernel and stores nothing; the bits
+    /// are the same either way, so the column changes how much work a walk
+    /// does, never a forwarding decision.
+    pub scores: &'a LazyColumn,
 }
 
 /// Bit pattern of a cell no walk has scored yet: a NaN, so no finite score
@@ -118,6 +104,8 @@ pub struct LazyColumn {
 
 impl LazyColumn {
     /// A column of `num_nodes` unset cells; no page is allocated yet.
+    /// `new(0)` allocates nothing: every node lies past its end, so it is
+    /// scored by the kernel and stored nowhere.
     #[must_use]
     pub fn new(num_nodes: usize) -> Self {
         LazyColumn {
@@ -189,9 +177,8 @@ impl LazyColumn {
 }
 
 /// The scheme's scoring kernel: dot product of the query with one diffused
-/// embedding row. Single source of truth for [`score_candidates`] (inline
-/// and lazy fill) and [`score_column`], so every [`Scores`] variant
-/// reproduces the inline computation bit for bit.
+/// embedding row. Single source of truth for [`score_candidates`] and
+/// [`score_column`], so a column of any length holds the kernel's bits.
 fn dot_row(query: &Embedding, emb: &[f32]) -> f32 {
     query.as_slice().iter().zip(emb).map(|(q, e)| q * e).sum()
 }
@@ -251,40 +238,21 @@ impl Spread {
 
 /// Scores every candidate of a hop exactly as the paper's nodes do — dot
 /// product of the query with the candidate's diffused embedding, read from
-/// or filled into [`ForwardContext::scores`] when a column is attached —
-/// into `scored` as `(score, candidate)`, in candidate order, and returns
-/// their [`Spread`].
+/// or filled into [`ForwardContext::scores`] — into `scored` as
+/// `(score, candidate)`, in candidate order, and returns their [`Spread`].
 fn score_candidates(ctx: &ForwardContext<'_>, scored: &mut Vec<(f32, NodeId)>) -> Spread {
     let kernel = |u| dot_row(ctx.query, ctx.node_embeddings.row(u));
     scored.clear();
     let mut spread = Spread::default();
-    {
-        let mut push = spread.collect(scored);
-        match ctx.scores {
-            Scores::Inline => {
-                for &c in ctx.candidates {
-                    push(kernel(c.index()), c);
-                }
-            }
-            Scores::Column(column) => {
-                for &c in ctx.candidates {
-                    let u = c.index();
-                    push(column.get(u).copied().unwrap_or_else(|| kernel(u)), c);
-                }
-            }
-            Scores::Lazy(column) => column.score_into(ctx.candidates, kernel, push),
-        }
-    }
+    ctx.scores
+        .score_into(ctx.candidates, kernel, spread.collect(scored));
     spread
 }
 
 /// The full score column of one query against every node's diffused
 /// embedding, computed with the exact kernel a walk scores its candidates
-/// with. A walk that reads this column through
-/// [`Scores::Column`] makes bitwise-identical forwarding decisions to one
-/// that computes dot products inline. It costs a pass over all N rows, so
-/// the serving engine fills a [`LazyColumn`] instead; this stays as the
-/// reference the lazy column is tested against.
+/// with. It costs a pass over all N rows, so walks fill a [`LazyColumn`]
+/// instead; this stays as the reference the lazy column is tested against.
 #[must_use]
 pub fn score_column(query: &Embedding, node_embeddings: &Signal) -> Vec<f32> {
     (0..node_embeddings.num_nodes())
@@ -304,28 +272,47 @@ pub struct Scratch {
     picks: Vec<NodeId>,
 }
 
-/// Candidate next hops of a node (Fig. 1, step 3): its `neighbors` minus the
-/// nodes in `used`, or all of them when none is left (footnote 9: never
-/// waste the forwarding opportunity). Both inputs ascend — adjacency lists
-/// by construction, visited memories because they are kept sorted — so one
-/// merge pass filters them into `fresh`, the caller's buffer.
-pub fn candidates<'a>(
+/// Candidate next hops of a node (Fig. 1, step 3): its `neighbors` whose
+/// bit in `mask` is clear — those it has not exchanged the query with —
+/// filtered into `fresh`, the caller's buffer, or all of them when none is
+/// (footnote 9: never waste the forwarding opportunity). An empty `mask`
+/// reads as all clear. Each chunk of 64 neighbours is copied whole, then
+/// the few positions its mask word sets are removed, highest first, so the
+/// positions still to remove stay put; a set bit is an adjacency position
+/// ([`mark_exchanged`]), so it lies inside its chunk.
+pub(crate) fn unexchanged<'a>(
     neighbors: &'a [NodeId],
-    used: impl IntoIterator<Item = NodeId>,
+    mask: &[u64],
     fresh: &'a mut Vec<NodeId>,
 ) -> &'a [NodeId] {
     fresh.clear();
-    let mut used = used.into_iter().peekable();
-    for &v in neighbors {
-        while used.next_if(|&w| w < v).is_some() {}
-        if used.peek() != Some(&v) {
-            fresh.push(v);
+    for (chunk, &word) in neighbors.chunks(64).zip(mask) {
+        let base = fresh.len();
+        fresh.extend_from_slice(chunk);
+        let mut set = word;
+        while set != 0 {
+            let i = 63 - set.leading_zeros() as usize;
+            fresh.remove(base + i);
+            set ^= 1 << i;
         }
     }
     if fresh.is_empty() {
         neighbors
     } else {
         fresh
+    }
+}
+
+/// Records in `mask` — ⌈`neighbors.len()` / 64⌉ words over the node's
+/// adjacency positions — that the node exchanged the query with `peer`:
+/// sets the bit of `peer`'s position, found by bisecting `neighbors`. A
+/// `peer` that is no neighbour sets nothing.
+pub(crate) fn mark_exchanged(neighbors: &[NodeId], mask: &mut [u64], peer: NodeId) {
+    let Ok(pos) = neighbors.binary_search(&peer) else {
+        return;
+    };
+    if let Some(word) = mask.get_mut(pos / 64) {
+        *word |= 1 << (pos % 64);
     }
 }
 
@@ -541,15 +528,7 @@ mod tests {
     fn greedy_picks_best_scoring_candidate() {
         let (g, e, q, cands) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 1, inline());
         let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3)]);
     }
@@ -560,15 +539,7 @@ mod tests {
         // Give node 1 a partial match so ranking is 3 > 1 > others.
         e.row_mut(1)[2] = 0.5;
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 2,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 2, inline());
         let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(3), NodeId::new(1)]);
     }
@@ -578,15 +549,7 @@ mod tests {
         let (g, _, _, cands) = fixture();
         let e = Diffused::Dense(Signal::zeros(5, 4)); // all scores equal (zero)
         let q = Embedding::new(vec![1.0, 1.0, 1.0, 1.0]);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 2,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 2, inline());
         let picks = select(PolicyKind::PprGreedy, &ctx, &mut rng(1));
         assert_eq!(picks, vec![NodeId::new(1), NodeId::new(2)]);
     }
@@ -595,15 +558,7 @@ mod tests {
     fn random_walk_stays_within_candidates_and_fanout() {
         let (g, e, q, cands) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 2,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 2, inline());
         let mut r = rng(2);
         for _ in 0..20 {
             let picks = select(PolicyKind::RandomWalk, &ctx, &mut r);
@@ -617,15 +572,7 @@ mod tests {
     fn random_walk_is_uniform_ish() {
         let (g, e, q, cands) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 1, inline());
         let mut counts = [0usize; 5];
         let mut r = rng(3);
         for _ in 0..4000 {
@@ -647,15 +594,7 @@ mod tests {
         let e = Diffused::Dense(Signal::zeros(5, 2));
         let q = Embedding::zeros(2);
         let cands = vec![NodeId::new(0), NodeId::new(2)];
-        let ctx = ForwardContext {
-            node: NodeId::new(1),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 1, inline());
         let picks = select(PolicyKind::DegreeBiased, &ctx, &mut rng(4));
         assert_eq!(picks, vec![NodeId::new(2)]);
     }
@@ -664,15 +603,7 @@ mod tests {
     fn flooding_takes_everyone() {
         let (g, e, q, cands) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1, // ignored
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 1, inline());
         let picks = select(PolicyKind::Flooding, &ctx, &mut rng(5));
         assert_eq!(picks.len(), 4);
     }
@@ -681,15 +612,7 @@ mod tests {
     fn hybrid_extremes_match_components() {
         let (g, e, q, cands) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &cands, 1, inline());
         // epsilon = 0 -> always greedy.
         for seed in 0..10 {
             let picks = select(PolicyKind::Hybrid { epsilon: 0.0 }, &ctx, &mut rng(seed));
@@ -706,77 +629,12 @@ mod tests {
         assert!(deviated);
     }
 
-    #[test]
-    fn precomputed_column_matches_inline_scoring_bitwise() {
-        let (g, mut e, q, cands) = fixture();
-        perturb(&mut e);
-        let column = score_column(&q, &e);
-        let e = Diffused::Dense(e);
-        let inline_ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 2,
-            scores: Scores::Inline,
-        };
-        let cached_ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 2,
-            scores: Scores::Column(&column),
-        };
-        assert_eq!(
-            score_bits(&inline_ctx),
-            score_bits(&cached_ctx),
-            "column entries must reproduce the inline kernel"
-        );
-        assert_eq!(
-            select(PolicyKind::PprGreedy, &inline_ctx, &mut rng(7)),
-            select(PolicyKind::PprGreedy, &cached_ctx, &mut rng(7)),
-        );
-    }
-
-    #[test]
-    fn short_column_falls_back_to_inline_scoring() {
-        // A column that does not cover a candidate's index must not panic:
-        // scoring falls back to the inline dot product.
-        let (g, e, q, cands) = fixture();
-        let e = Diffused::Dense(e);
-        let short = vec![0.0f32; 2]; // covers nodes 0..2 only
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Column(&short),
-        };
-        let inline_ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &cands,
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 1,
-            scores: Scores::Inline,
-        };
-        // Nodes 3 and 4 are past the short column's end.
-        let (short_bits, inline_bits) = (score_bits(&ctx), score_bits(&inline_ctx));
-        assert_eq!(short_bits.get(2..), inline_bits.get(2..));
-    }
-
     /// [`score_candidates`] as `(bits, candidate)`, having checked the
     /// [`Spread`] it returned against [`spread_of`] its scores.
     fn score_bits(ctx: &ForwardContext<'_>) -> Vec<(u32, NodeId)> {
         let mut scored = Vec::new();
         let spread = score_candidates(ctx, &mut scored);
-        assert_eq!(spread, spread_of(&scored), "{:?}", ctx.scores);
+        assert_eq!(spread, spread_of(&scored), "column of {}", ctx.scores.len);
         scored.into_iter().map(|(s, c)| (s.to_bits(), c)).collect()
     }
 
@@ -822,20 +680,26 @@ mod tests {
         bits.unwrap()
     }
 
+    /// The zero-length column: every candidate scored by the kernel.
+    fn inline() -> &'static LazyColumn {
+        static EMPTY: OnceLock<LazyColumn> = OnceLock::new();
+        EMPTY.get_or_init(|| LazyColumn::new(0))
+    }
+
     fn scored_ctx<'a>(
         graph: &'a Graph,
         node_embeddings: &'a Diffused,
         query: &'a Embedding,
         candidates: &'a [NodeId],
-        scores: Scores<'a>,
+        fanout: usize,
+        scores: &'a LazyColumn,
     ) -> ForwardContext<'a> {
         ForwardContext {
-            node: NodeId::new(0),
             candidates,
             query,
             node_embeddings,
             graph,
-            fanout: 2,
+            fanout,
             scores,
         }
     }
@@ -848,7 +712,7 @@ mod tests {
         let e = Diffused::Dense(e);
         let lazy = LazyColumn::new(5);
         let all: Vec<NodeId> = (0..5).map(NodeId::new).collect();
-        let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&lazy));
+        let ctx = scored_ctx(&g, &e, &q, &all, 2, &lazy);
         // Nothing is computed until a candidate is scored.
         assert!(all.iter().all(|c| lazy.get(c.index()).is_none()));
         // First pass fills, second pass reads: same bits both times.
@@ -862,10 +726,9 @@ mod tests {
         let stored: Vec<u32> = (0..5).map(|u| lazy.get(u).unwrap().to_bits()).collect();
         let want: Vec<u32> = reference.iter().map(|s| s.to_bits()).collect();
         assert_eq!(stored, want);
-        // A node past the column's end is scored inline, as with a short
-        // full column.
+        // A node past the column's end is scored inline.
         let short = LazyColumn::new(2);
-        let ctx = scored_ctx(&g, &e, &q, &all, Scores::Lazy(&short));
+        let ctx = scored_ctx(&g, &e, &q, &all, 2, &short);
         assert_eq!(score_bits(&ctx), reference_bits(&reference, &all));
         assert!(short.get(3).is_none());
     }
@@ -961,7 +824,7 @@ mod tests {
                     .map(|cands| {
                         s.spawn(move || {
                             barrier.wait();
-                            score_bits(&scored_ctx(g, e, q, cands, Scores::Lazy(column_ref)))
+                            score_bits(&scored_ctx(g, e, q, cands, 2, column_ref))
                         })
                     })
                     .collect();
@@ -992,8 +855,8 @@ mod tests {
         e.row_mut(4)[2] = f32::INFINITY;
         let e = Diffused::Dense(e);
         let lazy = LazyColumn::new(5);
-        let inline_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Inline);
-        let lazy_ctx = scored_ctx(&g, &e, &q, &cands, Scores::Lazy(&lazy));
+        let inline_ctx = scored_ctx(&g, &e, &q, &cands, 2, inline());
+        let lazy_ctx = scored_ctx(&g, &e, &q, &cands, 2, &lazy);
         // Empty column, then the column the first pass left behind.
         for _ in 0..2 {
             assert_eq!(score_bits(&lazy_ctx), score_bits(&inline_ctx));
@@ -1008,15 +871,7 @@ mod tests {
     fn empty_candidates_select_nothing() {
         let (g, e, q, _) = fixture();
         let e = Diffused::Dense(e);
-        let ctx = ForwardContext {
-            node: NodeId::new(0),
-            candidates: &[],
-            query: &q,
-            node_embeddings: &e,
-            graph: &g,
-            fanout: 3,
-            scores: Scores::Inline,
-        };
+        let ctx = scored_ctx(&g, &e, &q, &[], 3, inline());
         assert!(select(PolicyKind::PprGreedy, &ctx, &mut rng(6)).is_empty());
         assert!(select(PolicyKind::Flooding, &ctx, &mut rng(6)).is_empty());
     }
@@ -1222,12 +1077,12 @@ mod tests {
     }
 
     proptest! {
-        /// A hop scored through every [`Scores`] variant carries the bits of
-        /// [`score_column`], the lazy column twice (as the hop finds it,
-        /// then as it leaves it). The column then holds exactly those bits
-        /// for the covered nodes that were filled or scored — bar a
-        /// sentinel-valued score, which stays unset — in exactly the pages
-        /// they fall in.
+        /// A hop scored through a zero-length column, then through a short
+        /// or full one twice (as the hop finds it, then as it leaves it),
+        /// carries the bits of [`score_column`]. The column then holds
+        /// exactly those bits for the covered nodes that were filled or
+        /// scored — bar a sentinel-valued score, which stays unset — in
+        /// exactly the pages they fall in.
         #[test]
         fn hop_scores_match_the_score_column(case in hop_case()) {
             let HopCase { rows, query, len, filled, candidates } = case;
@@ -1236,11 +1091,10 @@ mod tests {
             let want = reference_bits(&reference, &candidates);
             let g = generators::star(2);
             let lazy = LazyColumn::new(len);
-            score_bits(&scored_ctx(&g, &rows, &query, &filled, Scores::Lazy(&lazy)));
-            let short = &reference[..len];
-            for scores in [Scores::Inline, Scores::Column(short), Scores::Lazy(&lazy), Scores::Lazy(&lazy)] {
-                let ctx = scored_ctx(&g, &rows, &query, &candidates, scores);
-                prop_assert_eq!(score_bits(&ctx), want.clone(), "{:?}", scores);
+            score_bits(&scored_ctx(&g, &rows, &query, &filled, 2, &lazy));
+            for scores in [inline(), &lazy, &lazy] {
+                let ctx = scored_ctx(&g, &rows, &query, &candidates, 2, scores);
+                prop_assert_eq!(score_bits(&ctx), want.clone(), "column of {}", scores.len);
             }
             let mut pages = std::collections::BTreeSet::new();
             for (u, score) in reference.iter().enumerate() {
@@ -1284,23 +1138,37 @@ mod tests {
             }
         }
 
-        /// The merge filter is the plain set difference, and everyone when
-        /// that is empty (footnote 9) — whatever was left in the buffer.
+        /// The mask filter, on a mask [`mark_exchanged`] set from `used`
+        /// (non-neighbours among them), is the plain set difference, and
+        /// every neighbour when that is empty (footnote 9) — whatever was
+        /// left in the buffer. Up to 200 neighbours, so masks of one to
+        /// four words; one case in four has exchanged with every neighbour.
         #[test]
         fn candidates_are_the_unused_neighbors_or_all_of_them(
-            neighbors in collection::vec(0u32..40, 0..20),
-            used in collection::vec(0u32..40, 0..30),
+            neighbors in collection::vec(0u32..300, 0..200),
+            used in collection::vec(0u32..300, 0..250),
+            everyone in 0u32..4,
         ) {
             let sorted = |ids: Vec<u32>| {
                 let set: std::collections::BTreeSet<u32> = ids.into_iter().collect();
                 set.into_iter().map(NodeId::new).collect::<Vec<_>>()
             };
-            let (neighbors, used) = (sorted(neighbors), sorted(used));
+            let mut used = sorted(used);
+            let neighbors = sorted(neighbors);
+            if everyone == 0 {
+                used.extend_from_slice(&neighbors);
+            }
+            let mut mask = vec![0; neighbors.len().div_ceil(64)];
+            for &w in &used {
+                mark_exchanged(&neighbors, &mut mask, w);
+            }
             let unused: Vec<NodeId> =
                 neighbors.iter().copied().filter(|v| !used.contains(v)).collect();
             let want = if unused.is_empty() { &neighbors } else { &unused };
-            let mut fresh = vec![NodeId::new(99)];
-            prop_assert_eq!(candidates(&neighbors, used.iter().copied(), &mut fresh), &want[..]);
+            let mut fresh = vec![NodeId::new(999)];
+            prop_assert_eq!(unexchanged(&neighbors, &mask, &mut fresh), &want[..]);
+            // No mask at all: nobody exchanged with yet.
+            prop_assert_eq!(unexchanged(&neighbors, &[], &mut fresh), &neighbors[..]);
         }
     }
 }

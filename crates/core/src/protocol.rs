@@ -28,7 +28,7 @@
     reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gdsearch_diffusion::Diffused;
@@ -37,7 +37,7 @@ use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 use gdsearch_sim::{NodeApi, NodeHandler, Reactor, TransportConfig, WireMessage};
 
-use crate::forwarding::{self, ForwardContext, Scores};
+use crate::forwarding::{self, ForwardContext, LazyColumn};
 use crate::{DocId, PolicyKind, SearchError, SearchNetwork};
 
 /// A query or response message of the search protocol.
@@ -118,10 +118,12 @@ pub struct SearchNode {
     fanout: usize,
     top_k: usize,
     /// Per-query memory of neighbors exchanged with (received-from ∪
-    /// sent-to, §IV-C).
-    /// Ordered maps/sets throughout: protocol replay must be bit-identical
+    /// sent-to, §IV-C): a bitmask over this node's adjacency positions, as
+    /// [`forwarding::mark_exchanged`] sets it. A query with no entry has
+    /// exchanged with nobody.
+    /// Ordered maps throughout: protocol replay must be bit-identical
     /// across processes, and hash iteration order is seeded per process.
-    used: BTreeMap<u64, BTreeSet<NodeId>>,
+    used: BTreeMap<u64, Vec<u64>>,
     /// Response bookkeeping per received query message.
     pending: BTreeMap<u64, PendingMessage>,
     /// Maps child message ids we created to the received message they
@@ -144,6 +146,16 @@ impl SearchNode {
         let id = (u64::from(self.node.as_u32()) << 32) | self.next_msg;
         self.next_msg += 1;
         id
+    }
+
+    /// Records that this node exchanged query `query_id` with `peer`.
+    fn exchange(&mut self, query_id: u64, peer: NodeId) {
+        let neighbors = self.graph.neighbor_slice(self.node);
+        let mask = self
+            .used
+            .entry(query_id)
+            .or_insert_with(|| vec![0; neighbors.len().div_ceil(64)]);
+        forwarding::mark_exchanged(neighbors, mask, peer);
     }
 
     /// Local retrieval: scores of all local documents for `query`.
@@ -222,7 +234,7 @@ impl NodeHandler<SearchMessage> for SearchNode {
             } => {
                 // Remember whom we received from (paper §IV-C memory).
                 if let Some(p) = from {
-                    self.used.entry(query_id).or_default().insert(p);
+                    self.exchange(query_id, p);
                 }
                 // 1. Local retrieval.
                 let gathered = self.local_results(&embedding, hop);
@@ -233,19 +245,18 @@ impl NodeHandler<SearchMessage> for SearchNode {
                 let mut targets: &[NodeId] = &[];
                 if ttl > 0 {
                     let neighbors = self.graph.neighbor_slice(self.node);
-                    let used = self.used.get(&query_id).into_iter().flatten().copied();
-                    let candidates = forwarding::candidates(neighbors, used, &mut fresh);
+                    let mask = self.used.get(&query_id).map_or(&[][..], Vec::as_slice);
+                    let candidates = forwarding::unexchanged(neighbors, mask, &mut fresh);
                     // Fanout applies at the querying node only (hop 0);
                     // relays forward a single copy — see walk.rs.
                     let effective_fanout = if hop == 0 { self.fanout } else { 1 };
                     let ctx = ForwardContext {
-                        node: self.node,
                         candidates,
                         query: &embedding,
                         node_embeddings: &self.embeddings,
                         graph: &self.graph,
                         fanout: effective_fanout,
-                        scores: Scores::Inline,
+                        scores: &LazyColumn::new(0),
                     };
                     targets =
                         forwarding::select_next_hops(self.policy, &ctx, api.rng(), &mut scratch);
@@ -259,7 +270,7 @@ impl NodeHandler<SearchMessage> for SearchNode {
                     },
                 );
                 for &v in targets {
-                    self.used.entry(query_id).or_default().insert(v);
+                    self.exchange(query_id, v);
                     let child_id = self.fresh_msg_id();
                     self.child_to_parent.insert(child_id, msg_id);
                     api.send(

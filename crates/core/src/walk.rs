@@ -28,13 +28,14 @@
 //! compared against.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use gdsearch_embed::topk::TopK;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 use rand::Rng;
 
-use crate::forwarding::{self, ForwardContext, Scores};
+use crate::forwarding::{self, ForwardContext, LazyColumn};
 use crate::{DocId, SearchError, SearchNetwork};
 
 /// A document a query found, with the hop at which its host was visited.
@@ -140,12 +141,17 @@ impl NodeTable {
             .is_some_and(|row| !std::mem::replace(&mut row.visited, true))
     }
 
+    /// Where the mask of `u`, whose row is `row`, lies in `masks`.
+    fn span(&self, graph: &Graph, u: NodeId, row: usize) -> Range<usize> {
+        let words = graph.degree(u).div_ceil(64);
+        self.rows
+            .get(row)
+            .map_or(0..0, |row| row.mask..row.mask + words)
+    }
+
     /// The mask of `u`, whose row is `row`.
     fn mask(&self, graph: &Graph, u: NodeId, row: usize) -> &[u64] {
-        let words = graph.degree(u).div_ceil(64);
-        let row = self.rows.get(row);
-        row.and_then(|row| self.masks.get(row.mask..row.mask + words))
-            .unwrap_or(&[])
+        self.masks.get(self.span(graph, u, row)).unwrap_or(&[])
     }
 
     /// Records that `u`, whose row is `row`, forwarded the query to its
@@ -157,48 +163,12 @@ impl NodeTable {
         peer
     }
 
-    /// Sets the bit of `peer`, found by bisecting the adjacency of `node`,
-    /// in the mask of `node`, whose row is `row`.
+    /// Marks `peer` exchanged with in the mask of `node`, whose row is `row`.
     fn mark(&mut self, graph: &Graph, node: NodeId, row: usize, peer: NodeId) {
-        let Ok(pos) = graph.neighbor_slice(node).binary_search(&peer) else {
-            return;
-        };
-        let Some(at) = self.rows.get(row).map(|row| row.mask) else {
-            return;
-        };
-        if let Some(word) = self.masks.get_mut(at + pos / 64) {
-            *word |= 1 << (pos % 64);
+        let span = self.span(graph, node, row);
+        if let Some(mask) = self.masks.get_mut(span) {
+            forwarding::mark_exchanged(graph.neighbor_slice(node), mask, peer);
         }
-    }
-}
-
-/// Candidate next hops under node memory (Fig. 1, step 3): the `neighbors`
-/// whose bit in `mask` is clear, filtered into `fresh`, the caller's
-/// buffer, or all of them when none is (footnote 9). Each chunk of 64
-/// neighbours is copied whole, then the few positions its mask word sets
-/// are removed, highest first, so the positions still to remove stay put;
-/// a set bit is an adjacency position ([`NodeTable::mark`]), so it lies
-/// inside its chunk.
-fn unexchanged<'a>(
-    neighbors: &'a [NodeId],
-    mask: &[u64],
-    fresh: &'a mut Vec<NodeId>,
-) -> &'a [NodeId] {
-    fresh.clear();
-    for (chunk, &word) in neighbors.chunks(64).zip(mask) {
-        let base = fresh.len();
-        fresh.extend_from_slice(chunk);
-        let mut set = word;
-        while set != 0 {
-            let i = 63 - set.leading_zeros() as usize;
-            fresh.remove(base + i);
-            set ^= 1 << i;
-        }
-    }
-    if fresh.is_empty() {
-        neighbors
-    } else {
-        fresh
     }
 }
 
@@ -225,16 +195,12 @@ pub fn run<R: Rng + ?Sized>(
     start: NodeId,
     rng: &mut R,
 ) -> Result<WalkOutcome, SearchError> {
-    run_with(network, query, start, rng, Scores::Inline)
+    run_with(network, query, start, rng, &LazyColumn::new(0))
 }
 
-/// [`run`] with an optional precomputed score column attached to every
-/// forwarding decision.
-///
-/// `scores`, when present, must be
-/// [`forwarding::score_column`]`(query, network.embeddings())`, so the
-/// walk is bitwise identical to [`run`] computing dot products inline.
-/// Passing `None` is [`run`].
+/// [`run`]; `scores`, meant to be [`forwarding::score_column`] of this
+/// query, is not read: the scoring kernel computes the same bits, so the
+/// outcome is [`run`]'s whatever the slice holds.
 ///
 /// # Errors
 ///
@@ -244,16 +210,15 @@ pub fn run_scored<R: Rng + ?Sized>(
     query: &Embedding,
     start: NodeId,
     rng: &mut R,
-    scores: Option<&[f32]>,
+    _scores: Option<&[f32]>,
 ) -> Result<WalkOutcome, SearchError> {
-    let scores = scores.map_or(Scores::Inline, Scores::Column);
-    run_with(network, query, start, rng, scores)
+    run(network, query, start, rng)
 }
 
-/// The walk itself: [`run`] reading candidate scores from `scores`. A
-/// [`Scores::Lazy`] column (the serving engine's cache) must belong to
-/// this `query` and this network's embeddings; the outcome is bitwise that
-/// of [`run`] whichever source is attached.
+/// The walk itself: [`run`] reading and filling candidate scores in
+/// `scores`, which must belong to this `query` and this network's
+/// embeddings (the serving engine passes a cached column). The outcome is
+/// bitwise that of [`run`] whatever the column's length or fill.
 ///
 /// # Errors
 ///
@@ -263,7 +228,7 @@ pub fn run_with<R: Rng + ?Sized>(
     query: &Embedding,
     start: NodeId,
     rng: &mut R,
-    scores: Scores<'_>,
+    scores: &LazyColumn,
 ) -> Result<WalkOutcome, SearchError> {
     network.graph().check_node(start)?;
     if query.dim() != network.dim() {
@@ -319,14 +284,14 @@ pub fn run_with<R: Rng + ?Sized>(
         // (3) Candidate selection through visited memory (none for a node
         // without neighbors, which then forwards nothing).
         let neighbors = graph.neighbor_slice(u);
-        let candidates = unexchanged(neighbors, table.mask(graph, u, head.row), &mut fresh);
+        let mask = table.mask(graph, u, head.row);
+        let candidates = forwarding::unexchanged(neighbors, mask, &mut fresh);
         // (4) Policy decision. Fanout > 1 spawns parallel walks *at the
         // querying node* (§IV-C: "multiple walks are executed in
         // parallel"); every relay hop forwards a single copy — branching at
         // every hop would be exponential flooding, not parallel walks.
         let effective_fanout = if head.hop == 0 { config.fanout() } else { 1 };
         let ctx = ForwardContext {
-            node: u,
             candidates,
             query,
             node_embeddings: network.diffused(),

@@ -120,12 +120,6 @@ impl<T> TopK<T> {
         true
     }
 
-    /// The lowest retained score, or `None` if empty. An incoming item must
-    /// beat this to be retained once the collector is full.
-    pub fn threshold(&self) -> Option<f32> {
-        self.heap.peek().map(|w| w.0.score)
-    }
-
     /// Consumes the collector, returning items sorted by descending score.
     pub fn into_sorted(self) -> Vec<Scored<T>> {
         let mut items: Vec<Scored<T>> = self.heap.into_iter().map(|w| w.0).collect();
@@ -192,17 +186,6 @@ mod tests {
         assert!(!top.push(f32::INFINITY, 2));
         assert!(top.push(0.5, 3));
         assert_eq!(top.len(), 1);
-    }
-
-    #[test]
-    fn threshold_tracks_weakest() {
-        let mut top = TopK::new(2);
-        assert_eq!(top.threshold(), None);
-        top.push(0.5, 1);
-        top.push(0.8, 2);
-        assert_eq!(top.threshold(), Some(0.5));
-        top.push(0.9, 3); // evicts 0.5
-        assert_eq!(top.threshold(), Some(0.8));
     }
 
     #[test]

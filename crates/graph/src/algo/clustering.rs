@@ -40,62 +40,6 @@ pub fn average_clustering(g: &Graph) -> f64 {
     sum / g.num_nodes() as f64
 }
 
-/// Global clustering coefficient (transitivity): `3 × triangles / open
-/// triads`. Zero when the graph has no path of length two.
-pub fn global_clustering(g: &Graph) -> f64 {
-    let mut closed = 0u64; // ordered wedge endpoints that are connected
-    let mut total = 0u64; // wedges (paths of length 2 centered anywhere)
-    for u in g.node_ids() {
-        let neighbors = g.neighbor_slice(u);
-        let k = neighbors.len() as u64;
-        if k < 2 {
-            continue;
-        }
-        total += k * (k - 1) / 2;
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if g.has_edge(a, b) {
-                    closed += 1;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        closed as f64 / total as f64
-    }
-}
-
-/// Counts the triangles of the graph exactly, via sorted-adjacency merge.
-pub fn triangle_count(g: &Graph) -> u64 {
-    let mut triangles = 0u64;
-    for u in g.node_ids() {
-        for &v in g.neighbor_slice(u) {
-            if v <= u {
-                continue;
-            }
-            // Count common neighbors w with w > v to count each triangle once.
-            let (mut i, mut j) = (0, 0);
-            let (nu, nv) = (g.neighbor_slice(u), g.neighbor_slice(v));
-            while i < nu.len() && j < nv.len() {
-                match nu[i].cmp(&nv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        if nu[i] > v {
-                            triangles += 1;
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-    triangles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,16 +50,12 @@ mod tests {
         let g = generators::complete(3);
         assert_eq!(local_clustering(&g, NodeId::new(0)), 1.0);
         assert_eq!(average_clustering(&g), 1.0);
-        assert_eq!(global_clustering(&g), 1.0);
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]
     fn star_has_zero_clustering() {
         let g = generators::star(6);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(global_clustering(&g), 0.0);
-        assert_eq!(triangle_count(&g), 0);
     }
 
     #[test]
@@ -126,18 +66,9 @@ mod tests {
     }
 
     #[test]
-    fn complete_graph_triangle_count() {
-        let g = generators::complete(6);
-        // C(6,3) = 20 triangles.
-        assert_eq!(triangle_count(&g), 20);
-        assert_eq!(global_clustering(&g), 1.0);
-    }
-
-    #[test]
     fn paw_graph_values() {
         // Triangle 0-1-2 plus pendant 3 attached to 0.
         let g = crate::Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)]).unwrap();
-        assert_eq!(triangle_count(&g), 1);
         // Node 0 has degree 3: one closed pair of three => 1/3.
         assert!((local_clustering(&g, NodeId::new(0)) - 1.0 / 3.0).abs() < 1e-12);
         // Nodes 1, 2: degree 2, their single pair is closed => 1.
@@ -145,14 +76,11 @@ mod tests {
         // Average: (1/3 + 1 + 1 + 0) / 4.
         let expected = (1.0 / 3.0 + 2.0) / 4.0;
         assert!((average_clustering(&g) - expected).abs() < 1e-12);
-        // Transitivity: wedges = C(3,2) + 1 + 1 = 5 at centers 0,1,2; closed = 3.
-        assert!((global_clustering(&g) - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph_is_zero() {
         let g = crate::Graph::empty(0);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(global_clustering(&g), 0.0);
     }
 }

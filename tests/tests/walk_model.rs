@@ -10,7 +10,7 @@
 //! the property below holds it to the model — same results, path and
 //! message count, and the caller's RNG left at the same stream position —
 //! across graph shapes (one with hubs wider than two mask words), every
-//! policy, fan-outs, TTLs and every `Scores` source.
+//! policy, fan-outs, TTLs, and a zero-length and a full-length score column.
 //! Three more tests hold it to the model on an overflowing query, on a star
 //! whose hub runs out of fresh leaves (the footnote-9 fallback on a
 //! two-word mask) and on flooding at paper scale.
@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use gdsearch::forwarding::{self, LazyColumn, Scores};
+use gdsearch::forwarding::{self, LazyColumn};
 use gdsearch::{
     walk, DocId, FoundDoc, Placement, PolicyKind, SchemeConfig, SearchNetwork, WalkOutcome,
 };
@@ -262,8 +262,9 @@ fn observe(outcome: WalkOutcome, rng: &mut StdRng) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `walk::run_with` ≡ the model over the whole configuration grid, from
-    /// every score source.
+    /// `walk::run_with` ≡ the model over the whole configuration grid, with
+    /// a zero-length column (every candidate scored by the kernel) and a
+    /// full-length one (filled as the walk scores).
     #[test]
     fn run_with_matches_the_reference_model(
         seed in 0u64..1_000_000,
@@ -302,18 +303,16 @@ proptest! {
                     let want = model_walk(&network, query, start, &mut model_rng);
                     let want = observe(want, &mut model_rng);
 
-                    let column = forwarding::score_column(query, network.embeddings());
-                    let lazy = LazyColumn::new(graph.num_nodes());
-                    let sources = [Scores::Inline, Scores::Column(&column), Scores::Lazy(&lazy)];
-                    for scores in sources {
+                    for len in [0, graph.num_nodes()] {
+                        let scores = LazyColumn::new(len);
                         let mut walk_rng = StdRng::seed_from_u64(walk_seed);
-                        let got = walk::run_with(&network, query, start, &mut walk_rng, scores)
+                        let got = walk::run_with(&network, query, start, &mut walk_rng, &scores)
                             .unwrap();
                         prop_assert_eq!(
                             &observe(got, &mut walk_rng),
                             &want,
-                            "{:?} fanout {} ttl {} {:?} shape {} n {} start {:?}",
-                            policy, fanout, ttl, scores, shape, n, start
+                            "{:?} fanout {} ttl {} column of {} shape {} n {} start {:?}",
+                            policy, fanout, ttl, len, shape, n, start
                         );
                     }
                 }
