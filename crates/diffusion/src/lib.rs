@@ -93,6 +93,10 @@ pub mod sharded;
 mod signal;
 pub mod workpool;
 
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
 pub use config::PprConfig;
 pub use convergence::Convergence;
 pub use error::DiffusionError;

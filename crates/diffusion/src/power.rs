@@ -14,10 +14,17 @@
 //! bit-identical output. While some rows are still dead (all `+0.0`, and
 //! gathering from no live row) the sweep neither reads nor writes them.
 //!
+//! The sweep keeps one `N × dim` iterate and updates it in place, a wave of
+//! `⌈N/4⌉` consecutive rows at a time, holding back until the sweep ends
+//! the rows a later wave still reads. Beside the iterate it keeps one wave
+//! of rows and the held-back ones: about 0.3 of an iterate on the
+//! clustered ids of a social-circles graph, and at most a second iterate's
+//! rows (up to three more when 4 does not divide `N`) on any graph.
+//!
 //! One sweep loop serves two entries: [`diffuse_threaded`] reads a dense
 //! `E0` and sweeps from a copy of it; [`diffuse_rows`] takes `E0` as its
 //! non-zero rows, keeps it row-sparse and sweeps from its dense copy, so it
-//! holds two `N × dim` buffers where the dense entry holds three.
+//! holds one `N × dim` buffer where the dense entry holds two.
 
 #![expect(
     clippy::indexing_slicing,
@@ -103,7 +110,7 @@ pub fn diffuse(
 ///
 /// Each output row of the sweep `E(t) = (1−a) A E(t−1) + a E0` depends
 /// only on the previous iterate, so disjoint row ranges are computed
-/// concurrently into disjoint chunks of the next iterate; the per-chunk
+/// concurrently into disjoint chunks of a wave buffer; the per-chunk
 /// residual maxima are folded in chunk order, and `f32::max` is
 /// associative for the non-NaN values produced here — the result is
 /// therefore bit-for-bit identical for every thread count, including
@@ -124,13 +131,14 @@ pub fn diffuse(
 /// grows one hop per sweep from the rows of `E0` that hold a set bit, and
 /// while it is not yet all rows each row skips its dead neighbours, which
 /// changes no bit of a sum (argued at the row kernel). A row that stays
-/// dead is neither read nor written: both iterates already hold its
-/// `+0.0` bits. The mask is structural — a live row may still hold zeros —
+/// dead is neither read nor written: the iterate already holds its `+0.0`
+/// bits. The mask is structural — a live row may still hold zeros —
 /// and identical for every thread count.
 ///
-/// The sweep holds `e0`, one copy of it as the first iterate and the next
-/// iterate: three `N × dim` buffers, one of them the caller's.
-/// [`diffuse_rows`] takes `E0` row-sparse and holds two.
+/// The sweep holds `e0` and one copy of it, the iterate it updates in
+/// place: two `N × dim` buffers, one of them the caller's, beside a wave
+/// buffer and the held-back rows (see the module docs). [`diffuse_rows`]
+/// takes `E0` row-sparse and holds one.
 ///
 /// # Errors
 ///
@@ -154,6 +162,7 @@ pub fn diffuse_threaded(
         |u| e0.row(u),
         config,
         threads,
+        WAVES,
     ))
 }
 
@@ -164,7 +173,7 @@ pub fn diffuse_threaded(
 /// [`Signal::from_sparse_rows`] folds them — each row summed with `+=` from
 /// `+0.0` in source order, so repeated sources accumulate and a `−0.0`
 /// entry reads `+0.0` — and the first iterate is its dense copy. `E0` is
-/// never materialized or cloned: the sweep holds two `N × dim` buffers, and
+/// never materialized or cloned: the sweep holds one `N × dim` buffer, and
 /// the bits are those of [`diffuse_threaded`] on
 /// `Signal::from_sparse_rows(N, dim, sources)`.
 ///
@@ -205,32 +214,43 @@ pub fn diffuse_rows(
         |u| e0.row(u),
         config,
         threads,
+        WAVES,
     ))
 }
 
+/// How many consecutive row ranges a sweep updates the iterate in, one
+/// after another.
+const WAVES: usize = 4;
+
 /// The one sweep loop: iterates from `current`, which holds `E0`'s bits,
 /// reading row `u` of `E0` as `origin(u)`, until the residual meets the
-/// tolerance or the budget runs out. It allocates one `N × dim` buffer of
-/// its own, the next iterate, and finds the live rows of `E0` through
-/// `origin`, so it touches no page of either iterate before a sweep
-/// writes it.
+/// tolerance or the budget runs out. It finds the live rows of `E0` through
+/// `origin`, so it touches no page of the iterate before a sweep writes it.
+///
+/// `current` is the only `N × dim` iterate: a sweep updates it in place,
+/// over `waves` consecutive row ranges (see [`Waves`]). A wave sweeps its
+/// rows into one wave-sized buffer, then copies each row it wrote back into
+/// `current` — unless a later wave reads the row, which then waits in a
+/// pending buffer until the sweep ends. So every read still sees `E(t)`,
+/// and the bits are those of a sweep into a second iterate.
 fn sweep_to_fixed_point<'o>(
     graph: &Graph,
     mut current: Signal,
     origin: impl Fn(usize) -> &'o [f32] + Sync,
     config: &PprConfig,
     threads: usize,
+    waves: usize,
 ) -> DiffusionResult {
     let (n, dim) = (current.num_nodes(), current.dim());
-    let width = dim.max(1);
-    let threads = threads.max(1).min(n.max(1));
-    let chunk_rows = n.max(1).div_ceil(threads);
+    let waves = Waves::new(graph, waves, threads);
     let weights = Weights::new(graph, config.normalization());
     let zeros = vec![0.0f32; dim];
-    let mut next = Signal::zeros(n, dim);
-    // live: rows of `current` that may hold a set bit. reached: the same
-    // for `next` — seeded with E0's rows, which are live in every iterate,
-    // and only ever gaining rows, so the sweep grows it in place.
+    let mut wave = vec![0.0f32; waves.wave_rows * dim];
+    let mut pending = vec![0.0f32; waves.held.len() * dim];
+    // live: rows of `E(t)` that may hold a set bit. reached: the same for
+    // `E(t+1)` — seeded with E0's rows, which are live in every iterate,
+    // and only ever gaining rows, so the sweep grows it in place. A sweep
+    // writes row `u` exactly when it leaves `reached[u]` set.
     let mut live: Vec<bool> = (0..n)
         .map(|u| origin(u).iter().any(|x| x.to_bits() != 0))
         .collect();
@@ -238,8 +258,10 @@ fn sweep_to_fixed_point<'o>(
     let mut conv = Convergence::new();
     while conv.iters < config.max_iterations() {
         let masked = live.contains(&false);
-        // next = (1 - a) * A * current + a * e0, sharded by row range.
-        let max_delta = {
+        let mut max_delta = 0.0f32;
+        for first in (0..n).step_by(waves.wave_rows) {
+            let rows = first..(first + waves.wave_rows).min(n);
+            let (wave, reached) = (&mut wave[..rows.len() * dim], &mut reached[rows]);
             let sweep = Sweep {
                 graph,
                 weights: &weights,
@@ -250,21 +272,10 @@ fn sweep_to_fixed_point<'o>(
                 alpha: config.alpha(),
                 live: masked.then_some(live.as_slice()),
             };
-            let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = next
-                .as_mut_slice()
-                .chunks_mut(chunk_rows * width)
-                .zip(reached.chunks_mut(chunk_rows))
-                .enumerate()
-                .map(|(i, (chunk, reached))| (i * chunk_rows, chunk, reached))
-                .collect();
-            let deltas = crate::workpool::map_batched_mut(
-                &mut chunks,
-                threads,
-                |(first_row, chunk, reached)| sweep.rows(*first_row, chunk, reached),
-            );
-            deltas.into_iter().fold(0.0f32, f32::max)
-        };
-        std::mem::swap(&mut current, &mut next);
+            max_delta = max_delta.max(waves.sweep(&sweep, first, wave, reached));
+            waves.copy_back(first, wave, reached, &mut current, &mut pending);
+        }
+        waves.flush(&pending, &reached, &mut current);
         if masked {
             live.copy_from_slice(&reached);
         }
@@ -277,6 +288,150 @@ fn sweep_to_fixed_point<'o>(
         iterations: conv.iters,
         residual: conv.residual,
         converged: conv.converged,
+    }
+}
+
+/// How a sweep walks the rows: in waves of `wave_rows` consecutive rows,
+/// each split across the workers in chunks of `chunk_rows`.
+///
+/// A row is *held back* when its last neighbour (adjacency is sorted) lies
+/// in a later wave. A wave reads its own rows, the later ones — which no
+/// wave has written yet — and, adjacency being symmetric, exactly the
+/// held-back rows of earlier waves. So a wave may write every other row it
+/// computed into the iterate at once, and a held-back row must wait for the
+/// end of the sweep. Which rows are held back depends only on the graph:
+/// each keeps one pending slot for the whole call. No row of the last wave
+/// is held back, so one wave buffer and the pending slots together hold at
+/// most `N + waves − 1` rows; with clustered ids, far fewer.
+struct Waves {
+    wave_rows: usize,
+    chunk_rows: usize,
+    threads: usize,
+    /// The held-back rows, ascending.
+    held: Vec<u32>,
+}
+
+impl Waves {
+    fn new(graph: &Graph, waves: usize, threads: usize) -> Self {
+        let wave_rows = graph.num_nodes().max(1).div_ceil(waves.max(1));
+        let threads = threads.max(1).min(wave_rows);
+        let held = graph.node_ids().filter(|&u| {
+            let last = graph.neighbor_slice(u).last();
+            last.is_some_and(|v| v.index() / wave_rows > u.index() / wave_rows)
+        });
+        Waves {
+            wave_rows,
+            chunk_rows: wave_rows.div_ceil(threads),
+            threads,
+            held: held.map(NodeId::as_u32).collect(),
+        }
+    }
+
+    /// Sweeps the wave of rows from `first` on into `new`, sharded by row
+    /// range, and returns its max residual.
+    fn sweep<'o, O: Fn(usize) -> &'o [f32] + Sync>(
+        &self,
+        sweep: &Sweep<'_, O>,
+        first: usize,
+        new: &mut [f32],
+        reached: &mut [bool],
+    ) -> f32 {
+        let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = new
+            .chunks_mut(self.chunk_rows * sweep.dim.max(1))
+            .zip(reached.chunks_mut(self.chunk_rows))
+            .enumerate()
+            .map(|(i, (chunk, reached))| (first + i * self.chunk_rows, chunk, reached))
+            .collect();
+        let deltas = crate::workpool::map_batched_mut(
+            &mut chunks,
+            self.threads,
+            |(first_row, chunk, reached)| sweep.rows(*first_row, chunk, reached),
+        );
+        deltas.into_iter().fold(0.0f32, f32::max)
+    }
+
+    /// Copies the rows the wave from `first` on wrote, `new`, into
+    /// `current`, and each held-back one into its `pending` slot instead,
+    /// sharded as the wave was swept.
+    fn copy_back(
+        &self,
+        first: usize,
+        new: &[f32],
+        reached: &[bool],
+        current: &mut Signal,
+        pending: &mut [f32],
+    ) {
+        let dim = current.dim();
+        let width = dim.max(1);
+        let rows = &mut current.as_mut_slice()[first * dim..][..new.len()];
+        let mut held_from = self.held.partition_point(|&u| (u as usize) < first);
+        let mut slots = &mut pending[held_from * dim..];
+        let chunks = rows
+            .chunks_mut(self.chunk_rows * width)
+            .zip(new.chunks(self.chunk_rows * width))
+            .zip(reached.chunks(self.chunk_rows));
+        let mut copies = Vec::with_capacity(self.threads);
+        for (first_row, ((rows, new), reached)) in (first..).step_by(self.chunk_rows).zip(chunks) {
+            let end = first_row + reached.len();
+            let held_to = self.held.partition_point(|&u| (u as usize) < end);
+            let (mine, rest) = std::mem::take(&mut slots).split_at_mut((held_to - held_from) * dim);
+            copies.push(CopyBack {
+                first_row,
+                new,
+                reached,
+                held: &self.held[held_from..held_to],
+                rows,
+                slots: mine,
+            });
+            (held_from, slots) = (held_to, rest);
+        }
+        crate::workpool::map_batched_mut(&mut copies, self.threads, |copy| copy.apply(width));
+    }
+
+    /// Writes the held-back rows the sweep wrote from `pending` into
+    /// `current`.
+    fn flush(&self, pending: &[f32], reached: &[bool], current: &mut Signal) {
+        let width = current.dim().max(1);
+        for (&u, slot) in self.held.iter().zip(pending.chunks(width)) {
+            if reached[u as usize] {
+                current.row_mut(u as usize).copy_from_slice(slot);
+            }
+        }
+    }
+}
+
+/// One worker's share of a wave's copy-back: the wave's rows from
+/// `first_row` on.
+struct CopyBack<'a> {
+    first_row: usize,
+    /// The rows of `E(t+1)`.
+    new: &'a [f32],
+    /// Which of them the sweep wrote.
+    reached: &'a [bool],
+    /// The held-back rows among them, ascending.
+    held: &'a [u32],
+    /// The same rows of the iterate.
+    rows: &'a mut [f32],
+    /// The held-back rows' pending slots.
+    slots: &'a mut [f32],
+}
+
+impl CopyBack<'_> {
+    /// Copies each written row to its pending slot if it is held back, and
+    /// into the iterate otherwise.
+    fn apply(&mut self, width: usize) {
+        let held = self.held.iter().map(|&u| u as usize - self.first_row);
+        let mut slots = held.zip(self.slots.chunks_mut(width)).peekable();
+        let rows = self.new.chunks(width).zip(self.rows.chunks_mut(width));
+        for (i, ((new, row), &reached)) in rows.zip(self.reached).enumerate() {
+            let target = match slots.next_if(|(h, _)| *h == i) {
+                Some((_, slot)) => slot,
+                None => row,
+            };
+            if reached {
+                target.copy_from_slice(new);
+            }
+        }
     }
 }
 
@@ -458,7 +613,9 @@ impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::reference_sweep;
     use gdsearch_graph::generators;
+    use rand::Rng;
 
     fn one_hot_signal(n: usize, node: usize) -> Signal {
         let mut s = Signal::zeros(n, 1);
@@ -712,6 +869,76 @@ mod tests {
                     a.row(u).find(|&(c, _)| c as usize == v).map_or(0.0, |(_, w)| w)
                 });
                 prop_assert_eq!(bits(&column), bits(&stored.collect::<Vec<_>>()), "column {}", v);
+            }
+        }
+    }
+
+    /// Graphs whose edges cross waves: Barabási–Albert (late ids attach to
+    /// early hubs), a path zigzagging between the two ends of the id range
+    /// (0, n−1, 1, n−2, …), a star whose hub has the largest id, and the
+    /// hostile shapes of `sweep_equals_reference_on_hostile_graphs` (no
+    /// nodes, one node, a triangle beside isolated nodes, a hub at id 0).
+    fn arb_wave_graph() -> impl Strategy<Value = Graph> {
+        (0usize..7, 3u32..40, 0u64..1000).prop_map(|(family, n, seed)| match family {
+            0 => generators::barabasi_albert(n, 2, &mut seeded(seed)).unwrap(),
+            1 => {
+                let order: Vec<u32> = (0..n)
+                    .map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 })
+                    .collect();
+                Graph::from_edges(n, order.windows(2).map(|e| (e[0], e[1]))).unwrap()
+            }
+            2 => Graph::from_edges(n, (0..n - 1).map(|u| (u, n - 1))).unwrap(),
+            3 => Graph::empty(0),
+            4 => Graph::empty(1),
+            5 => Graph::from_edges(7, [(1, 2), (2, 3), (1, 3)]).unwrap(),
+            _ => generators::star(9),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// However many waves a sweep takes — one (nothing held back), a
+        /// few, `WAVES`, one row each (N) or more waves than rows — and on
+        /// any thread count, it leaves the reference sweep's bits, sweep
+        /// count and residual: from sources on a few rows (the mask on) and
+        /// on every row (the mask off).
+        #[test]
+        fn every_wave_count_is_the_reference_sweep(
+            g in arb_wave_graph(),
+            norm in 0usize..3,
+            dim in 0usize..5,
+            hosts in 0usize..4,
+            alpha in 0.1f32..1.0,
+            seed in 0u64..1000,
+        ) {
+            let (n, dim) = (g.num_nodes(), [0, 1, 63, 64, 65][dim]);
+            let mut rng = seeded(seed);
+            let mut e0 = Signal::zeros(n, dim);
+            // hosts 0: every row; otherwise that many random rows.
+            let rows: Vec<usize> = match hosts {
+                0 => (0..n).collect(),
+                _ if n == 0 => Vec::new(),
+                hosts => (0..hosts).map(|_| rng.random_range(0..n)).collect(),
+            };
+            for u in rows {
+                for x in e0.row_mut(u) {
+                    *x = rng.random::<f32>() - 0.5;
+                }
+            }
+            let cfg = PprConfig::new(alpha)
+                .unwrap()
+                .with_normalization(NORMS[norm])
+                .with_tolerance(1e-6)
+                .unwrap();
+            let (signal, iterations, residual, converged) = reference_sweep(&g, &e0, &cfg);
+            let want = (bits(&signal), iterations, residual.to_bits(), converged);
+            for waves in [1, 2, 3, WAVES, n, n + 1] {
+                for threads in [1, 2, 3, 16] {
+                    let out = sweep_to_fixed_point(&g, e0.clone(), |u| e0.row(u), &cfg, threads, waves);
+                    let got = (bits(out.signal.as_slice()), out.iterations, out.residual.to_bits(), out.converged);
+                    prop_assert_eq!(&got, &want, "{} waves, {} threads", waves, threads);
+                }
             }
         }
     }

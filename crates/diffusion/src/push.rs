@@ -23,18 +23,20 @@
 //!
 //! # Cost and scratch discipline
 //!
-//! A column costs `Σ deg(pushed)` for its pushes plus `O(touched)` per
-//! drain, *touched* being every node a residual was ever added to. All
-//! per-node state lives in one scratch per worker, allocated once per
+//! All per-node state lives in one scratch per worker, allocated once per
 //! driver call and reused across that worker's sources. A bitset marked at
-//! every `residual[v] +=` is the touched set; the certified bound, the
-//! frontier rebuild after an `rmax` halving, the column compression and the
-//! clear walk it (`N/64` words per pass, ascending node id, no sort)
-//! instead of `0..N`. Every node they skip holds an exact `+0.0` residual
-//! and estimate — a no-op in each sum, max and threshold test — so results
-//! and counters are bit-for-bit what the full scans gave (the test module
-//! keeps those scans as the reference model). The same walk clears the
-//! scratch on the `Ok` and the `Err` path.
+//! every `residual[v] +=` is the *touched* set: every node a residual was
+//! ever added to. A column costs `Σ deg(pushed)` for its pushes plus passes
+//! over that bitset: per drain, the certified bound and, when it misses the
+//! tolerance, the frontier rebuild after an `rmax` halving; once per
+//! column, the compression and the clear. Each pass reads all `N/64` words
+//! (1,563 at `N = 10⁵`), so a drain costs `O(N/64 + touched)`, not
+//! `O(touched)`. The first three visit only the touched nodes, in ascending
+//! id with no sort, instead of `0..N`. Every node they skip holds an exact
+//! `+0.0` residual and estimate — a no-op in each sum, max and threshold
+//! test — so results and counters are bit-for-bit what the full scans gave
+//! (the test module keeps those scans as the reference model). The same
+//! walk clears the scratch on the `Ok` and the `Err` path.
 //!
 //! # Accuracy guarantee
 //!

@@ -4,11 +4,14 @@
 use gdsearch_diffusion::push::{self, PushConfig};
 use gdsearch_diffusion::{exact, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{transition_weight, Normalization, GATHER_BLOCK};
+use gdsearch_graph::sparse::{Normalization, GATHER_BLOCK};
 use gdsearch_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod reference;
+use reference::reference_sweep;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2u32..30, 0u32..40, 0u64..1000).prop_map(|(n, extra, seed)| {
@@ -65,39 +68,6 @@ fn sharded_column(
     let unit = [(source, Embedding::new(vec![1.0]))];
     let column = gdsearch_diffusion::sharded::diffuse_sparse(g, 1, &unit, cfg).unwrap();
     column.as_slice().to_vec()
-}
-
-/// The dense sweep spelled out — every neighbour gathered in adjacency
-/// order, nothing skipped — as `(signal, iterations, residual, converged)`.
-fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, usize, f32, bool) {
-    let (dim, a) = (e0.dim(), cfg.alpha());
-    let mut cur = e0.as_slice().to_vec();
-    let (mut iterations, mut residual, mut converged) = (0, f32::INFINITY, false);
-    while iterations < cfg.max_iterations() && !converged {
-        let mut next = vec![0.0f32; cur.len()];
-        residual = 0.0;
-        for u in g.node_ids() {
-            let row = u.index() * dim..(u.index() + 1) * dim;
-            for v in g.neighbors(u) {
-                let w = transition_weight(g, cfg.normalization(), u, v);
-                let src = &cur[v.index() * dim..][..dim];
-                for (o, s) in next[row.clone()].iter_mut().zip(src) {
-                    *o += w * s;
-                }
-            }
-            for j in row {
-                next[j] = (1.0 - a) * next[j] + a * e0.as_slice()[j];
-                let delta = (next[j] - cur[j]).abs();
-                if delta > residual {
-                    residual = delta;
-                }
-            }
-        }
-        cur = next;
-        iterations += 1;
-        converged = residual <= cfg.tolerance();
-    }
-    (cur, iterations, residual, converged)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
