@@ -2,20 +2,21 @@
 //!
 //! The cache maps a query-class key to that class's
 //! [`LazyColumn`]: a directory of 1 KB pages of cells, empty when inserted
-//! and filled by the walks that read it, each cell through the scoring
-//! kernel the inline walk uses. A miss therefore costs the directory
-//! (≈ 6 KB at N = 10⁵) — neither a scan of all N embeddings nor N cells —
-//! and a resident column holds 1 KB per page its walks touched and saves
-//! exactly the dot products earlier walks of the class already paid for.
+//! and filled by the walks that read it, each cell through the one scoring
+//! kernel. A miss therefore costs the directory (≈ 6 KB at N = 10⁵) —
+//! neither a scan of all N embeddings nor N cells — and a resident column
+//! holds 1 KB per page its walks touched and saves exactly the dot products
+//! earlier walks of the class already paid for.
 //!
-//! Why the cache stays (ROADMAP G's trial, measured at N = 10⁵, dim 64,
-//! traced benchmark runs of PR 25): a 50-hop walk reading filled cells
-//! took 29–34 µs (`walk.scored_us`), the same walk scoring inline
-//! 62–71 µs (`walk.inline_us`): the dot products are half of an inline
-//! walk, which rescores a neighbour at every hop that meets it. With the
-//! miss down to a directory, `serve-cold`'s `engine.execute_us` fell
-//! 67.5 → 47.9 µs (a hot request: ≈ 33 µs), so even a miss now serves
-//! faster than walking inline.
+//! That cross-request reuse is all the cache is worth: a walk without a
+//! cached column memoizes its scores in a column of its own, so it never
+//! rescores a node either. Ten alternating 12 s pairs of the default 256
+//! columns against `Bounded(0)` (N = 10⁵, dim 64, seed 41, one worker;
+//! medians of requests/s, quartiles in brackets): serve-hot 36.7k
+//! [35.2–38.8k] vs 31.7k [30.0–32.6k], serve-batch 38.0k [34.8–39.7k] vs
+//! 31.8k [29.4–33.9k] — repeated classes reuse their cells — but serve-cold
+//! 30.7k [29.7–31.6k] vs 33.4k [32.2–33.9k], where ≈ 88 % of requests miss
+//! and every insert evicts.
 //!
 //! A cell's value is a pure function of (query, embeddings, node), so
 //! cache capacity, eviction order, lookup interleaving, and *which walk
@@ -58,7 +59,7 @@ pub struct CacheStats {
 
 /// What [`ColumnCache::get`] found under a class key.
 #[derive(Debug)]
-pub enum Lookup {
+pub(crate) enum Lookup {
     /// The class's column, created for this very embedding.
     Hit(Arc<LazyColumn>),
     /// Nothing resident under the key.
@@ -85,7 +86,7 @@ struct Entry {
 
 /// A capacity-bounded, deterministically evicting score-column cache.
 #[derive(Debug)]
-pub struct ColumnCache {
+pub(crate) struct ColumnCache {
     entries: BTreeMap<u64, Entry>,
     capacity: CacheCapacity,
     seq: u64,
@@ -107,10 +108,6 @@ impl ColumnCache {
     /// Looks up the column of `query` under `class`, bumping its recency
     /// on a hit.
     pub fn get(&mut self, class: u64, query: &Embedding) -> Lookup {
-        if !self.capacity.enabled() {
-            self.stats.misses = self.stats.misses.saturating_add(1);
-            return Lookup::Miss;
-        }
         self.seq = self.seq.saturating_add(1);
         let missed = match self.entries.get_mut(&class) {
             Some(entry) if same_bits(&entry.query, query) => {
@@ -178,18 +175,6 @@ impl ColumnCache {
             .stats
             .invalidations
             .saturating_add(u64::try_from(dropped).unwrap_or(u64::MAX));
-    }
-
-    /// Number of resident columns.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no column is resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Counters accumulated so far.
@@ -285,7 +270,7 @@ mod tests {
         assert!(resident(&mut cache, 1));
         assert!(resident(&mut cache, 3));
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -306,7 +291,7 @@ mod tests {
         let mut cache = ColumnCache::new(CacheCapacity::Bounded(0));
         insert(&mut cache, 1);
         assert!(matches!(cache.get(1, &query()), Lookup::Miss));
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.stats().inserts, 0);
     }
 
@@ -316,7 +301,7 @@ mod tests {
         for class in 0..64 {
             insert(&mut cache, class);
         }
-        assert_eq!(cache.len(), 64);
+        assert_eq!(cache.entries.len(), 64);
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -331,7 +316,7 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 1);
 
         cache.invalidate_all();
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.stats().invalidations, 2);
     }
 

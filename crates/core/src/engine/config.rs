@@ -119,7 +119,7 @@ pub fn validate_scheme(c: &SchemeConfig) -> Result<(), ConfigError> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCapacity {
     /// Hold at most this many columns, evicting the least recently used.
-    /// `Bounded(0)` never caches: every query scores candidates inline.
+    /// `Bounded(0)` never caches: every walk scores through a column of its own.
     Bounded(usize),
     /// Hold every column ever started.
     Unbounded,
@@ -128,7 +128,7 @@ pub enum CacheCapacity {
 impl CacheCapacity {
     /// Whether a cache under this policy can ever store a column.
     #[must_use]
-    pub fn enabled(self) -> bool {
+    pub(crate) fn enabled(self) -> bool {
         self != CacheCapacity::Bounded(0)
     }
 }

@@ -15,7 +15,7 @@
 //! [`LazyColumn`]: it starts as a directory of empty pages, and a walk's
 //! forwarding decision fills a cell (allocating its page on first touch)
 //! the first time it scores that node — with the *same* dot-product kernel
-//! it evaluates inline — and reads it back afterwards. A cell's bits are
+//! every walk scores with — and reads it back afterwards. A cell's bits are
 //! thus a pure function of (query, embeddings, node): a walk observes
 //! bitwise the scores it would have computed itself, whether it found the
 //! cell set or set it. Walks of one batch share a column across threads
@@ -68,7 +68,8 @@
 mod cache;
 mod config;
 
-pub use cache::{CacheStats, ColumnCache, Lookup};
+pub use cache::CacheStats;
+use cache::{ColumnCache, Lookup};
 pub use config::{validate_scheme, CacheCapacity, ConfigError, EngineConfig, EngineConfigBuilder};
 
 use std::collections::VecDeque;
@@ -204,11 +205,11 @@ pub enum CacheVerdict {
     /// empty one was inserted for the batch's walks of that class to fill
     /// and share. Nothing is computed up front — a miss costs the column's
     /// page directory (16 B per 256 nodes), a 1 KB page per 256-node range
-    /// the walk scores in, and the dot products it would have done inline.
+    /// the walk scores in, and the dot products any walk does.
     Miss,
     /// The request carried no class, the cache is disabled, or the class
-    /// key is held by a different embedding (a hash collision); candidate
-    /// scores were computed inline during the walk and stored nowhere.
+    /// key is held by a different embedding (a hash collision); the walk
+    /// scored through a column of its own, which no later request sees.
     Bypass,
 }
 
@@ -237,8 +238,8 @@ impl QueryRequest {
         }
     }
 
-    /// Opts this request out of column caching; its walk scores
-    /// candidates inline ([`CacheVerdict::Bypass`]).
+    /// Opts this request out of column caching; its walk scores through a
+    /// column of its own, dropped when it ends ([`CacheVerdict::Bypass`]).
     #[must_use]
     pub fn uncached(mut self) -> Self {
         self.class = None;
@@ -293,8 +294,8 @@ pub struct QueryResponse {
     pub id: u64,
     /// How the cache served this request.
     pub verdict: CacheVerdict,
-    /// The walk's results, identical to a sequential uncached
-    /// [`walk::run`] with the same seed.
+    /// The walk's results, bitwise those of [`walk::run`] with the same
+    /// seed, whatever column the walk read.
     pub outcome: WalkOutcome,
 }
 
@@ -526,7 +527,7 @@ impl<'g> QueryEngine<'g> {
 
         // One empty column per distinct missing class; the first request
         // of a class owns it, and a later one with the same key but other
-        // bits (a collision inside the batch) walks inline.
+        // bits (a collision inside the batch) walks on a column of its own.
         let num_nodes = self.network.graph().num_nodes();
         let mut fresh: Vec<(u64, &Embedding, Arc<LazyColumn>)> = Vec::new();
         for (request, slot) in batch.iter().zip(&mut resolved) {
@@ -555,8 +556,8 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Executes one batch: resolve every request's column, then run every
-    /// walk on the work pool with its private seeded RNG. Walks of one
-    /// class fill and read their shared column concurrently.
+    /// walk on the work pool with its private seeded RNG — on its class's
+    /// shared column, or as [`walk::run`] on a column of its own.
     fn run_batch(
         &self,
         batch: Vec<(u64, QueryRequest)>,
@@ -570,17 +571,14 @@ impl<'g> QueryEngine<'g> {
         // cannot leak into results; map_batched returns outputs in
         // submission order.
         let network = &self.network;
-        let uncached = LazyColumn::new(0);
         let outcomes: Vec<Result<WalkOutcome, SearchError>> =
             workpool::map_batched(&slots, self.config.threads(), |(request, (column, _))| {
                 let mut rng = StdRng::seed_from_u64(request.seed);
-                walk::run_with(
-                    network,
-                    &request.query,
-                    request.start,
-                    &mut rng,
-                    column.as_deref().unwrap_or(&uncached),
-                )
+                let (query, start) = (&request.query, request.start);
+                match column {
+                    Some(column) => walk::run_with(network, query, start, &mut rng, column),
+                    None => walk::run(network, query, start, &mut rng),
+                }
             });
 
         let executed = u64::try_from(batch.len()).unwrap_or(u64::MAX);
@@ -897,7 +895,7 @@ mod tests {
             request(&fx, 0, 5, 3),
             forged(6, 4),
         ];
-        let inline: Vec<WalkOutcome> = batch
+        let walked: Vec<WalkOutcome> = batch
             .iter()
             .map(|r| {
                 let mut rng = StdRng::seed_from_u64(r.seed);
@@ -921,7 +919,7 @@ mod tests {
                     CacheVerdict::Bypass
                 ]
             );
-            for (response, want) in responses.iter().zip(&inline) {
+            for (response, want) in responses.iter().zip(&walked) {
                 assert_eq!(&response.outcome, want);
             }
         }
@@ -955,14 +953,14 @@ mod tests {
             for (start, seed) in [(1u32, 1u64), (40, 2), (77, 3), (149, 4)] {
                 let response = engine.execute(request(&fx, 0, start, seed)).unwrap();
                 let mut walk_rng = StdRng::seed_from_u64(seed);
-                let inline = walk::run(
+                let walked = walk::run(
                     engine.network(),
                     fx.corpus.embedding(WordId::new(0)),
                     NodeId::new(start),
                     &mut walk_rng,
                 )
                 .unwrap();
-                assert_eq!(response.outcome, inline);
+                assert_eq!(response.outcome, walked);
             }
         }
         assert!(engine.stats().cache.hits >= 7);

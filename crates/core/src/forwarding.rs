@@ -55,10 +55,10 @@ pub struct ForwardContext<'a> {
     pub fanout: usize,
     /// The query's score column, read and filled as candidates are scored.
     /// It must only ever be used with one query and one embedding matrix.
-    /// A zero-length column (`LazyColumn::new(0)`, which allocates nothing)
-    /// scores every candidate with the kernel and stores nothing; the bits
-    /// are the same either way, so the column changes how much work a walk
-    /// does, never a forwarding decision.
+    /// A node past the column's pages is scored by the kernel and stored
+    /// nowhere — every node, for `LazyColumn::new(0)`, which allocates
+    /// nothing; the bits are the same either way, so the column changes how
+    /// much work a walk does, never a forwarding decision.
     pub scores: &'a LazyColumn,
 }
 
@@ -98,27 +98,24 @@ type Page = [AtomicU32; PAGE];
 pub struct LazyColumn {
     /// Page `p` holds the cells of nodes `p · PAGE ..`, once allocated.
     pages: Box<[OnceLock<Box<Page>>]>,
-    /// Nodes covered; later ones are scored inline and stored nowhere.
-    len: usize,
 }
 
 impl LazyColumn {
-    /// A column of `num_nodes` unset cells; no page is allocated yet.
-    /// `new(0)` allocates nothing: every node lies past its end, so it is
-    /// scored by the kernel and stored nowhere.
+    /// A column whose pages cover `num_nodes` nodes (every node of the
+    /// pages, so up to `PAGE − 1` more); no page is allocated yet. `new(0)`
+    /// allocates nothing: every node lies past its pages, so it is scored
+    /// by the kernel and stored nowhere.
     #[must_use]
     pub fn new(num_nodes: usize) -> Self {
         LazyColumn {
             pages: (0..num_nodes.div_ceil(PAGE))
                 .map(|_| OnceLock::new())
                 .collect(),
-            len: num_nodes,
         }
     }
 
     /// The stored score of `node`, or `None` while its cell is unset (or
-    /// its page not allocated, or `node` past the column's end — the cells
-    /// a partial last page has beyond it are never filled).
+    /// its page not allocated, or `node` past the column's pages).
     #[must_use]
     pub fn get(&self, node: usize) -> Option<f32> {
         let page = self.pages.get(node / PAGE)?.get()?;
@@ -147,7 +144,6 @@ impl LazyColumn {
             let u = c.index();
             let p = u / PAGE;
             let page = match open {
-                _ if u >= self.len => None,
                 Some((q, page)) if q == p => Some(page),
                 _ => self.page(p).inspect(|&page| open = Some((p, page))),
             };
@@ -634,7 +630,8 @@ mod tests {
     fn score_bits(ctx: &ForwardContext<'_>) -> Vec<(u32, NodeId)> {
         let mut scored = Vec::new();
         let spread = score_candidates(ctx, &mut scored);
-        assert_eq!(spread, spread_of(&scored), "column of {}", ctx.scores.len);
+        let pages = ctx.scores.pages.len();
+        assert_eq!(spread, spread_of(&scored), "column of {pages} pages");
         scored.into_iter().map(|(s, c)| (s.to_bits(), c)).collect()
     }
 
@@ -726,11 +723,13 @@ mod tests {
         let stored: Vec<u32> = (0..5).map(|u| lazy.get(u).unwrap().to_bits()).collect();
         let want: Vec<u32> = reference.iter().map(|s| s.to_bits()).collect();
         assert_eq!(stored, want);
-        // A node past the column's end is scored inline.
+        // A column covers its pages whole: one sized for two nodes stores
+        // the other three too.
         let short = LazyColumn::new(2);
         let ctx = scored_ctx(&g, &e, &q, &all, 2, &short);
         assert_eq!(score_bits(&ctx), reference_bits(&reference, &all));
-        assert!(short.get(3).is_none());
+        let stored: Vec<u32> = (0..5).map(|u| short.get(u).unwrap().to_bits()).collect();
+        assert_eq!(stored, want);
     }
 
     #[test]
@@ -763,35 +762,42 @@ mod tests {
     /// short by one, exact, one over, and a partial fourth page.
     const LENGTHS: [usize; 6] = [0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 5];
 
+    /// The nodes a column of `len` covers: every node of its pages.
+    fn covered(len: usize) -> usize {
+        len.div_ceil(PAGE) * PAGE
+    }
+
     #[test]
     fn a_column_allocates_the_pages_it_fills_and_no_other() {
         let kernel = |u: usize| u as f32 + 0.5;
         for len in LENGTHS {
+            let end = covered(len);
             let fresh = LazyColumn::new(len);
             assert_eq!(fresh.pages_allocated(), 0, "len {len}");
-            // Past the end — inside a partial last page or beyond it —
-            // a node is scored inline and allocates nothing.
-            for u in [len, len + 1, len + PAGE] {
+            // Past the pages a node is scored by the kernel, stored nowhere
+            // and allocates nothing.
+            for u in [end, end + 1, end + PAGE] {
                 assert_eq!(fill(&fresh, u, kernel), kernel(u).to_bits());
                 assert!(fresh.get(u).is_none());
             }
             assert_eq!(fresh.pages_allocated(), 0, "len {len}");
-            // Filling node u allocates page u / PAGE alone.
-            for u in 0..len {
+            // Filling node u — up to the end of a partial last page —
+            // allocates page u / PAGE alone.
+            for u in 0..end {
                 let column = LazyColumn::new(len);
                 assert_eq!(fill(&column, u, kernel), kernel(u).to_bits());
                 assert_eq!(column.pages_allocated(), 1, "len {len}, node {u}");
                 assert!(column.pages[u / PAGE].get().is_some());
                 assert_eq!(column.get(u), Some(kernel(u)));
             }
-            // The last node, then the first past it in the same hop: the
-            // open page does not let the second one in.
-            if let Some(last) = len.checked_sub(1) {
+            // The last covered node, then the first past the pages in the
+            // same hop: the open page does not let the second one in.
+            if let Some(last) = end.checked_sub(1) {
                 let column = LazyColumn::new(len);
-                let hop = [NodeId::new(last as u32), NodeId::new(len as u32)];
+                let hop = [NodeId::new(last as u32), NodeId::new(end as u32)];
                 column.score_into(&hop, kernel, |_, _| {});
                 assert_eq!(column.get(last), Some(kernel(last)));
-                assert!(column.get(len).is_none());
+                assert!(column.get(end).is_none());
                 assert_eq!(column.pages_allocated(), 1);
             }
         }
@@ -1005,7 +1011,8 @@ mod tests {
     }
 
     /// One hop's scoring inputs: embedding rows, a lazy column's length (at
-    /// most the rows'), the nodes filled before the hop, and its candidates.
+    /// most the rows'; the column covers its pages whole), the nodes filled
+    /// before the hop, and its candidates.
     #[derive(Debug)]
     struct HopCase {
         rows: Signal,
@@ -1054,7 +1061,7 @@ mod tests {
                     move |(data, query, len, (fill, mask), (mut candidates, order))| {
                         let mut rows = Signal::zeros(n, dim);
                         rows.as_mut_slice().copy_from_slice(&data);
-                        let filled = (0..len)
+                        let filled = (0..covered(len).min(n))
                             .filter(|&u| fill == 2 || (fill == 1 && mask[u] == 1))
                             .map(|u| NodeId::new(u as u32))
                             .collect();
@@ -1080,7 +1087,7 @@ mod tests {
         /// A hop scored through a zero-length column, then through a short
         /// or full one twice (as the hop finds it, then as it leaves it),
         /// carries the bits of [`score_column`]. The column then holds
-        /// exactly those bits for the covered nodes that were filled or
+        /// exactly those bits for the nodes of its pages that were filled or
         /// scored — bar a sentinel-valued score, which stays unset — in
         /// exactly the pages they fall in.
         #[test]
@@ -1094,19 +1101,20 @@ mod tests {
             score_bits(&scored_ctx(&g, &rows, &query, &filled, 2, &lazy));
             for scores in [inline(), &lazy, &lazy] {
                 let ctx = scored_ctx(&g, &rows, &query, &candidates, 2, scores);
-                prop_assert_eq!(score_bits(&ctx), want.clone(), "column of {}", scores.len);
+                prop_assert_eq!(score_bits(&ctx), want.clone(), "column of {}", len);
             }
             let mut pages = std::collections::BTreeSet::new();
             for (u, score) in reference.iter().enumerate() {
                 let node = NodeId::new(u as u32);
-                let scored = u < len && (filled.contains(&node) || candidates.contains(&node));
+                let scored =
+                    u < covered(len) && (filled.contains(&node) || candidates.contains(&node));
                 if scored {
                     pages.insert(u / PAGE);
                 }
                 let bits = Some(score.to_bits()).filter(|&b| scored && b != UNSET);
                 prop_assert_eq!(lazy.get(u).map(f32::to_bits), bits, "node {} of {}", u, len);
             }
-            prop_assert!(lazy.get(len).is_none());
+            prop_assert!(lazy.get(covered(len)).is_none());
             prop_assert_eq!(lazy.pages_allocated(), pages.len());
         }
 

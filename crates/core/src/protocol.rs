@@ -256,6 +256,8 @@ impl NodeHandler<SearchMessage> for SearchNode {
                         node_embeddings: &self.embeddings,
                         graph: &self.graph,
                         fanout: effective_fanout,
+                        // A message meets each candidate once: nothing to
+                        // store, so every score comes from the kernel.
                         scores: &LazyColumn::new(0),
                     };
                     targets =

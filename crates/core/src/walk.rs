@@ -23,9 +23,10 @@
 //! by value, so nothing a walk reads depends on a per-process hasher seed
 //! (the standing hazard `tests/tests/walk_determinism.rs` pins), and
 //! everything grows in place, so a hop that forwards one copy allocates
-//! nothing once its buffers fit the neighbourhoods it meets. `tests/tests/walk_model.rs` holds the
-//! map-and-set walk this replaced as the reference every outcome is
-//! compared against.
+//! nothing once its buffers fit the neighbourhoods it meets, bar a 1 KB
+//! page of its score column for each 256-node range it first scores in.
+//! `tests/tests/walk_model.rs` holds the map-and-set walk this replaced as
+//! the reference every outcome is compared against.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -185,6 +186,9 @@ impl NodeTable {
 /// 4. forward according to the configured policy (greedy embedding match,
 ///    random, flooding, …), spawning `fanout` parallel heads.
 ///
+/// Scores go through a column of the walk's own, so each distinct node
+/// costs one dot product however many hops meet it.
+///
 /// # Errors
 ///
 /// Returns [`SearchError::Embed`] if the query dimension disagrees with
@@ -195,7 +199,8 @@ pub fn run<R: Rng + ?Sized>(
     start: NodeId,
     rng: &mut R,
 ) -> Result<WalkOutcome, SearchError> {
-    run_with(network, query, start, rng, &LazyColumn::new(0))
+    let scores = LazyColumn::new(network.graph().num_nodes());
+    run_with(network, query, start, rng, &scores)
 }
 
 /// [`run`]; `scores`, meant to be [`forwarding::score_column`] of this

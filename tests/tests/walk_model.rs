@@ -10,7 +10,9 @@
 //! the property below holds it to the model — same results, path and
 //! message count, and the caller's RNG left at the same stream position —
 //! across graph shapes (one with hubs wider than two mask words), every
-//! policy, fan-outs, TTLs, and a zero-length and a full-length score column.
+//! policy, fan-outs, TTLs, and a zero-length and a full-length score column;
+//! a full-length column ends up holding exactly the nodes the model scored,
+//! and a second walk on it scores nothing anew.
 //! Three more tests hold it to the model on an overflowing query, on a star
 //! whose hub runs out of fresh leaves (the footnote-9 fallback on a
 //! two-word mask) and on flooding at paper scale.
@@ -37,13 +39,18 @@ use rand::{Rng, SeedableRng};
 /// `forwarding`'s tie resolution (private there; part of the protocol).
 const SCORE_TIE_RESOLUTION: f32 = 1e-4;
 
+/// The bits of a score column's unset cell (private to `forwarding`): a
+/// score with exactly these bits is never stored.
+const UNSET: u32 = u32::MAX;
+
 /// Sorts by descending score then ascending id, keeps the first `fanout`.
 fn rank_and_take(mut scored: Vec<(f32, NodeId)>, fanout: usize) -> Vec<NodeId> {
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     scored.into_iter().take(fanout).map(|(_, c)| c).collect()
 }
 
-/// The model's forwarding decision: every policy, naively.
+/// The model's forwarding decision: every policy, naively. Every node a
+/// dot product is taken for goes into `scored`.
 fn model_select(
     policy: PolicyKind,
     network: &SearchNetwork<'_>,
@@ -51,13 +58,15 @@ fn model_select(
     candidates: &[NodeId],
     fanout: usize,
     rng: &mut StdRng,
+    scored: &mut BTreeSet<NodeId>,
 ) -> Vec<NodeId> {
     if candidates.is_empty() || fanout == 0 {
         return Vec::new();
     }
     match policy {
         PolicyKind::PprGreedy => {
-            let dot = |c: NodeId| -> f32 {
+            let mut dot = |c: NodeId| -> f32 {
+                scored.insert(c);
                 let row = network.embeddings().row(c.index());
                 query.as_slice().iter().zip(row).map(|(q, e)| q * e).sum()
             };
@@ -94,7 +103,7 @@ fn model_select(
             } else {
                 PolicyKind::PprGreedy
             };
-            model_select(policy, network, query, candidates, fanout, rng)
+            model_select(policy, network, query, candidates, fanout, rng, scored)
         }
     }
 }
@@ -113,6 +122,17 @@ fn model_walk(
     start: NodeId,
     rng: &mut StdRng,
 ) -> WalkOutcome {
+    model_walk_scoring(network, query, start, rng).0
+}
+
+/// [`model_walk`], plus the nodes its forwarding decisions took a dot
+/// product for.
+fn model_walk_scoring(
+    network: &SearchNetwork<'_>,
+    query: &Embedding,
+    start: NodeId,
+    rng: &mut StdRng,
+) -> (WalkOutcome, BTreeSet<NodeId>) {
     let config = network.config();
 
     let mut results: TopK<DocId> = TopK::new(config.top_k());
@@ -122,6 +142,7 @@ fn model_walk(
     // Per-node "exchanged with" memory (paper: received-from ∪ sent-to).
     let mut node_memory: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
     let mut forwards = 0u32;
+    let mut scored: BTreeSet<NodeId> = BTreeSet::new();
 
     let mut frontier: VecDeque<Head> = VecDeque::new();
     frontier.push_back(Head {
@@ -170,7 +191,16 @@ fn model_walk(
         };
         // (4) Policy decision; fan-out at the querying node only.
         let fanout = if head.hop == 0 { config.fanout() } else { 1 };
-        for v in model_select(config.policy(), network, query, &candidates, fanout, rng) {
+        let policy = config.policy();
+        for v in model_select(
+            policy,
+            network,
+            query,
+            &candidates,
+            fanout,
+            rng,
+            &mut scored,
+        ) {
             forwards += 1;
             node_memory.entry(u).or_default().insert(v);
             node_memory.entry(v).or_default().insert(u);
@@ -191,12 +221,13 @@ fn model_walk(
             hop: found_at[&s.item],
         })
         .collect();
-    WalkOutcome {
+    let outcome = WalkOutcome {
         results,
         unique_nodes: path.len(),
         path,
         hops: forwards,
-    }
+    };
+    (outcome, scored)
 }
 
 /// Shared corpus for all cases (generation is the expensive part).
@@ -264,7 +295,11 @@ proptest! {
 
     /// `walk::run_with` ≡ the model over the whole configuration grid, with
     /// a zero-length column (every candidate scored by the kernel) and a
-    /// full-length one (filled as the walk scores).
+    /// full-length one (filled as the walk scores). The full-length column
+    /// then holds a cell for exactly the nodes the model took a dot product
+    /// for (bar a score with the unset sentinel's bits, which is never
+    /// stored), and a second walk on it, as a cached column would serve it,
+    /// has the same outcome and sets no new cell.
     #[test]
     fn run_with_matches_the_reference_model(
         seed in 0u64..1_000_000,
@@ -300,20 +335,34 @@ proptest! {
                             .unwrap();
                     let walk_seed = rng.random();
                     let mut model_rng = StdRng::seed_from_u64(walk_seed);
-                    let want = model_walk(&network, query, start, &mut model_rng);
+                    let (want, scored) =
+                        model_walk_scoring(&network, query, start, &mut model_rng);
                     let want = observe(want, &mut model_rng);
+                    let kernel = forwarding::score_column(query, network.embeddings());
+                    let stored: BTreeSet<NodeId> = scored
+                        .into_iter()
+                        .filter(|c| kernel[c.index()].to_bits() != UNSET)
+                        .collect();
 
-                    for len in [0, graph.num_nodes()] {
-                        let scores = LazyColumn::new(len);
+                    // The zero-length column, then a full one as it comes
+                    // fresh and as the first walk left it.
+                    let empty = LazyColumn::new(0);
+                    let full = LazyColumn::new(graph.num_nodes());
+                    for (pass, scores) in [&empty, &full, &full].into_iter().enumerate() {
                         let mut walk_rng = StdRng::seed_from_u64(walk_seed);
-                        let got = walk::run_with(&network, query, start, &mut walk_rng, &scores)
+                        let got = walk::run_with(&network, query, start, &mut walk_rng, scores)
                             .unwrap();
-                        prop_assert_eq!(
-                            &observe(got, &mut walk_rng),
-                            &want,
-                            "{:?} fanout {} ttl {} column of {} shape {} n {} start {:?}",
-                            policy, fanout, ttl, len, shape, n, start
+                        let case = format!(
+                            "{policy:?} fanout {fanout} ttl {ttl} pass {pass} \
+                             shape {shape} n {n} start {start:?}"
                         );
+                        prop_assert_eq!(&observe(got, &mut walk_rng), &want, "{}", case);
+                        let set: BTreeSet<NodeId> = graph
+                            .node_ids()
+                            .filter(|u| full.get(u.index()).is_some())
+                            .collect();
+                        let filled = if pass == 0 { BTreeSet::new() } else { stored.clone() };
+                        prop_assert_eq!(set, filled, "{}", case);
                     }
                 }
             }
