@@ -115,24 +115,6 @@ pub fn validate_scheme(c: &SchemeConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Capacity policy of the engine's hot-column cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheCapacity {
-    /// Hold at most this many columns, evicting the least recently used.
-    /// `Bounded(0)` never caches: every walk scores through a column of its own.
-    Bounded(usize),
-    /// Hold every column ever started.
-    Unbounded,
-}
-
-impl CacheCapacity {
-    /// Whether a cache under this policy can ever store a column.
-    #[must_use]
-    pub(crate) fn enabled(self) -> bool {
-        self != CacheCapacity::Bounded(0)
-    }
-}
-
 /// Full configuration of a [`QueryEngine`](crate::engine::QueryEngine):
 /// the scheme it serves plus the serving-side knobs (admission queue,
 /// batch window, worker threads, hot-column cache).
@@ -145,7 +127,7 @@ impl CacheCapacity {
 /// # Example
 ///
 /// ```
-/// use gdsearch::engine::{CacheCapacity, EngineConfig};
+/// use gdsearch::engine::EngineConfig;
 /// use gdsearch::SchemeConfig;
 ///
 /// # fn main() -> Result<(), gdsearch::engine::ConfigError> {
@@ -153,7 +135,7 @@ impl CacheCapacity {
 ///     .scheme(SchemeConfig::default())
 ///     .batch_size(32)
 ///     .threads(4)
-///     .cache_capacity(CacheCapacity::Bounded(256))
+///     .cache_capacity(256)
 ///     .build()?;
 /// assert_eq!(cfg.batch_size(), 32);
 /// # Ok(())
@@ -165,7 +147,7 @@ pub struct EngineConfig {
     queue_capacity: usize,
     batch_size: usize,
     threads: usize,
-    cache_capacity: CacheCapacity,
+    cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -177,7 +159,7 @@ impl Default for EngineConfig {
             queue_capacity: 1024,
             batch_size: 16,
             threads: 4,
-            cache_capacity: CacheCapacity::Bounded(256),
+            cache_capacity: 256,
         }
     }
 }
@@ -213,8 +195,10 @@ impl EngineConfig {
         self.threads
     }
 
-    /// Capacity policy of the hot-column cache.
-    pub fn cache_capacity(&self) -> CacheCapacity {
+    /// Most columns the hot-column cache holds, evicting the least
+    /// recently used; 0 never caches, so every walk scores through a
+    /// column of its own.
+    pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
     }
 }
@@ -255,9 +239,10 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Capacity policy of the hot-column cache.
+    /// Most columns the hot-column cache holds (default 256; 0 never
+    /// caches).
     #[must_use]
-    pub fn cache_capacity(mut self, cache_capacity: CacheCapacity) -> Self {
+    pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.config.cache_capacity = cache_capacity;
         self
     }
@@ -385,20 +370,21 @@ mod tests {
             .queue_capacity(8)
             .batch_size(4)
             .threads(2)
-            .cache_capacity(CacheCapacity::Unbounded)
+            .cache_capacity(usize::MAX)
             .build()
             .unwrap();
         assert_eq!(cfg.queue_capacity(), 8);
         assert_eq!(cfg.batch_size(), 4);
         assert_eq!(cfg.threads(), 2);
-        assert_eq!(cfg.cache_capacity(), CacheCapacity::Unbounded);
+        assert_eq!(cfg.cache_capacity(), usize::MAX);
     }
 
     #[test]
     fn cache_capacity_enablement() {
-        assert!(!CacheCapacity::Bounded(0).enabled());
-        assert!(CacheCapacity::Bounded(1).enabled());
-        assert!(CacheCapacity::Unbounded.enabled());
+        // 256 columns by default; 0 (never cache) is a valid setting.
+        assert_eq!(EngineConfig::default().cache_capacity(), 256);
+        let off = EngineConfig::builder().cache_capacity(0).build().unwrap();
+        assert_eq!(off.cache_capacity(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! This module adds the serving layer the paper's deployment story needs:
 //! a long-lived [`QueryEngine`] that owns the network, admits requests
 //! through a bounded queue, executes compatible requests as one batch on
-//! a deterministic work pool, and serves repeated *query classes* from a
+//! a deterministic work pool, and serves repeated queries from a
 //! capacity-bounded cache of lazily filled score columns.
 //!
 //! # Determinism contract
@@ -23,8 +23,8 @@
 //! and two that race on a page's first fill both see the one page, so
 //! thread timing decides who pays for a dot product and nothing else.
 //! That argument needs every reader of a column to carry the same query:
-//! the cache refuses a class-key collision ([`CacheVerdict::Bypass`])
-//! instead of mixing two queries' scores in one column.
+//! the cache is keyed by the query's bit pattern itself, so only
+//! bitwise-equal queries ever share a column.
 //!
 //! Batch composition and thread count only change *which worker* runs a
 //! walk, never its inputs: each request carries its own seed, and
@@ -69,8 +69,8 @@ mod cache;
 mod config;
 
 pub use cache::CacheStats;
-use cache::{ColumnCache, Lookup};
-pub use config::{validate_scheme, CacheCapacity, ConfigError, EngineConfig, EngineConfigBuilder};
+use cache::ColumnCache;
+pub use config::{validate_scheme, ConfigError, EngineConfig, EngineConfigBuilder};
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -197,19 +197,19 @@ impl From<EngineError> for SearchError {
 /// How the engine satisfied a request's score lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheVerdict {
-    /// The request's class column was resident when its batch was
+    /// A column for the request's query was resident when its batch was
     /// admitted; the walk read the cells earlier walks had filled and
     /// filled the ones it was first to touch.
     Hit,
-    /// The class had no resident column when the batch was admitted: an
-    /// empty one was inserted for the batch's walks of that class to fill
+    /// The query had no resident column when the batch was admitted: an
+    /// empty one was inserted for the batch's walks of that query to fill
     /// and share. Nothing is computed up front — a miss costs the column's
     /// page directory (16 B per 256 nodes), a 1 KB page per 256-node range
     /// the walk scores in, and the dot products any walk does.
     Miss,
-    /// The request carried no class, the cache is disabled, or the class
-    /// key is held by a different embedding (a hash collision); the walk
-    /// scored through a column of its own, which no later request sees.
+    /// The request was [`uncached`](QueryRequest::uncached) or the cache
+    /// holds no column (capacity 0); the walk scored through a column of
+    /// its own, which no later request sees.
     Bypass,
 }
 
@@ -220,21 +220,19 @@ pub struct QueryRequest {
     query: Embedding,
     start: NodeId,
     seed: u64,
-    class: Option<u64>,
+    cached: bool,
 }
 
 impl QueryRequest {
-    /// A request whose cache class is derived from the query embedding's
-    /// exact bit pattern — repeated submissions of the same embedding
-    /// share one cached column automatically.
+    /// A cached request: repeated submissions of bitwise-equal query
+    /// embeddings share one cached column.
     #[must_use]
     pub fn new(query: Embedding, start: NodeId, seed: u64) -> Self {
-        let class = Self::class_of(&query);
         QueryRequest {
             query,
             start,
             seed,
-            class: Some(class),
+            cached: true,
         }
     }
 
@@ -242,23 +240,8 @@ impl QueryRequest {
     /// column of its own, dropped when it ends ([`CacheVerdict::Bypass`]).
     #[must_use]
     pub fn uncached(mut self) -> Self {
-        self.class = None;
+        self.cached = false;
         self
-    }
-
-    /// The canonical cache class of an embedding: FNV-1a over its
-    /// component bit patterns. Bitwise-equal embeddings (and only those)
-    /// share a class.
-    #[must_use]
-    pub fn class_of(query: &Embedding) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for component in query.as_slice() {
-            for byte in component.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
     }
 
     /// The query embedding.
@@ -277,12 +260,6 @@ impl QueryRequest {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The cache class, or `None` for an uncached request.
-    #[must_use]
-    pub fn class(&self) -> Option<u64> {
-        self.class
     }
 }
 
@@ -314,7 +291,7 @@ pub struct EngineStats {
     pub cache: CacheStats,
 }
 
-/// How the cache answered one request: the class's column (if any) and
+/// How the cache answered one request: its query's column (if any) and
 /// the verdict reported for it.
 type Resolved = (Option<Arc<LazyColumn>>, CacheVerdict);
 
@@ -458,14 +435,8 @@ impl<'g> QueryEngine<'g> {
             }))
     }
 
-    /// Drops the cached column of `class` (e.g. after re-placing the
-    /// documents that back it). The next request of that class starts an
-    /// empty column, filled from the current network.
-    pub fn invalidate(&self, class: u64) {
-        lock(&self.cache).invalidate(class);
-    }
-
-    /// Drops every cached column.
+    /// Drops every cached column. The next request of each query starts
+    /// an empty column, filled from the current network.
     pub fn invalidate_all(&self) {
         lock(&self.cache).invalidate_all();
     }
@@ -503,60 +474,61 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Resolves every request of a batch against the cache, in order.
-    /// Nothing is scored here: a class with no resident column gets an
-    /// empty one, shared by the batch's requests of that class (all
+    /// Nothing is scored here: a query with no resident column gets an
+    /// empty one, shared by the batch's requests with its bits (all
     /// [`CacheVerdict::Miss`]) and published for later batches. The cache
     /// lock is held for the lookups and for the publish, not for the
     /// allocations between them.
     fn resolve(&self, batch: &[&QueryRequest]) -> Vec<Resolved> {
-        let cache_on = self.config.cache_capacity().enabled();
+        let cache_on = self.config.cache_capacity() > 0;
         let mut resolved: Vec<Resolved> = {
             let mut cache = lock(&self.cache);
             batch
                 .iter()
-                .map(|request| match request.class.filter(|_| cache_on) {
-                    Some(class) => match cache.get(class, &request.query) {
-                        Lookup::Hit(column) => (Some(column), CacheVerdict::Hit),
-                        Lookup::Miss => (None, CacheVerdict::Miss),
-                        Lookup::Collision => (None, CacheVerdict::Bypass),
-                    },
-                    None => (None, CacheVerdict::Bypass),
+                .map(|request| {
+                    if !(cache_on && request.cached) {
+                        return (None, CacheVerdict::Bypass);
+                    }
+                    match cache.get(&request.query) {
+                        Some(column) => (Some(column), CacheVerdict::Hit),
+                        None => (None, CacheVerdict::Miss),
+                    }
                 })
                 .collect()
         };
 
-        // One empty column per distinct missing class; the first request
-        // of a class owns it, and a later one with the same key but other
-        // bits (a collision inside the batch) walks on a column of its own.
+        // One empty column per distinct missing query, owned by its first
+        // request and shared by every later one with the same bits.
         let num_nodes = self.network.graph().num_nodes();
-        let mut fresh: Vec<(u64, &Embedding, Arc<LazyColumn>)> = Vec::new();
+        let mut fresh: Vec<(&Embedding, Arc<LazyColumn>)> = Vec::new();
         for (request, slot) in batch.iter().zip(&mut resolved) {
-            let (Some(class), CacheVerdict::Miss) = (request.class, slot.1) else {
+            if slot.1 != CacheVerdict::Miss {
                 continue;
-            };
-            match fresh.iter().find(|(c, _, _)| *c == class) {
-                Some((_, owner, column)) if cache::same_bits(owner, &request.query) => {
-                    slot.0 = Some(Arc::clone(column));
-                }
-                Some(_) => slot.1 = CacheVerdict::Bypass,
+            }
+            let shared = fresh
+                .iter()
+                .find(|(owner, _)| cache::cmp_bits(owner, &request.query).is_eq());
+            let column = match shared {
+                Some((_, column)) => Arc::clone(column),
                 None => {
                     let column = Arc::new(LazyColumn::new(num_nodes));
-                    slot.0 = Some(Arc::clone(&column));
-                    fresh.push((class, &request.query, column));
+                    fresh.push((&request.query, Arc::clone(&column)));
+                    column
                 }
-            }
+            };
+            slot.0 = Some(column);
         }
         if !fresh.is_empty() {
             let mut cache = lock(&self.cache);
-            for (class, query, column) in fresh {
-                cache.insert(class, query.clone(), column);
+            for (query, column) in fresh {
+                cache.insert(query.clone(), column);
             }
         }
         resolved
     }
 
     /// Executes one batch: resolve every request's column, then run every
-    /// walk on the work pool with its private seeded RNG — on its class's
+    /// walk on the work pool with its private seeded RNG — on its query's
     /// shared column, or as [`walk::run`] on a column of its own.
     fn run_batch(
         &self,
@@ -671,7 +643,7 @@ mod tests {
 
     #[test]
     fn hostile_forwarding_configs_serve_without_overflow() {
-        // Unbounded knobs: hop 0 fans out to every neighbour, the top-k
+        // Knobs at usize::MAX: hop 0 fans out to every neighbour, the top-k
         // keeps every document met, a queue never fills and one step
         // drains it. Nothing may reserve capacity by them.
         let fx = fixture();
@@ -835,6 +807,29 @@ mod tests {
         engine.submit(request(&fx, 0, 5, 5)).unwrap();
         let next = engine.step().unwrap();
         assert!(next.iter().all(|r| r.verdict == CacheVerdict::Hit));
+
+        // Equal as floats, not as bits: a component of +0.0 in one query
+        // and -0.0 in the other makes two keys, so two columns.
+        let mut signed = fx.corpus.embedding(WordId::new(1)).as_slice().to_vec();
+        signed[0] = 0.0;
+        let pos = Embedding::new(signed.clone());
+        signed[0] = -0.0;
+        let neg = Embedding::new(signed);
+        let batch = [
+            QueryRequest::new(pos, NodeId::new(6), 6),
+            QueryRequest::new(neg, NodeId::new(6), 6),
+        ];
+        for r in &batch {
+            engine.submit(r.clone()).unwrap();
+        }
+        let responses = engine.step().unwrap();
+        assert!(responses.iter().all(|r| r.verdict == CacheVerdict::Miss));
+        assert_eq!(engine.stats().cache.inserts, 3);
+        for (response, r) in responses.iter().zip(&batch) {
+            let mut rng = StdRng::seed_from_u64(r.seed);
+            let walked = walk::run(engine.network(), &r.query, r.start, &mut rng).unwrap();
+            assert_eq!(response.outcome, walked);
+        }
     }
 
     #[test]
@@ -844,10 +839,7 @@ mod tests {
         let response = engine.execute(request(&fx, 0, 1, 1).uncached()).unwrap();
         assert_eq!(response.verdict, CacheVerdict::Bypass);
 
-        let disabled = EngineConfig::builder()
-            .cache_capacity(CacheCapacity::Bounded(0))
-            .build()
-            .unwrap();
+        let disabled = EngineConfig::builder().cache_capacity(0).build().unwrap();
         let engine = engine_with(&fx, disabled);
         let response = engine.execute(request(&fx, 0, 1, 1)).unwrap();
         assert_eq!(response.verdict, CacheVerdict::Bypass);
@@ -860,70 +852,15 @@ mod tests {
         let engine = engine_with(&fx, EngineConfig::default());
         let first = engine.execute(request(&fx, 0, 1, 1)).unwrap();
         assert_eq!(first.verdict, CacheVerdict::Miss);
-        engine.invalidate(QueryRequest::class_of(fx.corpus.embedding(WordId::new(0))));
+        assert_eq!(
+            engine.execute(request(&fx, 0, 1, 1)).unwrap().verdict,
+            CacheVerdict::Hit
+        );
+        engine.invalidate_all();
         let second = engine.execute(request(&fx, 0, 1, 1)).unwrap();
         assert_eq!(second.verdict, CacheVerdict::Miss);
-        assert_eq!(first.outcome.results, second.outcome.results);
+        assert_eq!(second.outcome, first.outcome);
         assert_eq!(engine.stats().cache.invalidations, 1);
-
-        engine.invalidate_all();
-        let third = engine.execute(request(&fx, 0, 1, 1)).unwrap();
-        assert_eq!(third.verdict, CacheVerdict::Miss);
-        assert_eq!(third.outcome.results, first.outcome.results);
-    }
-
-    #[test]
-    fn colliding_class_keys_never_share_a_column() {
-        let fx = fixture();
-        let config = EngineConfig::builder()
-            .batch_size(4)
-            .threads(2)
-            .build()
-            .unwrap();
-        let engine = engine_with(&fx, config);
-        // Word 1's embedding forged under word 0's class key: what an
-        // FNV-1a collision would look like.
-        let key = QueryRequest::class_of(fx.corpus.embedding(WordId::new(0)));
-        let forged = |start, seed| {
-            let mut request = request(&fx, 1, start, seed);
-            request.class = Some(key);
-            request
-        };
-        let batch = [
-            request(&fx, 0, 3, 1),
-            forged(4, 2),
-            request(&fx, 0, 5, 3),
-            forged(6, 4),
-        ];
-        let walked: Vec<WalkOutcome> = batch
-            .iter()
-            .map(|r| {
-                let mut rng = StdRng::seed_from_u64(r.seed);
-                walk::run(engine.network(), &r.query, r.start, &mut rng).unwrap()
-            })
-            .collect();
-        // Inside one batch (the owner is the first request of the key),
-        // then against the resident column.
-        for owner_verdict in [CacheVerdict::Miss, CacheVerdict::Hit] {
-            for r in &batch {
-                engine.submit(r.clone()).unwrap();
-            }
-            let responses = engine.step().unwrap();
-            let verdicts: Vec<CacheVerdict> = responses.iter().map(|r| r.verdict).collect();
-            assert_eq!(
-                verdicts,
-                [
-                    owner_verdict,
-                    CacheVerdict::Bypass,
-                    owner_verdict,
-                    CacheVerdict::Bypass
-                ]
-            );
-            for (response, want) in responses.iter().zip(&walked) {
-                assert_eq!(&response.outcome, want);
-            }
-        }
-        assert_eq!(engine.stats().cache.inserts, 1);
     }
 
     #[test]
@@ -967,15 +904,51 @@ mod tests {
     }
 
     #[test]
-    fn class_of_separates_bitwise_distinct_embeddings() {
-        let a = Embedding::new(vec![1.0, 2.0]);
-        let b = Embedding::new(vec![1.0, 2.0]);
-        let c = Embedding::new(vec![1.0, 2.25]);
-        assert_eq!(QueryRequest::class_of(&a), QueryRequest::class_of(&b));
-        assert_ne!(QueryRequest::class_of(&a), QueryRequest::class_of(&c));
-        // -0.0 and 0.0 compare equal but differ bitwise: distinct classes.
-        let pos = Embedding::new(vec![0.0]);
-        let neg = Embedding::new(vec![-0.0]);
-        assert_ne!(QueryRequest::class_of(&pos), QueryRequest::class_of(&neg));
+    fn hub_and_isolated_starts_walk_as_walk_run() {
+        // A hub with 70 leaves (a two-word adjacency mask) beside an
+        // isolated node.
+        let (hub, isolated) = (NodeId::new(0), NodeId::new(71));
+        let graph = Graph::from_edges(72, (1..71).map(|leaf| (0, leaf))).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let corpus = SyntheticCorpus::builder()
+            .vocab_size(80)
+            .dim(16)
+            .generate(&mut rng)
+            .unwrap();
+        let words: Vec<WordId> = (0..10).map(WordId::new).collect();
+        let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
+        let config = EngineConfig::default();
+        let engine = QueryEngine::build(&graph, &corpus, &placement, config, &mut rng).unwrap();
+        let network = engine.network();
+        let starts = [(isolated, WordId::new(2)), (hub, WordId::new(3))];
+        // Two passes: the first misses, the second hits the cached column.
+        for verdict in [CacheVerdict::Miss, CacheVerdict::Hit] {
+            for (start, word) in starts {
+                let query = corpus.embedding(word);
+                let mut rng = StdRng::seed_from_u64(9);
+                let walked = walk::run(network, query, start, &mut rng).unwrap();
+                if start == isolated {
+                    assert_eq!((walked.hops, walked.path.len()), (0, 1));
+                }
+                let cached = QueryRequest::new(query.clone(), start, 9);
+                for (request, want) in [
+                    (cached.clone(), verdict),
+                    (cached.uncached(), CacheVerdict::Bypass),
+                ] {
+                    let response = engine.execute(request).unwrap();
+                    assert_eq!(response.verdict, want, "{start:?}");
+                    assert_eq!(response.outcome, walked, "{start:?} {want:?}");
+                }
+            }
+        }
+        // The isolated start scores no neighbour, so its column, cached or
+        // a walk's own, allocates no page; the hub's leaves share one.
+        let column = |word| lock(&engine.cache).get(corpus.embedding(word)).unwrap();
+        assert_eq!(column(WordId::new(2)).pages_allocated(), 0);
+        assert_eq!(column(WordId::new(3)).pages_allocated(), 1);
+        let own = LazyColumn::new(graph.num_nodes());
+        let query = corpus.embedding(WordId::new(2));
+        walk::run_with(network, query, isolated, &mut rng, &own).unwrap();
+        assert_eq!(own.pages_allocated(), 0);
     }
 }

@@ -164,7 +164,7 @@ impl LazyColumn {
 
     /// Pages allocated so far.
     #[cfg(test)]
-    fn pages_allocated(&self) -> usize {
+    pub(crate) fn pages_allocated(&self) -> usize {
         self.pages
             .iter()
             .filter(|slot| slot.get().is_some())

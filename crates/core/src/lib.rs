@@ -93,8 +93,7 @@ pub mod walk;
 
 pub use config::SchemeConfig;
 pub use engine::{
-    CacheCapacity, CacheVerdict, ConfigError, EngineConfig, EngineError, QueryEngine, QueryRequest,
-    QueryResponse,
+    CacheVerdict, ConfigError, EngineConfig, EngineError, QueryEngine, QueryRequest, QueryResponse,
 };
 pub use error::SearchError;
 pub use forwarding::PolicyKind;

@@ -381,7 +381,12 @@ pub fn build(
 ///
 /// # Errors
 ///
-/// Returns [`SearchError::Sim`] for unknown origins.
+/// Returns [`SearchError::Sim`] for unknown origins and
+/// [`SearchError::Embed`] with `DimensionMismatch` for a query whose
+/// dimension differs from the network's embeddings, as [`walk::run`]
+/// does; neither injects a message.
+///
+/// [`walk::run`]: crate::walk::run
 pub fn issue_query(
     net: &mut Reactor<SearchMessage, SearchNode>,
     origin: NodeId,
@@ -389,7 +394,18 @@ pub fn issue_query(
     embedding: Embedding,
     ttl: u32,
 ) -> Result<(), SearchError> {
-    let msg_id = net.handler_mut(origin)?.fresh_msg_id();
+    let handler = net.handler_mut(origin)?;
+    // Every diffused row is one embedding wide.
+    let expected = handler.embeddings.row(origin.index()).len();
+    if embedding.dim() != expected {
+        return Err(SearchError::Embed(
+            gdsearch_embed::EmbedError::DimensionMismatch {
+                expected,
+                got: embedding.dim(),
+            },
+        ));
+    }
+    let msg_id = handler.fresh_msg_id();
     net.inject(
         origin,
         SearchMessage::Query {
@@ -463,6 +479,33 @@ mod tests {
             "gold one hop away must be retrieved: {:?}",
             completed[0].results
         );
+    }
+
+    #[test]
+    fn a_query_of_the_wrong_dimension_is_refused_before_injection() {
+        let mut r = rng(3);
+        let g = generators::ring(12).unwrap();
+        let c = corpus(4);
+        let words: Vec<_> = (0..2).map(gdsearch_embed::WordId::new).collect();
+        let p = Placement::uniform(&g, &words, &mut r).unwrap();
+        let scheme = SearchNetwork::build(&g, &c, &p, &SchemeConfig::default(), &mut r).unwrap();
+        let mut net = build(&scheme, TransportConfig::unbounded()).unwrap();
+        // The origin hosts documents, whose local scoring would panic on
+        // a query of another dimension.
+        let origin = p.host(0);
+        let refused = issue_query(&mut net, origin, 1, Embedding::zeros(3), 5);
+        assert!(matches!(
+            refused,
+            Err(SearchError::Embed(
+                gdsearch_embed::EmbedError::DimensionMismatch {
+                    expected: 24,
+                    got: 3
+                }
+            ))
+        ));
+        assert!(net.is_idle());
+        assert_eq!(net.run_to_completion(100).unwrap(), 0);
+        assert!(net.handler(origin).unwrap().completed().is_empty());
     }
 
     #[test]

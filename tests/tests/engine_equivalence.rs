@@ -12,7 +12,7 @@
 //! reordered kernel, batch-local RNG reuse, or an order-sensitive
 //! dispatch would all fail here.
 
-use gdsearch::engine::{CacheCapacity, EngineConfig, QueryEngine, QueryRequest};
+use gdsearch::engine::{EngineConfig, QueryEngine, QueryRequest};
 use gdsearch::walk::{self, WalkOutcome};
 use gdsearch::{CacheVerdict, Placement, SchemeConfig, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
@@ -126,11 +126,7 @@ proptest! {
     ) {
         let batch_size = [1usize, 4, 16][batch_index];
         let threads = [1usize, 2, 4][thread_index];
-        let capacity = [
-            CacheCapacity::Bounded(0),
-            CacheCapacity::Bounded(8),
-            CacheCapacity::Unbounded,
-        ][capacity_index];
+        let capacity = [0, 8, usize::MAX][capacity_index];
         let fx = fixture();
         let net = network(&fx);
         let reqs = requests(&fx, 24, 0xE0_0000 + mix_seed);
@@ -146,7 +142,7 @@ proptest! {
         let outcomes = engine_outcomes(&engine, &reqs);
         prop_assert_eq!(
             &outcomes, &expected,
-            "batch {} / threads {} / capacity {:?}: engine output diverged",
+            "batch {} / threads {} / capacity {}: engine output diverged",
             batch_size, threads, capacity
         );
         // Run the same mix again on the now-warm engine: a populated
@@ -197,7 +193,7 @@ fn evicted_class_refills_to_identical_outcomes() {
     let net = network(&fx);
     let config = EngineConfig::builder()
         .scheme(net.config().clone())
-        .cache_capacity(CacheCapacity::Bounded(1))
+        .cache_capacity(1)
         .build()
         .unwrap();
     let engine = QueryEngine::from_network(net, config);
@@ -229,16 +225,16 @@ fn evicted_class_refills_to_identical_outcomes() {
     assert_eq!((stats.inserts, stats.evictions), (3, 2));
 }
 
-/// Invalidation regression: dropping a cached column forces a
-/// recomputation (Miss verdict) whose result is still bitwise identical,
-/// and never disturbs other cached classes.
+/// Invalidation regression: dropping the cached columns forces each class
+/// through a recomputation (Miss verdict) whose result is still bitwise
+/// identical, and the recomputed columns hit again.
 #[test]
 fn invalidation_recomputes_identical_columns() {
     let fx = fixture();
     let net = network(&fx);
     let config = EngineConfig::builder()
         .scheme(net.config().clone())
-        .cache_capacity(CacheCapacity::Bounded(8))
+        .cache_capacity(8)
         .build()
         .unwrap();
     let engine = QueryEngine::from_network(net, config);
@@ -258,26 +254,26 @@ fn invalidation_recomputes_identical_columns() {
     assert_eq!(warm.verdict, CacheVerdict::Hit);
     assert_eq!(warm.outcome, cold.outcome, "cache hit changed the walk");
 
-    // Drop A's column only.
-    let class_a = QueryRequest::class_of(fx.corpus.embedding(pair_a.query));
-    engine.invalidate(class_a);
+    engine.invalidate_all();
 
-    let recomputed = engine.execute(make(pair_a.query, 3, 41)).unwrap();
-    assert_eq!(
-        recomputed.verdict,
-        CacheVerdict::Miss,
-        "invalidated class must be recomputed"
-    );
-    assert_eq!(
-        recomputed.outcome, cold.outcome,
-        "recomputed column changed the walk"
-    );
-    // B survived the targeted invalidation.
-    let b_again = engine.execute(make(pair_b.query, 9, 42)).unwrap();
-    assert_eq!(b_again.verdict, CacheVerdict::Hit);
-    assert_eq!(b_again.outcome, other.outcome);
+    for (word, start, seed, before) in [(pair_a.query, 3, 41, &cold), (pair_b.query, 9, 42, &other)]
+    {
+        let recomputed = engine.execute(make(word, start, seed)).unwrap();
+        assert_eq!(
+            recomputed.verdict,
+            CacheVerdict::Miss,
+            "invalidated class must be recomputed"
+        );
+        assert_eq!(
+            recomputed.outcome, before.outcome,
+            "recomputed column changed the walk"
+        );
+        let again = engine.execute(make(word, start, seed)).unwrap();
+        assert_eq!(again.verdict, CacheVerdict::Hit);
+        assert_eq!(again.outcome, before.outcome);
+    }
 
-    assert_eq!(engine.stats().cache.invalidations, 1);
+    assert_eq!(engine.stats().cache.invalidations, 2);
 }
 
 /// `invalidate_all` after a placement-level change forces every class
@@ -288,7 +284,7 @@ fn invalidate_all_flushes_every_class() {
     let net = network(&fx);
     let config = EngineConfig::builder()
         .scheme(net.config().clone())
-        .cache_capacity(CacheCapacity::Unbounded)
+        .cache_capacity(usize::MAX)
         .build()
         .unwrap();
     let engine = QueryEngine::from_network(net, config);
@@ -299,13 +295,13 @@ fn invalidate_all_flushes_every_class() {
         .collect();
     engine.invalidate_all();
     // The mix repeats query classes: after the flush, the first request
-    // of each class recomputes (Miss) and re-primes the cache, so later
-    // repeats hit again.
+    // of each class (each query bit pattern) recomputes (Miss) and
+    // re-primes the cache, so later repeats hit again.
     let mut recomputed = std::collections::BTreeSet::new();
     for (req, before) in reqs.iter().zip(&first) {
-        let class = req.class().unwrap();
+        let bits: Vec<u32> = req.query().as_slice().iter().map(|x| x.to_bits()).collect();
         let after = engine.execute(req.clone()).unwrap();
-        let expected = if recomputed.insert(class) {
+        let expected = if recomputed.insert(bits) {
             CacheVerdict::Miss
         } else {
             CacheVerdict::Hit

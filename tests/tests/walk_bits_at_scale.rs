@@ -16,8 +16,8 @@
 
 use gdsearch::experiment::{Workbench, WorkbenchSpec};
 use gdsearch::{
-    walk, CacheCapacity, CacheVerdict, EngineConfig, Placement, PolicyKind, QueryEngine,
-    QueryRequest, SchemeConfig, SearchNetwork, WalkOutcome,
+    walk, CacheVerdict, EngineConfig, Placement, PolicyKind, QueryEngine, QueryRequest,
+    SchemeConfig, SearchNetwork, WalkOutcome,
 };
 use gdsearch_graph::NodeId;
 use rand::rngs::StdRng;
@@ -140,8 +140,8 @@ fn walks_reproduce_their_pinned_digests() {
                 SearchNetwork::build(&wb.graph, &wb.corpus, &placement, &scheme, &mut rng).unwrap();
             QueryEngine::from_network(network, config)
         };
-        let cached = engine(CacheCapacity::Bounded(256));
-        let uncacheable = engine(CacheCapacity::Bounded(0));
+        let cached = engine(256);
+        let uncacheable = engine(0);
 
         let mut walked = Fnv::new();
         for ticket in &tickets {
@@ -176,7 +176,7 @@ fn walks_reproduce_their_pinned_digests() {
         for (way, digest) in [
             ("engine", &batched),
             ("uncached", &bypassed),
-            ("Bounded(0)", &unstored),
+            ("capacity 0", &unstored),
         ] {
             assert_eq!(
                 format!("{:016x}", digest.0),
