@@ -8,7 +8,7 @@ use crate::SearchError;
 ///
 /// Defaults mirror the paper's evaluation: `alpha = 0.5`, TTL 50, single
 /// walk (fanout 1), top-1 retrieval, sum aggregation, PPR-greedy
-/// forwarding, column-stochastic normalization.
+/// forwarding, diffusion over the column-stochastic `A = W D⁻¹`.
 ///
 /// # Example
 ///
@@ -35,7 +35,6 @@ pub struct SchemeConfig {
     top_k: usize,
     aggregation: Aggregation,
     policy: PolicyKind,
-    normalization: Normalization,
     tolerance: f32,
     max_iterations: usize,
 }
@@ -49,7 +48,6 @@ impl Default for SchemeConfig {
             top_k: 1,
             aggregation: Aggregation::Sum,
             policy: PolicyKind::PprGreedy,
-            normalization: Normalization::ColumnStochastic,
             tolerance: 1e-5,
             max_iterations: 1000,
         }
@@ -100,12 +98,6 @@ impl SchemeConfigBuilder {
     /// Forwarding policy (paper: PPR-greedy; others are baselines).
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Transition-matrix normalization.
-    pub fn normalization(mut self, normalization: Normalization) -> Self {
-        self.config.normalization = normalization;
         self
     }
 
@@ -175,9 +167,9 @@ impl SchemeConfig {
         self.policy
     }
 
-    /// Transition normalization.
+    /// The transition operator the scheme diffuses over, `A = W D⁻¹`.
     pub fn normalization(&self) -> Normalization {
-        self.normalization
+        Normalization::ColumnStochastic
     }
 
     /// Diffusion tolerance.
@@ -194,8 +186,7 @@ impl SchemeConfig {
     pub(crate) fn ppr_config(&self) -> Result<gdsearch_diffusion::PprConfig, SearchError> {
         Ok(gdsearch_diffusion::PprConfig::new(self.alpha)?
             .with_tolerance(self.tolerance)?
-            .with_max_iterations(self.max_iterations)
-            .with_normalization(self.normalization))
+            .with_max_iterations(self.max_iterations))
     }
 }
 

@@ -207,9 +207,8 @@ pub enum CacheVerdict {
     /// page directory (16 B per 256 nodes), a 1 KB page per 256-node range
     /// the walk scores in, and the dot products any walk does.
     Miss,
-    /// The request was [`uncached`](QueryRequest::uncached) or the cache
-    /// holds no column (capacity 0); the walk scored through a column of
-    /// its own, which no later request sees.
+    /// The cache holds no column (capacity 0); the walk scored through a
+    /// column of its own, which no later request sees.
     Bypass,
 }
 
@@ -220,28 +219,14 @@ pub struct QueryRequest {
     query: Embedding,
     start: NodeId,
     seed: u64,
-    cached: bool,
 }
 
 impl QueryRequest {
-    /// A cached request: repeated submissions of bitwise-equal query
-    /// embeddings share one cached column.
+    /// A request: repeated submissions of bitwise-equal query embeddings
+    /// share one cached column.
     #[must_use]
     pub fn new(query: Embedding, start: NodeId, seed: u64) -> Self {
-        QueryRequest {
-            query,
-            start,
-            seed,
-            cached: true,
-        }
-    }
-
-    /// Opts this request out of column caching; its walk scores through a
-    /// column of its own, dropped when it ends ([`CacheVerdict::Bypass`]).
-    #[must_use]
-    pub fn uncached(mut self) -> Self {
-        self.cached = false;
-        self
+        QueryRequest { query, start, seed }
     }
 
     /// The query embedding.
@@ -486,7 +471,7 @@ impl<'g> QueryEngine<'g> {
             batch
                 .iter()
                 .map(|request| {
-                    if !(cache_on && request.cached) {
+                    if !cache_on {
                         return (None, CacheVerdict::Bypass);
                     }
                     match cache.get(&request.query) {
@@ -835,10 +820,6 @@ mod tests {
     #[test]
     fn uncached_and_disabled_requests_bypass() {
         let fx = fixture();
-        let engine = engine_with(&fx, EngineConfig::default());
-        let response = engine.execute(request(&fx, 0, 1, 1).uncached()).unwrap();
-        assert_eq!(response.verdict, CacheVerdict::Bypass);
-
         let disabled = EngineConfig::builder().cache_capacity(0).build().unwrap();
         let engine = engine_with(&fx, disabled);
         let response = engine.execute(request(&fx, 0, 1, 1)).unwrap();
@@ -919,6 +900,9 @@ mod tests {
         let placement = Placement::uniform(&graph, &words, &mut rng).unwrap();
         let config = EngineConfig::default();
         let engine = QueryEngine::build(&graph, &corpus, &placement, config, &mut rng).unwrap();
+        let disabled = EngineConfig::builder().cache_capacity(0).build().unwrap();
+        let bypassing =
+            QueryEngine::build(&graph, &corpus, &placement, disabled, &mut rng).unwrap();
         let network = engine.network();
         let starts = [(isolated, WordId::new(2)), (hub, WordId::new(3))];
         // Two passes: the first misses, the second hits the cached column.
@@ -930,12 +914,9 @@ mod tests {
                 if start == isolated {
                     assert_eq!((walked.hops, walked.path.len()), (0, 1));
                 }
-                let cached = QueryRequest::new(query.clone(), start, 9);
-                for (request, want) in [
-                    (cached.clone(), verdict),
-                    (cached.uncached(), CacheVerdict::Bypass),
-                ] {
-                    let response = engine.execute(request).unwrap();
+                let request = QueryRequest::new(query.clone(), start, 9);
+                for (engine, want) in [(&engine, verdict), (&bypassing, CacheVerdict::Bypass)] {
+                    let response = engine.execute(request.clone()).unwrap();
                     assert_eq!(response.verdict, want, "{start:?}");
                     assert_eq!(response.outcome, walked, "{start:?} {want:?}");
                 }

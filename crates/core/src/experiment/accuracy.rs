@@ -188,7 +188,6 @@ fn rebuild_with_alpha(base: &SchemeConfig, alpha: f32) -> Result<SchemeConfig, S
         .top_k(base.top_k())
         .aggregation(base.aggregation())
         .policy(base.policy())
-        .normalization(base.normalization())
         .tolerance(base.tolerance())
         .max_iterations(base.max_iterations())
         .build()

@@ -18,9 +18,14 @@ use crate::DiffusionError;
 /// accuracy target on the PPR fixed point** `E = a (I − (1−a) A)^{-1} E0`:
 ///
 /// * the sweep engines ([`crate::power`], [`crate::per_source`]) stop when
-///   the max-abs residual of one synchronous update falls below it;
-///   because the update is a `(1−a)`-contraction, the true L∞ distance to
-///   the fixed point is then at most `tolerance · (1−a)/a`;
+///   the max-abs residual `‖E(t+1) − E(t)‖∞` of one synchronous update
+///   falls below it. The update is a `(1−a)`-contraction in the
+///   `D⁻¹`-weighted norm `‖x‖_D = max_u |x_u| / max(deg u, 1)`, where
+///   `‖A‖_D ≤ 1` for `A = W D⁻¹` (`D⁻¹ A D = D⁻¹ W` is row-stochastic) —
+///   not in L∞, where `‖A‖∞ = d_max` (a hub's row sums to its number of
+///   leaves). So `‖E* − E(t+1)‖_D ≤ (1−a)/a · ‖E(t+1) − E(t)‖_D`, and the
+///   true L∞ distance to the fixed point `E*` is at most
+///   `d_max · (1−a)/a · tolerance`, with `d_max` the largest degree;
 /// * the push engine ([`crate::push`]) certifies
 ///   `‖estimate − fixed point‖∞ ≤ tolerance` directly from its residual
 ///   mass.
@@ -48,13 +53,11 @@ pub struct PprConfig {
     alpha: f32,
     tolerance: f32,
     max_iterations: usize,
-    normalization: Normalization,
 }
 
 impl PprConfig {
     /// Creates a configuration with the given teleport probability and
-    /// defaults: tolerance `1e-6`, 1,000 max iterations, column-stochastic
-    /// normalization.
+    /// defaults: tolerance `1e-6`, 1,000 max iterations.
     ///
     /// # Errors
     ///
@@ -70,7 +73,6 @@ impl PprConfig {
             alpha,
             tolerance: 1e-6,
             max_iterations: 1000,
-            normalization: Normalization::ColumnStochastic,
         })
     }
 
@@ -99,10 +101,10 @@ impl PprConfig {
         self
     }
 
-    /// Sets the adjacency normalization.
+    /// Returns the configuration unchanged: every engine diffuses over the
+    /// one operator [`Normalization`] names.
     #[must_use]
-    pub fn with_normalization(mut self, normalization: Normalization) -> Self {
-        self.normalization = normalization;
+    pub fn with_normalization(self, _normalization: Normalization) -> Self {
         self
     }
 
@@ -125,10 +127,10 @@ impl PprConfig {
         self.max_iterations
     }
 
-    /// Adjacency normalization.
+    /// The transition operator every engine diffuses over, `A = W D⁻¹`.
     #[must_use]
     pub fn normalization(&self) -> Normalization {
-        self.normalization
+        Normalization::ColumnStochastic
     }
 }
 
@@ -141,7 +143,6 @@ impl Default for PprConfig {
             alpha: 0.5,
             tolerance: 1e-6,
             max_iterations: 1000,
-            normalization: Normalization::ColumnStochastic,
         }
     }
 }
@@ -177,11 +178,9 @@ mod tests {
             .unwrap()
             .with_tolerance(1e-4)
             .unwrap()
-            .with_max_iterations(50)
-            .with_normalization(Normalization::Symmetric);
+            .with_max_iterations(50);
         assert_eq!(cfg.tolerance(), 1e-4);
         assert_eq!(cfg.max_iterations(), 50);
-        assert_eq!(cfg.normalization(), Normalization::Symmetric);
     }
 
     #[test]

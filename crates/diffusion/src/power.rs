@@ -3,8 +3,9 @@
 //! between sweeps falls below the configured tolerance (see
 //! [`PprConfig::tolerance`] for the exact semantics).
 //!
-//! The iteration is a contraction with factor `(1−a)` in the appropriate
-//! norm, so it converges geometrically for any `a ∈ (0, 1]`.
+//! The iteration is a contraction with factor `(1−a)` in the
+//! `D⁻¹`-weighted norm [`PprConfig::tolerance`] states its bound in, so it
+//! converges geometrically for any `a ∈ (0, 1]`.
 //!
 //! A sweep reads the graph's adjacency directly — no transition matrix is
 //! built — and computes each row of `E(t)` in one pass: the weighted
@@ -32,7 +33,7 @@
 )]
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{edge_weight, gather_row, Normalization};
+use gdsearch_graph::sparse::{edge_weight, gather_row};
 use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
@@ -117,11 +118,12 @@ pub fn diffuse(
 /// `threads = 1` (which is exactly [`diffuse`]).
 ///
 /// No transition matrix is built. A row reads its neighbour ids straight
-/// from the graph's adjacency and each entry's weight from per-node tables
-/// made once per call from [`edge_weight`], sums `w · E(t)[v]` in the
-/// shared register-blocked kernel [`gather_row`], and blends each finished
-/// block into `E(t+1)` and the residual in the same pass — the float
-/// operations, in the same order, of `(1−a)·(A · E(t)) + a·E0` with `A`
+/// from the graph's adjacency and entry `(u, v)`'s weight `1/deg v` from a
+/// per-node table made once per call from [`edge_weight`], sums
+/// `w · E(t)[v]` in the shared register-blocked kernel [`gather_row`], and
+/// blends each finished block into `E(t+1)` and the residual in the same
+/// pass — the float operations, in the same order, of
+/// `(1−a)·(A · E(t)) + a·E0` with `A`
 /// from [`transition_matrix`](gdsearch_graph::sparse::transition_matrix).
 ///
 /// The sweep gathers only from rows that can be non-zero. A row is *dead*
@@ -243,7 +245,7 @@ fn sweep_to_fixed_point<'o>(
 ) -> DiffusionResult {
     let (n, dim) = (current.num_nodes(), current.dim());
     let waves = Waves::new(graph, waves, threads);
-    let weights = Weights::new(graph, config.normalization());
+    let weights = weights(graph);
     let zeros = vec![0.0f32; dim];
     let mut wave = vec![0.0f32; waves.wave_rows * dim];
     let mut pending = vec![0.0f32; waves.held.len() * dim];
@@ -435,36 +437,16 @@ impl CopyBack<'_> {
     }
 }
 
-/// The transition weights of a graph under one normalization, as the sweep
-/// reads them: a per-node table built once per call from [`edge_weight`]
-/// instead of a stored value per entry. Entry `(u, v)` is bit for bit the
-/// value [`transition_matrix`](gdsearch_graph::sparse::transition_matrix)
+/// The transition weights of a graph as the sweep reads them: entry
+/// `(u, v)` is `table[v] = 1/deg v`, a per-node table built once per call
+/// from [`edge_weight`] instead of a stored value per entry — bit for bit
+/// the value [`transition_matrix`](gdsearch_graph::sparse::transition_matrix)
 /// stores (`sweep_weights_are_the_transition_matrix` checks it).
-enum Weights {
-    /// `ColumnStochastic`: entry `(u, v)` is `table[v] = 1/deg v`.
-    PerColumn(Vec<f32>),
-    /// `RowStochastic`: entry `(u, v)` is `table[u] = 1/deg u`.
-    PerRow(Vec<f32>),
-    /// `Symmetric`: entry `(u, v)` is `1/(table[u]·table[v])` with
-    /// `table[w] = √deg w` — [`edge_weight`]'s expression, term for term.
-    Symmetric(Vec<f32>),
-}
-
-impl Weights {
-    fn new(graph: &Graph, norm: Normalization) -> Self {
-        let degrees = graph.node_ids().map(|u| graph.degree(u));
-        match norm {
-            Normalization::ColumnStochastic => {
-                Weights::PerColumn(degrees.map(|deg| edge_weight(norm, 1, deg)).collect())
-            }
-            Normalization::RowStochastic => {
-                Weights::PerRow(degrees.map(|deg| edge_weight(norm, deg, 1)).collect())
-            }
-            Normalization::Symmetric => {
-                Weights::Symmetric(degrees.map(|deg| (deg as f32).sqrt()).collect())
-            }
-        }
-    }
+fn weights(graph: &Graph) -> Vec<f32> {
+    graph
+        .node_ids()
+        .map(|v| edge_weight(graph.degree(v)))
+        .collect()
 }
 
 /// How many running maxima a row pass keeps the residual in.
@@ -493,7 +475,8 @@ fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
 /// workers that write disjoint row ranges of `E(t+1)`.
 struct Sweep<'a, O> {
     graph: &'a Graph,
-    weights: &'a Weights,
+    /// Entry `(u, v)` of `A` is `weights[v]`.
+    weights: &'a [f32],
     /// `E(t)`, `dim` cells per node.
     cur: &'a [f32],
     /// Row `u` of `E0`.
@@ -511,28 +494,10 @@ impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
     /// into `reached[i]` whether row `first_row + i` gathered from a live
     /// row, and returns the chunk's max residual `|E(t+1) − E(t)|`.
     fn rows(&self, first_row: usize, next: &mut [f32], reached: &mut [bool]) -> f32 {
-        // One copy of the row loop per normalization: no entry branches on it.
-        match self.weights {
-            Weights::PerColumn(table) => self.rows_with(|_, v| table[v], first_row, next, reached),
-            Weights::PerRow(table) => self.rows_with(|u, _| table[u], first_row, next, reached),
-            Weights::Symmetric(root) => {
-                self.rows_with(|u, v| 1.0 / (root[u] * root[v]), first_row, next, reached)
-            }
-        }
-    }
-
-    /// [`Sweep::rows`] with `weight(u, v)` the weight of entry `(u, v)`.
-    fn rows_with(
-        &self,
-        weight: impl Fn(usize, usize) -> f32 + Copy,
-        first_row: usize,
-        next: &mut [f32],
-        reached: &mut [bool],
-    ) -> f32 {
         let rows = next.chunks_mut(self.dim.max(1)).zip(reached);
         let mut lanes = [0.0f32; LANES];
         for (u, (next, reached)) in self.graph.node_ids().skip(first_row).zip(rows) {
-            *reached |= self.row(weight, u, next, &mut lanes);
+            *reached |= self.row(u, next, &mut lanes);
         }
         lanes.into_iter().fold(0.0f32, f32::max)
     }
@@ -555,19 +520,12 @@ impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
     /// `|(+0.0) − (+0.0)|` would lose to every lane. If it does gather, its
     /// residual is folded against a zero row, not `cur`'s `+0.0` bits. Either
     /// way `cur` and `origin` are not read on a dead row.
-    fn row(
-        &self,
-        weight: impl Fn(usize, usize) -> f32,
-        u: NodeId,
-        next: &mut [f32],
-        lanes: &mut [f32; LANES],
-    ) -> bool {
+    fn row(&self, u: NodeId, next: &mut [f32], lanes: &mut [f32; LANES]) -> bool {
         let cells = u.index() * self.dim..(u.index() + 1) * self.dim;
         let neighbors = self.graph.neighbor_slice(u);
-        let entries = neighbors.iter().map(|v| {
-            let v = v.index();
-            (v, weight(u.index(), v))
-        });
+        let entries = neighbors
+            .iter()
+            .map(|v| (v.index(), self.weights[v.index()]));
         match self.live {
             None => {
                 self.blend(entries, u, &self.cur[cells], next, lanes);
@@ -648,15 +606,36 @@ mod tests {
         // a(I-(1-a)A)^{-1} sum to 1.
         let g = generators::social_circles_like_scaled(80, &mut seeded(3)).unwrap();
         let e0 = one_hot_signal(80, 5);
-        let cfg = PprConfig::new(0.2)
-            .unwrap()
-            .with_normalization(Normalization::ColumnStochastic)
-            .with_tolerance(1e-8)
-            .unwrap();
+        let cfg = PprConfig::new(0.2).unwrap().with_tolerance(1e-8).unwrap();
         let out = diffuse(&g, &e0, &cfg).unwrap();
         assert!(out.converged);
         let mass = out.signal.column_mass()[0];
         assert!((mass - 1.0).abs() < 1e-3, "mass {mass} drifted from 1");
+    }
+
+    #[test]
+    fn stopping_rule_bounds_the_error_by_the_largest_degree() {
+        // A hub with 40 leaves: `‖A‖∞ = 40`, so an L∞ contraction argument
+        // does not apply; the bound `d_max · (1−a)/a · residual` of
+        // `PprConfig::tolerance` must hold against the exact fixed point.
+        let g = generators::star(41);
+        let d_max = g.max_degree() as f32;
+        for alpha in [0.1f32, 0.5, 0.9] {
+            for source in [0, 1] {
+                let e0 = one_hot_signal(41, source);
+                let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-3).unwrap();
+                let out = diffuse(&g, &e0, &cfg).unwrap();
+                assert!(out.converged);
+                let truth = crate::exact::diffuse(&g, &e0, &cfg).unwrap();
+                let error = truth.max_abs_diff(&out.signal).unwrap();
+                let bound = d_max * (1.0 - alpha) / alpha * out.residual;
+                // 1e-6 covers the f32 rounding of both evaluations.
+                assert!(
+                    error <= bound + 1e-6,
+                    "alpha {alpha}, source {source}: error {error} > bound {bound}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -776,7 +755,7 @@ mod tests {
         // Path 0-1-2-3-4 with only row 1 of E(t) and E0 non-zero: rows 0
         // and 2 gather from it, rows 3 and 4 gather from nothing.
         let g = generators::path(5);
-        let weights = Weights::new(&g, Normalization::Symmetric);
+        let weights = weights(&g);
         let dim = 2;
         let mut cur = vec![0.0f32; 5 * dim];
         cur[2..4].copy_from_slice(&[0.3, -7.5]);
@@ -817,12 +796,6 @@ mod tests {
 
     use proptest::prelude::*;
 
-    const NORMS: [Normalization; 3] = [
-        Normalization::ColumnStochastic,
-        Normalization::RowStochastic,
-        Normalization::Symmetric,
-    ];
-
     /// Ring, Erdős–Rényi (isolated nodes likely at small `n`),
     /// Barabási–Albert and a degree-`(n−1)` star hub.
     fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -845,10 +818,11 @@ mod tests {
         /// over a one-hot `E(t)` on `v` leaves exactly column `v` of `A` in
         /// `E(t+1)` (`1·w + 0·0 = w`, and the `w·(+0.0)` terms add nothing).
         #[test]
-        fn sweep_weights_are_the_transition_matrix(g in arb_graph(), norm in 0usize..3) {
+        fn sweep_weights_are_the_transition_matrix(g in arb_graph()) {
+            use gdsearch_graph::sparse::{transition_matrix, Normalization};
             let n = g.num_nodes();
-            let a = gdsearch_graph::sparse::transition_matrix(&g, NORMS[norm]);
-            let weights = Weights::new(&g, NORMS[norm]);
+            let a = transition_matrix(&g, Normalization::ColumnStochastic);
+            let weights = weights(&g);
             let zeros = [0.0f32];
             for v in 0..n {
                 let mut cur = vec![0.0f32; n];
@@ -906,7 +880,6 @@ mod tests {
         #[test]
         fn every_wave_count_is_the_reference_sweep(
             g in arb_wave_graph(),
-            norm in 0usize..3,
             dim in 0usize..5,
             hosts in 0usize..4,
             alpha in 0.1f32..1.0,
@@ -928,7 +901,6 @@ mod tests {
             }
             let cfg = PprConfig::new(alpha)
                 .unwrap()
-                .with_normalization(NORMS[norm])
                 .with_tolerance(1e-6)
                 .unwrap();
             let (signal, iterations, residual, converged) = reference_sweep(&g, &e0, &cfg);

@@ -46,17 +46,13 @@
 //! tolerance semantics) and keeps halving `rmax` until the bound meets the
 //! tolerance, so results are interchangeable with the power sweep's
 //! ([`crate::power`]) to that tolerance. For the undirected graphs of this
-//! workspace the bounds are, with `θ = max_u r(u)/deg(u)` and `d_max` the
-//! maximum degree (reversibility of the simple random walk gives
-//! `h_u(v) = (deg(v)/deg(u)) · h_v(u)` in the column-stochastic case):
-//!
-//! * column-stochastic: `‖M r‖∞ ≤ min(‖r‖₁, d_max · θ)`;
-//! * row-stochastic: `‖M r‖∞ ≤ max_u r(u)` (rows of `M` sum to 1);
-//! * symmetric: `‖M r‖∞ ≤ √d_max · max_u r(u)/√deg(u)`
-//!   (via `M_sym = D^{1/2} M_row D^{-1/2}`).
+//! workspace the bound is, with `θ = max_u r(u)/deg(u)` and `d_max` the
+//! maximum degree, `‖M r‖∞ ≤ min(‖r‖₁, d_max · θ)`: columns of `M` sum to
+//! 1, and reversibility of the simple random walk gives
+//! `h_u(v) = (deg(v)/deg(u)) · h_v(u)`.
 //!
 //! Residuals stay non-negative throughout (the personalization is `δ_s`
-//! and `A` is non-negative), which is what makes the bounds valid.
+//! and `A` is non-negative), which is what makes the bound valid.
 //!
 //! # Batched multi-source driver
 //!
@@ -83,7 +79,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::Normalization;
+use gdsearch_graph::sparse::edge_weight;
 use gdsearch_graph::{Graph, NodeId};
 
 use crate::convergence::Convergence;
@@ -260,10 +256,10 @@ impl PushScratch {
 
     /// Rigorous bound on `‖M r‖∞`, the L∞ distance between the current
     /// estimate and the fixed point (derivations in the module docs).
-    fn residual_bound(&self, graph: &Graph, norm: Normalization) -> f32 {
+    fn residual_bound(&self, graph: &Graph) -> f32 {
         let touched = set_bits(&self.touched);
         let pairs = touched.map(|v| (graph.degree(NodeId::new(v)), self.residual[ix(v)]));
-        degrees::residual_bound(norm, graph.max_degree(), pairs)
+        degrees::residual_bound(graph.max_degree(), pairs)
     }
 
     /// Moves the estimate's nonzero support out and leaves the scratch
@@ -309,7 +305,6 @@ fn drain_to_tolerance(
     source: u32,
     config: &PushConfig,
 ) -> Result<PushResult, DiffusionError> {
-    let norm = config.ppr.normalization();
     let alpha = config.ppr.alpha();
     let tolerance = config.ppr.tolerance();
     let max_iterations = config.ppr.max_iterations();
@@ -338,7 +333,7 @@ fn drain_to_tolerance(
             if pushes >= budget {
                 return Err(DiffusionError::NotConverged {
                     iterations: pushes,
-                    residual: s.residual_bound(graph, norm),
+                    residual: s.residual_bound(graph),
                 });
             }
             pushes += 1;
@@ -348,40 +343,19 @@ fn drain_to_tolerance(
             if spread <= 0.0 {
                 continue;
             }
-            // Forward the remaining mass along column u of A. The column's
-            // nonzeros are exactly u's neighbors (the graph is undirected).
+            // Forward the remaining mass along column u of A, whose
+            // nonzeros are u's neighbors (the graph is undirected), each
+            // A[v][u] = 1/deg(u).
             let neighbors = graph.neighbor_slice(NodeId::new(u));
-            match norm {
-                Normalization::ColumnStochastic => {
-                    // A[v][u] = 1/deg(u), uniform over neighbors.
-                    let w = spread * degrees::inv_deg(neighbors.len());
-                    for v in neighbors {
-                        s.deposit(v.as_u32(), w, rmax * deg_scale(graph, v.as_u32()));
-                    }
-                }
-                Normalization::RowStochastic => {
-                    // A[v][u] = 1/deg(v).
-                    for v in neighbors {
-                        let deg_v = graph.degree(*v);
-                        let w = spread * degrees::inv_deg(deg_v);
-                        s.deposit(v.as_u32(), w, rmax * degrees::deg_scale(deg_v));
-                    }
-                }
-                Normalization::Symmetric => {
-                    // A[v][u] = 1/(sqrt(deg(u)) sqrt(deg(v))).
-                    let w = spread * degrees::inv_sqrt_deg(neighbors.len());
-                    for v in neighbors {
-                        let deg_v = graph.degree(*v);
-                        let wv = w * degrees::inv_sqrt_deg(deg_v);
-                        s.deposit(v.as_u32(), wv, rmax * degrees::deg_scale(deg_v));
-                    }
-                }
+            let w = spread * edge_weight(neighbors.len());
+            for v in neighbors {
+                s.deposit(v.as_u32(), w, rmax * deg_scale(graph, v.as_u32()));
             }
         }
         // Certify: does the remaining residual mass already guarantee the
         // tolerance? If so the estimate is interchangeable with the sweep
         // engines' output.
-        let bound = s.residual_bound(graph, norm);
+        let bound = s.residual_bound(graph);
         if conv.record(bound, tolerance) {
             break;
         }
@@ -606,22 +580,12 @@ mod tests {
     #[test]
     fn matches_exact_under_all_normalizations() {
         let g = generators::grid(5, 5);
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let ppr = PprConfig::new(0.4)
-                .unwrap()
-                .with_tolerance(1e-6)
-                .unwrap()
-                .with_normalization(norm);
-            let cfg = PushConfig::new(ppr);
-            let truth = exact::diffuse(&g, &one_hot(25, 12), &ppr).unwrap();
-            let h = ppr_vector(&g, NodeId::new(12), &cfg).unwrap();
-            for (u, hu) in h.iter().enumerate() {
-                assert!((hu - truth.row(u)[0]).abs() < 1e-4, "{norm:?}, node {u}");
-            }
+        let ppr = PprConfig::new(0.4).unwrap().with_tolerance(1e-6).unwrap();
+        let cfg = PushConfig::new(ppr);
+        let truth = exact::diffuse(&g, &one_hot(25, 12), &ppr).unwrap();
+        let h = ppr_vector(&g, NodeId::new(12), &cfg).unwrap();
+        for (u, hu) in h.iter().enumerate() {
+            assert!((hu - truth.row(u)[0]).abs() < 1e-4, "node {u}");
         }
     }
 
@@ -785,15 +749,13 @@ mod tests {
         let table = |f: fn(usize) -> f32| -> Vec<f32> {
             graph.node_ids().map(|u| f(graph.degree(u))).collect()
         };
-        let (inv_deg, inv_sqrt_deg) = (table(degrees::inv_deg), table(degrees::inv_sqrt_deg));
-        let deg_scale = table(degrees::deg_scale);
-        let norm = config.ppr.normalization();
+        let (weight, deg_scale) = (table(edge_weight), table(degrees::deg_scale));
         let bound_of = |residual: &[f32]| {
             let pairs = graph
                 .node_ids()
                 .map(|u| graph.degree(u))
                 .zip(residual.iter().copied());
-            degrees::residual_bound(norm, graph.max_degree(), pairs)
+            degrees::residual_bound(graph.max_degree(), pairs)
         };
         let n = graph.num_nodes();
         let alpha = config.ppr.alpha();
@@ -834,39 +796,13 @@ mod tests {
                 if spread <= 0.0 {
                     continue;
                 }
-                let neighbors = graph.neighbor_slice(NodeId::new(u));
-                match norm {
-                    Normalization::ColumnStochastic => {
-                        let w = spread * inv_deg[ui];
-                        for v in neighbors {
-                            let vi = v.index();
-                            residual[vi] += w;
-                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
-                                in_queue[vi] = true;
-                                queue.push_back(v.as_u32());
-                            }
-                        }
-                    }
-                    Normalization::RowStochastic => {
-                        for v in neighbors {
-                            let vi = v.index();
-                            residual[vi] += spread * inv_deg[vi];
-                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
-                                in_queue[vi] = true;
-                                queue.push_back(v.as_u32());
-                            }
-                        }
-                    }
-                    Normalization::Symmetric => {
-                        let w = spread * inv_sqrt_deg[ui];
-                        for v in neighbors {
-                            let vi = v.index();
-                            residual[vi] += w * inv_sqrt_deg[vi];
-                            if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
-                                in_queue[vi] = true;
-                                queue.push_back(v.as_u32());
-                            }
-                        }
+                let w = spread * weight[ui];
+                for v in graph.neighbor_slice(NodeId::new(u)) {
+                    let vi = v.index();
+                    residual[vi] += w;
+                    if !in_queue[vi] && residual[vi] > rmax * deg_scale[vi] {
+                        in_queue[vi] = true;
+                        queue.push_back(v.as_u32());
                     }
                 }
             }
@@ -927,12 +863,6 @@ mod tests {
         }
     }
 
-    const NORMS: [Normalization; 3] = [
-        Normalization::ColumnStochastic,
-        Normalization::RowStochastic,
-        Normalization::Symmetric,
-    ];
-
     #[test]
     fn one_scratch_reproduces_the_reference_model_bitwise() {
         // 3,000 social-circle nodes with node 1,500 cut loose, so the
@@ -951,15 +881,13 @@ mod tests {
         // Every column of every configuration goes through this one
         // scratch back to back: a missed clear corrupts the next column.
         let mut scratch = PushScratch::new(g.num_nodes());
-        for norm in NORMS {
-            for alpha in [0.1f32, 0.5, 0.9] {
-                let cfg = PushConfig::new(PprConfig::new(alpha).unwrap().with_normalization(norm));
-                for source in sources {
-                    let got = bits(push_column(&g, &mut scratch, source, &cfg));
-                    let want = bits(reference_push_column(&g, source, &cfg));
-                    assert!(want.is_ok(), "{norm:?} α {alpha} source {source}: {want:?}");
-                    assert_eq!(got, want, "{norm:?} α {alpha} source {source}");
-                }
+        for alpha in [0.1f32, 0.5, 0.9] {
+            let cfg = PushConfig::new(PprConfig::new(alpha).unwrap());
+            for source in sources {
+                let got = bits(push_column(&g, &mut scratch, source, &cfg));
+                let want = bits(reference_push_column(&g, source, &cfg));
+                assert!(want.is_ok(), "α {alpha} source {source}: {want:?}");
+                assert_eq!(got, want, "α {alpha} source {source}");
             }
         }
         assert!(scratch.is_clean());
@@ -1027,7 +955,6 @@ mod tests {
         #[test]
         fn push_column_matches_the_reference_model(
             g in arb_graph(),
-            norm in 0usize..3,
             alpha in 0.05f32..1.0,
             tolerance_exp in -6i32..2,
             max_iterations in 1usize..40,
@@ -1038,7 +965,6 @@ mod tests {
                 .unwrap()
                 .with_tolerance(10f32.powi(tolerance_exp))
                 .unwrap()
-                .with_normalization(NORMS[norm])
                 .with_max_iterations(max_iterations);
             let cfg = PushConfig::new(ppr);
             let mut scratch = PushScratch::new(g.num_nodes());
@@ -1057,7 +983,6 @@ mod tests {
         #[test]
         fn push_rows_match_the_dense_accumulation(
             g in arb_graph(),
-            norm in 0usize..3,
             alpha in 0.05f32..1.0,
             dim in 0usize..5,
             picks in collection::vec((0u32..36, 0u32..4), 0..6),
@@ -1067,8 +992,7 @@ mod tests {
             let ppr = PprConfig::new(alpha)
                 .unwrap()
                 .with_tolerance(1e-6)
-                .unwrap()
-                .with_normalization(NORMS[norm]);
+                .unwrap();
             let cfg = PushConfig::new(ppr).with_threads(threads).unwrap();
             // Kind 0 is the all-zero row.
             let sources: Vec<(NodeId, Embedding)> = picks

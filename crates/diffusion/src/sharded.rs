@@ -35,12 +35,12 @@
 //!
 //! **Power.** The sharded sweep is *bit-for-bit identical to
 //! [`crate::power::diffuse`]* for every `(shards, threads)` combination.
-//! Shard-local transition rows are the global transition rows with columns
-//! remapped by [`GraphShard::slot_of`], which is strictly monotone in the
-//! global node id — so each row's stored entries keep their global order,
-//! with the [`edge_weight`] values the monolithic sweep reads from its
-//! per-node tables. [`CsrMatrix::mul_dense_rows_into`] runs both sweeps'
-//! row kernel, [`gdsearch_graph::sparse::gather_row`], and so performs the
+//! A shard reads its rows from its adjacency, each neighbour remapped once
+//! per call to its slot by [`GraphShard::slot_of`], which is strictly
+//! monotone in the global node id — so each row's entries keep their
+//! global order, with the [`edge_weight`] values the monolithic sweep
+//! reads from its per-node table, here held per slot. Both sweeps run the
+//! row kernel [`gather_row`], and so perform the
 //! same float operations in the same order as the monolithic gather (which,
 //! while its liveness mask is on, leaves out the `w·(+0.0)` terms of rows
 //! that are still zero — terms that change no bit of a sum). The blend
@@ -98,15 +98,11 @@
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
-#![expect(
-    clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
-)]
 
 use std::collections::BTreeMap;
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{edge_weight, CsrMatrix, Normalization};
+use gdsearch_graph::sparse::{edge_weight, gather_row};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 
 use crate::convergence::Convergence;
@@ -215,45 +211,42 @@ struct PowerShard {
     /// This shard's index (for locating its own blocks in `currents` and
     /// the exchanged inputs).
     index: usize,
-    /// The shard's transition rows, columns remapped to slots.
-    matrix: CsrMatrix,
+    /// The slot of each of the shard's adjacency entries, in adjacency
+    /// order: row `local` is the next `local_degree(local)` of them.
+    slots: Vec<u32>,
+    /// `weights[slot]` is [`edge_weight`] of the slot's node: the weight of
+    /// every entry that gathers from that slot.
+    weights: Vec<f32>,
     /// Next iterate of the local block (`local_n × dim`).
     next: Vec<f32>,
     /// Local block of `E0`.
     origin: Vec<f32>,
 }
 
-/// Builds shard `s`'s transition rows with columns remapped to slots.
-///
-/// The values are exactly those of
-/// [`gdsearch_graph::sparse::transition_matrix`]; the slot map is strictly
-/// monotone, so each row keeps its global storage order (the determinism
-/// argument in the module docs).
-fn shard_transition(sharded: &ShardedGraph, s: usize, norm: Normalization) -> CsrMatrix {
-    let shard = sharded.shard(s);
-    let mut offsets = Vec::with_capacity(shard.num_local_nodes() + 1);
-    let mut columns = Vec::with_capacity(shard.num_adjacency_entries());
-    let mut values = Vec::with_capacity(shard.num_adjacency_entries());
-    offsets.push(0);
+/// The slot of each of `shard`'s adjacency entries, in adjacency order.
+fn entry_slots(shard: &GraphShard) -> Vec<u32> {
+    let rows = (0..shard.num_local_nodes()).map(|local| shard.local_neighbor_slice(local));
+    let slot = |&v| {
+        let slot = shard
+            .slot_of(v)
+            .expect("every neighbor is local or in the halo");
+        u32::try_from(slot).expect("a shard's slots number at most its graph's u32 node ids")
+    };
+    rows.flatten().map(slot).collect()
+}
+
+/// The transition weight `1/deg v` of each slot's node `v`, by slot: the
+/// degrees of owned nodes come from `shard`, those of halo nodes from their
+/// owners.
+fn slot_weights(sharded: &ShardedGraph, shard: &GraphShard) -> Vec<f32> {
+    let mut weights = vec![0.0f32; shard.slot_count()];
     for local in 0..shard.num_local_nodes() {
-        let deg_u = shard.local_degree(local);
-        for &v in shard.local_neighbor_slice(local) {
-            let slot = shard
-                .slot_of(v)
-                .expect("every neighbor is local or in the halo");
-            columns.push(slot as u32);
-            values.push(edge_weight(norm, deg_u, sharded.degree(v)));
-        }
-        offsets.push(columns.len());
+        weights[shard.local_slot(local)] = edge_weight(shard.local_degree(local));
     }
-    CsrMatrix::from_sorted_rows(
-        shard.num_local_nodes(),
-        shard.slot_count(),
-        offsets,
-        columns,
-        values,
-    )
-    .expect("slots of a sorted neighbor list ascend within the shard's u32 slot space")
+    for (i, &v) in shard.halo().iter().enumerate() {
+        weights[shard.halo_slot(i)] = edge_weight(sharded.degree(v));
+    }
+    weights
 }
 
 /// Diffuses `e0` with the PPR filter on partitioned state: the graph is
@@ -332,7 +325,6 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
             converged: conv.converged,
         });
     }
-    let norm = config.ppr.normalization();
     let alpha = config.ppr.alpha();
     let threads = config.threads.max(1);
     // Partition the signal: shard-local current blocks, exchanged
@@ -346,7 +338,8 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
         let block = e0.as_slice()[start..start + len].to_vec();
         scratch.push(PowerShard {
             index: s,
-            matrix: shard_transition(sharded, s, norm),
+            slots: entry_slots(shard),
+            weights: slot_weights(sharded, shard),
             next: vec![0.0f32; len],
             origin: block.clone(),
         });
@@ -363,9 +356,19 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
             let cur = &currents;
             let ins = &inputs;
             let deltas = workpool::map_batched_mut(&mut scratch, threads, |sh| {
-                let mine = cur[sh.index].as_slice();
-                sh.matrix
-                    .mul_dense_rows_into(0, &ins[sh.index], dim, &mut sh.next);
+                let shard = sharded.shard(sh.index);
+                let (mine, weights) = (cur[sh.index].as_slice(), &sh.weights);
+                let mut slots = sh.slots.as_slice();
+                for (local, out) in sh.next.chunks_mut(dim).enumerate() {
+                    let (row, rest) = slots.split_at(shard.local_degree(local));
+                    slots = rest;
+                    let entries = row
+                        .iter()
+                        .map(|&slot| (slot as usize, weights[slot as usize]));
+                    gather_row(entries, &ins[sh.index], dim, |start, sums| {
+                        out[start..][..sums.len()].copy_from_slice(sums);
+                    });
+                }
                 let mut local_max = 0.0f32;
                 for (j, nx) in sh.next.iter_mut().enumerate() {
                     *nx = (1.0 - alpha) * *nx + alpha * sh.origin[j];
@@ -407,18 +410,13 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
 /// The certified L∞ bound of [`crate::degrees::residual_bound`], fed the
 /// partitioned residuals in global node order (shards ascending, local
 /// rows ascending) so the result is independent of the shard count.
-fn partitioned_bound(
-    norm: Normalization,
-    max_degree: usize,
-    shards: &[GraphShard],
-    residuals: &[Vec<f32>],
-) -> f32 {
+fn partitioned_bound(max_degree: usize, shards: &[GraphShard], residuals: &[Vec<f32>]) -> f32 {
     let pairs = shards.iter().zip(residuals).flat_map(|(shard, res)| {
         res.iter()
             .enumerate()
             .map(move |(local, &r)| (shard.local_degree(local), r))
     });
-    degrees::residual_bound(norm, max_degree, pairs)
+    degrees::residual_bound(max_degree, pairs)
 }
 
 /// Runs one push round over the partitioned residuals at granularity
@@ -433,13 +431,11 @@ fn partitioned_bound(
 /// contribution at a time — ascending source order globally (the module
 /// docs' determinism argument).
 ///
-/// Degree scalars come from [`crate::degrees`] applied to the degrees the
-/// shards hold: a node's own row length, and a neighbour's row length in
-/// the shard that owns it.
+/// The frontier threshold and the forwarded weight come from a node's own
+/// row length, through [`crate::degrees`] and [`edge_weight`].
 #[allow(clippy::too_many_arguments)]
 fn push_round<E: ShardExchange>(
     sharded: &ShardedGraph,
-    norm: Normalization,
     alpha: f32,
     rmax: f32,
     threads: usize,
@@ -476,35 +472,13 @@ fn push_round<E: ShardExchange>(
                     continue;
                 }
                 // Forward the remaining mass along column u of A; the
-                // column's nonzeros are exactly u's neighbors.
-                match norm {
-                    Normalization::ColumnStochastic => {
-                        let w = spread * degrees::inv_deg(neighbors.len());
-                        for v in neighbors {
-                            let owner = sharded.owner_of(*v);
-                            let vl = v.as_u32() - sharded.shard(owner).start();
-                            outbox[owner].push((vl, w));
-                        }
-                    }
-                    Normalization::RowStochastic => {
-                        for v in neighbors {
-                            let owner = sharded.owner_of(*v);
-                            let dest = sharded.shard(owner);
-                            let vl = v.as_u32() - dest.start();
-                            let deg_v = dest.local_degree(vl as usize);
-                            outbox[owner].push((vl, spread * degrees::inv_deg(deg_v)));
-                        }
-                    }
-                    Normalization::Symmetric => {
-                        let w = spread * degrees::inv_sqrt_deg(neighbors.len());
-                        for v in neighbors {
-                            let owner = sharded.owner_of(*v);
-                            let dest = sharded.shard(owner);
-                            let vl = v.as_u32() - dest.start();
-                            let deg_v = dest.local_degree(vl as usize);
-                            outbox[owner].push((vl, w * degrees::inv_sqrt_deg(deg_v)));
-                        }
-                    }
+                // column's nonzeros are exactly u's neighbors, each
+                // A[v][u] = 1/deg(u).
+                let w = spread * edge_weight(neighbors.len());
+                for v in neighbors {
+                    let owner = sharded.owner_of(*v);
+                    let vl = v.as_u32() - sharded.shard(owner).start();
+                    outbox[owner].push((vl, w));
                 }
             }
             pushed
@@ -548,7 +522,6 @@ fn push_column_partitioned<E: ShardExchange>(
     exchange: &mut E,
 ) -> Result<(), DiffusionError> {
     let n = sharded.num_nodes();
-    let norm = config.ppr.normalization();
     let alpha = config.ppr.alpha();
     let tolerance = config.ppr.tolerance();
     let threads = config.threads.max(1);
@@ -572,13 +545,13 @@ fn push_column_partitioned<E: ShardExchange>(
                 if frontier_nonempty(sharded, rmax, residuals) {
                     return Err(DiffusionError::NotConverged {
                         iterations: pushes,
-                        residual: partitioned_bound(norm, max_degree, sharded.shards(), residuals),
+                        residual: partitioned_bound(max_degree, sharded.shards(), residuals),
                     });
                 }
                 break;
             }
             let round = push_round(
-                sharded, norm, alpha, rmax, threads, residuals, estimates, outboxes, exchange,
+                sharded, alpha, rmax, threads, residuals, estimates, outboxes, exchange,
             )?;
             if round == 0 {
                 break;
@@ -587,7 +560,7 @@ fn push_column_partitioned<E: ShardExchange>(
         }
         // Certify against the remaining residual mass, exactly like the
         // FIFO engine.
-        let bound = partitioned_bound(norm, max_degree, sharded.shards(), residuals);
+        let bound = partitioned_bound(max_degree, sharded.shards(), residuals);
         if conv.record(bound, tolerance) {
             return Ok(());
         }
@@ -754,39 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_transition_equals_its_triplet_oracle() {
-        // Global transition rows of the shard's node range, columns
-        // remapped to slots, built the slow way.
-        let g = generators::social_circles_like_scaled(60, &mut seeded(5)).unwrap();
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let global = gdsearch_graph::sparse::transition_matrix(&g, norm);
-            for shards in [1usize, 2, 3] {
-                let sharded = ShardedGraph::from_graph(&g, shards).unwrap();
-                for (s, shard) in sharded.shards().iter().enumerate() {
-                    let mut triplets = Vec::new();
-                    for local in 0..shard.num_local_nodes() {
-                        for (c, w) in global.row(shard.global_id(local).index()) {
-                            let slot = shard.slot_of(NodeId::new(c)).unwrap();
-                            triplets.push((local as u32, slot as u32, w));
-                        }
-                    }
-                    let oracle = CsrMatrix::from_triplets(
-                        shard.num_local_nodes(),
-                        shard.slot_count(),
-                        &triplets,
-                    )
-                    .unwrap();
-                    assert_eq!(shard_transition(&sharded, s, norm), oracle);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_power_is_bitwise_identical_to_dense() {
         let g = generators::social_circles_like_scaled(130, &mut seeded(1)).unwrap();
         let e0 = random_signal(130, 5, 2);
@@ -815,26 +755,12 @@ mod tests {
     #[test]
     fn sharded_power_all_normalizations_match_dense() {
         let g = generators::grid(6, 6);
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let ppr = PprConfig::new(0.5)
-                .unwrap()
-                .with_tolerance(1e-7)
-                .unwrap()
-                .with_normalization(norm);
-            let e0 = random_signal(36, 3, 7);
-            let reference = power::diffuse(&g, &e0, &ppr).unwrap();
-            let scfg = ShardedConfig::new(ppr).with_shards(5).unwrap();
-            let out = diffuse(&g, &e0, &scfg).unwrap();
-            assert_eq!(
-                out.signal.as_slice(),
-                reference.signal.as_slice(),
-                "{norm:?} drifted"
-            );
-        }
+        let ppr = PprConfig::new(0.5).unwrap().with_tolerance(1e-7).unwrap();
+        let e0 = random_signal(36, 3, 7);
+        let reference = power::diffuse(&g, &e0, &ppr).unwrap();
+        let scfg = ShardedConfig::new(ppr).with_shards(5).unwrap();
+        let out = diffuse(&g, &e0, &scfg).unwrap();
+        assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use gdsearch_diffusion::push::{self, PushConfig};
 use gdsearch_diffusion::{exact, power, PprConfig, Signal};
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{Normalization, GATHER_BLOCK};
+use gdsearch_graph::sparse::GATHER_BLOCK;
 use gdsearch_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,12 +34,6 @@ fn arb_push_graph() -> impl Strategy<Value = Graph> {
         }
     })
 }
-
-const NORMS: [Normalization; 3] = [
-    Normalization::ColumnStochastic,
-    Normalization::RowStochastic,
-    Normalization::Symmetric,
-];
 
 /// Signal widths on both sides of the sweep kernel's block boundaries.
 const DIMS: [usize; 7] = [
@@ -211,8 +205,7 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
 
 /// Hostile graphs: no nodes, one node, isolated nodes beside a component,
 /// and a degree-(N−1) hub, each at zero width and across the row kernel's
-/// block boundaries, under every normalization and with dense and one-row
-/// E0s.
+/// block boundaries, with dense and one-row E0s.
 #[test]
 fn sweep_equals_reference_on_hostile_graphs() {
     let graphs = [
@@ -225,24 +218,18 @@ fn sweep_equals_reference_on_hostile_graphs() {
     for g in &graphs {
         let n = g.num_nodes();
         for dim in [0].into_iter().chain(DIMS) {
-            for norm in NORMS {
-                let cfg = PprConfig::new(0.3)
-                    .unwrap()
-                    .with_normalization(norm)
-                    .with_tolerance(1e-6)
-                    .unwrap();
-                let mut dense = Signal::zeros(n, dim);
-                for x in dense.as_mut_slice() {
-                    *x = rng.random::<f32>() - 0.5;
-                }
-                assert_sweep_is_reference(g, &dense, &cfg);
-                if n > 0 {
-                    // One live row on the last node: isolated, or a leaf
-                    // of the hub.
-                    let mut one = Signal::zeros(n, dim);
-                    one.row_mut(n - 1).copy_from_slice(dense.row(0));
-                    assert_sweep_is_reference(g, &one, &cfg);
-                }
+            let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
+            let mut dense = Signal::zeros(n, dim);
+            for x in dense.as_mut_slice() {
+                *x = rng.random::<f32>() - 0.5;
+            }
+            assert_sweep_is_reference(g, &dense, &cfg);
+            if n > 0 {
+                // One live row on the last node: isolated, or a leaf of
+                // the hub.
+                let mut one = Signal::zeros(n, dim);
+                one.row_mut(n - 1).copy_from_slice(dense.row(0));
+                assert_sweep_is_reference(g, &one, &cfg);
             }
         }
     }
@@ -261,7 +248,6 @@ proptest! {
         alpha in 0.1f32..1.0,
         dim in 0usize..DIMS.len(),
         hosts in 1usize..4,
-        norm in 0usize..3,
         signal_seed in 0u64..1000,
     ) {
         let (n, dim) = (g.num_nodes(), DIMS[dim]);
@@ -275,7 +261,6 @@ proptest! {
         }
         let cfg = PprConfig::new(alpha)
             .unwrap()
-            .with_normalization(NORMS[norm])
             .with_tolerance(1e-6)
             .unwrap();
         assert_sweep_is_reference(&g, &e0, &cfg);
@@ -288,13 +273,12 @@ proptest! {
     /// The workpool-sharded dense sweeps are bit-for-bit identical to the
     /// sequential engine for every thread count, on arbitrary graphs and
     /// dense signals at widths on both sides of the row kernel's block
-    /// boundaries, under every normalization.
+    /// boundaries.
     #[test]
     fn power_threaded_is_bitwise_deterministic(
         g in arb_graph(),
         alpha in 0.1f32..1.0,
         dim in 0usize..DIMS.len(),
-        norm in 0usize..3,
         signal_seed in 0u64..1000,
     ) {
         let (n, dim) = (g.num_nodes(), DIMS[dim]);
@@ -305,7 +289,6 @@ proptest! {
         }
         let cfg = PprConfig::new(alpha)
             .unwrap()
-            .with_normalization(NORMS[norm])
             .with_tolerance(1e-6)
             .unwrap();
         let reference = power::diffuse(&g, &e0, &cfg).unwrap();
@@ -351,7 +334,6 @@ proptest! {
         let e0 = one_hot(n, 1);
         let cfg = PprConfig::new(alpha)
             .unwrap()
-            .with_normalization(Normalization::ColumnStochastic)
             .with_tolerance(1e-6)
             .unwrap();
         let out = power::diffuse(&g, &e0, &cfg).unwrap().signal;

@@ -3,7 +3,7 @@
 //! `cfg(test)`): its parent module provides `PprConfig` and `Signal`.
 
 use super::{PprConfig, Signal};
-use gdsearch_graph::sparse::transition_weight;
+use gdsearch_graph::sparse::edge_weight;
 use gdsearch_graph::Graph;
 
 /// The dense sweep spelled out — every neighbour gathered in adjacency
@@ -19,7 +19,7 @@ pub fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, us
         for u in g.node_ids() {
             let row = u.index() * dim..(u.index() + 1) * dim;
             for v in g.neighbors(u) {
-                let w = transition_weight(g, cfg.normalization(), u, v);
+                let w = edge_weight(g.degree(v));
                 let src = &cur[v.index() * dim..][..dim];
                 for (o, s) in next[row.clone()].iter_mut().zip(src) {
                     *o += w * s;

@@ -12,8 +12,9 @@
 //!   stand-in for the SNAP Facebook social-circles graph used in the paper;
 //! * [`algo`] — BFS distances and distance rings (the evaluation samples
 //!   querying nodes per ring);
-//! * [`sparse`] — a minimal CSR `f32` sparse matrix and the normalized
-//!   transition matrices that drive Personalized PageRank diffusion;
+//! * [`sparse`] — a minimal CSR `f32` sparse matrix, the column-stochastic
+//!   transition matrix that drives Personalized PageRank diffusion, and its
+//!   edge weight;
 //! * [`sharded`] — the node-range partitioned view of a graph
 //!   ([`ShardedGraph`]): per-shard CSR rows plus halo indexes of
 //!   cross-shard edges, the substrate for diffusion on partitioned state;

@@ -1,31 +1,30 @@
 //! Minimal `f32` CSR sparse matrix and graph transition matrices.
 //!
 //! Personalized PageRank diffusion iterates `E(t) = (1−a) A E(t−1) + a E(0)`
-//! where `A` is a normalized adjacency (transition) matrix. This module
-//! provides the CSR representation and the three standard normalizations.
+//! where `A = W D^{-1}` is the column-stochastic transition matrix of the
+//! paper's Eq. (5): entry `(u, v)` is `1/deg(v)` for every edge `{u, v}`.
+//! This module provides the CSR representation, that matrix, and its one
+//! weight formula, [`edge_weight`].
 
 #![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use crate::{Graph, GraphError, NodeId};
+use crate::{Graph, GraphError};
 
 /// How the adjacency matrix of an undirected graph is normalized into a
-/// transition matrix.
+/// transition matrix. Every engine diffuses over the one operator the
+/// paper defines, so the type has one variant; it remains for the
+/// [`transition_matrix`] argument and the `normalization` accessors that
+/// existing callers pass it through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Normalization {
     /// `A = W D^{-1}` — column-stochastic. Entry `(u, v)` is `1/deg(v)`:
     /// random-walk mass flows from `v` to a uniformly chosen neighbor. This
-    /// is the Markov-chain reading of the paper's Eq. (5) and the default.
+    /// is the Markov-chain reading of the paper's Eq. (5).
     #[default]
     ColumnStochastic,
-    /// `A = D^{-1} W` — row-stochastic. Each node averages its neighbors'
-    /// values (neighborhood smoothing).
-    RowStochastic,
-    /// `A = D^{-1/2} W D^{-1/2}` — symmetric normalization, the usual choice
-    /// in graph-convolution literature.
-    Symmetric,
 }
 
 /// Compressed sparse row matrix with `f32` values.
@@ -250,45 +249,18 @@ impl CsrMatrix {
 
     /// Product with a row-major dense matrix: `Y = M X`, where `X` has
     /// `n_cols` rows of width `width` stored contiguously, likewise `Y`
-    /// (in diffusion, `X` holds one embedding row per node).
+    /// (in diffusion, `X` holds one embedding row per node). Every row goes
+    /// through [`gather_row`], the kernel the dense diffusion sweeps share.
     ///
     /// # Panics
     ///
     /// Panics if buffer sizes disagree with `n_cols * width` /
     /// `n_rows * width`.
     pub fn mul_dense_into(&self, x: &[f32], width: usize, y: &mut [f32]) {
-        assert_eq!(y.len(), self.n_rows * width, "output dimension mismatch");
-        self.mul_dense_rows_into(0, x, width, y);
-    }
-
-    /// Partial product `Y[first_row..] = (M X)[first_row..]`: computes only
-    /// the output rows covered by `y`, which holds
-    /// `y.len() / width` consecutive rows starting at `first_row`.
-    ///
-    /// Each output row depends only on `x` and that row's stored entries,
-    /// so disjoint row ranges can be computed concurrently into disjoint
-    /// buffers and the assembled result is bitwise identical to one
-    /// [`CsrMatrix::mul_dense_into`] call. Every row goes through
-    /// [`gather_row`], the kernel the dense diffusion sweeps share.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n_cols * width`, `y.len()` is not a multiple
-    /// of `width`, or the row range extends past `n_rows`.
-    pub fn mul_dense_rows_into(&self, first_row: usize, x: &[f32], width: usize, y: &mut [f32]) {
         assert_eq!(x.len(), self.n_cols * width, "input dimension mismatch");
-        let rows = y.len().checked_div(width).unwrap_or(0);
-        assert_eq!(rows * width, y.len(), "output buffer must hold whole rows");
-        assert!(
-            first_row + rows <= self.n_rows,
-            "row range {first_row}..{} exceeds {} rows",
-            first_row + rows,
-            self.n_rows
-        );
-        for (chunk_row, out) in y.chunks_mut(width.max(1)).enumerate() {
-            let entries = self
-                .row(first_row + chunk_row)
-                .map(|(c, weight)| (c as usize, weight));
+        assert_eq!(y.len(), self.n_rows * width, "output dimension mismatch");
+        for (r, out) in y.chunks_mut(width.max(1)).enumerate() {
+            let entries = self.row(r).map(|(c, weight)| (c as usize, weight));
             gather_row(entries, x, width, |start, sums| {
                 out[start..][..sums.len()].copy_from_slice(sums);
             });
@@ -376,7 +348,9 @@ where
     }
 }
 
-/// Builds the normalized transition matrix of an undirected graph.
+/// Builds the transition matrix `A = W D^{-1}` of an undirected graph,
+/// each entry from [`edge_weight`]. `norm` names that operator; it is the
+/// only one.
 ///
 /// Isolated nodes produce empty rows/columns: their diffusion state is pure
 /// teleport, which is the correct decentralized semantics (no neighbors to
@@ -394,7 +368,7 @@ where
 ///     assert!((s - 1.0).abs() < 1e-6);
 /// }
 /// ```
-pub fn transition_matrix(g: &Graph, norm: Normalization) -> CsrMatrix {
+pub fn transition_matrix(g: &Graph, _norm: Normalization) -> CsrMatrix {
     let n = g.num_nodes();
     let mut offsets = Vec::with_capacity(n + 1);
     let mut columns = Vec::with_capacity(2 * g.num_edges());
@@ -404,10 +378,7 @@ pub fn transition_matrix(g: &Graph, norm: Normalization) -> CsrMatrix {
     for u in g.node_ids() {
         let row = g.neighbor_slice(u);
         columns.extend(row.iter().map(|v| v.as_u32()));
-        values.extend(
-            row.iter()
-                .map(|&v| edge_weight(norm, row.len(), g.degree(v))),
-        );
+        values.extend(row.iter().map(|&v| edge_weight(g.degree(v))));
         offsets.push(columns.len());
     }
     let matrix = CsrMatrix {
@@ -424,36 +395,22 @@ pub fn transition_matrix(g: &Graph, norm: Normalization) -> CsrMatrix {
     matrix
 }
 
-/// The transition weight `A[u][v]` of an edge `{u, v}` under `norm`, from
-/// the endpoint degrees — the one expression every engine's weights come
-/// from, so they agree to the bit.
-pub fn edge_weight(norm: Normalization, deg_u: usize, deg_v: usize) -> f32 {
-    match norm {
-        Normalization::ColumnStochastic => 1.0 / deg_v as f32,
-        Normalization::RowStochastic => 1.0 / deg_u as f32,
-        Normalization::Symmetric => 1.0 / ((deg_u as f32).sqrt() * (deg_v as f32).sqrt()),
+/// The transition weight `A[u][v] = 1/deg(v)` of an edge `{u, v}`, from the
+/// degree of `v` — the one expression every engine's weights come from, so
+/// they agree to the bit. An isolated node (`deg_v = 0`) weighs no edge and
+/// reads 0.
+pub fn edge_weight(deg_v: usize) -> f32 {
+    if deg_v > 0 {
+        1.0 / deg_v as f32
+    } else {
+        0.0
     }
-}
-
-/// Convenience accessor: the transition weight `A[u][v]` for neighbors
-/// `u, v` under `norm`, as used by decentralized per-node updates.
-///
-/// Returns 0 if `u` and `v` are not adjacent.
-///
-/// # Panics
-///
-/// Panics if either node is out of range.
-pub fn transition_weight(g: &Graph, norm: Normalization, u: NodeId, v: NodeId) -> f32 {
-    if !g.has_edge(u, v) {
-        return 0.0;
-    }
-    edge_weight(norm, g.degree(u), g.degree(v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, NodeId};
 
     #[test]
     fn from_triplets_sorts_rows() {
@@ -575,26 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_dense_rows_assembles_to_full_product() {
-        let g = generators::social_circles_like_scaled(40, &mut seeded(7)).unwrap();
-        let a = transition_matrix(&g, Normalization::ColumnStochastic);
-        let width = 4;
-        let x: Vec<f32> = (0..40 * width).map(|i| (i as f32 * 0.13).cos()).collect();
-        let mut full = vec![0.0f32; 40 * width];
-        a.mul_dense_into(&x, width, &mut full);
-        // Compute the same product in uneven row ranges; must be bitwise
-        // identical to the monolithic call.
-        let mut pieced = vec![0.0f32; 40 * width];
-        let mut row = 0;
-        for rows in [1usize, 7, 12, 20] {
-            let chunk = &mut pieced[row * width..(row + rows) * width];
-            a.mul_dense_rows_into(row, &x, width, chunk);
-            row += rows;
-        }
-        assert_eq!(full, pieced);
-    }
-
-    #[test]
     fn gather_row_is_the_per_element_loop_at_every_block_boundary() {
         let b = GATHER_BLOCK;
         for width in [1, 3, b - 1, b, b + 1, 2 * b + 3] {
@@ -623,12 +560,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn mul_dense_rows_checks_range() {
+    #[should_panic(expected = "output dimension mismatch")]
+    fn mul_dense_checks_dims() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
         let x = [1.0f32, 2.0];
-        let mut y = [0.0f32; 4];
-        m.mul_dense_rows_into(1, &x, 1, &mut y[..2]);
+        let mut y = [0.0f32; 3];
+        m.mul_dense_into(&x, 1, &mut y);
     }
 
     #[test]
@@ -643,33 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn row_stochastic_rows_sum_to_one() {
-        let g = generators::grid(4, 4);
-        let a = transition_matrix(&g, Normalization::RowStochastic);
-        for (u, s) in a.row_sums().iter().enumerate() {
-            if g.degree(NodeId::new(u as u32)) > 0 {
-                assert!((s - 1.0).abs() < 1e-5, "row {u} sums to {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn symmetric_normalization_is_symmetric() {
-        let g = generators::star(5);
-        let a = transition_matrix(&g, Normalization::Symmetric);
-        for u in 0..5usize {
-            for (c, v) in a.row(u) {
-                let back: f32 = a
-                    .row(c as usize)
-                    .find(|&(cc, _)| cc as usize == u)
-                    .map(|(_, vv)| vv)
-                    .unwrap();
-                assert!((v - back).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn isolated_nodes_have_empty_rows() {
         let g = crate::Graph::from_edges(3, [(0, 1)]).unwrap();
         let a = transition_matrix(&g, Normalization::ColumnStochastic);
@@ -679,33 +589,15 @@ mod tests {
     #[test]
     fn transition_weight_matches_matrix() {
         let g = generators::grid(3, 3);
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let a = transition_matrix(&g, norm);
-            for u in g.node_ids() {
-                for v in g.neighbors(u) {
-                    let from_matrix = a
-                        .row(u.index())
-                        .find(|&(c, _)| c == v.as_u32())
-                        .map(|(_, w)| w)
-                        .unwrap();
-                    let direct = transition_weight(&g, norm, u, v);
-                    assert!((from_matrix - direct).abs() < 1e-6);
-                }
-            }
+        let a = transition_matrix(&g, Normalization::ColumnStochastic);
+        for u in g.node_ids() {
+            let stored: Vec<(u32, u32)> = a.row(u.index()).map(|(c, w)| (c, w.to_bits())).collect();
+            let direct: Vec<(u32, u32)> = g
+                .neighbors(u)
+                .map(|v| (v.as_u32(), edge_weight(g.degree(v)).to_bits()))
+                .collect();
+            assert_eq!(stored, direct, "row {u}");
         }
-        assert_eq!(
-            transition_weight(
-                &g,
-                Normalization::ColumnStochastic,
-                NodeId::new(0),
-                NodeId::new(8)
-            ),
-            0.0
-        );
     }
 
     fn seeded(seed: u64) -> rand::rngs::StdRng {

@@ -94,12 +94,6 @@ proptest! {
                 prop_assert_eq!(*s, 0.0);
             }
         }
-        let a = transition_matrix(&g, Normalization::RowStochastic);
-        for (u, s) in a.row_sums().iter().enumerate() {
-            if g.degree(NodeId::new(u as u32)) > 0 {
-                prop_assert!((s - 1.0).abs() < 1e-4);
-            }
-        }
     }
 }
 
@@ -136,26 +130,14 @@ proptest! {
     fn transition_matrix_equals_its_triplet_oracle(g in arb_operator_graph()) {
         use gdsearch_graph::sparse::{transition_matrix, CsrMatrix, Normalization};
         let n = g.num_nodes();
-        for norm in [
-            Normalization::ColumnStochastic,
-            Normalization::RowStochastic,
-            Normalization::Symmetric,
-        ] {
-            let mut triplets = Vec::new();
-            for u in g.node_ids() {
-                for v in g.neighbors(u) {
-                    let (du, dv) = (g.degree(u) as f32, g.degree(v) as f32);
-                    let value = match norm {
-                        Normalization::ColumnStochastic => 1.0 / dv,
-                        Normalization::RowStochastic => 1.0 / du,
-                        Normalization::Symmetric => 1.0 / (du.sqrt() * dv.sqrt()),
-                    };
-                    triplets.push((u.as_u32(), v.as_u32(), value));
-                }
+        let mut triplets = Vec::new();
+        for u in g.node_ids() {
+            for v in g.neighbors(u) {
+                triplets.push((u.as_u32(), v.as_u32(), 1.0 / g.degree(v) as f32));
             }
-            let oracle = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
-            prop_assert_eq!(transition_matrix(&g, norm), oracle);
         }
+        let oracle = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        prop_assert_eq!(transition_matrix(&g, Normalization::ColumnStochastic), oracle);
     }
 }
 

@@ -10,7 +10,7 @@ use gdsearch::personalization::personalization_rows;
 use gdsearch::{Placement, SchemeConfig, SearchNetwork};
 use gdsearch_diffusion::{per_source, PprConfig, Signal};
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{edge_weight, Normalization};
+use gdsearch_graph::sparse::edge_weight;
 use gdsearch_graph::{generators, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +26,7 @@ fn fnv1a(values: &[f32]) -> u64 {
 }
 
 /// The sweep's bits for 1,000 random sources on the benchmark's graph
-/// shape, at α ∈ {0.1, 0.5, 0.9} under every normalization: a change to the
+/// shape, at α ∈ {0.1, 0.5, 0.9}: a change to the
 /// sweep's arithmetic, its order or its buffers that moves one bit moves a
 /// digest.
 #[test]
@@ -44,28 +44,18 @@ fn dense_sweep_reproduces_its_pinned_digests() {
             (node, Embedding::new(row))
         })
         .collect();
-    let pinned: [(f32, Normalization, u64); 9] = [
-        (0.1, Normalization::ColumnStochastic, 0x2be5_49b2_e6ef_5049),
-        (0.1, Normalization::RowStochastic, 0xad47_af81_d837_c57c),
-        (0.1, Normalization::Symmetric, 0xb799_0bf9_c1c9_bd90),
-        (0.5, Normalization::ColumnStochastic, 0xf60a_c5a5_922a_1b74),
-        (0.5, Normalization::RowStochastic, 0xddcd_4867_d127_3dd4),
-        (0.5, Normalization::Symmetric, 0x30e0_c28b_d85c_66f0),
-        (0.9, Normalization::ColumnStochastic, 0x8e09_5e94_8662_d511),
-        (0.9, Normalization::RowStochastic, 0x0e0c_692d_16ec_a5fa),
-        (0.9, Normalization::Symmetric, 0x65cb_79d7_f7c2_2bca),
+    let pinned: [(f32, u64); 3] = [
+        (0.1, 0x2be5_49b2_e6ef_5049),
+        (0.5, 0xf60a_c5a5_922a_1b74),
+        (0.9, 0x8e09_5e94_8662_d511),
     ];
-    for (alpha, norm, digest) in pinned {
-        let config = PprConfig::new(alpha)
-            .unwrap()
-            .with_normalization(norm)
-            .with_tolerance(1e-5)
-            .unwrap();
+    for (alpha, digest) in pinned {
+        let config = PprConfig::new(alpha).unwrap().with_tolerance(1e-5).unwrap();
         let swept = per_source::auto_diffuse(&graph, 64, &sources, &config).unwrap();
         assert_eq!(
             format!("{:016x}", fnv1a(swept.as_slice())),
             format!("{digest:016x}"),
-            "α = {alpha}, {norm:?}"
+            "α = {alpha}"
         );
     }
 }
@@ -74,12 +64,12 @@ fn dense_sweep_reproduces_its_pinned_digests() {
 /// adjacency and `edge_weight` — none of the sweep's kernels. A NaN cell
 /// reads as an infinite residual.
 fn fixed_point_residual(graph: &Graph, e: &Signal, e0: &Signal, config: &SchemeConfig) -> f32 {
-    let (alpha, norm) = (config.alpha(), config.normalization());
+    let alpha = config.alpha();
     let mut worst = 0.0f32;
     for u in graph.node_ids() {
         let mut ae = vec![0.0f32; e.dim()];
         for &v in graph.neighbor_slice(u) {
-            let w = edge_weight(norm, graph.degree(u), graph.degree(v));
+            let w = edge_weight(graph.degree(v));
             for (sum, x) in ae.iter_mut().zip(e.row(v.index())) {
                 *sum += w * x;
             }
