@@ -8,8 +8,9 @@
 //!     --docs 1000 --iterations 30 --queries 10
 //! ```
 
+use gdsearch::experiment::hops::{self, HopCountConfig};
 use gdsearch::{Aggregation, Placement, SchemeConfig};
-use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
+use gdsearch_bench::{workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,6 +30,11 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let sweep = HopCountConfig {
+        total_docs: docs,
+        iterations,
+        queries_per_iteration: queries,
+    };
     println!("# Ablation: personalization aggregation — M = {docs}, alpha = {alpha}, ttl = {ttl}");
     println!("| aggregation | success rate | mean hops to gold |");
     println!("|---|---|---|");
@@ -46,15 +52,9 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = uniform_query_sweep(
-            &workbench,
-            &config,
-            docs,
-            iterations,
-            queries,
-            &mut rng,
-            |wb, words, r| Placement::uniform(&wb.graph, words, r),
-        )
+        let outcome = hops::sweep(&workbench, &sweep, &config, &mut rng, |words, r| {
+            Placement::uniform(&workbench.graph, words, r)
+        })
         .unwrap_or_else(|e| {
             eprintln!("aggregation {name} failed: {e}");
             std::process::exit(1);
@@ -62,7 +62,7 @@ fn main() {
         println!(
             "| {name} | {:.3} ({}/{}) | {} |",
             outcome.success_rate(),
-            outcome.successes,
+            outcome.successes(),
             outcome.samples,
             outcome
                 .mean_success_hops()

@@ -9,8 +9,9 @@
 //!     --docs 200 --iterations 30 --queries 10 --localities 0.0,0.5,0.9
 //! ```
 
+use gdsearch::experiment::hops::{self, HopCountConfig};
 use gdsearch::{Placement, SchemeConfig};
-use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
+use gdsearch_bench::{workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,6 +33,11 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let sweep = HopCountConfig {
+        total_docs: docs,
+        iterations,
+        queries_per_iteration: queries,
+    };
     println!(
         "# Ablation: document distribution — M = {docs}, alpha = {alpha}, ttl = {ttl}, radius = {radius}"
     );
@@ -46,15 +52,9 @@ fn main() {
 
     // Uniform baseline.
     let mut rng = StdRng::seed_from_u64(seed);
-    let uniform = uniform_query_sweep(
-        &workbench,
-        &config,
-        docs,
-        iterations,
-        queries,
-        &mut rng,
-        |wb, words, r| Placement::uniform(&wb.graph, words, r),
-    )
+    let uniform = hops::sweep(&workbench, &sweep, &config, &mut rng, |words, r| {
+        Placement::uniform(&workbench.graph, words, r)
+    })
     .unwrap_or_else(|e| {
         eprintln!("uniform placement failed: {e}");
         std::process::exit(1);
@@ -62,7 +62,7 @@ fn main() {
     println!(
         "| uniform (paper) | {:.3} ({}/{}) | {} |",
         uniform.success_rate(),
-        uniform.successes,
+        uniform.successes(),
         uniform.samples,
         uniform
             .mean_success_hops()
@@ -75,17 +75,16 @@ fn main() {
             continue; // identical to uniform
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = uniform_query_sweep(
-            &workbench,
-            &config,
-            docs,
-            iterations,
-            queries,
-            &mut rng,
-            |wb, words, r| {
-                Placement::topic_correlated(&wb.graph, &wb.corpus, words, locality, radius, r)
-            },
-        )
+        let outcome = hops::sweep(&workbench, &sweep, &config, &mut rng, |words, r| {
+            Placement::topic_correlated(
+                &workbench.graph,
+                &workbench.corpus,
+                words,
+                locality,
+                radius,
+                r,
+            )
+        })
         .unwrap_or_else(|e| {
             eprintln!("correlated placement (locality {locality}) failed: {e}");
             std::process::exit(1);
@@ -93,7 +92,7 @@ fn main() {
         println!(
             "| correlated, locality {locality} | {:.3} ({}/{}) | {} |",
             outcome.success_rate(),
-            outcome.successes,
+            outcome.successes(),
             outcome.samples,
             outcome
                 .mean_success_hops()

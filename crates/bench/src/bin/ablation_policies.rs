@@ -13,8 +13,9 @@
 //! entire graph and trivially win on accuracy while losing by orders of
 //! magnitude on bandwidth — exactly the trade-off the paper motivates.
 
+use gdsearch::experiment::hops::{self, HopCountConfig};
 use gdsearch::{Placement, PolicyKind, SchemeConfig};
-use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
+use gdsearch_bench::{workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,6 +35,11 @@ fn main() {
             eprintln!("failed to build workbench: {e}");
             std::process::exit(1);
         }
+    };
+    let sweep = HopCountConfig {
+        total_docs: docs,
+        iterations,
+        queries_per_iteration: queries,
     };
     println!(
         "# Ablation: forwarding policies — M = {docs}, ttl = {ttl} (flooding: {flood_ttl}), alpha = {alpha}"
@@ -56,15 +62,9 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = uniform_query_sweep(
-            &workbench,
-            &config,
-            docs,
-            iterations,
-            queries,
-            &mut rng,
-            |wb, words, r| Placement::uniform(&wb.graph, words, r),
-        )
+        let outcome = hops::sweep(&workbench, &sweep, &config, &mut rng, |words, r| {
+            Placement::uniform(&workbench.graph, words, r)
+        })
         .unwrap_or_else(|e| {
             eprintln!("policy {name} failed: {e}");
             std::process::exit(1);
@@ -72,7 +72,7 @@ fn main() {
         println!(
             "| {name} | {:.3} ({}/{}) | {:.1} | {} |",
             outcome.success_rate(),
-            outcome.successes,
+            outcome.successes(),
             outcome.samples,
             outcome.mean_messages(),
             outcome

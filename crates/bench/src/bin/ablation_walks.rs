@@ -8,8 +8,9 @@
 //!     --docs 100 --iterations 30 --queries 10 --fanouts 1,2,4
 //! ```
 
+use gdsearch::experiment::hops::{self, HopCountConfig};
 use gdsearch::{Placement, SchemeConfig};
-use gdsearch_bench::{uniform_query_sweep, workbench_from_args, Args};
+use gdsearch_bench::{workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,6 +31,11 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let sweep = HopCountConfig {
+        total_docs: docs,
+        iterations,
+        queries_per_iteration: queries,
+    };
     println!("# Ablation: parallel walks — M = {docs}, alpha = {alpha}, ttl = {ttl}");
     println!("| fanout | success rate | mean messages / query | mean hops to gold |");
     println!("|---|---|---|---|");
@@ -42,15 +48,9 @@ fn main() {
             .build()
             .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = uniform_query_sweep(
-            &workbench,
-            &config,
-            docs,
-            iterations,
-            queries,
-            &mut rng,
-            |wb, words, r| Placement::uniform(&wb.graph, words, r),
-        )
+        let outcome = hops::sweep(&workbench, &sweep, &config, &mut rng, |words, r| {
+            Placement::uniform(&workbench.graph, words, r)
+        })
         .unwrap_or_else(|e| {
             eprintln!("fanout {fanout} failed: {e}");
             std::process::exit(1);
@@ -58,7 +58,7 @@ fn main() {
         println!(
             "| {fanout} | {:.3} ({}/{}) | {:.1} | {} |",
             outcome.success_rate(),
-            outcome.successes,
+            outcome.successes(),
             outcome.samples,
             outcome.mean_messages(),
             outcome

@@ -198,113 +198,3 @@ mod tests {
         assert_eq!(wb.corpus.len(), 300);
     }
 }
-
-/// Aggregate outcome of a sweep of uniformly-started queries, used by the
-/// ablation binaries to compare configurations on equal footing.
-#[derive(Debug, Clone, Default)]
-pub struct SweepOutcome {
-    /// Walks that retrieved the gold document.
-    pub successes: usize,
-    /// Walks issued.
-    pub samples: usize,
-    /// Total forward messages spent across all walks.
-    pub total_messages: u64,
-    /// Hop at which each successful walk reached the gold host.
-    pub success_hops: Vec<u32>,
-}
-
-impl SweepOutcome {
-    /// Success rate over issued walks.
-    pub fn success_rate(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.samples as f64
-        }
-    }
-
-    /// Mean messages per walk.
-    pub fn mean_messages(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.total_messages as f64 / self.samples as f64
-        }
-    }
-
-    /// Mean hop count of successful walks, if any.
-    pub fn mean_success_hops(&self) -> Option<f64> {
-        gdsearch::metrics::hop_stats(&self.success_hops).map(|s| s.mean)
-    }
-}
-
-/// Runs `iterations` placements × `queries_per_iteration` uniformly-started
-/// walks under `config`, with a caller-supplied placement strategy
-/// (uniform, topic-correlated, …). The gold document is `DocId` 0.
-///
-/// # Errors
-///
-/// Propagates placement/build/query failures; fails fast when the
-/// irrelevant pool cannot supply `total_docs − 1` words.
-pub fn uniform_query_sweep<F>(
-    workbench: &Workbench,
-    config: &gdsearch::SchemeConfig,
-    total_docs: usize,
-    iterations: usize,
-    queries_per_iteration: usize,
-    rng: &mut StdRng,
-    mut place: F,
-) -> Result<SweepOutcome, SearchError>
-where
-    F: FnMut(
-        &Workbench,
-        &[gdsearch_embed::WordId],
-        &mut StdRng,
-    ) -> Result<gdsearch::Placement, SearchError>,
-{
-    use rand::seq::IndexedRandom;
-    use rand::Rng as _;
-    let irrelevant_needed = total_docs.saturating_sub(1);
-    if workbench.queries.irrelevant().len() < irrelevant_needed {
-        return Err(SearchError::InvalidParameter {
-            reason: format!(
-                "irrelevant pool ({}) cannot supply {} documents",
-                workbench.queries.irrelevant().len(),
-                irrelevant_needed
-            ),
-        });
-    }
-    let n = workbench.graph.num_nodes() as u32;
-    let mut outcome = SweepOutcome::default();
-    for _ in 0..iterations {
-        let pair = workbench.queries.pairs()[rng.random_range(0..workbench.queries.len())];
-        let mut words = vec![pair.gold];
-        words.extend(
-            workbench
-                .queries
-                .irrelevant()
-                .choose_multiple(rng, irrelevant_needed)
-                .copied(),
-        );
-        let placement = place(workbench, &words, rng)?;
-        let network = gdsearch::SearchNetwork::build(
-            &workbench.graph,
-            &workbench.corpus,
-            &placement,
-            config,
-            rng,
-        )?;
-        let query = workbench.corpus.embedding(pair.query);
-        for _ in 0..queries_per_iteration {
-            let start = gdsearch_graph::NodeId::new(rng.random_range(0..n));
-            let walk = gdsearch::walk::run(&network, query, start, rng)?;
-            outcome.samples += 1;
-            outcome.total_messages += u64::from(walk.hops);
-            if let Some(hop) = walk.hop_of(0) {
-                outcome.successes += 1;
-                outcome.success_hops.push(hop);
-            }
-        }
-    }
-    Ok(outcome)
-}

@@ -58,7 +58,8 @@ impl Default for SchemeConfig {
 #[derive(Debug, Clone, Default)]
 pub struct SchemeConfigBuilder {
     // Crate-visible so engine::config's tests can exercise the typed
-    // validator on raw (unvalidated) configurations.
+    // validator on raw (unvalidated) configurations, and so the Fig. 3
+    // driver can rebuild a configuration with only alpha changed.
     pub(crate) config: SchemeConfig,
 }
 

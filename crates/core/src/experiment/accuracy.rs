@@ -14,12 +14,11 @@
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use gdsearch_embed::WordId;
 use gdsearch_graph::algo::bfs;
-use rand::seq::IndexedRandom;
 use rand::Rng;
 
-use crate::experiment::Workbench;
+use crate::config::SchemeConfigBuilder;
+use crate::experiment::{draw_documents, Workbench};
 use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Fig. 3 subplot (fixed document count `M`).
@@ -73,50 +72,26 @@ pub struct AccuracyResult {
 ///
 /// # Errors
 ///
-/// Returns [`SearchError::InvalidParameter`] if the irrelevant pool cannot
-/// supply `total_docs − 1` documents or any alpha is invalid, plus any
-/// substrate failure.
+/// Returns [`SearchError::InvalidParameter`] for zero documents or
+/// iterations, an irrelevant pool that cannot supply `total_docs − 1`
+/// documents or an invalid alpha, plus any substrate failure.
 pub fn run<R: Rng + ?Sized>(
     workbench: &Workbench,
     config: &AccuracyConfig,
     base: &SchemeConfig,
     rng: &mut R,
 ) -> Result<AccuracyResult, SearchError> {
-    if config.total_docs == 0 {
-        return Err(SearchError::invalid_parameter(
-            "total_docs must be positive",
-        ));
-    }
     if config.iterations == 0 {
         return Err(SearchError::invalid_parameter(
             "iterations must be positive",
         ));
-    }
-    let irrelevant_needed = config.total_docs - 1;
-    if workbench.queries.irrelevant().len() < irrelevant_needed {
-        return Err(SearchError::invalid_parameter(format!(
-            "irrelevant pool ({}) cannot supply {} documents",
-            workbench.queries.irrelevant().len(),
-            irrelevant_needed
-        )));
     }
     let distances = config.max_distance as usize + 1;
     let mut hits = vec![vec![0usize; distances]; config.alphas.len()];
     let mut samples = vec![vec![0usize; distances]; config.alphas.len()];
 
     for _ in 0..config.iterations {
-        // One gold + M−1 irrelevant documents, placed uniformly. The gold
-        // document is DocId 0 by construction.
-        let pair = workbench.queries.pairs()[rng.random_range(0..workbench.queries.len())];
-        let mut words: Vec<WordId> = Vec::with_capacity(config.total_docs);
-        words.push(pair.gold);
-        words.extend(
-            workbench
-                .queries
-                .irrelevant()
-                .choose_multiple(rng, irrelevant_needed)
-                .copied(),
-        );
+        let (query, words) = draw_documents(workbench, config.total_docs, rng)?;
         let placement = Placement::uniform(&workbench.graph, &words, rng)?;
         let gold_host = placement.host(0);
         // Distance rings around the gold host are alpha-independent.
@@ -133,7 +108,7 @@ pub fn run<R: Rng + ?Sized>(
                 }
             })
             .collect();
-        let query_embedding = workbench.corpus.embedding(pair.query);
+        let query_embedding = workbench.corpus.embedding(query);
 
         for (ai, &alpha) in config.alphas.iter().enumerate() {
             let scheme_config = rebuild_with_alpha(base, alpha)?;
@@ -181,16 +156,11 @@ pub fn run<R: Rng + ?Sized>(
 
 /// Clones `base` with a different teleport probability.
 fn rebuild_with_alpha(base: &SchemeConfig, alpha: f32) -> Result<SchemeConfig, SearchError> {
-    SchemeConfig::builder()
-        .alpha(alpha)
-        .ttl(base.ttl())
-        .fanout(base.fanout())
-        .top_k(base.top_k())
-        .aggregation(base.aggregation())
-        .policy(base.policy())
-        .tolerance(base.tolerance())
-        .max_iterations(base.max_iterations())
-        .build()
+    SchemeConfigBuilder {
+        config: base.clone(),
+    }
+    .alpha(alpha)
+    .build()
 }
 
 #[cfg(test)]

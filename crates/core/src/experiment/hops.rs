@@ -1,4 +1,7 @@
-//! Table I reproduction: hop-count analysis of successful walks (§V-D).
+//! Table I reproduction: hop-count analysis of successful walks (§V-D),
+//! and the Monte-Carlo sweep behind it that the walk ablations (parallel
+//! walks, forwarding policies, document placement, aggregation) run with
+//! their own scheme settings and placements.
 //!
 //! Protocol, following the paper:
 //!
@@ -13,20 +16,15 @@
 //! visited is recorded.
 
 #![expect(
-    clippy::indexing_slicing,
-    reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
-)]
-#![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "a Graph's node count fits u32: every constructor takes it as a u32"
 )]
 
 use gdsearch_embed::WordId;
-use rand::seq::IndexedRandom;
 use rand::Rng;
 
-use crate::experiment::Workbench;
-use crate::metrics::{hop_stats, HopStats};
+use crate::experiment::{draw_documents, Workbench};
+use crate::metrics::hop_stats;
 use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
 /// Parameters of one Table I row (fixed document count `M`).
@@ -71,11 +69,50 @@ pub struct HopCountRow {
 impl HopCountRow {
     /// Success rate over all issued walks.
     pub fn success_rate(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.samples as f64
-        }
+        per_sample(self.successes as f64, self.samples)
+    }
+}
+
+/// What a [`sweep`] of uniformly started walks observed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SweepOutcome {
+    /// Walks issued.
+    pub samples: usize,
+    /// Forward messages spent across all walks.
+    pub total_messages: u64,
+    /// Hop at which each successful walk reached the gold host, in walk
+    /// order.
+    pub success_hops: Vec<u32>,
+}
+
+impl SweepOutcome {
+    /// Walks that retrieved the gold document.
+    pub fn successes(&self) -> usize {
+        self.success_hops.len()
+    }
+
+    /// Success rate over issued walks.
+    pub fn success_rate(&self) -> f64 {
+        per_sample(self.successes() as f64, self.samples)
+    }
+
+    /// Mean messages per walk.
+    pub fn mean_messages(&self) -> f64 {
+        per_sample(self.total_messages as f64, self.samples)
+    }
+
+    /// Mean hop count of successful walks, if any.
+    pub fn mean_success_hops(&self) -> Option<f64> {
+        hop_stats(&self.success_hops).map(|s| s.mean)
+    }
+}
+
+/// `total` per sample; 0 without samples.
+fn per_sample(total: f64, samples: usize) -> f64 {
+    if samples == 0 {
+        0.0
+    } else {
+        total / samples as f64
     }
 }
 
@@ -83,70 +120,78 @@ impl HopCountRow {
 ///
 /// `base` supplies the full scheme configuration — the paper's Table I
 /// uses `alpha = 0.5`, TTL 50, single greedy walk
-/// (`SchemeConfig::default()`).
+/// (`SchemeConfig::default()`). This is [`sweep`] with
+/// [`Placement::uniform`].
 ///
 /// # Errors
 ///
-/// Returns [`SearchError::InvalidParameter`] for zero iterations/queries,
-/// or an irrelevant pool smaller than `total_docs − 1`; plus substrate
-/// failures.
+/// As [`sweep`].
 pub fn run<R: Rng + ?Sized>(
     workbench: &Workbench,
     config: &HopCountConfig,
     base: &SchemeConfig,
     rng: &mut R,
 ) -> Result<HopCountRow, SearchError> {
-    if config.total_docs == 0 || config.iterations == 0 || config.queries_per_iteration == 0 {
-        return Err(SearchError::invalid_parameter(
-            "total_docs, iterations and queries_per_iteration must be positive",
-        ));
-    }
-    let irrelevant_needed = config.total_docs - 1;
-    if workbench.queries.irrelevant().len() < irrelevant_needed {
-        return Err(SearchError::invalid_parameter(format!(
-            "irrelevant pool ({}) cannot supply {} documents",
-            workbench.queries.irrelevant().len(),
-            irrelevant_needed
-        )));
-    }
-    let n = workbench.graph.num_nodes() as u32;
-    let mut successful_hops: Vec<u32> = Vec::new();
-    let mut samples = 0usize;
-
-    for _ in 0..config.iterations {
-        let pair = workbench.queries.pairs()[rng.random_range(0..workbench.queries.len())];
-        let mut words: Vec<WordId> = Vec::with_capacity(config.total_docs);
-        words.push(pair.gold);
-        words.extend(
-            workbench
-                .queries
-                .irrelevant()
-                .choose_multiple(rng, irrelevant_needed)
-                .copied(),
-        );
-        let placement = Placement::uniform(&workbench.graph, &words, rng)?;
-        let network =
-            SearchNetwork::build(&workbench.graph, &workbench.corpus, &placement, base, rng)?;
-        let query_embedding = workbench.corpus.embedding(pair.query);
-        for _ in 0..config.queries_per_iteration {
-            let start = gdsearch_graph::NodeId::new(rng.random_range(0..n));
-            let outcome = walk::run(&network, query_embedding, start, rng)?;
-            samples += 1;
-            if let Some(hop) = outcome.hop_of(0) {
-                successful_hops.push(hop);
-            }
-        }
-    }
-
-    let stats: Option<HopStats> = hop_stats(&successful_hops);
+    let outcome = sweep(workbench, config, base, rng, |words, rng| {
+        Placement::uniform(&workbench.graph, words, rng)
+    })?;
+    let stats = hop_stats(&outcome.success_hops);
     Ok(HopCountRow {
         total_docs: config.total_docs,
-        successes: successful_hops.len(),
-        samples,
+        successes: outcome.successes(),
+        samples: outcome.samples,
         median_hops: stats.map(|s| s.median),
         mean_hops: stats.map(|s| s.mean),
         std_hops: stats.map(|s| s.std),
     })
+}
+
+/// Runs `config.iterations` placements × `config.queries_per_iteration`
+/// walks from uniformly drawn nodes under `scheme`. Each iteration draws a
+/// query pair with one gold and `total_docs − 1` irrelevant documents
+/// (the gold document is `DocId` 0), hosts them where `place` puts them
+/// and builds the network.
+///
+/// # Errors
+///
+/// Returns [`SearchError::InvalidParameter`] for zero documents,
+/// iterations or queries, or an irrelevant pool smaller than
+/// `total_docs − 1`; plus placement, build and walk failures.
+pub fn sweep<R, F>(
+    workbench: &Workbench,
+    config: &HopCountConfig,
+    scheme: &SchemeConfig,
+    rng: &mut R,
+    mut place: F,
+) -> Result<SweepOutcome, SearchError>
+where
+    R: Rng + ?Sized,
+    F: FnMut(&[WordId], &mut R) -> Result<Placement, SearchError>,
+{
+    if config.iterations == 0 || config.queries_per_iteration == 0 {
+        return Err(SearchError::invalid_parameter(
+            "iterations and queries_per_iteration must be positive",
+        ));
+    }
+    let n = workbench.graph.num_nodes() as u32;
+    let mut outcome = SweepOutcome::default();
+    for _ in 0..config.iterations {
+        let (query, words) = draw_documents(workbench, config.total_docs, rng)?;
+        let placement = place(&words, rng)?;
+        let network =
+            SearchNetwork::build(&workbench.graph, &workbench.corpus, &placement, scheme, rng)?;
+        let query_embedding = workbench.corpus.embedding(query);
+        for _ in 0..config.queries_per_iteration {
+            let start = gdsearch_graph::NodeId::new(rng.random_range(0..n));
+            let walk = walk::run(&network, query_embedding, start, rng)?;
+            outcome.samples += 1;
+            outcome.total_messages += u64::from(walk.hops);
+            if let Some(hop) = walk.hop_of(0) {
+                outcome.success_hops.push(hop);
+            }
+        }
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! * [`accuracy`] — Fig. 3: hit accuracy vs. query-to-gold distance, for
 //!   `M ∈ {10, 100, 1000, 10000}` documents and `α ∈ {0.1, 0.5, 0.9}`;
 //! * [`hops`] — Table I: success rate and hop-count statistics of
-//!   successful walks at `α = 0.5`;
+//!   successful walks at `α = 0.5`, and the sweep of uniformly started
+//!   walks behind it that the walk ablations run with their own settings
+//!   and placements;
 //! * [`report`] — markdown/CSV rendering of both.
 //!
 //! [`Workbench`] assembles the shared experimental environment: the social
@@ -18,8 +20,9 @@ pub mod report;
 
 use gdsearch_embed::querygen::{self, QueryGenConfig, QuerySet};
 use gdsearch_embed::synthetic::SyntheticCorpus;
-use gdsearch_embed::Corpus;
+use gdsearch_embed::{Corpus, WordId};
 use gdsearch_graph::{generators, Graph};
+use rand::seq::IndexedRandom;
 use rand::Rng;
 
 use crate::SearchError;
@@ -129,6 +132,45 @@ impl Workbench {
             queries,
         })
     }
+}
+
+/// One Monte-Carlo iteration's draw, shared by [`accuracy::run`] and
+/// [`hops::sweep`]: a query pair picked uniformly, then the words of
+/// `total_docs` documents — the pair's gold word first, so the gold
+/// document is `DocId` 0, then `total_docs − 1` distinct irrelevant words.
+/// Returns the query word and the document words.
+///
+/// # Errors
+///
+/// Returns [`SearchError::InvalidParameter`], before any draw, for zero
+/// documents or an irrelevant pool smaller than `total_docs − 1`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the pair index is drawn below pairs.len()"
+)]
+fn draw_documents<R: Rng + ?Sized>(
+    workbench: &Workbench,
+    total_docs: usize,
+    rng: &mut R,
+) -> Result<(WordId, Vec<WordId>), SearchError> {
+    let irrelevant = workbench.queries.irrelevant();
+    let Some(irrelevant_needed) = total_docs.checked_sub(1) else {
+        return Err(SearchError::invalid_parameter(
+            "total_docs must be positive",
+        ));
+    };
+    if irrelevant.len() < irrelevant_needed {
+        return Err(SearchError::invalid_parameter(format!(
+            "irrelevant pool ({}) cannot supply {irrelevant_needed} documents",
+            irrelevant.len()
+        )));
+    }
+    let pairs = workbench.queries.pairs();
+    let pair = pairs[rng.random_range(0..pairs.len())];
+    let mut words = Vec::with_capacity(total_docs);
+    words.push(pair.gold);
+    words.extend(irrelevant.choose_multiple(rng, irrelevant_needed).copied());
+    Ok((pair.query, words))
 }
 
 #[cfg(test)]

@@ -62,16 +62,6 @@ pub fn hop_stats(hops: &[u32]) -> Option<HopStats> {
     })
 }
 
-/// Mean of a boolean outcome sequence — hit accuracy as the paper defines
-/// it ("the percentage of queries that retrieved the gold document").
-/// Returns `None` for an empty sample.
-pub fn accuracy(outcomes: &[bool]) -> Option<f64> {
-    if outcomes.is_empty() {
-        return None;
-    }
-    Some(outcomes.iter().filter(|&&b| b).count() as f64 / outcomes.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +69,6 @@ mod tests {
     #[test]
     fn empty_samples() {
         assert!(hop_stats(&[]).is_none());
-        assert!(accuracy(&[]).is_none());
     }
 
     #[test]
@@ -103,11 +92,5 @@ mod tests {
         let s = hop_stats(&[1, 1, 2, 2, 3, 40]).unwrap();
         assert!(s.mean > s.median);
         assert!(s.std > 10.0);
-    }
-
-    #[test]
-    fn accuracy_counts_hits() {
-        assert_eq!(accuracy(&[true, false, true, true]).unwrap(), 0.75);
-        assert_eq!(accuracy(&[false]).unwrap(), 0.0);
     }
 }

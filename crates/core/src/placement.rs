@@ -13,7 +13,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "a Graph's node count fits u32: every Graph constructor takes it as a u32"
 )]
 
 use std::collections::BTreeMap;

@@ -20,7 +20,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "document counts and offsets are at most placement.len(), which build checks fits u32"
 )]
 
 use std::sync::OnceLock;

@@ -143,24 +143,27 @@ mod tests {
     #[test]
     fn matches_power_iteration_on_small_graphs() {
         let mut rng = seeded(1);
-        for alpha in [0.1f32, 0.5, 0.9] {
-            let g = generators::social_circles_like_scaled(40, &mut rng).unwrap();
+        // (graph, source, alpha): a fresh 40-node social graph per alpha,
+        // then a 4 × 4 grid.
+        let mut cases: Vec<(Graph, usize, f32)> = [0.1f32, 0.5, 0.9]
+            .into_iter()
+            .map(|alpha| {
+                let g = generators::social_circles_like_scaled(40, &mut rng).unwrap();
+                (g, 7, alpha)
+            })
+            .collect();
+        cases.push((generators::grid(4, 4), 3, 0.4));
+        for (g, source, alpha) in cases {
             let cfg = PprConfig::new(alpha).unwrap().with_tolerance(1e-8).unwrap();
-            let e0 = one_hot(40, 7);
+            let e0 = one_hot(g.num_nodes(), source);
             let truth = diffuse(&g, &e0, &cfg).unwrap();
             let approx = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-            assert!(truth.max_abs_diff(&approx).unwrap() < 1e-5, "alpha {alpha}");
+            assert!(
+                truth.max_abs_diff(&approx).unwrap() < 1e-5,
+                "{} nodes, alpha {alpha}",
+                g.num_nodes()
+            );
         }
-    }
-
-    #[test]
-    fn matches_power_under_all_normalizations() {
-        let g = generators::grid(4, 4);
-        let e0 = one_hot(16, 3);
-        let cfg = PprConfig::new(0.4).unwrap().with_tolerance(1e-8).unwrap();
-        let truth = diffuse(&g, &e0, &cfg).unwrap();
-        let approx = power::diffuse(&g, &e0, &cfg).unwrap().signal;
-        assert!(truth.max_abs_diff(&approx).unwrap() < 1e-5);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "a halo slot indexes a shard's local rows then its halo, disjoint node sets of one Graph, so it stays below the graph's u32 node count"
 )]
 
 use gdsearch_graph::ShardedGraph;

@@ -461,32 +461,7 @@ pub fn diffuse_rows(
     config: &PushConfig,
 ) -> Result<SparseRows, DiffusionError> {
     let n = graph.num_nodes();
-    // Group repeated source nodes (diffusion is linear, so their
-    // personalizations sum) — one column per distinct node. BTreeMap keeps
-    // accumulation in ascending node order: deterministic.
-    let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
-    for (node, emb) in sources {
-        if emb.dim() != dim {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (n, dim),
-                got: (node.index(), emb.dim()),
-            });
-        }
-        if node.index() >= n {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (n, dim),
-                got: (node.index(), dim),
-            });
-        }
-        grouped
-            .entry(node.as_u32())
-            .and_modify(|acc| {
-                for (a, e) in acc.iter_mut().zip(emb.as_slice()) {
-                    *a += e;
-                }
-            })
-            .or_insert_with(|| emb.as_slice().to_vec());
-    }
+    let grouped = group_sources(n, dim, sources)?;
     if grouped.is_empty() || dim == 0 {
         return Ok(SparseRows::zeros(n, dim));
     }
@@ -522,6 +497,40 @@ pub fn diffuse_rows(
         }
     }
     Ok(out)
+}
+
+/// Groups repeated source nodes — diffusion is linear, so their
+/// personalizations sum, in input order — into one row per distinct node.
+/// The `BTreeMap` yields the nodes in ascending order, which keeps every
+/// engine's column and accumulation order deterministic.
+///
+/// # Errors
+///
+/// Returns [`DiffusionError::ShapeMismatch`] for an embedding whose
+/// dimension is not `dim` or a node outside `0..n`.
+pub(crate) fn group_sources(
+    n: usize,
+    dim: usize,
+    sources: &[(NodeId, Embedding)],
+) -> Result<BTreeMap<u32, Vec<f32>>, DiffusionError> {
+    let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+    for (node, emb) in sources {
+        if emb.dim() != dim || node.index() >= n {
+            return Err(DiffusionError::ShapeMismatch {
+                expected: (n, dim),
+                got: (node.index(), emb.dim()),
+            });
+        }
+        grouped
+            .entry(node.as_u32())
+            .and_modify(|acc| {
+                for (a, e) in acc.iter_mut().zip(emb.as_slice()) {
+                    *a += e;
+                }
+            })
+            .or_insert_with(|| emb.as_slice().to_vec());
+    }
+    Ok(grouped)
 }
 
 /// [`diffuse_rows`] as a dense `N × dim` signal: its rows scattered into
@@ -563,29 +572,26 @@ mod tests {
 
     #[test]
     fn matches_exact_oracle_across_alphas() {
-        let g = generators::social_circles_like_scaled(50, &mut seeded(1)).unwrap();
-        for alpha in [0.1f32, 0.5, 0.9] {
+        let social = generators::social_circles_like_scaled(50, &mut seeded(1)).unwrap();
+        let grid = generators::grid(5, 5);
+        let cases = [
+            (&social, 7u32, 0.1f32),
+            (&social, 7, 0.5),
+            (&social, 7, 0.9),
+            (&grid, 12, 0.4),
+        ];
+        for (g, source, alpha) in cases {
             let cfg = push_cfg(alpha, 1e-6);
-            let truth = exact::diffuse(&g, &one_hot(50, 7), cfg.ppr()).unwrap();
-            let h = ppr_vector(&g, NodeId::new(7), &cfg).unwrap();
+            let e0 = one_hot(g.num_nodes(), source as usize);
+            let truth = exact::diffuse(g, &e0, cfg.ppr()).unwrap();
+            let h = ppr_vector(g, NodeId::new(source), &cfg).unwrap();
             for (u, hu) in h.iter().enumerate() {
                 assert!(
                     (hu - truth.row(u)[0]).abs() < 1e-4,
-                    "alpha {alpha}, node {u}"
+                    "{} nodes, alpha {alpha}, node {u}",
+                    g.num_nodes()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn matches_exact_under_all_normalizations() {
-        let g = generators::grid(5, 5);
-        let ppr = PprConfig::new(0.4).unwrap().with_tolerance(1e-6).unwrap();
-        let cfg = PushConfig::new(ppr);
-        let truth = exact::diffuse(&g, &one_hot(25, 12), &ppr).unwrap();
-        let h = ppr_vector(&g, NodeId::new(12), &cfg).unwrap();
-        for (u, hu) in h.iter().enumerate() {
-            assert!((hu - truth.row(u)[0]).abs() < 1e-4, "node {u}");
         }
     }
 

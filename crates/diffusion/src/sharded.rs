@@ -99,8 +99,6 @@
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use std::collections::BTreeMap;
-
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{edge_weight, gather_row};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
@@ -109,7 +107,7 @@ use crate::convergence::Convergence;
 use crate::degrees;
 use crate::exchange::{InProcessExchange, ShardExchange};
 use crate::power::DiffusionResult;
-use crate::{workpool, DiffusionError, PprConfig, Signal};
+use crate::{push, workpool, DiffusionError, PprConfig, Signal};
 
 pub use crate::exchange::Outbox;
 
@@ -634,25 +632,7 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
 ) -> Result<Signal, DiffusionError> {
     let n = sharded.num_nodes();
     let mut out = Signal::zeros(n, dim);
-    // Group repeated source nodes (diffusion is linear); BTreeMap keeps
-    // column order — and with it accumulation order — deterministic.
-    let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
-    for (node, emb) in sources {
-        if emb.dim() != dim || node.index() >= n {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (n, dim),
-                got: (node.index(), emb.dim()),
-            });
-        }
-        grouped
-            .entry(node.as_u32())
-            .and_modify(|acc| {
-                for (a, e) in acc.iter_mut().zip(emb.as_slice()) {
-                    *a += e;
-                }
-            })
-            .or_insert_with(|| emb.as_slice().to_vec());
-    }
+    let grouped = push::group_sources(n, dim, sources)?;
     if grouped.is_empty() || dim == 0 {
         return Ok(out);
     }
@@ -728,39 +708,39 @@ mod tests {
 
     #[test]
     fn sharded_power_is_bitwise_identical_to_dense() {
-        let g = generators::social_circles_like_scaled(130, &mut seeded(1)).unwrap();
-        let e0 = random_signal(130, 5, 2);
-        let ppr = PprConfig::new(0.4).unwrap().with_tolerance(1e-7).unwrap();
-        let reference = power::diffuse(&g, &e0, &ppr).unwrap();
-        for shards in [1usize, 2, 3, 7, 130] {
-            for threads in [1usize, 4] {
-                let scfg = ShardedConfig::new(ppr)
-                    .with_shards(shards)
-                    .unwrap()
-                    .with_threads(threads)
-                    .unwrap();
-                let out = diffuse(&g, &e0, &scfg).unwrap();
-                assert_eq!(
-                    out.signal.as_slice(),
-                    reference.signal.as_slice(),
-                    "{shards} shards × {threads} threads drifted"
-                );
-                assert_eq!(out.iterations, reference.iterations);
-                assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
-                assert_eq!(out.converged, reference.converged);
+        // (graph, E0, alpha, shard counts)
+        let cases = [
+            (
+                generators::social_circles_like_scaled(130, &mut seeded(1)).unwrap(),
+                random_signal(130, 5, 2),
+                0.4,
+                &[1usize, 2, 3, 7, 130][..],
+            ),
+            (generators::grid(6, 6), random_signal(36, 3, 7), 0.5, &[5]),
+        ];
+        for (g, e0, alpha, shard_counts) in cases {
+            let ppr = PprConfig::new(alpha).unwrap().with_tolerance(1e-7).unwrap();
+            let reference = power::diffuse(&g, &e0, &ppr).unwrap();
+            for &shards in shard_counts {
+                for threads in [1usize, 4] {
+                    let scfg = ShardedConfig::new(ppr)
+                        .with_shards(shards)
+                        .unwrap()
+                        .with_threads(threads)
+                        .unwrap();
+                    let out = diffuse(&g, &e0, &scfg).unwrap();
+                    assert_eq!(
+                        out.signal.as_slice(),
+                        reference.signal.as_slice(),
+                        "{} nodes: {shards} shards × {threads} threads drifted",
+                        g.num_nodes()
+                    );
+                    assert_eq!(out.iterations, reference.iterations);
+                    assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
+                    assert_eq!(out.converged, reference.converged);
+                }
             }
         }
-    }
-
-    #[test]
-    fn sharded_power_all_normalizations_match_dense() {
-        let g = generators::grid(6, 6);
-        let ppr = PprConfig::new(0.5).unwrap().with_tolerance(1e-7).unwrap();
-        let e0 = random_signal(36, 3, 7);
-        let reference = power::diffuse(&g, &e0, &ppr).unwrap();
-        let scfg = ShardedConfig::new(ppr).with_shards(5).unwrap();
-        let out = diffuse(&g, &e0, &scfg).unwrap();
-        assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "shard indices are below the shard count, which ShardedGraph caps at the graph's u32 node count (at least 1)"
 )]
 
 use std::collections::{BTreeMap, BTreeSet};

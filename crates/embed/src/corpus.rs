@@ -4,7 +4,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "word ids are below the corpus length, which Corpus::from_embeddings caps at u32::MAX"
 )]
 
 use std::fmt;
@@ -92,12 +92,20 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// Returns [`EmbedError::EmptyCorpus`] for an empty input and
-    /// [`EmbedError::DimensionMismatch`] if dimensions disagree.
+    /// Returns [`EmbedError::EmptyCorpus`] for an empty input,
+    /// [`EmbedError::InvalidParameter`] for more words than a `u32`
+    /// [`WordId`] can name, and [`EmbedError::DimensionMismatch`] if
+    /// dimensions disagree.
     pub fn from_embeddings(embeddings: Vec<Embedding>) -> Result<Self, EmbedError> {
         let Some(first) = embeddings.first() else {
             return Err(EmbedError::EmptyCorpus);
         };
+        if u32::try_from(embeddings.len()).is_err() {
+            return Err(EmbedError::invalid_parameter(format!(
+                "{} words exceed the u32 word-id space",
+                embeddings.len()
+            )));
+        }
         let dim = first.dim();
         for e in &embeddings {
             EmbedError::check_dims(dim, e.dim())?;

@@ -6,7 +6,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "node indices are below a Graph's node count, which every Graph constructor takes as a u32"
 )]
 
 use std::collections::VecDeque;

@@ -4,7 +4,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
+    reason = "num_nodes() returns the u32 node count every Graph constructor takes"
 )]
 
 use std::fmt;

@@ -71,8 +71,7 @@ impl CsrMatrix {
     /// arrive in any order; duplicates are summed.
     ///
     /// Sorts and merges, so it costs `O(E log E)` time and three copies of
-    /// the entries; a caller that already holds sorted, duplicate-free rows
-    /// uses [`CsrMatrix::from_sorted_rows`].
+    /// the entries.
     ///
     /// # Errors
     ///
@@ -121,36 +120,10 @@ impl CsrMatrix {
         })
     }
 
-    /// Adopts CSR arrays whose rows are already sorted: row `r` stores
-    /// `columns[offsets[r]..offsets[r + 1]]` with the matching `values`.
-    /// One `O(E)` validation pass, no copy — the matrix equals the one
-    /// [`CsrMatrix::from_triplets`] builds from the same entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if either dimension exceeds
-    /// the `u32` index space, `offsets` is not a non-decreasing sequence of
-    /// `n_rows + 1` positions from 0 to `columns.len() == values.len()`, or
-    /// a row's columns are not strictly ascending and below `n_cols`.
-    pub fn from_sorted_rows(
-        n_rows: usize,
-        n_cols: usize,
-        offsets: Vec<usize>,
-        columns: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self, GraphError> {
-        let matrix = CsrMatrix {
-            n_rows,
-            n_cols,
-            offsets,
-            columns,
-            values,
-        };
-        matrix.check_sorted_rows()?;
-        Ok(matrix)
-    }
-
-    /// The check behind [`CsrMatrix::from_sorted_rows`].
+    /// Checks that both dimensions fit the `u32` index space, `offsets` is
+    /// a non-decreasing sequence of `n_rows + 1` positions from 0 to
+    /// `columns.len() == values.len()`, and every row's columns are
+    /// strictly ascending and below `n_cols`.
     fn check_sorted_rows(&self) -> Result<(), GraphError> {
         let bound = column_bound(self.n_rows, self.n_cols)?;
         let framed = self.offsets.len().checked_sub(1) == Some(self.n_rows)
@@ -448,55 +421,6 @@ mod tests {
             Err(GraphError::InvalidParameter { .. })
         ));
         assert!(CsrMatrix::from_triplets(2, u32::MAX as usize, &[]).is_ok());
-    }
-
-    #[test]
-    fn from_sorted_rows_equals_from_triplets() {
-        // [[1, 0, 2], [0, 0, 0], [0, 3, 0]]
-        let sorted =
-            CsrMatrix::from_sorted_rows(3, 3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0])
-                .unwrap();
-        let triplets =
-            CsrMatrix::from_triplets(3, 3, &[(2, 1, 3.0), (0, 2, 2.0), (0, 0, 1.0)]).unwrap();
-        assert_eq!(sorted, triplets);
-        let empty = CsrMatrix::from_sorted_rows(0, 0, vec![0], vec![], vec![]).unwrap();
-        assert_eq!(empty, CsrMatrix::from_triplets(0, 0, &[]).unwrap());
-    }
-
-    #[test]
-    fn from_sorted_rows_rejects_malformed_input() {
-        let reject = |n_rows, n_cols, offsets: &[usize], columns: &[u32]| {
-            let values = vec![1.0; columns.len()];
-            let built = CsrMatrix::from_sorted_rows(
-                n_rows,
-                n_cols,
-                offsets.to_vec(),
-                columns.to_vec(),
-                values,
-            );
-            assert!(
-                matches!(built, Err(GraphError::InvalidParameter { .. })),
-                "accepted offsets {offsets:?} columns {columns:?}"
-            );
-        };
-        reject(1, 3, &[0, 2], &[2, 1]); // unsorted row
-        reject(1, 3, &[0, 2], &[1, 1]); // duplicate column
-        reject(1, 3, &[0, 1], &[3]); // column out of range
-        reject(2, 3, &[0, 1, 2], &[2, 3]); // ... in a later row
-        reject(2, 3, &[0, 2], &[0, 1]); // too few offsets
-        reject(1, 3, &[0, 1, 2], &[0, 1]); // too many offsets
-        reject(0, 3, &[], &[]); // no leading offset
-        reject(2, 3, &[1, 1, 2], &[0, 1]); // does not start at 0
-        reject(2, 3, &[0, 1, 1], &[0, 1]); // does not end at nnz
-        reject(3, 3, &[0, 2, 1, 2], &[0, 1]); // decreasing offsets
-        reject(2, 3, &[0, 3, 2], &[0, 1]); // offset past the entries
-        assert!(
-            CsrMatrix::from_sorted_rows(1, 3, vec![0, 1], vec![0], vec![]).is_err(),
-            "values shorter than columns"
-        );
-        let too_big = u32::MAX as usize + 1;
-        assert!(CsrMatrix::from_sorted_rows(0, too_big, vec![0], vec![], vec![]).is_err());
-        assert!(CsrMatrix::from_sorted_rows(too_big, 0, vec![0], vec![], vec![]).is_err());
     }
 
     #[test]

@@ -16,10 +16,6 @@
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
-#![expect(
-    clippy::cast_possible_truncation,
-    reason = "narrowing bounded by construction: node/shard/word counts are validated to fit u32 (CsrMatrix::from_sorted_rows and GraphBuilder reject larger)"
-)]
 
 use std::collections::BTreeSet;
 
@@ -220,11 +216,12 @@ impl<M> Transport<M> {
     }
 
     /// Queue depths of `from`'s outgoing links, indexed like its neighbor
-    /// slice.
+    /// slice; a depth past `u32::MAX` (an unbounded queue) reads
+    /// `u32::MAX`.
     pub(crate) fn depths(&self, from: NodeId) -> Vec<u32> {
         self.links[self.offsets[from.index()]..self.offsets[from.index() + 1]]
             .iter()
-            .map(|link| link.depth() as u32)
+            .map(|link| u32::try_from(link.depth()).unwrap_or(u32::MAX))
             .collect()
     }
 

@@ -3,7 +3,7 @@
 //! personalization → diffusion → guided walk.
 
 use gdsearch::experiment::{accuracy, hops, Workbench, WorkbenchSpec};
-use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchNetwork};
+use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchError, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
 use gdsearch_graph::algo::bfs;
@@ -213,6 +213,105 @@ fn experiment_drivers_reproduce_golden_rows() {
         assert_eq!(series.accuracy, accuracy);
         assert_eq!(series.samples, [8, 8, 8, 8, 0]);
     }
+}
+
+/// Pinned counts of the Table I sweep that `table1` (uniform placement),
+/// `ablation_placement` (topic-correlated) and `ablation_policies`
+/// (flooding) run. Every placement, start and walk draws from the sweep's
+/// rng, so a sweep that reorders, adds or drops a draw moves them.
+#[test]
+fn hop_sweeps_reproduce_pinned_counts() {
+    let wb = workbench(91);
+    let cfg = hops::HopCountConfig {
+        total_docs: 20,
+        iterations: 6,
+        queries_per_iteration: 5,
+    };
+    let paper = SchemeConfig::default();
+    let counts = |outcome: &hops::SweepOutcome| {
+        let hops: u64 = outcome.success_hops.iter().map(|&h| u64::from(h)).sum();
+        (
+            outcome.successes(),
+            outcome.samples,
+            outcome.total_messages,
+            hops,
+        )
+    };
+
+    let row = hops::run(&wb, &cfg, &paper, &mut rng(92)).unwrap();
+    assert_eq!((row.successes, row.samples), (13, 30));
+    assert_eq!(row.mean_hops, Some(117.0 / 13.0));
+    let uniform = hops::sweep(&wb, &cfg, &paper, &mut rng(92), |words, r| {
+        Placement::uniform(&wb.graph, words, r)
+    })
+    .unwrap();
+    assert_eq!(counts(&uniform), (13, 30, 1500, 117));
+
+    let correlated = hops::sweep(&wb, &cfg, &paper, &mut rng(93), |words, r| {
+        Placement::topic_correlated(&wb.graph, &wb.corpus, words, 0.9, 1, r)
+    })
+    .unwrap();
+    assert_eq!(counts(&correlated), (24, 30, 1500, 60));
+
+    let flooding = SchemeConfig::builder()
+        .policy(PolicyKind::Flooding)
+        .ttl(2)
+        .build()
+        .unwrap();
+    let flooded = hops::sweep(&wb, &cfg, &flooding, &mut rng(94), |words, r| {
+        Placement::uniform(&wb.graph, words, r)
+    })
+    .unwrap();
+    assert_eq!(counts(&flooded), (7, 30, 28_481, 11));
+}
+
+#[test]
+fn hop_sweep_rejects_empty_runs() {
+    let wb = workbench(95);
+    let valid = hops::HopCountConfig {
+        total_docs: 5,
+        iterations: 2,
+        queries_per_iteration: 2,
+    };
+    for bad in [
+        hops::HopCountConfig {
+            iterations: 0,
+            ..valid
+        },
+        hops::HopCountConfig {
+            queries_per_iteration: 0,
+            ..valid
+        },
+        hops::HopCountConfig {
+            total_docs: 0,
+            ..valid
+        },
+    ] {
+        let mut placements = 0;
+        let swept = hops::sweep(
+            &wb,
+            &bad,
+            &SchemeConfig::default(),
+            &mut rng(96),
+            |words, r| {
+                placements += 1;
+                Placement::uniform(&wb.graph, words, r)
+            },
+        );
+        assert!(
+            matches!(swept, Err(SearchError::InvalidParameter { .. })),
+            "{bad:?} accepted"
+        );
+        assert_eq!(placements, 0, "{bad:?} placed documents before failing");
+    }
+    assert!(hops::sweep(
+        &wb,
+        &valid,
+        &SchemeConfig::default(),
+        &mut rng(96),
+        |words, r| { Placement::uniform(&wb.graph, words, r) }
+    )
+    .is_ok());
 }
 
 #[test]
