@@ -378,6 +378,28 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_nan_document_fails_the_dense_build() {
+        // ROADMAP measurement 1: one NaN component in one document on a
+        // 300-node graph (below AUTO_PUSH_MIN_NODES, so the sweep) used to
+        // build `Ok` with every row NaN.
+        let g = generators::social_circles_like_scaled(300, &mut rng(20)).unwrap();
+        let mut embeddings = corpus(21).embeddings().to_vec();
+        let mut poisoned = embeddings[3].as_slice().to_vec();
+        poisoned[5] = f32::NAN;
+        embeddings[3] = Embedding::new(poisoned);
+        let c = Corpus::from_embeddings(embeddings).unwrap();
+        let words: Vec<WordId> = (0..10).map(WordId::new).collect();
+        let p = Placement::uniform(&g, &words, &mut rng(22)).unwrap();
+        let built = SearchNetwork::build(&g, &c, &p, &SchemeConfig::default(), &mut rng(23));
+        assert!(matches!(
+            built,
+            Err(SearchError::Diffusion(
+                gdsearch_diffusion::DiffusionError::NotConverged { iterations: 1, .. }
+            ))
+        ));
+    }
+
     /// Floats as bit patterns.
     fn row_bits(row: &[f32]) -> Vec<u32> {
         row.iter().map(|x| x.to_bits()).collect()

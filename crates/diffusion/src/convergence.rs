@@ -87,6 +87,17 @@ impl Convergence {
     }
 }
 
+/// The larger of `acc` and `x`, or NaN once either is: folded over the
+/// cell residuals of a sweep in any grouping, it gives their max, and NaN
+/// if any is — so a sweep's stopping rule sees a NaN row.
+pub(crate) fn max_or_nan(acc: f32, x: f32) -> f32 {
+    if x > acc || x.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
 impl Default for Convergence {
     fn default() -> Self {
         Convergence::new()

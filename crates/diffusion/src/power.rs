@@ -8,24 +8,36 @@
 //! converges geometrically for any `a ∈ (0, 1]`.
 //!
 //! A sweep reads the graph's adjacency directly — no transition matrix is
-//! built — and computes each row of `E(t)` in one pass: the weighted
-//! gather in the register-blocked kernel shared with the CSR products
-//! ([`gather_row`]), then the blend with `E0` and the residual. Rows are
-//! independent, so [`diffuse_threaded`] splits them across workers with
-//! bit-identical output. While some rows are still dead (all `+0.0`, and
-//! gathering from no live row) the sweep neither reads nor writes them.
+//! built — and computes each row of `E(t+1)` in one register-blocked pass:
+//! the weighted gather, then the blend with `E0` and the residual. Rows are
+//! independent, so [`diffuse_threaded`] splits them across workers in
+//! contiguous chunks, with bit-identical output. While some rows are still
+//! dead (all `+0.0`, and gathering from no live row) the sweep neither reads
+//! nor writes them.
 //!
-//! The sweep keeps one `N × dim` iterate and updates it in place, a wave of
-//! `⌈N/4⌉` consecutive rows at a time, holding back until the sweep ends
-//! the rows a later wave still reads. Beside the iterate it keeps one wave
-//! of rows and the held-back ones: about 0.3 of an iterate on the
-//! clustered ids of a social-circles graph, and at most a second iterate's
-//! rows (up to three more when 4 does not divide `N`) on any graph.
+//! The sweep keeps one `N × dim` iterate, and a worker writes each row of
+//! `E(t+1)` over its row of `E(t)` as soon as it has computed it. It reads
+//! a neighbour's row of `E(t)` from one of two places:
+//! - its *ring*, the rows within 127 ids of the row it computes, each
+//!   stored one row ahead — before the worker overwrites it — already
+//!   scaled by its weight, `w_v · E(t)[v]`, so the gather adds it with no
+//!   multiply. Ids are local on the paper's graphs: on a social-circles
+//!   graph 99.6 % of adjacency entries lie within 64 ids of their row;
+//! - the *halo*, a snapshot of `E(t)` taken before each sweep: the rows
+//!   some neighbour reads from beyond its window, and the rows within 127
+//!   ids of a chunk boundary, which the ring across it reads.
+//!
+//! Beside the iterate a sweep keeps one `256 × dim` ring per worker and the
+//! halo: about a sixth of the rows on social-circles ids, at most a second
+//! iterate on any graph.
 //!
 //! One sweep loop serves two entries: [`diffuse_threaded`] reads a dense
 //! `E0` and sweeps from a copy of it; [`diffuse_rows`] takes `E0` as its
 //! non-zero rows, keeps it row-sparse and sweeps from its dense copy, so it
 //! holds one `N × dim` buffer where the dense entry holds two.
+//!
+//! A non-finite residual (a NaN or an infinity in `E0`, or an overflow)
+//! ends the iteration at once, unconverged.
 
 #![expect(
     clippy::indexing_slicing,
@@ -33,10 +45,10 @@
 )]
 
 use gdsearch_embed::Embedding;
-use gdsearch_graph::sparse::{edge_weight, gather_row};
+use gdsearch_graph::sparse::{edge_weight, GATHER_BLOCK};
 use gdsearch_graph::{Graph, NodeId};
 
-use crate::convergence::Convergence;
+use crate::convergence::{max_or_nan, Convergence};
 use crate::{DiffusionError, PprConfig, Signal, SparseRows};
 
 /// Outcome of an iterative diffusion.
@@ -111,20 +123,20 @@ pub fn diffuse(
 ///
 /// Each output row of the sweep `E(t) = (1−a) A E(t−1) + a E0` depends
 /// only on the previous iterate, so disjoint row ranges are computed
-/// concurrently into disjoint chunks of a wave buffer; the per-chunk
-/// residual maxima are folded in chunk order, and `f32::max` is
-/// associative for the non-NaN values produced here — the result is
-/// therefore bit-for-bit identical for every thread count, including
-/// `threads = 1` (which is exactly [`diffuse`]).
+/// concurrently, each worker over its own chunk of the iterate; the
+/// per-chunk residual maxima are folded in chunk order by a max that lets
+/// a NaN win, which is associative — the result is therefore bit-for-bit
+/// identical for every thread count, including `threads = 1` (which is
+/// exactly [`diffuse`]).
 ///
 /// No transition matrix is built. A row reads its neighbour ids straight
 /// from the graph's adjacency and entry `(u, v)`'s weight `1/deg v` from a
-/// per-node table made once per call from [`edge_weight`], sums
-/// `w · E(t)[v]` in the shared register-blocked kernel [`gather_row`], and
-/// blends each finished block into `E(t+1)` and the residual in the same
-/// pass — the float operations, in the same order, of
-/// `(1−a)·(A · E(t)) + a·E0` with `A`
-/// from [`transition_matrix`](gdsearch_graph::sparse::transition_matrix).
+/// per-node table made once per call from [`edge_weight`], sums the
+/// products `w · E(t)[v]` block by block — scaled when the row enters the
+/// ring, or inline from the halo (see the module docs) — and blends each
+/// finished block into `E(t+1)` and the residual in the same pass: the
+/// float operations, in the same order, of `(1−a)·(A · E(t)) + a·E0` with
+/// `A` from [`transition_matrix`](gdsearch_graph::sparse::transition_matrix).
 ///
 /// The sweep gathers only from rows that can be non-zero. A row is *dead*
 /// while all its bits are `+0.0`; row `u` of `E(t+1)` is dead if row `u` of
@@ -138,9 +150,9 @@ pub fn diffuse(
 /// and identical for every thread count.
 ///
 /// The sweep holds `e0` and one copy of it, the iterate it updates in
-/// place: two `N × dim` buffers, one of them the caller's, beside a wave
-/// buffer and the held-back rows (see the module docs). [`diffuse_rows`]
-/// takes `E0` row-sparse and holds one.
+/// place: two `N × dim` buffers, one of them the caller's, beside the
+/// rings and the halo (see the module docs). [`diffuse_rows`] takes `E0`
+/// row-sparse and holds one.
 ///
 /// # Errors
 ///
@@ -158,13 +170,17 @@ pub fn diffuse_threaded(
             got: (e0.num_nodes(), e0.dim()),
         });
     }
+    let live = (0..n)
+        .map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0))
+        .collect();
     Ok(sweep_to_fixed_point(
         graph,
         e0.clone(),
         |u| e0.row(u),
+        live,
         config,
         threads,
-        WAVES,
+        RADIUS,
     ))
 }
 
@@ -177,7 +193,9 @@ pub fn diffuse_threaded(
 /// entry reads `+0.0` — and the first iterate is its dense copy. `E0` is
 /// never materialized or cloned: the sweep holds one `N × dim` buffer, and
 /// the bits are those of [`diffuse_threaded`] on
-/// `Signal::from_sparse_rows(N, dim, sources)`.
+/// `Signal::from_sparse_rows(N, dim, sources)`. The sources are the live
+/// rows of `E0`, found without a scan of all `N`: a source row that sums
+/// to zeros only adds `+0.0` terms, which change no bit.
 ///
 /// [`per_source::auto_diffuse_rows`]: crate::per_source::auto_diffuse_rows
 ///
@@ -204,7 +222,9 @@ pub fn diffuse_rows(
         });
     }
     let mut e0 = SparseRows::with_support(n, dim, sources.iter().map(|(node, _)| node.as_u32()));
+    let mut live = vec![false; n];
     for (node, emb) in sources {
+        live[node.index()] = true;
         let row = e0.stored_row_mut(node.index()).into_iter().flatten();
         for (r, e) in row.zip(emb.as_slice()) {
             *r += e;
@@ -214,74 +234,70 @@ pub fn diffuse_rows(
         graph,
         e0.to_signal(),
         |u| e0.row(u),
+        live,
         config,
         threads,
-        WAVES,
+        RADIUS,
     ))
 }
 
-/// How many consecutive row ranges a sweep updates the iterate in, one
-/// after another.
-const WAVES: usize = 4;
+/// How far, in ids, a row's neighbours lie in its worker's ring: the ring
+/// holds `2 · RADIUS + 1` rows, rounded up to a power of two.
+const RADIUS: usize = 127;
 
 /// The one sweep loop: iterates from `current`, which holds `E0`'s bits,
 /// reading row `u` of `E0` as `origin(u)`, until the residual meets the
-/// tolerance or the budget runs out. It finds the live rows of `E0` through
-/// `origin`, so it touches no page of the iterate before a sweep writes it.
+/// tolerance, is not finite, or the budget runs out. `live` marks every row
+/// of `E0` that holds a set bit (and may mark more), so the loop touches no
+/// page of the iterate before a sweep writes it.
 ///
-/// `current` is the only `N × dim` iterate: a sweep updates it in place,
-/// over `waves` consecutive row ranges (see [`Waves`]). A wave sweeps its
-/// rows into one wave-sized buffer, then copies each row it wrote back into
-/// `current` — unless a later wave reads the row, which then waits in a
-/// pending buffer until the sweep ends. So every read still sees `E(t)`,
-/// and the bits are those of a sweep into a second iterate.
+/// `current` is the only `N × dim` iterate, which [`Sweep::pass`] updates
+/// in place. Before each pass the halo takes its rows of `E(t)`; a row
+/// reads a neighbour within `radius` ids from its worker's ring and any
+/// other from the halo, so every read still sees `E(t)`, and the bits are
+/// those of a sweep into a second iterate.
 fn sweep_to_fixed_point<'o>(
     graph: &Graph,
     mut current: Signal,
     origin: impl Fn(usize) -> &'o [f32] + Sync,
+    mut live: Vec<bool>,
     config: &PprConfig,
     threads: usize,
-    waves: usize,
+    radius: usize,
 ) -> DiffusionResult {
     let (n, dim) = (current.num_nodes(), current.dim());
-    let waves = Waves::new(graph, waves, threads);
+    let threads = threads.max(1).min(n.max(1));
+    let chunk_rows = n.div_ceil(threads).max(1);
+    let mut halo = halo(graph, dim, radius, chunk_rows);
     let weights = weights(graph);
     let zeros = vec![0.0f32; dim];
-    let mut wave = vec![0.0f32; waves.wave_rows * dim];
-    let mut pending = vec![0.0f32; waves.held.len() * dim];
     // live: rows of `E(t)` that may hold a set bit. reached: the same for
     // `E(t+1)` — seeded with E0's rows, which are live in every iterate,
     // and only ever gaining rows, so the sweep grows it in place. A sweep
     // writes row `u` exactly when it leaves `reached[u]` set.
-    let mut live: Vec<bool> = (0..n)
-        .map(|u| origin(u).iter().any(|x| x.to_bits() != 0))
-        .collect();
     let mut reached = live.clone();
     let mut conv = Convergence::new();
     while conv.iters < config.max_iterations() {
         let masked = live.contains(&false);
-        let mut max_delta = 0.0f32;
-        for first in (0..n).step_by(waves.wave_rows) {
-            let rows = first..(first + waves.wave_rows).min(n);
-            let (wave, reached) = (&mut wave[..rows.len() * dim], &mut reached[rows]);
-            let sweep = Sweep {
-                graph,
-                weights: &weights,
-                cur: current.as_slice(),
-                origin: &origin,
-                zeros: &zeros,
-                dim,
-                alpha: config.alpha(),
-                live: masked.then_some(live.as_slice()),
-            };
-            max_delta = max_delta.max(waves.sweep(&sweep, first, wave, reached));
-            waves.copy_back(first, wave, reached, &mut current, &mut pending);
-        }
-        waves.flush(&pending, &reached, &mut current);
+        let live_rows = masked.then_some(live.as_slice());
+        snapshot(&mut halo, current.as_slice(), live_rows);
+        let sweep = Sweep {
+            graph,
+            weights: &weights,
+            halo: &halo,
+            origin: &origin,
+            zeros: &zeros,
+            dim,
+            alpha: config.alpha(),
+            live: live_rows,
+            radius,
+            chunk_rows,
+        };
+        let max_delta = sweep.pass(current.as_mut_slice(), &mut reached, threads);
         if masked {
             live.copy_from_slice(&reached);
         }
-        if conv.record(max_delta, config.tolerance()) {
+        if conv.record(max_delta, config.tolerance()) || !max_delta.is_finite() {
             break;
         }
     }
@@ -293,146 +309,30 @@ fn sweep_to_fixed_point<'o>(
     }
 }
 
-/// How a sweep walks the rows: in waves of `wave_rows` consecutive rows,
-/// each split across the workers in chunks of `chunk_rows`.
-///
-/// A row is *held back* when its last neighbour (adjacency is sorted) lies
-/// in a later wave. A wave reads its own rows, the later ones — which no
-/// wave has written yet — and, adjacency being symmetric, exactly the
-/// held-back rows of earlier waves. So a wave may write every other row it
-/// computed into the iterate at once, and a held-back row must wait for the
-/// end of the sweep. Which rows are held back depends only on the graph:
-/// each keeps one pending slot for the whole call. No row of the last wave
-/// is held back, so one wave buffer and the pending slots together hold at
-/// most `N + waves − 1` rows; with clustered ids, far fewer.
-struct Waves {
-    wave_rows: usize,
-    chunk_rows: usize,
-    threads: usize,
-    /// The held-back rows, ascending.
-    held: Vec<u32>,
+/// The halo of a sweep with workers on chunks of `chunk_rows` rows, zeroed:
+/// a stored row for every node some row reads from beyond `radius` ids —
+/// adjacency being sorted and symmetric, the nodes whose first or last
+/// neighbour lies beyond it — and for every node within `radius` ids of a
+/// chunk boundary, which the worker across it reads into its ring.
+fn halo(graph: &Graph, dim: usize, radius: usize, chunk_rows: usize) -> SparseRows {
+    let n = graph.num_nodes();
+    let rows = graph.node_ids().filter(|&node| {
+        let (u, neighbors) = (node.index(), graph.neighbor_slice(node));
+        let far = neighbors.first().is_some_and(|v| v.index() + radius < u)
+            || neighbors.last().is_some_and(|v| v.index() > u + radius);
+        let (offset, up) = (u % chunk_rows, u - u % chunk_rows + chunk_rows);
+        let border = (u >= chunk_rows && offset < radius) || (up < n && up - u <= radius);
+        far || border
+    });
+    SparseRows::with_support(n, dim, rows.map(NodeId::as_u32))
 }
 
-impl Waves {
-    fn new(graph: &Graph, waves: usize, threads: usize) -> Self {
-        let wave_rows = graph.num_nodes().max(1).div_ceil(waves.max(1));
-        let threads = threads.max(1).min(wave_rows);
-        let held = graph.node_ids().filter(|&u| {
-            let last = graph.neighbor_slice(u).last();
-            last.is_some_and(|v| v.index() / wave_rows > u.index() / wave_rows)
-        });
-        Waves {
-            wave_rows,
-            chunk_rows: wave_rows.div_ceil(threads),
-            threads,
-            held: held.map(NodeId::as_u32).collect(),
-        }
-    }
-
-    /// Sweeps the wave of rows from `first` on into `new`, sharded by row
-    /// range, and returns its max residual.
-    fn sweep<'o, O: Fn(usize) -> &'o [f32] + Sync>(
-        &self,
-        sweep: &Sweep<'_, O>,
-        first: usize,
-        new: &mut [f32],
-        reached: &mut [bool],
-    ) -> f32 {
-        let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = new
-            .chunks_mut(self.chunk_rows * sweep.dim.max(1))
-            .zip(reached.chunks_mut(self.chunk_rows))
-            .enumerate()
-            .map(|(i, (chunk, reached))| (first + i * self.chunk_rows, chunk, reached))
-            .collect();
-        let deltas = crate::workpool::map_batched_mut(
-            &mut chunks,
-            self.threads,
-            |(first_row, chunk, reached)| sweep.rows(*first_row, chunk, reached),
-        );
-        deltas.into_iter().fold(0.0f32, f32::max)
-    }
-
-    /// Copies the rows the wave from `first` on wrote, `new`, into
-    /// `current`, and each held-back one into its `pending` slot instead,
-    /// sharded as the wave was swept.
-    fn copy_back(
-        &self,
-        first: usize,
-        new: &[f32],
-        reached: &[bool],
-        current: &mut Signal,
-        pending: &mut [f32],
-    ) {
-        let dim = current.dim();
-        let width = dim.max(1);
-        let rows = &mut current.as_mut_slice()[first * dim..][..new.len()];
-        let mut held_from = self.held.partition_point(|&u| (u as usize) < first);
-        let mut slots = &mut pending[held_from * dim..];
-        let chunks = rows
-            .chunks_mut(self.chunk_rows * width)
-            .zip(new.chunks(self.chunk_rows * width))
-            .zip(reached.chunks(self.chunk_rows));
-        let mut copies = Vec::with_capacity(self.threads);
-        for (first_row, ((rows, new), reached)) in (first..).step_by(self.chunk_rows).zip(chunks) {
-            let end = first_row + reached.len();
-            let held_to = self.held.partition_point(|&u| (u as usize) < end);
-            let (mine, rest) = std::mem::take(&mut slots).split_at_mut((held_to - held_from) * dim);
-            copies.push(CopyBack {
-                first_row,
-                new,
-                reached,
-                held: &self.held[held_from..held_to],
-                rows,
-                slots: mine,
-            });
-            (held_from, slots) = (held_to, rest);
-        }
-        crate::workpool::map_batched_mut(&mut copies, self.threads, |copy| copy.apply(width));
-    }
-
-    /// Writes the held-back rows the sweep wrote from `pending` into
-    /// `current`.
-    fn flush(&self, pending: &[f32], reached: &[bool], current: &mut Signal) {
-        let width = current.dim().max(1);
-        for (&u, slot) in self.held.iter().zip(pending.chunks(width)) {
-            if reached[u as usize] {
-                current.row_mut(u as usize).copy_from_slice(slot);
-            }
-        }
-    }
-}
-
-/// One worker's share of a wave's copy-back: the wave's rows from
-/// `first_row` on.
-struct CopyBack<'a> {
-    first_row: usize,
-    /// The rows of `E(t+1)`.
-    new: &'a [f32],
-    /// Which of them the sweep wrote.
-    reached: &'a [bool],
-    /// The held-back rows among them, ascending.
-    held: &'a [u32],
-    /// The same rows of the iterate.
-    rows: &'a mut [f32],
-    /// The held-back rows' pending slots.
-    slots: &'a mut [f32],
-}
-
-impl CopyBack<'_> {
-    /// Copies each written row to its pending slot if it is held back, and
-    /// into the iterate otherwise.
-    fn apply(&mut self, width: usize) {
-        let held = self.held.iter().map(|&u| u as usize - self.first_row);
-        let mut slots = held.zip(self.slots.chunks_mut(width)).peekable();
-        let rows = self.new.chunks(width).zip(self.rows.chunks_mut(width));
-        for (i, ((new, row), &reached)) in rows.zip(self.reached).enumerate() {
-            let target = match slots.next_if(|(h, _)| *h == i) {
-                Some((_, slot)) => slot,
-                None => row,
-            };
-            if reached {
-                target.copy_from_slice(new);
-            }
+/// Copies the halo's rows of `E(t)` from `current` — only the live ones
+/// while some row is dead: a dead row is never read.
+fn snapshot(halo: &mut SparseRows, current: &[f32], live: Option<&[bool]>) {
+    for (u, row) in halo.stored_rows_mut() {
+        if live.is_none_or(|live| live[u]) {
+            row.copy_from_slice(&current[u * row.len()..][..row.len()]);
         }
     }
 }
@@ -453,14 +353,13 @@ fn weights(graph: &Graph) -> Vec<f32> {
 const LANES: usize = 8;
 
 /// Folds the cell residuals `|next − cur|` into `lanes`, cell `j` into lane
-/// `j % LANES`. NaN never wins `>`, so the max over the lanes is the max
-/// over the cells for any grouping, and the fixed lanes let the
+/// `j % LANES`, by [`max_or_nan`]: the max over the lanes is the max over
+/// the cells, and NaN if any cell's is, and the fixed lanes let the
 /// comparisons vectorize.
 fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
     let fold = |lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]| {
         for ((lane, &nx), &cur) in lanes.iter_mut().zip(next).zip(cur) {
-            let delta = (nx - cur).abs();
-            *lane = if delta > *lane { delta } else { *lane };
+            *lane = max_or_nan(*lane, (nx - cur).abs());
         }
     };
     let (next, cur) = (next.chunks_exact(LANES), cur.chunks_exact(LANES));
@@ -472,13 +371,13 @@ fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
 }
 
 /// One sweep `E(t+1) = (1−a)·A·E(t) + a·E0`, read-only and shared by the
-/// workers that write disjoint row ranges of `E(t+1)`.
+/// workers that each update a chunk of the iterate in place.
 struct Sweep<'a, O> {
     graph: &'a Graph,
     /// Entry `(u, v)` of `A` is `weights[v]`.
     weights: &'a [f32],
-    /// `E(t)`, `dim` cells per node.
-    cur: &'a [f32],
+    /// `E(t)` at the rows a worker reads from outside its ring or its chunk.
+    halo: &'a SparseRows,
     /// Row `u` of `E0`.
     origin: O,
     /// A row of `dim` zeros: `E(t)`'s row of a dead node.
@@ -487,24 +386,97 @@ struct Sweep<'a, O> {
     alpha: f32,
     /// While some row of `E(t)` is dead: which rows are live.
     live: Option<&'a [bool]>,
+    /// A row reads the neighbours within `radius` ids from the ring.
+    radius: usize,
+    /// Rows per worker; the halo was built for it.
+    chunk_rows: usize,
 }
 
-impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
-    /// Sweeps the rows from `first_row` on into `next` (whole rows), ORs
-    /// into `reached[i]` whether row `first_row + i` gathered from a live
-    /// row, and returns the chunk's max residual `|E(t+1) − E(t)|`.
-    fn rows(&self, first_row: usize, next: &mut [f32], reached: &mut [bool]) -> f32 {
-        let rows = next.chunks_mut(self.dim.max(1)).zip(reached);
-        let mut lanes = [0.0f32; LANES];
-        for (u, (next, reached)) in self.graph.node_ids().skip(first_row).zip(rows) {
-            *reached |= self.row(u, next, &mut lanes);
-        }
-        lanes.into_iter().fold(0.0f32, f32::max)
+impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
+    /// Sweeps every row of `current` in place — `E(t)` in, `E(t+1)` out —
+    /// one chunk of `chunk_rows` rows per worker, ORs into `reached[u]`
+    /// whether row `u` gathered from a live row, and returns the max
+    /// residual `|E(t+1) − E(t)|` (NaN if any cell's is).
+    fn pass(&self, current: &mut [f32], reached: &mut [bool], threads: usize) -> f32 {
+        let rows = current.chunks_mut(self.chunk_rows * self.dim.max(1));
+        let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = rows
+            .zip(reached.chunks_mut(self.chunk_rows))
+            .enumerate()
+            .map(|(i, (rows, reached))| (i * self.chunk_rows, rows, reached))
+            .collect();
+        let deltas =
+            crate::workpool::map_batched_mut(&mut chunks, threads, |(first, rows, reached)| {
+                self.chunk(*first, rows, reached)
+            });
+        deltas.into_iter().fold(0.0f32, max_or_nan)
     }
 
-    /// Sweeps row `u` into `next` (its `dim` cells), folds its residuals
-    /// into `lanes`, and returns whether it gathered from a live row
-    /// (always, unmasked).
+    /// Sweeps the chunk of rows from `first` on, `rows`, in place, with a
+    /// ring of its own, ORs into `reached[i]` whether row `first + i`
+    /// gathered from a live row (always, unmasked), and returns the chunk's
+    /// max residual.
+    ///
+    /// Before row `u` is swept the ring holds the live rows within `radius`
+    /// ids of it, each as `w_v · E(t)[v]`: row `u + radius` is stored just
+    /// before, so no row of the chunk is stored after it is overwritten,
+    /// and a row outside the chunk, which another worker may be
+    /// overwriting, is stored from the halo.
+    ///
+    /// A row dead in `E(t)` has a dead row of `E0` too (`E0`'s live rows are
+    /// live in every iterate). If it gathers from no live row it stays dead
+    /// and is skipped: `rows` already holds its `+0.0` bits, since dead rows
+    /// start as zeros and the live set only grows, and its residual
+    /// `|(+0.0) − (+0.0)|` would lose to every lane.
+    fn chunk(&self, first: usize, rows: &mut [f32], reached: &mut [bool]) -> f32 {
+        let (dim, n, end) = (self.dim, self.graph.num_nodes(), first + reached.len());
+        let mut ring = vec![0.0f32; self.ring_rows() * dim];
+        let mut lanes = [0.0f32; LANES];
+        let mut stored = first.saturating_sub(self.radius);
+        for (u, node) in (first..end).zip(self.graph.node_ids().skip(first)) {
+            let last = (u + self.radius).min(n - 1);
+            for v in stored..=last {
+                if self.live.is_none_or(|live| live[v]) {
+                    let src = match v.checked_sub(first) {
+                        Some(i) if v < end => &rows[i * dim..][..dim],
+                        _ => self.halo.row(v),
+                    };
+                    let slot = &mut ring[(v & (self.ring_rows() - 1)) * dim..][..dim];
+                    for (s, &x) in slot.iter_mut().zip(src) {
+                        *s = self.weights[v] * x;
+                    }
+                }
+            }
+            stored = stored.max(last + 1);
+            let row = &mut rows[(u - first) * dim..][..dim];
+            let neighbors = self.graph.neighbor_slice(node);
+            let gathers = self
+                .live
+                .is_none_or(|live| neighbors.iter().any(|v| live[v.index()]));
+            match self.live {
+                None => self.blend(node, &ring, |_| true, true, row, &mut lanes),
+                Some(live) if live[u] || gathers => {
+                    self.blend(node, &ring, |v| live[v], live[u], row, &mut lanes);
+                }
+                Some(_) => {}
+            }
+            reached[u - first] |= gathers;
+        }
+        lanes.into_iter().fold(0.0f32, max_or_nan)
+    }
+
+    /// How many rows a ring holds: the `2 · radius + 1` it must, or the
+    /// graph's `N` if fewer, rounded up to a power of two.
+    fn ring_rows(&self) -> usize {
+        (2 * self.radius + 1)
+            .min(self.graph.num_nodes())
+            .next_power_of_two()
+    }
+
+    /// Writes `(1−a)·Σ w·E(t)[v] + a·E0[u]` over the neighbours `keep`
+    /// passes into `row`, block by block, each block's `|E(t+1) − E(t)|`
+    /// folded into `lanes` before it is written: against `row` when `u` is
+    /// `live` in `E(t)`, against zeros when it is not, so `E(t)` is not
+    /// read on a dead row.
     ///
     /// With a mask the row leaves out its dead neighbours, whose rows of
     /// `E(t)` are all `+0.0` bits. With finite weights the sums are still
@@ -512,59 +484,81 @@ impl<'o, O: Fn(usize) -> &'o [f32]> Sweep<'_, O> {
     /// `w · (+0.0) = ±0.0`, every sum starts at `+0.0` and so is never
     /// `−0.0`, and adding `±0.0` to anything else changes no bit; the other
     /// terms keep their adjacency order.
-    ///
-    /// A row dead in `E(t)` has a dead row of `E0` too (`E0`'s live rows are
-    /// live in every iterate). If it gathers from no live row it stays dead
-    /// and is skipped: `next` already holds its `+0.0` bits, since dead
-    /// rows start as zeros and the live set only grows, and its residual
-    /// `|(+0.0) − (+0.0)|` would lose to every lane. If it does gather, its
-    /// residual is folded against a zero row, not `cur`'s `+0.0` bits. Either
-    /// way `cur` and `origin` are not read on a dead row.
-    fn row(&self, u: NodeId, next: &mut [f32], lanes: &mut [f32; LANES]) -> bool {
-        let cells = u.index() * self.dim..(u.index() + 1) * self.dim;
-        let neighbors = self.graph.neighbor_slice(u);
-        let entries = neighbors
-            .iter()
-            .map(|v| (v.index(), self.weights[v.index()]));
-        match self.live {
-            None => {
-                self.blend(entries, u, &self.cur[cells], next, lanes);
-                true
+    fn blend(
+        &self,
+        node: NodeId,
+        ring: &[f32],
+        keep: impl Fn(usize) -> bool + Copy,
+        live: bool,
+        row: &mut [f32],
+        lanes: &mut [f32; LANES],
+    ) {
+        let u = node.index();
+        let neighbors = self.graph.neighbor_slice(node);
+        let low = neighbors.partition_point(|v| v.index() + self.radius < u);
+        let near = low + neighbors[low..].partition_point(|v| v.index() <= u + self.radius);
+        let parts = [&neighbors[..low], &neighbors[low..near], &neighbors[near..]];
+        let (origin, alpha) = ((self.origin)(u), self.alpha);
+        let mut emit = |start: usize, sums: &mut [f32]| {
+            for (sum, &origin) in sums.iter_mut().zip(&origin[start..]) {
+                *sum = (1.0 - alpha) * *sum + alpha * origin;
             }
-            Some(live) => {
-                let gathers = neighbors.iter().any(|v| live[v.index()]);
-                let cur = if live[u.index()] {
-                    &self.cur[cells]
-                } else if gathers {
-                    self.zeros
-                } else {
-                    return false;
-                };
-                self.blend(entries.filter(|&(v, _)| live[v]), u, cur, next, lanes);
-                gathers
-            }
+            let (cells, zeros) = (&mut row[start..][..sums.len()], &self.zeros[..sums.len()]);
+            fold_residual(lanes, sums, if live { cells } else { zeros });
+            cells.copy_from_slice(sums);
+        };
+        // Whole blocks, then the tail: two inlined copies of `gather`, the
+        // first with the constant width.
+        let mut start = 0;
+        while start + GATHER_BLOCK <= self.dim {
+            let mut block = self.gather(GATHER_BLOCK, start, parts, ring, keep);
+            emit(start, &mut block);
+            start += GATHER_BLOCK;
+        }
+        if start < self.dim {
+            let width = self.dim - start;
+            let mut block = self.gather(width, start, parts, ring, keep);
+            emit(start, &mut block[..width]);
         }
     }
 
-    /// Writes `(1−a)·Σ w·E(t)[v] + a·E0[u]` over `entries` into `next` and
-    /// folds `|next − cur|` into `lanes`, block by block.
-    fn blend(
+    /// The sums `Σ w · E(t)[v]` over the neighbours `keep` passes, in
+    /// adjacency order, of the `width` cells from `start` on, as the first
+    /// `width` cells of a block: the low and the high part of the row
+    /// multiply rows of the halo, the near part adds the ring's scaled rows.
+    /// Every sum starts at `+0.0` and adds the products the CSR product
+    /// adds, in its order, so its bits are that product's. The block is a
+    /// local no reference outlives, so the sums can stay in registers.
+    #[inline(always)]
+    fn gather(
         &self,
-        entries: impl Iterator<Item = (usize, f32)> + Clone,
-        u: NodeId,
-        cur: &[f32],
-        next: &mut [f32],
-        lanes: &mut [f32; LANES],
-    ) {
-        let origin = (self.origin)(u.index());
-        let alpha = self.alpha;
-        gather_row(entries, self.cur, self.dim, |start, sums| {
-            let next = &mut next[start..][..sums.len()];
-            for ((nx, &sum), &origin) in next.iter_mut().zip(sums).zip(&origin[start..]) {
-                *nx = (1.0 - alpha) * sum + alpha * origin;
+        width: usize,
+        start: usize,
+        [low, near, high]: [&[NodeId]; 3],
+        ring: &[f32],
+        keep: impl Fn(usize) -> bool + Copy,
+    ) -> [f32; GATHER_BLOCK] {
+        let (mask, mut block) = (self.ring_rows() - 1, [0.0f32; GATHER_BLOCK]);
+        let sums = &mut block[..width];
+        // `move`: were `width` borrowed, a call to an out-of-line `far`
+        // would hide that it is still the constant.
+        let far = move |sums: &mut [f32], part: &[NodeId]| {
+            for v in part.iter().map(|v| v.index()).filter(|&v| keep(v)) {
+                let (w, src) = (self.weights[v], &self.halo.row(v)[start..][..width]);
+                for (sum, &x) in sums.iter_mut().zip(src) {
+                    *sum += w * x;
+                }
             }
-            fold_residual(lanes, next, &cur[start..][..next.len()]);
-        });
+        };
+        far(sums, low);
+        for v in near.iter().map(|v| v.index()).filter(|&v| keep(v)) {
+            let src = &ring[(v & mask) * self.dim + start..][..width];
+            for (sum, &x) in sums.iter_mut().zip(src) {
+                *sum += x;
+            }
+        }
+        far(sums, high);
+        block
     }
 }
 
@@ -750,48 +744,105 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
+    /// One pass of the sweep over `iterate`, in place, as the loop makes
+    /// it: the halo's snapshot, then the rows, `shape.1` workers and a ring
+    /// of radius `shape.0` each. Returns the pass's max residual.
+    fn one_pass(
+        g: &Graph,
+        e0: &Signal,
+        iterate: &mut Signal,
+        live: Option<&[bool]>,
+        alpha: f32,
+        (radius, threads): (usize, usize),
+        reached: &mut [bool],
+    ) -> f32 {
+        let (n, dim) = (g.num_nodes(), e0.dim());
+        let chunk_rows = n.div_ceil(threads).max(1);
+        let mut halo = halo(g, dim, radius, chunk_rows);
+        snapshot(&mut halo, iterate.as_slice(), live);
+        let (weights, zeros) = (weights(g), vec![0.0f32; dim]);
+        let sweep = Sweep {
+            graph: g,
+            weights: &weights,
+            halo: &halo,
+            origin: |u| e0.row(u),
+            zeros: &zeros,
+            dim,
+            alpha,
+            live,
+            radius,
+            chunk_rows,
+        };
+        sweep.pass(iterate.as_mut_slice(), reached, threads)
+    }
+
     #[test]
     fn live_rows_product_skips_dead_sources_bit_for_bit() {
         // Path 0-1-2-3-4 with only row 1 of E(t) and E0 non-zero: rows 0
-        // and 2 gather from it, rows 3 and 4 gather from nothing.
+        // and 2 gather from it, rows 3 and 4 gather from nothing. Through
+        // the ring (radius 127) and the halo (radius 0), on 1 and 2 workers.
         let g = generators::path(5);
-        let weights = weights(&g);
-        let dim = 2;
-        let mut cur = vec![0.0f32; 5 * dim];
-        cur[2..4].copy_from_slice(&[0.3, -7.5]);
-        let zeros = [0.0f32; 2];
-        let source = [1.25f32, -0.5];
-        let origin = |u: usize| if u == 1 { &source[..] } else { &zeros[..] };
-        let sweep = |cur, live| Sweep {
-            graph: &g,
-            weights: &weights,
-            cur,
-            origin,
-            zeros: &zeros,
-            dim,
-            alpha: 0.3,
-            live,
-        };
-        let mut full = vec![1.0f32; 5 * dim];
-        let full_delta = sweep(&cur, None).rows(0, &mut full, &mut [true; 5]);
-        // Rows 0 and 2 are dead in E(t) but reached: poisoned in `cur`,
-        // which a residual that read them would return. Rows 3 and 4 stay
-        // dead: a NaN sentinel in `next` that a write would overwrite.
-        let mut poisoned = cur.clone();
-        for u in [0, 2] {
-            poisoned[u * dim..][..dim].fill(f32::MAX);
+        let mut e0 = Signal::zeros(5, 2);
+        e0.row_mut(1).copy_from_slice(&[1.25, -0.5]);
+        let mut cur = Signal::zeros(5, 2);
+        cur.row_mut(1).copy_from_slice(&[0.3, -7.5]);
+        for shape in [(RADIUS, 1), (RADIUS, 2), (0, 1), (0, 2)] {
+            let mut full = cur.clone();
+            let full_delta = one_pass(&g, &e0, &mut full, None, 0.3, shape, &mut [true; 5]);
+            // Rows 0 and 2 are dead in E(t) but reached: poisoned, which a
+            // gather or a residual that read them would return. Rows 3 and
+            // 4 stay dead: a NaN sentinel that a write would overwrite.
+            let mut masked = cur.clone();
+            for u in [0, 2] {
+                masked.row_mut(u).fill(f32::MAX);
+            }
+            for u in [3, 4] {
+                masked.row_mut(u).fill(f32::NAN);
+            }
+            let live = [false, true, false, false, false];
+            let mut reached = [false, false, false, true, false];
+            let masked_delta =
+                one_pass(&g, &e0, &mut masked, Some(&live), 0.3, shape, &mut reached);
+            let (full, masked) = (full.as_slice(), masked.as_slice());
+            assert_eq!(bits(&masked[..6]), bits(&full[..6]), "{shape:?}");
+            assert!(masked[6..].iter().all(|x| x.is_nan()), "{shape:?}");
+            assert_eq!(bits(&full[6..]), [0; 4]);
+            assert_eq!(masked_delta.to_bits(), full_delta.to_bits(), "{shape:?}");
+            // Row 3 was set by the caller and is left set.
+            assert_eq!(reached, [true, false, true, true, false], "{shape:?}");
         }
-        let live = [false, true, false, false, false];
-        let mut masked = vec![1.0f32; 5 * dim];
-        masked[3 * dim..].fill(f32::NAN);
-        let mut reached = [false, false, false, true, false];
-        let masked_delta = sweep(&poisoned, Some(&live)).rows(0, &mut masked, &mut reached);
-        assert_eq!(bits(&masked[..3 * dim]), bits(&full[..3 * dim]));
-        assert!(masked[3 * dim..].iter().all(|x| x.is_nan()));
-        assert_eq!(bits(&full[3 * dim..]), [0; 4]);
-        assert_eq!(masked_delta.to_bits(), full_delta.to_bits());
-        // Row 3 was set by the caller and is left set.
-        assert_eq!(reached, [true, false, true, true, false]);
+    }
+
+    #[test]
+    fn a_nan_in_e0_ends_the_sweep_unconverged_at_once() {
+        // ROADMAP measurement 1: one NaN component of one source row on a
+        // 300-node graph. The first sweep's residual is NaN, so the sweep
+        // stops there instead of reading as converged.
+        let g = generators::social_circles_like_scaled(300, &mut seeded(5)).unwrap();
+        let mut rng = seeded(6);
+        let mut sources: Vec<(NodeId, Embedding)> = (0..20)
+            .map(|_| {
+                let row = (0..8).map(|_| rng.random::<f32>() - 0.5).collect();
+                (NodeId::new(rng.random_range(0..300)), Embedding::new(row))
+            })
+            .collect();
+        sources[7].1 = Embedding::new(vec![f32::NAN; 8]);
+        let cfg = PprConfig::new(0.5).unwrap();
+        for threads in [1, 2] {
+            let out = diffuse_rows(&g, 8, &sources, &cfg, threads).unwrap();
+            assert!(!out.converged);
+            assert_eq!(out.iterations, 1);
+            assert!(out.residual.is_nan());
+            assert!(matches!(
+                out.into_converged(),
+                Err(DiffusionError::NotConverged { iterations: 1, .. })
+            ));
+        }
+        // An infinity makes the residual non-finite too: the same stop.
+        let mut e0 = one_hot_signal(300, 4);
+        e0.row_mut(4)[0] = f32::INFINITY;
+        let out = diffuse(&g, &e0, &cfg).unwrap();
+        assert_eq!((out.converged, out.iterations), (false, 1));
     }
 
     use proptest::prelude::*;
@@ -822,38 +873,29 @@ mod tests {
             use gdsearch_graph::sparse::{transition_matrix, Normalization};
             let n = g.num_nodes();
             let a = transition_matrix(&g, Normalization::ColumnStochastic);
-            let weights = weights(&g);
-            let zeros = [0.0f32];
-            for v in 0..n {
-                let mut cur = vec![0.0f32; n];
-                cur[v] = 1.0;
-                let sweep = Sweep {
-                    graph: &g,
-                    weights: &weights,
-                    cur: &cur,
-                    origin: |_| &zeros[..],
-                    zeros: &zeros,
-                    dim: 1,
-                    alpha: 0.0,
-                    live: None,
-                };
-                let mut column = vec![f32::NAN; n];
-                sweep.rows(0, &mut column, &mut vec![false; n]);
+            let e0 = Signal::zeros(n, 1);
+            for (v, radius) in (0..n).flat_map(|v| [(v, 0), (v, RADIUS)]) {
+                let mut column = Signal::zeros(n, 1);
+                column.row_mut(v)[0] = 1.0;
+                one_pass(&g, &e0, &mut column, None, 0.0, (radius, 1), &mut vec![false; n]);
+                let column = column.as_slice();
                 let stored = (0..n).map(|u| {
                     a.row(u).find(|&(c, _)| c as usize == v).map_or(0.0, |(_, w)| w)
                 });
-                prop_assert_eq!(bits(&column), bits(&stored.collect::<Vec<_>>()), "column {}", v);
+                prop_assert_eq!(bits(column), bits(&stored.collect::<Vec<_>>()), "column {} radius {}", v, radius);
             }
         }
     }
 
-    /// Graphs whose edges cross waves: Barabási–Albert (late ids attach to
-    /// early hubs), a path zigzagging between the two ends of the id range
-    /// (0, n−1, 1, n−2, …), a star whose hub has the largest id, and the
+    /// Graphs whose edges reach far across the id range: Barabási–Albert
+    /// (late ids attach to early hubs), a path zigzagging between the two
+    /// ends of the id range (0, n−1, 1, n−2, …), a star whose hub has the
+    /// largest id, a social-circles graph of 130–300 nodes with its ids
+    /// shuffled, so the halo carries most entries at small radii, and the
     /// hostile shapes of `sweep_equals_reference_on_hostile_graphs` (no
     /// nodes, one node, a triangle beside isolated nodes, a hub at id 0).
-    fn arb_wave_graph() -> impl Strategy<Value = Graph> {
-        (0usize..7, 3u32..40, 0u64..1000).prop_map(|(family, n, seed)| match family {
+    fn arb_far_graph() -> impl Strategy<Value = Graph> {
+        (0usize..8, 3u32..40, 0u64..1000).prop_map(|(family, n, seed)| match family {
             0 => generators::barabasi_albert(n, 2, &mut seeded(seed)).unwrap(),
             1 => {
                 let order: Vec<u32> = (0..n)
@@ -862,9 +904,19 @@ mod tests {
                 Graph::from_edges(n, order.windows(2).map(|e| (e[0], e[1]))).unwrap()
             }
             2 => Graph::from_edges(n, (0..n - 1).map(|u| (u, n - 1))).unwrap(),
-            3 => Graph::empty(0),
-            4 => Graph::empty(1),
-            5 => Graph::from_edges(7, [(1, 2), (2, 3), (1, 3)]).unwrap(),
+            3 => {
+                use rand::seq::SliceRandom;
+                let mut rng = seeded(seed);
+                let n = 130 + 4 * n;
+                let g = generators::social_circles_like_scaled(n, &mut rng).unwrap();
+                let mut label: Vec<u32> = (0..n).collect();
+                label.shuffle(&mut rng);
+                let edges = g.edges().map(|(u, v)| (label[u.index()], label[v.index()]));
+                Graph::from_edges(n, edges).unwrap()
+            }
+            4 => Graph::empty(0),
+            5 => Graph::empty(1),
+            6 => Graph::from_edges(7, [(1, 2), (2, 3), (1, 3)]).unwrap(),
             _ => generators::star(9),
         })
     }
@@ -872,20 +924,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// However many waves a sweep takes — one (nothing held back), a
-        /// few, `WAVES`, one row each (N) or more waves than rows — and on
-        /// any thread count, it leaves the reference sweep's bits, sweep
-        /// count and residual: from sources on a few rows (the mask on) and
-        /// on every row (the mask off).
+        /// On any thread count, and whatever share of the entries the ring
+        /// carries — none (radius 0), few, the sweep's own radius, or all
+        /// (radius N) — the in-place sweep leaves the reference sweep's
+        /// bits, sweep count and residual: from sources on a few rows (the
+        /// mask on) and on every row (the mask off).
         #[test]
-        fn every_wave_count_is_the_reference_sweep(
-            g in arb_wave_graph(),
-            dim in 0usize..5,
+        fn every_thread_count_and_radius_is_the_reference_sweep(
+            g in arb_far_graph(),
+            dim in 0usize..6,
             hosts in 0usize..4,
             alpha in 0.1f32..1.0,
             seed in 0u64..1000,
         ) {
-            let (n, dim) = (g.num_nodes(), [0, 1, 63, 64, 65][dim]);
+            let (n, dim) = (g.num_nodes(), [0, 1, 63, 64, 65, 130][dim]);
             let mut rng = seeded(seed);
             let mut e0 = Signal::zeros(n, dim);
             // hosts 0: every row; otherwise that many random rows.
@@ -902,14 +954,16 @@ mod tests {
             let cfg = PprConfig::new(alpha)
                 .unwrap()
                 .with_tolerance(1e-6)
-                .unwrap();
+                .unwrap()
+                .with_max_iterations(24);
             let (signal, iterations, residual, converged) = reference_sweep(&g, &e0, &cfg);
             let want = (bits(&signal), iterations, residual.to_bits(), converged);
-            for waves in [1, 2, 3, WAVES, n, n + 1] {
+            let live: Vec<bool> = (0..n).map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0)).collect();
+            for radius in [0, 1, 2, RADIUS, n] {
                 for threads in [1, 2, 3, 16] {
-                    let out = sweep_to_fixed_point(&g, e0.clone(), |u| e0.row(u), &cfg, threads, waves);
+                    let out = sweep_to_fixed_point(&g, e0.clone(), |u| e0.row(u), live.clone(), &cfg, threads, radius);
                     let got = (bits(out.signal.as_slice()), out.iterations, out.residual.to_bits(), out.converged);
-                    prop_assert_eq!(&got, &want, "{} waves, {} threads", waves, threads);
+                    prop_assert_eq!(&got, &want, "radius {}, {} threads", radius, threads);
                 }
             }
         }

@@ -39,14 +39,16 @@
 //! per call to its slot by [`GraphShard::slot_of`], which is strictly
 //! monotone in the global node id — so each row's entries keep their
 //! global order, with the [`edge_weight`] values the monolithic sweep
-//! reads from its per-node table, here held per slot. Both sweeps run the
-//! row kernel [`gather_row`], and so perform the
-//! same float operations in the same order as the monolithic gather (which,
-//! while its liveness mask is on, leaves out the `w·(+0.0)` terms of rows
-//! that are still zero — terms that change no bit of a sum). The blend
+//! reads from its per-node table, here held per slot. It runs the row
+//! kernel [`gather_row`], and so performs the same float operations in the
+//! same order as the monolithic gather (which adds most products scaled
+//! ahead, and, while its liveness mask is on, leaves out the `w·(+0.0)`
+//! terms of rows that are still zero — terms that change no bit of a
+//! sum). The blend
 //! `E(t+1) = (1−a)·A·E(t) + a·E0` uses the same expression per element,
-//! and the residual maxima are folded with `f32::max`, which is
-//! associative for the non-NaN values produced here.
+//! and the residual maxima are folded with a max that lets a NaN win,
+//! which is associative; a non-finite residual ends the sweep unconverged,
+//! as it ends the monolithic one.
 //!
 //! **Push.** The sharded push uses a canonical *round* schedule (Jacobi
 //! within a round): each round pushes every node whose round-start residual
@@ -103,7 +105,7 @@ use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{edge_weight, gather_row};
 use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 
-use crate::convergence::Convergence;
+use crate::convergence::{max_or_nan, Convergence};
 use crate::degrees;
 use crate::exchange::{InProcessExchange, ShardExchange};
 use crate::power::DiffusionResult;
@@ -370,19 +372,16 @@ pub fn diffuse_with_exchange<E: ShardExchange>(
                 let mut local_max = 0.0f32;
                 for (j, nx) in sh.next.iter_mut().enumerate() {
                     *nx = (1.0 - alpha) * *nx + alpha * sh.origin[j];
-                    let delta = (*nx - mine[j]).abs();
-                    if delta > local_max {
-                        local_max = delta;
-                    }
+                    local_max = max_or_nan(local_max, (*nx - mine[j]).abs());
                 }
                 local_max
             });
-            deltas.into_iter().fold(0.0f32, f32::max)
+            deltas.into_iter().fold(0.0f32, max_or_nan)
         };
         for (sh, cur) in scratch.iter_mut().zip(currents.iter_mut()) {
             std::mem::swap(&mut sh.next, cur);
         }
-        if conv.record(max_delta, tolerance) {
+        if conv.record(max_delta, tolerance) || !max_delta.is_finite() {
             break;
         }
     }

@@ -303,6 +303,12 @@ impl SparseRows {
         Some(&mut self.data[at..at + self.dim])
     }
 
+    /// The stored rows, ascending by node, each with its node.
+    pub(crate) fn stored_rows_mut(&mut self) -> impl Iterator<Item = (usize, &mut [f32])> {
+        let rows = self.data.chunks_mut(self.dim.max(1));
+        set_bits(&self.stored).map(|u| u as usize).zip(rows)
+    }
+
     /// The dense signal: the stored rows scattered into zeros.
     #[must_use]
     pub fn to_signal(&self) -> Signal {

@@ -148,10 +148,16 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
         e0.row_mut(3).copy_from_slice(&[0.25, -2.0]);
         // The rows entry folds the −0.0 row into +0.0, which blends to the
         // same bits: `a · (−0.0)` is added to a sum that is never −0.0.
-        let (signal, ..) = assert_sweep_is_reference(&g, &e0, &cfg);
+        let (signal, iterations, residual, converged) = assert_sweep_is_reference(&g, &e0, &cfg);
         // No sweep ever reaches the triangle or the isolated node: their
         // rows stay dead, so the mask is on to the last sweep.
         assert!(bits(&signal[4 * 2..]).iter().all(|&b| b == 0));
+        // A NaN or an infinity makes the first residual NaN, which ends
+        // the sweep there, unconverged.
+        if row.iter().any(|x| !x.is_finite()) {
+            assert!(residual.is_nan());
+            assert_eq!((iterations, converged), (1, false));
+        }
     }
     let (_, iterations, _, converged) = assert_sweep_is_reference(&g, &Signal::zeros(8, 2), &cfg);
     assert_eq!((iterations, converged), (1, true));
@@ -163,7 +169,8 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
     e0.row_mut(1).copy_from_slice(&[0.5 + 0.25, -1.0 + 3.0]);
     e0.row_mut(3).copy_from_slice(&[2.0, 0.0]);
     assert_sweep_is_reference_on_rows(&g, &e0, &repeated, &cfg);
-    // −0.0-only and all-zero sources stay dead: the sweep stops at once.
+    // −0.0-only and all-zero sources hold only +0.0 (live in the rows
+    // entry's mask, which it takes from the sources): the sweep stops at once.
     for dead in [[-0.0, -0.0], [0.0, 0.0]] {
         let sources = [row(2, dead), row(5, dead)];
         let zeros = Signal::zeros(8, 2);

@@ -8,12 +8,13 @@ use gdsearch_graph::Graph;
 
 /// The dense sweep spelled out — every neighbour gathered in adjacency
 /// order, nothing skipped, into a fresh second iterate — as `(signal,
-/// iterations, residual, converged)`.
+/// iterations, residual, converged)`. A NaN cell residual makes the
+/// residual NaN, and a non-finite residual ends the iteration.
 pub fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, usize, f32, bool) {
     let (dim, a) = (e0.dim(), cfg.alpha());
     let mut cur = e0.as_slice().to_vec();
     let (mut iterations, mut residual, mut converged) = (0, f32::INFINITY, false);
-    while iterations < cfg.max_iterations() && !converged {
+    while iterations < cfg.max_iterations() {
         let mut next = vec![0.0f32; cur.len()];
         residual = 0.0;
         for u in g.node_ids() {
@@ -28,7 +29,7 @@ pub fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, us
             for j in row {
                 next[j] = (1.0 - a) * next[j] + a * e0.as_slice()[j];
                 let delta = (next[j] - cur[j]).abs();
-                if delta > residual {
+                if delta > residual || delta.is_nan() {
                     residual = delta;
                 }
             }
@@ -36,6 +37,9 @@ pub fn reference_sweep(g: &Graph, e0: &Signal, cfg: &PprConfig) -> (Vec<f32>, us
         cur = next;
         iterations += 1;
         converged = residual <= cfg.tolerance();
+        if converged || !residual.is_finite() {
+            break;
+        }
     }
     (cur, iterations, residual, converged)
 }

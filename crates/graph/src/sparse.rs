@@ -223,7 +223,7 @@ impl CsrMatrix {
     /// Product with a row-major dense matrix: `Y = M X`, where `X` has
     /// `n_cols` rows of width `width` stored contiguously, likewise `Y`
     /// (in diffusion, `X` holds one embedding row per node). Every row goes
-    /// through [`gather_row`], the kernel the dense diffusion sweeps share.
+    /// through [`gather_row`], the kernel the sharded diffusion sweep shares.
     ///
     /// # Panics
     ///
@@ -268,7 +268,10 @@ pub const GATHER_BLOCK: usize = 64;
 /// the row is summed in a fixed `[f32; GATHER_BLOCK]`, the last
 /// `width % GATHER_BLOCK` columns in a scalar tail, and each finished block
 /// goes to `emit(first column, sums)` — where a caller stores it, or blends
-/// it into the next iterate in the same pass.
+/// it into the next iterate in the same pass, as the sharded sweep does.
+/// (The monolithic sweep in `gdsearch-diffusion`'s `power` module adds the
+/// same products in the same order with a kernel of its own, which adds
+/// most of them pre-scaled.)
 ///
 /// Every element's sum starts at `+0.0` and adds `weight · x` over the
 /// entries in the order `entries` yields them. Blocking decides which
@@ -361,7 +364,8 @@ pub fn transition_matrix(g: &Graph, _norm: Normalization) -> CsrMatrix {
         columns,
         values,
     };
-    assert!(
+    // `Graph` construction guarantees it; debug and test builds check.
+    debug_assert!(
         matrix.check_sorted_rows().is_ok(),
         "graph adjacency is sorted, duplicate-free and within the u32 node space"
     );
