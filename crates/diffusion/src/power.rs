@@ -954,8 +954,7 @@ mod tests {
             let cfg = PprConfig::new(alpha)
                 .unwrap()
                 .with_tolerance(1e-6)
-                .unwrap()
-                .with_max_iterations(24);
+                .unwrap();
             let (signal, iterations, residual, converged) = reference_sweep(&g, &e0, &cfg);
             let want = (bits(&signal), iterations, residual.to_bits(), converged);
             let live: Vec<bool> = (0..n).map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0)).collect();
