@@ -1,14 +1,14 @@
-//! **Ablation D — distributed sharded diffusion.** Runs the sharded power
-//! sweep with every shard on its own simulated machine
-//! ([`gdsearch_dist`]): halo columns travel as wire frames over bounded
-//! links, and this bin measures what the interconnect costs — convergence
-//! time (reactor ticks and wall clock), bytes on the wire per iteration,
-//! and retrieval recall — across bandwidth tiers from 1 KB/tick to
-//! 1 MB/tick, plus a lossy tier showing per-round retransmission
-//! recovering the exact fixed point.
+//! **Ablation D — distributed sharded push.** Runs the sharded forward
+//! push with every shard on its own simulated machine ([`gdsearch_dist`]):
+//! cross-shard residual mass travels as wire frames over bounded links at
+//! every round barrier, and this bin measures what the interconnect costs
+//! — completion time (reactor ticks and wall clock), barrier epochs, bytes
+//! on the wire per epoch, and retrieval recall — across bandwidth tiers
+//! from 1 KB/tick to 1 MB/tick, plus a lossy tier showing per-round
+//! retransmission recovering the exact output.
 //!
 //! The default workload is 10⁵ nodes on both a Barabási–Albert graph
-//! (hub-heavy, fat halos) and a ring (two cut edges per shard):
+//! (hub-heavy, many peer links) and a ring (two cut edges per shard):
 //!
 //! ```text
 //! cargo run -p gdsearch-bench --release --bin ablation_distributed -- \
@@ -17,10 +17,11 @@
 //! ```
 //!
 //! The process exits nonzero if any distributed result drifts bitwise
-//! from the in-process sharded sweep, if the transport's byte accounting
-//! disagrees with the driver's frame ledger, or if recall@10 of the first
-//! column against the in-process reference drops below 1 — so CI runs it
-//! as the distributed smoke test.
+//! from the in-process sharded push, if the transport's byte accounting
+//! disagrees with the driver's frame ledger, if recall@10 of the first
+//! column against the in-process reference drops below 1, or if the lossy
+//! tier moved frames without retransmitting one — so CI runs it as the
+//! distributed smoke test.
 
 use std::fmt::Write as _;
 
@@ -28,6 +29,7 @@ use gdsearch_bench::{maybe_write_csv, timed, Args};
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{PprConfig, Signal};
 use gdsearch_dist::DistConfig;
+use gdsearch_embed::Embedding;
 use gdsearch_graph::{generators, Graph, NodeId, ShardedGraph};
 use gdsearch_sim::TransportConfig;
 use rand::rngs::StdRng;
@@ -109,27 +111,21 @@ fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut Strin
 
     // A mid-range source whose diffusion crosses shard boundaries.
     let source = NodeId::new((n as u32 / 2).max(1) - 1);
-    let mut e0 = Signal::zeros(n, dim);
-    for d in 0..dim {
-        e0.row_mut(source.index())[d] = 1.0 + d as f32 * 0.25;
-    }
+    let row = (0..dim).map(|d| 1.0 + d as f32 * 0.25).collect();
+    let sources = [(source, Embedding::new(row))];
 
     // The in-process sharded reference (the distributed runs must
     // reproduce it bit for bit).
-    let (ref_ms, reference) = timed(|| {
-        sharded::diffuse_partitioned(&sharded_graph, &e0, &scfg).expect("in-process power")
-    });
-    let gold = top_k(&first_column(&reference.signal), 10);
-    println!(
-        "in-process reference: power {ref_ms:.0} ms ({} iterations)",
-        reference.iterations,
-    );
+    let (ref_ms, reference) =
+        timed(|| sharded::diffuse_sparse(graph, dim, &sources, &scfg).expect("in-process push"));
+    let gold = top_k(&first_column(&reference), 10);
+    println!("in-process reference: push {ref_ms:.0} ms");
     println!();
     println!(
-        "| tier | B/tick | loss | power ms | power ticks | power B/iter | retx | recall@10 | \
-         bitwise | bytes ok |"
+        "| tier | B/tick | loss | push ms | push ticks | epochs | push B/epoch | retx | \
+         recall@10 | bitwise | bytes ok |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut all_ok = true;
     let mut tiers: Vec<(String, u64, f64)> = bandwidths
@@ -137,7 +133,7 @@ fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut Strin
         .map(|&b| (format!("{} KB/tick", b / 1024), b, 0.0))
         .collect();
     // The adversarial tier: mid bandwidth with random frame loss; the
-    // barrier's retransmission must still reach the exact fixed point.
+    // barrier's retransmission must still reach the exact output.
     if loss > 0.0 {
         let mid = bandwidths
             .get(bandwidths.len() / 2)
@@ -155,36 +151,45 @@ fn run_family(name: &str, key: &str, graph: &Graph, args: &Args, csv: &mut Strin
             .expect("valid loss")
             .with_seed(args.get_or("seed", 2022));
         let dcfg = DistConfig::new(scfg).with_transport(transport);
-        let (ms, out) = timed(|| gdsearch_dist::diffuse_partitioned(&sharded_graph, &e0, &dcfg));
+        let (ms, out) = timed(|| gdsearch_dist::diffuse_sparse(graph, dim, &sources, &dcfg));
         let (out, stats) = match out {
             Ok(out) => out,
             Err(e) => {
                 // Pad the row to the full column count so the uploaded
                 // markdown report stays a valid table on failure.
-                println!("| {label} | {bandwidth} | {tier_loss} | – | – | – | – | – | NO | NO |");
-                eprintln!("tier '{label}' FAILED: power: {e}");
+                println!(
+                    "| {label} | {bandwidth} | {tier_loss} | – | – | – | – | – | – | NO | NO |"
+                );
+                eprintln!("tier '{label}' FAILED: push: {e}");
                 all_ok = false;
                 continue;
             }
         };
-        let bitwise = out.signal.as_slice() == reference.signal.as_slice();
-        let recall = recall(&gold, &first_column(&out.signal));
+        let bitwise = out == reference;
+        let recall = recall(&gold, &first_column(&out));
         // Byte accounting is verified inside finish(); re-assert here so
         // the table column is an explicit check, not an assumption.
         let bytes_ok = stats.verify_byte_accounting().is_ok();
-        all_ok &= bitwise && bytes_ok && recall >= 1.0;
-        let bytes_per_iter = stats.frame_bytes / (out.iterations.max(1) as u64);
-        let (ticks, retx) = (stats.ticks, stats.retransmitted_frames);
+        let (ticks, epochs, retx) = (stats.ticks, stats.epochs, stats.retransmitted_frames);
+        let loss_bit = tier_loss == 0.0 || stats.frames == 0 || retx > 0;
+        if !loss_bit {
+            eprintln!(
+                "tier '{label}': {} frames at loss {tier_loss}, no retransmit",
+                stats.frames
+            );
+        }
+        all_ok &= bitwise && bytes_ok && recall >= 1.0 && loss_bit;
+        let bytes_per_epoch = stats.frame_bytes / epochs.max(1);
         println!(
-            "| {label} | {bandwidth} | {tier_loss} | {ms:.0} | {ticks} | {bytes_per_iter} | {retx} | \
-             {recall:.2} | {} | {} |",
+            "| {label} | {bandwidth} | {tier_loss} | {ms:.0} | {ticks} | {epochs} | \
+             {bytes_per_epoch} | {retx} | {recall:.2} | {} | {} |",
             if bitwise { "yes" } else { "NO" },
             if bytes_ok { "yes" } else { "NO" },
         );
         let _ = writeln!(
             csv,
-            "{key},{bandwidth},{tier_loss},{ms},{ticks},{bytes_per_iter},{retx},{recall:.3},\
-             {bitwise},{bytes_ok}",
+            "{key},{bandwidth},{tier_loss},{ms},{ticks},{epochs},{bytes_per_epoch},{retx},\
+             {recall:.3},{bitwise},{bytes_ok}",
         );
     }
     all_ok
@@ -196,9 +201,9 @@ fn main() {
     let seed: u64 = args.get_or("seed", 2022);
     let family = args.get("family").unwrap_or("both").to_string();
 
-    println!("# Ablation: distributed sharded diffusion over simulated links");
+    println!("# Ablation: distributed sharded push over simulated links");
     let mut csv = String::from(
-        "family,bytes_per_tick,loss,power_ms,power_ticks,power_bytes_per_iter,retransmits,\
+        "family,bytes_per_tick,loss,push_ms,push_ticks,epochs,push_bytes_per_epoch,retransmits,\
          recall_at_10,bitwise,bytes_ok\n",
     );
 
@@ -216,8 +221,10 @@ fn main() {
     }
     maybe_write_csv(&args, &csv);
     if !ok {
-        eprintln!("distributed ablation FAILED: bitwise, byte-accounting or recall check violated");
+        eprintln!(
+            "distributed ablation FAILED: bitwise, byte-accounting, recall or retransmit check violated"
+        );
         std::process::exit(1);
     }
-    println!("\nEvery tier reproduced the in-process sharded sweep bit for bit with exact byte accounting.");
+    println!("\nEvery tier reproduced the in-process sharded push bit for bit with exact byte accounting.");
 }

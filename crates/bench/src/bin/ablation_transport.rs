@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run -p gdsearch-bench --release --bin ablation_transport -- \
 //!     --nodes 10000 --docs 100 --dim 64 --queries 20 --ttl 50 \
-//!     --flood-ttl 3 --bandwidths 1000,10000,100000 --queue 64 --threads 4
+//!     --flood-ttl 3 --bandwidths 1000,10000,100000 --queue 64
 //! ```
 //!
 //! Bandwidth is in bytes per tick; one tick is the reactor's virtual
@@ -77,7 +77,6 @@ fn main() {
     let flood_ttl: u32 = args.get_or("flood-ttl", 3);
     let bandwidths: Vec<u64> = args.get_list_or("bandwidths", &[1_000, 10_000, 100_000]);
     let queue: usize = args.get_or("queue", 64);
-    let threads: usize = args.get_or("threads", 4);
     let tick_budget: u64 = args.get_or("tick-budget", 50_000_000);
     let seed: u64 = args.get_or("seed", 2022);
 
@@ -121,7 +120,7 @@ fn main() {
     println!(
         "# Ablation: transport backends — N = {} nodes, {} edges, M = {} documents, \
          {} concurrent queries from ≤ {origin_distance} hops of the gold host, \
-         queue capacity {queue}, {threads} reactor threads",
+         queue capacity {queue}",
         workbench.graph.num_nodes(),
         workbench.graph.num_edges(),
         docs,
@@ -162,10 +161,7 @@ fn main() {
         for (transport, links) in std::iter::once(unbounded).chain(finite) {
             rows.push(run_policy(
                 &scheme,
-                transport
-                    .with_threads(threads)
-                    .expect("positive threads")
-                    .with_seed(seed),
+                transport.with_seed(seed),
                 &origins,
                 query,
                 policy_ttl,

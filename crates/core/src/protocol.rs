@@ -606,9 +606,9 @@ mod tests {
     #[test]
     fn bounded_links_agree_with_unbounded_for_deterministic_policy() {
         // PprGreedy consumes no randomness, so ample finite links (1 MiB
-        // per tick, 4 threads) must not change the walk: completed
-        // results, message counts and the tick count coincide with the
-        // unbounded preset (1 thread). The independent reference for the
+        // per tick) must not change the walk: completed results, message
+        // counts and the tick count coincide with the unbounded preset.
+        // The independent reference for the
         // link fabric itself is the per-tick model in
         // `sim/tests/properties.rs`.
         let mut r = rng(21);
@@ -628,11 +628,7 @@ mod tests {
             (done, *net.stats(), net.now_tick())
         };
         let (unbounded_done, unbounded_stats, unbounded_ticks) = run(TransportConfig::unbounded());
-        let bounded = TransportConfig::default()
-            .with_bandwidth(1 << 20)
-            .unwrap()
-            .with_threads(4)
-            .unwrap();
+        let bounded = TransportConfig::default().with_bandwidth(1 << 20).unwrap();
         let (bounded_done, bounded_stats, bounded_ticks) = run(bounded);
         assert_eq!(unbounded_done.len(), 1);
         assert_eq!(unbounded_done, bounded_done);

@@ -416,6 +416,34 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_document_fails_the_push_build() {
+        // ROADMAP measurement 1, push half: one NaN component in one
+        // of four documents on 4,900 nodes (push) used to build `Ok` with
+        // the NaN spread over every row its column reached.
+        let g = grid_graph(false);
+        let mut embeddings = corpus(24).embeddings().to_vec();
+        let mut poisoned = embeddings[3].as_slice().to_vec();
+        poisoned[5] = f32::NAN;
+        embeddings[3] = Embedding::new(poisoned);
+        let c = Corpus::from_embeddings(embeddings).unwrap();
+        let words: Vec<WordId> = (0..4).map(WordId::new).collect();
+        let p = Placement::uniform(&g, &words, &mut rng(25)).unwrap();
+        let cfg = SchemeConfig::default();
+        let clean = SearchNetwork::build(&g, &corpus(24), &p, &cfg, &mut rng(26)).unwrap();
+        assert!(
+            matches!(clean.diffused(), Diffused::Sparse(_)),
+            "4 hosts at dim 24 push"
+        );
+        let built = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(26));
+        assert!(matches!(
+            built,
+            Err(SearchError::Diffusion(
+                gdsearch_diffusion::DiffusionError::InvalidParameter { .. }
+            ))
+        ));
+    }
+
+    #[test]
     fn forwarding_over_push_rows_matches_the_dense_view_and_never_densifies() {
         use crate::engine::{EngineConfig, QueryEngine, QueryRequest};
 

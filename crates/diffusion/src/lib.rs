@@ -22,14 +22,13 @@
 //!   `O(iters · E)`, certified to the same L∞ tolerance, batched across
 //!   sources on a [`workpool`] of scoped threads with bit-for-bit
 //!   thread-count determinism;
-//! * [`sharded`] — the power sweep and a round-scheduled forward push on
-//!   *partitioned* state (one
-//!   [`ShardedGraph`](gdsearch_graph::ShardedGraph) node range per shard,
-//!   only halo columns / cross-shard residual mass exchanged between
-//!   steps), bit-for-bit identical for every `(shards, threads)`
-//!   combination — the in-process rehearsal of a multi-machine deployment.
-//!   Boundary movement is abstracted behind [`exchange::ShardExchange`],
-//!   so the same canonical schedule runs over shared memory
+//! * [`sharded`] — a round-scheduled forward push on *partitioned* state
+//!   (one [`ShardedGraph`](gdsearch_graph::ShardedGraph) node range per
+//!   shard, only cross-shard residual mass exchanged between rounds),
+//!   bit-for-bit identical for every `(shards, threads)` combination — the
+//!   in-process rehearsal of a multi-machine deployment. Residual movement
+//!   is abstracted behind [`exchange::ShardExchange`], so the same
+//!   canonical schedule runs over shared memory
 //!   ([`exchange::InProcessExchange`]) or over simulated transport links
 //!   (the `gdsearch-dist` crate) with identical results.
 //!

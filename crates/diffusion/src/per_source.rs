@@ -54,11 +54,10 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///   3.4 ms against 35.2 / 8.8 / 6.9 ms at α 0.1 / 0.5 / 0.9), and push
 ///   there costs accuracy (see the constant's docs).
 ///
-/// No size routes through the [`crate::sharded`] engines: in one process
-/// they only re-partition memory the process already holds. On two cores
-/// at 2.6×10⁵ and 10⁶ nodes (dim 64, 12 or 1,000 hosts) the monolithic
-/// push was ≈ 75× faster than the sharded push, and the monolithic sweep
-/// ≈ 2.2–2.7× faster than the sharded sweep at ≈ 40 % of its peak memory.
+/// No size routes through the [`crate::sharded`] push: in one process it
+/// only re-partitions memory the process already holds. On two cores at
+/// 2.6×10⁵ and 10⁶ nodes (dim 64, 12 or 1,000 hosts) the monolithic push
+/// was ≈ 75× faster than the sharded push.
 ///
 /// # Errors
 ///

@@ -452,8 +452,9 @@ pub fn ppr_vector_detailed(
 /// # Errors
 ///
 /// Returns [`DiffusionError::ShapeMismatch`] for ragged embeddings or
-/// out-of-range sources, [`DiffusionError::NotConverged`] on push-budget
-/// exhaustion.
+/// out-of-range sources, [`DiffusionError::InvalidParameter`] for a source
+/// row with a non-finite component, [`DiffusionError::NotConverged`] on
+/// push-budget exhaustion.
 pub fn diffuse_rows(
     graph: &Graph,
     dim: usize,
@@ -507,7 +508,10 @@ pub fn diffuse_rows(
 /// # Errors
 ///
 /// Returns [`DiffusionError::ShapeMismatch`] for an embedding whose
-/// dimension is not `dim` or a node outside `0..n`.
+/// dimension is not `dim` or a node outside `0..n`, and
+/// [`DiffusionError::InvalidParameter`] naming the node and the component
+/// for a row with a NaN or infinite component, which push would spread
+/// without its residual bound ever seeing it.
 pub(crate) fn group_sources(
     n: usize,
     dim: usize,
@@ -520,6 +524,11 @@ pub(crate) fn group_sources(
                 expected: (n, dim),
                 got: (node.index(), emb.dim()),
             });
+        }
+        if let Some((c, x)) = emb.iter().enumerate().find(|(_, x)| !x.is_finite()) {
+            return Err(DiffusionError::invalid_parameter(format!(
+                "source row of node {node} has a non-finite component {c} ({x})"
+            )));
         }
         grouped
             .entry(node.as_u32())
@@ -707,6 +716,35 @@ mod tests {
         assert!(ppr_vector(&g, NodeId::new(9), &cfg).is_err());
         assert!(diffuse_sparse(&g, 2, &[(NodeId::new(9), Embedding::zeros(2))], &cfg).is_err());
         assert!(diffuse_sparse(&g, 2, &[(NodeId::new(0), Embedding::zeros(3))], &cfg).is_err());
+    }
+
+    #[test]
+    fn non_finite_source_rows_are_rejected_by_node_and_component() {
+        // Both pushes group their sources here; a NaN used to spread
+        // through every reached row while the residual bound stayed finite.
+        let g = generators::ring(5).unwrap();
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let sources = [
+                (NodeId::new(1), Embedding::new(vec![1.0, 2.0, 3.0])),
+                (NodeId::new(3), Embedding::new(vec![0.5, bad, 1.0])),
+            ];
+            let err = group_sources(5, 3, &sources).unwrap_err();
+            assert!(
+                matches!(&err, DiffusionError::InvalidParameter { reason }
+                    if reason.contains("n3") && reason.contains("component 1")),
+                "{bad}: {err}"
+            );
+            let cfg = PushConfig::new(PprConfig::default());
+            assert!(matches!(
+                diffuse_rows(&g, 3, &sources, &cfg),
+                Err(DiffusionError::InvalidParameter { .. })
+            ));
+        }
+        let huge = [(NodeId::new(0), Embedding::new(vec![f32::MAX, -f32::MAX]))];
+        assert!(
+            group_sources(5, 2, &huge).is_ok(),
+            "finite extremes are kept"
+        );
     }
 
     #[test]

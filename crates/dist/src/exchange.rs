@@ -5,21 +5,20 @@
 //! ([`ShardedGraph::peers_of`](gdsearch_graph::ShardedGraph::peers_of)):
 //! one bounded, bandwidth-limited duplex link per pair of shards that
 //! share boundary data. Each call to
-//! [`exchange_halos`](ShardExchange::exchange_halos) /
 //! [`exchange_residuals`](ShardExchange::exchange_residuals) is one
 //! **epoch**: a synchronous round barrier in which every peer pair
 //! exchanges exactly one epoch-tagged [`ShardFrame`] per direction.
 //!
 //! # Barrier protocol
 //!
-//! 1. The driver serializes each shard's outgoing boundary data into
+//! 1. The driver serializes each shard's outgoing residual mass into
 //!    frames, stages them on the shard's endpoint handler, and injects a
 //!    [`ShardFrame::Kick`] (injections model node-local work and bypass
 //!    the links, so only real frames consume bandwidth).
 //! 2. Kicked endpoints transmit their staged frames; the reactor runs
 //!    until every queue drains. Frames serialize over the links at the
-//!    configured bytes/tick, so a fat halo frame on a thin link costs
-//!    many ticks — the quantity `ablation_distributed` measures.
+//!    configured bytes/tick, so a fat frame on a thin link costs many
+//!    ticks — the quantity `ablation_distributed` measures.
 //! 3. The driver collects deliveries. If any expected `(src, dst)` frame
 //!    is missing — random loss, a link drop, or a peer that was down —
 //!    the owning endpoints are re-kicked and retransmit *only* the
@@ -29,12 +28,11 @@
 //! # Why results are identical to the in-process exchange
 //!
 //! Frames carry IEEE-754 bytes verbatim, so values survive the wire
-//! bit-for-bit; and the driver applies deliveries in the canonical order
-//! of the [`ExchangePlan`] — halo values land in their plan slots,
-//! residual mass merges in ascending source-shard order — regardless of
-//! the order the transport delivered them in. Bandwidth, queueing, loss
-//! and retransmission therefore affect *when* an epoch completes and how
-//! many bytes it costs, never *what* the engines compute: the module-level
+//! bit-for-bit; and the driver merges residual mass with
+//! [`apply_residuals`] in ascending source-shard order, regardless of the
+//! order the transport delivered it in. Bandwidth, queueing, loss and
+//! retransmission therefore affect *when* an epoch completes and how many
+//! bytes it costs, never *what* the push computes: the module-level
 //! contract of [`gdsearch_diffusion::exchange`].
 
 #![expect(
@@ -50,9 +48,9 @@
     reason = "shard indices are below the shard count, which ShardedGraph caps at the graph's u32 node count (at least 1)"
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use gdsearch_diffusion::exchange::{ExchangePlan, Outbox, ShardExchange};
+use gdsearch_diffusion::exchange::{apply_residuals, Outbox, ShardExchange};
 use gdsearch_diffusion::DiffusionError;
 use gdsearch_graph::{Graph, NodeId, ShardedGraph};
 use gdsearch_sim::{NetStats, NodeApi, NodeHandler, Reactor, SimError};
@@ -69,12 +67,8 @@ use crate::DistConfig;
 /// [`ExchangeStats::verify_byte_accounting`] cross-checks the two.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExchangeStats {
-    /// Completed exchange epochs (round barriers).
+    /// Completed exchange epochs: push round barriers.
     pub epochs: u64,
-    /// Epochs that moved halo columns (power iterations).
-    pub halo_epochs: u64,
-    /// Epochs that moved residual mass (push round barriers).
-    pub residual_epochs: u64,
     /// Frames the shard endpoints handed to the link fabric,
     /// retransmissions included (the sum of the per-endpoint meters).
     pub frames: u64,
@@ -130,22 +124,6 @@ impl std::fmt::Display for ByteMismatch {
     }
 }
 
-/// Cumulative per-directed-peer-pair traffic of one
-/// [`TransportExchange`], summed over every epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerLinkStats {
-    /// Source shard.
-    pub src: usize,
-    /// Destination shard.
-    pub dst: usize,
-    /// Frames staged on this directed pair, retransmissions included.
-    pub frames: u64,
-    /// Wire bytes of those frames.
-    pub bytes: u64,
-    /// Retransmissions the barrier requested on this pair.
-    pub retransmits: u64,
-}
-
 impl ExchangeStats {
     /// Cross-checks the driver's frame ledger against the reactor's
     /// independent byte accounting: every frame the driver staged must
@@ -198,10 +176,6 @@ struct ShardEndpoint {
     sent_frames: u64,
     /// Their wire bytes, priced by [`gdsearch_sim::WireMessage::wire_size`].
     sent_bytes: u64,
-    /// Per-destination `(frames, bytes)` split of the same meter
-    /// (endpoint-local state, so updates stay deterministic under the
-    /// parallel handler phase).
-    sent_by_dest: BTreeMap<usize, (u64, u64)>,
 }
 
 impl NodeHandler<ShardFrame> for ShardEndpoint {
@@ -211,12 +185,8 @@ impl NodeHandler<ShardFrame> for ShardEndpoint {
             ShardFrame::Kick { .. } => {
                 for (i, (to, frame)) in self.staged.iter().enumerate() {
                     if self.pending[i] {
-                        let bytes = frame.wire_size() as u64;
                         self.sent_frames += 1;
-                        self.sent_bytes += bytes;
-                        let meter = self.sent_by_dest.entry(to.index()).or_insert((0, 0));
-                        meter.0 += 1;
-                        meter.1 += bytes;
+                        self.sent_bytes += frame.wire_size() as u64;
                         api.send(*to, frame.clone());
                     }
                 }
@@ -233,24 +203,24 @@ impl NodeHandler<ShardFrame> for ShardEndpoint {
 /// The transport-backed shard interconnect (see the module docs).
 ///
 /// Construct one per diffusion run with [`TransportExchange::new`], pass
-/// it to the `*_with_exchange` entry points of
-/// [`gdsearch_diffusion::sharded`] (the drivers in [`crate`] do this), and
-/// read the final [`ExchangeStats`] with [`TransportExchange::finish`].
+/// it to [`gdsearch_diffusion::sharded::diffuse_sparse_with_exchange`]
+/// ([`crate::diffuse_sparse`] does this), and read the final
+/// [`ExchangeStats`] with [`TransportExchange::finish`].
 pub struct TransportExchange {
-    plan: ExchangePlan,
+    /// Per shard: its exchange peers ([`ShardedGraph::peers_of`]),
+    /// ascending.
+    peers: Vec<Vec<usize>>,
     reactor: Reactor<ShardFrame, ShardEndpoint>,
     epoch: u64,
     max_ticks_per_round: u64,
     max_retransmit_rounds: u32,
     stats: ExchangeStats,
-    /// Retransmissions requested per directed `(src, dst)` peer pair.
-    retransmits_by_peer: BTreeMap<(usize, usize), u64>,
 }
 
 impl std::fmt::Debug for TransportExchange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransportExchange")
-            .field("shards", &self.plan.num_shards())
+            .field("shards", &self.peers.len())
             .field("epoch", &self.epoch)
             .field("stats", &self.stats)
             .finish()
@@ -270,11 +240,11 @@ impl TransportExchange {
     /// Returns [`DiffusionError::Exchange`] if the reactor rejects the
     /// overlay or the transport configuration.
     pub fn new(sharded: &ShardedGraph, config: &DistConfig) -> Result<Self, DiffusionError> {
-        let plan = ExchangePlan::new(sharded);
-        let num_shards = plan.num_shards();
+        let num_shards = sharded.num_shards();
+        let peers: Vec<Vec<usize>> = (0..num_shards).map(|s| sharded.peers_of(s)).collect();
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        for s in 0..num_shards {
-            for &p in plan.peers(s) {
+        for (s, peers) in peers.iter().enumerate() {
+            for &p in peers {
                 if p > s {
                     edges.push((s as u32, p as u32));
                 }
@@ -285,20 +255,13 @@ impl TransportExchange {
         let reactor =
             Reactor::new(overlay, endpoints, config.transport().clone()).map_err(sim_err)?;
         Ok(TransportExchange {
-            plan,
+            peers,
             reactor,
             epoch: 0,
             max_ticks_per_round: config.max_ticks_per_round(),
             max_retransmit_rounds: config.max_retransmit_rounds(),
             stats: ExchangeStats::default(),
-            retransmits_by_peer: BTreeMap::new(),
         })
-    }
-
-    /// The exchange schedule.
-    #[must_use]
-    pub fn plan(&self) -> &ExchangePlan {
-        &self.plan
     }
 
     /// Transport statistics so far: the driver's barrier counters, the
@@ -308,7 +271,7 @@ impl TransportExchange {
     pub fn stats(&self) -> ExchangeStats {
         let mut stats = self.stats.clone();
         stats.net = *self.reactor.stats();
-        for s in 0..self.plan.num_shards() {
+        for s in 0..self.peers.len() {
             let endpoint = self
                 .reactor
                 .handler(NodeId::new(s as u32))
@@ -342,7 +305,7 @@ impl TransportExchange {
         outgoing: Vec<Vec<(usize, ShardFrame)>>,
     ) -> Result<Vec<Vec<(usize, ShardFrame)>>, DiffusionError> {
         let epoch = self.epoch;
-        let num_shards = self.plan.num_shards();
+        let num_shards = self.peers.len();
         let mut expected: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (src, frames) in outgoing.iter().enumerate() {
             for (dest, frame) in frames {
@@ -433,7 +396,6 @@ impl TransportExchange {
                         }
                     }
                     self.stats.retransmitted_frames += 1;
-                    *self.retransmits_by_peer.entry((src, dest)).or_insert(0) += 1;
                     if kick_srcs.last() != Some(&src) {
                         kick_srcs.push(src);
                     }
@@ -476,108 +438,15 @@ impl TransportExchange {
         self.stats.epochs += 1;
         Ok(inbox)
     }
-
-    /// Cumulative per-directed-peer traffic: one row per `(src, dst)`
-    /// pair that staged at least one frame, in ascending `(src, dst)`
-    /// order. Plain data — callers fold these into whatever metrics
-    /// system they use; the exchange itself stays free of observability
-    /// types.
-    #[must_use]
-    pub fn per_peer_stats(&self) -> Vec<PeerLinkStats> {
-        let mut rows = Vec::new();
-        for s in 0..self.plan.num_shards() {
-            let Ok(endpoint) = self.reactor.handler(NodeId::new(s as u32)) else {
-                continue;
-            };
-            for (&dst, &(frames, bytes)) in &endpoint.sent_by_dest {
-                rows.push(PeerLinkStats {
-                    src: s,
-                    dst,
-                    frames,
-                    bytes,
-                    retransmits: self
-                        .retransmits_by_peer
-                        .get(&(s, dst))
-                        .copied()
-                        .unwrap_or(0),
-                });
-            }
-        }
-        rows
-    }
 }
 
 impl ShardExchange for TransportExchange {
-    fn exchange_halos(
-        &mut self,
-        dim: usize,
-        currents: &[Vec<f32>],
-        inputs: &mut [Vec<f32>],
-    ) -> Result<(), DiffusionError> {
-        let num_shards = self.plan.num_shards();
-        // Local blocks never touch the interconnect.
-        for (s, input) in inputs.iter_mut().enumerate() {
-            self.plan.copy_local(s, dim, &currents[s], input);
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        // Serialize the requested halo rows, one frame per (owner, dest)
-        // peer pair.
-        let mut outgoing: Vec<Vec<(usize, ShardFrame)>> = vec![Vec::new(); num_shards];
-        for dest in 0..num_shards {
-            for group in self.plan.halo_groups(dest) {
-                let src = &currents[group.src];
-                let mut values = Vec::with_capacity(group.rows.len() * dim);
-                for &row in &group.rows {
-                    let row = row as usize * dim;
-                    values.extend_from_slice(&src[row..row + dim]);
-                }
-                outgoing[group.src].push((dest, ShardFrame::Halo { epoch, values }));
-            }
-        }
-        let inbox = self.run_epoch(outgoing)?;
-        self.stats.halo_epochs += 1;
-        // Scatter into the plan's slots: frames and halo groups are both
-        // in ascending source order, so they zip exactly.
-        for (dest, (input, frames)) in inputs.iter_mut().zip(&inbox).enumerate() {
-            let groups = self.plan.halo_groups(dest);
-            if frames.len() != groups.len() {
-                return Err(DiffusionError::exchange(format!(
-                    "shard {dest}: {} halo frames for {} plan groups",
-                    frames.len(),
-                    groups.len()
-                )));
-            }
-            for (group, (src, frame)) in groups.iter().zip(frames) {
-                let ShardFrame::Halo { values, .. } = frame else {
-                    return Err(DiffusionError::exchange(format!(
-                        "shard {dest}: expected a halo frame from {src}, got {frame:?}"
-                    )));
-                };
-                if *src != group.src || values.len() != group.rows.len() * dim {
-                    return Err(DiffusionError::exchange(format!(
-                        "shard {dest}: halo frame from {src} does not match the plan \
-                         group from {} ({} values for {} rows × {dim})",
-                        group.src,
-                        values.len(),
-                        group.rows.len()
-                    )));
-                }
-                for (i, &slot) in group.slots.iter().enumerate() {
-                    let slot = slot as usize * dim;
-                    input[slot..slot + dim].copy_from_slice(&values[i * dim..(i + 1) * dim]);
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn exchange_residuals(
         &mut self,
         outboxes: &[Outbox],
         residuals: &mut [Vec<f32>],
     ) -> Result<(), DiffusionError> {
-        let num_shards = self.plan.num_shards();
+        let num_shards = self.peers.len();
         self.epoch += 1;
         let epoch = self.epoch;
         let mut outgoing: Vec<Vec<(usize, ShardFrame)>> = vec![Vec::new(); num_shards];
@@ -586,7 +455,7 @@ impl ShardExchange for TransportExchange {
                 if dest == src {
                     continue; // self-mass is applied locally below
                 }
-                if self.plan.peers(src).binary_search(&dest).is_ok() {
+                if self.peers[src].binary_search(&dest).is_ok() {
                     // Peers always exchange a frame — empty frames keep the
                     // barrier's expectation static across rounds.
                     outgoing[src].push((
@@ -604,14 +473,13 @@ impl ShardExchange for TransportExchange {
             }
         }
         let inbox = self.run_epoch(outgoing)?;
-        self.stats.residual_epochs += 1;
         // Merge in canonical ascending source order, the local self-box
         // taking its own position in the sequence.
         for (dest, (residual, frames)) in residuals.iter_mut().zip(&inbox).enumerate() {
             let mut frames = frames.iter().peekable();
             for src in 0..num_shards {
                 if src == dest {
-                    ExchangePlan::apply_residuals(&outboxes[dest][dest], residual);
+                    apply_residuals(&outboxes[dest][dest], residual);
                     continue;
                 }
                 if let Some((frame_src, frame)) = frames.peek() {
@@ -622,7 +490,7 @@ impl ShardExchange for TransportExchange {
                                  got {frame:?}"
                             )));
                         };
-                        ExchangePlan::apply_residuals(entries, residual);
+                        apply_residuals(entries, residual);
                         frames.next();
                     }
                 }
@@ -651,43 +519,26 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn halo_exchange_matches_in_process_bitwise() {
-        let g = generators::social_circles_like_scaled(60, &mut {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(5)
-        })
-        .unwrap();
-        let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        let dim = 3;
-        let currents: Vec<Vec<f32>> = sg
-            .shards()
+    /// Zeroed residual blocks, one per shard.
+    fn fresh(sg: &ShardedGraph) -> Vec<Vec<f32>> {
+        sg.shards()
             .iter()
-            .map(|shard| {
-                (0..shard.num_local_nodes() * dim)
-                    .map(|j| (shard.start() as usize * dim + j) as f32 * 0.5)
-                    .collect()
+            .map(|s| vec![0.0; s.num_local_nodes()])
+            .collect()
+    }
+
+    /// Two contributions from every shard to every peer and one to itself.
+    fn peer_outboxes(sg: &ShardedGraph) -> Vec<Outbox> {
+        let num_shards = sg.num_shards();
+        (0..num_shards)
+            .map(|s| {
+                let mut outbox: Outbox = vec![Vec::new(); num_shards];
+                for dest in sg.peers_of(s).into_iter().chain([s]) {
+                    outbox[dest] = vec![(0, 0.5 + s as f32), (1, 0.25)];
+                }
+                outbox
             })
-            .collect();
-        let blank: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|shard| vec![0.0; shard.slot_count() * dim])
-            .collect();
-        let mut reference = blank.clone();
-        InProcessExchange::new(&sg, 2)
-            .exchange_halos(dim, &currents, &mut reference)
-            .unwrap();
-        let config = DistConfig::new(sharded_cfg(4));
-        let mut ex = TransportExchange::new(&sg, &config).unwrap();
-        let mut inputs = blank;
-        ex.exchange_halos(dim, &currents, &mut inputs).unwrap();
-        assert_eq!(inputs, reference);
-        let stats = ex.finish().unwrap();
-        assert_eq!(stats.epochs, 1);
-        assert_eq!(stats.halo_epochs, 1);
-        assert!(stats.frames > 0);
-        assert_eq!(stats.retransmitted_frames, 0);
+            .collect()
     }
 
     #[test]
@@ -700,19 +551,13 @@ mod tests {
         outboxes[1][2] = vec![(1, 0.75)];
         outboxes[2][0] = vec![(3, 1.5)];
         outboxes[1][1] = vec![(2, 2.0)];
-        let fresh = || -> Vec<Vec<f32>> {
-            sg.shards()
-                .iter()
-                .map(|s| vec![0.0; s.num_local_nodes()])
-                .collect()
-        };
-        let mut reference = fresh();
-        InProcessExchange::new(&sg, 1)
+        let mut reference = fresh(&sg);
+        InProcessExchange::new(1)
             .exchange_residuals(&outboxes, &mut reference)
             .unwrap();
         let config = DistConfig::new(sharded_cfg(3));
         let mut ex = TransportExchange::new(&sg, &config).unwrap();
-        let mut residuals = fresh();
+        let mut residuals = fresh(&sg);
         ex.exchange_residuals(&outboxes, &mut residuals).unwrap();
         assert_eq!(residuals, reference);
         ex.finish().unwrap();
@@ -722,20 +567,10 @@ mod tests {
     fn lost_frames_are_retransmitted_to_the_same_values() {
         let g = generators::ring(16).unwrap();
         let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        let dim = 2;
-        let currents: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|shard| vec![1.25; shard.num_local_nodes() * dim])
-            .collect();
-        let fresh: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|shard| vec![0.0; shard.slot_count() * dim])
-            .collect();
-        let mut reference = fresh.clone();
-        InProcessExchange::new(&sg, 1)
-            .exchange_halos(dim, &currents, &mut reference)
+        let outboxes = peer_outboxes(&sg);
+        let mut reference = fresh(&sg);
+        InProcessExchange::new(1)
+            .exchange_residuals(&outboxes, &mut reference)
             .unwrap();
         let lossy = TransportConfig::default()
             .with_loss_probability(0.4)
@@ -744,56 +579,15 @@ mod tests {
         let config = DistConfig::new(sharded_cfg(4)).with_transport(lossy);
         let mut ex = TransportExchange::new(&sg, &config).unwrap();
         for _ in 0..12 {
-            let mut inputs = fresh.clone();
-            ex.exchange_halos(dim, &currents, &mut inputs).unwrap();
-            assert_eq!(inputs, reference);
+            let mut residuals = fresh(&sg);
+            ex.exchange_residuals(&outboxes, &mut residuals).unwrap();
+            assert_eq!(residuals, reference);
         }
         let stats = ex.finish().unwrap();
         assert!(
             stats.retransmitted_frames > 0,
             "40% loss over 12 epochs must trigger retransmission"
         );
-    }
-
-    #[test]
-    fn per_peer_stats_cross_check_the_aggregate_ledger() {
-        let g = generators::ring(16).unwrap();
-        let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        let dim = 2;
-        let currents: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|shard| vec![0.5; shard.num_local_nodes() * dim])
-            .collect();
-        let mut inputs: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|shard| vec![0.0; shard.slot_count() * dim])
-            .collect();
-        let lossy = TransportConfig::default()
-            .with_loss_probability(0.3)
-            .unwrap()
-            .with_seed(7);
-        let config = DistConfig::new(sharded_cfg(4)).with_transport(lossy);
-        let mut ex = TransportExchange::new(&sg, &config).unwrap();
-        for _ in 0..6 {
-            ex.exchange_halos(dim, &currents, &mut inputs).unwrap();
-        }
-        let rows = ex.per_peer_stats();
-        assert!(!rows.is_empty());
-        // Rows are sorted by (src, dst) and sum to the aggregate meters.
-        let sorted: Vec<(usize, usize)> = rows.iter().map(|r| (r.src, r.dst)).collect();
-        let mut expected = sorted.clone();
-        expected.sort_unstable();
-        assert_eq!(sorted, expected);
-        let stats = ex.finish().unwrap();
-        assert_eq!(rows.iter().map(|r| r.frames).sum::<u64>(), stats.frames);
-        assert_eq!(rows.iter().map(|r| r.bytes).sum::<u64>(), stats.frame_bytes);
-        assert_eq!(
-            rows.iter().map(|r| r.retransmits).sum::<u64>(),
-            stats.retransmitted_frames
-        );
-        assert_eq!(stats.first_mismatch, None);
     }
 
     #[test]
@@ -826,10 +620,10 @@ mod tests {
         let sg = ShardedGraph::from_graph(&g, 1).unwrap();
         let config = DistConfig::new(sharded_cfg(1));
         let mut ex = TransportExchange::new(&sg, &config).unwrap();
-        let currents = vec![vec![2.0f32; 8]];
-        let mut inputs = vec![vec![0.0f32; 8]];
-        ex.exchange_halos(1, &currents, &mut inputs).unwrap();
-        assert_eq!(inputs[0], currents[0]);
+        let outboxes = vec![vec![vec![(2, 2.0f32), (2, 0.5)]]];
+        let mut residuals = fresh(&sg);
+        ex.exchange_residuals(&outboxes, &mut residuals).unwrap();
+        assert_eq!(residuals[0], [0.0, 0.0, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let stats = ex.finish().unwrap();
         assert_eq!(stats.frames, 0);
         assert_eq!(stats.net.bytes_sent, 0);
@@ -846,17 +640,9 @@ mod tests {
             .with_transport(always_lossy)
             .with_max_retransmit_rounds(3);
         let mut ex = TransportExchange::new(&sg, &config).unwrap();
-        let currents: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|s| vec![1.0; s.num_local_nodes()])
-            .collect();
-        let mut inputs: Vec<Vec<f32>> = sg
-            .shards()
-            .iter()
-            .map(|s| vec![0.0; s.slot_count()])
-            .collect();
-        let err = ex.exchange_halos(1, &currents, &mut inputs).unwrap_err();
+        let err = ex
+            .exchange_residuals(&peer_outboxes(&sg), &mut fresh(&sg))
+            .unwrap_err();
         assert!(matches!(err, DiffusionError::Exchange { .. }), "{err}");
     }
 }

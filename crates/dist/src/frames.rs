@@ -1,12 +1,11 @@
 //! Wire frames of the distributed shard exchange.
 //!
-//! Boundary data crosses the simulated interconnect as three frame kinds:
-//! [`ShardFrame::Halo`] carries the halo columns one shard owes a peer for
-//! one power iteration, [`ShardFrame::Residual`] carries buffered
-//! cross-shard residual mass for one push round barrier, and
-//! [`ShardFrame::Kick`] is the driver's injected wake-up that makes a
-//! shard endpoint transmit its staged frames (kicks are injected locally
-//! and never traverse a link, so they do not pollute byte accounting).
+//! Boundary data crosses the simulated interconnect as two frame kinds:
+//! [`ShardFrame::Residual`] carries buffered cross-shard residual mass for
+//! one push round barrier, and [`ShardFrame::Kick`] is the driver's
+//! injected wake-up that makes a shard endpoint transmit its staged frames
+//! (kicks are injected locally and never traverse a link, so they do not
+//! pollute byte accounting).
 //!
 //! Every frame is epoch-tagged so round barriers can match deliveries to
 //! the exchange round they belong to, and [`WireMessage::wire_size`] is
@@ -20,13 +19,12 @@
 //!
 //! ```text
 //! Kick:     0x00 | epoch u64                                    (9 bytes)
-//! Halo:     0x01 | epoch u64 | n u32 | n × f32            (13 + 4n bytes)
 //! Residual: 0x02 | epoch u64 | n u32 | n × (u32, f32)     (13 + 8n bytes)
 //! ```
 
 #![expect(
     clippy::expect_used,
-    reason = "try_into on chunks_exact(4)/fixed-range slices: chunk length is statically 4"
+    reason = "try_into on the 4-byte halves of chunks_exact(8): each half is statically 4 bytes"
 )]
 #![expect(
     clippy::indexing_slicing,
@@ -34,7 +32,7 @@
 )]
 #![expect(
     clippy::cast_possible_truncation,
-    reason = "length prefixes in frame encodings: payload entry counts are bounded by shard sizes validated to fit u32"
+    reason = "length prefix: a Residual frame carries one entry per cut edge from its sender's range into its receiver's (a node pushes at most once per round), far below u32::MAX on the partitions built here"
 )]
 
 use gdsearch_sim::WireMessage;
@@ -52,16 +50,6 @@ pub enum ShardFrame {
         /// The exchange round being (re)transmitted.
         epoch: u64,
     },
-    /// Halo columns for one power iteration: the values of the rows the
-    /// destination's [`ExchangePlan`](gdsearch_diffusion::exchange::ExchangePlan)
-    /// requests from the sender, concatenated in the destination's halo
-    /// order (`rows × dim` floats).
-    Halo {
-        /// The exchange round the columns belong to.
-        epoch: u64,
-        /// Row values, `dim` floats per requested row.
-        values: Vec<f32>,
-    },
     /// Cross-shard residual mass for one push round: `(destination-local
     /// row, weight)` contributions in emission order.
     Residual {
@@ -77,9 +65,7 @@ impl ShardFrame {
     #[must_use]
     pub fn epoch(&self) -> u64 {
         match self {
-            ShardFrame::Kick { epoch }
-            | ShardFrame::Halo { epoch, .. }
-            | ShardFrame::Residual { epoch, .. } => *epoch,
+            ShardFrame::Kick { epoch } | ShardFrame::Residual { epoch, .. } => *epoch,
         }
     }
 
@@ -92,14 +78,6 @@ impl ShardFrame {
             ShardFrame::Kick { epoch } => {
                 buf.push(0);
                 buf.extend_from_slice(&epoch.to_be_bytes());
-            }
-            ShardFrame::Halo { epoch, values } => {
-                buf.push(1);
-                buf.extend_from_slice(&epoch.to_be_bytes());
-                buf.extend_from_slice(&(values.len() as u32).to_be_bytes());
-                for v in values {
-                    buf.extend_from_slice(&v.to_be_bytes());
-                }
             }
             ShardFrame::Residual { epoch, entries } => {
                 buf.push(2);
@@ -127,22 +105,6 @@ impl ShardFrame {
         let epoch = u64::from_be_bytes(buf.get(1..HEADER_BYTES)?.try_into().ok()?);
         match tag {
             0 => (buf.len() == HEADER_BYTES).then_some(ShardFrame::Kick { epoch }),
-            1 => {
-                let n = u32::from_be_bytes(
-                    buf.get(HEADER_BYTES..PREFIXED_HEADER_BYTES)?
-                        .try_into()
-                        .ok()?,
-                ) as usize;
-                let body = buf.get(PREFIXED_HEADER_BYTES..)?;
-                if body.len() != 4 * n {
-                    return None;
-                }
-                let values = body
-                    .chunks_exact(4)
-                    .map(|c| f32::from_be_bytes(c.try_into().expect("chunk of 4")))
-                    .collect();
-                Some(ShardFrame::Halo { epoch, values })
-            }
             2 => {
                 let n = u32::from_be_bytes(
                     buf.get(HEADER_BYTES..PREFIXED_HEADER_BYTES)?
@@ -176,7 +138,6 @@ impl WireMessage for ShardFrame {
     fn wire_size(&self) -> usize {
         match self {
             ShardFrame::Kick { .. } => HEADER_BYTES,
-            ShardFrame::Halo { values, .. } => PREFIXED_HEADER_BYTES + 4 * values.len(),
             ShardFrame::Residual { entries, .. } => PREFIXED_HEADER_BYTES + 8 * entries.len(),
         }
     }
@@ -190,21 +151,18 @@ mod tests {
         vec![
             ShardFrame::Kick { epoch: 0 },
             ShardFrame::Kick { epoch: u64::MAX },
-            ShardFrame::Halo {
-                epoch: 7,
-                values: vec![],
-            },
-            ShardFrame::Halo {
-                epoch: 42,
-                values: vec![1.5, -0.0, f32::MIN_POSITIVE, 3.25e-12, f32::MAX],
-            },
             ShardFrame::Residual {
                 epoch: 9,
                 entries: vec![],
             },
             ShardFrame::Residual {
                 epoch: 1 << 40,
-                entries: vec![(0, 0.125), (u32::MAX, -7.5), (3, f32::MIN_POSITIVE)],
+                entries: vec![
+                    (0, 0.125),
+                    (u32::MAX, -7.5),
+                    (3, f32::MIN_POSITIVE),
+                    (7, -0.0),
+                ],
             },
         ]
     }
@@ -235,9 +193,9 @@ mod tests {
     fn rejects_malformed_buffers() {
         assert!(ShardFrame::decode(&[]).is_none());
         assert!(ShardFrame::decode(&[9; 9]).is_none(), "unknown tag");
-        let buf = ShardFrame::Halo {
+        let buf = ShardFrame::Residual {
             epoch: 1,
-            values: vec![1.0, 2.0],
+            entries: vec![(1, 1.0), (2, 2.0)],
         }
         .encode();
         assert!(ShardFrame::decode(&buf[..buf.len() - 1]).is_none());
@@ -245,7 +203,7 @@ mod tests {
         long.push(0);
         assert!(ShardFrame::decode(&long).is_none());
         let mut bad_len = buf;
-        bad_len[12] = 9; // claims 9 floats, carries 2
+        bad_len[12] = 9; // claims 9 entries, carries 2
         assert!(ShardFrame::decode(&bad_len).is_none());
         let kick = ShardFrame::Kick { epoch: 3 }.encode();
         assert!(ShardFrame::decode(&kick[..5]).is_none());

@@ -1,42 +1,40 @@
-//! Distributed execution of the sharded diffusion engines over simulated
-//! transport links.
+//! Distributed execution of the sharded push over simulated transport
+//! links.
 //!
-//! The sharded engines of [`gdsearch_diffusion::sharded`] partition all
-//! per-node state by contiguous node range and exchange only boundary
-//! data between steps — but in-process, over shared memory. This crate
-//! supplies the missing hop of the paper's decentralized premise: each
-//! shard becomes a node of the [`gdsearch_sim`] reactor, and halo columns
-//! (power sweep) and cross-shard residual mass (push) travel as
-//! epoch-tagged [`ShardFrame`]s over bounded, bandwidth-limited links,
-//! with round barriers and per-round retransmission of lost frames
-//! ([`TransportExchange`]).
+//! The sharded push of [`gdsearch_diffusion::sharded`] partitions all
+//! per-node state by contiguous node range and exchanges only cross-shard
+//! residual mass between rounds — but in-process, over shared memory. This
+//! crate supplies the missing hop of the paper's decentralized premise:
+//! each shard becomes a node of the [`gdsearch_sim`] reactor, and residual
+//! mass travels as epoch-tagged [`ShardFrame`]s over bounded,
+//! bandwidth-limited links, with round barriers and per-round
+//! retransmission of lost frames ([`TransportExchange`]).
 //!
-//! The headline guarantee carries over from the in-process engines:
+//! The headline guarantee carries over from the in-process engine:
 //! **distributed results are bit-for-bit identical to
-//! [`gdsearch_diffusion::sharded`] for every `(shards, threads)`
-//! combination and every transport configuration that lets every frame
-//! eventually arrive** — bandwidth, queueing, random loss and churn only
-//! change how many ticks and bytes the computation costs, never its
-//! output. The argument is in [`exchange`]; `ablation_distributed`
-//! measures cost against interconnect bandwidth and CI enforces the
-//! bitwise and byte-accounting claims.
+//! [`gdsearch_diffusion::sharded::diffuse_sparse`] for every
+//! `(shards, threads)` combination and every transport configuration that
+//! lets every frame eventually arrive** — bandwidth, queueing, random loss
+//! and churn only change how many ticks and bytes the computation costs,
+//! never its output. The argument is in [`exchange`];
+//! `ablation_distributed` measures cost against interconnect bandwidth and
+//! CI enforces the bitwise and byte-accounting claims.
 //!
 //! # Example
 //!
 //! ```
-//! use gdsearch_diffusion::{sharded, PprConfig, Signal};
+//! use gdsearch_diffusion::{sharded, PprConfig};
 //! use gdsearch_dist::DistConfig;
-//! use gdsearch_graph::generators;
+//! use gdsearch_embed::Embedding;
+//! use gdsearch_graph::{generators, NodeId};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::ring(64)?;
-//! let mut e0 = Signal::zeros(64, 2);
-//! e0.row_mut(0).copy_from_slice(&[1.0, 0.25]);
+//! let sources = [(NodeId::new(0), Embedding::new(vec![1.0, 0.25]))];
 //! let scfg = sharded::ShardedConfig::new(PprConfig::new(0.5)?).with_shards(4)?;
-//! let (out, stats) = gdsearch_dist::diffuse(&g, &e0, &DistConfig::new(scfg))?;
-//! // Bit-for-bit identical to the in-process sharded sweep...
-//! let reference = sharded::diffuse(&g, &e0, &scfg)?;
-//! assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
+//! let (out, stats) = gdsearch_dist::diffuse_sparse(&g, 2, &sources, &DistConfig::new(scfg))?;
+//! // Bit-for-bit identical to the in-process sharded push...
+//! assert_eq!(out, sharded::diffuse_sparse(&g, 2, &sources, &scfg)?);
 //! // ...with every boundary byte accounted on the simulated wire.
 //! assert!(stats.frame_bytes > 0);
 //! assert_eq!(stats.frame_bytes, stats.net.bytes_sent);
@@ -65,17 +63,16 @@
 pub mod exchange;
 pub mod frames;
 
-use gdsearch_diffusion::power::DiffusionResult;
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
 use gdsearch_diffusion::{DiffusionError, Signal};
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId, ShardedGraph};
 use gdsearch_sim::TransportConfig;
 
-pub use exchange::{ByteMismatch, ExchangeStats, PeerLinkStats, TransportExchange};
+pub use exchange::{ByteMismatch, ExchangeStats, TransportExchange};
 pub use frames::ShardFrame;
 
-/// Configuration of a distributed diffusion run: the sharded engine knobs
+/// Configuration of a distributed push run: the sharded engine knobs
 /// plus the interconnect model and the barrier safety bounds.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
@@ -100,7 +97,7 @@ impl DistConfig {
     }
 
     /// Sets the interconnect model (bandwidth, queue bounds, loss, churn,
-    /// seed, reactor threads).
+    /// seed).
     #[must_use]
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
         self.transport = transport;
@@ -157,40 +154,6 @@ impl DistConfig {
     }
 }
 
-/// Diffuses a dense signal with the sharded power sweep, halo columns
-/// exchanged over simulated transport links. Bit-for-bit identical to
-/// [`sharded::diffuse`] (and hence to the monolithic dense sweep) whenever
-/// every frame eventually arrives.
-///
-/// # Errors
-///
-/// As [`sharded::diffuse`], plus [`DiffusionError::Exchange`] for
-/// transport failures (exhausted retransmission or tick budgets,
-/// accounting mismatches).
-pub fn diffuse(
-    graph: &Graph,
-    e0: &Signal,
-    config: &DistConfig,
-) -> Result<(DiffusionResult, ExchangeStats), DiffusionError> {
-    let sharded_graph = ShardedGraph::from_graph(graph, config.sharded.shards())?;
-    diffuse_partitioned(&sharded_graph, e0, config)
-}
-
-/// [`diffuse`] over a prebuilt partition.
-///
-/// # Errors
-///
-/// As [`diffuse`].
-pub fn diffuse_partitioned(
-    sharded_graph: &ShardedGraph,
-    e0: &Signal,
-    config: &DistConfig,
-) -> Result<(DiffusionResult, ExchangeStats), DiffusionError> {
-    let mut exchange = TransportExchange::new(sharded_graph, config)?;
-    let result = sharded::diffuse_with_exchange(sharded_graph, e0, &config.sharded, &mut exchange)?;
-    Ok((result, exchange.finish()?))
-}
-
 /// Diffuses a sparse personalization with one distributed push column per
 /// distinct source node. Bit-for-bit identical to
 /// [`sharded::diffuse_sparse`] whenever every frame eventually arrives;
@@ -221,7 +184,7 @@ pub fn diffuse_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdsearch_diffusion::{power, PprConfig};
+    use gdsearch_diffusion::PprConfig;
     use gdsearch_graph::generators;
 
     fn cfg(shards: usize) -> DistConfig {
@@ -230,19 +193,6 @@ mod tests {
                 .with_shards(shards)
                 .unwrap(),
         )
-    }
-
-    #[test]
-    fn distributed_power_matches_dense_bitwise() {
-        let g = generators::grid(6, 5);
-        let mut e0 = Signal::zeros(30, 3);
-        e0.row_mut(7).copy_from_slice(&[1.0, 0.5, -0.25]);
-        let reference = power::diffuse(&g, &e0, cfg(3).sharded().ppr()).unwrap();
-        let (out, stats) = diffuse(&g, &e0, &cfg(3)).unwrap();
-        assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
-        assert_eq!(out.iterations, reference.iterations);
-        assert_eq!(stats.halo_epochs as usize, out.iterations);
-        assert_eq!(stats.frame_bytes, stats.net.bytes_sent);
     }
 
     #[test]
@@ -256,10 +206,6 @@ mod tests {
         let (out, stats) = diffuse_sparse(&g, 2, &sources, &cfg(3)).unwrap();
         assert_eq!(out, reference);
         assert!(stats.epochs >= 2, "two columns need at least two barriers");
-        assert_eq!(
-            stats.residual_epochs, stats.epochs,
-            "every barrier moved residuals"
-        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Property-based tests of the distributed sharded engines: whatever the
+//! Property-based tests of the distributed sharded push: whatever the
 //! interconnect does — narrow links, random loss, node churn — the
 //! transport-backed exchange must reproduce the in-process sharded results
 //! **bit for bit**, because the canonical schedule and the canonical
 //! application order are independent of delivery timing.
 
 use gdsearch_diffusion::sharded::{self, ShardedConfig};
-use gdsearch_diffusion::{power, PprConfig, Signal};
+use gdsearch_diffusion::PprConfig;
 use gdsearch_dist::DistConfig;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{generators, Graph, NodeId};
@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// Ring, Erdős–Rényi and Barabási–Albert families — the acceptance
 /// criteria's graph classes (ER may be disconnected, BA is hub-heavy with
-/// fat halos).
+/// many peer links).
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (0usize..3, 4u32..36, 0u64..1000).prop_map(|(family, n, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -27,17 +27,6 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             _ => generators::barabasi_albert(n, 2, &mut rng).unwrap(),
         }
     })
-}
-
-fn random_signal(n: usize, dim: usize, seed: u64) -> Signal {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut e0 = Signal::zeros(n, dim);
-    for u in 0..n {
-        for d in 0..dim {
-            e0.row_mut(u)[d] = rng.random::<f32>();
-        }
-    }
-    e0
 }
 
 /// A single-source push column as the sparse entries compute it: one unit
@@ -56,47 +45,6 @@ fn sharded_cfg(alpha: f32, shards: usize, threads: usize) -> ShardedConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Under ample bandwidth and zero loss, the distributed power sweep is
-    /// bit-for-bit identical to the in-process sharded sweep (and hence to
-    /// the monolithic dense engine) on ring/ER/BA for every
-    /// `(shards, threads)` combination — signal, iterations, residual,
-    /// with every wire byte accounted.
-    #[test]
-    fn distributed_power_is_bitwise_identical_under_ample_bandwidth(
-        g in arb_graph(),
-        alpha in 0.1f32..1.0,
-        dim in 1usize..4,
-        signal_seed in 0u64..1000,
-    ) {
-        let n = g.num_nodes();
-        let e0 = random_signal(n, dim, signal_seed);
-        let dense = power::diffuse(&g, &e0, sharded_cfg(alpha, 1, 1).ppr()).unwrap();
-        for shards in [1usize, 2, 7] {
-            for threads in [1usize, 4] {
-                let scfg = sharded_cfg(alpha, shards, threads);
-                let reference = sharded::diffuse(&g, &e0, &scfg).unwrap();
-                let (out, stats) = gdsearch_dist::diffuse(
-                    &g,
-                    &e0,
-                    &DistConfig::new(scfg),
-                ).unwrap();
-                prop_assert_eq!(
-                    out.signal.as_slice(),
-                    reference.signal.as_slice(),
-                    "{} shards x {} threads drifted over the wire",
-                    shards,
-                    threads
-                );
-                prop_assert_eq!(out.iterations, reference.iterations);
-                prop_assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
-                prop_assert_eq!(out.signal.as_slice(), dense.signal.as_slice());
-                prop_assert_eq!(stats.frame_bytes, stats.net.bytes_sent);
-                prop_assert_eq!(stats.retransmitted_frames, 0);
-                prop_assert_eq!(stats.halo_epochs as usize, out.iterations);
-            }
-        }
-    }
 
     /// Under ample bandwidth and zero loss, the distributed push column is
     /// bit-for-bit identical to the in-process sharded push on ring/ER/BA
@@ -135,7 +83,7 @@ proptest! {
     /// Narrow links, random frame loss and a shard machine that is down
     /// for the first ticks of the run change how long the exchange takes
     /// and how many retransmissions it needs — but per-round
-    /// retransmission recovers the **exact** fixed point, bit for bit.
+    /// retransmission recovers the **exact** push output, bit for bit.
     #[test]
     fn retransmission_recovers_the_exact_fixed_point_under_loss_and_churn(
         g in arb_graph(),
@@ -145,10 +93,16 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let n = g.num_nodes();
-        let e0 = random_signal(n, 2, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sources: Vec<(NodeId, Embedding)> = (0..3)
+            .map(|_| {
+                let node = NodeId::new(rng.random_range(0..n as u32));
+                (node, Embedding::new(vec![rng.random::<f32>(), rng.random::<f32>()]))
+            })
+            .collect();
         let shards = 3usize;
         let scfg = sharded_cfg(alpha, shards, 2);
-        let reference = sharded::diffuse(&g, &e0, &scfg).unwrap();
+        let reference = sharded::diffuse_sparse(&g, 2, &sources, &scfg).unwrap();
         // Shard machine 1 starts down and comes back after `down_ticks`;
         // frames sent to it meanwhile are dropped and must be
         // retransmitted once it recovers.
@@ -174,15 +128,14 @@ proptest! {
             .with_seed(seed)
             .with_churn(churn);
         let dcfg = DistConfig::new(scfg).with_transport(transport);
-        let (out, stats) = gdsearch_dist::diffuse(&g, &e0, &dcfg).unwrap();
+        let (out, stats) = gdsearch_dist::diffuse_sparse(&g, 2, &sources, &dcfg).unwrap();
         prop_assert_eq!(
-            out.signal.as_slice(),
-            reference.signal.as_slice(),
-            "loss {} + churn {} ticks corrupted the fixed point",
+            &out,
+            &reference,
+            "loss {} + churn {} ticks corrupted the push output",
             loss,
             down_ticks
         );
-        prop_assert_eq!(out.iterations, reference.iterations);
         prop_assert_eq!(stats.frame_bytes, stats.net.bytes_sent);
         // The adversarial interconnect must actually have bitten (unless
         // this partition produced no cross-shard frames at all).

@@ -5,23 +5,11 @@
 //! contiguous ranges, chosen so the adjacency **bytes** (not the node
 //! counts) balance across shards. Each [`GraphShard`] owns the CSR rows of
 //! its range plus a compact **halo** index: the sorted, deduplicated set of
-//! non-local endpoints referenced by its rows. Everything a shard needs for
-//! one diffusion sweep is then its own rows, its own slice of the signal,
-//! and the halo values gathered from the owning shards — exactly the
-//! exchange pattern of a multi-machine deployment (PowerWalk-style
-//! node-partitioned PPR), and the reason the sharded engines in the
-//! diffusion crate exchange only halo columns between iterations.
-//!
-//! # Slot layout
-//!
-//! Shard-local dense vectors use the **slot** layout: the sorted union of
-//! the halo and the local range. Because the local range is contiguous, the
-//! union is simply `halo-below ++ local ++ halo-above`, and
-//! [`GraphShard::slot_of`] is *strictly monotone in the global node id*.
-//! That monotonicity is load-bearing: remapping a CSR row's columns into
-//! slots preserves the row's storage order, so a shard-local sparse product
-//! performs bit-for-bit the same float operations as the monolithic one —
-//! the property the sharded diffusion engines' determinism rests on.
+//! non-local endpoints referenced by its rows. The halo's owners are the
+//! shard's exchange peers ([`ShardedGraph::peers_of`]) — exactly the
+//! pattern of a multi-machine deployment (PowerWalk-style node-partitioned
+//! PPR), and the links the sharded push in the diffusion crate moves
+//! cross-shard residual mass over.
 //!
 //! # Example
 //!
@@ -75,11 +63,8 @@ pub struct GraphShard {
     /// node ids.
     neighbors: Vec<NodeId>,
     /// Sorted, deduplicated non-local endpoints referenced by the owned
-    /// rows. `halo[..halo_split]` are ids `< start`; `halo[halo_split..]`
-    /// are ids `>= end`.
+    /// rows.
     halo: Vec<NodeId>,
-    /// Number of leading halo entries below the local range.
-    halo_split: usize,
 }
 
 impl GraphShard {
@@ -181,64 +166,11 @@ impl GraphShard {
         &self.halo
     }
 
-    /// Number of leading halo entries with ids below the local range (the
-    /// rest lie above it).
-    #[inline]
-    #[must_use]
-    pub fn halo_split(&self) -> usize {
-        self.halo_split
-    }
-
     /// Stored adjacency entries (sum of local degrees).
     #[inline]
     #[must_use]
     pub fn num_adjacency_entries(&self) -> usize {
         self.neighbors.len()
-    }
-
-    /// Width of shard-local dense vectors in the slot layout:
-    /// `halo length + local nodes`.
-    #[inline]
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.halo.len() + self.num_local_nodes()
-    }
-
-    /// Slot of the local row `local`: `halo_split + local`.
-    #[inline]
-    #[must_use]
-    pub fn local_slot(&self, local: usize) -> usize {
-        self.halo_split + local
-    }
-
-    /// Slot of the `i`-th halo entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= halo().len()`.
-    #[inline]
-    #[must_use]
-    pub fn halo_slot(&self, i: usize) -> usize {
-        assert!(i < self.halo.len());
-        if i < self.halo_split {
-            i
-        } else {
-            self.num_local_nodes() + i
-        }
-    }
-
-    /// Slot of an arbitrary node: `Some` for owned and halo nodes, `None`
-    /// for nodes this shard never references.
-    ///
-    /// Strictly monotone in the global id over its domain (see the module
-    /// docs for why that matters).
-    #[must_use]
-    pub fn slot_of(&self, u: NodeId) -> Option<usize> {
-        if self.contains(u) {
-            return Some(self.local_slot((u.as_u32() - self.start) as usize));
-        }
-        let i = self.halo.binary_search(&u).ok()?;
-        Some(self.halo_slot(i))
     }
 
     /// Bytes held by this shard's CSR arrays (offsets + neighbors).
@@ -381,14 +313,12 @@ impl ShardedGraph {
         }
         halo.sort_unstable();
         halo.dedup();
-        let halo_split = halo.partition_point(|h| h.as_u32() < start);
         GraphShard {
             start,
             end,
             offsets,
             neighbors,
             halo,
-            halo_split,
         }
     }
 
@@ -537,8 +467,7 @@ mod tests {
             let owner = sg.owner_of(u);
             assert!(sg.shard(owner).contains(u));
         }
-        // Halo is exactly the set of non-local endpoints, sorted, split at
-        // the local range.
+        // Halo is exactly the set of non-local endpoints, sorted.
         for shard in sg.shards() {
             let mut expected: Vec<NodeId> = (0..shard.num_local_nodes())
                 .flat_map(|l| shard.local_neighbor_slice(l).iter().copied())
@@ -547,12 +476,6 @@ mod tests {
             expected.sort_unstable();
             expected.dedup();
             assert_eq!(shard.halo(), expected.as_slice());
-            assert!(shard.halo()[..shard.halo_split()]
-                .iter()
-                .all(|h| h.as_u32() < shard.start()));
-            assert!(shard.halo()[shard.halo_split()..]
-                .iter()
-                .all(|h| h.as_u32() >= shard.end()));
         }
     }
 
@@ -592,7 +515,7 @@ mod tests {
         let sg = ShardedGraph::from_graph(&g, 4).unwrap();
         assert_eq!(sg.num_shards(), 1);
         assert_eq!(sg.shard(0).num_local_nodes(), 0);
-        assert_eq!(sg.shard(0).slot_count(), 0);
+        assert!(sg.shard(0).halo().is_empty());
     }
 
     #[test]
@@ -625,36 +548,13 @@ mod tests {
     }
 
     #[test]
-    fn slot_map_is_monotone_and_complete() {
-        let g = generators::social_circles_like_scaled(60, &mut seeded(5)).unwrap();
-        let sg = ShardedGraph::from_graph(&g, 4).unwrap();
-        for shard in sg.shards() {
-            // Every local and halo node has a slot; slots are a bijection
-            // onto 0..slot_count in ascending global-id order.
-            let mut ids: Vec<NodeId> = shard.halo().to_vec();
-            ids.extend((shard.start()..shard.end()).map(NodeId::new));
-            ids.sort_unstable();
-            for (expected_slot, id) in ids.iter().enumerate() {
-                assert_eq!(shard.slot_of(*id), Some(expected_slot), "slot of {id}");
-            }
-            // Unreferenced foreign nodes have none.
-            for u in g.node_ids() {
-                if !shard.contains(u) && shard.halo().binary_search(&u).is_err() {
-                    assert_eq!(shard.slot_of(u), None);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn ring_halo_splits_at_the_local_range() {
         let g = generators::ring(8).unwrap();
         let sg = ShardedGraph::from_boundaries(&g, &[0, 4, 8]).unwrap();
         // Ring cut at two places: both of shard 0's halo nodes lie above its
         // range, both of shard 1's below.
         assert_eq!(sg.shard(0).halo(), &[NodeId::new(4), NodeId::new(7)]);
-        assert_eq!(sg.shard(0).halo_split(), 0);
-        assert_eq!(sg.shard(1).halo_split(), 2);
+        assert_eq!(sg.shard(1).halo(), &[NodeId::new(0), NodeId::new(3)]);
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl CsrMatrix {
     /// Product with a row-major dense matrix: `Y = M X`, where `X` has
     /// `n_cols` rows of width `width` stored contiguously, likewise `Y`
     /// (in diffusion, `X` holds one embedding row per node). Every row goes
-    /// through [`gather_row`], the kernel the sharded diffusion sweep shares.
+    /// through [`gather_row`].
     ///
     /// # Panics
     ///
@@ -267,8 +267,7 @@ pub const GATHER_BLOCK: usize = 64;
 /// the row's `(column, weight)` pairs. Each [`GATHER_BLOCK`]-wide block of
 /// the row is summed in a fixed `[f32; GATHER_BLOCK]`, the last
 /// `width % GATHER_BLOCK` columns in a scalar tail, and each finished block
-/// goes to `emit(first column, sums)` — where a caller stores it, or blends
-/// it into the next iterate in the same pass, as the sharded sweep does.
+/// goes to `emit(first column, sums)`, where the caller stores it.
 /// (The monolithic sweep in `gdsearch-diffusion`'s `power` module adds the
 /// same products in the same order with a kernel of its own, which adds
 /// most of them pre-scaled.)

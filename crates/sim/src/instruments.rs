@@ -3,7 +3,7 @@
 //! Everything here is plain `u64` arithmetic over fixed-size state, so
 //! recording is allocation-free, branch-predictable, and — when driven
 //! from the deterministic sections of an algorithm — bit-identical
-//! across thread counts, shard counts, and transports.
+//! whatever the shard count or transport.
 
 #![expect(
     clippy::cast_possible_truncation,

@@ -11,8 +11,8 @@
 //!   accounted ([`NetStats`]). Finite links model queueing delay,
 //!   saturation and backpressure ([`NodeApi::poll_ready`] /
 //!   [`NodeApi::try_send`]); [`TransportConfig::unbounded`] makes every
-//!   hop exactly one tick. Node activations run in parallel on worker
-//!   threads with bit-for-bit deterministic results (see [`reactor`]);
+//!   hop exactly one tick. One thread runs every phase of a tick in node
+//!   and link order, so a seed fixes the run bit for bit (see [`reactor`]);
 //! * [`NodeHandler`] — the protocol hook: the `gdsearch` core crate
 //!   implements the paper's query-forwarding protocol as a handler;
 //! * [`WireMessage`] — wire-size accounting for bandwidth reports;

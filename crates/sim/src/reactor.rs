@@ -16,46 +16,43 @@
 //!
 //! # Execution model
 //!
-//! Virtual time advances in integer ticks; one tick runs three phases:
+//! Virtual time advances in integer ticks; one tick runs three phases, all
+//! on the calling thread:
 //!
-//! 1. **Handler phase.** Every node with a non-empty inbox is *activated*:
-//!    its handler processes the tick's deliveries and queues sends into a
-//!    private outbox. Activations are data-parallel — they are sharded
-//!    over [`gdsearch_diffusion::workpool`] worker threads.
-//! 2. **Transport phase (sequential).** Outboxes are drained in ascending
-//!    node order; each message is lost, dropped (full queue / no route) or
-//!    enqueued on its directed link.
-//! 3. **Link phase (sequential).** Every link spends its per-tick byte
-//!    budget in deterministic CSR order; completed messages become the
-//!    next tick's inboxes.
+//! 1. **Handler phase.** Every node with a non-empty inbox is *activated*,
+//!    in ascending node order: its handler processes the tick's deliveries
+//!    and queues sends into the node's outbox.
+//! 2. **Transport phase.** Outboxes are drained in ascending node order;
+//!    each message is lost, dropped (full queue / no route) or enqueued on
+//!    its directed link.
+//! 3. **Link phase.** Every link spends its per-tick byte budget in
+//!    deterministic CSR order; completed messages become the next tick's
+//!    inboxes.
 //!
-//! # Why the result is bit-for-bit deterministic for every thread count
+//! # Why the same seed gives the same run
 //!
-//! The parallel section is exactly the handler phase, and each activation
-//! is a pure function of activation-local state:
+//! Every step of a tick happens in an order fixed by node ids and link
+//! ids, never by timing:
 //!
-//! * **State.** A handler owns its per-node state, a *per-node* RNG
-//!   (seeded from the transport seed and the node id, never shared), its
-//!   inbox slice, and a private outbox. Nothing else is written.
-//! * **Reads.** Shared reads (graph topology, link-queue depths) are
-//!   frozen before the phase starts: depths are snapshotted per node, and
-//!   a directed link `u → v` only ever gains messages from `u` itself, so
-//!   the snapshot plus the activation's own send count is an exact view
-//!   (an upper bound when random loss is enabled, since lost sends never
-//!   reach the queue).
-//! * **Scheduling.** [`workpool::map_batched_mut`] applies the handler to
-//!   each activation exactly once and hands results back in item order;
-//!   chunk boundaries move with the worker count but no activation can
-//!   observe them.
+//! * **Handlers.** The active set is a sorted set, so handlers run in
+//!   ascending node order, each over its inbox in arrival order. A handler
+//!   draws only from its own per-node RNG (seeded from the transport seed
+//!   and the node id), so its draws do not depend on which other nodes ran
+//!   this tick.
+//! * **Backpressure view.** A handler sees its outgoing-link depths as they
+//!   stood when the tick's handler phase began, plus its own sends this
+//!   tick. Nothing is transmitted before the transport phase, and a
+//!   directed link `u → v` only ever gains messages from `u` itself, so
+//!   the view is exact (an upper bound when random loss is enabled, since
+//!   lost sends never reach the queue).
+//! * **Transport and links.** Loss coin flips come from one transport RNG,
+//!   drawn once per routed send in node order, then outbox order; links
+//!   are serviced in CSR order.
 //!
-//! Everything ordering-sensitive — stats, trace records, loss coin flips,
-//! link enqueue/service — happens in the sequential phases, in fixed node
-//! and link order. Hence the same seed yields the same [`Trace`], the
-//! same [`NetStats`] and the same handler states for threads ∈ {1, 2, …}
-//! (property-tested in `tests/properties.rs`), the same discipline as the
-//! push engine's batched driver.
-//!
-//! [`workpool::map_batched_mut`]: gdsearch_diffusion::workpool::map_batched_mut
+//! Stats and trace records are written in those same orders, so the same
+//! seed yields the same [`Trace`], the same [`NetStats`] and the same
+//! handler states (`deterministic_per_seed` in `tests/properties.rs`; the
+//! naive fabric model there replays the transport phase's coin order).
 //!
 //! # Example
 //!
@@ -105,7 +102,6 @@
 
 use std::collections::BTreeSet;
 
-use gdsearch_diffusion::workpool;
 use gdsearch_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,20 +116,6 @@ use crate::{NetStats, SimError, SimTime, WireMessage};
 /// One queued delivery: `(sender, message, wire bytes)`.
 type Inbound<M> = (Option<NodeId>, M, usize);
 
-/// Everything one activated node needs during the parallel handler phase.
-/// Item-local by construction — see the module docs.
-struct Activation<M, H> {
-    node: NodeId,
-    handler: H,
-    rng: StdRng,
-    inbox: Vec<Inbound<M>>,
-    outbox: Vec<(NodeId, M)>,
-    /// Outgoing-link queue depths, snapshotted at phase start.
-    depths: Vec<u32>,
-    /// Sends this activation queued per outgoing link.
-    pending: Vec<u32>,
-}
-
 /// Bandwidth-aware deterministic network simulator (see the module docs).
 ///
 /// Runs one [`NodeHandler`] per node; messages serialize over the
@@ -142,11 +124,11 @@ struct Activation<M, H> {
 /// [`NodeApi::poll_ready`] / [`NodeApi::try_send`].
 pub struct Reactor<M, H> {
     graph: Graph,
-    handlers: Vec<Option<H>>,
-    /// Per-node protocol RNGs (never shared across nodes — the basis of
-    /// thread-count determinism).
+    handlers: Vec<H>,
+    /// Per-node protocol RNGs (never shared across nodes, so a handler's
+    /// draws do not depend on which other nodes ran).
     rngs: Vec<StdRng>,
-    /// Loss coin flips; only used in the sequential transport phase.
+    /// Loss coin flips; only drawn in the transport phase.
     transport_rng: StdRng,
     transport: Transport<M>,
     inboxes: Vec<Vec<Inbound<M>>>,
@@ -158,7 +140,6 @@ pub struct Reactor<M, H> {
     churn: Vec<ChurnEvent>,
     churn_cursor: usize,
     tick: u64,
-    threads: usize,
     loss_probability: f64,
     stats: NetStats,
     trace: Trace,
@@ -171,8 +152,8 @@ pub struct Reactor<M, H> {
 
 impl<M, H> Reactor<M, H>
 where
-    M: WireMessage + Send,
-    H: NodeHandler<M> + Send,
+    M: WireMessage,
+    H: NodeHandler<M>,
 {
     /// Creates a network over `graph` with one handler per node.
     ///
@@ -195,7 +176,7 @@ where
         let mut churn = config.churn.events().to_vec();
         churn.sort_by_key(|e| e.time);
         Ok(Reactor {
-            handlers: handlers.into_iter().map(Some).collect(),
+            handlers,
             rngs,
             transport_rng: StdRng::seed_from_u64(config.seed ^ 0x0072_6561_6374_6f72),
             transport,
@@ -205,7 +186,6 @@ where
             churn,
             churn_cursor: 0,
             tick: 0,
-            threads: config.threads,
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
             trace: Trace::new(config.trace_capacity),
@@ -277,9 +257,7 @@ where
     /// Returns [`SimError::NodeOutOfRange`] for unknown nodes.
     pub fn handler(&self, node: NodeId) -> Result<&H, SimError> {
         self.check_node(node)?;
-        Ok(self.handlers[node.index()]
-            .as_ref()
-            .expect("handlers are only detached inside the handler phase"))
+        Ok(&self.handlers[node.index()])
     }
 
     /// Mutable access to a node's handler.
@@ -289,9 +267,7 @@ where
     /// Returns [`SimError::NodeOutOfRange`] for unknown nodes.
     pub fn handler_mut(&mut self, node: NodeId) -> Result<&mut H, SimError> {
         self.check_node(node)?;
-        Ok(self.handlers[node.index()]
-            .as_mut()
-            .expect("handlers are only detached inside the handler phase"))
+        Ok(&mut self.handlers[node.index()])
     }
 
     /// Injects an external message: it reaches `node`'s handler in the
@@ -344,8 +320,9 @@ where
         let tick = self.tick;
         self.apply_churn();
 
-        // ---- Handler phase (parallel over activations) ----------------
-        let mut activations: Vec<Activation<M, H>> = Vec::new();
+        // ---- Handler phase (ascending node order) ----------------------
+        let queue_capacity = self.transport.queue_capacity();
+        let mut outboxes: Vec<(NodeId, Vec<(NodeId, M)>)> = Vec::new();
         for index in std::mem::take(&mut self.active) {
             let node = NodeId::new(index as u32);
             let inbox = std::mem::take(&mut self.inboxes[index]);
@@ -373,51 +350,34 @@ where
                 });
             }
             let depths = self.transport.depths(node);
-            let pending = vec![0u32; depths.len()];
-            activations.push(Activation {
-                node,
-                handler: self.handlers[index]
-                    .take()
-                    .expect("handlers are attached between phases"),
-                rng: std::mem::replace(&mut self.rngs[index], StdRng::seed_from_u64(0)),
-                inbox,
-                outbox: Vec::new(),
-                depths,
-                pending,
-            });
-        }
-        let graph = &self.graph;
-        let queue_capacity = self.transport.queue_capacity();
-        workpool::map_batched_mut(&mut activations, self.threads, |activation| {
-            let neighbors = graph.neighbor_slice(activation.node);
-            for (from, msg, _) in activation.inbox.drain(..) {
+            let mut pending = vec![0u32; depths.len()];
+            let mut outbox = Vec::new();
+            for (from, msg, _) in inbox {
                 let mut api = NodeApi::new(
-                    activation.node,
+                    node,
                     now,
-                    neighbors,
-                    &mut activation.rng,
-                    &mut activation.outbox,
+                    self.graph.neighbor_slice(node),
+                    &mut self.rngs[index],
+                    &mut outbox,
                     LinkCapacityView {
                         capacity: queue_capacity,
-                        depths: &activation.depths,
-                        pending: &mut activation.pending,
+                        depths: &depths,
+                        pending: &mut pending,
                     },
                 );
-                activation.handler.handle(from, msg, &mut api);
+                self.handlers[index].handle(from, msg, &mut api);
             }
-        });
+            outboxes.push((node, outbox));
+        }
 
-        // ---- Transport phase (sequential, node order) ------------------
-        for activation in activations {
-            let index = activation.node.index();
-            self.handlers[index] = Some(activation.handler);
-            self.rngs[index] = activation.rng;
-            for (to, msg) in activation.outbox {
-                self.transmit(activation.node, to, msg, tick);
+        // ---- Transport phase (node order, then outbox order) -----------
+        for (node, outbox) in outboxes {
+            for (to, msg) in outbox {
+                self.transmit(node, to, msg, tick);
             }
         }
 
-        // ---- Link phase (sequential, CSR link order) -------------------
+        // ---- Link phase (CSR link order) -------------------------------
         let inboxes = &mut self.inboxes;
         let active = &mut self.active;
         self.transport.service(tick, |from, to, done| {
@@ -511,7 +471,6 @@ impl<M, H> std::fmt::Debug for Reactor<M, H> {
         f.debug_struct("Reactor")
             .field("nodes", &self.graph.num_nodes())
             .field("tick", &self.tick)
-            .field("threads", &self.threads)
             .field("stats", &self.stats)
             .finish()
     }
@@ -801,37 +760,5 @@ mod tests {
         assert!(net.inject(NodeId::new(9), Hop(1)).is_err());
         assert!(net.is_up(NodeId::new(9)).is_err());
         assert!(net.is_up(NodeId::new(1)).unwrap());
-    }
-
-    #[test]
-    fn thread_counts_agree_bit_for_bit() {
-        let run = |threads: usize| {
-            let g = generators::social_circles_like_scaled(40, &mut { StdRng::seed_from_u64(11) })
-                .unwrap();
-            let cfg = TransportConfig::default()
-                .with_bandwidth(8)
-                .unwrap()
-                .with_queue_capacity(4)
-                .unwrap()
-                .with_loss_probability(0.05)
-                .unwrap()
-                .with_seed(99)
-                .with_threads(threads)
-                .unwrap()
-                .with_trace_capacity(4096);
-            let mut net = Reactor::new(g, counters(40), cfg).unwrap();
-            for u in 0..8 {
-                net.inject(NodeId::new(u), Hop(30)).unwrap();
-            }
-            net.run_to_completion(10_000).unwrap();
-            let received: Vec<u32> = (0..40)
-                .map(|u| net.handler(NodeId::new(u)).unwrap().received)
-                .collect();
-            (*net.stats(), net.trace().clone(), received, net.now_tick())
-        };
-        let reference = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), reference, "threads = {threads} diverged");
-        }
     }
 }

@@ -1,16 +1,15 @@
 //! Configuration and link fabric of the bandwidth-aware transport.
 //!
 //! [`TransportConfig`] describes per-link bandwidth (bytes per tick),
-//! send-queue bounds, the reactor's worker-thread count, and the
-//! loss/churn/trace/seed settings of a run.
+//! send-queue bounds, and the loss/churn/trace/seed settings of a run.
 //! [`Transport`] owns one [`Link`] per directed overlay edge and provides
 //! the two operations the reactor drives each tick: enqueue outgoing
 //! messages (with drop accounting) and service every link's byte budget.
 //!
-//! Degenerate configurations — zero bandwidth, zero queue capacity, zero
-//! worker threads — are rejected with [`SimError::InvalidParameter`] at
-//! construction instead of hanging or panicking deep inside the tick
-//! loop.
+//! Degenerate configurations — zero bandwidth, zero queue capacity, a loss
+//! probability outside `[0, 1]` — are rejected with
+//! [`SimError::InvalidParameter`] at construction instead of hanging or
+//! panicking deep inside the tick loop.
 
 #![expect(
     clippy::indexing_slicing,
@@ -30,7 +29,6 @@ use crate::{Histogram, NetStats, SimError};
 pub struct TransportConfig {
     pub(crate) bytes_per_tick: u64,
     pub(crate) queue_capacity: usize,
-    pub(crate) threads: usize,
     pub(crate) seed: u64,
     pub(crate) loss_probability: f64,
     pub(crate) trace_capacity: usize,
@@ -38,13 +36,12 @@ pub struct TransportConfig {
 }
 
 impl Default for TransportConfig {
-    /// 64 KiB/tick links with 1024-message queues, one worker thread,
-    /// lossless, churn-free, seed 0, no trace.
+    /// 64 KiB/tick links with 1024-message queues, lossless, churn-free,
+    /// seed 0, no trace.
     fn default() -> Self {
         TransportConfig {
             bytes_per_tick: 64 * 1024,
             queue_capacity: 1024,
-            threads: 1,
             seed: 0,
             loss_probability: 0.0,
             trace_capacity: 0,
@@ -96,22 +93,6 @@ impl TransportConfig {
             ));
         }
         self.queue_capacity = capacity;
-        Ok(self)
-    }
-
-    /// Sets the number of worker threads the reactor multiplexes node
-    /// wakeups over. Output is bit-for-bit identical for every count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] for zero threads.
-    pub fn with_threads(mut self, threads: usize) -> Result<Self, SimError> {
-        if threads == 0 {
-            return Err(SimError::invalid_parameter(
-                "reactor threads must be positive",
-            ));
-        }
-        self.threads = threads;
         Ok(self)
     }
 
@@ -288,7 +269,6 @@ mod tests {
     fn degenerate_configs_are_rejected_not_panics() {
         assert!(TransportConfig::default().with_bandwidth(0).is_err());
         assert!(TransportConfig::default().with_queue_capacity(0).is_err());
-        assert!(TransportConfig::default().with_threads(0).is_err());
         assert!(TransportConfig::default()
             .with_loss_probability(1.5)
             .is_err());

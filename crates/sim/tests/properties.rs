@@ -1,17 +1,16 @@
 //! Property-based tests for the network simulator: transport accounting
 //! and determinism must hold for arbitrary topologies, link/loss settings
-//! and workloads, determinism additionally across worker-thread counts,
-//! and the link fabric must equal a naive per-tick model of it.
+//! and workloads, and the link fabric must equal a naive per-tick model of
+//! it.
 
 use std::collections::VecDeque;
 
 use gdsearch_graph::{generators, Graph, NodeId};
 use gdsearch_sim::churn::{ChurnKind, ChurnSchedule};
-use gdsearch_sim::trace::Trace;
 use gdsearch_sim::{NetStats, NodeApi, NodeHandler, Reactor, TransportConfig, WireMessage};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A counter token relayed to a deterministic neighbor until it hits zero.
 #[derive(Clone, Debug)]
@@ -95,6 +94,7 @@ impl NodeHandler<Packet> for Router {
 #[derive(Debug, Default, PartialEq)]
 struct Observed {
     sent: u64,
+    lost: u64,
     delivered: u64,
     bytes_sent: u64,
     dropped_down: u64,
@@ -115,14 +115,24 @@ struct Queued {
     started_at: Option<u64>,
 }
 
-/// Naive per-tick model of the reactor's link fabric under lossless
-/// [`Packet`] traffic on a connected graph: one FIFO per directed edge,
-/// no RNG, no busy sets, no threads.
+/// The seed of the reactor's loss coin for transport seed `seed`: what
+/// `Reactor::new` seeds its transport RNG with.
+fn loss_coin(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x0072_6561_6374_6f72)
+}
+
+/// Naive per-tick model of the reactor's link fabric under [`Packet`]
+/// traffic on a connected graph: one FIFO per directed edge, no busy sets,
+/// and one loss coin drawn per routed send, in node order and then the
+/// order the node sent in — the transport phase's order.
+#[allow(clippy::too_many_arguments)]
 fn fabric_model(
     graph: &Graph,
     bandwidth: u64,
     capacity: usize,
     churn: &ChurnSchedule,
+    loss: f64,
+    seed: u64,
     tokens: u32,
     hops: u32,
 ) -> Observed {
@@ -131,6 +141,7 @@ fn fabric_model(
         received: vec![0; n],
         ..Observed::default()
     };
+    let mut coin = loss_coin(seed);
     let mut up = vec![true; n];
     let mut due = churn.events().iter().peekable();
     let mut inboxes: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -150,7 +161,8 @@ fn fabric_model(
             up[event.node.index()] = event.kind == ChurnKind::Up;
         }
         // Deliver inboxes in ascending node id; each delivered packet with
-        // hops left is forwarded onto its link, against the queue bound.
+        // hops left is forwarded onto its link unless the coin loses it,
+        // against the queue bound.
         for u in 0..n {
             let inbox = std::mem::take(&mut inboxes[u]);
             if !up[u] {
@@ -166,6 +178,10 @@ fn fabric_model(
                 let bytes = Packet(k - 1).wire_size() as u64;
                 seen.sent += 1;
                 seen.bytes_sent += bytes;
+                if loss > 0.0 && coin.random_bool(loss) {
+                    seen.lost += 1;
+                    continue;
+                }
                 let degree = links[u].len();
                 let queue = &mut links[u][k as usize % degree];
                 if queue.len() >= capacity {
@@ -256,54 +272,6 @@ proptest! {
         prop_assert_eq!(a.1, b.1);
     }
 
-    /// Deterministic replay of the reactor: the same seed yields the same
-    /// trace, stats, handler states and tick count for *every* worker
-    /// thread count, on arbitrary topologies with loss, churn, narrow
-    /// links and short queues.
-    #[test]
-    fn reactor_replay_is_identical_across_thread_counts(
-        seed in 0u64..10_000,
-        n in 3u32..30,
-        extra in 0u32..20,
-        loss in 0.0f64..0.4,
-        bandwidth in 1u64..64,
-        queue in 1usize..8,
-        tokens in 1u32..8,
-        hops in 0u32..25,
-    ) {
-        let run = |threads: usize| -> (NetStats, Trace, Vec<u32>, u64) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let graph = generators::random_connected(n, extra, &mut rng).unwrap();
-            let churn = ChurnSchedule::random_failures(n, 0.2, 30.0, 4.0, &mut rng).unwrap();
-            let handlers: Vec<Relay> = (0..n).map(|_| Relay::default()).collect();
-            let cfg = TransportConfig::default()
-                .with_seed(seed ^ 0xfeed)
-                .with_loss_probability(loss).unwrap()
-                .with_bandwidth(bandwidth).unwrap()
-                .with_queue_capacity(queue).unwrap()
-                .with_threads(threads).unwrap()
-                .with_churn(churn)
-                .with_trace_capacity(1 << 14);
-            let mut net = Reactor::new(graph, handlers, cfg).unwrap();
-            for t in 0..tokens {
-                net.inject(NodeId::new(t % n), Token(hops)).unwrap();
-            }
-            net.run_to_completion(1_000_000).unwrap();
-            let received = (0..n)
-                .map(|u| net.handler(NodeId::new(u)).unwrap().received)
-                .collect();
-            (*net.stats(), net.trace().clone(), received, net.now_tick())
-        };
-        let reference = run(1);
-        for threads in [2usize, 4] {
-            let replay = run(threads);
-            prop_assert_eq!(&replay.0, &reference.0, "stats diverged at {} threads", threads);
-            prop_assert_eq!(&replay.1, &reference.1, "trace diverged at {} threads", threads);
-            prop_assert_eq!(&replay.2, &reference.2);
-            prop_assert_eq!(replay.3, reference.3);
-        }
-    }
-
     /// Churn under backpressure: accounting still balances exactly — every
     /// transported message is delivered, lost, dropped at a down node,
     /// dropped by a full queue or dropped for lack of a route.
@@ -327,7 +295,6 @@ proptest! {
             .with_loss_probability(loss).unwrap()
             .with_bandwidth(bandwidth).unwrap()
             .with_queue_capacity(queue).unwrap()
-            .with_threads(2).unwrap()
             .with_churn(churn);
         let mut net = Reactor::new(graph, handlers, cfg).unwrap();
         for t in 0..tokens {
@@ -351,7 +318,7 @@ proptest! {
     }
 
     /// The link fabric equals the naive per-tick model — finite links and
-    /// the `unbounded()` preset, under churn, for 1 and 3 worker threads.
+    /// the `unbounded()` preset, under churn, lossless and at a drawn loss.
     #[test]
     fn reactor_equals_naive_fabric_model(
         seed in 0u64..10_000,
@@ -360,6 +327,7 @@ proptest! {
         bandwidth in 1u64..64,
         queue in 1usize..8,
         preset in 0u32..4,
+        drawn_loss in 0.01f64..0.5,
         tokens in 1u32..8,
         hops in 0u32..25,
     ) {
@@ -374,9 +342,14 @@ proptest! {
                 .with_queue_capacity(queue).unwrap();
             (finite, bandwidth, queue)
         };
-        let expected = fabric_model(&graph, bandwidth, queue, &churn, tokens, hops);
-        for threads in [1usize, 3] {
-            let cfg = links.clone().with_threads(threads).unwrap().with_churn(churn.clone());
+        for loss in [0.0, drawn_loss] {
+            let expected =
+                fabric_model(&graph, bandwidth, queue, &churn, loss, seed, tokens, hops);
+            let cfg = links
+                .clone()
+                .with_loss_probability(loss).unwrap()
+                .with_seed(seed)
+                .with_churn(churn.clone());
             let handlers: Vec<Router> = (0..n).map(|_| Router::default()).collect();
             let mut net = Reactor::new(graph.clone(), handlers, cfg).unwrap();
             for t in 0..tokens {
@@ -386,6 +359,7 @@ proptest! {
             let stats = net.stats();
             let observed = Observed {
                 sent: stats.sent,
+                lost: stats.lost,
                 delivered: stats.delivered,
                 bytes_sent: stats.bytes_sent,
                 dropped_down: stats.dropped_down,
@@ -395,8 +369,8 @@ proptest! {
                 received: (0..n).map(|u| net.handler(NodeId::new(u)).unwrap().received).collect(),
                 ticks: net.now_tick(),
             };
-            prop_assert_eq!(&observed, &expected, "threads = {}", threads);
-            prop_assert_eq!(stats.lost + stats.dropped_no_route, 0);
+            prop_assert_eq!(&observed, &expected, "loss = {}", loss);
+            prop_assert_eq!(stats.dropped_no_route, 0);
         }
     }
 

@@ -215,10 +215,6 @@ fn degenerate_transport_configs_return_errors_not_panics() {
         Err(SimError::InvalidParameter { .. })
     ));
     assert!(matches!(
-        TransportConfig::default().with_threads(0),
-        Err(SimError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
         TransportConfig::default().with_loss_probability(-0.1),
         Err(SimError::InvalidParameter { .. })
     ));

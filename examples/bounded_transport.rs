@@ -55,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // 1 KB/s links with short queues: the saturation regime.
                 TransportConfig::default()
                     .with_bandwidth(1_000)?
-                    .with_queue_capacity(16)?
-                    .with_threads(4)?,
+                    .with_queue_capacity(16)?,
                 "1 KB/s",
             ),
         ] {
