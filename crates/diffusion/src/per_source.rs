@@ -10,8 +10,9 @@
 //! signal. [`auto_diffuse`] is the same value as a dense [`Signal`].
 //!
 //! Neither branch materializes `E0`. Push reads the rows as given; the
-//! sweep keeps them row-sparse beside its two `N × dim` iterates, and a row
-//! no live row has reached yet is neither read nor written.
+//! sweep keeps them row-sparse beside its one `N × dim` iterate, scatters
+//! its first sweep from them, and neither reads nor writes a row no live
+//! row has reached yet.
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};

@@ -11,9 +11,14 @@
 //! built — and computes each row of `E(t+1)` in one register-blocked pass:
 //! the weighted gather, then the blend with `E0` and the residual. Rows are
 //! independent, so [`diffuse_threaded`] splits them across workers in
-//! contiguous chunks, with bit-identical output. While some rows are still
-//! dead (all `+0.0`, and gathering from no live row) the sweep neither reads
-//! nor writes them.
+//! contiguous chunks, with bit-identical output.
+//!
+//! Only `E0`'s rows with a set bit are live at first, and the live set grows
+//! one hop per sweep (see [`diffuse_threaded`]). While some row is dead the
+//! first sweep scatters: each live row of `E0` adds its weighted row to its
+//! neighbours' sums, walking only the sources' adjacency. Later sweeps
+//! gather: a live row from every neighbour, reading a dead one as `+0.0`; a
+//! dead row from its live neighbours, and not at all if it has none.
 //!
 //! The sweep keeps one `N × dim` iterate, and a worker writes each row of
 //! `E(t+1)` over its row of `E(t)` as soon as it has computed it. It reads
@@ -23,7 +28,7 @@
 //!   scaled by its weight, `w_v · E(t)[v]`, so the gather adds it with no
 //!   multiply. Ids are local on the paper's graphs: on a social-circles
 //!   graph 99.6 % of adjacency entries lie within 64 ids of their row;
-//! - the *halo*, a snapshot of `E(t)` taken before each sweep: the rows
+//! - the *halo*, a snapshot of `E(t)` taken before each gather: the rows
 //!   some neighbour reads from beyond its window, and the rows within 127
 //!   ids of a chunk boundary, which the ring across it reads.
 //!
@@ -138,15 +143,15 @@ pub fn diffuse(
 /// float operations, in the same order, of `(1−a)·(A · E(t)) + a·E0` with
 /// `A` from [`transition_matrix`](gdsearch_graph::sparse::transition_matrix).
 ///
-/// The sweep gathers only from rows that can be non-zero. A row is *dead*
-/// while all its bits are `+0.0`; row `u` of `E(t+1)` is dead if row `u` of
-/// `E0` is and every neighbour's row of `E(t)` is (`a` and `1−a` are
-/// non-negative, so the blend of `+0.0`s is `+0.0`). The live set therefore
-/// grows one hop per sweep from the rows of `E0` that hold a set bit, and
-/// while it is not yet all rows each row skips its dead neighbours, which
-/// changes no bit of a sum (argued at the row kernel). A row that stays
-/// dead is neither read nor written: the iterate already holds its `+0.0`
-/// bits. The mask is structural — a live row may still hold zeros —
+/// A row is *dead* while all its bits are `+0.0`; row `u` of `E(t+1)` is
+/// dead if row `u` of `E0` is and every neighbour's row of `E(t)` is (`a`
+/// and `1−a` are non-negative, so the blend of `+0.0`s is `+0.0`). The live
+/// set therefore grows one hop per sweep from the rows of `E0` that hold a
+/// set bit. While some row is dead, the first sweep scatters from those
+/// rows of `E0`; later sweeps read a dead row as `+0.0` where a live row
+/// gathers it and skip it where a dead row does; a row that stays dead is
+/// neither read nor written. None of it changes a bit (argued at the row
+/// kernels). The mask is structural — a live row may still hold zeros —
 /// and identical for every thread count.
 ///
 /// The sweep holds `e0` and one copy of it, the iterate it updates in
@@ -252,8 +257,8 @@ const RADIUS: usize = 127;
 /// page of the iterate before a sweep writes it.
 ///
 /// `current` is the only `N × dim` iterate, which [`Sweep::pass`] updates
-/// in place. Before each pass the halo takes its rows of `E(t)`; a row
-/// reads a neighbour within `radius` ids from its worker's ring and any
+/// in place. Before each pulling pass the halo takes its rows of `E(t)`; a
+/// row reads a neighbour within `radius` ids from its worker's ring and any
 /// other from the halo, so every read still sees `E(t)`, and the bits are
 /// those of a sweep into a second iterate.
 fn sweep_to_fixed_point<'o>(
@@ -280,8 +285,14 @@ fn sweep_to_fixed_point<'o>(
     while conv.iters < config.max_iterations() {
         let masked = live.contains(&false);
         let live_rows = masked.then_some(live.as_slice());
-        snapshot(&mut halo, current.as_slice(), live_rows);
+        // E(0) is E0, whose rows `origin` reads: a first sweep with a dead
+        // row scatters from them and reads no halo.
+        let scatter = masked && conv.iters == 0;
+        if !scatter {
+            snapshot(&mut halo, current.as_slice(), live_rows);
+        }
         let sweep = Sweep {
+            scatter,
             graph,
             weights: &weights,
             halo: &halo,
@@ -373,6 +384,9 @@ fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
 /// One sweep `E(t+1) = (1−a)·A·E(t) + a·E0`, read-only and shared by the
 /// workers that each update a chunk of the iterate in place.
 struct Sweep<'a, O> {
+    /// Whether `E(t)` is `E0` with a dead row: the sweep scatters from the
+    /// live rows of `E0`, read through `origin`, and reads no ring or halo.
+    scatter: bool,
     graph: &'a Graph,
     /// Entry `(u, v)` of `A` is `weights[v]`.
     weights: &'a [f32],
@@ -394,9 +408,9 @@ struct Sweep<'a, O> {
 
 impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
     /// Sweeps every row of `current` in place — `E(t)` in, `E(t+1)` out —
-    /// one chunk of `chunk_rows` rows per worker, ORs into `reached[u]`
-    /// whether row `u` gathered from a live row, and returns the max
-    /// residual `|E(t+1) − E(t)|` (NaN if any cell's is).
+    /// one chunk of `chunk_rows` rows per worker, sets `reached[u]` when row
+    /// `u` gathers from a live row, and returns the max residual
+    /// `|E(t+1) − E(t)|` (NaN if any cell's is).
     fn pass(&self, current: &mut [f32], reached: &mut [bool], threads: usize) -> f32 {
         let rows = current.chunks_mut(self.chunk_rows * self.dim.max(1));
         let mut chunks: Vec<(usize, &mut [f32], &mut [bool])> = rows
@@ -406,60 +420,119 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
             .collect();
         let deltas =
             crate::workpool::map_batched_mut(&mut chunks, threads, |(first, rows, reached)| {
-                self.chunk(*first, rows, reached)
+                match self.live {
+                    Some(live) if self.scatter => self.scatter(live, *first, rows, reached),
+                    _ => self.chunk(*first, rows, reached),
+                }
             });
         deltas.into_iter().fold(0.0f32, max_or_nan)
     }
 
-    /// Sweeps the chunk of rows from `first` on, `rows`, in place, with a
-    /// ring of its own, ORs into `reached[i]` whether row `first + i`
-    /// gathered from a live row (always, unmasked), and returns the chunk's
-    /// max residual.
+    /// The first sweep, from `E(0) = E0` with a dead row, over the chunk of
+    /// rows from `first` on, `rows`; `reached` holds `live`, `E0`'s live
+    /// rows. Returns the chunk's max residual.
     ///
-    /// Before row `u` is swept the ring holds the live rows within `radius`
-    /// ids of it, each as `w_v · E(t)[v]`: row `u + radius` is stored just
+    /// The live rows' sums are zeroed, and a dead row's when a live row
+    /// first reaches it, so no dead row of `rows` is read. Then each live
+    /// row `v`, in ascending order, adds `w_v · E0[v]` to its neighbours'
+    /// sums in the chunk: a sum starts at `+0.0` and adds its live
+    /// neighbours' products in adjacency order, the pull's bits (see
+    /// [`Sweep::blend`]). The reached rows then blend, with the residual
+    /// against `E0[u]` on a live row and against zeros on a dead one.
+    fn scatter(&self, live: &[bool], first: usize, rows: &mut [f32], reached: &mut [bool]) -> f32 {
+        let (dim, end, alpha) = (self.dim, first + reached.len(), self.alpha);
+        for u in (first..end).filter(|&u| live[u]) {
+            rows[(u - first) * dim..][..dim].fill(0.0);
+        }
+        for (v, node) in self.graph.node_ids().enumerate().filter(|&(v, _)| live[v]) {
+            let neighbors = self.graph.neighbor_slice(node);
+            let low = neighbors.partition_point(|u| u.index() < first);
+            let high = low + neighbors[low..].partition_point(|u| u.index() < end);
+            let (w, src) = (self.weights[v], (self.origin)(v));
+            for i in neighbors[low..high].iter().map(|u| u.index() - first) {
+                let sums = &mut rows[i * dim..][..dim];
+                if !reached[i] {
+                    reached[i] = true;
+                    sums.fill(0.0);
+                }
+                for (sum, &x) in sums.iter_mut().zip(src) {
+                    *sum += w * x;
+                }
+            }
+        }
+        let mut lanes = [0.0f32; LANES];
+        for u in (first..end).filter(|&u| reached[u - first]) {
+            let (row, origin) = (&mut rows[(u - first) * dim..][..dim], (self.origin)(u));
+            for (cell, &origin) in row.iter_mut().zip(origin) {
+                *cell = (1.0 - alpha) * *cell + alpha * origin;
+            }
+            fold_residual(&mut lanes, row, if live[u] { origin } else { self.zeros });
+        }
+        lanes.into_iter().fold(0.0f32, max_or_nan)
+    }
+
+    /// Sweeps the chunk of rows from `first` on, `rows`, in place, with a
+    /// ring of its own, sets `reached[i]` when row `first + i` gathers from
+    /// a live row, and returns the chunk's max residual.
+    ///
+    /// Before row `u` is swept the ring holds the rows within `radius` ids
+    /// of it, each as `w_v · E(t)[v]`: row `u + radius` is stored just
     /// before, so no row of the chunk is stored after it is overwritten,
     /// and a row outside the chunk, which another worker may be
-    /// overwriting, is stored from the halo.
+    /// overwriting, is stored from the halo. A dead row is not read: its
+    /// slot reads `+0.0`, zeroed when it enters the window if the slot held
+    /// a live row, as its halo row does, never snapshotted while dead. So a
+    /// live row gathers every neighbour, and a dead one adds `+0.0`, which
+    /// changes no bit of a sum (argued at [`Sweep::blend`]).
     ///
     /// A row dead in `E(t)` has a dead row of `E0` too (`E0`'s live rows are
-    /// live in every iterate). If it gathers from no live row it stays dead
-    /// and is skipped: `rows` already holds its `+0.0` bits, since dead rows
+    /// live in every iterate). It gathers only from its live neighbours, few
+    /// where it is first reached, and if there are none it stays dead and
+    /// is skipped: `rows` already holds its `+0.0` bits, since dead rows
     /// start as zeros and the live set only grows, and its residual
     /// `|(+0.0) − (+0.0)|` would lose to every lane.
     fn chunk(&self, first: usize, rows: &mut [f32], reached: &mut [bool]) -> f32 {
         let (dim, n, end) = (self.dim, self.graph.num_nodes(), first + reached.len());
-        let mut ring = vec![0.0f32; self.ring_rows() * dim];
+        let ring_rows = self.ring_rows();
+        let mut ring = vec![0.0f32; ring_rows * dim];
         let mut lanes = [0.0f32; LANES];
-        let mut stored = first.saturating_sub(self.radius);
+        let start = first.saturating_sub(self.radius);
+        let mut stored = start;
         for (u, node) in (first..end).zip(self.graph.node_ids().skip(first)) {
             let last = (u + self.radius).min(n - 1);
             for v in stored..=last {
-                if self.live.is_none_or(|live| live[v]) {
-                    let src = match v.checked_sub(first) {
-                        Some(i) if v < end => &rows[i * dim..][..dim],
-                        _ => self.halo.row(v),
-                    };
-                    let slot = &mut ring[(v & (self.ring_rows() - 1)) * dim..][..dim];
-                    for (s, &x) in slot.iter_mut().zip(src) {
-                        *s = self.weights[v] * x;
+                let slot = &mut ring[(v & (ring_rows - 1)) * dim..][..dim];
+                match self.live {
+                    // The slot last held row `v − ring_rows`, if any.
+                    Some(live) if !live[v] => {
+                        if v >= start + ring_rows && live[v - ring_rows] {
+                            slot.fill(0.0);
+                        }
+                    }
+                    _ => {
+                        let src = match v.checked_sub(first) {
+                            Some(i) if v < end => &rows[i * dim..][..dim],
+                            _ => self.halo.row(v),
+                        };
+                        for (s, &x) in slot.iter_mut().zip(src) {
+                            *s = self.weights[v] * x;
+                        }
                     }
                 }
             }
             stored = stored.max(last + 1);
             let row = &mut rows[(u - first) * dim..][..dim];
             let neighbors = self.graph.neighbor_slice(node);
-            let gathers = self
-                .live
-                .is_none_or(|live| neighbors.iter().any(|v| live[v.index()]));
             match self.live {
-                None => self.blend(node, &ring, |_| true, true, row, &mut lanes),
-                Some(live) if live[u] || gathers => {
-                    self.blend(node, &ring, |v| live[v], live[u], row, &mut lanes);
+                Some(live) if !live[u] => {
+                    let gathers = neighbors.iter().any(|v| live[v.index()]);
+                    if gathers {
+                        self.blend(node, &ring, |v| live[v], false, row, &mut lanes);
+                    }
+                    reached[u - first] |= gathers;
                 }
-                Some(_) => {}
+                _ => self.blend(node, &ring, |_| true, true, row, &mut lanes),
             }
-            reached[u - first] |= gathers;
         }
         lanes.into_iter().fold(0.0f32, max_or_nan)
     }
@@ -478,12 +551,13 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
     /// `live` in `E(t)`, against zeros when it is not, so `E(t)` is not
     /// read on a dead row.
     ///
-    /// With a mask the row leaves out its dead neighbours, whose rows of
-    /// `E(t)` are all `+0.0` bits. With finite weights the sums are still
-    /// those of the full row, bit for bit: each left-out term is
-    /// `w · (+0.0) = ±0.0`, every sum starts at `+0.0` and so is never
-    /// `−0.0`, and adding `±0.0` to anything else changes no bit; the other
-    /// terms keep their adjacency order.
+    /// A dead neighbour's row of `E(t)` is all `+0.0` bits. A dead row's
+    /// mask leaves its term out; a live row adds `+0.0` for it from the
+    /// ring or the halo. With finite weights the sums are still those of
+    /// the full row, bit for bit: the term is `w · (+0.0) = ±0.0`, every sum
+    /// starts at `+0.0` and so is never `−0.0`, and adding `±0.0` to
+    /// anything else changes no bit; the other terms keep their adjacency
+    /// order.
     fn blend(
         &self,
         node: NodeId,
@@ -495,8 +569,12 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
     ) {
         let u = node.index();
         let neighbors = self.graph.neighbor_slice(node);
-        let low = neighbors.partition_point(|v| v.index() + self.radius < u);
-        let near = low + neighbors[low..].partition_point(|v| v.index() <= u + self.radius);
+        let within = |v: &NodeId| v.index() + self.radius >= u && v.index() <= u + self.radius;
+        let (mut low, mut near) = (0, neighbors.len());
+        if !(neighbors.first().is_none_or(within) && neighbors.last().is_none_or(within)) {
+            low = neighbors.partition_point(|v| v.index() + self.radius < u);
+            near = low + neighbors[low..].partition_point(|v| v.index() <= u + self.radius);
+        }
         let parts = [&neighbors[..low], &neighbors[low..near], &neighbors[near..]];
         let (origin, alpha) = ((self.origin)(u), self.alpha);
         let mut emit = |start: usize, sums: &mut [f32]| {
@@ -745,15 +823,17 @@ mod tests {
     }
 
     /// One pass of the sweep over `iterate`, in place, as the loop makes
-    /// it: the halo's snapshot, then the rows, `shape.1` workers and a ring
-    /// of radius `shape.0` each. Returns the pass's max residual.
+    /// it: the halo's snapshot, then the rows, `how.1` workers and a ring
+    /// of radius `how.0` each — or, with `how.2`, the first sweep's scatter
+    /// from `e0`'s rows, which `iterate` must hold. Returns the pass's max
+    /// residual.
     fn one_pass(
         g: &Graph,
         e0: &Signal,
         iterate: &mut Signal,
         live: Option<&[bool]>,
         alpha: f32,
-        (radius, threads): (usize, usize),
+        (radius, threads, scatter): (usize, usize, bool),
         reached: &mut [bool],
     ) -> f32 {
         let (n, dim) = (g.num_nodes(), e0.dim());
@@ -762,6 +842,7 @@ mod tests {
         snapshot(&mut halo, iterate.as_slice(), live);
         let (weights, zeros) = (weights(g), vec![0.0f32; dim]);
         let sweep = Sweep {
+            scatter,
             graph: g,
             weights: &weights,
             halo: &halo,
@@ -778,38 +859,75 @@ mod tests {
 
     #[test]
     fn live_rows_product_skips_dead_sources_bit_for_bit() {
-        // Path 0-1-2-3-4 with only row 1 of E(t) and E0 non-zero: rows 0
-        // and 2 gather from it, rows 3 and 4 gather from nothing. Through
-        // the ring (radius 127) and the halo (radius 0), on 1 and 2 workers.
-        let g = generators::path(5);
-        let mut e0 = Signal::zeros(5, 2);
-        e0.row_mut(1).copy_from_slice(&[1.25, -0.5]);
-        let mut cur = Signal::zeros(5, 2);
-        cur.row_mut(1).copy_from_slice(&[0.3, -7.5]);
-        for shape in [(RADIUS, 1), (RADIUS, 2), (0, 1), (0, 2)] {
-            let mut full = cur.clone();
-            let full_delta = one_pass(&g, &e0, &mut full, None, 0.3, shape, &mut [true; 5]);
-            // Rows 0 and 2 are dead in E(t) but reached: poisoned, which a
-            // gather or a residual that read them would return. Rows 3 and
-            // 4 stay dead: a NaN sentinel that a write would overwrite.
-            let mut masked = cur.clone();
-            for u in [0, 2] {
-                masked.row_mut(u).fill(f32::MAX);
+        // Path 0-…-4 with only row 1 of E(t) and E0 non-zero: rows 0 and 2
+        // gather from it, rows 3 and 4 from nothing, and row 1, live, from
+        // dead rows only. Path 0-…-9 with rows 0 and 5 live: row 5's
+        // neighbours are dead, and at radius 1 the ring's 4 slots store row
+        // 4, dead, where row 0, live, was. Through the ring (radius 127 and
+        // 1) and the halo (radius 0), on 1 and 2 workers, by the pull from
+        // E(t) and by the scatter from E0.
+        let cases = [
+            (5, vec![(1, [1.25, -0.5], [0.3, -7.5])]),
+            (
+                10,
+                vec![
+                    (0, [2.5, 0.75], [-1.5, 3.0]),
+                    (5, [1.25, -0.5], [0.3, -7.5]),
+                ],
+            ),
+        ];
+        for (nodes, sources) in cases {
+            let g = generators::path(nodes);
+            let n = g.num_nodes();
+            let (mut e0, mut cur) = (Signal::zeros(n, 2), Signal::zeros(n, 2));
+            for (u, e, c) in &sources {
+                e0.row_mut(*u).copy_from_slice(e);
+                cur.row_mut(*u).copy_from_slice(c);
             }
-            for u in [3, 4] {
-                masked.row_mut(u).fill(f32::NAN);
+            let live: Vec<bool> = (0..n).map(|u| sources.iter().any(|s| s.0 == u)).collect();
+            let gathers: Vec<bool> = g
+                .node_ids()
+                .map(|u| live[u.index()] || g.neighbors(u).any(|v| live[v.index()]))
+                .collect();
+            for scatter in [false, true] {
+                let from = if scatter { &e0 } else { &cur };
+                for (radius, threads) in [(RADIUS, 1), (RADIUS, 2), (1, 1), (1, 2), (0, 1), (0, 2)]
+                {
+                    let how = (radius, threads, scatter);
+                    let mut full = from.clone();
+                    let unmasked = (radius, threads, false);
+                    let full_delta =
+                        one_pass(&g, &e0, &mut full, None, 0.3, unmasked, &mut vec![true; n]);
+                    // Dead rows that gather are poisoned, which a gather or
+                    // a residual that read them would return; the others
+                    // hold a NaN sentinel that a write would overwrite.
+                    let mut masked = from.clone();
+                    for u in (0..n).filter(|&u| !live[u]) {
+                        masked
+                            .row_mut(u)
+                            .fill(if gathers[u] { f32::MAX } else { f32::NAN });
+                    }
+                    // The pull leaves a row the caller set set; the scatter
+                    // starts from `live`, as the loop calls it.
+                    let mut reached = live.clone();
+                    reached[n - 1] |= !scatter;
+                    let masked_delta =
+                        one_pass(&g, &e0, &mut masked, Some(&live), 0.3, how, &mut reached);
+                    for (u, &gathers) in gathers.iter().enumerate() {
+                        let (masked, full) = (masked.row(u), full.row(u));
+                        if gathers {
+                            assert_eq!(bits(masked), bits(full), "row {u}, {how:?}");
+                        } else {
+                            assert!(masked.iter().all(|x| x.is_nan()), "row {u}, {how:?}");
+                            assert_eq!(bits(full), [0; 2]);
+                        }
+                    }
+                    assert_eq!(masked_delta.to_bits(), full_delta.to_bits(), "{how:?}");
+                    let mut want = gathers.clone();
+                    want[n - 1] |= !scatter;
+                    assert_eq!(reached, want, "{how:?}");
+                }
             }
-            let live = [false, true, false, false, false];
-            let mut reached = [false, false, false, true, false];
-            let masked_delta =
-                one_pass(&g, &e0, &mut masked, Some(&live), 0.3, shape, &mut reached);
-            let (full, masked) = (full.as_slice(), masked.as_slice());
-            assert_eq!(bits(&masked[..6]), bits(&full[..6]), "{shape:?}");
-            assert!(masked[6..].iter().all(|x| x.is_nan()), "{shape:?}");
-            assert_eq!(bits(&full[6..]), [0; 4]);
-            assert_eq!(masked_delta.to_bits(), full_delta.to_bits(), "{shape:?}");
-            // Row 3 was set by the caller and is left set.
-            assert_eq!(reached, [true, false, true, true, false], "{shape:?}");
         }
     }
 
@@ -877,7 +995,7 @@ mod tests {
             for (v, radius) in (0..n).flat_map(|v| [(v, 0), (v, RADIUS)]) {
                 let mut column = Signal::zeros(n, 1);
                 column.row_mut(v)[0] = 1.0;
-                one_pass(&g, &e0, &mut column, None, 0.0, (radius, 1), &mut vec![false; n]);
+                one_pass(&g, &e0, &mut column, None, 0.0, (radius, 1, false), &mut vec![false; n]);
                 let column = column.as_slice();
                 let stored = (0..n).map(|u| {
                     a.row(u).find(|&(c, _)| c as usize == v).map_or(0.0, |(_, w)| w)
@@ -933,16 +1051,18 @@ mod tests {
         fn every_thread_count_and_radius_is_the_reference_sweep(
             g in arb_far_graph(),
             dim in 0usize..6,
-            hosts in 0usize..4,
+            hosts in 0usize..5,
             alpha in 0.1f32..1.0,
             seed in 0u64..1000,
         ) {
             let (n, dim) = (g.num_nodes(), [0, 1, 63, 64, 65, 130][dim]);
             let mut rng = seeded(seed);
             let mut e0 = Signal::zeros(n, dim);
-            // hosts 0: every row; otherwise that many random rows.
+            // hosts 0: every row; 4: every other row, so half of them
+            // scatter; otherwise that many random rows.
             let rows: Vec<usize> = match hosts {
                 0 => (0..n).collect(),
+                4 => (0..n).step_by(2).collect(),
                 _ if n == 0 => Vec::new(),
                 hosts => (0..hosts).map(|_| rng.random_range(0..n)).collect(),
             };
@@ -963,6 +1083,60 @@ mod tests {
                     let out = sweep_to_fixed_point(&g, e0.clone(), |u| e0.row(u), live.clone(), &cfg, threads, radius);
                     let got = (bits(out.signal.as_slice()), out.iterations, out.residual.to_bits(), out.converged);
                     prop_assert_eq!(&got, &want, "radius {}, {} threads", radius, threads);
+                }
+            }
+        }
+
+        /// The first sweep's scatter from `E0`'s rows leaves the masked
+        /// pull's bits, residual and reached rows, on every thread count and
+        /// against the pull at any radius, for sources as
+        /// [`diffuse_rows`] folds them: repeated, summing to `+0.0`,
+        /// carrying `−0.0`, on an isolated node and on either side of a
+        /// chunk boundary.
+        #[test]
+        fn first_sweep_scatter_is_the_masked_pull(
+            g in arb_far_graph(),
+            dim in 0usize..6,
+            hosts in 1usize..8,
+            alpha in 0.1f32..1.0,
+            seed in 0u64..1000,
+        ) {
+            let (n, dim) = (g.num_nodes(), [0, 1, 63, 64, 65, 130][dim]);
+            let mut rng = seeded(seed);
+            let mut rows: Vec<usize> = match n {
+                0 => Vec::new(),
+                _ => (0..hosts).map(|_| rng.random_range(0..n)).collect(),
+            };
+            for chunk_rows in [n.div_ceil(2), n.div_ceil(3)] {
+                rows.extend([chunk_rows.wrapping_sub(1), chunk_rows].into_iter().filter(|&u| u < n));
+            }
+            rows.extend(g.node_ids().find(|&v| g.degree(v) == 0).map(NodeId::index));
+            let mut sources = Vec::new();
+            for u in rows {
+                let row: Vec<f32> = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+                let negated = row.iter().map(|x| -x).collect();
+                let node = NodeId::new(u32::try_from(u).unwrap());
+                match rng.random_range(0..4) {
+                    0 => sources.push((node, Embedding::new(row))),
+                    1 => sources.extend([(node, Embedding::new(row.clone())), (node, Embedding::new(row))]),
+                    2 => sources.extend([(node, Embedding::new(row)), (node, Embedding::new(negated))]),
+                    _ => sources.push((node, Embedding::new(vec![-0.0; dim]))),
+                }
+            }
+            let e0 = Signal::from_sparse_rows(n, dim, &sources).unwrap();
+            let mut live = vec![false; n];
+            for (node, _) in &sources {
+                live[node.index()] = true;
+            }
+            for radius in [0, 1, RADIUS, n] {
+                for threads in [1, 2, 3, 16] {
+                    let pass = |scatter| {
+                        let (mut iterate, mut reached) = (e0.clone(), live.clone());
+                        let how = (radius, threads, scatter);
+                        let delta = one_pass(&g, &e0, &mut iterate, Some(&live), alpha, how, &mut reached);
+                        (bits(iterate.as_slice()), delta.to_bits(), reached)
+                    };
+                    prop_assert_eq!(pass(true), pass(false), "radius {}, {} threads", radius, threads);
                 }
             }
         }

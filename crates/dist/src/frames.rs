@@ -24,15 +24,11 @@
 
 #![expect(
     clippy::expect_used,
-    reason = "try_into on the 4-byte halves of chunks_exact(8): each half is statically 4 bytes"
+    reason = "try_into on the 4-byte halves of chunks_exact(8): each half is statically 4 bytes; a Residual frame's entry count past u32::MAX is a caller bug encode documents"
 )]
 #![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
-)]
-#![expect(
-    clippy::cast_possible_truncation,
-    reason = "length prefix: a Residual frame carries one entry per cut edge from its sender's range into its receiver's (a node pushes at most once per round), far below u32::MAX on the partitions built here"
 )]
 
 use gdsearch_sim::WireMessage;
@@ -71,6 +67,11 @@ impl ShardFrame {
 
     /// Serializes the frame; the returned buffer's length is exactly
     /// [`WireMessage::wire_size`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Residual frame holds more than `u32::MAX` entries, the
+    /// most its `u32` length prefix can count.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_size());
@@ -82,7 +83,7 @@ impl ShardFrame {
             ShardFrame::Residual { epoch, entries } => {
                 buf.push(2);
                 buf.extend_from_slice(&epoch.to_be_bytes());
-                buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+                buf.extend_from_slice(&entry_count(entries.len()).to_be_bytes());
                 for (row, w) in entries {
                     buf.extend_from_slice(&row.to_be_bytes());
                     buf.extend_from_slice(&w.to_be_bytes());
@@ -131,6 +132,12 @@ impl ShardFrame {
     }
 }
 
+/// A Residual frame's length prefix: its entry count, which must fit the
+/// prefix's `u32`.
+fn entry_count(len: usize) -> u32 {
+    u32::try_from(len).expect("a Residual frame holds at most u32::MAX entries")
+}
+
 impl WireMessage for ShardFrame {
     /// Exact encoded size (asserted against [`ShardFrame::encode`] in
     /// tests) — the transport's byte statistics are meaningful only if
@@ -176,6 +183,29 @@ mod tests {
                 "wire_size drifted for {frame:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_residual_frame_keeps_its_bytes() {
+        let frame = ShardFrame::Residual {
+            epoch: 1 << 40,
+            entries: vec![(0, 0.125), (7, -0.0)],
+        };
+        let want = [
+            [2].as_slice(),               // tag
+            &[0, 0, 1, 0, 0, 0, 0, 0],    // epoch
+            &[0, 0, 0, 2],                // entry count
+            &[0, 0, 0, 0, 0x3e, 0, 0, 0], // (0, 0.125)
+            &[0, 0, 0, 7, 0x80, 0, 0, 0], // (7, -0.0)
+        ];
+        assert_eq!(frame.encode(), want.concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX entries")]
+    fn an_entry_count_past_the_prefix_panics() {
+        assert_eq!(entry_count(u32::MAX as usize), u32::MAX);
+        let _ = entry_count(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -121,6 +121,14 @@ fn loss_coin(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ 0x0072_6561_6374_6f72)
 }
 
+/// Where the fabric-model property injects its `tokens`, and with how many
+/// hops each: token `t` on node `t / 2 mod n` with `hops + t`, so nodes send
+/// two distinct packets in one tick and the order of their sends (and of
+/// their loss coins) shows.
+fn injections(n: usize, tokens: u32, hops: u32) -> impl Iterator<Item = (usize, u32)> {
+    (0..tokens).map(move |t| (t as usize / 2 % n, hops + t))
+}
+
 /// Naive per-tick model of the reactor's link fabric under [`Packet`]
 /// traffic on a connected graph: one FIFO per directed edge, no busy sets,
 /// and one loss coin drawn per routed send, in node order and then the
@@ -150,8 +158,8 @@ fn fabric_model(
         .node_ids()
         .map(|u| vec![VecDeque::new(); graph.degree(u)])
         .collect();
-    for t in 0..tokens {
-        inboxes[t as usize % n].push(hops);
+    for (node, hops) in injections(n, tokens, hops) {
+        inboxes[node].push(hops);
     }
     while inboxes.iter().any(|inbox| !inbox.is_empty())
         || links.iter().flatten().any(|queue| !queue.is_empty())
@@ -352,8 +360,8 @@ proptest! {
                 .with_churn(churn.clone());
             let handlers: Vec<Router> = (0..n).map(|_| Router::default()).collect();
             let mut net = Reactor::new(graph.clone(), handlers, cfg).unwrap();
-            for t in 0..tokens {
-                net.inject(NodeId::new(t % n), Packet(hops)).unwrap();
+            for (node, hops) in injections(n as usize, tokens, hops) {
+                net.inject(NodeId::new(node as u32), Packet(hops)).unwrap();
             }
             net.run_to_completion(1_000_000).unwrap();
             let stats = net.stats();
