@@ -381,10 +381,11 @@ pub fn build(
 ///
 /// # Errors
 ///
-/// Returns [`SearchError::Sim`] for unknown origins and
+/// Returns [`SearchError::Sim`] for unknown origins, and
 /// [`SearchError::Embed`] with `DimensionMismatch` for a query whose
-/// dimension differs from the network's embeddings, as [`walk::run`]
-/// does; neither injects a message.
+/// dimension differs from the network's embeddings and
+/// [`SearchError::InvalidParameter`] for one with a NaN or infinite
+/// component, as [`walk::run`] does; none injects a message.
 ///
 /// [`walk::run`]: crate::walk::run
 pub fn issue_query(
@@ -396,15 +397,7 @@ pub fn issue_query(
 ) -> Result<(), SearchError> {
     let handler = net.handler_mut(origin)?;
     // Every diffused row is one embedding wide.
-    let expected = handler.embeddings.row(origin.index()).len();
-    if embedding.dim() != expected {
-        return Err(SearchError::Embed(
-            gdsearch_embed::EmbedError::DimensionMismatch {
-                expected,
-                got: embedding.dim(),
-            },
-        ));
-    }
+    crate::walk::check_query(&embedding, handler.embeddings.row(origin.index()).len())?;
     let msg_id = handler.fresh_msg_id();
     net.inject(
         origin,
@@ -503,6 +496,31 @@ mod tests {
                 }
             ))
         ));
+        assert!(net.is_idle());
+        assert_eq!(net.run_to_completion(100).unwrap(), 0);
+        assert!(net.handler(origin).unwrap().completed().is_empty());
+    }
+
+    #[test]
+    fn a_non_finite_query_is_refused_before_injection() {
+        let mut r = rng(3);
+        let g = generators::ring(12).unwrap();
+        let c = corpus(4);
+        let words: Vec<_> = (0..2).map(gdsearch_embed::WordId::new).collect();
+        let p = Placement::uniform(&g, &words, &mut r).unwrap();
+        let scheme = SearchNetwork::build(&g, &c, &p, &SchemeConfig::default(), &mut r).unwrap();
+        let mut net = build(&scheme, TransportConfig::unbounded()).unwrap();
+        let origin = p.host(0);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut query = c.embeddings()[0].as_slice().to_vec();
+            query[4] = bad;
+            let refused = issue_query(&mut net, origin, 1, Embedding::new(query), 5);
+            assert!(
+                matches!(&refused, Err(SearchError::InvalidParameter { reason })
+                    if reason.starts_with("query component 4 is not finite")),
+                "{bad}: {refused:?}"
+            );
+        }
         assert!(net.is_idle());
         assert_eq!(net.run_to_completion(100).unwrap(), 0);
         assert!(net.handler(origin).unwrap().completed().is_empty());

@@ -382,7 +382,8 @@ mod tests {
     fn a_nan_document_fails_the_dense_build() {
         // ROADMAP measurement 1: one NaN component in one document on a
         // 300-node graph (below AUTO_PUSH_MIN_NODES, so the sweep) used to
-        // build `Ok` with every row NaN.
+        // build `Ok` with every row NaN. The fold of the source rows
+        // rejects it before the sweep runs, as it does for push.
         let g = generators::social_circles_like_scaled(300, &mut rng(20)).unwrap();
         let mut embeddings = corpus(21).embeddings().to_vec();
         let mut poisoned = embeddings[3].as_slice().to_vec();
@@ -395,7 +396,7 @@ mod tests {
         assert!(matches!(
             built,
             Err(SearchError::Diffusion(
-                gdsearch_diffusion::DiffusionError::NotConverged { iterations: 1, .. }
+                gdsearch_diffusion::DiffusionError::InvalidParameter { .. }
             ))
         ));
     }

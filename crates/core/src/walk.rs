@@ -191,8 +191,10 @@ impl NodeTable {
 ///
 /// # Errors
 ///
-/// Returns [`SearchError::Embed`] if the query dimension disagrees with
-/// the corpus and [`SearchError::Graph`] if `start` is out of range.
+/// Returns [`SearchError::Graph`] if `start` is out of range, then
+/// [`SearchError::Embed`] if the query dimension disagrees with the corpus
+/// and [`SearchError::InvalidParameter`] naming the first query component
+/// that is NaN or infinite.
 pub fn run<R: Rng + ?Sized>(
     network: &SearchNetwork<'_>,
     query: &Embedding,
@@ -220,6 +222,33 @@ pub fn run_scored<R: Rng + ?Sized>(
     run(network, query, start, rng)
 }
 
+/// Refuses a query the walk and the protocol cannot score: one whose
+/// width is not the network's `dim`, and one with a NaN or an infinite
+/// component, whose scores would be NaN, so that it could only walk its
+/// full TTL, as the serving engine refuses it with `NonFiniteQuery`.
+///
+/// # Errors
+///
+/// Returns [`SearchError::Embed`] with `DimensionMismatch` for the width
+/// and [`SearchError::InvalidParameter`] naming the first non-finite
+/// component.
+pub(crate) fn check_query(query: &Embedding, dim: usize) -> Result<(), SearchError> {
+    if query.dim() != dim {
+        return Err(SearchError::Embed(
+            gdsearch_embed::EmbedError::DimensionMismatch {
+                expected: dim,
+                got: query.dim(),
+            },
+        ));
+    }
+    if let Some((c, x)) = query.iter().enumerate().find(|(_, x)| !x.is_finite()) {
+        return Err(SearchError::invalid_parameter(format!(
+            "query component {c} is not finite ({x})"
+        )));
+    }
+    Ok(())
+}
+
 /// The walk itself: [`run`] reading and filling candidate scores in
 /// `scores`, which must belong to this `query` and this network's
 /// embeddings (the serving engine passes a cached column). The outcome is
@@ -236,14 +265,7 @@ pub fn run_with<R: Rng + ?Sized>(
     scores: &LazyColumn,
 ) -> Result<WalkOutcome, SearchError> {
     network.graph().check_node(start)?;
-    if query.dim() != network.dim() {
-        return Err(SearchError::Embed(
-            gdsearch_embed::EmbedError::DimensionMismatch {
-                expected: network.dim(),
-                got: query.dim(),
-            },
-        ));
-    }
+    check_query(query, network.dim())?;
     let config = network.config();
     let graph = network.graph();
 
@@ -502,6 +524,25 @@ mod tests {
         )
         .is_err());
         assert!(run(&net, &Embedding::zeros(3), NodeId::new(0), &mut rng(33)).is_err());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_query_by_component() {
+        let g = generators::ring(5).unwrap();
+        let c = corpus(29);
+        let p = Placement::uniform(&g, &[WordId::new(0)], &mut rng(30)).unwrap();
+        let net = network_on(&g, &c, &p, &SchemeConfig::default(), 31);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut query = c.embedding(WordId::new(1)).as_slice().to_vec();
+            query[7] = bad;
+            query[9] = bad;
+            let walked = run(&net, &Embedding::new(query), NodeId::new(0), &mut rng(33));
+            assert!(
+                matches!(&walked, Err(SearchError::InvalidParameter { reason })
+                    if reason.starts_with("query component 7 is not finite")),
+                "{bad}: {walked:?}"
+            );
+        }
     }
 
     #[test]

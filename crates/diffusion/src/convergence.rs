@@ -9,8 +9,6 @@
 //! [`PprConfig::tolerance`](crate::PprConfig::tolerance) for what the
 //! tolerance means).
 
-use crate::DiffusionError;
-
 /// Progress of an iterative diffusion toward its fixed point.
 ///
 /// `record` each residual observation (a power-iteration sweep, a
@@ -60,31 +58,6 @@ impl Convergence {
         self.converged = residual <= tolerance;
         self.converged
     }
-
-    /// The [`DiffusionError::NotConverged`] describing this state — for
-    /// engines that turn budget exhaustion into an error.
-    #[must_use]
-    pub fn error(&self) -> DiffusionError {
-        DiffusionError::NotConverged {
-            iterations: self.iters,
-            residual: self.residual,
-        }
-    }
-
-    /// Returns `Ok(self)` when converged, [`DiffusionError::NotConverged`]
-    /// otherwise — for engines whose callers require convergence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::NotConverged`] with the recorded iteration
-    /// count and residual when the tolerance was never met.
-    pub fn require(self) -> Result<Self, DiffusionError> {
-        if self.converged {
-            Ok(self)
-        } else {
-            Err(self.error())
-        }
-    }
 }
 
 /// The larger of `acc` and `x`, or NaN once either is: folded over the
@@ -114,7 +87,6 @@ mod tests {
         assert_eq!(conv.iters, 0);
         assert!(conv.residual.is_infinite());
         assert!(!conv.converged);
-        assert!(conv.require().is_err());
     }
 
     #[test]
@@ -125,7 +97,7 @@ mod tests {
         assert!(conv.record(0.05, 0.1));
         assert_eq!(conv.iters, 3);
         assert_eq!(conv.residual, 0.05);
-        assert!(conv.require().is_ok());
+        assert!(conv.converged);
     }
 
     #[test]
@@ -136,21 +108,5 @@ mod tests {
         assert!(conv.record(0.05, 0.1));
         assert!(!conv.record(0.2, 0.1));
         assert!(!conv.converged);
-    }
-
-    #[test]
-    fn error_carries_state() {
-        let mut conv = Convergence::new();
-        conv.record(0.7, 0.1);
-        match conv.error() {
-            DiffusionError::NotConverged {
-                iterations,
-                residual,
-            } => {
-                assert_eq!(iterations, 1);
-                assert_eq!(residual, 0.7);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 }

@@ -37,6 +37,10 @@
 //! push's row-sparse [`SparseRows`] or the sweep's dense [`Signal`]. It is
 //! the entry point the search scheme builds with.
 //!
+//! Every entry that takes `E0` as `(source, embedding)` pairs folds them in
+//! [`SparseRows::from_sources`], which also rejects a row with a NaN or an
+//! infinity, so every engine fails such a row with the same error.
+//!
 //! All engines interpret [`PprConfig::tolerance`] the same way — an
 //! additive L∞ accuracy target on the fixed point; the normative statement
 //! lives on [`PprConfig`]. Shared residual bookkeeping lives in

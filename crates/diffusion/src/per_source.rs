@@ -9,15 +9,15 @@
 //! engine computed: push's rows over their support or the sweep's dense
 //! signal. [`auto_diffuse`] is the same value as a dense [`Signal`].
 //!
-//! Neither branch materializes `E0`. Push reads the rows as given; the
-//! sweep keeps them row-sparse beside its one `N × dim` iterate, scatters
-//! its first sweep from them, and neither reads nor writes a row no live
-//! row has reached yet.
+//! Neither branch materializes `E0`. The rows are folded and checked once,
+//! into a [`SparseRows`]; push reads its stored rows, and the sweep keeps
+//! it beside its one `N × dim` iterate, scatters its first sweep from it,
+//! and neither reads nor writes a row no live row has reached yet.
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{Graph, NodeId};
 
-use crate::{power, push, Diffused, DiffusionError, PprConfig, Signal};
+use crate::{power, push, Diffused, DiffusionError, PprConfig, Signal, SparseRows};
 
 /// The sparse/dense crossover: whether `num_sources` non-zero
 /// personalization rows of width `dim` are few enough that one scalar push
@@ -34,9 +34,10 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 /// ([`push::diffuse_rows`], a [`Diffused::Sparse`]) when the sources are few
 /// ([`is_sparse`]) and the graph is large (`N ≥`
 /// [`push::AUTO_PUSH_MIN_NODES`]), the dense sweep
-/// ([`power::diffuse_threaded`], a [`Diffused::Dense`]) otherwise. Both run
-/// on the `available_parallelism` workers, and both return the bits of
-/// their one-worker run.
+/// ([`power::diffuse_rows`], a [`Diffused::Dense`]) otherwise. The sources
+/// are folded and checked once, by [`SparseRows::from_sources`], whichever
+/// engine runs. Both run on the `available_parallelism` workers, and both
+/// return the bits of their one-worker run.
 ///
 /// * **few vs. many sources** — a push column per source against one
 ///   sweep of all `dim` columns. The flop-count crossover sits at
@@ -62,9 +63,10 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///
 /// # Errors
 ///
-/// As [`push::diffuse_rows`] / [`power::diffuse_rows`]: a
-/// [`DiffusionError::ShapeMismatch`] for ragged embeddings or out-of-range
-/// sources, [`DiffusionError::NotConverged`] on budget exhaustion.
+/// As [`SparseRows::from_sources`]: a [`DiffusionError::ShapeMismatch`] for
+/// ragged embeddings or out-of-range sources, a
+/// [`DiffusionError::InvalidParameter`] for a non-finite source row; and
+/// [`DiffusionError::NotConverged`] on budget exhaustion.
 pub fn auto_diffuse_rows(
     graph: &Graph,
     dim: usize,
@@ -72,15 +74,14 @@ pub fn auto_diffuse_rows(
     config: &PprConfig,
 ) -> Result<Diffused, DiffusionError> {
     let n = graph.num_nodes();
+    let e0 = SparseRows::from_sources(n, dim, sources)?;
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if is_sparse(sources.len(), dim) && n >= push::AUTO_PUSH_MIN_NODES {
         let threads = threads.min(sources.len().max(1));
         let push_cfg = push::PushConfig::new(*config).with_threads(threads)?;
-        Ok(Diffused::Sparse(push::diffuse_rows(
-            graph, dim, sources, &push_cfg,
-        )?))
+        Ok(Diffused::Sparse(push::diffuse_rows(graph, &e0, &push_cfg)?))
     } else {
-        let swept = power::diffuse_rows(graph, dim, sources, config, threads)?;
+        let swept = power::diffuse_rows(graph, &e0, config, threads)?;
         Ok(Diffused::Dense(swept.into_converged()?))
     }
 }

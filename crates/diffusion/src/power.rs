@@ -10,12 +10,12 @@
 //! A sweep reads the graph's adjacency directly — no transition matrix is
 //! built — and computes each row of `E(t+1)` in one register-blocked pass:
 //! the weighted gather, then the blend with `E0` and the residual. Rows are
-//! independent, so [`diffuse_threaded`] splits them across workers in
+//! independent, so [`diffuse_rows`] splits them across workers in
 //! contiguous chunks, with bit-identical output.
 //!
-//! Only `E0`'s rows with a set bit are live at first, and the live set grows
-//! one hop per sweep (see [`diffuse_threaded`]). While some row is dead the
-//! first sweep scatters: each live row of `E0` adds its weighted row to its
+//! Only `E0`'s stored rows are live at first, and the live set grows one hop
+//! per sweep (see [`diffuse_rows`]). While some row is dead the first sweep
+//! scatters: each live row of `E0` adds its weighted row to its
 //! neighbours' sums, walking only the sources' adjacency. Later sweeps
 //! gather: a live row from every neighbour, reading a dead one as `+0.0`; a
 //! dead row from its live neighbours, and not at all if it has none.
@@ -36,20 +36,21 @@
 //! halo: about a sixth of the rows on social-circles ids, at most a second
 //! iterate on any graph.
 //!
-//! One sweep loop serves two entries: [`diffuse_threaded`] reads a dense
-//! `E0` and sweeps from a copy of it; [`diffuse_rows`] takes `E0` as its
-//! non-zero rows, keeps it row-sparse and sweeps from its dense copy, so it
-//! holds one `N × dim` buffer where the dense entry holds two.
+//! `E0` enters the sweep in one form, a [`SparseRows`], which the sweep
+//! keeps row-sparse beside its one `N × dim` iterate. [`diffuse_rows`] takes
+//! it as [`SparseRows::from_sources`] folds and checks the hosts' rows; the
+//! pinned dense entry [`diffuse`] copies a [`Signal`]'s rows with a set bit
+//! into it ([`SparseRows::from_signal`]) and sweeps on one thread.
 //!
-//! A non-finite residual (a NaN or an infinity in `E0`, or an overflow)
-//! ends the iteration at once, unconverged.
+//! `from_sources` rejects a non-finite source row, so only a dense `E0` or
+//! an overflow can reach the sweep with one. A non-finite residual ends the
+//! iteration at once, unconverged.
 
 #![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::{edge_weight, GATHER_BLOCK};
 use gdsearch_graph::{Graph, NodeId};
 
@@ -87,11 +88,14 @@ impl DiffusionResult {
     }
 }
 
-/// Diffuses `e0` over `graph` with the PPR filter, synchronously.
+/// Diffuses `e0` over `graph` with the PPR filter, synchronously, on one
+/// thread: [`diffuse_rows`] over `E0`'s rows with a set bit, copied bit for
+/// bit by [`SparseRows::from_signal`].
 ///
 /// Returns the result even when the iteration budget is exhausted
 /// (`converged = false`); callers that require convergence check the
-/// flag.
+/// flag. `e0` is not checked for non-finite values: a NaN or an infinity
+/// ends the sweep unconverged (see the module docs).
 ///
 /// # Errors
 ///
@@ -120,19 +124,20 @@ pub fn diffuse(
     e0: &Signal,
     config: &PprConfig,
 ) -> Result<DiffusionResult, DiffusionError> {
-    diffuse_threaded(graph, e0, config, 1)
+    diffuse_rows(graph, &SparseRows::from_signal(e0), config, 1)
 }
 
-/// Like [`diffuse`], but shards every row sweep across `threads` scoped
-/// workers from [`crate::workpool`].
+/// Diffuses `E0`, given by its rows, over `graph` with the PPR filter,
+/// every row sweep sharded across `threads` scoped workers from
+/// [`crate::workpool`]. [`SparseRows::from_sources`] folds and checks
+/// `(source, embedding)` pairs into this form.
 ///
 /// Each output row of the sweep `E(t) = (1−a) A E(t−1) + a E0` depends
 /// only on the previous iterate, so disjoint row ranges are computed
 /// concurrently, each worker over its own chunk of the iterate; the
 /// per-chunk residual maxima are folded in chunk order by a max that lets
 /// a NaN win, which is associative — the result is therefore bit-for-bit
-/// identical for every thread count, including `threads = 1` (which is
-/// exactly [`diffuse`]).
+/// identical for every thread count.
 ///
 /// No transition matrix is built. A row reads its neighbour ids straight
 /// from the graph's adjacency and entry `(u, v)`'s weight `1/deg v` from a
@@ -146,25 +151,26 @@ pub fn diffuse(
 /// A row is *dead* while all its bits are `+0.0`; row `u` of `E(t+1)` is
 /// dead if row `u` of `E0` is and every neighbour's row of `E(t)` is (`a`
 /// and `1−a` are non-negative, so the blend of `+0.0`s is `+0.0`). The live
-/// set therefore grows one hop per sweep from the rows of `E0` that hold a
-/// set bit. While some row is dead, the first sweep scatters from those
-/// rows of `E0`; later sweeps read a dead row as `+0.0` where a live row
-/// gathers it and skip it where a dead row does; a row that stays dead is
-/// neither read nor written. None of it changes a bit (argued at the row
-/// kernels). The mask is structural — a live row may still hold zeros —
-/// and identical for every thread count.
+/// set therefore grows one hop per sweep from `E0`'s stored rows, found
+/// without a scan of all `N`: a stored row of zeros only adds `+0.0`
+/// terms, which change no bit. While some row is dead, the first sweep
+/// scatters from the stored rows; later sweeps read a dead row as `+0.0`
+/// where a live row gathers it and skip it where a dead row does; a row
+/// that stays dead is neither read nor written. None of it changes a bit
+/// (argued at the row kernels). The mask is structural — a live row may
+/// still hold zeros — and identical for every thread count.
 ///
-/// The sweep holds `e0` and one copy of it, the iterate it updates in
-/// place: two `N × dim` buffers, one of them the caller's, beside the
-/// rings and the halo (see the module docs). [`diffuse_rows`] takes `E0`
-/// row-sparse and holds one.
+/// `E0` stays row-sparse: the sweep holds one `N × dim` buffer, the
+/// iterate it updates in place, beside the rings and the halo (see the
+/// module docs).
 ///
 /// # Errors
 ///
-/// As [`diffuse`].
-pub fn diffuse_threaded(
+/// Returns [`DiffusionError::ShapeMismatch`] if `e0` has a different node
+/// count than `graph`.
+pub fn diffuse_rows(
     graph: &Graph,
-    e0: &Signal,
+    e0: &SparseRows,
     config: &PprConfig,
     threads: usize,
 ) -> Result<DiffusionResult, DiffusionError> {
@@ -175,102 +181,37 @@ pub fn diffuse_threaded(
             got: (e0.num_nodes(), e0.dim()),
         });
     }
-    let live = (0..n)
-        .map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0))
-        .collect();
-    Ok(sweep_to_fixed_point(
-        graph,
-        e0.clone(),
-        |u| e0.row(u),
-        live,
-        config,
-        threads,
-        RADIUS,
-    ))
-}
-
-/// [`diffuse_threaded`] with `E0` given by its non-zero rows: `(source,
-/// embedding)` pairs, as [`per_source::auto_diffuse_rows`] takes them.
-///
-/// The sources are folded into a [`SparseRows`] the way
-/// [`Signal::from_sparse_rows`] folds them — each row summed with `+=` from
-/// `+0.0` in source order, so repeated sources accumulate and a `−0.0`
-/// entry reads `+0.0` — and the first iterate is its dense copy. `E0` is
-/// never materialized or cloned: the sweep holds one `N × dim` buffer, and
-/// the bits are those of [`diffuse_threaded`] on
-/// `Signal::from_sparse_rows(N, dim, sources)`. The sources are the live
-/// rows of `E0`, found without a scan of all `N`: a source row that sums
-/// to zeros only adds `+0.0` terms, which change no bit.
-///
-/// [`per_source::auto_diffuse_rows`]: crate::per_source::auto_diffuse_rows
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::ShapeMismatch`] for an embedding of the wrong
-/// width or a source outside the graph — the error
-/// [`Signal::from_sparse_rows`] returns for the first such source.
-pub fn diffuse_rows(
-    graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-    config: &PprConfig,
-    threads: usize,
-) -> Result<DiffusionResult, DiffusionError> {
-    let n = graph.num_nodes();
-    if let Some((node, emb)) = sources
-        .iter()
-        .find(|(node, emb)| node.index() >= n || emb.dim() != dim)
-    {
-        return Err(DiffusionError::ShapeMismatch {
-            expected: (n, dim),
-            got: (node.index(), emb.dim()),
-        });
-    }
-    let mut e0 = SparseRows::with_support(n, dim, sources.iter().map(|(node, _)| node.as_u32()));
-    let mut live = vec![false; n];
-    for (node, emb) in sources {
-        live[node.index()] = true;
-        let row = e0.stored_row_mut(node.index()).into_iter().flatten();
-        for (r, e) in row.zip(emb.as_slice()) {
-            *r += e;
-        }
-    }
-    Ok(sweep_to_fixed_point(
-        graph,
-        e0.to_signal(),
-        |u| e0.row(u),
-        live,
-        config,
-        threads,
-        RADIUS,
-    ))
+    Ok(sweep_to_fixed_point(graph, e0, config, threads, RADIUS))
 }
 
 /// How far, in ids, a row's neighbours lie in its worker's ring: the ring
 /// holds `2 · RADIUS + 1` rows, rounded up to a power of two.
 const RADIUS: usize = 127;
 
-/// The one sweep loop: iterates from `current`, which holds `E0`'s bits,
-/// reading row `u` of `E0` as `origin(u)`, until the residual meets the
-/// tolerance, is not finite, or the budget runs out. `live` marks every row
-/// of `E0` that holds a set bit (and may mark more), so the loop touches no
-/// page of the iterate before a sweep writes it.
+/// The one sweep loop: iterates from `E0` until the residual meets the
+/// tolerance, is not finite, or the budget runs out. `E0`'s stored rows
+/// start the live set, so the loop touches no page of the iterate before a
+/// sweep writes it.
 ///
-/// `current` is the only `N × dim` iterate, which [`Sweep::pass`] updates
-/// in place. Before each pulling pass the halo takes its rows of `E(t)`; a
-/// row reads a neighbour within `radius` ids from its worker's ring and any
-/// other from the halo, so every read still sees `E(t)`, and the bits are
-/// those of a sweep into a second iterate.
-fn sweep_to_fixed_point<'o>(
+/// The iterate, `E0`'s dense copy at first, is the only `N × dim` buffer,
+/// which [`Sweep::pass`] updates in place. Before each pulling pass the
+/// halo takes its rows of `E(t)`; a row reads a neighbour within `radius`
+/// ids from its worker's ring and any other from the halo, so every read
+/// still sees `E(t)`, and the bits are those of a sweep into a second
+/// iterate.
+fn sweep_to_fixed_point(
     graph: &Graph,
-    mut current: Signal,
-    origin: impl Fn(usize) -> &'o [f32] + Sync,
-    mut live: Vec<bool>,
+    e0: &SparseRows,
     config: &PprConfig,
     threads: usize,
     radius: usize,
 ) -> DiffusionResult {
-    let (n, dim) = (current.num_nodes(), current.dim());
+    let (n, dim) = (e0.num_nodes(), e0.dim());
+    let mut live = vec![false; n];
+    for u in e0.support() {
+        live[u as usize] = true;
+    }
+    let mut current = e0.to_signal();
     let threads = threads.max(1).min(n.max(1));
     let chunk_rows = n.div_ceil(threads).max(1);
     let mut halo = halo(graph, dim, radius, chunk_rows);
@@ -285,8 +226,8 @@ fn sweep_to_fixed_point<'o>(
     while conv.iters < config.max_iterations() {
         let masked = live.contains(&false);
         let live_rows = masked.then_some(live.as_slice());
-        // E(0) is E0, whose rows `origin` reads: a first sweep with a dead
-        // row scatters from them and reads no halo.
+        // E(0) is E0: a first sweep with a dead row scatters from its
+        // stored rows and reads no halo.
         let scatter = masked && conv.iters == 0;
         if !scatter {
             snapshot(&mut halo, current.as_slice(), live_rows);
@@ -296,7 +237,7 @@ fn sweep_to_fixed_point<'o>(
             graph,
             weights: &weights,
             halo: &halo,
-            origin: &origin,
+            e0,
             zeros: &zeros,
             dim,
             alpha: config.alpha(),
@@ -383,17 +324,17 @@ fn fold_residual(lanes: &mut [f32; LANES], next: &[f32], cur: &[f32]) {
 
 /// One sweep `E(t+1) = (1−a)·A·E(t) + a·E0`, read-only and shared by the
 /// workers that each update a chunk of the iterate in place.
-struct Sweep<'a, O> {
+struct Sweep<'a> {
     /// Whether `E(t)` is `E0` with a dead row: the sweep scatters from the
-    /// live rows of `E0`, read through `origin`, and reads no ring or halo.
+    /// live rows of `E0` and reads no ring or halo.
     scatter: bool,
     graph: &'a Graph,
     /// Entry `(u, v)` of `A` is `weights[v]`.
     weights: &'a [f32],
     /// `E(t)` at the rows a worker reads from outside its ring or its chunk.
     halo: &'a SparseRows,
-    /// Row `u` of `E0`.
-    origin: O,
+    /// `E0`, row-sparse.
+    e0: &'a SparseRows,
     /// A row of `dim` zeros: `E(t)`'s row of a dead node.
     zeros: &'a [f32],
     dim: usize,
@@ -406,7 +347,7 @@ struct Sweep<'a, O> {
     chunk_rows: usize,
 }
 
-impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
+impl Sweep<'_> {
     /// Sweeps every row of `current` in place — `E(t)` in, `E(t+1)` out —
     /// one chunk of `chunk_rows` rows per worker, sets `reached[u]` when row
     /// `u` gathers from a live row, and returns the max residual
@@ -448,7 +389,7 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
             let neighbors = self.graph.neighbor_slice(node);
             let low = neighbors.partition_point(|u| u.index() < first);
             let high = low + neighbors[low..].partition_point(|u| u.index() < end);
-            let (w, src) = (self.weights[v], (self.origin)(v));
+            let (w, src) = (self.weights[v], self.e0.row(v));
             for i in neighbors[low..high].iter().map(|u| u.index() - first) {
                 let sums = &mut rows[i * dim..][..dim];
                 if !reached[i] {
@@ -462,7 +403,7 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
         }
         let mut lanes = [0.0f32; LANES];
         for u in (first..end).filter(|&u| reached[u - first]) {
-            let (row, origin) = (&mut rows[(u - first) * dim..][..dim], (self.origin)(u));
+            let (row, origin) = (&mut rows[(u - first) * dim..][..dim], self.e0.row(u));
             for (cell, &origin) in row.iter_mut().zip(origin) {
                 *cell = (1.0 - alpha) * *cell + alpha * origin;
             }
@@ -576,7 +517,7 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
             near = low + neighbors[low..].partition_point(|v| v.index() <= u + self.radius);
         }
         let parts = [&neighbors[..low], &neighbors[low..near], &neighbors[near..]];
-        let (origin, alpha) = ((self.origin)(u), self.alpha);
+        let (origin, alpha) = (self.e0.row(u), self.alpha);
         let mut emit = |start: usize, sums: &mut [f32]| {
             for (sum, &origin) in sums.iter_mut().zip(&origin[start..]) {
                 *sum = (1.0 - alpha) * *sum + alpha * origin;
@@ -644,6 +585,7 @@ impl<'o, O: Fn(usize) -> &'o [f32] + Sync> Sweep<'_, O> {
 mod tests {
     use super::*;
     use crate::reference::reference_sweep;
+    use gdsearch_embed::Embedding;
     use gdsearch_graph::generators;
     use rand::Rng;
 
@@ -766,8 +708,9 @@ mod tests {
         }
         let cfg = PprConfig::new(0.4).unwrap().with_tolerance(1e-7).unwrap();
         let reference = diffuse(&g, &e0, &cfg).unwrap();
+        let rows = SparseRows::from_signal(&e0);
         for threads in [2, 3, 4, 16] {
-            let out = diffuse_threaded(&g, &e0, &cfg, threads).unwrap();
+            let out = diffuse_rows(&g, &rows, &cfg, threads).unwrap();
             assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
             assert_eq!(out.iterations, reference.iterations);
             assert_eq!(out.residual, reference.residual);
@@ -778,7 +721,8 @@ mod tests {
     #[test]
     fn threaded_handles_more_threads_than_rows() {
         let g = generators::ring(3).unwrap();
-        let out = diffuse_threaded(&g, &one_hot_signal(3, 0), &PprConfig::default(), 64).unwrap();
+        let e0 = SparseRows::from_signal(&one_hot_signal(3, 0));
+        let out = diffuse_rows(&g, &e0, &PprConfig::default(), 64).unwrap();
         let reference = diffuse(&g, &one_hot_signal(3, 0), &PprConfig::default()).unwrap();
         assert_eq!(out.signal.as_slice(), reference.signal.as_slice());
     }
@@ -829,7 +773,7 @@ mod tests {
     /// residual.
     fn one_pass(
         g: &Graph,
-        e0: &Signal,
+        e0: &SparseRows,
         iterate: &mut Signal,
         live: Option<&[bool]>,
         alpha: f32,
@@ -846,7 +790,7 @@ mod tests {
             graph: g,
             weights: &weights,
             halo: &halo,
-            origin: |u| e0.row(u),
+            e0,
             zeros: &zeros,
             dim,
             alpha,
@@ -896,8 +840,8 @@ mod tests {
                     let how = (radius, threads, scatter);
                     let mut full = from.clone();
                     let unmasked = (radius, threads, false);
-                    let full_delta =
-                        one_pass(&g, &e0, &mut full, None, 0.3, unmasked, &mut vec![true; n]);
+                    let (rows, mut all) = (SparseRows::from_signal(&e0), vec![true; n]);
+                    let full_delta = one_pass(&g, &rows, &mut full, None, 0.3, unmasked, &mut all);
                     // Dead rows that gather are poisoned, which a gather or
                     // a residual that read them would return; the others
                     // hold a NaN sentinel that a write would overwrite.
@@ -912,7 +856,7 @@ mod tests {
                     let mut reached = live.clone();
                     reached[n - 1] |= !scatter;
                     let masked_delta =
-                        one_pass(&g, &e0, &mut masked, Some(&live), 0.3, how, &mut reached);
+                        one_pass(&g, &rows, &mut masked, Some(&live), 0.3, how, &mut reached);
                     for (u, &gathers) in gathers.iter().enumerate() {
                         let (masked, full) = (masked.row(u), full.row(u));
                         if gathers {
@@ -933,34 +877,28 @@ mod tests {
 
     #[test]
     fn a_nan_in_e0_ends_the_sweep_unconverged_at_once() {
-        // ROADMAP measurement 1: one NaN component of one source row on a
-        // 300-node graph. The first sweep's residual is NaN, so the sweep
-        // stops there instead of reading as converged.
+        // ROADMAP measurement 1: one NaN component of one row of a dense E0
+        // on a 300-node graph, which reaches the sweep (a source row with
+        // one is rejected at `SparseRows::from_sources`). The first sweep's
+        // residual is NaN, so the sweep stops there instead of reading as
+        // converged; an infinity makes the residual non-finite too.
         let g = generators::social_circles_like_scaled(300, &mut seeded(5)).unwrap();
-        let mut rng = seeded(6);
-        let mut sources: Vec<(NodeId, Embedding)> = (0..20)
-            .map(|_| {
-                let row = (0..8).map(|_| rng.random::<f32>() - 0.5).collect();
-                (NodeId::new(rng.random_range(0..300)), Embedding::new(row))
-            })
-            .collect();
-        sources[7].1 = Embedding::new(vec![f32::NAN; 8]);
         let cfg = PprConfig::new(0.5).unwrap();
-        for threads in [1, 2] {
-            let out = diffuse_rows(&g, 8, &sources, &cfg, threads).unwrap();
-            assert!(!out.converged);
-            assert_eq!(out.iterations, 1);
-            assert!(out.residual.is_nan());
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut e0 = one_hot_signal(300, 4);
+            e0.row_mut(7)[0] = 0.25;
+            e0.row_mut(4)[0] = bad;
+            let out = diffuse(&g, &e0, &cfg).unwrap();
+            assert_eq!((out.converged, out.iterations), (false, 1), "{bad}");
+            assert!(out.residual.is_nan(), "{bad}");
             assert!(matches!(
                 out.into_converged(),
                 Err(DiffusionError::NotConverged { iterations: 1, .. })
             ));
+            let rows = SparseRows::from_signal(&e0);
+            let out = diffuse_rows(&g, &rows, &cfg, 2).unwrap();
+            assert_eq!((out.converged, out.iterations), (false, 1), "{bad}");
         }
-        // An infinity makes the residual non-finite too: the same stop.
-        let mut e0 = one_hot_signal(300, 4);
-        e0.row_mut(4)[0] = f32::INFINITY;
-        let out = diffuse(&g, &e0, &cfg).unwrap();
-        assert_eq!((out.converged, out.iterations), (false, 1));
     }
 
     use proptest::prelude::*;
@@ -991,7 +929,7 @@ mod tests {
             use gdsearch_graph::sparse::{transition_matrix, Normalization};
             let n = g.num_nodes();
             let a = transition_matrix(&g, Normalization::ColumnStochastic);
-            let e0 = Signal::zeros(n, 1);
+            let e0 = SparseRows::zeros(n, 1);
             for (v, radius) in (0..n).flat_map(|v| [(v, 0), (v, RADIUS)]) {
                 let mut column = Signal::zeros(n, 1);
                 column.row_mut(v)[0] = 1.0;
@@ -1077,10 +1015,10 @@ mod tests {
                 .unwrap();
             let (signal, iterations, residual, converged) = reference_sweep(&g, &e0, &cfg);
             let want = (bits(&signal), iterations, residual.to_bits(), converged);
-            let live: Vec<bool> = (0..n).map(|u| e0.row(u).iter().any(|x| x.to_bits() != 0)).collect();
+            let rows = SparseRows::from_signal(&e0);
             for radius in [0, 1, 2, RADIUS, n] {
                 for threads in [1, 2, 3, 16] {
-                    let out = sweep_to_fixed_point(&g, e0.clone(), |u| e0.row(u), live.clone(), &cfg, threads, radius);
+                    let out = sweep_to_fixed_point(&g, &rows, &cfg, threads, radius);
                     let got = (bits(out.signal.as_slice()), out.iterations, out.residual.to_bits(), out.converged);
                     prop_assert_eq!(&got, &want, "radius {}, {} threads", radius, threads);
                 }
@@ -1090,7 +1028,7 @@ mod tests {
         /// The first sweep's scatter from `E0`'s rows leaves the masked
         /// pull's bits, residual and reached rows, on every thread count and
         /// against the pull at any radius, for sources as
-        /// [`diffuse_rows`] folds them: repeated, summing to `+0.0`,
+        /// [`SparseRows::from_sources`] folds them: repeated, summing to `+0.0`,
         /// carrying `−0.0`, on an isolated node and on either side of a
         /// chunk boundary.
         #[test]
@@ -1123,15 +1061,15 @@ mod tests {
                     _ => sources.push((node, Embedding::new(vec![-0.0; dim]))),
                 }
             }
-            let e0 = Signal::from_sparse_rows(n, dim, &sources).unwrap();
+            let e0 = SparseRows::from_sources(n, dim, &sources).unwrap();
             let mut live = vec![false; n];
-            for (node, _) in &sources {
-                live[node.index()] = true;
+            for u in e0.support() {
+                live[u as usize] = true;
             }
             for radius in [0, 1, RADIUS, n] {
                 for threads in [1, 2, 3, 16] {
                     let pass = |scatter| {
-                        let (mut iterate, mut reached) = (e0.clone(), live.clone());
+                        let (mut iterate, mut reached) = (e0.to_signal(), live.clone());
                         let how = (radius, threads, scatter);
                         let delta = one_pass(&g, &e0, &mut iterate, Some(&live), alpha, how, &mut reached);
                         (bits(iterate.as_slice()), delta.to_bits(), reached)

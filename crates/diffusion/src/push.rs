@@ -56,7 +56,7 @@
 //!
 //! # Batched multi-source driver
 //!
-//! [`diffuse_rows`] computes one push column per *distinct* source node
+//! [`diffuse_rows`] computes one push column per stored row of `E0`
 //! on a [`crate::workpool`] of scoped threads and rank-1-accumulates the
 //! columns into [`SparseRows`]: one row per node of the columns' joint
 //! support, so the output costs `O(support · dim)` floats, not `N · dim`.
@@ -76,7 +76,7 @@
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::edge_weight;
@@ -440,10 +440,11 @@ pub fn ppr_vector_detailed(
     Ok(stats)
 }
 
-/// Diffuses a sparse personalization — `(source node, embedding)` pairs —
-/// with one push column per distinct source node, sharded across
-/// `config.threads()` scoped workers, into rows over the columns' joint
-/// support (see the module docs).
+/// Diffuses a sparse personalization `e0` with one push column per stored
+/// row, sharded across `config.threads()` scoped workers, into rows over
+/// the columns' joint support (see the module docs).
+/// [`SparseRows::from_sources`] folds and checks `(source, embedding)`
+/// pairs into `e0`.
 ///
 /// Equivalent (to tolerance) to the dense engines; bit-for-bit identical
 /// output for every thread count, and row for row the bits of
@@ -451,22 +452,25 @@ pub fn ppr_vector_detailed(
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::ShapeMismatch`] for ragged embeddings or
-/// out-of-range sources, [`DiffusionError::InvalidParameter`] for a source
-/// row with a non-finite component, [`DiffusionError::NotConverged`] on
-/// push-budget exhaustion.
+/// Returns [`DiffusionError::ShapeMismatch`] if `e0` has a different node
+/// count than `graph`, [`DiffusionError::NotConverged`] on push-budget
+/// exhaustion.
 pub fn diffuse_rows(
     graph: &Graph,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
+    e0: &SparseRows,
     config: &PushConfig,
 ) -> Result<SparseRows, DiffusionError> {
-    let n = graph.num_nodes();
-    let grouped = group_sources(n, dim, sources)?;
-    if grouped.is_empty() || dim == 0 {
+    let (n, dim) = (graph.num_nodes(), e0.dim());
+    if e0.num_nodes() != n {
+        return Err(DiffusionError::ShapeMismatch {
+            expected: (n, dim),
+            got: (e0.num_nodes(), dim),
+        });
+    }
+    let nodes: Vec<u32> = e0.support().collect();
+    if nodes.is_empty() || dim == 0 {
         return Ok(SparseRows::zeros(n, dim));
     }
-    let nodes: Vec<u32> = grouped.keys().copied().collect();
     // One scratch per worker, reused across the sources it handles (worker
     // w takes sources w, w+T, …). Columns leave the worker compressed to
     // their nonzero support, so peak memory tracks the diffusion's actual
@@ -488,8 +492,8 @@ pub fn diffuse_rows(
     let mut out = SparseRows::with_support(n, dim, support);
     // Sequential, ascending source order: deterministic for every worker
     // count. Every node of a column has a stored row.
-    for (source, column) in nodes.iter().zip(&columns) {
-        let emb = &grouped[source];
+    for (&source, column) in nodes.iter().zip(&columns) {
+        let emb = e0.row(ix(source));
         for &(u, weight) in column {
             let row = out.stored_row_mut(ix(u)).into_iter().flatten();
             for (r, e) in row.zip(emb) {
@@ -500,61 +504,21 @@ pub fn diffuse_rows(
     Ok(out)
 }
 
-/// Groups repeated source nodes — diffusion is linear, so their
-/// personalizations sum, in input order — into one row per distinct node.
-/// The `BTreeMap` yields the nodes in ascending order, which keeps every
-/// engine's column and accumulation order deterministic.
+/// [`diffuse_rows`] of the `(source, embedding)` pairs as
+/// [`SparseRows::from_sources`] folds them, as a dense `N × dim` signal:
+/// its rows scattered into zeros.
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::ShapeMismatch`] for an embedding whose
-/// dimension is not `dim` or a node outside `0..n`, and
-/// [`DiffusionError::InvalidParameter`] naming the node and the component
-/// for a row with a NaN or infinite component, which push would spread
-/// without its residual bound ever seeing it.
-pub(crate) fn group_sources(
-    n: usize,
-    dim: usize,
-    sources: &[(NodeId, Embedding)],
-) -> Result<BTreeMap<u32, Vec<f32>>, DiffusionError> {
-    let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
-    for (node, emb) in sources {
-        if emb.dim() != dim || node.index() >= n {
-            return Err(DiffusionError::ShapeMismatch {
-                expected: (n, dim),
-                got: (node.index(), emb.dim()),
-            });
-        }
-        if let Some((c, x)) = emb.iter().enumerate().find(|(_, x)| !x.is_finite()) {
-            return Err(DiffusionError::invalid_parameter(format!(
-                "source row of node {node} has a non-finite component {c} ({x})"
-            )));
-        }
-        grouped
-            .entry(node.as_u32())
-            .and_modify(|acc| {
-                for (a, e) in acc.iter_mut().zip(emb.as_slice()) {
-                    *a += e;
-                }
-            })
-            .or_insert_with(|| emb.as_slice().to_vec());
-    }
-    Ok(grouped)
-}
-
-/// [`diffuse_rows`] as a dense `N × dim` signal: its rows scattered into
-/// zeros.
-///
-/// # Errors
-///
-/// As [`diffuse_rows`].
+/// As [`SparseRows::from_sources`] and [`diffuse_rows`].
 pub fn diffuse_sparse(
     graph: &Graph,
     dim: usize,
     sources: &[(NodeId, Embedding)],
     config: &PushConfig,
 ) -> Result<Signal, DiffusionError> {
-    Ok(diffuse_rows(graph, dim, sources, config)?.to_signal())
+    let e0 = SparseRows::from_sources(graph.num_nodes(), dim, sources)?;
+    Ok(diffuse_rows(graph, &e0, config)?.to_signal())
 }
 
 #[cfg(test)]
@@ -720,29 +684,28 @@ mod tests {
 
     #[test]
     fn non_finite_source_rows_are_rejected_by_node_and_component() {
-        // Both pushes group their sources here; a NaN used to spread
-        // through every reached row while the residual bound stayed finite.
+        // Every entry folds its sources in `SparseRows::from_sources`; a NaN
+        // used to spread through every reached row while push's residual
+        // bound stayed finite.
         let g = generators::ring(5).unwrap();
         for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
             let sources = [
                 (NodeId::new(1), Embedding::new(vec![1.0, 2.0, 3.0])),
                 (NodeId::new(3), Embedding::new(vec![0.5, bad, 1.0])),
             ];
-            let err = group_sources(5, 3, &sources).unwrap_err();
+            let err = SparseRows::from_sources(5, 3, &sources).unwrap_err();
             assert!(
                 matches!(&err, DiffusionError::InvalidParameter { reason }
                     if reason.contains("n3") && reason.contains("component 1")),
                 "{bad}: {err}"
             );
             let cfg = PushConfig::new(PprConfig::default());
-            assert!(matches!(
-                diffuse_rows(&g, 3, &sources, &cfg),
-                Err(DiffusionError::InvalidParameter { .. })
-            ));
+            let pushed = diffuse_sparse(&g, 3, &sources, &cfg).unwrap_err();
+            assert_eq!(format!("{pushed:?}"), format!("{err:?}"));
         }
         let huge = [(NodeId::new(0), Embedding::new(vec![f32::MAX, -f32::MAX]))];
         assert!(
-            group_sources(5, 2, &huge).is_ok(),
+            SparseRows::from_sources(5, 2, &huge).is_ok(),
             "finite extremes are kept"
         );
     }
@@ -1048,7 +1011,8 @@ mod tests {
                 })
                 .collect();
             let want = reference_dense_accumulation(&g, dim, &sources, &cfg);
-            let rows = diffuse_rows(&g, dim, &sources, &cfg).unwrap();
+            let e0 = SparseRows::from_sources(n, dim, &sources).unwrap();
+            let rows = diffuse_rows(&g, &e0, &cfg).unwrap();
             for u in 0..n {
                 prop_assert_eq!(float_bits(rows.row(u)), float_bits(want.row(u)), "row {}", u);
             }
@@ -1070,6 +1034,7 @@ mod tests {
         sources: &[(NodeId, Embedding)],
         config: &PushConfig,
     ) -> Signal {
+        use std::collections::BTreeMap;
         let mut grouped: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
         for (node, emb) in sources {
             let acc = grouped

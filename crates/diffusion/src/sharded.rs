@@ -79,7 +79,7 @@ use gdsearch_graph::{Graph, GraphShard, NodeId, ShardedGraph};
 use crate::convergence::Convergence;
 use crate::degrees;
 use crate::exchange::{InProcessExchange, ShardExchange};
-use crate::{push, workpool, DiffusionError, PprConfig, Signal};
+use crate::{workpool, DiffusionError, PprConfig, Signal, SparseRows};
 
 pub use crate::exchange::Outbox;
 
@@ -401,9 +401,9 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
     exchange: &mut E,
 ) -> Result<Signal, DiffusionError> {
     let n = sharded.num_nodes();
+    let e0 = SparseRows::from_sources(n, dim, sources)?;
     let mut out = Signal::zeros(n, dim);
-    let grouped = push::group_sources(n, dim, sources)?;
-    if grouped.is_empty() || dim == 0 {
+    if e0.support().next().is_none() || dim == 0 {
         return Ok(out);
     }
     let max_degree = sharded
@@ -413,11 +413,12 @@ pub fn diffuse_sparse_with_exchange<E: ShardExchange>(
         .max()
         .unwrap_or(0);
     let (mut residuals, mut estimates, mut outboxes) = push_state(sharded);
-    for (source, emb) in &grouped {
+    for source in e0.support() {
+        let emb = e0.row(source as usize);
         push_column_partitioned(
             sharded,
             max_degree,
-            *source,
+            source,
             config,
             &mut residuals,
             &mut estimates,

@@ -49,35 +49,22 @@ impl Signal {
     }
 
     /// Builds a mostly-zero signal of shape `num_nodes × dim` with the given
-    /// `(node, embedding)` rows set. Entries naming the same node
-    /// *accumulate* (sum), consistent with the linearity of diffusion —
-    /// `per_source` engines treat repeated sources the same way.
+    /// `(node, embedding)` rows set: [`SparseRows::from_sources`] scattered
+    /// into zeros, so entries naming the same node *accumulate* (sum),
+    /// consistent with the linearity of diffusion.
     ///
     /// This matches the experiments' sparse personalization: only nodes that
     /// host documents have non-zero rows.
     ///
     /// # Errors
     ///
-    /// Returns [`DiffusionError::ShapeMismatch`] for wrong-dimension rows or
-    /// out-of-range nodes.
+    /// As [`SparseRows::from_sources`].
     pub fn from_sparse_rows(
         num_nodes: usize,
         dim: usize,
         rows: &[(NodeId, Embedding)],
     ) -> Result<Self, DiffusionError> {
-        let mut signal = Signal::zeros(num_nodes, dim);
-        for (node, emb) in rows {
-            if node.index() >= num_nodes || emb.dim() != dim {
-                return Err(DiffusionError::ShapeMismatch {
-                    expected: (num_nodes, dim),
-                    got: (node.index(), emb.dim()),
-                });
-            }
-            for (r, e) in signal.row_mut(node.index()).iter_mut().zip(emb.as_slice()) {
-                *r += e;
-            }
-        }
-        Ok(signal)
+        Ok(SparseRows::from_sources(num_nodes, dim, rows)?.to_signal())
     }
 
     /// Number of nodes (rows).
@@ -188,10 +175,12 @@ pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
 /// diffusion reached, ascending by node id, each `dim` wide. Every other
 /// node's row reads as zeros.
 ///
-/// Forward push ([`crate::push::diffuse_rows`]) returns this, so its output
-/// costs `O(support · dim)` floats instead of `N · dim`, plus a bitmap of
-/// the support with a rank per 64 nodes (`N / 64` words each), which finds
-/// a row in constant time: a walk reads a row per candidate it scores.
+/// `E0` enters every diffusion engine in this form
+/// ([`SparseRows::from_sources`]), and forward push
+/// ([`crate::push::diffuse_rows`]) returns it, so its output costs
+/// `O(support · dim)` floats instead of `N · dim`, plus a bitmap of the
+/// support with a rank per 64 nodes (`N / 64` words each), which finds a
+/// row in constant time: a walk reads a row per candidate it scores.
 ///
 /// # Example
 ///
@@ -260,6 +249,77 @@ impl SparseRows {
             data: vec![0.0; rows as usize * dim],
             zeros: vec![0.0; dim],
         }
+    }
+
+    /// `E0` as every diffusion entry takes it: the `(source, embedding)`
+    /// pairs of the hosting nodes, one stored row per distinct source. The
+    /// sources are checked in input order, then folded: each stored row sums
+    /// its node's embeddings with `+=` from `+0.0` in input order, since
+    /// diffusion is linear — so a repeated source accumulates and a `−0.0`
+    /// entry reads `+0.0`. A source whose rows sum to zeros keeps its stored
+    /// row.
+    ///
+    /// # Errors
+    ///
+    /// For the first faulty source: [`DiffusionError::ShapeMismatch`] for a
+    /// node outside `0..num_nodes` or an embedding whose dimension is not
+    /// `dim`, and [`DiffusionError::InvalidParameter`] naming the node and
+    /// the component for a NaN or infinite component, which no engine's
+    /// stopping rule is guaranteed to see.
+    pub fn from_sources(
+        num_nodes: usize,
+        dim: usize,
+        sources: &[(NodeId, Embedding)],
+    ) -> Result<Self, DiffusionError> {
+        for (node, emb) in sources {
+            if node.index() >= num_nodes || emb.dim() != dim {
+                return Err(DiffusionError::ShapeMismatch {
+                    expected: (num_nodes, dim),
+                    got: (node.index(), emb.dim()),
+                });
+            }
+            if let Some((c, x)) = emb.iter().enumerate().find(|(_, x)| !x.is_finite()) {
+                return Err(DiffusionError::invalid_parameter(format!(
+                    "source row of node {node} has a non-finite component {c} ({x})"
+                )));
+            }
+        }
+        let support = sources.iter().map(|(node, _)| node.as_u32());
+        let mut rows = Self::with_support(num_nodes, dim, support);
+        for (node, emb) in sources {
+            let row = rows.stored_row_mut(node.index()).into_iter().flatten();
+            for (r, e) in row.zip(emb.as_slice()) {
+                *r += e;
+            }
+        }
+        Ok(rows)
+    }
+
+    /// The rows of `signal` that hold a set bit, copied bit for bit; every
+    /// other row reads as zeros, as it did.
+    #[must_use]
+    pub fn from_signal(signal: &Signal) -> Self {
+        let live = (0..signal.num_nodes())
+            .zip(0u32..)
+            .filter(|&(u, _)| signal.row(u).iter().any(|x| x.to_bits() != 0))
+            .map(|(_, id)| id);
+        let mut rows = Self::with_support(signal.num_nodes(), signal.dim(), live);
+        for (u, row) in rows.stored_rows_mut() {
+            row.copy_from_slice(signal.row(u));
+        }
+        rows
+    }
+
+    /// Number of nodes (rows).
+    #[must_use]
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Dimensionality of each row.
+    #[must_use]
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// The nodes with a stored row, ascending.

@@ -2,7 +2,7 @@
 //! identities must hold on arbitrary graphs and inputs.
 
 use gdsearch_diffusion::push::{self, PushConfig};
-use gdsearch_diffusion::{exact, power, PprConfig, Signal};
+use gdsearch_diffusion::{exact, power, DiffusionError, PprConfig, Signal, SparseRows};
 use gdsearch_embed::Embedding;
 use gdsearch_graph::sparse::GATHER_BLOCK;
 use gdsearch_graph::{generators, Graph, NodeId};
@@ -69,8 +69,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// E0's non-zero rows as `(source, embedding)` pairs, ascending: the rows
-/// that `Signal::from_sparse_rows` turns back into `e0`, bit for bit, when
-/// no row holds a `−0.0`.
+/// that `SparseRows::from_sources` folds back into `e0`'s stored rows, bit
+/// for bit, when no row holds a `−0.0`.
 fn source_rows(e0: &Signal) -> Vec<(NodeId, Embedding)> {
     (0..e0.num_nodes())
         .filter(|&u| e0.row(u).iter().any(|x| x.to_bits() != 0))
@@ -78,37 +78,56 @@ fn source_rows(e0: &Signal) -> Vec<(NodeId, Embedding)> {
         .collect()
 }
 
-/// Asserts that the masked sweep — from a dense E0 and from `sources`, its
-/// rows — equals the reference sweep bit for bit, for every thread count,
-/// and returns the reference.
+/// A sweep's outcome with its floats as bits.
+type Outcome = (Vec<u32>, usize, u32, bool);
+
+fn outcome(out: &power::DiffusionResult) -> Outcome {
+    let (signal, residual) = (out.signal.as_slice(), out.residual.to_bits());
+    (bits(signal), out.iterations, residual, out.converged)
+}
+
+fn reference_outcome(reference: &(Vec<f32>, usize, f32, bool)) -> Outcome {
+    let (signal, iterations, residual, converged) = reference;
+    (bits(signal), *iterations, residual.to_bits(), *converged)
+}
+
+/// Asserts that the masked sweep from a dense E0 — the pinned
+/// `power::diffuse`, and `diffuse_rows` over `SparseRows::from_signal` on
+/// every thread count — equals the reference sweep bit for bit, and
+/// returns the reference.
+fn assert_dense_sweep_is_reference(
+    g: &Graph,
+    e0: &Signal,
+    cfg: &PprConfig,
+) -> (Vec<f32>, usize, f32, bool) {
+    let reference = reference_sweep(g, e0, cfg);
+    let want = reference_outcome(&reference);
+    let dense = power::diffuse(g, e0, cfg).unwrap();
+    assert_eq!(outcome(&dense), want, "diffuse");
+    let rows = SparseRows::from_signal(e0);
+    for threads in [1usize, 2, 3, 16] {
+        let out = power::diffuse_rows(g, &rows, cfg, threads).unwrap();
+        assert_eq!(outcome(&out), want, "{threads} threads");
+    }
+    reference
+}
+
+/// [`assert_dense_sweep_is_reference`], and the same from `sources`, E0's
+/// rows, as `SparseRows::from_sources` folds them, on every thread count.
 fn assert_sweep_is_reference_on_rows(
     g: &Graph,
     e0: &Signal,
     sources: &[(NodeId, Embedding)],
     cfg: &PprConfig,
 ) -> (Vec<f32>, usize, f32, bool) {
-    let reference = reference_sweep(g, e0, cfg);
-    let mut outs = Vec::new();
+    let reference = assert_dense_sweep_is_reference(g, e0, cfg);
+    let (rows, want) = (
+        SparseRows::from_sources(g.num_nodes(), e0.dim(), sources).unwrap(),
+        reference_outcome(&reference),
+    );
     for threads in [1usize, 2, 3, 16] {
-        let out = power::diffuse_threaded(g, e0, cfg, threads).unwrap();
-        outs.push((format!("{threads} threads"), out));
-        let rows = power::diffuse_rows(g, e0.dim(), sources, cfg, threads).unwrap();
-        outs.push((format!("rows, {threads} threads"), rows));
-    }
-    for (who, out) in outs {
-        let got = (
-            bits(out.signal.as_slice()),
-            out.iterations,
-            out.residual.to_bits(),
-            out.converged,
-        );
-        let want = (
-            bits(&reference.0),
-            reference.1,
-            reference.2.to_bits(),
-            reference.3,
-        );
-        assert_eq!(got, want, "{who}");
+        let out = power::diffuse_rows(g, &rows, cfg, threads).unwrap();
+        assert_eq!(outcome(&out), want, "rows, {threads} threads");
     }
     reference
 }
@@ -126,7 +145,8 @@ fn assert_sweep_is_reference(
 /// Rows the liveness mask must treat as live by bit pattern, an E0 with no
 /// live row at all, and components no live row ever reaches; and, for the
 /// rows entry, sources that repeat a node, hold only `−0.0` or only `+0.0`,
-/// sit on an isolated node, or fall outside the graph or its width.
+/// or sit on an isolated node. A non-finite row reaches the sweep only in
+/// a dense E0: as a source row it is rejected at the door.
 #[test]
 fn masked_sweep_equals_reference_on_hostile_rows() {
     // Path 0-1-2-3, host-free triangle 4-5-6, isolated node 7.
@@ -143,18 +163,26 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
         let mut e0 = Signal::zeros(8, 2);
         e0.row_mut(1).copy_from_slice(&row);
         e0.row_mut(3).copy_from_slice(&[0.25, -2.0]);
+        if row.iter().any(|x| !x.is_finite()) {
+            // A NaN or an infinity makes the first residual NaN, which
+            // ends the sweep there, unconverged.
+            let (signal, iterations, residual, converged) =
+                assert_dense_sweep_is_reference(&g, &e0, &cfg);
+            assert!(residual.is_nan());
+            assert_eq!((iterations, converged), (1, false));
+            assert!(bits(&signal[4 * 2..]).iter().all(|&b| b == 0));
+            assert!(matches!(
+                SparseRows::from_sources(8, 2, &source_rows(&e0)),
+                Err(DiffusionError::InvalidParameter { .. })
+            ));
+            continue;
+        }
         // The rows entry folds the −0.0 row into +0.0, which blends to the
         // same bits: `a · (−0.0)` is added to a sum that is never −0.0.
-        let (signal, iterations, residual, converged) = assert_sweep_is_reference(&g, &e0, &cfg);
+        let (signal, ..) = assert_sweep_is_reference(&g, &e0, &cfg);
         // No sweep ever reaches the triangle or the isolated node: their
         // rows stay dead, so the mask is on to the last sweep.
         assert!(bits(&signal[4 * 2..]).iter().all(|&b| b == 0));
-        // A NaN or an infinity makes the first residual NaN, which ends
-        // the sweep there, unconverged.
-        if row.iter().any(|x| !x.is_finite()) {
-            assert!(residual.is_nan());
-            assert_eq!((iterations, converged), (1, false));
-        }
     }
     let (_, iterations, _, converged) = assert_sweep_is_reference(&g, &Signal::zeros(8, 2), &cfg);
     assert_eq!((iterations, converged), (1, true));
@@ -166,8 +194,8 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
     e0.row_mut(1).copy_from_slice(&[0.5 + 0.25, -1.0 + 3.0]);
     e0.row_mut(3).copy_from_slice(&[2.0, 0.0]);
     assert_sweep_is_reference_on_rows(&g, &e0, &repeated, &cfg);
-    // −0.0-only and all-zero sources hold only +0.0 (live in the rows
-    // entry's mask, which it takes from the sources): the sweep stops at once.
+    // −0.0-only and all-zero sources hold only +0.0 (stored rows, so live
+    // in the mask): the sweep stops at once.
     for dead in [[-0.0, -0.0], [0.0, 0.0]] {
         let sources = [row(2, dead), row(5, dead)];
         let zeros = Signal::zeros(8, 2);
@@ -197,13 +225,6 @@ fn masked_sweep_equals_reference_on_hostile_rows() {
             .map(|u| (NodeId::new(u as u32), e0.row_embedding(u)))
             .collect();
         assert_sweep_is_reference_on_rows(&g, &e0, &sources, &cfg);
-    }
-    // Out-of-range and ragged sources: the error of `from_sparse_rows`.
-    for bad in [row(8, [1.0, 1.0]), (NodeId::new(0), Embedding::zeros(3))] {
-        let bad = [row(1, [1.0, 1.0]), bad];
-        let got = power::diffuse_rows(&g, 2, &bad, &cfg, 2).unwrap_err();
-        let want = Signal::from_sparse_rows(8, 2, &bad).unwrap_err();
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 }
 
@@ -296,8 +317,9 @@ proptest! {
             .with_tolerance(1e-6)
             .unwrap();
         let reference = power::diffuse(&g, &e0, &cfg).unwrap();
+        let rows = SparseRows::from_signal(&e0);
         for threads in [2usize, 4, 7] {
-            let out = power::diffuse_threaded(&g, &e0, &cfg, threads).unwrap();
+            let out = power::diffuse_rows(&g, &rows, &cfg, threads).unwrap();
             prop_assert_eq!(bits(out.signal.as_slice()), bits(reference.signal.as_slice()));
             prop_assert_eq!(out.iterations, reference.iterations);
             prop_assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
@@ -521,6 +543,177 @@ proptest! {
             let scfg = ShardedConfig::new(cfg).with_shards(shards).unwrap();
             let h = sharded_column(&g, NodeId::new(1), &scfg);
             prop_assert_eq!(&h, &push_ref, "{} shards drifted", shards);
+        }
+    }
+}
+
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Forward push's output bits, pinned across commits: FNV-1a over every
+/// `to_bits()` of `push::diffuse_sparse` on two 2,000–3,000-node graphs, at
+/// three α and on one and two workers. The 12 sources repeat a node and
+/// give another node only a `−0.0` row, the two cases where folding the
+/// sources could move a bit.
+#[test]
+fn push_reproduces_its_pinned_bits() {
+    let graphs = [
+        generators::barabasi_albert(3_000, 4, &mut StdRng::seed_from_u64(1)).unwrap(),
+        generators::social_circles_like_scaled(2_000, &mut StdRng::seed_from_u64(2)).unwrap(),
+    ];
+    let dim = 8;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for g in &graphs {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut sources: Vec<(NodeId, Embedding)> = (0..12)
+            .map(|_| {
+                let node = NodeId::new(rng.random_range(0..g.num_nodes() as u32));
+                let emb = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+                (node, Embedding::new(emb))
+            })
+            .collect();
+        sources[8].0 = sources[1].0;
+        sources[3].1 = Embedding::new(vec![-0.0; dim]);
+        for alpha in [0.1f32, 0.5, 0.9] {
+            let ppr = PprConfig::new(alpha).unwrap().with_tolerance(1e-4).unwrap();
+            for threads in [1usize, 2] {
+                let cfg = PushConfig::new(ppr).with_threads(threads).unwrap();
+                let out = push::diffuse_sparse(g, dim, &sources, &cfg).unwrap();
+                for x in out.as_slice() {
+                    h = fnv(h, u64::from(x.to_bits()));
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0xedef_f739_ca33_730d, "digest {h:016x}");
+}
+
+/// What `SparseRows::from_sources` must do, spelled out: the first faulty
+/// source in input order, as its index and whether its fault is a
+/// non-finite component (a shape fault wins within a source); otherwise
+/// the distinct source nodes, ascending, and a zero `N × dim` buffer that
+/// each source's embedding is added to with `+=`, in input order.
+fn reference_fold(
+    n: usize,
+    dim: usize,
+    sources: &[(NodeId, Embedding)],
+) -> Result<(Vec<u32>, Vec<f32>), (usize, bool)> {
+    for (i, (node, emb)) in sources.iter().enumerate() {
+        if node.index() >= n || emb.dim() != dim {
+            return Err((i, false));
+        }
+        if emb.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err((i, true));
+        }
+    }
+    let mut dense = vec![0.0f32; n * dim];
+    for (node, emb) in sources {
+        for (d, e) in dense[node.index() * dim..][..dim]
+            .iter_mut()
+            .zip(emb.as_slice())
+        {
+            *d += e;
+        }
+    }
+    let mut support: Vec<u32> = sources.iter().map(|(node, _)| node.as_u32()).collect();
+    support.sort_unstable();
+    support.dedup();
+    Ok((support, dense))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SparseRows::from_sources` against the reference fold: stored rows,
+    /// support and every row's bits, from sources that repeat a node, sum
+    /// to zeros, hold only `−0.0`, or leave the nodes of the graph's
+    /// isolated half without a row; and the first error when out-of-range
+    /// nodes, ragged rows and NaN or ±∞ components sit at random
+    /// positions. `Signal::from_sparse_rows` is the same fold, scattered;
+    /// the sweep from the fold is the reference sweep from its dense copy.
+    #[test]
+    fn from_sources_matches_the_reference_model(
+        n in 0usize..40,
+        dim in 0usize..6,
+        count in 0usize..12,
+        faults in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sources: Vec<(NodeId, Embedding)> = Vec::new();
+        while n > 0 && sources.len() < count {
+            let node = NodeId::new(rng.random_range(0..n as u32));
+            let row: Vec<f32> = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+            let negated = row.iter().map(|x| -x).collect();
+            match rng.random_range(0..4) {
+                0 => sources.push((node, Embedding::new(row))),
+                1 => {
+                    let node = sources.first().map_or(node, |(first, _)| *first);
+                    sources.push((node, Embedding::new(row)));
+                }
+                2 => sources.extend([(node, Embedding::new(row)), (node, Embedding::new(negated))]),
+                _ => sources.push((node, Embedding::new(vec![-0.0; dim]))),
+            }
+        }
+        for _ in 0..faults {
+            if sources.is_empty() {
+                break;
+            }
+            let i = rng.random_range(0..sources.len());
+            match rng.random_range(0..3) {
+                0 => sources[i].0 = NodeId::new(n as u32 + rng.random_range(0..3u32)),
+                1 => sources[i].1 = Embedding::new(vec![0.5; dim + 1]),
+                _ if dim > 0 => {
+                    let mut row = sources[i].1.as_slice().to_vec();
+                    let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.random_range(0..3usize)];
+                    row[rng.random_range(0..dim)] = bad;
+                    sources[i].1 = Embedding::new(row);
+                }
+                _ => {}
+            }
+        }
+        let got = SparseRows::from_sources(n, dim, &sources);
+        let scattered = Signal::from_sparse_rows(n, dim, &sources);
+        match (reference_fold(n, dim, &sources), got) {
+            (Ok((support, dense)), Ok(rows)) => {
+                prop_assert_eq!(rows.support().collect::<Vec<_>>(), support);
+                for u in 0..n {
+                    prop_assert_eq!(bits(rows.row(u)), bits(&dense[u * dim..][..dim]), "row {}", u);
+                }
+                prop_assert_eq!(bits(rows.to_signal().as_slice()), bits(&dense));
+                let mut e0 = Signal::zeros(n, dim);
+                e0.as_mut_slice().copy_from_slice(&dense);
+                prop_assert_eq!(scattered.unwrap(), e0.clone());
+                // A path on the first half of the nodes; the rest isolated.
+                let half = (n / 2) as u32;
+                let g = Graph::from_edges(n as u32, (1..half).map(|u| (u - 1, u))).unwrap();
+                let cfg = PprConfig::new(0.3).unwrap().with_tolerance(1e-6).unwrap();
+                let want = reference_outcome(&reference_sweep(&g, &e0, &cfg));
+                for threads in [1usize, 2] {
+                    let out = power::diffuse_rows(&g, &rows, &cfg, threads).unwrap();
+                    prop_assert_eq!(outcome(&out), want.clone(), "{} threads", threads);
+                }
+            }
+            (Err((i, non_finite)), Err(err)) => {
+                let (node, emb) = &sources[i];
+                if non_finite {
+                    let c = emb.as_slice().iter().position(|x| !x.is_finite()).unwrap();
+                    let named = format!("node {node} has a non-finite component {c} (");
+                    prop_assert!(
+                        matches!(&err, DiffusionError::InvalidParameter { reason } if reason.contains(&named)),
+                        "source {}: {:?}", i, err
+                    );
+                } else {
+                    prop_assert!(
+                        matches!(err, DiffusionError::ShapeMismatch { expected, got }
+                            if expected == (n, dim) && got == (node.index(), emb.dim())),
+                        "source {}: {:?}", i, err
+                    );
+                }
+                prop_assert_eq!(format!("{:?}", scattered.unwrap_err()), format!("{err:?}"));
+            }
+            (want, got) => prop_assert!(false, "model {:?}, from_sources {:?}", want, got),
         }
     }
 }

@@ -197,3 +197,58 @@ fn sharded_push_reproduces_its_pinned_bits() {
     }
     assert_eq!(h, 0xe601_5d78_de0e_380d, "digest {h:016x}");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One NaN or ±∞ at a random (source, component) fails every diffusion
+    /// entry with the same `InvalidParameter`, before any engine runs: the
+    /// fold in `SparseRows::from_sources` is the one door. `auto_diffuse`
+    /// is asked on both sides of its routing: a 40-node ring sweeps, and
+    /// a 4,900-node grid pushes, since 1–3 sources at width 16–24 are
+    /// sparse.
+    #[test]
+    fn a_non_finite_source_row_fails_every_entry_alike(
+        count in 1usize..4,
+        dim in 16usize..25,
+        which in 0usize..3,
+        bad in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        use gdsearch_diffusion::push::{self, PushConfig};
+        use gdsearch_diffusion::{per_source, power, DiffusionError, Signal, SparseRows};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sources: Vec<(NodeId, Embedding)> = (0..count)
+            .map(|_| {
+                let node = NodeId::new(rng.random_range(0..40));
+                let row = (0..dim).map(|_| rng.random::<f32>() - 0.5).collect();
+                (node, Embedding::new(row))
+            })
+            .collect();
+        let i = which % count;
+        let mut row = sources[i].1.as_slice().to_vec();
+        row[rng.random_range(0..dim)] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][bad];
+        sources[i].1 = Embedding::new(row);
+
+        let (ring, grid) = (generators::ring(40).unwrap(), generators::grid(70, 70));
+        prop_assert!(per_source::is_sparse(count, dim));
+        prop_assert!(grid.num_nodes() >= push::AUTO_PUSH_MIN_NODES);
+        let ppr = PprConfig::new(0.5).unwrap().with_tolerance(1e-4).unwrap();
+        let scfg = ShardedConfig::new(ppr).with_shards(3).unwrap();
+        let want = Signal::from_sparse_rows(40, dim, &sources).unwrap_err();
+        prop_assert!(matches!(want, DiffusionError::InvalidParameter { .. }), "{:?}", want);
+        let errors = [
+            ("power::diffuse_rows", SparseRows::from_sources(40, dim, &sources)
+                .and_then(|e0| power::diffuse_rows(&ring, &e0, &ppr, 2)).map(|_| ())),
+            ("push::diffuse_sparse", push::diffuse_sparse(&ring, dim, &sources, &PushConfig::new(ppr)).map(|_| ())),
+            ("sharded::diffuse_sparse", sharded::diffuse_sparse(&ring, dim, &sources, &scfg).map(|_| ())),
+            ("gdsearch_dist::diffuse_sparse", gdsearch_dist::diffuse_sparse(&ring, dim, &sources, &DistConfig::new(scfg)).map(|_| ())),
+            ("auto_diffuse, sweep", per_source::auto_diffuse(&ring, dim, &sources, &ppr).map(|_| ())),
+            ("auto_diffuse, push", per_source::auto_diffuse(&grid, dim, &sources, &ppr).map(|_| ())),
+        ];
+        for (entry, got) in errors {
+            prop_assert_eq!(format!("{:?}", got.unwrap_err()), format!("{want:?}"), "{}", entry);
+        }
+    }
+}

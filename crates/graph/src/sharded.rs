@@ -113,18 +113,6 @@ impl GraphShard {
         (u.as_u32() - self.start) as usize
     }
 
-    /// Global id of the local row `local`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local >= num_local_nodes()`.
-    #[inline]
-    #[must_use]
-    pub fn global_id(&self, local: usize) -> NodeId {
-        assert!(local < self.num_local_nodes());
-        NodeId::new(self.start + local as u32)
-    }
-
     /// Degree of the local row `local`.
     ///
     /// # Panics

@@ -240,13 +240,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Sum of each row's values (useful to verify stochasticity).
-    pub fn row_sums(&self) -> Vec<f32> {
-        (0..self.n_rows)
-            .map(|r| self.row(r).map(|(_, v)| v).sum())
-            .collect()
-    }
-
     /// Sum of each column's values.
     pub fn col_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0f32; self.n_cols];
