@@ -71,6 +71,16 @@ pub(crate) fn max_or_nan(acc: f32, x: f32) -> f32 {
     }
 }
 
+/// The smaller of `acc` and `x`, or NaN once either is: the NaN-keeping
+/// twin of [`max_or_nan`].
+pub(crate) fn min_or_nan(acc: f32, x: f32) -> f32 {
+    if x < acc || x.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
 impl Default for Convergence {
     fn default() -> Self {
         Convergence::new()

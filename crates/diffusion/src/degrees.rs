@@ -16,6 +16,8 @@
 //! for the sharded one) and applies these functions where it needs a
 //! scalar, so a call costs nothing in `N`.
 
+use crate::convergence::{max_or_nan, min_or_nan};
+
 /// `max(deg, 1)` — the frontier threshold scale.
 #[inline]
 pub(crate) fn deg_scale(deg: usize) -> f32 {
@@ -31,6 +33,9 @@ pub(crate) fn deg_scale(deg: usize) -> f32 {
 /// Taking an iterator lets the flat engine pass its touched set and the
 /// sharded engine its concatenated per-shard blocks — same accumulation
 /// order, same float operations, one formula.
+///
+/// A NaN residual makes the bound NaN, so no engine certifies past it; on
+/// finite residuals the bound is the plain `min` of the plain `max`.
 pub(crate) fn residual_bound(
     max_degree: usize,
     residuals: impl Iterator<Item = (usize, f32)>,
@@ -39,9 +44,9 @@ pub(crate) fn residual_bound(
     let mut theta = 0.0f32;
     for (deg, r) in residuals {
         sum += r;
-        theta = theta.max(r / deg_scale(deg));
+        theta = max_or_nan(theta, r / deg_scale(deg));
     }
-    sum.min(deg_scale(max_degree) * theta)
+    min_or_nan(sum, deg_scale(max_degree) * theta)
 }
 
 #[cfg(test)]
@@ -68,5 +73,41 @@ mod tests {
         let mut one = zero.clone();
         one[4] = 0.25;
         assert!(bound(&one) > 0.0);
+    }
+
+    #[test]
+    fn a_nan_residual_makes_the_bound_nan_and_an_infinite_one_infinite() {
+        let g = generators::grid(3, 3);
+        let bound = |residual: &[f32]| {
+            let pairs = g
+                .node_ids()
+                .map(|u| g.degree(u))
+                .zip(residual.iter().copied());
+            residual_bound(g.max_degree(), pairs)
+        };
+        // First, last and middle position, beside finite residuals: a
+        // NaN-dropping `max` or `min` certifies 1.0 · 4 or the finite sum.
+        for at in [0, 4, 8] {
+            let mut residual = vec![0.125f32; 9];
+            residual[at] = f32::NAN;
+            assert!(bound(&residual).is_nan(), "NaN at {at}");
+            residual[at] = f32::INFINITY;
+            assert_eq!(bound(&residual), f32::INFINITY, "∞ at {at}");
+        }
+        // Finite residuals: the plain `min(‖r‖₁, d_max · θ)`.
+        let mut residual = vec![0.0f32; 9];
+        residual[4] = 0.5;
+        assert_eq!(bound(&residual), (0.5f32).min(4.0 * (0.5 / 4.0)));
+        residual[0] = 0.5;
+        assert_eq!(bound(&residual), (1.0f32).min(4.0 * (0.5 / 2.0)));
+    }
+
+    #[test]
+    fn min_and_max_or_nan_keep_a_nan_from_either_side() {
+        for (a, b) in [(f32::NAN, 1.0), (1.0, f32::NAN), (f32::NAN, f32::NAN)] {
+            assert!(min_or_nan(a, b).is_nan() && max_or_nan(a, b).is_nan());
+        }
+        assert_eq!((min_or_nan(1.0, 2.0), max_or_nan(1.0, 2.0)), (1.0, 2.0));
+        assert_eq!((min_or_nan(2.0, 1.0), max_or_nan(2.0, 1.0)), (1.0, 2.0));
     }
 }

@@ -44,8 +44,10 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///   `|sources| ≈ dim`, but the sweep's contiguous row operations were
 ///   measured ≈ 4× more efficient per flop, so the break-even is taken as
 ///   `dim / 4`. That ratio predates the matrix-free register-blocked
-///   sweep on every core; a derivation of the crossover must re-measure
-///   it. The repo benchmark has a workload on each side
+///   sweep on every core and push's one-drain columns (at N = 10⁵ and
+///   tolerance 1e-5, ≈ 340 pushes and 70–90 µs per column on one core);
+///   a derivation of the crossover must re-measure it. The repo benchmark
+///   has a workload on each side
 ///   (`rebuild-sparse`, `rebuild-dense`): its `per_source.auto_ms` times
 ///   this function, `push.diffuse_sparse_ms` and `power.diffuse_ms` (one
 ///   worker) time both branches on the same input;

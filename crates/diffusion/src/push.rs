@@ -24,15 +24,15 @@
 //! # Cost and scratch discipline
 //!
 //! All per-node state lives in one scratch per worker, allocated once per
-//! driver call and reused across that worker's sources. A bitset marked at
-//! every `residual[v] +=` is the *touched* set: every node a residual was
-//! ever added to. A column costs `Σ deg(pushed)` for its pushes plus passes
-//! over that bitset: per drain, the certified bound and, when it misses the
-//! tolerance, the frontier rebuild after an `rmax` halving; once per
-//! column, the compression and the clear. Each pass reads all `N/64` words
-//! (1,563 at `N = 10⁵`), so a drain costs `O(N/64 + touched)`, not
-//! `O(touched)`. The first three visit only the touched nodes, in ascending
-//! id with no sort, instead of `0..N`. Every node they skip holds an exact
+//! driver call and reused across that worker's sources. Every
+//! `residual[v] +=` marks `v` in the *touched* set: a bitmap of `N/64`
+//! words under a summary with one bit per non-zero word. A column costs
+//! `Σ deg(pushed)` for its pushes plus walks of the touched set: per
+//! drain, the certified bound and, when it misses the tolerance, the
+//! frontier rebuild after an `rmax` halving; once per column, the
+//! compression and the clear. A walk reads the `N/4096` summary words and
+//! then the touched words alone, and visits the touched nodes in ascending
+//! id with no sort, instead of `0..N`. Every node it skips holds an exact
 //! `+0.0` residual and estimate — a no-op in each sum, max and threshold
 //! test — so results and counters are bit-for-bit what the full scans gave
 //! (the test module keeps those scans as the reference model). The same
@@ -43,13 +43,20 @@
 //! `rmax` is a frontier granularity, not the accuracy contract. After each
 //! drain the engine evaluates a rigorous bound on `‖M r‖∞ = ‖h_s − p‖∞`
 //! (see [`PprConfig::tolerance`](crate::PprConfig::tolerance) for the
-//! tolerance semantics) and keeps halving `rmax` until the bound meets the
+//! tolerance semantics) and halves `rmax` until the bound meets the
 //! tolerance, so results are interchangeable with the power sweep's
 //! ([`crate::power`]) to that tolerance. For the undirected graphs of this
 //! workspace the bound is, with `θ = max_u r(u)/deg(u)` and `d_max` the
 //! maximum degree, `‖M r‖∞ ≤ min(‖r‖₁, d_max · θ)`: columns of `M` sum to
 //! 1, and reversibility of the simple random walk gives
 //! `h_u(v) = (deg(v)/deg(u)) · h_v(u)`.
+//!
+//! A column starts at `rmax = tolerance / d_max`, forward push's usual
+//! granularity for a target error (Lofgren–Banerjee–Goel). A full drain
+//! leaves every `r(u) ≤ rmax · deg(u)`, so `θ ≤ rmax` and
+//! `d_max · θ ≤ tolerance`: one drain certifies, and halving is left for
+//! the few ulps rounding can add. A NaN or infinite bound ends the column
+//! with [`DiffusionError::NotConverged`].
 //!
 //! Residuals stay non-negative throughout (the personalization is `δ_s`
 //! and `A` is non-negative), which is what makes the bound valid.
@@ -92,11 +99,12 @@ use crate::{workpool, DiffusionError, PprConfig, Signal, SparseRows};
 ///
 /// Below this size the sweep is already cheap and the push engine's queue
 /// bookkeeping does not pay for itself; above it, push wins increasingly
-/// with `N`. The cost side of the threshold is unmeasured — the repo
-/// benchmark's `push.ns_per_push` times push at N = 10⁵ — and stale: it was
+/// with `N`. The cost side of the threshold is unmeasured and stale: it was
 /// chosen when a column scanned all `N` nodes several times over (6.0–6.9 µs
-/// per push in that probe); the touched-set kernel reads 1.2–1.3 µs
-/// (ROADMAP item F, "Crossover from data").
+/// per push in that probe). The repo benchmark's traced
+/// `push.ns_per_push` on `rebuild-sparse` (N = 10⁵, seed 41, two vCPUs)
+/// reads 640–850 ns over three runs, and that figure includes
+/// [`diffuse_sparse`]'s dense `N × dim` output.
 ///
 /// It also guards accuracy. The tolerance is an absolute L∞ bound, and
 /// push leaves every residual below it unpushed, while the search walk
@@ -154,14 +162,6 @@ impl PushConfig {
         &self.ppr
     }
 
-    /// The initial frontier granularity: nodes enter the push queue while
-    /// `r(u) > rmax · deg(u)`, starting at the PPR tolerance. It only sets
-    /// where the refinement *starts*; the result always meets
-    /// `ppr.tolerance()` (see the module docs).
-    fn initial_rmax(&self) -> f32 {
-        self.ppr.tolerance().max(f32::MIN_POSITIVE)
-    }
-
     /// Worker threads of the batched driver.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -198,17 +198,69 @@ fn deg_scale(graph: &Graph, v: u32) -> f32 {
     degrees::deg_scale(graph.degree(NodeId::new(v)))
 }
 
+/// The frontier granularity a column starts at: `tolerance / d_max`,
+/// floored at the smallest normal `f32`. Nodes enter the queue while
+/// `r(u) > rmax · deg(u)`, so a full drain at this `rmax` leaves
+/// `θ ≤ rmax` and certifies `d_max · θ ≤ tolerance` (module docs).
+fn initial_rmax(tolerance: f32, max_degree: usize) -> f32 {
+    (tolerance / degrees::deg_scale(max_degree)).max(f32::MIN_POSITIVE)
+}
+
+/// The touched set in two levels: bit `v` of `words` is node `v`, and bit
+/// `w` of `summary` is set once word `w` holds a set bit, so a walk reads
+/// the touched words alone, not all `N/64` of them.
+struct Touched {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl Touched {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Touched {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, v: usize) {
+        self.words[v / 64] |= 1 << (v % 64);
+        self.summary[v / 4096] |= 1 << (v / 64 % 64);
+    }
+
+    /// The touched nodes, ascending: what `set_bits(&self.words)` yields.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.summary).flat_map(|w| {
+            let word = std::slice::from_ref(&self.words[ix(w)]);
+            set_bits(word).map(move |b| 64 * w + b)
+        })
+    }
+
+    /// Empties both levels, writing the touched words only.
+    fn clear(&mut self) {
+        for w in set_bits(&self.summary) {
+            self.words[ix(w)] = 0;
+        }
+        self.summary.fill(0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().chain(&self.summary).all(|&w| w == 0)
+    }
+}
+
 /// One worker's push state, all zero / false / empty between columns.
 ///
-/// Bit `v` of `touched` is set whenever `residual[v]` is added to;
-/// estimates and queue flags only change where a residual is positive, so
-/// the touched set covers every non-default entry.
+/// Node `v` joins `touched` whenever `residual[v]` is added to; estimates
+/// and queue flags only change where a residual is positive, so the
+/// touched set covers every non-default entry.
 struct PushScratch {
     estimate: Vec<f32>,
     residual: Vec<f32>,
     in_queue: Vec<bool>,
     queue: VecDeque<u32>,
-    touched: Vec<u64>,
+    touched: Touched,
 }
 
 impl PushScratch {
@@ -218,25 +270,25 @@ impl PushScratch {
             residual: vec![0.0; n],
             in_queue: vec![false; n],
             queue: VecDeque::new(),
-            touched: vec![0; n.div_ceil(64)],
+            touched: Touched::new(n),
         }
     }
 
     fn is_clean(&self) -> bool {
         self.queue.is_empty()
-            && self.touched.iter().all(|&w| w == 0)
+            && self.touched.is_empty()
             && self.in_queue.iter().all(|&q| !q)
             && (self.estimate.iter().chain(&self.residual)).all(|x| x.to_bits() == 0)
     }
 
     /// Adds `amount` to `v`'s residual and queues `v` if that lifts it
-    /// over `threshold`.
+    /// over `rmax · deg(v)`.
     #[inline]
-    fn deposit(&mut self, v: u32, amount: f32, threshold: f32) {
+    fn deposit(&mut self, v: u32, amount: f32, rmax: f32, graph: &Graph) {
         let vi = ix(v);
         self.residual[vi] += amount;
-        self.touched[vi / 64] |= 1 << (vi % 64);
-        if !self.in_queue[vi] && self.residual[vi] > threshold {
+        self.touched.insert(vi);
+        if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale(graph, v) {
             self.in_queue[vi] = true;
             self.queue.push_back(v);
         }
@@ -245,7 +297,7 @@ impl PushScratch {
     /// Queues every touched node whose residual exceeds `rmax · deg`, in
     /// the ascending order a `0..N` scan would find them.
     fn rebuild_frontier(&mut self, rmax: f32, graph: &Graph) {
-        for v in set_bits(&self.touched) {
+        for v in self.touched.iter() {
             let vi = ix(v);
             if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale(graph, v) {
                 self.in_queue[vi] = true;
@@ -257,7 +309,7 @@ impl PushScratch {
     /// Rigorous bound on `‖M r‖∞`, the L∞ distance between the current
     /// estimate and the fixed point (derivations in the module docs).
     fn residual_bound(&self, graph: &Graph) -> f32 {
-        let touched = set_bits(&self.touched);
+        let touched = self.touched.iter();
         let pairs = touched.map(|v| (graph.degree(NodeId::new(v)), self.residual[ix(v)]));
         degrees::residual_bound(graph.max_degree(), pairs)
     }
@@ -266,7 +318,7 @@ impl PushScratch {
     /// clean: one walk of the touched set compresses and clears.
     fn take_column(&mut self) -> Vec<(u32, f32)> {
         let mut column = Vec::new();
-        for v in set_bits(&self.touched) {
+        for v in self.touched.iter() {
             let weight = std::mem::take(&mut self.estimate[ix(v)]);
             if weight != 0.0 {
                 column.push((v, weight));
@@ -274,7 +326,7 @@ impl PushScratch {
             self.residual[ix(v)] = 0.0;
             self.in_queue[ix(v)] = false;
         }
-        self.touched.fill(0);
+        self.touched.clear();
         self.queue.clear();
         column
     }
@@ -297,8 +349,11 @@ fn push_column(
     Ok((column, stats?))
 }
 
-/// The push loop proper: drain, certify, halve `rmax`, repeat. Leaves the
-/// estimate in `s` and returns the work counters (`values` empty).
+/// The push loop proper: drain, certify, halve `rmax`, repeat. One drain
+/// at [`initial_rmax`] certifies unless rounding lifts the bound a few
+/// ulps over the tolerance; a non-finite bound ends the column unconverged.
+/// Leaves the estimate in `s` and returns the work counters (`values`
+/// empty).
 fn drain_to_tolerance(
     graph: &Graph,
     s: &mut PushScratch,
@@ -311,9 +366,9 @@ fn drain_to_tolerance(
     let budget = max_iterations.saturating_mul(graph.num_nodes().max(1));
 
     // r = δ_s, and the source is queued whatever the granularity.
-    s.deposit(source, 1.0, f32::NEG_INFINITY);
+    s.deposit(source, 1.0, f32::NEG_INFINITY, graph);
 
-    let mut rmax = config.initial_rmax();
+    let mut rmax = initial_rmax(tolerance, graph.max_degree());
     let mut pushes = 0usize;
     let mut frontier_peak = s.queue.len();
     let mut conv = Convergence::new();
@@ -349,7 +404,7 @@ fn drain_to_tolerance(
             let neighbors = graph.neighbor_slice(NodeId::new(u));
             let w = spread * edge_weight(neighbors.len());
             for v in neighbors {
-                s.deposit(v.as_u32(), w, rmax * deg_scale(graph, v.as_u32()));
+                s.deposit(v.as_u32(), w, rmax, graph);
             }
         }
         // Certify: does the remaining residual mass already guarantee the
@@ -359,12 +414,18 @@ fn drain_to_tolerance(
         if conv.record(bound, tolerance) {
             break;
         }
-        // Not yet: halve the granularity and rebuild the frontier.
+        // Not yet: halve the granularity and rebuild the frontier. A NaN
+        // or infinite bound cannot shrink that way, and a sub-denormal
+        // rmax with an empty frontier cannot refine the residuals further
+        // in f32 — report honestly instead of spinning.
+        if !bound.is_finite() {
+            return Err(DiffusionError::NotConverged {
+                iterations: pushes,
+                residual: bound,
+            });
+        }
         rmax *= 0.5;
         s.rebuild_frontier(rmax, graph);
-        // Sub-denormal rmax with an empty frontier means the residuals
-        // cannot be refined any further in f32 — report honestly instead
-        // of spinning.
         if s.queue.is_empty() && rmax < f32::MIN_POSITIVE {
             return Err(DiffusionError::NotConverged {
                 iterations: pushes,
@@ -777,7 +838,7 @@ mod tests {
         queue.push_back(source);
         in_queue[source as usize] = true;
 
-        let mut rmax = config.initial_rmax();
+        let mut rmax = initial_rmax(tolerance, graph.max_degree());
         let mut pushes = 0usize;
         let mut frontier_peak = queue.len();
         let mut conv = Convergence::new();
@@ -816,6 +877,12 @@ mod tests {
             let bound = bound_of(&residual);
             if conv.record(bound, tolerance) {
                 break;
+            }
+            if !bound.is_finite() {
+                return Err(DiffusionError::NotConverged {
+                    iterations: pushes,
+                    residual: bound,
+                });
             }
             rmax *= 0.5;
             for (ui, r) in residual.iter().enumerate() {
@@ -901,6 +968,63 @@ mod tests {
     }
 
     #[test]
+    fn a_column_certifies_in_one_drain() {
+        // Every column of a social-circles graph, a grid and a BA graph
+        // meets the tolerance after at most one halving; on social
+        // circles, the benchmark's graph family, the first drain does.
+        let social = generators::social_circles_like_scaled(10_000, &mut seeded(41)).unwrap();
+        let grid = generators::grid(100, 100);
+        let ba = generators::barabasi_albert(3_000, 4, &mut seeded(42)).unwrap();
+        for (name, g) in [("social", &social), ("grid", &grid), ("ba", &ba)] {
+            let n = g.num_nodes() as u32;
+            let hub = g.node_ids().max_by_key(|&u| g.degree(u)).unwrap().as_u32();
+            let sources = (0..n).step_by(n as usize / 16).chain([hub, n - 1]);
+            let mut scratch = PushScratch::new(g.num_nodes());
+            for alpha in [0.1f32, 0.5, 0.9] {
+                let cfg = push_cfg(alpha, 1e-5);
+                for source in sources.clone() {
+                    let (_, stats) = push_column(g, &mut scratch, source, &cfg).unwrap();
+                    let at = format!("{name}, α {alpha}, source {source}: {stats:?}");
+                    assert!(stats.residual_bound <= 1e-5, "{at}");
+                    assert!(stats.drains <= 2, "{at}");
+                    if name == "social" {
+                        assert_eq!(stats.drains, 1, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_bound_ends_the_column_unconverged_at_once() {
+        // The source's path 0–1–2 and the pair 3–4. Node 4's residual is
+        // poisoned, touched but never queued, so the first certificate
+        // reads it: a NaN must not drop out of the bound and certify, and
+        // an ∞ must not be halved down to a frontier that pushes it.
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
+        let cfg = push_cfg(0.5, 1e-6);
+        let clean = drain_to_tolerance(&g, &mut PushScratch::new(5), 0, &cfg).unwrap();
+        assert_eq!(clean.drains, 1);
+        for poison in [f32::NAN, f32::INFINITY] {
+            let mut s = PushScratch::new(5);
+            s.residual[4] = poison;
+            s.touched.insert(4);
+            match drain_to_tolerance(&g, &mut s, 0, &cfg) {
+                Err(DiffusionError::NotConverged {
+                    iterations,
+                    residual,
+                }) => {
+                    assert_eq!(iterations, clean.pushes, "{poison}: one drain's pushes");
+                    assert_eq!(residual.to_bits(), poison.to_bits());
+                }
+                other => panic!("{poison}: {other:?}"),
+            }
+            s.take_column();
+            assert!(s.is_clean());
+        }
+    }
+
+    #[test]
     fn failed_column_leaves_the_scratch_clean() {
         let g = generators::ring(30).unwrap();
         let starved = PushConfig::new(
@@ -979,6 +1103,38 @@ mod tests {
                 let got = bits(push_column(&g, &mut scratch, pick % n, &cfg));
                 let want = bits(reference_push_column(&g, pick % n, &cfg));
                 prop_assert_eq!(got, want, "source {}", pick % n);
+                // Both levels of the touched set, after `Ok` and `Err`.
+                prop_assert!(scratch.is_clean(), "source {}", pick % n);
+            }
+        }
+
+        /// The two-level touched set against `set_bits` over its full
+        /// bitmap and against the sorted distinct deposits: deposits
+        /// clustered at word and summary-word edges, repeats, three rounds
+        /// through one set with a clear between them.
+        #[test]
+        fn the_touched_walk_is_the_full_bitmap_scan(
+            n in 1usize..12_000,
+            rounds in collection::vec(collection::vec((0usize..4, 0usize..200), 0..80), 3),
+        ) {
+            let mut touched = Touched::new(n);
+            for deposits in rounds {
+                // Near 0, a word edge, a summary-word edge and N − 1.
+                let nodes: Vec<usize> = deposits
+                    .iter()
+                    .map(|&(at, off)| [off, 64 * 37 + off, 4096 - 100 + off, n - 1 - off % n][at] % n)
+                    .collect();
+                for &v in &nodes {
+                    touched.insert(v);
+                }
+                let walked: Vec<u32> = touched.iter().collect();
+                prop_assert_eq!(&walked, &set_bits(&touched.words).collect::<Vec<_>>());
+                let mut want: Vec<u32> = nodes.iter().map(|&v| v as u32).collect();
+                want.sort_unstable();
+                want.dedup();
+                prop_assert_eq!(&walked, &want);
+                touched.clear();
+                prop_assert!(touched.is_empty());
             }
         }
 

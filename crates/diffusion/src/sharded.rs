@@ -331,6 +331,13 @@ fn push_column_partitioned<E: ShardExchange>(
         if conv.record(bound, tolerance) {
             return Ok(());
         }
+        // A NaN or infinite bound cannot shrink by refining.
+        if !bound.is_finite() {
+            return Err(DiffusionError::NotConverged {
+                iterations: pushes,
+                residual: bound,
+            });
+        }
         rmax *= 0.5;
         if rmax < f32::MIN_POSITIVE && !frontier_nonempty(sharded, rmax, residuals) {
             return Err(DiffusionError::NotConverged {
@@ -583,6 +590,49 @@ mod tests {
             column(&g, 0, &scfg),
             Err(DiffusionError::NotConverged { .. })
         ));
+    }
+
+    /// Delivers like the in-process exchange, then writes `poison` into
+    /// one residual, once.
+    struct Poisoning {
+        inner: InProcessExchange,
+        at: (usize, usize),
+        poison: Option<f32>,
+    }
+
+    impl ShardExchange for Poisoning {
+        fn exchange_residuals(
+            &mut self,
+            outboxes: &[Outbox],
+            residuals: &mut [Vec<f32>],
+        ) -> Result<(), DiffusionError> {
+            self.inner.exchange_residuals(outboxes, residuals)?;
+            if let Some(x) = self.poison.take() {
+                residuals[self.at.0][self.at.1] = x;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_nan_residual_ends_the_column_unconverged() {
+        // A path 0–…–9 and the pair 10–11 on two shards; node 11's residual
+        // turns NaN after the first round. NaN never passes the frontier
+        // test, so only the bound can see it, and it must not certify.
+        let g = Graph::from_edges(12, (0..9).map(|u| (u, u + 1)).chain([(10, 11)])).unwrap();
+        let scfg = cfg(0.5, 1e-6).with_shards(2).unwrap();
+        let sharded = ShardedGraph::from_graph(&g, 2).unwrap();
+        let mut exchange = Poisoning {
+            inner: InProcessExchange::new(1),
+            at: (1, 5),
+            poison: Some(f32::NAN),
+        };
+        let unit = [(NodeId::new(0), Embedding::new(vec![1.0]))];
+        let got = diffuse_sparse_with_exchange(&sharded, 1, &unit, &scfg, &mut exchange);
+        assert!(
+            matches!(got, Err(DiffusionError::NotConverged { residual, .. }) if residual.is_nan()),
+            "{got:?}"
+        );
     }
 
     #[test]
