@@ -310,7 +310,7 @@ impl NodeHandler<SearchMessage> for SearchNode {
 /// Builds a [`Reactor`] whose handlers run the search protocol with the
 /// state of `network` (documents, diffused embeddings, policy). Drive it
 /// with [`issue_query`] and the reactor's own `run_to_completion`, then
-/// read `stats()`, `trace()`, `now_tick()` and
+/// read `stats()`, `link_stats(..)`, `now_tick()` and
 /// `handler(origin)?.completed()`.
 ///
 /// # Example

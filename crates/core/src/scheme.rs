@@ -378,27 +378,31 @@ mod tests {
         );
     }
 
+    /// `corpus(seed)` with a NaN at word 3, component 5: ROADMAP
+    /// measurement 1's poisoned document.
+    fn poisoned(seed: u64) -> Result<Corpus, gdsearch_embed::EmbedError> {
+        let mut embeddings = corpus(seed).embeddings().to_vec();
+        let mut row = embeddings[3].as_slice().to_vec();
+        row[5] = f32::NAN;
+        embeddings[3] = Embedding::new(row);
+        Corpus::from_embeddings(embeddings)
+    }
+
+    fn assert_rejects_the_poisoned_cell(corpus: Result<Corpus, gdsearch_embed::EmbedError>) {
+        match corpus {
+            Err(gdsearch_embed::EmbedError::InvalidParameter { reason }) => {
+                assert!(reason.contains("word w3 component 5 is NaN"), "{reason}");
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
     #[test]
     fn a_nan_document_fails_the_dense_build() {
-        // ROADMAP measurement 1: one NaN component in one document on a
-        // 300-node graph (below AUTO_PUSH_MIN_NODES, so the sweep) used to
-        // build `Ok` with every row NaN. The fold of the source rows
-        // rejects it before the sweep runs, as it does for push.
-        let g = generators::social_circles_like_scaled(300, &mut rng(20)).unwrap();
-        let mut embeddings = corpus(21).embeddings().to_vec();
-        let mut poisoned = embeddings[3].as_slice().to_vec();
-        poisoned[5] = f32::NAN;
-        embeddings[3] = Embedding::new(poisoned);
-        let c = Corpus::from_embeddings(embeddings).unwrap();
-        let words: Vec<WordId> = (0..10).map(WordId::new).collect();
-        let p = Placement::uniform(&g, &words, &mut rng(22)).unwrap();
-        let built = SearchNetwork::build(&g, &c, &p, &SchemeConfig::default(), &mut rng(23));
-        assert!(matches!(
-            built,
-            Err(SearchError::Diffusion(
-                gdsearch_diffusion::DiffusionError::InvalidParameter { .. }
-            ))
-        ));
+        // Measurement 1, dense half: this document on a 300-node graph
+        // (the sweep) used to build `Ok` with every row NaN. No build gets
+        // that far now: the corpus rejects it, naming the cell.
+        assert_rejects_the_poisoned_cell(poisoned(21));
     }
 
     /// Floats as bit patterns.
@@ -418,30 +422,10 @@ mod tests {
 
     #[test]
     fn a_nan_document_fails_the_push_build() {
-        // ROADMAP measurement 1, push half: one NaN component in one
-        // of four documents on 4,900 nodes (push) used to build `Ok` with
-        // the NaN spread over every row its column reached.
-        let g = grid_graph(false);
-        let mut embeddings = corpus(24).embeddings().to_vec();
-        let mut poisoned = embeddings[3].as_slice().to_vec();
-        poisoned[5] = f32::NAN;
-        embeddings[3] = Embedding::new(poisoned);
-        let c = Corpus::from_embeddings(embeddings).unwrap();
-        let words: Vec<WordId> = (0..4).map(WordId::new).collect();
-        let p = Placement::uniform(&g, &words, &mut rng(25)).unwrap();
-        let cfg = SchemeConfig::default();
-        let clean = SearchNetwork::build(&g, &corpus(24), &p, &cfg, &mut rng(26)).unwrap();
-        assert!(
-            matches!(clean.diffused(), Diffused::Sparse(_)),
-            "4 hosts at dim 24 push"
-        );
-        let built = SearchNetwork::build(&g, &c, &p, &cfg, &mut rng(26));
-        assert!(matches!(
-            built,
-            Err(SearchError::Diffusion(
-                gdsearch_diffusion::DiffusionError::InvalidParameter { .. }
-            ))
-        ));
+        // Measurement 1, push half: this document among four on 4,900
+        // nodes (push) used to spread the NaN over every row its column
+        // reached. The same door stops it before the build.
+        assert_rejects_the_poisoned_cell(poisoned(24));
     }
 
     #[test]

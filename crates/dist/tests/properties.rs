@@ -10,7 +10,7 @@ use gdsearch_dist::DistConfig;
 use gdsearch_embed::Embedding;
 use gdsearch_graph::{generators, Graph, NodeId};
 use gdsearch_sim::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-use gdsearch_sim::{SimTime, TransportConfig};
+use gdsearch_sim::TransportConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,12 +108,12 @@ proptest! {
         // retransmitted once it recovers.
         let churn = ChurnSchedule::from_events(vec![
             ChurnEvent {
-                time: SimTime::ZERO,
+                tick: 0,
                 node: NodeId::new(1),
                 kind: ChurnKind::Down,
             },
             ChurnEvent {
-                time: SimTime::new(down_ticks as f64).unwrap(),
+                tick: down_ticks,
                 node: NodeId::new(1),
                 kind: ChurnKind::Up,
             },

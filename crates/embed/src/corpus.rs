@@ -88,13 +88,15 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Builds a corpus from embeddings, validating uniform dimensionality.
+    /// Builds a corpus from embeddings, validating uniform dimensionality
+    /// and finite components.
     ///
     /// # Errors
     ///
     /// Returns [`EmbedError::EmptyCorpus`] for an empty input,
     /// [`EmbedError::InvalidParameter`] for more words than a `u32`
-    /// [`WordId`] can name, and [`EmbedError::DimensionMismatch`] if
+    /// [`WordId`] can name or for a NaN or ±∞ component (naming the first
+    /// such word and component), and [`EmbedError::DimensionMismatch`] if
     /// dimensions disagree.
     pub fn from_embeddings(embeddings: Vec<Embedding>) -> Result<Self, EmbedError> {
         let Some(first) = embeddings.first() else {
@@ -107,8 +109,19 @@ impl Corpus {
             )));
         }
         let dim = first.dim();
-        for e in &embeddings {
+        for (word, e) in embeddings.iter().enumerate() {
             EmbedError::check_dims(dim, e.dim())?;
+            let bad = e
+                .as_slice()
+                .iter()
+                .enumerate()
+                .find(|(_, x)| !x.is_finite());
+            if let Some((component, x)) = bad {
+                return Err(EmbedError::invalid_parameter(format!(
+                    "word {} component {component} is {x}; embeddings must be finite",
+                    WordId(word as u32)
+                )));
+            }
         }
         Ok(Corpus { dim, embeddings })
     }
@@ -187,6 +200,9 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> Corpus {
         Corpus::from_embeddings(vec![
@@ -265,9 +281,11 @@ mod tests {
             .collect();
         rows[3] = vec![-0.0; 5];
         rows[9] = vec![0.0; 5];
-        rows[17][2] = f32::NAN;
-        rows[31][0] = f32::INFINITY;
-        rows[32][4] = f32::NEG_INFINITY;
+        // Finite rows whose products overflow: ∞ dots, ∞ norms, NaN
+        // cosines.
+        rows[17][2] = f32::MAX;
+        rows[31][0] = f32::MAX;
+        rows[32][4] = -f32::MAX;
         rows[40] = vec![1e-40, -3e-41, 0.0, 2e-40, 1e-45];
         rows[64] = rows[1].clone();
         rows[69] = rows[1].clone();
@@ -276,6 +294,39 @@ mod tests {
             let (got, sim) = c.nearest_neighbor(word).unwrap();
             let (want, want_sim) = reference_nearest_neighbor(&c, word);
             assert_eq!((got, sim.to_bits()), (want, want_sim.to_bits()), "{word}");
+        }
+    }
+
+    proptest! {
+        /// One NaN or ±∞ at a random (word, component), and maybe a
+        /// second one after it: the error names the first.
+        #[test]
+        fn a_non_finite_component_is_named_by_word_and_component(
+            len in 1usize..40,
+            dim in 1usize..9,
+            cell in 0usize..1_000,
+            bad_cells in 1usize..3,
+            offset in 0usize..1_000,
+            kind in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cells: Vec<f32> =
+                (0..len * dim).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            let first = cell % cells.len();
+            cells[first] = bad;
+            if bad_cells == 2 {
+                let second = first + offset % (cells.len() - first);
+                cells[second] = f32::NAN;
+            }
+            let rows = cells.chunks(dim).map(|row| Embedding::new(row.to_vec())).collect();
+            let err = Corpus::from_embeddings(rows).unwrap_err();
+            let EmbedError::InvalidParameter { reason } = err else {
+                panic!("expected InvalidParameter, got {err:?}");
+            };
+            let named = format!("word w{} component {} is ", first / dim, first % dim);
+            prop_assert!(reason.contains(&named), "{} lacks {}", reason, named);
         }
     }
 

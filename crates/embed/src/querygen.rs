@@ -377,7 +377,8 @@ mod tests {
 
     /// `len` words of dimension `dim`: mostly noisy copies of three
     /// prototypes, so that cosines above 0.6 occur, mixed with −0.0,
-    /// all-zero, NaN, ±inf, subnormal and duplicated rows.
+    /// all-zero, overflowing (±`f32::MAX`: ∞ dots and norms, NaN
+    /// cosines), subnormal and duplicated rows.
     fn hostile_corpus(len: usize, dim: usize, seed: u64) -> Corpus {
         let mut r = rng(seed);
         let prototypes: Vec<Vec<f32>> = (0..3)
@@ -393,9 +394,9 @@ mod tests {
             match r.random_range(0..14u32) {
                 0 => row = vec![-0.0; dim],
                 1 => row = vec![0.0; dim],
-                2 => row[at] = f32::NAN,
-                3 => row[at] = f32::INFINITY,
-                4 => row[at] = f32::NEG_INFINITY,
+                2 => row = row.iter().map(|x| x * 1e30).collect(),
+                3 => row[at] = f32::MAX,
+                4 => row[at] = -f32::MAX,
                 5 => row[at] = r.random_range(-1.0f32..1.0) * 1e-40,
                 6 => row = row.iter().map(|x| x * 1e-40).collect(),
                 7 => {

@@ -6,14 +6,15 @@
 //! and handlers of down nodes do not run.
 
 #![expect(
-    clippy::expect_used,
-    reason = "SimTime::new on values sampled inside the validated finite horizon"
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "ceil of a time drawn in the validated finite horizon [0, horizon) is a non-negative whole number"
 )]
 
 use gdsearch_graph::NodeId;
 use rand::Rng;
 
-use crate::{SimError, SimTime};
+use crate::SimError;
 
 /// Whether a churn event takes a node down or brings it back up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,18 +26,19 @@ pub enum ChurnKind {
 }
 
 /// One scheduled availability change.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
-    /// When the change happens.
-    pub time: SimTime,
+    /// The reactor tick whose step applies the change, before that
+    /// tick's handlers run.
+    pub tick: u64,
     /// The affected node.
     pub node: NodeId,
     /// Down or up.
     pub kind: ChurnKind,
 }
 
-/// A time-sorted list of churn events.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A tick-sorted list of churn events.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnSchedule {
     events: Vec<ChurnEvent>,
 }
@@ -47,16 +49,19 @@ impl ChurnSchedule {
         ChurnSchedule::default()
     }
 
-    /// Builds a schedule from events, sorting them by time.
+    /// Builds a schedule from events, sorting them by tick (a stable
+    /// sort: events of one tick keep their given order).
     pub fn from_events(mut events: Vec<ChurnEvent>) -> Self {
-        events.sort_by_key(|a| a.time);
+        events.sort_by_key(|a| a.tick);
         ChurnSchedule { events }
     }
 
     /// Generates random fail/recover cycles: each node independently fails
     /// with probability `fail_probability`; a failed node goes down at a
-    /// uniform time in `[0, horizon)` and recovers `downtime` seconds later
-    /// (if that is before the horizon).
+    /// uniform time `t` in `[0, horizon)` and recovers at `t + downtime`
+    /// (if that is before the horizon). Times are in ticks; an event drawn
+    /// at time `t` is stamped with tick `⌈t⌉`, the first tick not before
+    /// it.
     ///
     /// # Errors
     ///
@@ -84,14 +89,14 @@ impl ChurnSchedule {
             if rng.random_bool(fail_probability) {
                 let down_at = rng.random_range(0.0..horizon);
                 events.push(ChurnEvent {
-                    time: SimTime::new(down_at).expect("in range"),
+                    tick: down_at.ceil() as u64,
                     node: NodeId::new(u),
                     kind: ChurnKind::Down,
                 });
                 let up_at = down_at + downtime;
                 if up_at < horizon {
                     events.push(ChurnEvent {
-                        time: SimTime::new(up_at).expect("in range"),
+                        tick: up_at.ceil() as u64,
                         node: NodeId::new(u),
                         kind: ChurnKind::Up,
                     });
@@ -101,7 +106,7 @@ impl ChurnSchedule {
         Ok(ChurnSchedule::from_events(events))
     }
 
-    /// The events, sorted by time.
+    /// The events, sorted by tick.
     pub fn events(&self) -> &[ChurnEvent] {
         &self.events
     }
@@ -127,12 +132,12 @@ mod tests {
     fn from_events_sorts() {
         let s = ChurnSchedule::from_events(vec![
             ChurnEvent {
-                time: SimTime::new(2.0).unwrap(),
+                tick: 2,
                 node: NodeId::new(0),
                 kind: ChurnKind::Up,
             },
             ChurnEvent {
-                time: SimTime::new(1.0).unwrap(),
+                tick: 1,
                 node: NodeId::new(0),
                 kind: ChurnKind::Down,
             },
@@ -147,7 +152,7 @@ mod tests {
         let s = ChurnSchedule::random_failures(100, 0.3, 10.0, 1.0, &mut rng).unwrap();
         assert!(!s.is_empty());
         for w in s.events().windows(2) {
-            assert!(w[0].time <= w[1].time);
+            assert!(w[0].tick <= w[1].tick);
         }
         // Each down within horizon - downtime has a matching up.
         let downs = s
@@ -162,6 +167,36 @@ mod tests {
             .count();
         assert!(ups <= downs);
         assert!(downs <= 100);
+    }
+
+    #[test]
+    fn random_failures_stamp_each_draw_with_its_ceiling_tick() {
+        let (n, p, horizon, downtime) = (200, 0.4, 25.0, 3.5);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut replay = rng.clone();
+        let s = ChurnSchedule::random_failures(n, p, horizon, downtime, &mut rng).unwrap();
+        let mut expected = Vec::new();
+        for u in 0..n {
+            if replay.random_bool(p) {
+                let down_at: f64 = replay.random_range(0.0..horizon);
+                expected.push((down_at.ceil() as u64, NodeId::new(u), ChurnKind::Down));
+                if down_at + downtime < horizon {
+                    let up_at = (down_at + downtime).ceil() as u64;
+                    expected.push((up_at, NodeId::new(u), ChurnKind::Up));
+                }
+            }
+        }
+        // The schedule is sorted by tick, and stably: a node's down still
+        // precedes its up.
+        expected.sort_by_key(|e| e.0);
+        let got: Vec<_> = s
+            .events()
+            .iter()
+            .map(|e| (e.tick, e.node, e.kind))
+            .collect();
+        assert!(expected.iter().any(|e| e.2 == ChurnKind::Up));
+        assert_eq!(got, expected);
+        assert_eq!(rng.random::<u64>(), replay.random::<u64>());
     }
 
     #[test]

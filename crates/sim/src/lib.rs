@@ -9,18 +9,16 @@
 //!   [`TransportConfig`]'s bytes per tick through a bounded queue, and
 //!   messages are subject to random loss and node churn, with every byte
 //!   accounted ([`NetStats`]). Finite links model queueing delay,
-//!   saturation and backpressure ([`NodeApi::poll_ready`] /
-//!   [`NodeApi::try_send`]); [`TransportConfig::unbounded`] makes every
-//!   hop exactly one tick. One thread runs every phase of a tick in node
-//!   and link order, so a seed fixes the run bit for bit (see [`reactor`]);
+//!   saturation and queue-full drops; [`TransportConfig::unbounded`] makes
+//!   every hop exactly one tick. One thread runs every phase of a tick in
+//!   node and link order, so a seed fixes the run bit for bit (see
+//!   [`reactor`]);
 //! * [`NodeHandler`] — the protocol hook: the `gdsearch` core crate
 //!   implements the paper's query-forwarding protocol as a handler;
 //! * [`WireMessage`] — wire-size accounting for bandwidth reports;
 //! * [`Histogram`] — the log2 histogram [`NetStats`] reports delay in;
-//! * [`SimTime`] — the virtual clock churn schedules and traces are
-//!   stamped with (one tick is one abstract second);
-//! * [`churn`] — failure-injection schedules (node down/up events);
-//! * [`trace`] — bounded event traces for debugging and assertions.
+//! * [`churn`] — failure-injection schedules (node down/up events, stamped
+//!   with the tick they take effect in).
 //!
 //! # Example
 //!
@@ -82,8 +80,6 @@ pub mod link;
 mod node;
 pub mod reactor;
 mod stats;
-mod time;
-pub mod trace;
 mod transport;
 mod wire;
 
@@ -93,6 +89,5 @@ pub use link::LinkStats;
 pub use node::{NodeApi, NodeHandler};
 pub use reactor::Reactor;
 pub use stats::NetStats;
-pub use time::SimTime;
 pub use transport::TransportConfig;
-pub use wire::{decode_f32_slice, encode_f32_slice, WireMessage};
+pub use wire::WireMessage;

@@ -5,11 +5,11 @@
 //! currently being transmitted. Bandwidth is modeled in bytes per tick —
 //! a message of `wire_size()` bytes occupies the link for
 //! `ceil(bytes / bytes_per_tick)` ticks once it reaches the head, and
-//! everything behind it queues. The queue is bounded; the transport layer
-//! decides what to do when it is full (drop + count, with
-//! [`NodeApi::try_send`] as the protocol-visible escape hatch).
+//! everything behind it queues. The queue is bounded: a message that does
+//! not fit is dropped and counted, per link in [`LinkStats::dropped_full`]
+//! and over all links in [`NetStats::dropped_backpressure`].
 //!
-//! [`NodeApi::try_send`]: crate::NodeApi::try_send
+//! [`NetStats::dropped_backpressure`]: crate::NetStats::dropped_backpressure
 
 #![expect(
     clippy::expect_used,
@@ -42,8 +42,6 @@ struct InFlight<M> {
 pub(crate) struct Completed<M> {
     /// The transported message.
     pub msg: M,
-    /// Wire size in bytes.
-    pub bytes: usize,
     /// Ticks this message waited in the queue before its transmission
     /// started.
     pub waited: u64,
@@ -139,7 +137,6 @@ impl<M> Link<M> {
             self.stats.queue_delay_ticks += waited;
             out.push(Completed {
                 msg: head.msg,
-                bytes: head.bytes,
                 waited,
             });
         }
@@ -166,7 +163,7 @@ mod tests {
         let done = drain(&mut link, 100, 2);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].msg, 7);
-        assert_eq!(done[0].bytes, 250);
+        assert_eq!(link.stats().bytes, 250);
         assert_eq!(link.stats().queue_delay_ticks, 0);
         assert!(link.is_empty());
     }
@@ -216,6 +213,6 @@ mod tests {
         assert!(link.enqueue(0, 0, 0));
         let done = drain(&mut link, 1, 0);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].bytes, 0);
+        assert_eq!(link.stats().bytes, 0);
     }
 }

@@ -4,9 +4,8 @@
 //! diffusion search differ most where links saturate, queues build and
 //! messages are dropped under backpressure. [`Reactor`] models that
 //! regime: per-edge FIFO [`Link`](crate::link) queues with finite bytes
-//! per tick ([`TransportConfig`]), bounded send queues, and backpressure
-//! surfaced to handlers through [`NodeApi::poll_ready`] /
-//! [`NodeApi::try_send`]. Delay is what the links produce: one hop takes
+//! per tick ([`TransportConfig`]) and bounded send queues that drop, and
+//! count, what does not fit. Delay is what the links produce: one hop takes
 //! at least one tick, `ceil(bytes / bytes_per_tick)` ticks of wire time
 //! plus whatever it queued behind. Hop-count experiments, where bandwidth
 //! is irrelevant, run the same loop with
@@ -16,8 +15,9 @@
 //!
 //! # Execution model
 //!
-//! Virtual time advances in integer ticks; one tick runs three phases, all
-//! on the calling thread:
+//! Virtual time advances in integer ticks; one tick applies the churn
+//! events stamped with it, then runs three phases, all on the calling
+//! thread:
 //!
 //! 1. **Handler phase.** Every node with a non-empty inbox is *activated*,
 //!    in ascending node order: its handler processes the tick's deliveries
@@ -39,20 +39,14 @@
 //!   draws only from its own per-node RNG (seeded from the transport seed
 //!   and the node id), so its draws do not depend on which other nodes ran
 //!   this tick.
-//! * **Backpressure view.** A handler sees its outgoing-link depths as they
-//!   stood when the tick's handler phase began, plus its own sends this
-//!   tick. Nothing is transmitted before the transport phase, and a
-//!   directed link `u → v` only ever gains messages from `u` itself, so
-//!   the view is exact (an upper bound when random loss is enabled, since
-//!   lost sends never reach the queue).
 //! * **Transport and links.** Loss coin flips come from one transport RNG,
 //!   drawn once per routed send in node order, then outbox order; links
 //!   are serviced in CSR order.
 //!
-//! Stats and trace records are written in those same orders, so the same
-//! seed yields the same [`Trace`], the same [`NetStats`] and the same
-//! handler states (`deterministic_per_seed` in `tests/properties.rs`; the
-//! naive fabric model there replays the transport phase's coin order).
+//! Stats are written in those same orders, so the same seed yields the
+//! same [`NetStats`] and the same handler states (`deterministic_per_seed`
+//! in `tests/properties.rs`; the naive fabric model there replays the
+//! transport phase's coin order).
 //!
 //! # Example
 //!
@@ -88,10 +82,6 @@
 //! ```
 
 #![expect(
-    clippy::expect_used,
-    reason = "audited invariant expect()s: each site's message states the precondition that makes it unreachable"
-)]
-#![expect(
     clippy::indexing_slicing,
     reason = "bounds-audited indexing: buffers are sized at construction and indices derive from validated node/shard/dim counts"
 )]
@@ -108,20 +98,18 @@ use rand::{Rng, SeedableRng};
 
 use crate::churn::{ChurnEvent, ChurnKind};
 use crate::link::LinkStats;
-use crate::node::{LinkCapacityView, NodeApi, NodeHandler};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::node::{NodeApi, NodeHandler};
 use crate::transport::{Transport, TransportConfig};
-use crate::{NetStats, SimError, SimTime, WireMessage};
+use crate::{NetStats, SimError, WireMessage};
 
-/// One queued delivery: `(sender, message, wire bytes)`.
-type Inbound<M> = (Option<NodeId>, M, usize);
+/// One queued delivery: `(sender, message)`.
+type Inbound<M> = (Option<NodeId>, M);
 
 /// Bandwidth-aware deterministic network simulator (see the module docs).
 ///
 /// Runs one [`NodeHandler`] per node; messages serialize over the
-/// [`TransportConfig`]'s links, every outcome is accounted in
-/// [`NetStats`] / [`Trace`], and handlers see backpressure via
-/// [`NodeApi::poll_ready`] / [`NodeApi::try_send`].
+/// [`TransportConfig`]'s links, and every outcome is accounted in
+/// [`NetStats`].
 pub struct Reactor<M, H> {
     graph: Graph,
     handlers: Vec<H>,
@@ -142,7 +130,6 @@ pub struct Reactor<M, H> {
     tick: u64,
     loss_probability: f64,
     stats: NetStats,
-    trace: Trace,
     /// Per-source wire accounting: `(frames, bytes)` handed to the
     /// transport by each node, updated in the sequential transport
     /// phase. The distributed layer cross-checks its own byte
@@ -161,7 +148,9 @@ where
     ///
     /// Returns [`SimError::InvalidParameter`] if `handlers.len()` differs
     /// from the node count (degenerate transport parameters are already
-    /// rejected by [`TransportConfig`]'s builder methods).
+    /// rejected by [`TransportConfig`]'s builder methods), and
+    /// [`SimError::NodeOutOfRange`] if a churn event names a node outside
+    /// the graph.
     pub fn new(graph: Graph, handlers: Vec<H>, config: TransportConfig) -> Result<Self, SimError> {
         if handlers.len() != graph.num_nodes() {
             return Err(SimError::invalid_parameter(format!(
@@ -171,10 +160,16 @@ where
             )));
         }
         let n = graph.num_nodes();
+        let mut churn = config.churn.events().to_vec();
+        if let Some(event) = churn.iter().find(|e| e.node.index() >= n) {
+            return Err(SimError::NodeOutOfRange {
+                node: event.node.as_u32(),
+                num_nodes: n as u32,
+            });
+        }
+        churn.sort_by_key(|e| e.tick);
         let rngs = (0..n).map(|u| node_rng(config.seed, u as u64)).collect();
         let transport = Transport::new(&graph, &config);
-        let mut churn = config.churn.events().to_vec();
-        churn.sort_by_key(|e| e.time);
         Ok(Reactor {
             handlers,
             rngs,
@@ -188,7 +183,6 @@ where
             tick: 0,
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
-            trace: Trace::new(config.trace_capacity),
             sent_by_node: vec![(0, 0); n],
             graph,
         })
@@ -199,12 +193,8 @@ where
         &self.graph
     }
 
-    /// Current virtual time (`tick` ticks, one abstract second each).
-    pub fn now(&self) -> SimTime {
-        SimTime::new(self.tick as f64).expect("tick counts are finite and non-negative")
-    }
-
-    /// Ticks executed so far.
+    /// Current virtual time: the ticks executed so far, which is also the
+    /// tick the next [`Reactor::step`] runs (and applies churn for).
     pub fn now_tick(&self) -> u64 {
         self.tick
     }
@@ -212,11 +202,6 @@ where
     /// Transport statistics so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The transport trace (empty unless enabled in the config).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// `(frames, bytes)` node `source` has handed to the transport so
@@ -238,16 +223,6 @@ where
     /// exists.
     pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<&LinkStats> {
         self.transport.link_stats(&self.graph, from, to)
-    }
-
-    /// Whether `node` is currently up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeOutOfRange`] for unknown nodes.
-    pub fn is_up(&self, node: NodeId) -> Result<bool, SimError> {
-        self.check_node(node)?;
-        Ok(self.up[node.index()])
     }
 
     /// Shared access to a node's handler.
@@ -279,8 +254,7 @@ where
     /// Returns [`SimError::NodeOutOfRange`] for unknown nodes.
     pub fn inject(&mut self, node: NodeId, msg: M) -> Result<(), SimError> {
         self.check_node(node)?;
-        let bytes = msg.wire_size();
-        self.inboxes[node.index()].push((None, msg, bytes));
+        self.inboxes[node.index()].push((None, msg));
         self.active.insert(node.index());
         Ok(())
     }
@@ -312,58 +286,29 @@ where
         Ok(executed)
     }
 
-    /// Executes exactly one tick (handler, transport and link phases) and
-    /// returns the tick's virtual time. Idle ticks are valid — time
-    /// passes, nothing moves.
-    pub fn step(&mut self) -> SimTime {
-        let now = self.now();
+    /// Executes exactly one tick (churn, then the handler, transport and
+    /// link phases). Idle ticks are valid — time passes, nothing moves.
+    pub fn step(&mut self) {
         let tick = self.tick;
         self.apply_churn();
 
         // ---- Handler phase (ascending node order) ----------------------
-        let queue_capacity = self.transport.queue_capacity();
         let mut outboxes: Vec<(NodeId, Vec<(NodeId, M)>)> = Vec::new();
         for index in std::mem::take(&mut self.active) {
             let node = NodeId::new(index as u32);
             let inbox = std::mem::take(&mut self.inboxes[index]);
             if !self.up[index] {
-                for (from, _, bytes) in &inbox {
-                    self.stats.dropped_down += 1;
-                    self.trace.record(TraceEvent {
-                        time: now,
-                        kind: TraceKind::DroppedDown,
-                        from: *from,
-                        to: node,
-                        bytes: *bytes,
-                    });
-                }
+                self.stats.dropped_down += inbox.len() as u64;
                 continue;
             }
-            for (from, _, bytes) in &inbox {
-                self.stats.delivered += 1;
-                self.trace.record(TraceEvent {
-                    time: now,
-                    kind: TraceKind::Delivered,
-                    from: *from,
-                    to: node,
-                    bytes: *bytes,
-                });
-            }
-            let depths = self.transport.depths(node);
-            let mut pending = vec![0u32; depths.len()];
+            self.stats.delivered += inbox.len() as u64;
             let mut outbox = Vec::new();
-            for (from, msg, _) in inbox {
+            for (from, msg) in inbox {
                 let mut api = NodeApi::new(
                     node,
-                    now,
                     self.graph.neighbor_slice(node),
                     &mut self.rngs[index],
                     &mut outbox,
-                    LinkCapacityView {
-                        capacity: queue_capacity,
-                        depths: &depths,
-                        pending: &mut pending,
-                    },
                 );
                 self.handlers[index].handle(from, msg, &mut api);
             }
@@ -381,12 +326,11 @@ where
         let inboxes = &mut self.inboxes;
         let active = &mut self.active;
         self.transport.service(tick, |from, to, done| {
-            inboxes[to.index()].push((Some(from), done.msg, done.bytes));
+            inboxes[to.index()].push((Some(from), done.msg));
             active.insert(to.index());
         });
         self.transport.fold_stats(&mut self.stats);
         self.tick += 1;
-        now
     }
 
     /// Hands a message to the link fabric, accounting every outcome. The
@@ -401,52 +345,23 @@ where
             meter.0 += 1;
             meter.1 += bytes as u64;
         }
-        let now = self.now();
-        self.trace.record(TraceEvent {
-            time: now,
-            kind: TraceKind::Sent,
-            from: Some(from),
-            to,
-            bytes,
-        });
         let Some(link) = self.transport.link_id(&self.graph, from, to) else {
             self.stats.dropped_no_route += 1;
-            self.trace.record(TraceEvent {
-                time: now,
-                kind: TraceKind::DroppedNoRoute,
-                from: Some(from),
-                to,
-                bytes,
-            });
             return;
         };
         if self.loss_probability > 0.0 && self.transport_rng.random_bool(self.loss_probability) {
             self.stats.lost += 1;
-            self.trace.record(TraceEvent {
-                time: now,
-                kind: TraceKind::Lost,
-                from: Some(from),
-                to,
-                bytes,
-            });
             return;
         }
         if !self.transport.enqueue_at(link, msg, bytes, tick) {
             self.stats.dropped_backpressure += 1;
-            self.trace.record(TraceEvent {
-                time: now,
-                kind: TraceKind::DroppedFull,
-                from: Some(from),
-                to,
-                bytes,
-            });
         }
     }
 
     /// Applies all churn events scheduled at or before the current tick.
     fn apply_churn(&mut self) {
         while let Some(event) = self.churn.get(self.churn_cursor) {
-            if event.time.as_secs() > self.tick as f64 {
+            if event.tick > self.tick {
                 break;
             }
             self.up[event.node.index()] = matches!(event.kind, ChurnKind::Up);
@@ -592,52 +507,12 @@ mod tests {
     }
 
     #[test]
-    fn try_send_respects_backpressure_exactly() {
-        // With try_send the handler observes the same bound and keeps the
-        // overflow instead of losing it.
-        #[derive(Default)]
-        struct Careful {
-            refused: u32,
-        }
-        impl NodeHandler<Hop> for Careful {
-            fn handle(&mut self, from: Option<NodeId>, _msg: Hop, api: &mut NodeApi<'_, Hop>) {
-                if from.is_none() {
-                    let next = api.neighbors()[0];
-                    for _ in 0..5 {
-                        let ready = api.poll_ready(next);
-                        match api.try_send(next, Hop(0)) {
-                            Ok(()) => assert!(ready, "try_send succeeded while not ready"),
-                            Err(Hop(_)) => {
-                                assert!(!ready, "try_send refused while ready");
-                                self.refused += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let g = generators::path(2);
-        let cfg = TransportConfig::default()
-            .with_queue_capacity(2)
-            .unwrap()
-            .with_bandwidth(1)
-            .unwrap();
-        let mut net = Reactor::new(g, vec![Careful::default(), Careful::default()], cfg).unwrap();
-        net.inject(NodeId::new(0), Hop(0)).unwrap();
-        net.run_to_completion(100).unwrap();
-        assert_eq!(net.stats().dropped_backpressure, 0);
-        assert_eq!(net.stats().sent, 2);
-        assert_eq!(net.handler(NodeId::new(0)).unwrap().refused, 3);
-    }
-
-    #[test]
     fn no_route_sends_are_dropped_and_counted() {
         struct Wild;
         impl NodeHandler<Hop> for Wild {
             fn handle(&mut self, from: Option<NodeId>, _msg: Hop, api: &mut NodeApi<'_, Hop>) {
                 if from.is_none() {
                     // Node 2 is not adjacent to node 0 on a path graph.
-                    assert!(!api.poll_ready(NodeId::new(2)));
                     api.send(NodeId::new(2), Hop(0));
                 }
             }
@@ -654,7 +529,7 @@ mod tests {
     fn churn_drops_deliveries_to_down_nodes() {
         let g = generators::path(3);
         let churn = ChurnSchedule::from_events(vec![ChurnEvent {
-            time: SimTime::ZERO,
+            tick: 0,
             node: NodeId::new(1),
             kind: ChurnKind::Down,
         }]);
@@ -672,12 +547,12 @@ mod tests {
         let g = generators::path(2);
         let churn = ChurnSchedule::from_events(vec![
             ChurnEvent {
-                time: SimTime::ZERO,
+                tick: 0,
                 node: NodeId::new(1),
                 kind: ChurnKind::Down,
             },
             ChurnEvent {
-                time: SimTime::new(2.0).unwrap(),
+                tick: 2,
                 node: NodeId::new(1),
                 kind: ChurnKind::Up,
             },
@@ -688,8 +563,6 @@ mod tests {
             .with_churn(churn);
         let mut net = Reactor::new(g, counters(2), cfg).unwrap();
         net.inject(NodeId::new(0), Hop(1)).unwrap();
-        net.step();
-        assert!(!net.is_up(NodeId::new(1)).unwrap());
         net.run_to_completion(100).unwrap();
         // The 4-byte relay is on the 1 B/tick wire for ticks 0..=3; node 1
         // recovered at tick 2, so it arrives.
@@ -757,8 +630,56 @@ mod tests {
     fn injection_validates_node() {
         let g = generators::ring(4).unwrap();
         let mut net = Reactor::new(g, counters(4), TransportConfig::default()).unwrap();
-        assert!(net.inject(NodeId::new(9), Hop(1)).is_err());
-        assert!(net.is_up(NodeId::new(9)).is_err());
-        assert!(net.is_up(NodeId::new(1)).unwrap());
+        assert!(matches!(
+            net.inject(NodeId::new(9), Hop(1)),
+            Err(SimError::NodeOutOfRange {
+                node: 9,
+                num_nodes: 4
+            })
+        ));
+        assert!(net.inject(NodeId::new(1), Hop(1)).is_ok());
+    }
+
+    #[test]
+    fn churn_for_a_node_outside_the_graph_is_rejected() {
+        for outside in [4, 9] {
+            let churn = ChurnSchedule::from_events(vec![ChurnEvent {
+                tick: 0,
+                node: NodeId::new(outside),
+                kind: ChurnKind::Down,
+            }]);
+            let cfg = TransportConfig::default().with_churn(churn);
+            let g = generators::ring(4).unwrap();
+            let built = Reactor::new(g, counters(4), cfg);
+            assert!(
+                matches!(
+                    built,
+                    Err(SimError::NodeOutOfRange { node, num_nodes: 4 }) if node == outside
+                ),
+                "node {outside}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_churn_event_at_tick_k_takes_effect_in_the_kth_step() {
+        // Node 1 goes down at tick k; one message is injected before each
+        // step. The injections delivered in steps 0..k reach its handler,
+        // the ones from step k on are dropped at the down node.
+        for k in 0..4u64 {
+            let churn = ChurnSchedule::from_events(vec![ChurnEvent {
+                tick: k,
+                node: NodeId::new(1),
+                kind: ChurnKind::Down,
+            }]);
+            let cfg = TransportConfig::default().with_churn(churn);
+            let mut net = Reactor::new(generators::path(2), counters(2), cfg).unwrap();
+            for _ in 0..6 {
+                net.inject(NodeId::new(1), Hop(0)).unwrap();
+                net.step();
+            }
+            assert_eq!(net.handler(NodeId::new(1)).unwrap().received, k as u32);
+            assert_eq!(net.stats().dropped_down, 6 - k);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Configuration and link fabric of the bandwidth-aware transport.
 //!
 //! [`TransportConfig`] describes per-link bandwidth (bytes per tick),
-//! send-queue bounds, and the loss/churn/trace/seed settings of a run.
+//! send-queue bounds, and the loss/churn/seed settings of a run.
 //! [`Transport`] owns one [`Link`] per directed overlay edge and provides
 //! the two operations the reactor drives each tick: enqueue outgoing
 //! messages (with drop accounting) and service every link's byte budget.
@@ -31,20 +31,18 @@ pub struct TransportConfig {
     pub(crate) queue_capacity: usize,
     pub(crate) seed: u64,
     pub(crate) loss_probability: f64,
-    pub(crate) trace_capacity: usize,
     pub(crate) churn: ChurnSchedule,
 }
 
 impl Default for TransportConfig {
     /// 64 KiB/tick links with 1024-message queues, lossless, churn-free,
-    /// seed 0, no trace.
+    /// seed 0.
     fn default() -> Self {
         TransportConfig {
             bytes_per_tick: 64 * 1024,
             queue_capacity: 1024,
             seed: 0,
             loss_probability: 0.0,
-            trace_capacity: 0,
             churn: ChurnSchedule::none(),
         }
     }
@@ -118,12 +116,6 @@ impl TransportConfig {
         Ok(self)
     }
 
-    /// Enables transport tracing with the given ring-buffer capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Installs a churn schedule.
     pub fn with_churn(mut self, churn: ChurnSchedule) -> Self {
         self.churn = churn;
@@ -151,7 +143,6 @@ pub(crate) struct Transport<M> {
     /// the deterministic CSR link order.
     busy: BTreeSet<usize>,
     bytes_per_tick: u64,
-    queue_capacity: usize,
     /// Distribution of per-message queueing delays (ticks spent waiting
     /// behind other traffic before transmission started). Recorded in the
     /// sequential link phase, in deterministic CSR link order.
@@ -179,31 +170,15 @@ impl<M> Transport<M> {
             endpoints,
             busy: BTreeSet::new(),
             bytes_per_tick: config.bytes_per_tick,
-            queue_capacity: config.queue_capacity,
             queue_delay: Histogram::new(),
             max_depth: 0,
         }
-    }
-
-    /// The per-link queue bound, in messages.
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.queue_capacity
     }
 
     /// The link id for `from → to`, if the edge exists.
     pub(crate) fn link_id(&self, graph: &Graph, from: NodeId, to: NodeId) -> Option<usize> {
         let position = graph.neighbor_slice(from).binary_search(&to).ok()?;
         Some(self.offsets[from.index()] + position)
-    }
-
-    /// Queue depths of `from`'s outgoing links, indexed like its neighbor
-    /// slice; a depth past `u32::MAX` (an unbounded queue) reads
-    /// `u32::MAX`.
-    pub(crate) fn depths(&self, from: NodeId) -> Vec<u32> {
-        self.links[self.offsets[from.index()]..self.offsets[from.index() + 1]]
-            .iter()
-            .map(|link| u32::try_from(link.depth()).unwrap_or(u32::MAX))
-            .collect()
     }
 
     /// Hands a message to link `id`; returns whether it was accepted
@@ -302,8 +277,7 @@ mod tests {
         assert!(!t.enqueue_at(ab, 2, 8, 0));
         assert_eq!(t.link_id(&g, a, c), None);
         assert!(!t.is_idle());
-        assert_eq!(t.depths(a), vec![1]);
-        assert_eq!(t.depths(b), vec![0, 0]);
+        assert_eq!(t.links[ab].depth(), 1);
     }
 
     #[test]

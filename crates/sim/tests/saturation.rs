@@ -1,13 +1,11 @@
 //! Saturation and backpressure scenarios for the bounded-transport
 //! reactor: link capacity must actually gate throughput, queues must
-//! build and drain as bandwidth dictates, and the backpressure API must
-//! let adaptive senders avoid the drops that blind senders suffer.
+//! build and drain as bandwidth dictates, and traffic queued towards a
+//! node that goes down must be dropped and accounted.
 
 use gdsearch_graph::{generators, NodeId};
 use gdsearch_sim::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-use gdsearch_sim::{
-    NodeApi, NodeHandler, Reactor, SimError, SimTime, TransportConfig, WireMessage,
-};
+use gdsearch_sim::{NodeApi, NodeHandler, Reactor, SimError, TransportConfig, WireMessage};
 
 /// A fixed-size payload message.
 #[derive(Clone, Debug)]
@@ -100,86 +98,13 @@ fn throughput_never_exceeds_link_bandwidth() {
 }
 
 #[test]
-fn blind_senders_drop_where_adaptive_senders_wait() {
-    // Blind: shove 20 chunks into a queue of 4 → 16 backpressure drops.
-    let g = generators::path(2);
-    let cfg = TransportConfig::default()
-        .with_bandwidth(100)
-        .unwrap()
-        .with_queue_capacity(4)
-        .unwrap();
-    let mut blind =
-        Reactor::new(g.clone(), vec![Source { burst: 20 }, sink()], cfg.clone()).unwrap();
-    blind.inject(NodeId::new(0), Chunk).unwrap();
-    blind.run_to_completion(10_000).unwrap();
-    assert_eq!(blind.stats().dropped_backpressure, 16);
-    assert_eq!(blind.stats().delivered, 1 + 4);
-
-    // Adaptive: poll readiness and keep unsent work locally, re-kicking
-    // itself each activation until everything fit through the queue.
-    #[derive(Debug)]
-    struct Adaptive {
-        remaining: u32,
-    }
-    impl NodeHandler<Chunk> for Adaptive {
-        fn handle(&mut self, _from: Option<NodeId>, _msg: Chunk, api: &mut NodeApi<'_, Chunk>) {
-            let next = api.neighbors()[0];
-            while self.remaining > 0 && api.try_send(next, Chunk).is_ok() {
-                self.remaining -= 1;
-            }
-        }
-    }
-    // The sink echoes one chunk back per activation so the sender keeps
-    // getting activated to flush its backlog (a self-clocking window, the
-    // way real protocols ride acks).
-    #[derive(Debug)]
-    struct Echo;
-    impl NodeHandler<Chunk> for Echo {
-        fn handle(&mut self, from: Option<NodeId>, _msg: Chunk, api: &mut NodeApi<'_, Chunk>) {
-            if let Some(parent) = from {
-                api.send(parent, Chunk);
-            }
-        }
-    }
-    #[derive(Debug)]
-    enum Either {
-        Sender(Adaptive),
-        Receiver(Echo),
-    }
-    impl NodeHandler<Chunk> for Either {
-        fn handle(&mut self, from: Option<NodeId>, msg: Chunk, api: &mut NodeApi<'_, Chunk>) {
-            match self {
-                Either::Sender(h) => h.handle(from, msg, api),
-                Either::Receiver(h) => h.handle(from, msg, api),
-            }
-        }
-    }
-    let mut adaptive = Reactor::new(
-        g,
-        vec![
-            Either::Sender(Adaptive { remaining: 20 }),
-            Either::Receiver(Echo),
-        ],
-        cfg,
-    )
-    .unwrap();
-    adaptive.inject(NodeId::new(0), Chunk).unwrap();
-    adaptive.run_to_completion(10_000).unwrap();
-    assert_eq!(adaptive.stats().dropped_backpressure, 0);
-    match adaptive.handler(NodeId::new(0)).unwrap() {
-        Either::Sender(h) => assert_eq!(h.remaining, 0, "backlog fully flushed"),
-        Either::Receiver(_) => unreachable!("node 0 is the sender"),
-    }
-}
-
-#[test]
 fn churn_under_backpressure_drops_queued_traffic_cleanly() {
     // The sink dies while a saturated queue is still draining towards it:
     // in-flight messages arriving at a down node must become
     // dropped_down, and accounting must still balance.
     let g = generators::path(2);
     let churn = ChurnSchedule::from_events(vec![ChurnEvent {
-        time: SimTime::new(3.0).unwrap(),
+        tick: 3,
         node: NodeId::new(1),
         kind: ChurnKind::Down,
     }]);

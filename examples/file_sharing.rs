@@ -63,8 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_bandwidth(1_000)?
         .with_loss_probability(0.01)?
         .with_churn(churn)
-        .with_seed(99)
-        .with_trace_capacity(4096);
+        .with_seed(99);
     let mut net = protocol::build(scheme, transport)?;
 
     // Issue 20 queries from random peers, all at tick 0.
