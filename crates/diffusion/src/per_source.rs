@@ -45,7 +45,7 @@ pub fn is_sparse(num_sources: usize, dim: usize) -> bool {
 ///   measured ≈ 4× more efficient per flop, so the break-even is taken as
 ///   `dim / 4`. That ratio predates the matrix-free register-blocked
 ///   sweep on every core and push's one-drain columns (at N = 10⁵ and
-///   tolerance 1e-5, ≈ 340 pushes and 70–90 µs per column on one core);
+///   tolerance 1e-5, ≈ 350 pushes and ≈ 46 µs per column on one pinned core);
 ///   a derivation of the crossover must re-measure it. The repo benchmark
 ///   has a workload on each side
 ///   (`rebuild-sparse`, `rebuild-dense`): its `per_source.auto_ms` times

@@ -24,9 +24,11 @@
 //! # Cost and scratch discipline
 //!
 //! All per-node state lives in one scratch per worker, allocated once per
-//! driver call and reused across that worker's sources. Every
-//! `residual[v] +=` marks `v` in the *touched* set: a bitmap of `N/64`
-//! words under a summary with one bit per non-zero word. A column costs
+//! driver call and reused across that worker's sources. The first
+//! `residual[v] +=` onto a zero residual marks `v` in the *touched* set: a
+//! bitmap of `N/64` words under a summary with one bit per non-zero word.
+//! Later deposits skip both read-modify-writes, since a non-zero residual
+//! is already marked (deposits are never below `+0.0`). A column costs
 //! `Σ deg(pushed)` for its pushes plus walks of the touched set: per
 //! drain, the certified bound and, when it misses the tolerance, the
 //! frontier rebuild after an `rmax` halving; once per column, the
@@ -101,10 +103,10 @@ use crate::{workpool, DiffusionError, PprConfig, Signal, SparseRows};
 /// bookkeeping does not pay for itself; above it, push wins increasingly
 /// with `N`. The cost side of the threshold is unmeasured and stale: it was
 /// chosen when a column scanned all `N` nodes several times over (6.0–6.9 µs
-/// per push in that probe). The repo benchmark's traced
-/// `push.ns_per_push` on `rebuild-sparse` (N = 10⁵, seed 41, two vCPUs)
-/// reads 640–850 ns over three runs, and that figure includes
-/// [`diffuse_sparse`]'s dense `N × dim` output.
+/// per push in that probe). Now one [`diffuse_rows`] call on one pinned
+/// core (12 random 64-d sources on `social_circles_like_scaled(100_000)`,
+/// seed 41, tolerance 1e-5, α 0.5: 4,215 pushes) takes 557 µs at best,
+/// ≈ 46 µs per column and ≈ 130 ns per push, scratch and output included.
 ///
 /// It also guards accuracy. The tolerance is an absolute L∞ bound, and
 /// push leaves every residual below it unpushed, while the search walk
@@ -252,9 +254,10 @@ impl Touched {
 
 /// One worker's push state, all zero / false / empty between columns.
 ///
-/// Node `v` joins `touched` whenever `residual[v]` is added to; estimates
-/// and queue flags only change where a residual is positive, so the
-/// touched set covers every non-default entry.
+/// Node `v` joins `touched` when a deposit finds `residual[v]` at zero, so
+/// every node with a non-zero residual is in the set; estimates and queue
+/// flags only change where a residual was non-zero, so the touched set
+/// covers every non-default entry.
 struct PushScratch {
     estimate: Vec<f32>,
     residual: Vec<f32>,
@@ -281,14 +284,20 @@ impl PushScratch {
             && (self.estimate.iter().chain(&self.residual)).all(|x| x.to_bits() == 0)
     }
 
-    /// Adds `amount` to `v`'s residual and queues `v` if that lifts it
-    /// over `rmax · deg(v)`.
+    /// Adds `amount` (finite or not, never below `+0.0`) to `v`'s residual
+    /// and queues `v` if that lifts it over `rmax · deg(v)`. Only a deposit
+    /// onto a zero residual marks `v` touched: a non-zero residual was
+    /// marked by the deposit that made it so, or by whoever poisoned it.
     #[inline]
     fn deposit(&mut self, v: u32, amount: f32, rmax: f32, graph: &Graph) {
         let vi = ix(v);
-        self.residual[vi] += amount;
-        self.touched.insert(vi);
-        if !self.in_queue[vi] && self.residual[vi] > rmax * deg_scale(graph, v) {
+        let before = self.residual[vi];
+        let after = before + amount;
+        self.residual[vi] = after;
+        if before == 0.0 {
+            self.touched.insert(vi);
+        }
+        if !self.in_queue[vi] && after > rmax * deg_scale(graph, v) {
             self.in_queue[vi] = true;
             self.queue.push_back(v);
         }
@@ -1105,6 +1114,44 @@ mod tests {
                 prop_assert_eq!(got, want, "source {}", pick % n);
                 // Both levels of the touched set, after `Ok` and `Err`.
                 prop_assert!(scratch.is_clean(), "source {}", pick % n);
+            }
+        }
+
+        /// A deposit marks a node only when it finds a zero residual, so
+        /// after a drain — certified, halved or stopped by the budget —
+        /// every node with a non-zero residual or estimate, or a set queue
+        /// flag, must still be in the touched set that the bound, the
+        /// frontier rebuild and `take_column` walk.
+        #[test]
+        fn the_touched_set_covers_every_non_default_entry(
+            g in arb_graph(),
+            alpha in 0.05f32..1.0,
+            tolerance_exp in -6i32..2,
+            max_iterations in 1usize..40,
+            picks in collection::vec(0u32..36, 5),
+        ) {
+            let n = g.num_nodes();
+            let ppr = PprConfig::new(alpha)
+                .unwrap()
+                .with_tolerance(10f32.powi(tolerance_exp))
+                .unwrap()
+                .with_max_iterations(max_iterations);
+            let cfg = PushConfig::new(ppr);
+            let mut s = PushScratch::new(n);
+            for pick in picks {
+                let source = pick % n as u32;
+                let _ = drain_to_tolerance(&g, &mut s, source, &cfg);
+                let mut marked = vec![false; n];
+                for v in s.touched.iter() {
+                    marked[ix(v)] = true;
+                }
+                let entries = s.residual.iter().zip(&s.estimate).zip(&s.in_queue);
+                for (v, ((r, e), &queued)) in entries.enumerate() {
+                    let set = r.to_bits() != 0 || e.to_bits() != 0 || queued;
+                    prop_assert!(!set || marked[v], "source {}, node {}", source, v);
+                }
+                s.take_column();
+                prop_assert!(s.is_clean(), "source {}", source);
             }
         }
 

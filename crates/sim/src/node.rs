@@ -26,31 +26,24 @@ pub trait NodeHandler<M> {
 /// Capabilities exposed to a [`NodeHandler`] while processing one message.
 #[derive(Debug)]
 pub struct NodeApi<'a, M> {
-    node: NodeId,
     neighbors: &'a [NodeId],
     rng: &'a mut StdRng,
     outbox: &'a mut Vec<(NodeId, M)>,
 }
 
 impl<'a, M> NodeApi<'a, M> {
-    /// Assembles an API handle for one activation of `node`.
+    /// Assembles an API handle for one activation of the node whose
+    /// neighbors are `neighbors`.
     pub(crate) fn new(
-        node: NodeId,
         neighbors: &'a [NodeId],
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<(NodeId, M)>,
     ) -> Self {
         NodeApi {
-            node,
             neighbors,
             rng,
             outbox,
         }
-    }
-
-    /// The node this handler runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// This node's neighbors, sorted by id.

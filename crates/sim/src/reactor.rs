@@ -305,7 +305,6 @@ where
             let mut outbox = Vec::new();
             for (from, msg) in inbox {
                 let mut api = NodeApi::new(
-                    node,
                     self.graph.neighbor_slice(node),
                     &mut self.rngs[index],
                     &mut outbox,
