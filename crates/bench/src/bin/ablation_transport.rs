@@ -80,7 +80,7 @@ fn main() {
     let tick_budget: u64 = args.get_or("tick-budget", 50_000_000);
     let seed: u64 = args.get_or("seed", 2022);
 
-    let workbench = workbench_from_args(&args, docs + 50).expect("workbench builds");
+    let workbench = workbench_from_args(&args, docs + 50);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0074_7261_6e73);
     let n = workbench.graph.num_nodes() as u32;
     let pair = workbench.queries.pairs()[0];

@@ -17,7 +17,7 @@
 
 use gdsearch::experiment::{accuracy, report};
 use gdsearch::SchemeConfig;
-use gdsearch_bench::{maybe_write_csv, workbench_from_args, Args};
+use gdsearch_bench::{maybe_write_csv, or_exit, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,13 +34,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 2022);
 
     let max_docs = doc_counts.iter().copied().max().unwrap_or(10);
-    let workbench = match workbench_from_args(&args, max_docs + 2000) {
-        Ok(wb) => wb,
-        Err(e) => {
-            eprintln!("failed to build workbench: {e}");
-            std::process::exit(1);
-        }
-    };
+    let workbench = workbench_from_args(&args, max_docs + 2000);
     println!(
         "# Fig. 3 reproduction — graph: {} nodes / {} edges, corpus: {} words ({}-d), {} query pairs",
         workbench.graph.num_nodes(),
@@ -51,10 +45,7 @@ fn main() {
     );
     println!("# iterations = {iterations}, ttl = {ttl}, alphas = {alphas:?}, seed = {seed}\n");
 
-    let base = SchemeConfig::builder()
-        .ttl(ttl)
-        .build()
-        .expect("ttl flag must be positive");
+    let base = or_exit(SchemeConfig::builder().ttl(ttl).build(), "invalid --ttl");
     let mut csv = String::new();
     for (i, &docs) in doc_counts.iter().enumerate() {
         let cfg = accuracy::AccuracyConfig {
@@ -67,26 +58,22 @@ fn main() {
         // shift the others.
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
         let started = std::time::Instant::now();
-        match accuracy::run(&workbench, &cfg, &base, &mut rng) {
-            Ok(result) => {
-                println!("{}", report::accuracy_markdown(&result));
-                println!(
-                    "_({} placements in {:.1}s)_\n",
-                    iterations,
-                    started.elapsed().as_secs_f64()
-                );
-                if csv.is_empty() {
-                    csv = report::accuracy_csv(&result);
-                } else {
-                    // Skip the duplicate header on subsequent subplots.
-                    let body = report::accuracy_csv(&result);
-                    csv.push_str(body.split_once('\n').map(|(_, b)| b).unwrap_or(""));
-                }
-            }
-            Err(e) => {
-                eprintln!("subplot M = {docs} failed: {e}");
-                std::process::exit(1);
-            }
+        let result = or_exit(
+            accuracy::run(&workbench, &cfg, &base, &mut rng),
+            format_args!("subplot M = {docs} failed"),
+        );
+        println!("{}", report::accuracy_markdown(&result));
+        println!(
+            "_({} placements in {:.1}s)_\n",
+            iterations,
+            started.elapsed().as_secs_f64()
+        );
+        if csv.is_empty() {
+            csv = report::accuracy_csv(&result);
+        } else {
+            // Skip the duplicate header on subsequent subplots.
+            let body = report::accuracy_csv(&result);
+            csv.push_str(body.split_once('\n').map(|(_, b)| b).unwrap_or(""));
         }
     }
     maybe_write_csv(&args, &csv);

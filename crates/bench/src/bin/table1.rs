@@ -16,8 +16,8 @@
 #![allow(clippy::disallowed_methods)]
 
 use gdsearch::experiment::{hops, report};
-use gdsearch::SchemeConfig;
-use gdsearch_bench::{maybe_write_csv, workbench_from_args, Args};
+use gdsearch::{Placement, SchemeConfig};
+use gdsearch_bench::{maybe_write_csv, or_exit, workbench_from_args, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,13 +31,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 2022);
 
     let max_docs = doc_counts.iter().copied().max().unwrap_or(10);
-    let workbench = match workbench_from_args(&args, max_docs + 2000) {
-        Ok(wb) => wb,
-        Err(e) => {
-            eprintln!("failed to build workbench: {e}");
-            std::process::exit(1);
-        }
-    };
+    let workbench = workbench_from_args(&args, max_docs + 2000);
     println!(
         "# Table I reproduction — graph: {} nodes / {} edges, corpus: {} words ({}-d)",
         workbench.graph.num_nodes(),
@@ -49,11 +43,8 @@ fn main() {
         "# alpha = {alpha}, ttl = {ttl}, {iterations} iterations x {queries_per_iteration} queries, seed = {seed}\n"
     );
 
-    let base = SchemeConfig::builder()
-        .alpha(alpha)
-        .ttl(ttl)
-        .build()
-        .expect("alpha/ttl flags must be valid");
+    let base = SchemeConfig::builder().alpha(alpha).ttl(ttl).build();
+    let base = or_exit(base, "invalid --alpha or --ttl");
     let mut rows = Vec::new();
     for (i, &docs) in doc_counts.iter().enumerate() {
         let cfg = hops::HopCountConfig {
@@ -63,21 +54,17 @@ fn main() {
         };
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
         let started = std::time::Instant::now();
-        match hops::run(&workbench, &cfg, &base, &mut rng) {
-            Ok(row) => {
-                eprintln!(
-                    "M = {docs}: {}/{} successes in {:.1}s",
-                    row.successes,
-                    row.samples,
-                    started.elapsed().as_secs_f64()
-                );
-                rows.push(row);
-            }
-            Err(e) => {
-                eprintln!("row M = {docs} failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let outcome = hops::sweep(&workbench, &cfg, &base, &mut rng, |words, r| {
+            Placement::uniform(&workbench.graph, words, r)
+        });
+        let outcome = or_exit(outcome, format_args!("row M = {docs} failed"));
+        eprintln!(
+            "M = {docs}: {}/{} successes in {:.1}s",
+            outcome.successes(),
+            outcome.samples,
+            started.elapsed().as_secs_f64()
+        );
+        rows.push((docs, outcome));
     }
     println!("{}", report::hops_markdown(&rows));
     maybe_write_csv(&args, &report::hops_csv(&rows));

@@ -1,7 +1,9 @@
-//! Table I reproduction: hop-count analysis of successful walks (§V-D),
-//! and the Monte-Carlo sweep behind it that the walk ablations (parallel
-//! walks, forwarding policies, document placement, aggregation) run with
-//! their own scheme settings and placements.
+//! Table I reproduction: hop-count analysis of successful walks (§V-D).
+//! One Monte-Carlo sweep ([`sweep`]) runs it; Table I runs it with
+//! uniform placement and renders each row from the [`SweepOutcome`] and
+//! [`hop_stats`], and the walk ablations
+//! (parallel walks, forwarding policies, document placement, aggregation)
+//! run it with their own scheme settings and placements.
 //!
 //! Protocol, following the paper:
 //!
@@ -27,7 +29,7 @@ use crate::experiment::{draw_documents, Workbench};
 use crate::metrics::hop_stats;
 use crate::{walk, Placement, SchemeConfig, SearchError, SearchNetwork};
 
-/// Parameters of one Table I row (fixed document count `M`).
+/// Parameters of one sweep: one Table I row (fixed document count `M`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopCountConfig {
     /// Total documents `M` in the network.
@@ -36,41 +38,6 @@ pub struct HopCountConfig {
     pub iterations: usize,
     /// Queries issued per placement from uniform random nodes (paper: 10).
     pub queries_per_iteration: usize,
-}
-
-impl Default for HopCountConfig {
-    fn default() -> Self {
-        HopCountConfig {
-            total_docs: 10,
-            iterations: 500,
-            queries_per_iteration: 10,
-        }
-    }
-}
-
-/// One row of Table I.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HopCountRow {
-    /// Document count `M`.
-    pub total_docs: usize,
-    /// Successful walks.
-    pub successes: usize,
-    /// Total walks issued.
-    pub samples: usize,
-    /// Median hop count of successful walks (`None` when nothing
-    /// succeeded).
-    pub median_hops: Option<f64>,
-    /// Mean hop count of successful walks.
-    pub mean_hops: Option<f64>,
-    /// Population standard deviation of successful hop counts.
-    pub std_hops: Option<f64>,
-}
-
-impl HopCountRow {
-    /// Success rate over all issued walks.
-    pub fn success_rate(&self) -> f64 {
-        per_sample(self.successes as f64, self.samples)
-    }
 }
 
 /// What a [`sweep`] of uniformly started walks observed.
@@ -114,36 +81,6 @@ fn per_sample(total: f64, samples: usize) -> f64 {
     } else {
         total / samples as f64
     }
-}
-
-/// Runs the hop-count experiment for one document count.
-///
-/// `base` supplies the full scheme configuration — the paper's Table I
-/// uses `alpha = 0.5`, TTL 50, single greedy walk
-/// (`SchemeConfig::default()`). This is [`sweep`] with
-/// [`Placement::uniform`].
-///
-/// # Errors
-///
-/// As [`sweep`].
-pub fn run<R: Rng + ?Sized>(
-    workbench: &Workbench,
-    config: &HopCountConfig,
-    base: &SchemeConfig,
-    rng: &mut R,
-) -> Result<HopCountRow, SearchError> {
-    let outcome = sweep(workbench, config, base, rng, |words, rng| {
-        Placement::uniform(&workbench.graph, words, rng)
-    })?;
-    let stats = hop_stats(&outcome.success_hops);
-    Ok(HopCountRow {
-        total_docs: config.total_docs,
-        successes: outcome.successes(),
-        samples: outcome.samples,
-        median_hops: stats.map(|s| s.median),
-        mean_hops: stats.map(|s| s.mean),
-        std_hops: stats.map(|s| s.std),
-    })
 }
 
 /// Runs `config.iterations` placements × `config.queries_per_iteration`
@@ -206,6 +143,19 @@ mod tests {
         Workbench::generate(&WorkbenchSpec::ci_scale(), &mut rng).unwrap()
     }
 
+    /// Table I's sweep: uniform placement from `seed`.
+    fn uniform_sweep(
+        wb: &Workbench,
+        config: &HopCountConfig,
+        scheme: &SchemeConfig,
+        seed: u64,
+    ) -> Result<SweepOutcome, SearchError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        sweep(wb, config, scheme, &mut rng, |words, r| {
+            Placement::uniform(&wb.graph, words, r)
+        })
+    }
+
     #[test]
     fn produces_consistent_counts() {
         let wb = small_workbench(1);
@@ -214,14 +164,13 @@ mod tests {
             iterations: 10,
             queries_per_iteration: 4,
         };
-        let mut rng = StdRng::seed_from_u64(2);
-        let row = run(&wb, &cfg, &SchemeConfig::default(), &mut rng).unwrap();
-        assert_eq!(row.samples, 40);
-        assert!(row.successes <= row.samples);
-        assert!((0.0..=1.0).contains(&row.success_rate()));
-        if row.successes > 0 {
-            assert!(row.median_hops.is_some());
-            assert!(row.mean_hops.unwrap() >= 0.0);
+        let outcome = uniform_sweep(&wb, &cfg, &SchemeConfig::default(), 2).unwrap();
+        assert_eq!(outcome.samples, 40);
+        assert!(outcome.successes() <= outcome.samples);
+        assert!((0.0..=1.0).contains(&outcome.success_rate()));
+        if outcome.successes() > 0 {
+            assert!(hop_stats(&outcome.success_hops).is_some());
+            assert!(outcome.mean_success_hops().unwrap() >= 0.0);
         }
     }
 
@@ -233,10 +182,9 @@ mod tests {
             iterations: 15,
             queries_per_iteration: 5,
         };
-        let mut rng = StdRng::seed_from_u64(4);
-        let row = run(&wb, &cfg, &SchemeConfig::default(), &mut rng).unwrap();
+        let outcome = uniform_sweep(&wb, &cfg, &SchemeConfig::default(), 4).unwrap();
         assert!(
-            row.successes > 0,
+            outcome.successes() > 0,
             "guided walks on a 300-node graph with TTL 50 must find some gold"
         );
     }
@@ -244,7 +192,6 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let wb = small_workbench(5);
-        let mut rng = StdRng::seed_from_u64(6);
         for bad in [
             HopCountConfig {
                 total_docs: 0,
@@ -267,7 +214,7 @@ mod tests {
                 queries_per_iteration: 1,
             },
         ] {
-            assert!(run(&wb, &bad, &SchemeConfig::default(), &mut rng).is_err());
+            assert!(uniform_sweep(&wb, &bad, &SchemeConfig::default(), 6).is_err());
         }
     }
 
@@ -283,11 +230,10 @@ mod tests {
             queries_per_iteration: 2,
         };
         let base = SchemeConfig::builder().ttl(1).build().unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let row = run(&wb, &cfg, &base, &mut rng).unwrap();
-        if row.successes == 0 {
-            assert!(row.median_hops.is_none());
-            assert!(row.mean_hops.is_none());
+        let outcome = uniform_sweep(&wb, &cfg, &base, 8).unwrap();
+        if outcome.successes() == 0 {
+            assert!(hop_stats(&outcome.success_hops).is_none());
+            assert!(outcome.mean_success_hops().is_none());
         }
     }
 }

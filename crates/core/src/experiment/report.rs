@@ -12,7 +12,8 @@ use std::fmt::Write as _;
 use gdsearch_sim::NetStats;
 
 use crate::experiment::accuracy::AccuracyResult;
-use crate::experiment::hops::HopCountRow;
+use crate::experiment::hops::SweepOutcome;
+use crate::metrics::hop_stats;
 
 /// Renders a Fig. 3 subplot as a markdown table: one row per distance,
 /// one column per α.
@@ -61,53 +62,49 @@ pub fn accuracy_csv(result: &AccuracyResult) -> String {
     out
 }
 
-/// Renders Table I as markdown, mirroring the paper's columns.
-pub fn hops_markdown(rows: &[HopCountRow]) -> String {
+/// Renders Table I as markdown, mirroring the paper's columns: one row
+/// per document count `M` and the sweep run at it.
+pub fn hops_markdown(rows: &[(usize, SweepOutcome)]) -> String {
     let mut out = String::from(
         "| M documents | success rate | median hops | mean hops | std hops |\n\
          |---|---|---|---|---|\n",
     );
-    for r in rows {
-        let fmt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.2}"),
-            None => "–".to_string(),
-        };
+    for (docs, outcome) in rows {
+        let [median, mean, std] = hop_columns(outcome, 2, "–");
         let _ = writeln!(
             out,
-            "| {} | {} / {} | {} | {} | {} |",
-            r.total_docs,
-            r.successes,
-            r.samples,
-            fmt(r.median_hops),
-            fmt(r.mean_hops),
-            fmt(r.std_hops),
+            "| {docs} | {} / {} | {median} | {mean} | {std} |",
+            outcome.successes(),
+            outcome.samples,
         );
     }
     out
 }
 
 /// Renders Table I as CSV.
-pub fn hops_csv(rows: &[HopCountRow]) -> String {
+pub fn hops_csv(rows: &[(usize, SweepOutcome)]) -> String {
     let mut out =
         String::from("total_docs,successes,samples,success_rate,median_hops,mean_hops,std_hops\n");
-    for r in rows {
-        let fmt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.4}"),
-            None => String::new(),
-        };
+    for (docs, outcome) in rows {
+        let [median, mean, std] = hop_columns(outcome, 4, "");
         let _ = writeln!(
             out,
-            "{},{},{},{:.4},{},{},{}",
-            r.total_docs,
-            r.successes,
-            r.samples,
-            r.success_rate(),
-            fmt(r.median_hops),
-            fmt(r.mean_hops),
-            fmt(r.std_hops),
+            "{docs},{},{},{:.4},{median},{mean},{std}",
+            outcome.successes(),
+            outcome.samples,
+            outcome.success_rate(),
         );
     }
     out
+}
+
+/// The median, mean and standard deviation of `outcome`'s successful hop
+/// counts to `precision` decimals, or `none` thrice when none succeeded.
+fn hop_columns(outcome: &SweepOutcome, precision: usize, none: &str) -> [String; 3] {
+    match hop_stats(&outcome.success_hops) {
+        Some(s) => [s.median, s.mean, s.std].map(|x| format!("{x:.precision$}")),
+        None => [none, none, none].map(String::from),
+    }
 }
 
 /// Renders labeled transport statistics as a markdown table: message and
@@ -210,38 +207,32 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + 6);
     }
 
-    fn sample_rows() -> Vec<HopCountRow> {
-        vec![
-            HopCountRow {
-                total_docs: 10,
-                successes: 1905,
-                samples: 5000,
-                median_hops: Some(3.0),
-                mean_hops: Some(7.62),
-                std_hops: Some(10.83),
-            },
-            HopCountRow {
-                total_docs: 100,
-                successes: 0,
-                samples: 5000,
-                median_hops: None,
-                mean_hops: None,
-                std_hops: None,
-            },
-        ]
+    fn sample_rows() -> Vec<(usize, SweepOutcome)> {
+        // Hops 1, 2, 2, 9: median 2, mean 3.5, population std √10.25 = 3.2016.
+        let found = SweepOutcome {
+            samples: 10,
+            total_messages: 200,
+            success_hops: vec![9, 2, 1, 2],
+        };
+        let none = SweepOutcome {
+            samples: 5000,
+            total_messages: 250_000,
+            success_hops: Vec::new(),
+        };
+        vec![(10, found), (100, none)]
     }
 
     #[test]
     fn hops_markdown_layout() {
         let md = hops_markdown(&sample_rows());
-        assert!(md.contains("| 10 | 1905 / 5000 | 3.00 | 7.62 | 10.83 |"));
+        assert!(md.contains("| 10 | 4 / 10 | 2.00 | 3.50 | 3.20 |"));
         assert!(md.contains("| 100 | 0 / 5000 | – | – | – |"));
     }
 
     #[test]
     fn hops_csv_layout() {
         let csv = hops_csv(&sample_rows());
-        assert!(csv.contains("10,1905,5000,0.3810,3.0000,7.6200,10.8300"));
+        assert!(csv.contains("10,4,10,0.4000,2.0000,3.5000,3.2016"));
         assert!(csv.contains("100,0,5000,0.0000,,,"));
     }
 

@@ -91,7 +91,7 @@ pub mod protocol;
 mod scheme;
 pub mod walk;
 
-pub use config::SchemeConfig;
+pub use config::{SchemeConfig, SchemeConfigBuilder};
 pub use engine::{
     CacheVerdict, ConfigError, EngineConfig, EngineError, QueryEngine, QueryRequest, QueryResponse,
 };

@@ -3,6 +3,7 @@
 //! personalization → diffusion → guided walk.
 
 use gdsearch::experiment::{accuracy, hops, Workbench, WorkbenchSpec};
+use gdsearch::metrics::{hop_stats, HopStats};
 use gdsearch::{walk, Placement, PolicyKind, SchemeConfig, SearchError, SearchNetwork};
 use gdsearch_embed::querygen::{self, QueryGenConfig};
 use gdsearch_embed::synthetic::SyntheticCorpus;
@@ -73,6 +74,19 @@ fn quickstart_smoke() {
 
 fn workbench(seed: u64) -> Workbench {
     Workbench::generate(&WorkbenchSpec::ci_scale(), &mut rng(seed)).unwrap()
+}
+
+/// Table I's sweep: documents placed uniformly, every draw from `seed`.
+fn uniform_sweep(
+    wb: &Workbench,
+    cfg: &hops::HopCountConfig,
+    scheme: &SchemeConfig,
+    seed: u64,
+) -> hops::SweepOutcome {
+    hops::sweep(wb, cfg, scheme, &mut rng(seed), |words, r| {
+        Placement::uniform(&wb.graph, words, r)
+    })
+    .unwrap()
 }
 
 #[test]
@@ -148,9 +162,9 @@ fn hop_experiment_matches_walk_semantics() {
         iterations: 10,
         queries_per_iteration: 5,
     };
-    let row = hops::run(&wb, &cfg, &base, &mut rng(42)).unwrap();
-    assert_eq!(row.samples, 50);
-    if let Some(mean) = row.mean_hops {
+    let outcome = uniform_sweep(&wb, &cfg, &base, 42);
+    assert_eq!(outcome.samples, 50);
+    if let Some(mean) = outcome.mean_success_hops() {
         assert!(mean <= 12.0, "mean hops {mean} cannot exceed the TTL");
     }
 }
@@ -181,17 +195,16 @@ fn experiment_drivers_reproduce_golden_rows() {
         iterations: 8,
         queries_per_iteration: 5,
     };
-    let row = hops::run(&wb, &cfg, &base, &mut rng(82)).unwrap();
+    let outcome = uniform_sweep(&wb, &cfg, &base, 82);
+    assert_eq!((outcome.successes(), outcome.samples), (17, 40));
     assert_eq!(
-        row,
-        hops::HopCountRow {
-            total_docs: 12,
-            successes: 17,
-            samples: 40,
-            median_hops: Some(2.0),
-            mean_hops: Some(2.764705882352941),
-            std_hops: Some(1.7996539459739243),
-        }
+        hop_stats(&outcome.success_hops),
+        Some(HopStats {
+            count: 17,
+            median: 2.0,
+            mean: 2.764705882352941,
+            std: 1.7996539459739243,
+        })
     );
 
     let cfg = accuracy::AccuracyConfig {
@@ -238,14 +251,9 @@ fn hop_sweeps_reproduce_pinned_counts() {
         )
     };
 
-    let row = hops::run(&wb, &cfg, &paper, &mut rng(92)).unwrap();
-    assert_eq!((row.successes, row.samples), (13, 30));
-    assert_eq!(row.mean_hops, Some(117.0 / 13.0));
-    let uniform = hops::sweep(&wb, &cfg, &paper, &mut rng(92), |words, r| {
-        Placement::uniform(&wb.graph, words, r)
-    })
-    .unwrap();
+    let uniform = uniform_sweep(&wb, &cfg, &paper, 92);
     assert_eq!(counts(&uniform), (13, 30, 1500, 117));
+    assert_eq!(uniform.mean_success_hops(), Some(117.0 / 13.0));
 
     let correlated = hops::sweep(&wb, &cfg, &paper, &mut rng(93), |words, r| {
         Placement::topic_correlated(&wb.graph, &wb.corpus, words, 0.9, 1, r)
@@ -258,10 +266,7 @@ fn hop_sweeps_reproduce_pinned_counts() {
         .ttl(2)
         .build()
         .unwrap();
-    let flooded = hops::sweep(&wb, &cfg, &flooding, &mut rng(94), |words, r| {
-        Placement::uniform(&wb.graph, words, r)
-    })
-    .unwrap();
+    let flooded = uniform_sweep(&wb, &cfg, &flooding, 94);
     assert_eq!(counts(&flooded), (7, 30, 28_481, 11));
 }
 
